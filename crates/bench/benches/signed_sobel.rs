@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sdlc_core::batch::{BatchMultiplier, SignedBatchMultiplier, LANES};
-use sdlc_core::error::{exhaustive_signed_bitsliced_with_threads, exhaustive_signed_with_threads};
+use sdlc_core::error::{exhaustive_signed_with, Engine, EvalOptions};
 use sdlc_core::signed::signed_sdlc;
 use sdlc_core::{Batchable, Multiplier, SdlcMultiplier, SignMagnitude, SignedMultiplier};
 use sdlc_imgproc::{scenes, scharr_magnitude, sobel_magnitude};
@@ -96,14 +96,15 @@ fn bench_signed_exhaustive_drivers(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1u64 << 24));
     group.sample_size(10);
     let model = signed_sdlc(12, 2).unwrap();
-    group.bench_function("scalar", |b| {
-        b.iter(|| std::hint::black_box(exhaustive_signed_with_threads(&model, 1).unwrap()));
-    });
-    group.bench_function("bitsliced", |b| {
-        b.iter(|| {
-            std::hint::black_box(exhaustive_signed_bitsliced_with_threads(&model, 1).unwrap())
+    for (name, engine) in [("scalar", Engine::Scalar), ("bitsliced", Engine::BitSliced)] {
+        let options = EvalOptions {
+            engine,
+            threads: std::num::NonZeroUsize::new(1),
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| std::hint::black_box(exhaustive_signed_with(&model, options).unwrap()));
         });
-    });
+    }
     group.finish();
 }
 

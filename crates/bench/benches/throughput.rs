@@ -5,10 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sdlc_core::baselines::{EtmMultiplier, KulkarniMultiplier};
 use sdlc_core::batch::{BatchMultiplier, Batchable, LANES};
-use sdlc_core::error::{exhaustive_bitsliced_with_threads, exhaustive_with_threads};
+use sdlc_core::error::{exhaustive_with, Engine, EvalOptions};
 use sdlc_core::{AccurateMultiplier, Multiplier, SdlcMultiplier};
 use sdlc_netlist::GateKind;
-use sdlc_sim::{BitParallelSim, LogicSim};
+use sdlc_sim::{CompiledNetlist, CompiledSim, LogicSim};
 use sdlc_wideint::{SplitMix64, U256};
 
 fn bench_multipliers(c: &mut Criterion) {
@@ -91,12 +91,18 @@ fn bench_exhaustive_metrics(c: &mut Criterion) {
     let model = SdlcMultiplier::new(8, 2).unwrap();
     let mut group = c.benchmark_group("exhaustive_metrics_8bit_sdlc_d2");
     group.throughput(Throughput::Elements(1 << 16));
-    group.bench_function("engine_scalar", |b| {
-        b.iter(|| exhaustive_with_threads(&model, 1).unwrap())
-    });
-    group.bench_function("engine_bitsliced", |b| {
-        b.iter(|| exhaustive_bitsliced_with_threads(&model, 1).unwrap())
-    });
+    for (name, engine) in [
+        ("engine_scalar", Engine::Scalar),
+        ("engine_bitsliced", Engine::BitSliced),
+    ] {
+        let options = EvalOptions {
+            engine,
+            threads: std::num::NonZeroUsize::new(1),
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| exhaustive_with(&model, options).unwrap())
+        });
+    }
     group.finish();
 }
 
@@ -206,13 +212,14 @@ fn bench_simulators(c: &mut Criterion) {
             std::hint::black_box(sim.outputs())
         });
     });
-    group.bench_function("bit_parallel_64x", |b| {
-        let mut sim = BitParallelSim::new(&netlist);
+    group.bench_function("compiled_64x", |b| {
+        let program = CompiledNetlist::compile(&netlist);
+        let mut sim = CompiledSim::new(&program);
         let mut rng = SplitMix64::new(5);
         b.iter(|| {
             let stimulus: Vec<u64> = (0..inputs).map(|_| rng.next_u64()).collect();
             sim.apply(&stimulus);
-            std::hint::black_box(sim.toggles()[0])
+            std::hint::black_box(sim.words_applied())
         });
     });
     group.finish();

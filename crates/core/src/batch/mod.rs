@@ -4,7 +4,7 @@
 //! paper's evaluation, however, sweeps *every* operand pair — 2^{2N} of
 //! them — so the hottest loop in this repository multiplies billions of
 //! times. This module applies the same trick the netlist layer's
-//! `BitParallelSim` uses for switching activity: store the operands
+//! compiled gate engine uses for switching activity: store the operands
 //! **transposed** as bit-planes (one `u64` per bit position, lane `i` of
 //! each word belonging to pair `i`; see [`sdlc_wideint::bitplane`]) and
 //! every AND/OR of the multiplier's dot diagram becomes one word-wide

@@ -2,26 +2,34 @@
 //!
 //! The paper evaluates "all possible combinations of operands" (Section
 //! III). That is 2^{2N} pairs — trivial up to 12 bits, 4.3 G pairs at
-//! 16 bits. [`exhaustive`] sweeps every pair in parallel; [`sampled`] draws
-//! a seeded uniform sample for the widths where exhaustion is unreasonable
-//! on a laptop. Both drivers are deterministic: thread count never changes
-//! the result, and sampling depends only on the seed.
+//! 16 bits. [`exhaustive_with`] sweeps every pair in parallel;
+//! [`sampled_with`] draws a seeded uniform sample for the widths where
+//! exhaustion is unreasonable on a laptop. Both drivers are deterministic:
+//! thread count never changes the result, and sampling depends only on the
+//! seed. [`exhaustive`] and [`sampled`] are the scalar oracles for models
+//! without a bit-sliced twin.
 //!
-//! Every driver runs on one of two [`Engine`]s: the scalar path calls
+//! Every driver runs on one of two [`Engine`]s, chosen with the thread
+//! count in [`EvalOptions`]: the scalar path calls
 //! [`Multiplier::multiply_u64`] once per pair, while the bit-sliced path
 //! evaluates 64 pairs per pass through the transposed bit-plane models of
 //! [`crate::batch`]. The engines are bit-exact twins — same pair order,
 //! same accumulation order, bit-identical [`ErrorMetrics`] — so the
 //! bit-sliced engine is a pure speedup (~10–20× per core) that also raises
 //! the exhaustive ceiling to [`BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`] bits.
+//!
+//! One generic sweep serves both operand domains: the unsigned drivers
+//! here and the two's-complement ones in [`crate::error::signed`] differ
+//! only in how a bit pattern decodes and how a pair is recorded.
 
 use core::fmt;
+use std::num::NonZeroUsize;
 
-use sdlc_wideint::{bitplane, SplitMix64};
+use sdlc_wideint::{bitplane, SplitMix64, U256};
 
 use crate::batch::{BatchMultiplier, Batchable, BATCH_MAX_WIDTH, LANES};
 use crate::error::metrics::{ErrorAccumulator, ErrorMetrics};
-use crate::multiplier::Multiplier;
+use crate::multiplier::{Multiplier, MAX_WIDTH};
 
 /// Which evaluation engine a driver runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -64,6 +72,33 @@ impl fmt::Display for Engine {
     }
 }
 
+/// How a sweep runs: its engine and its worker-thread count.
+///
+/// The thread count only partitions the sweep; results never depend on
+/// it. `Engine::BitSliced.into()` is the all-cores bit-sliced sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct EvalOptions {
+    /// The evaluation engine.
+    pub engine: Engine,
+    /// Worker threads; `None` uses every available core.
+    pub threads: Option<NonZeroUsize>,
+}
+
+impl From<Engine> for EvalOptions {
+    fn from(engine: Engine) -> Self {
+        Self {
+            engine,
+            threads: None,
+        }
+    }
+}
+
+impl EvalOptions {
+    fn thread_count(self) -> usize {
+        self.threads.map_or_else(default_threads, NonZeroUsize::get)
+    }
+}
+
 /// Errors reported by the evaluation drivers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EvalError {
@@ -77,12 +112,12 @@ pub enum EvalError {
     },
     /// A sample count of zero was requested.
     NoSamples,
-    /// The bit-sliced engine was asked to evaluate a model wider than its
-    /// 64-lane plane stack supports.
+    /// The selected engine cannot evaluate a model this wide (the
+    /// bit-sliced 64-lane plane stack, or the signed scalar fast path).
     UnsupportedWidth {
         /// Requested width.
         width: u32,
-        /// Largest width the bit-sliced engine accepts.
+        /// Largest width the engine accepts.
         limit: u32,
     },
 }
@@ -107,13 +142,13 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Largest width accepted by the scalar [`exhaustive`] (2^32 cases,
+/// Largest width the scalar engine sweeps exhaustively (2^32 cases,
 /// ≈ minutes of CPU).
 pub const EXHAUSTIVE_WIDTH_LIMIT: u32 = 16;
 
-/// Largest width accepted by [`exhaustive_bitsliced`]: the 64-lane engine
-/// turns the 16-bit full sweep from minutes into seconds, which raises the
-/// practical ceiling to 20 bits (2^40 cases, ≈ minutes again).
+/// Largest width the bit-sliced engine sweeps exhaustively: the 64-lane
+/// engine turns the 16-bit full sweep from minutes into seconds, which
+/// raises the practical ceiling to 20 bits (2^40 cases, ≈ minutes again).
 pub const BITSLICED_EXHAUSTIVE_WIDTH_LIMIT: u32 = 20;
 
 fn default_threads() -> usize {
@@ -128,368 +163,306 @@ fn default_threads() -> usize {
 /// same way, through the same function).
 pub(crate) use sdlc_wideint::parallel::{parallel_chunks, parallel_shard_chunks};
 
-/// Exhaustively evaluates every operand pair of an `N ≤ 16` bit multiplier
-/// using all available cores.
-///
-/// # Errors
-///
-/// Returns [`EvalError::WidthTooLarge`] above
-/// [`EXHAUSTIVE_WIDTH_LIMIT`] bits.
-pub fn exhaustive<M>(multiplier: &M) -> Result<ErrorMetrics, EvalError>
-where
-    M: Multiplier + Sync,
-{
-    exhaustive_with_threads(multiplier, default_threads())
+/// An operand domain of the sweeps. Operands travel as `u64` bit
+/// patterns in sweep order (`0, 1, …, 2^N − 1`); the domain decodes them,
+/// forms the exact product and records each pair.
+pub(crate) trait Domain: Sync {
+    /// Decoded operand, also the tag of the worst-case pair.
+    type Operand: Copy;
+    /// Exact and approximate products of the per-pair accounting.
+    type Product: Copy + PartialEq;
+    /// Widest model the scalar sampler accepts.
+    const SAMPLED_WIDTH_LIMIT: u32;
+
+    /// Operand width N in bits.
+    fn width(&self) -> u32;
+    /// Decodes an N-bit operand pattern.
+    fn decode(&self, pattern: u64) -> Self::Operand;
+    /// The exact product.
+    fn exact(a: Self::Operand, b: Self::Operand) -> Self::Product;
+    /// The scalar model's product.
+    fn multiply(&self, a: Self::Operand, b: Self::Operand) -> Self::Product;
+    /// Decodes one 2N-bit product lane of the bit-sliced engine.
+    fn lane_product(&self, lane: u64) -> Self::Product;
+    /// Records one pair into the accumulator.
+    fn record(
+        acc: &mut ErrorAccumulator,
+        exact: Self::Product,
+        approx: Self::Product,
+        operands: (Self::Operand, Self::Operand),
+    );
+    /// Finalizes the merged accumulator.
+    fn finish(&self, acc: &ErrorAccumulator) -> ErrorMetrics;
+
+    /// Records the pattern pair `(a, b)` through the scalar model.
+    #[inline]
+    fn record_pair(&self, acc: &mut ErrorAccumulator, a: u64, b: u64) {
+        let (a, b) = (self.decode(a), self.decode(b));
+        Self::record(acc, Self::exact(a, b), self.multiply(a, b), (a, b));
+    }
+
+    /// Draws one pair from `rng` and records it through the scalar model.
+    #[inline]
+    fn record_sample(&self, acc: &mut ErrorAccumulator, rng: &mut SplitMix64) {
+        let a = rng.next_bits(self.width());
+        let b = rng.next_bits(self.width());
+        self.record_pair(acc, a, b);
+    }
 }
 
-/// [`exhaustive`] with an explicit worker-thread count (the result does not
-/// depend on the count; it only partitions the sweep).
-///
-/// # Errors
-///
-/// Returns [`EvalError::WidthTooLarge`] above
-/// [`EXHAUSTIVE_WIDTH_LIMIT`] bits.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn exhaustive_with_threads<M>(multiplier: &M, threads: usize) -> Result<ErrorMetrics, EvalError>
-where
-    M: Multiplier + Sync,
-{
-    assert!(threads > 0, "thread count must be positive");
-    let width = multiplier.width();
-    if width > EXHAUSTIVE_WIDTH_LIMIT {
-        return Err(EvalError::WidthTooLarge {
-            width,
-            limit: EXHAUSTIVE_WIDTH_LIMIT,
-        });
+/// A domain whose model has a bit-sliced twin.
+pub(crate) trait BatchDomain: Domain {
+    /// The 64-lane twin.
+    type Batch;
+
+    /// Builds the twin (workers build one each).
+    fn batch(&self) -> Self::Batch;
+    /// One exhaustive row: the fixed operand `a` against every `b` in
+    /// `[0, count)`, one `emit(b0, product_planes)` per 64-lane block.
+    fn sweep_row(batch: &Self::Batch, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64]));
+    /// 64 products from transposed operands.
+    fn multiply_planes(batch: &Self::Batch, a: &[u64], b: &[u64], product: &mut [u64]);
+}
+
+/// The unsigned domain of a [`Multiplier`].
+pub(crate) struct Unsigned<'m, M>(pub(crate) &'m M);
+
+impl<M: Multiplier + Sync> Domain for Unsigned<'_, M> {
+    type Operand = u64;
+    type Product = u128;
+    // Wider draws take the U256 path of `record_sample`.
+    const SAMPLED_WIDTH_LIMIT: u32 = MAX_WIDTH;
+
+    fn width(&self) -> u32 {
+        self.0.width()
     }
-    let count: u64 = 1u64 << width;
-    let partials = parallel_chunks(count, threads, |lo, hi| {
+
+    #[inline]
+    fn decode(&self, pattern: u64) -> u64 {
+        pattern
+    }
+
+    #[inline]
+    fn exact(a: u64, b: u64) -> u128 {
+        u128::from(a) * u128::from(b)
+    }
+
+    #[inline]
+    fn multiply(&self, a: u64, b: u64) -> u128 {
+        self.0.multiply_u64(a, b)
+    }
+
+    #[inline]
+    fn lane_product(&self, lane: u64) -> u128 {
+        u128::from(lane)
+    }
+
+    #[inline]
+    fn record(acc: &mut ErrorAccumulator, exact: u128, approx: u128, operands: (u64, u64)) {
+        acc.record_u64(exact, approx, operands);
+    }
+
+    fn finish(&self, acc: &ErrorAccumulator) -> ErrorMetrics {
+        acc.finish(self.0.max_product())
+    }
+
+    fn record_sample(&self, acc: &mut ErrorAccumulator, rng: &mut SplitMix64) {
+        let width = self.width();
+        if width <= 32 {
+            let a = rng.next_bits(width);
+            let b = rng.next_bits(width);
+            self.record_pair(acc, a, b);
+        } else {
+            let a = draw_u128(rng, width);
+            let b = draw_u128(rng, width);
+            let exact = U256::from_u128(a).wrapping_mul(&U256::from_u128(b));
+            acc.record(&exact, &self.0.multiply(a, b), (a, b));
+        }
+    }
+}
+
+impl<M: Batchable + Sync> BatchDomain for Unsigned<'_, M> {
+    type Batch = M::Batch;
+
+    fn batch(&self) -> M::Batch {
+        self.0.batch_model()
+    }
+
+    fn sweep_row(batch: &M::Batch, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64])) {
+        batch.sweep_operand_row(a, count, emit);
+    }
+
+    fn multiply_planes(batch: &M::Batch, a: &[u64], b: &[u64], product: &mut [u64]) {
+        batch.multiply_planes(a, b, product);
+    }
+}
+
+/// The exhaustive driver: every pattern pair of `domain` on the selected
+/// engine.
+pub(crate) fn exhaustive_in<D: BatchDomain>(
+    domain: &D,
+    options: EvalOptions,
+) -> Result<ErrorMetrics, EvalError> {
+    let threads = options.thread_count();
+    match options.engine {
+        Engine::Scalar => exhaustive_scalar(domain, threads),
+        Engine::BitSliced => exhaustive_chunks(
+            domain,
+            BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
+            threads,
+            |lo, hi| {
+                let batch = domain.batch();
+                let mut acc = ErrorAccumulator::new();
+                sweep_blocks(domain, &batch, lo, hi, |a, b0, valid, approx| {
+                    record_lanes(domain, &mut acc, approx, valid, |i| (a, b0 + i as u64));
+                });
+                acc
+            },
+        ),
+    }
+}
+
+/// The scalar arm of [`exhaustive_in`], open to models without a
+/// bit-sliced twin.
+fn exhaustive_scalar<D: Domain>(domain: &D, threads: usize) -> Result<ErrorMetrics, EvalError> {
+    exhaustive_chunks(domain, EXHAUSTIVE_WIDTH_LIMIT, threads, |lo, hi| {
+        let count = 1u64 << domain.width();
         let mut acc = ErrorAccumulator::new();
         for a in lo..hi {
             for b in 0..count {
-                let exact = u128::from(a) * u128::from(b);
-                let approx = multiplier.multiply_u64(a, b);
-                acc.record_u64(exact, approx, (a, b));
+                domain.record_pair(&mut acc, a, b);
             }
         }
         acc
-    });
-    let mut total = ErrorAccumulator::new();
-    for p in &partials {
-        total.merge(p);
-    }
-    Ok(total.finish(multiplier.max_product()))
+    })
 }
 
-/// [`exhaustive`] dispatched on an [`Engine`]; both engines return
-/// bit-identical [`ErrorMetrics`] wherever both accept the width.
-///
-/// # Errors
-///
-/// Returns [`EvalError::WidthTooLarge`] above the selected engine's width
-/// limit ([`EXHAUSTIVE_WIDTH_LIMIT`] or
-/// [`BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`]).
-pub fn exhaustive_with_engine<M>(multiplier: &M, engine: Engine) -> Result<ErrorMetrics, EvalError>
-where
-    M: Batchable + Sync,
-{
-    match engine {
-        Engine::Scalar => exhaustive(multiplier),
-        Engine::BitSliced => exhaustive_bitsliced(multiplier),
-    }
-}
-
-/// Exhaustively evaluates every operand pair through the bit-sliced
-/// 64-lane engine — the same sweep order, thread splitting and
-/// accumulation order as [`exhaustive`], so the resulting
-/// [`ErrorMetrics`] are bit-identical, at a fraction of the cost.
-///
-/// # Errors
-///
-/// Returns [`EvalError::WidthTooLarge`] above
-/// [`BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`] bits.
-pub fn exhaustive_bitsliced<M>(multiplier: &M) -> Result<ErrorMetrics, EvalError>
-where
-    M: Batchable + Sync,
-{
-    exhaustive_bitsliced_with_threads(multiplier, default_threads())
-}
-
-/// [`exhaustive_bitsliced`] with an explicit worker-thread count (as with
-/// the scalar driver, the count only partitions the sweep).
-///
-/// # Errors
-///
-/// Returns [`EvalError::WidthTooLarge`] above
-/// [`BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`] bits.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn exhaustive_bitsliced_with_threads<M>(
-    multiplier: &M,
+/// Checks the width against `limit`, splits the `2^N` rows over `threads`
+/// and merges the per-chunk accumulators in chunk order.
+fn exhaustive_chunks<D: Domain>(
+    domain: &D,
+    limit: u32,
     threads: usize,
-) -> Result<ErrorMetrics, EvalError>
-where
-    M: Batchable + Sync,
-{
-    assert!(threads > 0, "thread count must be positive");
-    let width = multiplier.width();
-    if width > BITSLICED_EXHAUSTIVE_WIDTH_LIMIT {
-        return Err(EvalError::WidthTooLarge {
-            width,
-            limit: BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
-        });
+    chunk: impl Fn(u64, u64) -> ErrorAccumulator + Sync,
+) -> Result<ErrorMetrics, EvalError> {
+    let width = domain.width();
+    if width > limit {
+        return Err(EvalError::WidthTooLarge { width, limit });
     }
-    let count: u64 = 1u64 << width;
-    let partials = parallel_chunks(count, threads, |lo, hi| {
-        let batch = multiplier.batch_model();
-        let mut acc = ErrorAccumulator::new();
-        sweep_blocks(&batch, lo, hi, count, |a, b0, valid, approx| {
-            record_block(&mut acc, a, b0, valid, approx);
-        });
-        acc
-    });
-    let mut total = ErrorAccumulator::new();
-    for p in &partials {
-        total.merge(p);
-    }
-    Ok(total.finish(multiplier.max_product()))
+    let partials = parallel_chunks(1u64 << width, threads, chunk);
+    Ok(domain.finish(&merged(&partials)))
 }
 
-/// Walks the `[lo, hi) × [0, count)` operand rectangle in 64-lane blocks
+fn merged(partials: &[ErrorAccumulator]) -> ErrorAccumulator {
+    let mut total = ErrorAccumulator::new();
+    for p in partials {
+        total.merge(p);
+    }
+    total
+}
+
+/// Walks rows `[lo, hi)` of the exhaustive pattern space in 64-lane blocks
 /// through a bit-sliced model, handing each block's un-transposed products
 /// to `visit(a, b0, valid, products)`. The exhaustive drivers (metrics and
 /// histogram) share this loop so their pair order matches the scalar
-/// engines exactly.
-pub(crate) fn sweep_blocks<B: BatchMultiplier>(
-    batch: &B,
+/// engine exactly.
+pub(crate) fn sweep_blocks<D: BatchDomain>(
+    domain: &D,
+    batch: &D::Batch,
     lo: u64,
     hi: u64,
-    count: u64,
     mut visit: impl FnMut(u64, u64, usize, &[u64; LANES]),
 ) {
-    let width = batch.width();
+    let width = domain.width();
+    let count = 1u64 << width;
     let planes = width as usize;
     let mut approx = [0u64; LANES];
     if count >= LANES as u64 {
         for a in lo..hi {
-            batch.sweep_operand_row(a, count, &mut |b0, product| {
+            D::sweep_row(batch, a, count, &mut |b0, product| {
                 crate::batch::extract_product_lanes(product, &mut approx);
                 visit(a, b0, LANES, &approx);
             });
         }
     } else {
-        // Fewer pairs than lanes (widths 2 and 4): transpose one
-        // zero-padded block per `a` and ignore the idle lanes.
+        // Fewer pairs than lanes (widths 2 and 4): one zero-padded block
+        // per row, idle lanes ignored.
         let valid = count as usize;
         let lanes: [u64; LANES] = core::array::from_fn(|i| if i < valid { i as u64 } else { 0 });
         let b_planes = bitplane::transposed64(&lanes);
+        let mut a_planes = [0u64; BATCH_MAX_WIDTH as usize];
         let mut product = [0u64; LANES];
         for a in lo..hi {
-            batch.multiply_planes_bcast(a, &b_planes[..planes], &mut product[..2 * planes]);
+            bitplane::broadcast_planes(a, width, &mut a_planes);
+            D::multiply_planes(
+                batch,
+                &a_planes[..planes],
+                &b_planes[..planes],
+                &mut product[..2 * planes],
+            );
             crate::batch::extract_product_lanes(&product[..2 * planes], &mut approx);
             visit(a, 0, valid, &approx);
         }
     }
 }
 
-/// Feeds one exhaustive block into the accumulator: exact lanes in bulk,
-/// error lanes individually in ascending-lane (scalar) order, so float
-/// accumulation matches the scalar engine bit for bit.
-fn record_block(acc: &mut ErrorAccumulator, a: u64, b0: u64, valid: usize, approx: &[u64; LANES]) {
+/// Feeds one block of `valid` lanes into the accumulator; `pair(i)` gives
+/// lane `i`'s operand patterns. Exact lanes go in bulk, wrong lanes one by
+/// one in ascending-lane (scalar) order, so float accumulation matches the
+/// scalar engine bit for bit.
+#[inline]
+fn record_lanes<D: Domain>(
+    domain: &D,
+    acc: &mut ErrorAccumulator,
+    approx: &[u64; LANES],
+    valid: usize,
+    pair: impl Fn(usize) -> (u64, u64),
+) {
     let mut err_mask = 0u64;
     for (i, &p) in approx.iter().enumerate().take(valid) {
-        let exact = a * (b0 + i as u64);
-        err_mask |= u64::from(p != exact) << i;
+        let (a, b) = pair(i);
+        let exact = D::exact(domain.decode(a), domain.decode(b));
+        err_mask |= u64::from(domain.lane_product(p) != exact) << i;
     }
     acc.record_exact_many(valid as u64 - u64::from(err_mask.count_ones()));
     while err_mask != 0 {
-        let i = err_mask.trailing_zeros() as u64;
+        let i = err_mask.trailing_zeros() as usize;
         err_mask &= err_mask - 1;
-        let b = b0 + i;
-        acc.record_u64(
-            u128::from(a) * u128::from(b),
-            u128::from(approx[i as usize]),
-            (a, b),
-        );
+        let (a, b) = pair(i);
+        let (a, b) = (domain.decode(a), domain.decode(b));
+        D::record(acc, D::exact(a, b), domain.lane_product(approx[i]), (a, b));
     }
 }
 
-/// Evaluates `samples` uniformly random operand pairs (seeded, parallel,
-/// deterministic for a given `(seed, samples)` regardless of thread count).
-///
-/// # Errors
-///
-/// Returns [`EvalError::NoSamples`] when `samples == 0`.
-pub fn sampled<M>(multiplier: &M, samples: u64, seed: u64) -> Result<ErrorMetrics, EvalError>
-where
-    M: Multiplier + Sync,
-{
-    sampled_with_threads(multiplier, samples, seed, default_threads())
-}
+/// Fixed logical partitioning of the samplers: 256 shards, each with its
+/// own SplitMix64 substream, so the draws never depend on the thread
+/// count.
+const SHARDS: u64 = 256;
 
-/// [`sampled`] with an explicit thread count.
-///
-/// Each worker draws from an independent SplitMix64 stream derived from the
-/// seed and its worker index, so the union of draws is a pure function of
-/// `(seed, samples, threads→partitioning)`; we fix the partitioning as a
-/// function of `samples` only, making results thread-count independent.
-///
-/// # Errors
-///
-/// Returns [`EvalError::NoSamples`] when `samples == 0`.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn sampled_with_threads<M>(
-    multiplier: &M,
+/// The sampled driver: `samples` seeded uniform pairs of `domain` on the
+/// selected engine.
+pub(crate) fn sampled_in<D: BatchDomain>(
+    domain: &D,
     samples: u64,
     seed: u64,
-    threads: usize,
-) -> Result<ErrorMetrics, EvalError>
-where
-    M: Multiplier + Sync,
-{
-    assert!(threads > 0, "thread count must be positive");
-    if samples == 0 {
-        return Err(EvalError::NoSamples);
+    options: EvalOptions,
+) -> Result<ErrorMetrics, EvalError> {
+    let threads = options.thread_count();
+    if options.engine == Engine::Scalar {
+        return sampled_scalar(domain, samples, seed, threads);
     }
-    let width = multiplier.width();
-    // Fixed logical partitioning: 256 shards, each with its own substream.
-    const SHARDS: u64 = 256;
-    let per_shard = samples.div_ceil(SHARDS);
-    let shard_list: Vec<u64> = (0..SHARDS).collect();
-    let partials = parallel_shard_chunks(&shard_list, threads, |shards| {
-        let mut acc = ErrorAccumulator::new();
-        for &shard in shards {
-            let mut rng = SplitMix64::new(seed ^ (shard.wrapping_mul(0x9e37_79b9)));
-            let begin = shard * per_shard;
-            let end = (begin + per_shard).min(samples);
-            if width <= 32 {
-                for _ in begin..end {
-                    let a = rng.next_bits(width);
-                    let b = rng.next_bits(width);
-                    let exact = u128::from(a) * u128::from(b);
-                    let approx = multiplier.multiply_u64(a, b);
-                    acc.record_u64(exact, approx, (a, b));
-                }
-            } else {
-                for _ in begin..end {
-                    let a = draw_u128(&mut rng, width);
-                    let b = draw_u128(&mut rng, width);
-                    let exact = sdlc_wideint::U256::from_u128(a)
-                        .wrapping_mul(&sdlc_wideint::U256::from_u128(b));
-                    let approx = multiplier.multiply(a, b);
-                    acc.record(&exact, &approx, (a, b));
-                }
-            }
-        }
-        acc
-    });
-    let mut total = ErrorAccumulator::new();
-    for p in &partials {
-        total.merge(p);
-    }
-    Ok(total.finish(multiplier.max_product()))
-}
-
-/// [`sampled`] dispatched on an [`Engine`]; for widths both engines
-/// accept, the draws, pair order and accumulation order are identical, so
-/// the metrics are bit-identical.
-///
-/// # Errors
-///
-/// Returns [`EvalError::NoSamples`] when `samples == 0`, or
-/// [`EvalError::UnsupportedWidth`] if the bit-sliced engine was selected
-/// for a model wider than 32 bits.
-pub fn sampled_with_engine<M>(
-    multiplier: &M,
-    samples: u64,
-    seed: u64,
-    engine: Engine,
-) -> Result<ErrorMetrics, EvalError>
-where
-    M: Batchable + Sync,
-{
-    match engine {
-        Engine::Scalar => sampled(multiplier, samples, seed),
-        Engine::BitSliced => sampled_bitsliced(multiplier, samples, seed),
-    }
-}
-
-/// [`sampled`] through the bit-sliced 64-lane engine: same SplitMix64
-/// shard streams, same draw order, bit-identical [`ErrorMetrics`].
-///
-/// # Errors
-///
-/// Returns [`EvalError::NoSamples`] when `samples == 0`, or
-/// [`EvalError::UnsupportedWidth`] for models wider than 32 bits.
-pub fn sampled_bitsliced<M>(
-    multiplier: &M,
-    samples: u64,
-    seed: u64,
-) -> Result<ErrorMetrics, EvalError>
-where
-    M: Batchable + Sync,
-{
-    sampled_bitsliced_with_threads(multiplier, samples, seed, default_threads())
-}
-
-/// [`sampled_bitsliced`] with an explicit thread count (partitioning
-/// only; the fixed 256-shard layout keeps results thread-count
-/// independent, exactly like the scalar driver).
-///
-/// # Errors
-///
-/// Returns [`EvalError::NoSamples`] when `samples == 0`, or
-/// [`EvalError::UnsupportedWidth`] for models wider than 32 bits.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn sampled_bitsliced_with_threads<M>(
-    multiplier: &M,
-    samples: u64,
-    seed: u64,
-    threads: usize,
-) -> Result<ErrorMetrics, EvalError>
-where
-    M: Batchable + Sync,
-{
-    assert!(threads > 0, "thread count must be positive");
-    if samples == 0 {
-        return Err(EvalError::NoSamples);
-    }
-    let width = multiplier.width();
-    if width > BATCH_MAX_WIDTH {
-        return Err(EvalError::UnsupportedWidth {
-            width,
-            limit: BATCH_MAX_WIDTH,
-        });
-    }
-    const SHARDS: u64 = 256;
-    let per_shard = samples.div_ceil(SHARDS);
-    let shard_list: Vec<u64> = (0..SHARDS).collect();
-    let partials = parallel_shard_chunks(&shard_list, threads, |shards| {
-        let batch = multiplier.batch_model();
+    sampled_chunks(domain, samples, BATCH_MAX_WIDTH, threads, |shards| {
+        let width = domain.width();
+        let planes = width as usize;
+        let batch = domain.batch();
         let mut acc = ErrorAccumulator::new();
         let mut a_lanes = [0u64; LANES];
         let mut b_lanes = [0u64; LANES];
         let mut approx = [0u64; LANES];
         let mut product = [0u64; LANES];
-        let planes = width as usize;
-        for &shard in shards {
-            let mut rng = SplitMix64::new(seed ^ (shard.wrapping_mul(0x9e37_79b9)));
-            let begin = shard * per_shard;
-            let end = (begin + per_shard).min(samples);
-            let mut n = begin;
-            while n < end {
-                let valid = (end - n).min(LANES as u64) as usize;
+        for_shards(shards, samples, seed, |rng, mut left| {
+            while left > 0 {
+                let valid = left.min(LANES as u64) as usize;
                 for i in 0..valid {
                     a_lanes[i] = rng.next_bits(width);
                     b_lanes[i] = rng.next_bits(width);
@@ -498,37 +471,78 @@ where
                 b_lanes[valid..].fill(0);
                 let a_planes = operand_planes(&a_lanes, width);
                 let b_planes = operand_planes(&b_lanes, width);
-                batch.multiply_planes(
+                D::multiply_planes(
+                    &batch,
                     &a_planes[..planes],
                     &b_planes[..planes],
                     &mut product[..2 * planes],
                 );
                 crate::batch::extract_product_lanes(&product[..2 * planes], &mut approx);
-                let mut err_mask = 0u64;
-                for i in 0..valid {
-                    let exact = u128::from(a_lanes[i]) * u128::from(b_lanes[i]);
-                    err_mask |= u64::from(u128::from(approx[i]) != exact) << i;
-                }
-                acc.record_exact_many(valid as u64 - u64::from(err_mask.count_ones()));
-                while err_mask != 0 {
-                    let i = err_mask.trailing_zeros() as usize;
-                    err_mask &= err_mask - 1;
-                    acc.record_u64(
-                        u128::from(a_lanes[i]) * u128::from(b_lanes[i]),
-                        u128::from(approx[i]),
-                        (a_lanes[i], b_lanes[i]),
-                    );
-                }
-                n += valid as u64;
+                record_lanes(domain, &mut acc, &approx, valid, |i| {
+                    (a_lanes[i], b_lanes[i])
+                });
+                left -= valid as u64;
             }
-        }
+        });
         acc
-    });
-    let mut total = ErrorAccumulator::new();
-    for p in &partials {
-        total.merge(p);
+    })
+}
+
+/// The scalar arm of [`sampled_in`], open to models without a bit-sliced
+/// twin.
+fn sampled_scalar<D: Domain>(
+    domain: &D,
+    samples: u64,
+    seed: u64,
+    threads: usize,
+) -> Result<ErrorMetrics, EvalError> {
+    sampled_chunks(domain, samples, D::SAMPLED_WIDTH_LIMIT, threads, |shards| {
+        let mut acc = ErrorAccumulator::new();
+        for_shards(shards, samples, seed, |rng, n| {
+            for _ in 0..n {
+                domain.record_sample(&mut acc, rng);
+            }
+        });
+        acc
+    })
+}
+
+/// Validates the request, splits the fixed shard list over `threads` and
+/// merges the per-run accumulators in shard order.
+fn sampled_chunks<D: Domain>(
+    domain: &D,
+    samples: u64,
+    limit: u32,
+    threads: usize,
+    run: impl Fn(&[u64]) -> ErrorAccumulator + Sync,
+) -> Result<ErrorMetrics, EvalError> {
+    if samples == 0 {
+        return Err(EvalError::NoSamples);
     }
-    Ok(total.finish(multiplier.max_product()))
+    let width = domain.width();
+    if width > limit {
+        return Err(EvalError::UnsupportedWidth { width, limit });
+    }
+    let shard_list: Vec<u64> = (0..SHARDS).collect();
+    let partials = parallel_shard_chunks(&shard_list, threads, run);
+    Ok(domain.finish(&merged(&partials)))
+}
+
+/// Calls `visit(rng, n)` for each shard with its seeded substream and its
+/// share of the `samples` draws.
+fn for_shards(
+    shards: &[u64],
+    samples: u64,
+    seed: u64,
+    mut visit: impl FnMut(&mut SplitMix64, u64),
+) {
+    let per_shard = samples.div_ceil(SHARDS);
+    for &shard in shards {
+        let mut rng = SplitMix64::new(seed ^ (shard.wrapping_mul(0x9e37_79b9)));
+        let begin = shard * per_shard;
+        let end = (begin + per_shard).min(samples);
+        visit(&mut rng, end.saturating_sub(begin));
+    }
 }
 
 /// Transposes 64 lane-form operands into `width` bit-planes, picking the
@@ -553,6 +567,89 @@ fn draw_u128(rng: &mut SplitMix64, width: u32) -> u128 {
         let low = rng.next_u64();
         (u128::from(high) << 64) | u128::from(low)
     }
+}
+
+/// Exhaustively evaluates every operand pair of an `N ≤ 16` bit multiplier
+/// on the scalar engine using all available cores — the oracle the
+/// bit-sliced engine is checked against, and the driver for models with no
+/// bit-sliced twin (e.g. [`crate::BiasCompensated`]).
+///
+/// # Errors
+///
+/// Returns [`EvalError::WidthTooLarge`] above
+/// [`EXHAUSTIVE_WIDTH_LIMIT`] bits.
+pub fn exhaustive<M>(multiplier: &M) -> Result<ErrorMetrics, EvalError>
+where
+    M: Multiplier + Sync,
+{
+    exhaustive_scalar(&Unsigned(multiplier), default_threads())
+}
+
+/// Exhaustively evaluates every operand pair on the engine and thread
+/// count of `options`; both engines return bit-identical
+/// [`ErrorMetrics`] wherever both accept the width.
+///
+/// # Errors
+///
+/// Returns [`EvalError::WidthTooLarge`] above the selected engine's width
+/// limit ([`EXHAUSTIVE_WIDTH_LIMIT`] or
+/// [`BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`]).
+pub fn exhaustive_with<M>(multiplier: &M, options: EvalOptions) -> Result<ErrorMetrics, EvalError>
+where
+    M: Batchable + Sync,
+{
+    exhaustive_in(&Unsigned(multiplier), options)
+}
+
+/// [`exhaustive_with`] on all cores of the given engine.
+///
+/// # Errors
+///
+/// As [`exhaustive_with`].
+pub fn exhaustive_with_engine<M>(multiplier: &M, engine: Engine) -> Result<ErrorMetrics, EvalError>
+where
+    M: Batchable + Sync,
+{
+    exhaustive_with(multiplier, engine.into())
+}
+
+/// Evaluates `samples` uniformly random operand pairs on the scalar engine
+/// using all available cores (seeded, deterministic for a given
+/// `(seed, samples)` regardless of thread count). Accepts every width up
+/// to 128 bits.
+///
+/// # Errors
+///
+/// Returns [`EvalError::NoSamples`] when `samples == 0`.
+pub fn sampled<M>(multiplier: &M, samples: u64, seed: u64) -> Result<ErrorMetrics, EvalError>
+where
+    M: Multiplier + Sync,
+{
+    sampled_scalar(&Unsigned(multiplier), samples, seed, default_threads())
+}
+
+/// [`sampled`] on the engine and thread count of `options`.
+///
+/// Each of 256 fixed shards draws from its own SplitMix64 stream derived
+/// from the seed, and workers split the shard list, so the draws, pair
+/// order and accumulation order depend only on `(seed, samples)`: both
+/// engines return bit-identical metrics for any thread count.
+///
+/// # Errors
+///
+/// Returns [`EvalError::NoSamples`] when `samples == 0`, or
+/// [`EvalError::UnsupportedWidth`] if the bit-sliced engine was selected
+/// for a model wider than 32 bits.
+pub fn sampled_with<M>(
+    multiplier: &M,
+    samples: u64,
+    seed: u64,
+    options: EvalOptions,
+) -> Result<ErrorMetrics, EvalError>
+where
+    M: Batchable + Sync,
+{
+    sampled_in(&Unsigned(multiplier), samples, seed, options)
 }
 
 /// Evaluates error metrics under a *caller-supplied operand distribution*
@@ -617,8 +714,11 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
+    use crate::baselines::EtmMultiplier;
+    use crate::error::{exhaustive_signed_with, sampled_signed_with};
+    use crate::signed::{signed_sdlc, SignMagnitude};
     use crate::{AccurateMultiplier, SdlcMultiplier};
 
     #[test]
@@ -630,26 +730,166 @@ mod tests {
         assert_eq!(metrics.samples, 1 << 16);
     }
 
+    /// One row of the engine table: a sweep under test, and how far its
+    /// float means may move between thread counts.
+    pub(in crate::error) struct Row {
+        name: String,
+        sweep: Box<dyn Fn(EvalOptions) -> ErrorMetrics>,
+        mean_tolerance: f64,
+    }
+
+    fn row(
+        name: impl Into<String>,
+        mean_tolerance: f64,
+        sweep: impl Fn(EvalOptions) -> Result<ErrorMetrics, EvalError> + 'static,
+    ) -> Row {
+        Row {
+            name: name.into(),
+            sweep: Box::new(move |options| sweep(options).unwrap()),
+            mean_tolerance,
+        }
+    }
+
+    const THREADS: [usize; 3] = [1, 3, 7];
+
+    fn options(engine: Engine, threads: usize) -> EvalOptions {
+        let threads = NonZeroUsize::new(threads);
+        EvalOptions { engine, threads }
+    }
+
+    /// At equal thread counts the engines agree bit for bit on the full
+    /// metrics.
+    pub(in crate::error) fn assert_engines_agree(rows: &[Row]) {
+        for row in rows {
+            for threads in THREADS {
+                let run = |engine| (row.sweep)(options(engine, threads));
+                let name = &row.name;
+                assert_eq!(
+                    run(Engine::Scalar),
+                    run(Engine::BitSliced),
+                    "{name} at {threads}"
+                );
+            }
+        }
+    }
+
+    /// Across thread counts, chunk merges reassociate the float sums, so
+    /// counts, maxima and the worst pair agree exactly and the means within
+    /// the row's tolerance.
+    pub(in crate::error) fn assert_thread_count_invariant(rows: &[Row], engine: Engine) {
+        for row in rows {
+            let name = &row.name;
+            let one = (row.sweep)(options(engine, 1));
+            for threads in &THREADS[1..] {
+                let other = (row.sweep)(options(engine, *threads));
+                assert_eq!(one.samples, other.samples, "{name}");
+                assert_eq!(one.error_rate, other.error_rate, "{name}");
+                assert_eq!(one.undefined_red_count, other.undefined_red_count, "{name}");
+                assert_eq!(one.max_red, other.max_red, "{name}");
+                assert_eq!(one.max_ed, other.max_ed, "{name}");
+                assert_eq!(one.worst_red_operands, other.worst_red_operands, "{name}");
+                assert!((one.mred - other.mred).abs() < row.mean_tolerance, "{name}");
+                assert!((one.nmed - other.nmed).abs() < row.mean_tolerance, "{name}");
+            }
+        }
+    }
+
+    /// Widths 2 and 4 take the partial-block path (fewer pairs than lanes).
+    const EXHAUSTIVE_CASES: [(u32, u32); 7] =
+        [(2, 2), (4, 2), (6, 2), (6, 3), (8, 2), (8, 3), (8, 4)];
+
+    fn unsigned_exhaustive_rows() -> Vec<Row> {
+        let rows = EXHAUSTIVE_CASES.map(|(width, depth)| {
+            let m = SdlcMultiplier::new(width, depth).unwrap();
+            row(
+                format!("unsigned exhaustive {width}-bit d{depth}"),
+                1e-15,
+                move |o| exhaustive_with(&m, o),
+            )
+        });
+        rows.into()
+    }
+
+    /// The signed rows for the engine and thread-count tests in
+    /// `error::signed`. The 8-bit d4 row (MRED ≈ 10 %) has larger float
+    /// sums whose means move by a few 1e-15 across thread counts
+    /// (measured: up to 2.5e-15), so it is checked within 1e-14.
+    pub(in crate::error) fn signed_exhaustive_rows() -> Vec<Row> {
+        let rows = EXHAUSTIVE_CASES.map(|(width, depth)| {
+            let s = signed_sdlc(width, depth).unwrap();
+            let tolerance = if (width, depth) == (8, 4) {
+                1e-14
+            } else {
+                1e-15
+            };
+            row(
+                format!("signed exhaustive {width}-bit d{depth}"),
+                tolerance,
+                move |o| exhaustive_signed_with(&s, o),
+            )
+        });
+        rows.into()
+    }
+
+    /// ETM errs on exact-zero products: the undefined-RED path, whose
+    /// means move by up to 2.5e-15 across thread counts.
+    fn unsigned_sampled_rows() -> Vec<Row> {
+        let m = SdlcMultiplier::new(12, 3).unwrap();
+        let etm = EtmMultiplier::new(8).unwrap();
+        vec![
+            row("unsigned sampled 12-bit d3", 1e-15, move |o| {
+                sampled_with(&m, 40_000, 42, o)
+            }),
+            row("unsigned sampled ETM 8-bit", 1e-14, move |o| {
+                let metrics = sampled_with(&etm, 20_000, 7, o)?;
+                assert!(metrics.undefined_red_count > 0);
+                Ok(metrics)
+            }),
+        ]
+    }
+
+    pub(in crate::error) fn signed_sampled_rows() -> Vec<Row> {
+        let m12 = signed_sdlc(12, 3).unwrap();
+        let m6 = signed_sdlc(6, 2).unwrap();
+        let etm = SignMagnitude::new(EtmMultiplier::new(8).unwrap());
+        vec![
+            row("signed sampled 12-bit d3", 1e-15, move |o| {
+                sampled_signed_with(&m12, 40_000, 42, o)
+            }),
+            row("signed sampled 6-bit d2", 1e-15, move |o| {
+                sampled_signed_with(&m6, 9_000, 3, o)
+            }),
+            row("signed sampled ETM 8-bit", 1e-14, move |o| {
+                sampled_signed_with(&etm, 20_000, 7, o)
+            }),
+        ]
+    }
+
+    #[test]
+    fn bitsliced_exhaustive_is_bit_identical_to_scalar() {
+        assert_engines_agree(&unsigned_exhaustive_rows());
+    }
+
+    #[test]
+    fn bitsliced_sampled_is_bit_identical_to_scalar() {
+        assert_engines_agree(&unsigned_sampled_rows());
+    }
+
     #[test]
     fn exhaustive_is_thread_count_invariant() {
-        let m = SdlcMultiplier::new(6, 2).unwrap();
-        let one = exhaustive_with_threads(&m, 1).unwrap();
-        let many = exhaustive_with_threads(&m, 7).unwrap();
-        assert_eq!(one.samples, many.samples);
-        assert_eq!(one.error_rate, many.error_rate);
-        assert!((one.mred - many.mred).abs() < 1e-15);
-        assert!((one.nmed - many.nmed).abs() < 1e-15);
-        assert_eq!(one.max_red, many.max_red);
+        assert_thread_count_invariant(&unsigned_exhaustive_rows(), Engine::Scalar);
+    }
+
+    #[test]
+    fn bitsliced_exhaustive_is_thread_count_invariant() {
+        assert_thread_count_invariant(&unsigned_exhaustive_rows(), Engine::BitSliced);
     }
 
     #[test]
     fn sampled_is_thread_count_invariant() {
-        let m = SdlcMultiplier::new(12, 2).unwrap();
-        let a = sampled_with_threads(&m, 40_000, 42, 1).unwrap();
-        let b = sampled_with_threads(&m, 40_000, 42, 5).unwrap();
-        assert_eq!(a.samples, b.samples);
-        assert_eq!(a.error_rate, b.error_rate);
-        assert!((a.mred - b.mred).abs() < 1e-15);
+        let rows = unsigned_sampled_rows();
+        assert_thread_count_invariant(&rows, Engine::Scalar);
+        assert_thread_count_invariant(&rows, Engine::BitSliced);
     }
 
     #[test]
@@ -675,51 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn bitsliced_exhaustive_is_bit_identical_to_scalar() {
-        for depth in [2u32, 3, 4] {
-            let m = SdlcMultiplier::new(8, depth).unwrap();
-            let scalar = exhaustive_with_threads(&m, 3).unwrap();
-            let bitsliced = exhaustive_bitsliced_with_threads(&m, 3).unwrap();
-            assert_eq!(scalar, bitsliced, "depth {depth}");
-        }
-        // Tiny widths exercise the partial-block path (count < 64 lanes).
-        for width in [2u32, 4] {
-            let m = SdlcMultiplier::new(width, 2).unwrap();
-            assert_eq!(
-                exhaustive_with_threads(&m, 2).unwrap(),
-                exhaustive_bitsliced_with_threads(&m, 2).unwrap(),
-                "width {width}"
-            );
-        }
-    }
-
-    #[test]
-    fn bitsliced_exhaustive_is_thread_count_invariant() {
-        let m = SdlcMultiplier::new(6, 3).unwrap();
-        let one = exhaustive_bitsliced_with_threads(&m, 1).unwrap();
-        let many = exhaustive_bitsliced_with_threads(&m, 7).unwrap();
-        assert_eq!(one.samples, many.samples);
-        assert_eq!(one.error_rate, many.error_rate);
-        assert!((one.mred - many.mred).abs() < 1e-15);
-        assert_eq!(one.max_red, many.max_red);
-    }
-
-    #[test]
-    fn bitsliced_sampled_is_bit_identical_to_scalar() {
-        let m = SdlcMultiplier::new(12, 3).unwrap();
-        let scalar = sampled_with_threads(&m, 40_000, 42, 4).unwrap();
-        let bitsliced = sampled_bitsliced_with_threads(&m, 40_000, 42, 4).unwrap();
-        assert_eq!(scalar, bitsliced);
-        // ETM errs on exact-zero products; the undefined-RED path must
-        // agree too.
-        let etm = crate::baselines::EtmMultiplier::new(8).unwrap();
-        let scalar = sampled_with_threads(&etm, 20_000, 7, 4).unwrap();
-        let bitsliced = sampled_bitsliced_with_threads(&etm, 20_000, 7, 4).unwrap();
-        assert_eq!(scalar, bitsliced);
-        assert!(scalar.undefined_red_count > 0);
-    }
-
-    #[test]
     fn engine_dispatch_and_parsing() {
         let m = SdlcMultiplier::new(6, 2).unwrap();
         assert_eq!(
@@ -727,9 +922,15 @@ mod tests {
             exhaustive_with_engine(&m, Engine::BitSliced).unwrap()
         );
         assert_eq!(
-            sampled_with_engine(&m, 5000, 3, Engine::Scalar).unwrap(),
-            sampled_with_engine(&m, 5000, 3, Engine::BitSliced).unwrap()
+            exhaustive_with_engine(&m, Engine::Scalar).unwrap(),
+            exhaustive(&m).unwrap()
         );
+        assert_eq!(
+            sampled_with(&m, 5000, 3, Engine::Scalar.into()).unwrap(),
+            sampled(&m, 5000, 3).unwrap()
+        );
+        assert_eq!(EvalOptions::from(Engine::BitSliced).threads, None);
+        assert_eq!(EvalOptions::default().engine, Engine::Scalar);
         assert_eq!("scalar".parse::<Engine>().unwrap(), Engine::Scalar);
         assert_eq!("bitsliced".parse::<Engine>().unwrap(), Engine::BitSliced);
         assert_eq!(Engine::default(), Engine::Scalar);
@@ -739,18 +940,19 @@ mod tests {
 
     #[test]
     fn bitsliced_limits() {
+        let bitsliced = EvalOptions::from(Engine::BitSliced);
         // 32-bit exhaustive exceeds even the raised bit-sliced limit.
         let m = SdlcMultiplier::new(32, 2).unwrap();
-        let err = exhaustive_bitsliced(&m).unwrap_err();
+        let err = exhaustive_with(&m, bitsliced).unwrap_err();
         assert!(matches!(err, EvalError::WidthTooLarge { width: 32, limit }
                 if limit == BITSLICED_EXHAUSTIVE_WIDTH_LIMIT));
         // Sampling through the bit-sliced engine caps at 32-bit models.
         let wide = SdlcMultiplier::new(64, 2).unwrap();
-        let err = sampled_bitsliced(&wide, 100, 1).unwrap_err();
+        let err = sampled_with(&wide, 100, 1, bitsliced).unwrap_err();
         assert!(matches!(err, EvalError::UnsupportedWidth { width: 64, .. }));
         assert!(err.to_string().contains("bit-sliced"));
         assert_eq!(
-            sampled_bitsliced(&m, 0, 1).unwrap_err(),
+            sampled_with(&m, 0, 1, bitsliced).unwrap_err(),
             EvalError::NoSamples
         );
     }

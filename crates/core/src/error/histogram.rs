@@ -6,7 +6,7 @@
 //! the leftmost bin, and the mass shifts left as the width grows.
 
 use crate::batch::Batchable;
-use crate::error::evaluate::{parallel_chunks, sweep_blocks, Engine};
+use crate::error::evaluate::{parallel_chunks, sweep_blocks, BatchDomain, Engine, Unsigned};
 use crate::multiplier::Multiplier;
 
 /// Number of 1 %-wide bins; the paper's x-axis runs 0–34 %.
@@ -76,31 +76,20 @@ impl RedHistogram {
     /// Panics if the multiplier is wider than 16 bits.
     #[must_use]
     pub fn exhaustive_with_engine<M: Batchable + Sync>(multiplier: &M, engine: Engine) -> Self {
-        match engine {
-            Engine::Scalar => Self::exhaustive(multiplier),
-            Engine::BitSliced => Self::exhaustive_bitsliced(multiplier),
+        if engine == Engine::Scalar {
+            return Self::exhaustive(multiplier);
         }
-    }
-
-    /// Builds the exhaustive histogram through the bit-sliced 64-lane
-    /// engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the multiplier is wider than 16 bits.
-    #[must_use]
-    pub fn exhaustive_bitsliced<M: Batchable + Sync>(multiplier: &M) -> Self {
         let width = multiplier.width();
         assert!(
             width <= 16,
             "exhaustive histogram limited to 16-bit multipliers"
         );
-        let count: u64 = 1u64 << width;
+        let domain = Unsigned(multiplier);
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let partials = parallel_chunks(count, threads, |lo, hi| {
-            let batch = multiplier.batch_model();
+        let partials = parallel_chunks(1u64 << width, threads, |lo, hi| {
+            let batch = domain.batch();
             let mut hist = RedHistogram::empty();
-            sweep_blocks(&batch, lo, hi, count, |a, b0, valid, approx| {
+            sweep_blocks(&domain, &batch, lo, hi, |a, b0, valid, approx| {
                 for (i, &p) in approx.iter().enumerate().take(valid) {
                     let exact = u128::from(a) * u128::from(b0 + i as u64);
                     hist.record(exact, u128::from(p));

@@ -10,17 +10,21 @@
 //! * `MED = Σ ED / 2^{2N}`, `NMED = MED / Pmax` with `Pmax = (2^N − 1)²`;
 //! * `MRED = Σ RED / 2^{2N}`; plus the observed maxima `MAX(RED)`/`MAX(ED)`.
 //!
-//! [`exhaustive`] runs exhaustive sweeps (every operand pair, as the paper
-//! does up to 16 bits) and [`sampled`]/[`sampled_with_operands`] seeded
-//! Monte-Carlo sampling, in parallel; [`RedHistogram`] reproduces the RED
+//! [`exhaustive_with`] runs exhaustive sweeps (every operand pair, as the
+//! paper does up to 16 bits) and [`sampled_with`]/[`sampled_with_operands`]
+//! seeded Monte-Carlo sampling, in parallel, with
+//! [`exhaustive_signed_with`]/[`sampled_signed_with`] as their
+//! two's-complement twins; [`RedHistogram`] reproduces the RED
 //! probability distribution of Figure 5; [`error_rate_depth2`] and
 //! [`mean_error_distance`] derive error statistics exactly, independent of
 //! simulation.
 //!
-//! The sweeping drivers run on either [`Engine`]: the scalar per-pair
-//! path, or the bit-sliced 64-lane path of [`crate::batch`] that packs 64
-//! multiplications into word-wide boolean ops (~10–20× faster per core
-//! and bit-identical in its results).
+//! One driver per operation: each takes an [`EvalOptions`] naming the
+//! [`Engine`] — the scalar per-pair path, or the bit-sliced 64-lane path
+//! of [`crate::batch`] that packs 64 multiplications into word-wide
+//! boolean ops (~10–20× faster per core and bit-identical in its results)
+//! — and the worker-thread count. [`exhaustive`] and [`sampled`] are the
+//! scalar oracles, open to models without a bit-sliced twin.
 
 mod analytic;
 mod evaluate;
@@ -32,10 +36,9 @@ pub use analytic::{
     adjacent_ones_profile, error_rate_depth2, mean_error_distance, normalized_mean_error_distance,
 };
 pub use evaluate::{
-    exhaustive, exhaustive_bitsliced, exhaustive_bitsliced_with_threads, exhaustive_with_engine,
-    exhaustive_with_threads, sampled, sampled_bitsliced, sampled_bitsliced_with_threads,
-    sampled_with_engine, sampled_with_operands, sampled_with_threads, Engine, EvalError,
-    BITSLICED_EXHAUSTIVE_WIDTH_LIMIT, EXHAUSTIVE_WIDTH_LIMIT,
+    exhaustive, exhaustive_with, exhaustive_with_engine, sampled, sampled_with,
+    sampled_with_operands, Engine, EvalError, EvalOptions, BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
+    EXHAUSTIVE_WIDTH_LIMIT,
 };
 pub use histogram::{RedHistogram, RED_HISTOGRAM_BINS};
 pub use metrics::{ErrorAccumulator, ErrorMetrics};
@@ -43,9 +46,4 @@ pub use metrics::{ErrorAccumulator, ErrorMetrics};
 // re-exported so downstream sweeps (benches, external tools) can partition
 // work the exact same way and inherit the bit-identity guarantees.
 pub use sdlc_wideint::parallel::{parallel_chunks, parallel_shard_chunks};
-pub use signed::{
-    exhaustive_signed, exhaustive_signed_bitsliced, exhaustive_signed_bitsliced_with_threads,
-    exhaustive_signed_with_engine, exhaustive_signed_with_threads, sampled_signed,
-    sampled_signed_bitsliced, sampled_signed_bitsliced_with_threads, sampled_signed_with_engine,
-    sampled_signed_with_threads,
-};
+pub use signed::{exhaustive_signed_with, sampled_signed_with};

@@ -1,8 +1,9 @@
 //! Exhaustive and Monte-Carlo error evaluation over the signed domain.
 //!
-//! These drivers are the signed twins of [`crate::error::evaluate`]: the
-//! same 2^{2N} pair space is swept, but the patterns are interpreted as
-//! two's complement, errors are measured on the signed values
+//! These drivers are the signed twins of [`crate::error::exhaustive_with`]
+//! and [`crate::error::sampled_with`], and run the same generic sweep: the
+//! same 2^{2N} pattern space, but the patterns are interpreted as two's
+//! complement, errors are measured on the signed values
 //! (`ED = |P − P′|`, `RED = ED / |P|`) and NMED is normalized by the
 //! signed product ceiling `Pmax = (2^{N−1})²` (see
 //! [`SignedMultiplier::max_product_magnitude`]).
@@ -14,219 +15,106 @@
 //! accumulation order) and keeps thread count out of the result, just
 //! like the unsigned drivers.
 
-use sdlc_wideint::SplitMix64;
-
 use crate::batch::signed::sign_extend;
-use crate::batch::{SignedBatchMultiplier, BATCH_MAX_WIDTH, LANES};
+use crate::batch::SignedBatchMultiplier;
 use crate::error::evaluate::{
-    parallel_chunks, parallel_shard_chunks, Engine, EvalError, BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
-    EXHAUSTIVE_WIDTH_LIMIT,
+    exhaustive_in, sampled_in, BatchDomain, Domain, EvalError, EvalOptions,
 };
 use crate::error::metrics::{ErrorAccumulator, ErrorMetrics};
 use crate::signed::{SignedBatchable, SignedMultiplier};
 
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// The two's-complement domain of a [`SignedMultiplier`].
+struct Signed<'m, M> {
+    model: &'m M,
+    width: u32,
 }
 
-/// Exhaustively evaluates every signed operand pair of an `N ≤ 16` bit
-/// multiplier using all available cores.
-///
-/// # Errors
-///
-/// Returns [`EvalError::WidthTooLarge`] above
-/// [`EXHAUSTIVE_WIDTH_LIMIT`] bits.
-pub fn exhaustive_signed<M>(multiplier: &M) -> Result<ErrorMetrics, EvalError>
-where
-    M: SignedMultiplier + Sync,
-{
-    exhaustive_signed_with_threads(multiplier, default_threads())
-}
+impl<M: SignedMultiplier + Sync> Domain for Signed<'_, M> {
+    type Operand = i64;
+    type Product = i128;
+    // The scalar sampler runs on the `multiply_i64` fast path.
+    const SAMPLED_WIDTH_LIMIT: u32 = 32;
 
-/// [`exhaustive_signed`] with an explicit worker-thread count (the count
-/// only partitions the sweep; results never depend on it).
-///
-/// # Errors
-///
-/// Returns [`EvalError::WidthTooLarge`] above
-/// [`EXHAUSTIVE_WIDTH_LIMIT`] bits.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn exhaustive_signed_with_threads<M>(
-    multiplier: &M,
-    threads: usize,
-) -> Result<ErrorMetrics, EvalError>
-where
-    M: SignedMultiplier + Sync,
-{
-    assert!(threads > 0, "thread count must be positive");
-    let width = multiplier.width();
-    if width > EXHAUSTIVE_WIDTH_LIMIT {
-        return Err(EvalError::WidthTooLarge {
-            width,
-            limit: EXHAUSTIVE_WIDTH_LIMIT,
-        });
+    fn width(&self) -> u32 {
+        self.width
     }
-    let count: u64 = 1u64 << width;
-    let partials = parallel_chunks(count, threads, |lo, hi| {
-        let mut acc = ErrorAccumulator::new();
-        for ua in lo..hi {
-            let a = sign_extend(ua, width) as i64;
-            for ub in 0..count {
-                let b = sign_extend(ub, width) as i64;
-                let exact = i128::from(a) * i128::from(b);
-                let approx = multiplier.multiply_i64(a, b);
-                acc.record_i64(exact, approx, (a, b));
-            }
-        }
-        acc
-    });
-    let mut total = ErrorAccumulator::new();
-    for p in &partials {
-        total.merge(p);
+
+    #[inline]
+    fn decode(&self, pattern: u64) -> i64 {
+        sign_extend(pattern, self.width) as i64
     }
-    Ok(total.finish_signed(multiplier.max_product_magnitude()))
+
+    #[inline]
+    fn exact(a: i64, b: i64) -> i128 {
+        i128::from(a) * i128::from(b)
+    }
+
+    #[inline]
+    fn multiply(&self, a: i64, b: i64) -> i128 {
+        self.model.multiply_i64(a, b)
+    }
+
+    #[inline]
+    fn lane_product(&self, lane: u64) -> i128 {
+        sign_extend(lane, 2 * self.width)
+    }
+
+    #[inline]
+    fn record(acc: &mut ErrorAccumulator, exact: i128, approx: i128, operands: (i64, i64)) {
+        acc.record_i64(exact, approx, operands);
+    }
+
+    fn finish(&self, acc: &ErrorAccumulator) -> ErrorMetrics {
+        acc.finish_signed(self.model.max_product_magnitude())
+    }
 }
 
-/// [`exhaustive_signed`] dispatched on an [`Engine`]; both engines return
-/// bit-identical [`ErrorMetrics`] wherever both accept the width.
+impl<M: SignedBatchable + Sync> BatchDomain for Signed<'_, M> {
+    type Batch = M::Batch;
+
+    fn batch(&self) -> M::Batch {
+        self.model.signed_batch_model()
+    }
+
+    fn sweep_row(batch: &M::Batch, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64])) {
+        batch.sweep_operand_row_signed(a, count, emit);
+    }
+
+    fn multiply_planes(batch: &M::Batch, a: &[u64], b: &[u64], product: &mut [u64]) {
+        batch.multiply_planes_signed(a, b, product);
+    }
+}
+
+fn signed<M: SignedMultiplier>(model: &M) -> Signed<'_, M> {
+    Signed {
+        model,
+        width: model.width(),
+    }
+}
+
+/// Exhaustively evaluates every signed operand pair on the engine and
+/// thread count of `options`; both engines return bit-identical
+/// [`ErrorMetrics`] wherever both accept the width.
 ///
 /// # Errors
 ///
 /// Returns [`EvalError::WidthTooLarge`] above the selected engine's width
-/// limit.
-pub fn exhaustive_signed_with_engine<M>(
+/// limit ([`crate::error::EXHAUSTIVE_WIDTH_LIMIT`] or
+/// [`crate::error::BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`]).
+pub fn exhaustive_signed_with<M>(
     multiplier: &M,
-    engine: Engine,
+    options: EvalOptions,
 ) -> Result<ErrorMetrics, EvalError>
 where
     M: SignedBatchable + Sync,
 {
-    match engine {
-        Engine::Scalar => exhaustive_signed(multiplier),
-        Engine::BitSliced => exhaustive_signed_bitsliced(multiplier),
-    }
+    exhaustive_in(&signed(multiplier), options)
 }
 
-/// Exhaustively evaluates every signed operand pair through the bit-sliced
-/// 64-lane engine — same sweep order, thread splitting and accumulation
-/// order as [`exhaustive_signed`], so the resulting [`ErrorMetrics`] are
-/// bit-identical, at a fraction of the cost.
-///
-/// # Errors
-///
-/// Returns [`EvalError::WidthTooLarge`] above
-/// [`BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`] bits.
-pub fn exhaustive_signed_bitsliced<M>(multiplier: &M) -> Result<ErrorMetrics, EvalError>
-where
-    M: SignedBatchable + Sync,
-{
-    exhaustive_signed_bitsliced_with_threads(multiplier, default_threads())
-}
-
-/// [`exhaustive_signed_bitsliced`] with an explicit worker-thread count.
-///
-/// # Errors
-///
-/// Returns [`EvalError::WidthTooLarge`] above
-/// [`BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`] bits.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn exhaustive_signed_bitsliced_with_threads<M>(
-    multiplier: &M,
-    threads: usize,
-) -> Result<ErrorMetrics, EvalError>
-where
-    M: SignedBatchable + Sync,
-{
-    assert!(threads > 0, "thread count must be positive");
-    let width = multiplier.width();
-    if width > BITSLICED_EXHAUSTIVE_WIDTH_LIMIT {
-        return Err(EvalError::WidthTooLarge {
-            width,
-            limit: BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
-        });
-    }
-    let count: u64 = 1u64 << width;
-    let partials = parallel_chunks(count, threads, |lo, hi| {
-        let batch = multiplier.signed_batch_model();
-        let mut acc = ErrorAccumulator::new();
-        let mut approx = [0u64; LANES];
-        if count >= LANES as u64 {
-            for ua in lo..hi {
-                batch.sweep_operand_row_signed(ua, count, &mut |b0, product| {
-                    crate::batch::extract_product_lanes(product, &mut approx);
-                    record_signed_block(&mut acc, width, ua, b0, LANES, &approx);
-                });
-            }
-        } else {
-            // Fewer patterns than lanes (widths 2 and 4): one zero-padded
-            // block per row, idle lanes ignored.
-            let valid = count as usize;
-            let lanes: [u64; LANES] =
-                core::array::from_fn(|i| if i < valid { i as u64 } else { 0 });
-            let b_planes = sdlc_wideint::bitplane::transposed64(&lanes);
-            let planes = width as usize;
-            let mut a_planes = [0u64; BATCH_MAX_WIDTH as usize];
-            let mut product = [0u64; LANES];
-            for ua in lo..hi {
-                sdlc_wideint::bitplane::broadcast_planes(ua, width, &mut a_planes);
-                batch.multiply_planes_signed(
-                    &a_planes[..planes],
-                    &b_planes[..planes],
-                    &mut product[..2 * planes],
-                );
-                crate::batch::extract_product_lanes(&product[..2 * planes], &mut approx);
-                record_signed_block(&mut acc, width, ua, 0, valid, &approx);
-            }
-        }
-        acc
-    });
-    let mut total = ErrorAccumulator::new();
-    for p in &partials {
-        total.merge(p);
-    }
-    Ok(total.finish_signed(multiplier.max_product_magnitude()))
-}
-
-/// Feeds one exhaustive signed block into the accumulator: exact lanes in
-/// bulk, error lanes individually in ascending-lane (scalar) order, so
-/// float accumulation matches the scalar engine bit for bit.
-fn record_signed_block(
-    acc: &mut ErrorAccumulator,
-    width: u32,
-    ua: u64,
-    b0: u64,
-    valid: usize,
-    approx: &[u64; LANES],
-) {
-    let a = sign_extend(ua, width) as i64;
-    let mut err_mask = 0u64;
-    for (i, &p) in approx.iter().enumerate().take(valid) {
-        let b = sign_extend(b0 + i as u64, width) as i64;
-        let exact = i128::from(a) * i128::from(b);
-        err_mask |= u64::from(sign_extend(p, 2 * width) != exact) << i;
-    }
-    acc.record_exact_many(valid as u64 - u64::from(err_mask.count_ones()));
-    while err_mask != 0 {
-        let i = err_mask.trailing_zeros() as u64;
-        err_mask &= err_mask - 1;
-        let b = sign_extend(b0 + i, width) as i64;
-        acc.record_i64(
-            i128::from(a) * i128::from(b),
-            sign_extend(approx[i as usize], 2 * width),
-            (a, b),
-        );
-    }
-}
-
-/// Evaluates `samples` uniformly random signed operand pairs (seeded,
-/// parallel, deterministic for a given `(seed, samples)` regardless of
-/// thread count). The draws are the unsigned drivers' bit patterns
+/// Evaluates `samples` uniformly random signed operand pairs on the engine
+/// and thread count of `options` (seeded, deterministic for a given
+/// `(seed, samples)` regardless of thread count; bit-identical across
+/// engines). The draws are the unsigned drivers' bit patterns
 /// reinterpreted as two's complement, so a seed covers the same lattice of
 /// pairs in both domains.
 ///
@@ -235,216 +123,40 @@ fn record_signed_block(
 /// Returns [`EvalError::NoSamples`] when `samples == 0`, or
 /// [`EvalError::UnsupportedWidth`] for models wider than 32 bits (the
 /// signed samplers use the `multiply_i64` fast path).
-pub fn sampled_signed<M>(multiplier: &M, samples: u64, seed: u64) -> Result<ErrorMetrics, EvalError>
-where
-    M: SignedMultiplier + Sync,
-{
-    sampled_signed_with_threads(multiplier, samples, seed, default_threads())
-}
-
-/// [`sampled_signed`] with an explicit thread count (partitioning only;
-/// the fixed 256-shard layout keeps results thread-count independent).
-///
-/// # Errors
-///
-/// Returns [`EvalError::NoSamples`] when `samples == 0`, or
-/// [`EvalError::UnsupportedWidth`] for models wider than 32 bits.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn sampled_signed_with_threads<M>(
+pub fn sampled_signed_with<M>(
     multiplier: &M,
     samples: u64,
     seed: u64,
-    threads: usize,
-) -> Result<ErrorMetrics, EvalError>
-where
-    M: SignedMultiplier + Sync,
-{
-    assert!(threads > 0, "thread count must be positive");
-    if samples == 0 {
-        return Err(EvalError::NoSamples);
-    }
-    let width = multiplier.width();
-    if width > 32 {
-        return Err(EvalError::UnsupportedWidth { width, limit: 32 });
-    }
-    const SHARDS: u64 = 256;
-    let per_shard = samples.div_ceil(SHARDS);
-    let shard_list: Vec<u64> = (0..SHARDS).collect();
-    let partials = parallel_shard_chunks(&shard_list, threads, |shards| {
-        let mut acc = ErrorAccumulator::new();
-        for &shard in shards {
-            let mut rng = SplitMix64::new(seed ^ (shard.wrapping_mul(0x9e37_79b9)));
-            let begin = shard * per_shard;
-            let end = (begin + per_shard).min(samples);
-            for _ in begin..end {
-                let a = sign_extend(rng.next_bits(width), width) as i64;
-                let b = sign_extend(rng.next_bits(width), width) as i64;
-                let exact = i128::from(a) * i128::from(b);
-                let approx = multiplier.multiply_i64(a, b);
-                acc.record_i64(exact, approx, (a, b));
-            }
-        }
-        acc
-    });
-    let mut total = ErrorAccumulator::new();
-    for p in &partials {
-        total.merge(p);
-    }
-    Ok(total.finish_signed(multiplier.max_product_magnitude()))
-}
-
-/// [`sampled_signed`] dispatched on an [`Engine`]; for widths both
-/// engines accept, the draws, pair order and accumulation order are
-/// identical, so the metrics are bit-identical.
-///
-/// # Errors
-///
-/// Returns [`EvalError::NoSamples`] when `samples == 0`, or
-/// [`EvalError::UnsupportedWidth`] for models wider than 32 bits.
-pub fn sampled_signed_with_engine<M>(
-    multiplier: &M,
-    samples: u64,
-    seed: u64,
-    engine: Engine,
+    options: EvalOptions,
 ) -> Result<ErrorMetrics, EvalError>
 where
     M: SignedBatchable + Sync,
 {
-    match engine {
-        Engine::Scalar => sampled_signed(multiplier, samples, seed),
-        Engine::BitSliced => sampled_signed_bitsliced(multiplier, samples, seed),
-    }
-}
-
-/// [`sampled_signed`] through the bit-sliced 64-lane engine: same
-/// SplitMix64 shard streams, same draw order, bit-identical
-/// [`ErrorMetrics`].
-///
-/// # Errors
-///
-/// Returns [`EvalError::NoSamples`] when `samples == 0`, or
-/// [`EvalError::UnsupportedWidth`] for models wider than 32 bits.
-pub fn sampled_signed_bitsliced<M>(
-    multiplier: &M,
-    samples: u64,
-    seed: u64,
-) -> Result<ErrorMetrics, EvalError>
-where
-    M: SignedBatchable + Sync,
-{
-    sampled_signed_bitsliced_with_threads(multiplier, samples, seed, default_threads())
-}
-
-/// [`sampled_signed_bitsliced`] with an explicit thread count.
-///
-/// # Errors
-///
-/// Returns [`EvalError::NoSamples`] when `samples == 0`, or
-/// [`EvalError::UnsupportedWidth`] for models wider than 32 bits.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn sampled_signed_bitsliced_with_threads<M>(
-    multiplier: &M,
-    samples: u64,
-    seed: u64,
-    threads: usize,
-) -> Result<ErrorMetrics, EvalError>
-where
-    M: SignedBatchable + Sync,
-{
-    assert!(threads > 0, "thread count must be positive");
-    if samples == 0 {
-        return Err(EvalError::NoSamples);
-    }
-    let width = multiplier.width();
-    if width > BATCH_MAX_WIDTH {
-        return Err(EvalError::UnsupportedWidth {
-            width,
-            limit: BATCH_MAX_WIDTH,
-        });
-    }
-    const SHARDS: u64 = 256;
-    let per_shard = samples.div_ceil(SHARDS);
-    let shard_list: Vec<u64> = (0..SHARDS).collect();
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    let partials = parallel_shard_chunks(&shard_list, threads, |shards| {
-        let batch = multiplier.signed_batch_model();
-        let mut acc = ErrorAccumulator::new();
-        let mut a_lanes = [0u64; LANES];
-        let mut b_lanes = [0u64; LANES];
-        let mut approx = [0u64; LANES];
-        let mut product = [0u64; LANES];
-        let planes = width as usize;
-        for &shard in shards {
-            let mut rng = SplitMix64::new(seed ^ (shard.wrapping_mul(0x9e37_79b9)));
-            let begin = shard * per_shard;
-            let end = (begin + per_shard).min(samples);
-            let mut n = begin;
-            while n < end {
-                let valid = (end - n).min(LANES as u64) as usize;
-                for i in 0..valid {
-                    a_lanes[i] = rng.next_bits(width);
-                    b_lanes[i] = rng.next_bits(width);
-                }
-                a_lanes[valid..].fill(0);
-                b_lanes[valid..].fill(0);
-                let a_planes = sdlc_wideint::bitplane::transposed64(&a_lanes);
-                let b_planes = sdlc_wideint::bitplane::transposed64(&b_lanes);
-                batch.multiply_planes_signed(
-                    &a_planes[..planes],
-                    &b_planes[..planes],
-                    &mut product[..2 * planes],
-                );
-                crate::batch::extract_product_lanes(&product[..2 * planes], &mut approx);
-                let mut err_mask = 0u64;
-                for i in 0..valid {
-                    let a = sign_extend(a_lanes[i] & mask, width);
-                    let b = sign_extend(b_lanes[i] & mask, width);
-                    err_mask |= u64::from(sign_extend(approx[i], 2 * width) != a * b) << i;
-                }
-                acc.record_exact_many(valid as u64 - u64::from(err_mask.count_ones()));
-                while err_mask != 0 {
-                    let i = err_mask.trailing_zeros() as usize;
-                    err_mask &= err_mask - 1;
-                    let a = sign_extend(a_lanes[i], width) as i64;
-                    let b = sign_extend(b_lanes[i], width) as i64;
-                    acc.record_i64(
-                        i128::from(a) * i128::from(b),
-                        sign_extend(approx[i], 2 * width),
-                        (a, b),
-                    );
-                }
-                n += valid as u64;
-            }
-        }
-        acc
-    });
-    let mut total = ErrorAccumulator::new();
-    for p in &partials {
-        total.merge(p);
-    }
-    Ok(total.finish_signed(multiplier.max_product_magnitude()))
+    sampled_in(&signed(multiplier), samples, seed, options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::evaluate::tests::{
+        assert_engines_agree, assert_thread_count_invariant, signed_exhaustive_rows,
+        signed_sampled_rows,
+    };
+    use crate::error::Engine;
     use crate::signed::{signed_accurate, signed_sdlc, SignMagnitude};
     use crate::{Multiplier, SdlcMultiplier};
+
+    fn one_thread(engine: Engine) -> EvalOptions {
+        EvalOptions {
+            engine,
+            threads: std::num::NonZeroUsize::new(1),
+        }
+    }
 
     #[test]
     fn accurate_signed_has_no_error() {
         let m = signed_accurate(8).unwrap();
-        let metrics = exhaustive_signed(&m).unwrap();
+        let metrics = exhaustive_signed_with(&m, EvalOptions::default()).unwrap();
         assert_eq!(metrics.error_rate, 0.0);
         assert_eq!(metrics.samples, 1 << 16);
         assert!(metrics.signed);
@@ -454,11 +166,10 @@ mod tests {
     fn signed_sweep_equals_manual_unsigned_core_cross_check() {
         // Replay the exact sweep through the *unsigned* core by hand —
         // magnitudes in, signs re-applied — and demand bit-identical
-        // metrics from the signed driver (single-threaded on both sides
+        // metrics from the signed driver on both engines (single-threaded
         // so the accumulation order matches).
         let inner = SdlcMultiplier::new(6, 2).unwrap();
         let m = SignMagnitude::new(inner.clone());
-        let metrics = exhaustive_signed_with_threads(&m, 1).unwrap();
         let mut acc = ErrorAccumulator::new();
         for ua in 0..64u64 {
             for ub in 0..64u64 {
@@ -473,112 +184,75 @@ mod tests {
                 acc.record_i64(i128::from(a) * i128::from(b), approx, (a, b));
             }
         }
-        assert_eq!(metrics, acc.finish_signed(m.max_product_magnitude()));
-        assert!(metrics.mred > 0.0);
+        let manual = acc.finish_signed(m.max_product_magnitude());
+        for engine in [Engine::Scalar, Engine::BitSliced] {
+            let metrics = exhaustive_signed_with(&m, one_thread(engine)).unwrap();
+            assert_eq!(metrics, manual, "{engine}");
+        }
+        assert!(manual.mred > 0.0);
     }
 
     #[test]
     fn engines_are_bit_identical_exhaustive() {
-        for depth in [2u32, 3, 4] {
-            let m = signed_sdlc(8, depth).unwrap();
-            let scalar = exhaustive_signed_with_threads(&m, 3).unwrap();
-            let bitsliced = exhaustive_signed_bitsliced_with_threads(&m, 3).unwrap();
-            assert_eq!(scalar, bitsliced, "depth {depth}");
-        }
-        // Tiny widths exercise the partial-block path (count < 64 lanes).
-        for width in [2u32, 4] {
-            let m = signed_sdlc(width, 2).unwrap();
-            assert_eq!(
-                exhaustive_signed_with_threads(&m, 2).unwrap(),
-                exhaustive_signed_bitsliced_with_threads(&m, 2).unwrap(),
-                "width {width}"
-            );
-        }
+        assert_engines_agree(&signed_exhaustive_rows());
     }
 
     #[test]
     fn engines_are_bit_identical_sampled() {
-        let m = signed_sdlc(12, 3).unwrap();
-        let scalar = sampled_signed_with_threads(&m, 40_000, 42, 4).unwrap();
-        let bitsliced = sampled_signed_bitsliced_with_threads(&m, 40_000, 42, 4).unwrap();
-        assert_eq!(scalar, bitsliced);
-        // The zero-operand rows err through the undefined-RED path for
-        // ETM; that bookkeeping must agree too.
-        let etm = SignMagnitude::new(crate::baselines::EtmMultiplier::new(8).unwrap());
-        let scalar = sampled_signed_with_threads(&etm, 20_000, 7, 4).unwrap();
-        let bitsliced = sampled_signed_bitsliced_with_threads(&etm, 20_000, 7, 4).unwrap();
-        assert_eq!(scalar, bitsliced);
+        assert_engines_agree(&signed_sampled_rows());
     }
 
     #[test]
     fn thread_count_never_changes_results() {
-        // Chunk merges reassociate the float sums, so cross-thread-count
-        // agreement is exact on counts/maxima and within float noise on
-        // the means (same contract as the unsigned drivers).
-        let close = |one: &ErrorMetrics, many: &ErrorMetrics| {
-            assert_eq!(one.samples, many.samples);
-            assert_eq!(one.error_rate, many.error_rate);
-            assert_eq!(one.max_red, many.max_red);
-            assert_eq!(one.max_ed, many.max_ed);
-            assert_eq!(one.worst_red_operands, many.worst_red_operands);
-            assert!((one.mred - many.mred).abs() < 1e-15);
-            assert!((one.nmed - many.nmed).abs() < 1e-15);
-        };
-        let m = signed_sdlc(6, 2).unwrap();
-        close(
-            &exhaustive_signed_with_threads(&m, 1).unwrap(),
-            &exhaustive_signed_with_threads(&m, 7).unwrap(),
-        );
-        close(
-            &sampled_signed_with_threads(&m, 9_000, 3, 1).unwrap(),
-            &sampled_signed_with_threads(&m, 9_000, 3, 5).unwrap(),
-        );
+        assert_thread_count_invariant(&signed_exhaustive_rows(), Engine::Scalar);
+        assert_thread_count_invariant(&signed_sampled_rows(), Engine::Scalar);
     }
 
     #[test]
     fn engine_dispatch_agrees() {
         let m = signed_sdlc(6, 2).unwrap();
+        let [scalar, bitsliced] = [Engine::Scalar, Engine::BitSliced].map(EvalOptions::from);
         assert_eq!(
-            exhaustive_signed_with_engine(&m, Engine::Scalar).unwrap(),
-            exhaustive_signed_with_engine(&m, Engine::BitSliced).unwrap()
+            exhaustive_signed_with(&m, scalar).unwrap(),
+            exhaustive_signed_with(&m, bitsliced).unwrap()
         );
         assert_eq!(
-            sampled_signed_with_engine(&m, 5_000, 3, Engine::Scalar).unwrap(),
-            sampled_signed_with_engine(&m, 5_000, 3, Engine::BitSliced).unwrap()
+            sampled_signed_with(&m, 5_000, 3, scalar).unwrap(),
+            sampled_signed_with(&m, 5_000, 3, bitsliced).unwrap()
         );
     }
 
     #[test]
     fn width_and_sample_limits() {
         let wide = signed_sdlc(32, 2).unwrap();
+        let scalar = EvalOptions::default();
+        let bitsliced = EvalOptions::from(Engine::BitSliced);
         assert!(matches!(
-            exhaustive_signed(&wide).unwrap_err(),
+            exhaustive_signed_with(&wide, scalar).unwrap_err(),
             EvalError::WidthTooLarge { width: 32, .. }
         ));
         assert!(matches!(
-            exhaustive_signed_bitsliced(&wide).unwrap_err(),
+            exhaustive_signed_with(&wide, bitsliced).unwrap_err(),
             EvalError::WidthTooLarge { width: 32, limit }
-                if limit == BITSLICED_EXHAUSTIVE_WIDTH_LIMIT
+                if limit == crate::error::BITSLICED_EXHAUSTIVE_WIDTH_LIMIT
         ));
         let very_wide = signed_sdlc(64, 2).unwrap();
         assert!(matches!(
-            sampled_signed(&very_wide, 100, 1).unwrap_err(),
+            sampled_signed_with(&very_wide, 100, 1, scalar).unwrap_err(),
             EvalError::UnsupportedWidth { width: 64, .. }
         ));
-        assert_eq!(
-            sampled_signed(&wide, 0, 1).unwrap_err(),
-            EvalError::NoSamples
-        );
-        assert_eq!(
-            sampled_signed_bitsliced(&wide, 0, 1).unwrap_err(),
-            EvalError::NoSamples
-        );
+        for options in [scalar, bitsliced] {
+            assert_eq!(
+                sampled_signed_with(&wide, 0, 1, options).unwrap_err(),
+                EvalError::NoSamples
+            );
+        }
     }
 
     #[test]
     fn worst_red_pair_is_reported_signed() {
         let m = signed_sdlc(8, 4).unwrap();
-        let metrics = exhaustive_signed(&m).unwrap();
+        let metrics = exhaustive_signed_with(&m, EvalOptions::default()).unwrap();
         let (a, b) = metrics.worst_red_operands_signed().expect("errors exist");
         let (min, max) = crate::signed::signed_operand_range(8);
         assert!((min..=max).contains(&a) && (min..=max).contains(&b));

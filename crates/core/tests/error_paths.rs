@@ -1,9 +1,11 @@
 //! Error-path coverage: the `SpecError`/`EvalError` surfaces and the
-//! driver panic contracts, for both evaluation engines.
+//! driver panic contracts, for both evaluation engines. (A zero thread
+//! count is unrepresentable: `EvalOptions::threads` is a `NonZeroUsize`.)
+
+use std::num::NonZeroUsize;
 
 use sdlc_core::error::{
-    exhaustive, exhaustive_bitsliced, exhaustive_bitsliced_with_threads, exhaustive_with_threads,
-    sampled, sampled_bitsliced, sampled_bitsliced_with_threads, sampled_with_threads, EvalError,
+    exhaustive, exhaustive_with, sampled, sampled_with, Engine, EvalError, EvalOptions,
     BITSLICED_EXHAUSTIVE_WIDTH_LIMIT, EXHAUSTIVE_WIDTH_LIMIT,
 };
 use sdlc_core::{AccurateMultiplier, SdlcMultiplier, SpecError};
@@ -39,7 +41,7 @@ fn width_too_large_messages_state_both_limits() {
     assert!(scalar.to_string().contains("2^64 cases"), "{scalar}");
     assert!(scalar.to_string().contains("at most 16-bit"), "{scalar}");
 
-    let bitsliced = exhaustive_bitsliced(&m).unwrap_err();
+    let bitsliced = exhaustive_with(&m, Engine::BitSliced.into()).unwrap_err();
     assert_eq!(
         bitsliced,
         EvalError::WidthTooLarge {
@@ -56,7 +58,7 @@ fn width_too_large_messages_state_both_limits() {
 #[test]
 fn bitsliced_sampling_rejects_models_beyond_the_plane_stack() {
     let wide = AccurateMultiplier::new(64).unwrap();
-    let err = sampled_bitsliced(&wide, 10, 1).unwrap_err();
+    let err = sampled_with(&wide, 10, 1, Engine::BitSliced.into()).unwrap_err();
     assert_eq!(
         err,
         EvalError::UnsupportedWidth {
@@ -71,43 +73,20 @@ fn bitsliced_sampling_rejects_models_beyond_the_plane_stack() {
 #[test]
 fn zero_samples_are_rejected_by_every_sampler() {
     let m = SdlcMultiplier::new(8, 2).unwrap();
-    for err in [
-        sampled(&m, 0, 1).unwrap_err(),
-        sampled_bitsliced(&m, 0, 1).unwrap_err(),
-        sampled_with_threads(&m, 0, 1, 2).unwrap_err(),
-        sampled_bitsliced_with_threads(&m, 0, 1, 2).unwrap_err(),
-    ] {
+    let two = NonZeroUsize::new(2);
+    let mut errors = vec![sampled(&m, 0, 1).unwrap_err()];
+    for engine in [Engine::Scalar, Engine::BitSliced] {
+        errors.push(sampled_with(&m, 0, 1, engine.into()).unwrap_err());
+        let options = EvalOptions {
+            engine,
+            threads: two,
+        };
+        errors.push(sampled_with(&m, 0, 1, options).unwrap_err());
+    }
+    for err in errors {
         assert_eq!(err, EvalError::NoSamples);
         assert!(err.to_string().contains("must be positive"), "{err}");
     }
-}
-
-#[test]
-#[should_panic(expected = "thread count must be positive")]
-fn scalar_exhaustive_rejects_zero_threads() {
-    let m = SdlcMultiplier::new(4, 2).unwrap();
-    let _ = exhaustive_with_threads(&m, 0);
-}
-
-#[test]
-#[should_panic(expected = "thread count must be positive")]
-fn bitsliced_exhaustive_rejects_zero_threads() {
-    let m = SdlcMultiplier::new(4, 2).unwrap();
-    let _ = exhaustive_bitsliced_with_threads(&m, 0);
-}
-
-#[test]
-#[should_panic(expected = "thread count must be positive")]
-fn scalar_sampler_rejects_zero_threads() {
-    let m = SdlcMultiplier::new(4, 2).unwrap();
-    let _ = sampled_with_threads(&m, 100, 1, 0);
-}
-
-#[test]
-#[should_panic(expected = "thread count must be positive")]
-fn bitsliced_sampler_rejects_zero_threads() {
-    let m = SdlcMultiplier::new(4, 2).unwrap();
-    let _ = sampled_bitsliced_with_threads(&m, 100, 1, 0);
 }
 
 #[test]
@@ -122,9 +101,8 @@ mod signed_paths {
     //! `i128::MIN`-style edges, and the signed drivers' limits.
 
     use sdlc_core::error::{
-        exhaustive_signed, exhaustive_signed_bitsliced, exhaustive_signed_with_threads,
-        sampled_signed, sampled_signed_bitsliced, EvalError, BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
-        EXHAUSTIVE_WIDTH_LIMIT,
+        exhaustive_signed_with, sampled_signed_with, Engine, EvalError,
+        BITSLICED_EXHAUSTIVE_WIDTH_LIMIT, EXHAUSTIVE_WIDTH_LIMIT,
     };
     use sdlc_core::signed::{signed_accurate, signed_operand_range, signed_sdlc};
     use sdlc_core::{SignedMultiplier, SpecError};
@@ -199,36 +177,31 @@ mod signed_paths {
 
     #[test]
     fn signed_driver_limits_mirror_the_unsigned_ones() {
+        let scalar = Engine::Scalar.into();
+        let bitsliced = Engine::BitSliced.into();
         let wide = signed_sdlc(32, 2).unwrap();
         assert_eq!(
-            exhaustive_signed(&wide).unwrap_err(),
+            exhaustive_signed_with(&wide, scalar).unwrap_err(),
             EvalError::WidthTooLarge {
                 width: 32,
                 limit: EXHAUSTIVE_WIDTH_LIMIT
             }
         );
         assert_eq!(
-            exhaustive_signed_bitsliced(&wide).unwrap_err(),
+            exhaustive_signed_with(&wide, bitsliced).unwrap_err(),
             EvalError::WidthTooLarge {
                 width: 32,
                 limit: BITSLICED_EXHAUSTIVE_WIDTH_LIMIT
             }
         );
         assert_eq!(
-            sampled_signed(&wide, 0, 1).unwrap_err(),
+            sampled_signed_with(&wide, 0, 1, scalar).unwrap_err(),
             EvalError::NoSamples
         );
         let very_wide = signed_sdlc(64, 2).unwrap();
-        let err = sampled_signed(&very_wide, 100, 1).unwrap_err();
+        let err = sampled_signed_with(&very_wide, 100, 1, scalar).unwrap_err();
         assert!(matches!(err, EvalError::UnsupportedWidth { width: 64, .. }));
-        let err = sampled_signed_bitsliced(&very_wide, 100, 1).unwrap_err();
+        let err = sampled_signed_with(&very_wide, 100, 1, bitsliced).unwrap_err();
         assert!(matches!(err, EvalError::UnsupportedWidth { width: 64, .. }));
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count must be positive")]
-    fn signed_exhaustive_rejects_zero_threads() {
-        let m = signed_sdlc(4, 2).unwrap();
-        let _ = exhaustive_signed_with_threads(&m, 0);
     }
 }

@@ -10,7 +10,7 @@
 //! and as a fraction for the 12/16-bit rows (0.00824 ≙ 0.824 %); the
 //! trend line in Figure 5 and the NMED column confirm this reading.
 
-use sdlc_core::error::{exhaustive, exhaustive_bitsliced, Engine};
+use sdlc_core::error::{exhaustive, exhaustive_with, Engine};
 use sdlc_core::{ClusterVariant, SdlcMultiplier};
 
 /// One expected row: (width, depth, MRED %, NMED, ER %, MaxRED %).
@@ -52,7 +52,7 @@ fn assert_row_with_engine(
     let m = SdlcMultiplier::new(width, depth).unwrap();
     let e = match engine {
         Engine::Scalar => exhaustive(&m).unwrap(),
-        Engine::BitSliced => exhaustive_bitsliced(&m).unwrap(),
+        Engine::BitSliced => exhaustive_with(&m, engine.into()).unwrap(),
     };
     let close = |got: f64, want: f64, tol: f64, what: &str| {
         assert!(

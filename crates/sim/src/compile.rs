@@ -1,9 +1,8 @@
 //! Compiled netlist evaluation: flatten once, fold hard, sweep word-wide.
 //!
-//! The structural engines ([`crate::LogicSim`], [`crate::BitParallelSim`])
-//! re-walk the [`Netlist`] for every vector: per-gate enum dispatch, a
-//! `NetId` indirection per pin, and (for the scalar engine) bounds checks
-//! against the full net table. [`CompiledNetlist`] pays those costs once,
+//! The structural engine ([`crate::LogicSim`]) re-walks the [`Netlist`]
+//! for every vector: per-gate enum dispatch, a `NetId` indirection per
+//! pin, and bounds checks against the full net table. [`CompiledNetlist`] pays those costs once,
 //! at compile time, producing a dense struct-of-arrays program the
 //! executor can stream through:
 //!
@@ -28,18 +27,15 @@
 //!
 //! Every fold preserves the boolean function of each net, so the per-net
 //! value stream — and therefore the per-net toggle count — is bit-identical
-//! to the structural engines' (the differential suite proves it). The
-//! program also records each op's **topological level** (1 + the maximum
-//! level of its sources; inputs and constants are level 0), which is what
-//! the levelized intra-netlist executor in [`crate::leveled`] shards
-//! across worker threads.
+//! to the structural engine's (the differential suite proves it).
 //!
 //! The executor, [`CompiledSim`], evaluates 64 independent vectors per
-//! sweep exactly like [`crate::BitParallelSim`] — lane `i` of every value
-//! word is stimulus stream `i` — but its inner loop reads compact opcodes
-//! and `u32` slot indices from flat arrays instead of matching on gate
-//! structs. [`CompiledSim::apply`] keeps the same lane-wise toggle
-//! accounting; [`CompiledSim::evaluate`] skips it for equivalence sweeps
+//! sweep — lane `i` of every value word is stimulus stream `i`, the same
+//! stream a scalar [`crate::LogicSim`] would see on its own — and its
+//! inner loop reads compact opcodes and `u32` slot indices from flat
+//! arrays instead of matching on gate structs. [`CompiledSim::apply`]
+//! counts toggles lane-wise, so its totals equal the sum of 64 `LogicSim`
+//! streams; [`CompiledSim::evaluate`] skips that for equivalence sweeps
 //! where only final values matter.
 
 use std::collections::HashMap;
@@ -47,9 +43,9 @@ use std::collections::HashMap;
 use sdlc_netlist::{GateKind, NetId, Netlist};
 
 /// Slot holding the folded constant-0 plane.
-pub(crate) const SLOT_CONST0: u32 = 0;
+const SLOT_CONST0: u32 = 0;
 /// Slot holding the folded constant-1 plane.
-pub(crate) const SLOT_CONST1: u32 = 1;
+const SLOT_CONST1: u32 = 1;
 
 /// Compact opcode of one compiled operation.
 ///
@@ -58,7 +54,7 @@ pub(crate) const SLOT_CONST1: u32 = 1;
 /// and buffers alias their source slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
-pub(crate) enum OpCode {
+enum OpCode {
     And,
     Or,
     Nand,
@@ -225,14 +221,11 @@ fn fold(
 #[derive(Debug, Clone)]
 pub struct CompiledNetlist {
     // Struct-of-arrays program, one entry per non-folded logic op.
-    pub(crate) code: Vec<OpCode>,
-    pub(crate) src0: Vec<u32>,
-    pub(crate) src1: Vec<u32>,
-    pub(crate) src2: Vec<u32>,
-    pub(crate) dst: Vec<u32>,
-    /// Topological level per op: 1 + max level of its source slots
-    /// (inputs and constants are level 0).
-    pub(crate) level: Vec<u32>,
+    code: Vec<OpCode>,
+    src0: Vec<u32>,
+    src1: Vec<u32>,
+    src2: Vec<u32>,
+    dst: Vec<u32>,
     /// Net index → value-slot index (aliased for folded gates).
     slot_of_net: Vec<u32>,
     /// Slot per primary input, in declaration order.
@@ -252,14 +245,13 @@ impl CompiledNetlist {
     pub fn compile(netlist: &Netlist) -> Self {
         let mut slot_of_net = vec![u32::MAX; netlist.net_count()];
         let mut input_slots = Vec::with_capacity(netlist.inputs().len());
-        // Slots 0/1 are the folded constants; both sit at level 0.
-        let mut slot_level: Vec<u32> = vec![0, 0];
+        // Slots 0/1 are the folded constants.
+        let mut slot_count = 2usize;
         let mut code = Vec::new();
         let mut src0 = Vec::new();
         let mut src1 = Vec::new();
         let mut src2 = Vec::new();
         let mut dst = Vec::new();
-        let mut level = Vec::new();
         let mut shared: HashMap<(OpCode, u32, u32, u32), u32> = HashMap::new();
         let mut not_source: HashMap<u32, u32> = HashMap::new();
         let slot = |table: &[u32], net: NetId| -> u32 {
@@ -271,10 +263,10 @@ impl CompiledNetlist {
             let out = gate.output.index();
             match gate.kind {
                 GateKind::Input => {
-                    let s = slot_level.len() as u32;
+                    let s = slot_count as u32;
+                    slot_count += 1;
                     slot_of_net[out] = s;
                     input_slots.push(s);
-                    slot_level.push(0);
                 }
                 GateKind::Const0 => slot_of_net[out] = SLOT_CONST0,
                 GateKind::Const1 => slot_of_net[out] = SLOT_CONST1,
@@ -315,17 +307,13 @@ impl CompiledNetlist {
                                 slot_of_net[out] = existing;
                                 continue;
                             }
-                            let d = slot_level.len() as u32;
+                            let d = slot_count as u32;
+                            slot_count += 1;
                             code.push(opcode);
                             src0.push(a);
                             src1.push(b);
                             src2.push(c);
                             dst.push(d);
-                            let op_level = 1 + slot_level[a as usize]
-                                .max(slot_level[b as usize])
-                                .max(slot_level[c as usize]);
-                            level.push(op_level);
-                            slot_level.push(op_level);
                             shared.insert((opcode, a, b, c), d);
                             if opcode == OpCode::Not {
                                 not_source.insert(d, a);
@@ -342,10 +330,9 @@ impl CompiledNetlist {
             src1,
             src2,
             dst,
-            level,
             slot_of_net,
             input_slots,
-            slot_count: slot_level.len(),
+            slot_count,
         }
     }
 
@@ -371,41 +358,14 @@ impl CompiledNetlist {
         self.slot_of_net[net.index()] as usize
     }
 
-    /// Slots of the primary inputs, in declaration order.
-    #[must_use]
-    pub fn input_slots(&self) -> &[u32] {
-        &self.input_slots
-    }
-
-    /// Number of nets of the source netlist (for scatter tables).
-    #[must_use]
-    pub fn net_count(&self) -> usize {
-        self.slot_of_net.len()
-    }
-
-    /// Topological level of each op, in program order (1 + the maximum
-    /// level of its sources; inputs and constants are level 0). Ops on the
-    /// same level are mutually independent — the levelized executor's
-    /// sharding invariant.
-    #[must_use]
-    pub fn op_levels(&self) -> &[u32] {
-        &self.level
-    }
-
-    /// Deepest op level (0 for a program with no ops).
-    #[must_use]
-    pub fn max_level(&self) -> u32 {
-        self.level.iter().copied().max().unwrap_or(0)
-    }
-
     /// Scatters per-slot toggle counts back to the source netlist's net
     /// indexing (folded nets report their alias target's count, which
-    /// equals what the structural engines count for them: every fold
+    /// equals what the structural engine counts for them: every fold
     /// preserves the net's boolean function, so its value stream — and
     /// toggle count — is the alias target's). Dead nets — left behind
     /// without a driver by `sdlc-netlist`'s DCE pass, which keeps net
     /// numbering stable — never move and report 0.
-    pub(crate) fn scatter_toggles(&self, toggles: &[u64]) -> Vec<u64> {
+    fn scatter_toggles(&self, toggles: &[u64]) -> Vec<u64> {
         self.slot_of_net
             .iter()
             .map(|&slot| {
@@ -445,12 +405,6 @@ impl<'p> CompiledSim<'p> {
             values,
             words_applied: 0,
         }
-    }
-
-    /// The compiled program this executor runs.
-    #[must_use]
-    pub fn program(&self) -> &'p CompiledNetlist {
-        self.program
     }
 
     #[inline]
@@ -493,8 +447,8 @@ impl<'p> CompiledSim<'p> {
 
     /// Applies one stimulus word per primary input (ordered like the
     /// source netlist's `inputs()`) and settles all lanes, accumulating
-    /// lane-wise toggle counts against the previous word — the same
-    /// convention as [`crate::BitParallelSim`] (the first word establishes
+    /// lane-wise toggle counts against the previous word — the
+    /// [`crate::LogicSim`] convention per lane (the first word establishes
     /// state for free).
     ///
     /// # Panics
@@ -538,7 +492,7 @@ impl<'p> CompiledSim<'p> {
 
     /// Per-net toggle counts summed over all 64 lanes, scattered back to
     /// the source netlist's net indexing (folded nets report their alias
-    /// target's count — identical to the structural engines, since every
+    /// target's count — identical to the structural engine, since every
     /// fold preserves the net's boolean function).
     #[must_use]
     pub fn toggles_per_net(&self) -> Vec<u64> {
@@ -552,17 +506,16 @@ impl<'p> CompiledSim<'p> {
     }
 
     /// Total vectors that produced countable transitions:
-    /// `(words − 1) × 64`, the [`crate::BitParallelSim`] convention.
+    /// `(words − 1) × 64`.
     #[must_use]
     pub fn transition_vectors(&self) -> u64 {
         self.words_applied.saturating_sub(1) * 64
     }
 }
 
-/// One word-wide op evaluation — shared by the sequential executor and the
-/// levelized multi-threaded one.
+/// One word-wide op evaluation.
 #[inline]
-pub(crate) fn eval_op(code: OpCode, a: u64, b: u64, c: u64) -> u64 {
+fn eval_op(code: OpCode, a: u64, b: u64, c: u64) -> u64 {
     match code {
         OpCode::And => a & b,
         OpCode::Or => a | b,
@@ -579,7 +532,7 @@ pub(crate) fn eval_op(code: OpCode, a: u64, b: u64, c: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BitParallelSim;
+    use crate::LogicSim;
     use sdlc_wideint::SplitMix64;
 
     fn adder(width: u32) -> Netlist {
@@ -591,31 +544,48 @@ mod tests {
         n
     }
 
-    #[test]
-    fn matches_bit_parallel_values_and_toggles() {
-        let n = adder(6);
-        let program = CompiledNetlist::compile(&n);
+    /// Applies `words` through the compiled engine and, lane by lane,
+    /// through 64 scalar [`LogicSim`]s, asserting identical final planes
+    /// on every net and identical summed toggles.
+    fn assert_matches_per_lane_logic_sim(n: &Netlist, words: &[Vec<u64>]) {
+        let program = CompiledNetlist::compile(n);
         let mut compiled = CompiledSim::new(&program);
-        let mut structural = BitParallelSim::new(&n);
-        let mut rng = SplitMix64::new(0xC0DE);
-        for _ in 0..12 {
-            let stimulus: Vec<u64> = (0..12).map(|_| rng.next_u64()).collect();
-            compiled.apply(&stimulus);
-            structural.apply(&stimulus);
+        for word in words {
+            compiled.apply(word);
+        }
+        let mut planes = vec![0u64; n.net_count()];
+        let mut toggles = vec![0u64; n.net_count()];
+        for lane in 0..64 {
+            let mut sim = LogicSim::new(n);
+            for word in words {
+                let bits: Vec<bool> = word.iter().map(|&w| (w >> lane) & 1 == 1).collect();
+                sim.apply(&bits);
+            }
+            for gate in n.gates() {
+                planes[gate.output.index()] |= u64::from(sim.value(gate.output)) << lane;
+            }
+            for (total, &t) in toggles.iter_mut().zip(sim.toggles()) {
+                *total += t;
+            }
         }
         for gate in n.gates() {
             let id = gate.output;
-            let mut plane = 0u64;
-            for lane in 0..64 {
-                plane |= u64::from(structural.lane_value(id, lane)) << lane;
-            }
-            assert_eq!(compiled.plane(id), plane, "net {id}");
+            assert_eq!(compiled.plane(id), planes[id.index()], "net {id}");
         }
-        assert_eq!(compiled.toggles_per_net(), structural.toggles().to_vec());
-        assert_eq!(
-            compiled.transition_vectors(),
-            structural.transition_vectors()
-        );
+        assert_eq!(compiled.toggles_per_net(), toggles);
+        assert_eq!(compiled.transition_vectors(), (words.len() as u64 - 1) * 64);
+    }
+
+    fn random_words(seed: u64, count: usize, inputs: usize) -> Vec<Vec<u64>> {
+        let mut rng = SplitMix64::new(seed);
+        (0..count)
+            .map(|_| (0..inputs).map(|_| rng.next_u64()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn matches_per_lane_logic_sim_values_and_toggles() {
+        assert_matches_per_lane_logic_sim(&adder(6), &random_words(0xC0DE, 12, 12));
     }
 
     #[test]
@@ -670,23 +640,7 @@ mod tests {
         assert_eq!(program.slot_of(back), program.slot_of(a));
         assert_eq!(program.slot_of(always), SLOT_CONST1 as usize);
         assert_eq!(program.slot_of(xor_same), SLOT_CONST0 as usize);
-        let mut compiled = CompiledSim::new(&program);
-        let mut structural = BitParallelSim::new(&n);
-        let mut rng = SplitMix64::new(7);
-        for _ in 0..6 {
-            let stimulus: Vec<u64> = (0..2).map(|_| rng.next_u64()).collect();
-            compiled.apply(&stimulus);
-            structural.apply(&stimulus);
-        }
-        for gate in n.gates() {
-            let id = gate.output;
-            let mut plane = 0u64;
-            for lane in 0..64 {
-                plane |= u64::from(structural.lane_value(id, lane)) << lane;
-            }
-            assert_eq!(compiled.plane(id), plane, "net {id}");
-        }
-        assert_eq!(compiled.toggles_per_net(), structural.toggles().to_vec());
+        assert_matches_per_lane_logic_sim(&n, &random_words(7, 6, 2));
     }
 
     #[test]
@@ -704,14 +658,9 @@ mod tests {
         assert_eq!(program.slot_of(x2), program.slot_of(x1));
         assert_eq!(program.slot_of(x3), program.slot_of(x1));
         assert_eq!(program.slot_of(y), SLOT_CONST0 as usize);
-        // Shared nets still count toggles like the structural engines.
-        let mut compiled = CompiledSim::new(&program);
-        let mut structural = BitParallelSim::new(&n);
-        for word in [[0u64, 0], [u64::MAX, 0b1010], [0b1100, 0b0110]] {
-            compiled.apply(&word);
-            structural.apply(&word);
-        }
-        assert_eq!(compiled.toggles_per_net(), structural.toggles().to_vec());
+        // Shared nets still count toggles like the structural engine.
+        let words = [[0u64, 0], [u64::MAX, 0b1010], [0b1100, 0b0110]].map(Vec::from);
+        assert_matches_per_lane_logic_sim(&n, &words);
     }
 
     #[test]
@@ -740,41 +689,28 @@ mod tests {
         assert_eq!(program.slot_of(same), program.slot_of(a));
         // NOT sel, AND(sel,b), OR(sel,a) survive as rewritten ops.
         assert_eq!(program.op_count(), 3);
-        let mut compiled = CompiledSim::new(&program);
-        let mut structural = BitParallelSim::new(&n);
-        let mut rng = SplitMix64::new(0xB0);
-        for _ in 0..8 {
-            let stimulus: Vec<u64> = (0..3).map(|_| rng.next_u64()).collect();
-            compiled.apply(&stimulus);
-            structural.apply(&stimulus);
-        }
-        for gate in n.gates() {
-            let id = gate.output;
-            let mut plane = 0u64;
-            for lane in 0..64 {
-                plane |= u64::from(structural.lane_value(id, lane)) << lane;
-            }
-            assert_eq!(compiled.plane(id), plane, "net {id}");
-        }
-        assert_eq!(compiled.toggles_per_net(), structural.toggles().to_vec());
+        assert_matches_per_lane_logic_sim(&n, &random_words(0xB0, 8, 3));
     }
 
     #[test]
     fn levels_are_topological() {
-        let n = adder(8);
-        let program = CompiledNetlist::compile(&n);
-        assert_eq!(program.op_levels().len(), program.op_count());
-        // Every op's sources sit at strictly lower levels.
-        let mut slot_level = vec![0u32; program.slot_count()];
-        for i in 0..program.op_count() {
-            let lvl = program.op_levels()[i];
-            for s in [program.src0[i], program.src1[i], program.src2[i]] {
-                assert!(slot_level[s as usize] < lvl, "op {i}");
-            }
-            slot_level[program.dst[i] as usize] = lvl;
+        // Program order is a topological order: every op reads only the
+        // constants, the inputs and slots written by earlier ops, so one
+        // in-order pass settles the whole netlist.
+        let program = CompiledNetlist::compile(&adder(8));
+        let mut written = vec![false; program.slot_count()];
+        written[SLOT_CONST0 as usize] = true;
+        written[SLOT_CONST1 as usize] = true;
+        for &s in &program.input_slots {
+            written[s as usize] = true;
         }
-        // A ripple adder's carry chain makes the depth at least its width.
-        assert!(program.max_level() >= 8);
+        for i in 0..program.op_count() {
+            for s in [program.src0[i], program.src1[i], program.src2[i]] {
+                assert!(written[s as usize], "op {i} reads slot {s} early");
+            }
+            written[program.dst[i] as usize] = true;
+        }
+        assert!(written.iter().all(|&w| w), "every slot is written");
     }
 
     #[test]

@@ -90,9 +90,6 @@ pub struct TimedProgram {
     /// not: per-gate rounding makes tick sums drift past it on deep
     /// paths).
     arrival_ticks: Vec<u64>,
-    /// Topological level per op (buffers count as a level here, unlike
-    /// the folded zero-delay program).
-    level: Vec<u32>,
 }
 
 impl TimedProgram {
@@ -106,13 +103,12 @@ impl TimedProgram {
         let delays_ps = library.gate_delays_ps(netlist);
         let mut slot_of_net = vec![u32::MAX; netlist.net_count()];
         let mut input_slots = Vec::with_capacity(netlist.inputs().len());
+        // One arrival per slot: the two constants, then inputs and ops.
         let mut arrival_ticks = vec![0u64, 0];
-        let mut slot_level = vec![0u32, 0];
         let mut code = Vec::new();
         let (mut src0, mut src1, mut src2) = (Vec::new(), Vec::new(), Vec::new());
         let mut dst = Vec::new();
         let mut delay_ticks = Vec::new();
-        let mut level = Vec::new();
         let slot = |table: &[u32], net: NetId| -> u32 {
             let s = table[net.index()];
             assert!(s != u32::MAX, "net {net} read before it is driven");
@@ -122,10 +118,9 @@ impl TimedProgram {
             let out = gate.output.index();
             match gate.kind {
                 GateKind::Input => {
-                    let s = slot_level.len() as u32;
+                    let s = arrival_ticks.len() as u32;
                     slot_of_net[out] = s;
                     input_slots.push(s);
-                    slot_level.push(0);
                     arrival_ticks.push(0);
                 }
                 GateKind::Const0 => slot_of_net[out] = SLOT_CONST0,
@@ -154,7 +149,7 @@ impl TimedProgram {
                     } else {
                         a
                     };
-                    let d = slot_level.len() as u32;
+                    let d = arrival_ticks.len() as u32;
                     code.push(opcode);
                     src0.push(a);
                     src1.push(b);
@@ -166,17 +161,12 @@ impl TimedProgram {
                         .max(arrival_ticks[b as usize])
                         .max(arrival_ticks[c as usize]);
                     arrival_ticks.push(input_arrival + ticks);
-                    let op_level = 1 + slot_level[a as usize]
-                        .max(slot_level[b as usize])
-                        .max(slot_level[c as usize]);
-                    level.push(op_level);
-                    slot_level.push(op_level);
                     slot_of_net[out] = d;
                 }
             }
         }
         // CSR fanout per slot, ops in program order.
-        let slot_count = slot_level.len();
+        let slot_count = arrival_ticks.len();
         let mut fanout_start = vec![0u32; slot_count + 1];
         for op in 0..code.len() {
             for s in op_sources(&code, &src0, &src1, &src2, op) {
@@ -206,7 +196,6 @@ impl TimedProgram {
             slot_of_net,
             input_slots,
             arrival_ticks,
-            level,
         }
     }
 
@@ -241,12 +230,6 @@ impl TimedProgram {
     #[must_use]
     pub fn critical_arrival_ps(&self) -> f64 {
         self.arrival_ticks.iter().copied().max().unwrap_or(0) as f64 / 1024.0
-    }
-
-    /// Topological depth in timed ops (buffers included).
-    #[must_use]
-    pub fn max_level(&self) -> u32 {
-        self.level.iter().copied().max().unwrap_or(0)
     }
 
     fn fanout(&self, slot: u32) -> &[u32] {
@@ -702,7 +685,6 @@ mod tests {
         // Per-net arrivals are monotone along the carry chain.
         let p_bus = n.bus("p").unwrap();
         assert!(program.arrival_ps(p_bus[7]) > program.arrival_ps(p_bus[0]));
-        assert!(program.max_level() >= 8);
         assert!(program.op_count() >= n.cell_count() - 2);
     }
 

@@ -4,9 +4,8 @@
 //!
 //! * [`LogicSim`] — scalar levelized zero-delay simulation with per-net
 //!   toggle counting; the reference engine every faster path is checked
-//!   against.
-//! * [`BitParallelSim`] — 64 independent stimulus lanes per machine word,
-//!   walking the netlist structure gate by gate.
+//!   against (64 `LogicSim` lane streams are the oracle of the 64-lane
+//!   compiled engine).
 //! * [`CompiledNetlist`]/[`CompiledSim`] — the netlist flattened once into
 //!   a dense struct-of-arrays program (constants folded, buffer chains
 //!   chased, ports pre-mapped) whose executor evaluates 64 vectors per
@@ -22,16 +21,11 @@
 //!   transition accounting (same delays, same quantization, same event
 //!   order) at a fraction of the cost.
 //!
-//! A compiled program can also run its sweeps *levelized across worker
-//! threads* ([`CompiledNetlist::run_leveled`]): ops on one topological
-//! level shard across a persistent spin-barrier team, so a single large
-//! netlist with inherently serial sweeps scales across cores too.
-//!
-//! [`activity`] drives the zero-delay engines over seeded random vector
-//! streams and aggregates per-net toggle statistics for the power model in
-//! `sdlc-synth` (and the glitch-aware equivalents through the timing
-//! engines); [`equiv`] checks netlists against functional models, with
-//! an [`Engine`] selector between the scalar reference and the compiled
+//! [`activity`] drives the engines over seeded random vector streams and
+//! aggregates per-net toggle statistics for the power model in
+//! `sdlc-synth` (zero-delay, or glitch-aware through the timing engines);
+//! [`equiv`] checks netlists against functional models, with an
+//! [`Engine`] selector between the scalar reference and the compiled
 //! word-parallel, multi-threaded sweep (model side optionally batched
 //! 64 pairs per call via `check_exhaustive_batched`).
 
@@ -39,15 +33,11 @@ pub mod activity;
 mod compile;
 pub mod equiv;
 mod glitch;
-mod leveled;
 mod logic;
-mod parallel;
 mod timing;
 
 pub use compile::{CompiledNetlist, CompiledSim};
 pub use equiv::Engine;
 pub use glitch::{GlitchSim, TimedProgram};
-pub use leveled::LeveledSim;
 pub use logic::{ab_stimulus, LogicSim};
-pub use parallel::BitParallelSim;
 pub use timing::{ApplyResult, TimingSim};

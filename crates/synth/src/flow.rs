@@ -39,9 +39,8 @@ pub struct AnalysisOptions {
     /// Glitch-activity engine used when `glitch_power` is set. The
     /// compiled word-parallel backend (64 lane streams per sweep,
     /// identical inertial-delay transition accounting) is the default; the
-    /// scalar event-driven `TimingSim` remains the reference. The two
-    /// organize their stimulus differently, so their estimates differ by
-    /// sampling variation only.
+    /// scalar event-driven `TimingSim` remains the reference. Both drive
+    /// the same lane streams, so their reports are identical.
     pub glitch_engine: Engine,
 }
 
@@ -301,8 +300,8 @@ mod tests {
     #[test]
     fn glitch_engines_report_the_same_physics() {
         // The compiled glitch backend (the default) and the scalar
-        // TimingSim reference drive differently-organized stimulus, so
-        // their energy estimates agree statistically, not bit-for-bit.
+        // TimingSim reference drive the same lane streams, so the whole
+        // report is bit-identical.
         let lib = Library::generic_90nm();
         let compiled = analyze(adder(10), &lib, &AnalysisOptions::default());
         let scalar = analyze(
@@ -314,12 +313,7 @@ mod tests {
             },
         );
         assert_eq!(AnalysisOptions::default().glitch_engine, Engine::Compiled);
-        let rel =
-            (compiled.energy_fj_per_op - scalar.energy_fj_per_op).abs() / scalar.energy_fj_per_op;
-        assert!(rel < 0.15, "glitch engines diverge: {rel}");
-        // Activity-independent metrics are identical.
-        assert_eq!(compiled.area_um2, scalar.area_um2);
-        assert_eq!(compiled.delay_ps, scalar.delay_ps);
+        assert_eq!(compiled, scalar);
     }
 
     #[test]

@@ -27,6 +27,10 @@ pub enum ParseLibError {
     BadHeader(String),
     /// A token could not be parsed where a number was expected.
     BadNumber(String),
+    /// A number parsed but is negative, infinite or NaN: every library
+    /// quantity (area, capacitance, delay, drive, energy, leakage) is a
+    /// finite, non-negative physical value.
+    BadValue(String),
     /// A cell body is malformed or misses an attribute.
     BadCell(String),
     /// A required cell is missing from the library.
@@ -40,6 +44,12 @@ impl std::fmt::Display for ParseLibError {
         match self {
             ParseLibError::BadHeader(m) => write!(f, "malformed library header: {m}"),
             ParseLibError::BadNumber(m) => write!(f, "expected a number, found {m:?}"),
+            ParseLibError::BadValue(m) => {
+                write!(
+                    f,
+                    "library values must be finite and non-negative, found {m}"
+                )
+            }
             ParseLibError::BadCell(m) => write!(f, "malformed cell: {m}"),
             ParseLibError::MissingCell(name) => write!(f, "library lacks required cell {name}"),
             ParseLibError::Unbalanced(m) => write!(f, "unbalanced library body: {m}"),
@@ -211,7 +221,14 @@ fn number(tokens: &mut impl Iterator<Item = String>) -> Result<f64, ParseLibErro
     let token = tokens
         .next()
         .ok_or_else(|| ParseLibError::BadNumber("end of input".into()))?;
-    token.parse().map_err(|_| ParseLibError::BadNumber(token))
+    let value: f64 = token
+        .parse()
+        .map_err(|_| ParseLibError::BadNumber(token.clone()))?;
+    if value.is_finite() && value >= 0.0 {
+        Ok(value)
+    } else {
+        Err(ParseLibError::BadValue(token))
+    }
 }
 
 #[cfg(test)]
@@ -287,6 +304,35 @@ library test1 {
         assert!(matches!(
             Library::from_text(&trailing),
             Err(ParseLibError::Unbalanced(_))
+        ));
+    }
+
+    #[test]
+    fn non_finite_and_negative_values_are_rejected() {
+        let with_inv_delay = |delay: &str| {
+            Library::generic_90nm()
+                .to_text()
+                .lines()
+                .map(|line| {
+                    if line.trim_start().starts_with("cell INV ") {
+                        "  cell INV { area 1 cap 1 delay DELAY drive 1 energy 1 leak 1 }"
+                            .replace("DELAY", delay)
+                    } else {
+                        line.to_string()
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        assert!(Library::from_text(&with_inv_delay("0")).is_ok());
+        for bad in ["-5", "NaN", "inf", "-inf"] {
+            let err = Library::from_text(&with_inv_delay(bad)).unwrap_err();
+            assert_eq!(err, ParseLibError::BadValue(bad.to_string()), "{bad}");
+            assert!(err.to_string().contains("finite and non-negative"), "{err}");
+        }
+        assert!(matches!(
+            Library::from_text("library x { wire_cap_per_fanout_ff -1 }"),
+            Err(ParseLibError::BadValue(_))
         ));
     }
 

@@ -5,8 +5,8 @@
 //! operand, it keeps one word per **bit position** — plane `j` is a `u64`
 //! whose bit `i` is bit `j` of lane `i`'s operand. In that layout a single
 //! word-wide `&`/`|`/`^` applies one gate of the multiplier to all 64 lanes
-//! simultaneously, exactly like the netlist-level
-//! `BitParallelSim` does for gate stimulus.
+//! simultaneously, exactly like the netlist-level compiled gate engine
+//! (`CompiledSim` in `sdlc-sim`) does for gate stimulus.
 //!
 //! This module provides the conversions between the two layouts:
 //!

@@ -22,8 +22,8 @@ use std::process::ExitCode;
 
 use sdlc::core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme};
 use sdlc::core::error::{
-    exhaustive_signed_with_engine, exhaustive_with_engine, mean_error_distance,
-    sampled_signed_with_engine, sampled_with_engine, Engine, BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
+    exhaustive_signed_with, exhaustive_with, mean_error_distance, sampled_signed_with,
+    sampled_with, Engine, EvalOptions, BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
 };
 use sdlc::core::matrix::ReducedMatrix;
 use sdlc::core::{
@@ -260,23 +260,24 @@ fn cmd_errors(options: &Options) -> Result<(), String> {
         Engine::Scalar => 12,
         Engine::BitSliced => BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
     };
+    let sweep = EvalOptions::from(engine);
     let metrics = if options.signed {
         let signed = SignMagnitude::new(model.clone());
         println!("design {} (engine {engine})", signed.name());
         if width <= exhaustive_cutoff {
-            exhaustive_signed_with_engine(&signed, engine).map_err(|e| e.to_string())?
+            exhaustive_signed_with(&signed, sweep)
         } else {
-            sampled_signed_with_engine(&signed, samples, 0x5D1C, engine)
-                .map_err(|e| e.to_string())?
+            sampled_signed_with(&signed, samples, 0x5D1C, sweep)
         }
     } else {
         println!("design {} (engine {engine})", model.name());
         if width <= exhaustive_cutoff {
-            exhaustive_with_engine(&model, engine).map_err(|e| e.to_string())?
+            exhaustive_with(&model, sweep)
         } else {
-            sampled_with_engine(&model, samples, 0x5D1C, engine).map_err(|e| e.to_string())?
+            sampled_with(&model, samples, 0x5D1C, sweep)
         }
-    };
+    }
+    .map_err(|e| e.to_string())?;
     println!("{metrics}");
     // Sampled runs cover fewer than the 2^{2N} pairs of the domain; at
     // width ≥ 32 that pair count overflows u64, so any sample count is

@@ -13,7 +13,7 @@
 
 use sdlc::core::baselines::{EtmMultiplier, KulkarniMultiplier, TruncatedMultiplier};
 use sdlc::core::batch::{BatchMultiplier, Batchable, LANES};
-use sdlc::core::error::{exhaustive_bitsliced_with_threads, exhaustive_with_threads};
+use sdlc::core::error::{exhaustive_with, Engine, EvalOptions};
 use sdlc::core::{AccurateMultiplier, ClusterVariant, Multiplier, SdlcMultiplier};
 use sdlc::wideint::SplitMix64;
 
@@ -133,32 +133,22 @@ fn boundary_operands_agree() {
 /// counts keep the float merge order identical.
 #[test]
 fn exhaustive_8bit_metrics_bit_identical() {
-    let threads = 4;
+    fn assert_engines_agree<M: Batchable + Sync>(model: &M) {
+        let run = |engine| {
+            let threads = std::num::NonZeroUsize::new(4);
+            exhaustive_with(model, EvalOptions { engine, threads }).unwrap()
+        };
+        let scalar = run(Engine::Scalar);
+        assert_eq!(scalar, run(Engine::BitSliced), "{}", model.name());
+        assert_eq!(scalar.samples, 1 << 16);
+    }
     for variant in VARIANTS {
         for depth in DEPTHS {
-            let model = SdlcMultiplier::with_variant(8, depth, variant).unwrap();
-            let scalar = exhaustive_with_threads(&model, threads).unwrap();
-            let bitsliced = exhaustive_bitsliced_with_threads(&model, threads).unwrap();
-            assert_eq!(scalar, bitsliced, "{}", model.name());
-            assert_eq!(scalar.samples, 1 << 16);
+            assert_engines_agree(&SdlcMultiplier::with_variant(8, depth, variant).unwrap());
         }
     }
-    let accurate = AccurateMultiplier::new(8).unwrap();
-    assert_eq!(
-        exhaustive_with_threads(&accurate, threads).unwrap(),
-        exhaustive_bitsliced_with_threads(&accurate, threads).unwrap()
-    );
-    assert_eq!(
-        exhaustive_with_threads(&EtmMultiplier::new(8).unwrap(), threads).unwrap(),
-        exhaustive_bitsliced_with_threads(&EtmMultiplier::new(8).unwrap(), threads).unwrap()
-    );
-    assert_eq!(
-        exhaustive_with_threads(&KulkarniMultiplier::new(8).unwrap(), threads).unwrap(),
-        exhaustive_bitsliced_with_threads(&KulkarniMultiplier::new(8).unwrap(), threads).unwrap()
-    );
-    assert_eq!(
-        exhaustive_with_threads(&TruncatedMultiplier::new(8, 6).unwrap(), threads).unwrap(),
-        exhaustive_bitsliced_with_threads(&TruncatedMultiplier::new(8, 6).unwrap(), threads)
-            .unwrap()
-    );
+    assert_engines_agree(&AccurateMultiplier::new(8).unwrap());
+    assert_engines_agree(&EtmMultiplier::new(8).unwrap());
+    assert_engines_agree(&KulkarniMultiplier::new(8).unwrap());
+    assert_engines_agree(&TruncatedMultiplier::new(8, 6).unwrap());
 }

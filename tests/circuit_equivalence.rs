@@ -13,7 +13,7 @@ use sdlc::sim::equiv::{
     check_exhaustive, check_exhaustive_with_engine, check_sampled, check_sampled_with_engine,
 };
 use sdlc::sim::{
-    ab_stimulus, BitParallelSim, CompiledNetlist, CompiledSim, Engine, LogicSim, TimingSim,
+    ab_stimulus, CompiledNetlist, CompiledSim, Engine, GlitchSim, LogicSim, TimedProgram, TimingSim,
 };
 use sdlc::techlib::Library;
 use sdlc::wideint::SplitMix64;
@@ -153,11 +153,13 @@ fn all_four_engines_agree_on_an_sdlc_multiplier() {
     let netlist = sdlc_multiplier(&model, ReductionScheme::RippleRows);
     let lib = Library::generic_90nm();
     let program = CompiledNetlist::compile(&netlist);
+    let timed = TimedProgram::compile(&netlist, &lib);
     let mut scalar = LogicSim::new(&netlist);
-    let mut parallel = BitParallelSim::new(&netlist);
     let mut compiled = CompiledSim::new(&program);
     let mut timing = TimingSim::new(&netlist, &lib);
+    let mut glitch = GlitchSim::new(&timed);
     timing.settle(&ab_stimulus(&netlist, 0, 0));
+    glitch.settle(&vec![0; netlist.inputs().len()]);
 
     let mut rng = SplitMix64::new(0xE9417);
     for _ in 0..300 {
@@ -169,9 +171,9 @@ fn all_four_engines_agree_on_an_sdlc_multiplier() {
             .iter()
             .map(|&bit| if bit { u64::MAX } else { 0 })
             .collect();
-        parallel.apply(&word_stimulus);
         compiled.apply(&word_stimulus);
         timing.apply(&stimulus);
+        glitch.apply(&word_stimulus);
 
         let expect = model.multiply(a, b).to_u128().unwrap();
         assert_eq!(scalar.read_bus("p"), expect);
@@ -184,11 +186,14 @@ fn all_four_engines_agree_on_an_sdlc_multiplier() {
                 .map(|(i, net)| u128::from(value(net)) << i)
                 .sum()
         };
-        assert_eq!(lane17(&|net| parallel.lane_value(*net, 17)), expect);
         assert_eq!(lane17(&|net| compiled.lane_value(*net, 17)), expect);
+        assert_eq!(lane17(&|net| glitch.lane_value(*net, 17)), expect);
     }
-    // The two word-wide engines also agree on the accumulated toggles.
-    assert_eq!(compiled.toggles_per_net(), parallel.toggles().to_vec());
+    // Every lane carries the scalar stream, so each word-wide engine
+    // counts exactly 64 times its scalar twin's toggles.
+    let times64 = |toggles: &[u64]| -> Vec<u64> { toggles.iter().map(|&t| 64 * t).collect() };
+    assert_eq!(compiled.toggles_per_net(), times64(scalar.toggles()));
+    assert_eq!(glitch.toggles_per_net(), times64(timing.toggles()));
 }
 
 #[test]

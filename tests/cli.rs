@@ -354,3 +354,23 @@ fn synth_accepts_a_custom_library_file() {
     assert!(!ok);
     assert!(stderr.contains("reading"), "{stderr}");
 }
+
+#[test]
+fn synth_rejects_negative_and_non_finite_library_values() {
+    let dir = std::env::temp_dir().join("sdlc_cli_bad_lib");
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = sdlc::techlib::Library::generic_90nm().to_text();
+    for bad in ["-5", "NaN", "inf"] {
+        // Replace the INV delay (11 ps in the 90nm corner).
+        let text = good.replacen("delay 11 ", &format!("delay {bad} "), 1);
+        assert_ne!(text, good, "the INV delay token must be present");
+        let path = dir.join(format!("delay_{bad}.lib"));
+        std::fs::write(&path, text).unwrap();
+        let (stdout, stderr, ok) = run(&["synth", "--width", "8", "--lib", path.to_str().unwrap()]);
+        assert!(!ok, "{bad}: {stdout}");
+        assert!(
+            stderr.contains("finite and non-negative") && stderr.contains(bad),
+            "{bad}: {stderr}"
+        );
+    }
+}

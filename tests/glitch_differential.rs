@@ -2,9 +2,9 @@
 //! twin of the scalar event-driven [`TimingSim`]: identical per-net
 //! transition totals (functional toggles *and* glitches), identical total
 //! transition counts and settle times for identical per-lane streams —
-//! plus the folding/levelized-executor contracts of the zero-delay
-//! compiled engine (const-prop/CSE programs bit-identical to the
-//! structural engines, toggles included, for any thread count).
+//! plus the folding contract of the zero-delay compiled engine
+//! (const-prop/CSE programs bit-identical to 64 scalar `LogicSim` lane
+//! streams, toggles included).
 
 use proptest::prelude::*;
 use sdlc::core::baselines::TruncatedMultiplier;
@@ -16,7 +16,7 @@ use sdlc::core::SdlcMultiplier;
 use sdlc::netlist::Netlist;
 use sdlc::sim::activity::{glitch_activity, timing_activity_with_engine};
 use sdlc::sim::{
-    BitParallelSim, CompiledNetlist, CompiledSim, Engine, GlitchSim, TimedProgram, TimingSim,
+    CompiledNetlist, CompiledSim, Engine, GlitchSim, LogicSim, TimedProgram, TimingSim,
 };
 use sdlc::techlib::Library;
 use sdlc::wideint::SplitMix64;
@@ -154,8 +154,9 @@ proptest! {
         assert_glitch_match(&n, &words, 8);
     }
 
-    /// Deeper zero-delay folding stays bit-identical to the structural
-    /// engine on DAGs stuffed with const feeds and duplicate gates.
+    /// Deeper zero-delay folding stays bit-identical to 64 scalar
+    /// `LogicSim` lane streams on DAGs stuffed with const feeds and
+    /// duplicate gates.
     #[test]
     fn folding_keeps_values_and_toggles_bit_identical(
         inputs in 1u32..6,
@@ -184,33 +185,33 @@ proptest! {
         let program = CompiledNetlist::compile(&n);
         prop_assert!(program.op_count() <= n.cell_count());
         let mut compiled = CompiledSim::new(&program);
-        let mut structural = BitParallelSim::new(&n);
         let mut rng = SplitMix64::new(seed);
         let words: Vec<Vec<u64>> = (0..4)
             .map(|_| (0..inputs).map(|_| rng.next_u64()).collect())
             .collect();
         for word in &words {
             compiled.apply(word);
-            structural.apply(word);
         }
-        for gate in n.gates() {
-            let net = gate.output;
-            let mut plane = 0u64;
-            for lane in 0..64 {
-                plane |= u64::from(structural.lane_value(net, lane)) << lane;
-            }
-            prop_assert_eq!(compiled.plane(net), plane, "net {}", net);
-        }
-        prop_assert_eq!(compiled.toggles_per_net(), structural.toggles().to_vec());
-
-        // The levelized executor agrees for a non-trivial thread count.
-        let leveled = program.run_leveled(3, |sim| {
+        let mut toggles = vec![0u64; n.net_count()];
+        for lane in 0..64 {
+            let mut scalar = LogicSim::new(&n);
             for word in &words {
-                sim.apply(word);
+                let bits: Vec<bool> = word.iter().map(|&w| (w >> lane) & 1 == 1).collect();
+                scalar.apply(&bits);
             }
-            sim.toggles_per_net()
-        });
-        prop_assert_eq!(leveled, compiled.toggles_per_net());
+            for gate in n.gates() {
+                let net = gate.output;
+                prop_assert_eq!(
+                    compiled.lane_value(net, lane),
+                    scalar.value(net),
+                    "net {} lane {}", net, lane
+                );
+            }
+            for (total, &t) in toggles.iter_mut().zip(scalar.toggles()) {
+                *total += t;
+            }
+        }
+        prop_assert_eq!(compiled.toggles_per_net(), toggles);
     }
 }
 
@@ -255,8 +256,8 @@ fn full_64_lane_streams_match_on_an_sdlc_multiplier() {
     assert_glitch_match(&n, &words, 64);
 }
 
-/// The glitch-activity driver: deterministic, glitch-aware, within the
-/// documented tolerance of the scalar reference's estimate.
+/// The glitch-activity driver: deterministic, glitch-aware, and identical
+/// to the scalar reference driving the same lane streams.
 #[test]
 fn glitch_activity_driver_contract() {
     let model = SdlcMultiplier::new(8, 2).unwrap();
@@ -267,8 +268,7 @@ fn glitch_activity_driver_contract() {
     assert!(compiled.includes_glitches);
     assert_eq!(compiled.transition_count, 512);
     let scalar = timing_activity_with_engine(&n, &lib, 0x5D1C, 512, Engine::Scalar);
-    let rel = (compiled.mean_activity() - scalar.mean_activity()).abs() / scalar.mean_activity();
-    assert!(rel < 0.15, "engines diverge beyond tolerance: {rel}");
+    assert_eq!(compiled, scalar);
     // Glitch-aware totals dominate the zero-delay estimate.
     let zero_delay = sdlc::sim::activity::random_activity(&n, 0x5D1C, 512);
     assert!(compiled.mean_activity() >= zero_delay.mean_activity());

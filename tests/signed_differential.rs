@@ -17,10 +17,7 @@
 
 use sdlc::core::baselines::{EtmMultiplier, KulkarniMultiplier, TruncatedMultiplier};
 use sdlc::core::batch::{SignedBatchMultiplier, LANES};
-use sdlc::core::error::{
-    exhaustive_signed_bitsliced_with_threads, exhaustive_signed_with_threads,
-    sampled_signed_bitsliced_with_threads, sampled_signed_with_threads,
-};
+use sdlc::core::error::{exhaustive_signed_with, sampled_signed_with, Engine, EvalOptions};
 use sdlc::core::signed::signed_operand_range;
 use sdlc::core::{
     AccurateMultiplier, Batchable, ClusterVariant, Multiplier, SdlcMultiplier, SignMagnitude,
@@ -36,6 +33,14 @@ const VARIANTS: [ClusterVariant; 4] = [
     ClusterVariant::PairTails,
     ClusterVariant::FullOr,
 ];
+
+/// `engine` on `threads` worker threads.
+fn threads(engine: Engine, threads: usize) -> EvalOptions {
+    EvalOptions {
+        engine,
+        threads: std::num::NonZeroUsize::new(threads),
+    }
+}
 
 /// Number of 64-lane blocks each configuration is swept with.
 const BLOCKS: u64 = 8;
@@ -177,8 +182,8 @@ fn exhaustive_8bit_metrics_are_bit_identical_for_all_variants() {
         for depth in DEPTHS {
             let signed =
                 SignMagnitude::new(SdlcMultiplier::with_variant(8, depth, variant).unwrap());
-            let scalar = exhaustive_signed_with_threads(&signed, 3).unwrap();
-            let bitsliced = exhaustive_signed_bitsliced_with_threads(&signed, 3).unwrap();
+            let scalar = exhaustive_signed_with(&signed, threads(Engine::Scalar, 3)).unwrap();
+            let bitsliced = exhaustive_signed_with(&signed, threads(Engine::BitSliced, 3)).unwrap();
             assert_eq!(scalar, bitsliced, "{} (depth {depth})", signed.name());
             assert!(scalar.signed);
             assert_eq!(scalar.samples, 1 << 16);
@@ -206,8 +211,8 @@ where
     M: Multiplier + Batchable + Sync,
 {
     fn assert_engines_agree(&self) {
-        let scalar = exhaustive_signed_with_threads(self, 2).unwrap();
-        let bitsliced = exhaustive_signed_bitsliced_with_threads(self, 2).unwrap();
+        let scalar = exhaustive_signed_with(self, threads(Engine::Scalar, 2)).unwrap();
+        let bitsliced = exhaustive_signed_with(self, threads(Engine::BitSliced, 2)).unwrap();
         assert_eq!(scalar, bitsliced, "{}", self.name());
     }
 }
@@ -216,8 +221,11 @@ where
 fn sampled_metrics_are_bit_identical_at_every_width() {
     for width in WIDTHS {
         let signed = SignMagnitude::new(SdlcMultiplier::new(width, 2).unwrap());
-        let scalar = sampled_signed_with_threads(&signed, 30_000, 0xBEEF, 4).unwrap();
-        let bitsliced = sampled_signed_bitsliced_with_threads(&signed, 30_000, 0xBEEF, 4).unwrap();
+        let run = |engine| sampled_signed_with(&signed, 30_000, 0xBEEF, threads(engine, 4));
+        let (scalar, bitsliced) = (
+            run(Engine::Scalar).unwrap(),
+            run(Engine::BitSliced).unwrap(),
+        );
         assert_eq!(scalar, bitsliced, "width {width}");
         assert_eq!(scalar.samples, 30_000);
     }

@@ -34,7 +34,7 @@ fn signed_facade_reexports_resolve() {
     let signed = SignMagnitude::new(SdlcMultiplier::new(8, 2).unwrap());
     assert_eq!(signed.name(), "signed_sdlc8_d2");
     let _: sdlc::core::batch::BatchSignMagnitude<_> = signed.batch_model();
-    let metrics = sdlc::core::error::exhaustive_signed(&signed).unwrap();
+    let metrics = sdlc::core::error::exhaustive_signed_with(&signed, Default::default()).unwrap();
     assert!(metrics.signed);
     let netlist = sdlc::core::circuits::signed_sdlc_multiplier(
         signed.inner(),
