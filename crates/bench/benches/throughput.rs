@@ -85,8 +85,10 @@ fn bench_exhaustive_products(c: &mut Criterion) {
 /// `ErrorMetrics`, on a single worker thread. The two runs produce
 /// bit-identical metrics (`tests/batch_differential.rs`); only the time
 /// differs. The ratio is smaller than the product sweep's because both
-/// engines share the per-error floating-point accounting, which the
-/// paper's 49 % error rate at 8 bits makes a fixed cost (Amdahl).
+/// engines add the errors of the paper's 49 % wrong pairs at 8 bits in
+/// the same scalar order. The bit-sliced engine does so per 64-lane
+/// block, with the sums and maxima held in registers, which leaves the
+/// accounting about as costly as the products themselves.
 fn bench_exhaustive_metrics(c: &mut Criterion) {
     let model = SdlcMultiplier::new(8, 2).unwrap();
     let mut group = c.benchmark_group("exhaustive_metrics_8bit_sdlc_d2");

@@ -15,8 +15,16 @@
 //! evaluates 64 pairs per pass through the transposed bit-plane models of
 //! [`crate::batch`]. The engines are bit-exact twins — same pair order,
 //! same accumulation order, bit-identical [`ErrorMetrics`] — so the
-//! bit-sliced engine is a pure speedup (~10–20× per core) that also raises
-//! the exhaustive ceiling to [`BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`] bits.
+//! bit-sliced engine is a pure speedup (~10–20× per core on products, ~8×
+//! with the error accounting) that also raises the exhaustive ceiling to
+//! [`BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`] bits.
+//!
+//! The bit-sliced engine accounts a whole 64-lane block at once
+//! (`ErrorAccumulator::record_block`): a branch-free pass compares every
+//! lane with its exact product, then only the wrong lanes are walked, in
+//! ascending lane order, with the running sums and maxima kept in
+//! registers. The float adds thus run in the scalar engine's per-pair
+//! order, which is what keeps the metrics bit-identical.
 //!
 //! One generic sweep serves both operand domains: the unsigned drivers
 //! here and the two's-complement ones in [`crate::error::signed`] differ
@@ -168,7 +176,7 @@ pub(crate) use sdlc_wideint::parallel::{parallel_chunks, parallel_shard_chunks};
 /// forms the exact product and records each pair.
 pub(crate) trait Domain: Sync {
     /// Decoded operand, also the tag of the worst-case pair.
-    type Operand: Copy;
+    type Operand: Copy + Into<i128>;
     /// Exact and approximate products of the per-pair accounting.
     type Product: Copy + PartialEq;
     /// Widest model the scalar sampler accepts.
@@ -182,8 +190,6 @@ pub(crate) trait Domain: Sync {
     fn exact(a: Self::Operand, b: Self::Operand) -> Self::Product;
     /// The scalar model's product.
     fn multiply(&self, a: Self::Operand, b: Self::Operand) -> Self::Product;
-    /// Decodes one 2N-bit product lane of the bit-sliced engine.
-    fn lane_product(&self, lane: u64) -> Self::Product;
     /// Records one pair into the accumulator.
     fn record(
         acc: &mut ErrorAccumulator,
@@ -222,6 +228,37 @@ pub(crate) trait BatchDomain: Domain {
     fn sweep_row(batch: &Self::Batch, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64]));
     /// 64 products from transposed operands.
     fn multiply_planes(batch: &Self::Batch, a: &[u64], b: &[u64], product: &mut [u64]);
+    /// The exact product of the pattern pair `(a, b)` as a 2N-bit product
+    /// lane of the twin.
+    fn exact_lane(&self, a: u64, b: u64) -> u64;
+    /// Error distance and exact-product magnitude of an exact and an
+    /// approximate product lane.
+    fn lane_error(&self, exact: u64, approx: u64) -> (u64, u64);
+
+    /// Records one block of `valid` lanes: lane `i` holds the pattern pair
+    /// `pair(i)` and the product lane `approx[i]`.
+    #[inline]
+    fn record_block(
+        &self,
+        acc: &mut ErrorAccumulator,
+        approx: &[u64; LANES],
+        valid: usize,
+        pair: impl Fn(usize) -> (u64, u64),
+    ) {
+        acc.record_block(
+            valid,
+            |i| {
+                let (a, b) = pair(i);
+                (self.exact_lane(a, b), approx[i])
+            },
+            |exact, approx| self.lane_error(exact, approx),
+            |i| {
+                let (a, b) = pair(i);
+                let tag = |x| self.decode(x).into() as u128;
+                (tag(a), tag(b))
+            },
+        );
+    }
 }
 
 /// The unsigned domain of a [`Multiplier`].
@@ -250,11 +287,6 @@ impl<M: Multiplier + Sync> Domain for Unsigned<'_, M> {
     #[inline]
     fn multiply(&self, a: u64, b: u64) -> u128 {
         self.0.multiply_u64(a, b)
-    }
-
-    #[inline]
-    fn lane_product(&self, lane: u64) -> u128 {
-        u128::from(lane)
     }
 
     #[inline]
@@ -295,6 +327,17 @@ impl<M: Batchable + Sync> BatchDomain for Unsigned<'_, M> {
     fn multiply_planes(batch: &M::Batch, a: &[u64], b: &[u64], product: &mut [u64]) {
         batch.multiply_planes(a, b, product);
     }
+
+    #[inline]
+    fn exact_lane(&self, a: u64, b: u64) -> u64 {
+        // A ≤ 32-bit model's product fits `u64`.
+        a * b
+    }
+
+    #[inline]
+    fn lane_error(&self, exact: u64, approx: u64) -> (u64, u64) {
+        (exact.abs_diff(approx), exact)
+    }
 }
 
 /// The exhaustive driver: every pattern pair of `domain` on the selected
@@ -314,7 +357,7 @@ pub(crate) fn exhaustive_in<D: BatchDomain>(
                 let batch = domain.batch();
                 let mut acc = ErrorAccumulator::new();
                 sweep_blocks(domain, &batch, lo, hi, |a, b0, valid, approx| {
-                    record_lanes(domain, &mut acc, approx, valid, |i| (a, b0 + i as u64));
+                    domain.record_block(&mut acc, approx, valid, |i| (a, b0 + i as u64));
                 });
                 acc
             },
@@ -406,34 +449,6 @@ pub(crate) fn sweep_blocks<D: BatchDomain>(
     }
 }
 
-/// Feeds one block of `valid` lanes into the accumulator; `pair(i)` gives
-/// lane `i`'s operand patterns. Exact lanes go in bulk, wrong lanes one by
-/// one in ascending-lane (scalar) order, so float accumulation matches the
-/// scalar engine bit for bit.
-#[inline]
-fn record_lanes<D: Domain>(
-    domain: &D,
-    acc: &mut ErrorAccumulator,
-    approx: &[u64; LANES],
-    valid: usize,
-    pair: impl Fn(usize) -> (u64, u64),
-) {
-    let mut err_mask = 0u64;
-    for (i, &p) in approx.iter().enumerate().take(valid) {
-        let (a, b) = pair(i);
-        let exact = D::exact(domain.decode(a), domain.decode(b));
-        err_mask |= u64::from(domain.lane_product(p) != exact) << i;
-    }
-    acc.record_exact_many(valid as u64 - u64::from(err_mask.count_ones()));
-    while err_mask != 0 {
-        let i = err_mask.trailing_zeros() as usize;
-        err_mask &= err_mask - 1;
-        let (a, b) = pair(i);
-        let (a, b) = (domain.decode(a), domain.decode(b));
-        D::record(acc, D::exact(a, b), domain.lane_product(approx[i]), (a, b));
-    }
-}
-
 /// Fixed logical partitioning of the samplers: 256 shards, each with its
 /// own SplitMix64 substream, so the draws never depend on the thread
 /// count.
@@ -478,9 +493,7 @@ pub(crate) fn sampled_in<D: BatchDomain>(
                     &mut product[..2 * planes],
                 );
                 crate::batch::extract_product_lanes(&product[..2 * planes], &mut approx);
-                record_lanes(domain, &mut acc, &approx, valid, |i| {
-                    (a_lanes[i], b_lanes[i])
-                });
+                domain.record_block(&mut acc, &approx, valid, |i| (a_lanes[i], b_lanes[i]));
                 left -= valid as u64;
             }
         });
@@ -863,6 +876,193 @@ pub(super) mod tests {
                 sampled_signed_with(&etm, 20_000, 7, o)
             }),
         ]
+    }
+
+    /// One synthetic block for the block-recorder tests: per lane the
+    /// operand patterns and the approximate product lane, and how many
+    /// lanes are live (the idle rest holds garbage that must be ignored).
+    pub(in crate::error) struct Block {
+        pub(in crate::error) lanes: Vec<(u64, u64, u64)>,
+        pub(in crate::error) valid: usize,
+    }
+
+    /// A named run of blocks, with the worst-RED pattern pair when the
+    /// generator fixes it.
+    pub(in crate::error) struct Group {
+        name: &'static str,
+        pub(in crate::error) blocks: Vec<Block>,
+        worst: Option<(u64, u64)>,
+    }
+
+    /// Seeded blocks over the `domain`'s patterns, one named group per
+    /// corner of the block recorder. `operands` draws a pair for the
+    /// general groups, so a caller can aim them at a region of the space
+    /// (e.g. products ≥ 2^63 or one sign quadrant).
+    pub(in crate::error) fn synthetic_blocks<D: BatchDomain>(
+        domain: &D,
+        seed: u64,
+        mut operands: impl FnMut(&mut SplitMix64) -> (u64, u64),
+    ) -> Vec<Group> {
+        let mut rng = SplitMix64::new(seed);
+        let width = domain.width();
+        let lane_mask = u64::MAX >> (64 - 2 * width);
+        // Exact on roughly half the lanes, off by a small signed delta
+        // (wrapping through the lane's 2N bits) on the rest.
+        let perturbed = |rng: &mut SplitMix64, a: u64, b: u64| {
+            let exact = domain.exact_lane(a, b);
+            let delta = rng.next_bits(4).wrapping_sub(8);
+            let off = rng.next_bits(1) * delta;
+            (a, b, exact.wrapping_add(off) & lane_mask)
+        };
+        let block =
+            |rng: &mut SplitMix64,
+             valid: usize,
+             lane: &mut dyn FnMut(&mut SplitMix64, usize) -> (u64, u64, u64)| {
+                let lanes = (0..LANES)
+                    .map(|i| {
+                        if i < valid {
+                            lane(rng, i)
+                        } else {
+                            let junk = rng.next_u64();
+                            (junk & 3, junk >> 62, junk & lane_mask)
+                        }
+                    })
+                    .collect();
+                Block { lanes, valid }
+            };
+        let mut general = |rng: &mut SplitMix64, valid| {
+            block(rng, valid, &mut |rng, _| {
+                let (a, b) = operands(rng);
+                perturbed(rng, a, b)
+            })
+        };
+        let partial = [4, 16, 64].map(|valid| general(&mut rng, valid)).into();
+        let random = (0..4).map(|_| general(&mut rng, LANES)).collect();
+        let operand = |rng: &mut SplitMix64| rng.next_bits(width);
+        // Rows `a = 0`: exact product 0, so every wrong lane is an
+        // undefined RED.
+        let zero_rows = (0..2)
+            .map(|_| {
+                block(&mut rng, LANES, &mut |rng, _| {
+                    let approx = (rng.next_bits(1) * rng.next_u64()) & lane_mask;
+                    (0, operand(rng), approx)
+                })
+            })
+            .collect();
+        let all_exact = (0..2)
+            .map(|_| {
+                block(&mut rng, LANES, &mut |rng, _| {
+                    let (a, b) = (operand(rng), operand(rng));
+                    (a, b, domain.exact_lane(a, b))
+                })
+            })
+            .collect();
+        // A zero product lane is a RED of exactly 1. Operands in
+        // `[2^{N-2}, 2^{N-1})` (non-negative in both domains) keep every
+        // perturbed lane's RED far below, so the first such lane of the
+        // first block must stay the worst pair.
+        let large = |rng: &mut SplitMix64| (1 << (width - 2)) | rng.next_bits(width - 2);
+        let ties: Vec<Block> = (0..2)
+            .map(|_| {
+                block(&mut rng, LANES, &mut |rng, i| {
+                    let (a, b) = (large(rng), large(rng));
+                    if i % 7 == 5 {
+                        (a, b, 0)
+                    } else {
+                        perturbed(rng, a, b)
+                    }
+                })
+            })
+            .collect();
+        let first_tie = ties[0].lanes[5];
+        let group = |name, blocks| Group {
+            name,
+            blocks,
+            worst: None,
+        };
+        vec![
+            group("valid 4/16/64", partial),
+            group("random", random),
+            group("zero-product rows", zero_rows),
+            group("all exact", all_exact),
+            Group {
+                worst: Some((first_tie.0, first_tie.1)),
+                ..group("max-RED ties", ties)
+            },
+        ]
+    }
+
+    /// Records each group as blocks through `BatchDomain::record_block` and
+    /// pair by pair through the scalar engine's `Domain::record`;
+    /// `approx_product` decodes a product lane for the replay. The metrics
+    /// must be identical.
+    pub(in crate::error) fn assert_blocks_match_replay<D: BatchDomain>(
+        domain: &D,
+        groups: &[Group],
+        approx_product: impl Fn(u64) -> D::Product,
+    ) {
+        let tag = |x| domain.decode(x).into() as u128;
+        for Group {
+            name,
+            blocks,
+            worst,
+        } in groups
+        {
+            let mut block_acc = ErrorAccumulator::new();
+            let mut replay = ErrorAccumulator::new();
+            for Block { lanes, valid } in blocks {
+                let approx: [u64; LANES] = core::array::from_fn(|i| lanes[i].2);
+                domain.record_block(&mut block_acc, &approx, *valid, |i| {
+                    (lanes[i].0, lanes[i].1)
+                });
+                for &(a, b, p) in &lanes[..*valid] {
+                    let (a, b) = (domain.decode(a), domain.decode(b));
+                    D::record(&mut replay, D::exact(a, b), approx_product(p), (a, b));
+                }
+            }
+            let (block, pairs) = (domain.finish(&block_acc), domain.finish(&replay));
+            assert_eq!(block, pairs, "{name}");
+            let live: usize = blocks.iter().map(|b| b.valid).sum();
+            assert_eq!(block.samples, live as u64, "{name}");
+            if let Some((a, b)) = *worst {
+                assert_eq!(block.max_red, 1.0, "{name}");
+                assert_eq!(block.worst_red_operands, Some((tag(a), tag(b))), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn record_block_matches_per_pair_replay() {
+        for width in [8, 32] {
+            let m = SdlcMultiplier::new(width, 2).unwrap();
+            let domain = Unsigned(&m);
+            let groups = synthetic_blocks(&domain, u64::from(width), |rng| {
+                (rng.next_bits(width), rng.next_bits(width))
+            });
+            assert_blocks_match_replay(&domain, &groups, u128::from);
+        }
+    }
+
+    #[test]
+    fn record_block_matches_replay_on_products_above_2_pow_63() {
+        // Operands ≥ 2^32 − 2^30 put the general groups' exact products at
+        // ≥ 1.125 · 2^63, beyond `i64`; the zero-product rows' random
+        // lanes give EDs ≥ 2^63.
+        let m = SdlcMultiplier::new(32, 2).unwrap();
+        let domain = Unsigned(&m);
+        let high = |rng: &mut SplitMix64| u64::from(u32::MAX) - rng.next_bits(30);
+        let groups = synthetic_blocks(&domain, 9, |rng| (high(rng), high(rng)));
+        let live: Vec<_> = groups
+            .iter()
+            .flat_map(|g| &g.blocks)
+            .flat_map(|b| &b.lanes[..b.valid])
+            .collect();
+        let beyond_i64 = |x: u64| x >= 1 << 63;
+        assert!(live.iter().any(|&&(a, b, _)| beyond_i64(a * b)));
+        assert!(live
+            .iter()
+            .any(|&&(a, b, p)| beyond_i64((a * b).abs_diff(p))));
+        assert_blocks_match_replay(&domain, &groups, u128::from);
     }
 
     #[test]

@@ -4,6 +4,8 @@ use core::fmt;
 
 use sdlc_wideint::U256;
 
+use crate::batch::LANES;
+
 /// Streaming accumulator for error statistics.
 ///
 /// Feed it `(exact, approximate)` product pairs with
@@ -156,12 +158,71 @@ impl ErrorAccumulator {
         }
     }
 
-    /// Records `count` exact multiplications at once — equivalent to
-    /// `count` calls of [`ErrorAccumulator::record_u64`] with
-    /// `exact == approx`. The bit-sliced drivers use this for the lanes
-    /// of a batch whose products matched the reference.
-    pub fn record_exact_many(&mut self, count: u64) {
-        self.samples += count;
+    /// Records one 64-lane block of the bit-sliced engines: lane `i <
+    /// valid` holds the exact and approximate product patterns
+    /// `products(i)`, `error` turns such a pair into its error distance
+    /// and exact-product magnitude, and `operands(i)` gives lane `i`'s
+    /// worst-case tag. Equivalent to calling
+    /// [`ErrorAccumulator::record_u64`] (or `record_i64`) on lanes
+    /// `0..valid` in order, so the float sums come out bit-identical to
+    /// the scalar engine's.
+    ///
+    /// Both error values are `u64` — every product of a ≤ 32-bit model
+    /// fits — and `u64 as f64` rounds exactly as the per-pair path does.
+    /// The error mask is built branch-free over all 64 lanes (`products`
+    /// must accept the idle lanes `valid..64`; they are masked off); the
+    /// wrong lanes are then walked in ascending order with the sums and
+    /// maxima in locals, which are written back once per block.
+    #[inline]
+    pub(crate) fn record_block(
+        &mut self,
+        valid: usize,
+        products: impl Fn(usize) -> (u64, u64),
+        error: impl Fn(u64, u64) -> (u64, u64),
+        operands: impl FnOnce(usize) -> (u128, u128),
+    ) {
+        let mut wrong = 0u64;
+        for i in (0..LANES).rev() {
+            let (exact, approx) = products(i);
+            wrong = (wrong << 1) | u64::from(exact != approx);
+        }
+        wrong &= u64::MAX.checked_shr((LANES - valid) as u32).unwrap_or(0);
+        self.samples += valid as u64;
+        if wrong == 0 {
+            return;
+        }
+        self.errors += u64::from(wrong.count_ones());
+        let (mut sum_ed, mut sum_red, mut sum_red_sq) =
+            (self.sum_ed, self.sum_red, self.sum_red_sq);
+        let (mut max_ed, mut max_red) = (self.max_ed, self.max_red);
+        let mut worst = None;
+        let mut undefined_red = 0;
+        while wrong != 0 {
+            let i = wrong.trailing_zeros() as usize;
+            wrong &= wrong - 1;
+            let (exact, approx) = products(i);
+            let (ed, magnitude) = error(exact, approx);
+            let ed = ed as f64;
+            sum_ed += ed;
+            max_ed = max_ed.max(ed);
+            if magnitude == 0 {
+                undefined_red += 1;
+                continue;
+            }
+            let red = ed / magnitude as f64;
+            sum_red += red;
+            sum_red_sq += red * red;
+            if red > max_red {
+                max_red = red;
+                worst = Some(i);
+            }
+        }
+        (self.sum_ed, self.sum_red, self.sum_red_sq) = (sum_ed, sum_red, sum_red_sq);
+        (self.max_ed, self.max_red) = (max_ed, max_red);
+        self.undefined_red += undefined_red;
+        if let Some(i) = worst {
+            self.worst_red_operands = Some(operands(i));
+        }
     }
 
     /// Number of samples recorded so far.

@@ -55,11 +55,6 @@ impl<M: SignedMultiplier + Sync> Domain for Signed<'_, M> {
     }
 
     #[inline]
-    fn lane_product(&self, lane: u64) -> i128 {
-        sign_extend(lane, 2 * self.width)
-    }
-
-    #[inline]
     fn record(acc: &mut ErrorAccumulator, exact: i128, approx: i128, operands: (i64, i64)) {
         acc.record_i64(exact, approx, operands);
     }
@@ -82,6 +77,19 @@ impl<M: SignedBatchable + Sync> BatchDomain for Signed<'_, M> {
 
     fn multiply_planes(batch: &M::Batch, a: &[u64], b: &[u64], product: &mut [u64]) {
         batch.multiply_planes_signed(a, b, product);
+    }
+
+    #[inline]
+    fn exact_lane(&self, a: u64, b: u64) -> u64 {
+        // A ≤ 32-bit model's product fits 2N-bit two's complement.
+        let exact = self.decode(a) * self.decode(b);
+        exact as u64 & (u64::MAX >> (64 - 2 * self.width))
+    }
+
+    #[inline]
+    fn lane_error(&self, exact: u64, approx: u64) -> (u64, u64) {
+        let [exact, approx] = [exact, approx].map(|lane| sign_extend(lane, 2 * self.width) as i64);
+        (exact.abs_diff(approx), exact.unsigned_abs())
     }
 }
 
@@ -139,8 +147,8 @@ where
 mod tests {
     use super::*;
     use crate::error::evaluate::tests::{
-        assert_engines_agree, assert_thread_count_invariant, signed_exhaustive_rows,
-        signed_sampled_rows,
+        assert_blocks_match_replay, assert_engines_agree, assert_thread_count_invariant,
+        signed_exhaustive_rows, signed_sampled_rows, synthetic_blocks,
     };
     use crate::error::Engine;
     use crate::signed::{signed_accurate, signed_sdlc, SignMagnitude};
@@ -190,6 +198,31 @@ mod tests {
             assert_eq!(metrics, manual, "{engine}");
         }
         assert!(manual.mred > 0.0);
+    }
+
+    #[test]
+    fn record_block_matches_per_pair_replay_in_every_quadrant() {
+        for width in [8, 32] {
+            let m = signed_sdlc(width, 2).unwrap();
+            let domain = signed(&m);
+            // One sign quadrant per `(a < 0, b < 0)` draw, cycled.
+            let mut quadrant = 0u64;
+            let groups = synthetic_blocks(&domain, u64::from(width), |rng| {
+                quadrant += 1;
+                let half = |negative: u64, rng: &mut sdlc_wideint::SplitMix64| {
+                    rng.next_bits(width - 1) | (negative << (width - 1))
+                };
+                (half(quadrant & 1, rng), half((quadrant >> 1) & 1, rng))
+            });
+            let quadrants: std::collections::HashSet<_> = groups
+                .iter()
+                .flat_map(|g| &g.blocks)
+                .flat_map(|b| &b.lanes[..b.valid])
+                .map(|&(a, b, _)| (domain.decode(a) < 0, domain.decode(b) < 0))
+                .collect();
+            assert_eq!(quadrants.len(), 4);
+            assert_blocks_match_replay(&domain, &groups, |lane| sign_extend(lane, 2 * width));
+        }
     }
 
     #[test]

@@ -203,8 +203,13 @@ pub const GLITCH_GROUPS: u64 = 8;
 /// Panics if `vectors == 0` or the netlist lacks `a`/`b` buses.
 #[must_use]
 pub fn glitch_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64) -> Activity {
-    let streams = LaneStreams::new(netlist, seed, vectors);
     let program = TimedProgram::compile(netlist, library);
+    if !GlitchSim::accepts(&program) {
+        // Event times this long do not fit the packed wheel keys; the
+        // scalar engine returns the same activity.
+        return timing_activity(netlist, library, seed, vectors);
+    }
+    let streams = LaneStreams::new(netlist, seed, vectors);
     let toggles_per_net = streams.sum_groups(|group| {
         let mut rngs: Vec<SplitMix64> = (0..64).map(|lane| streams.lane_rng(group, lane)).collect();
         let mut stimulus = vec![0u64; netlist.inputs().len()];
@@ -412,6 +417,33 @@ mod tests {
         // Tiny runs (fewer vectors than one 64-lane word) still work.
         let tiny = glitch_activity(&n, &lib, 5, 3);
         assert_eq!(tiny.transition_count, 64);
+    }
+
+    #[test]
+    fn glitch_activity_falls_back_to_the_scalar_engine_past_the_key_budget() {
+        // Every library value at its cap: gate delays of ~10^8 ps put the
+        // 8-bit adder's critical path past the packed keys' 2^40 ticks.
+        let cells = [
+            "BUF", "INV", "AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2", "MUX2",
+        ];
+        let max = sdlc_techlib::MAX_LIBRARY_VALUE;
+        let mut text = format!("library extreme {{ wire_cap_per_fanout_ff {max}\n");
+        for cell in cells {
+            text += &format!(
+                "cell {cell} {{ area 1 cap {max} delay {max} drive {max} energy 1 leak 1 }}\n"
+            );
+        }
+        let lib = Library::from_text(&(text + "}")).unwrap();
+        let n = adder(8);
+        assert!(!GlitchSim::accepts(&TimedProgram::compile(&n, &lib)));
+        assert!(GlitchSim::accepts(&TimedProgram::compile(
+            &n,
+            &Library::generic_90nm()
+        )));
+        assert_eq!(
+            glitch_activity(&n, &lib, 3, 128),
+            timing_activity(&n, &lib, 3, 128)
+        );
     }
 
     #[test]

@@ -229,7 +229,11 @@ impl TimedProgram {
     /// timing engines: the scalar one sums the same quantized delays).
     #[must_use]
     pub fn critical_arrival_ps(&self) -> f64 {
-        self.arrival_ticks.iter().copied().max().unwrap_or(0) as f64 / 1024.0
+        self.critical_ticks() as f64 / 1024.0
+    }
+
+    fn critical_ticks(&self) -> u64 {
+        self.arrival_ticks.iter().copied().max().unwrap_or(0)
     }
 
     fn fanout(&self, slot: u32) -> &[u32] {
@@ -335,26 +339,28 @@ pub struct GlitchSim<'p> {
 }
 
 impl<'p> GlitchSim<'p> {
+    /// Whether [`GlitchSim::new`] accepts `program`: its op indices and
+    /// event times must fit the packed wheel keys. Real netlists are far
+    /// inside both limits; a library with extreme loads can push the
+    /// critical path past the second.
+    pub(crate) fn accepts(program: &TimedProgram) -> bool {
+        (program.op_count() as u64) < (1 << KEY_OP_BITS)
+            && program.critical_ticks() < (1 << (64 - KEY_OP_BITS))
+    }
+
     /// Creates an executor with all lanes at 0 (constants pre-loaded).
     ///
     /// # Panics
     ///
-    /// Panics if the program has 2^24 ops or more (the packed wheel-key
-    /// budget; far beyond any netlist in the tree).
+    /// Panics if the program has 2^24 ops or more, or a critical path of
+    /// 2^40 ticks (≈ 1.07 ms) or more: the packed wheel-key budget.
     #[must_use]
     pub fn new(program: &'p TimedProgram) -> Self {
         assert!(
-            (program.op_count() as u64) < (1 << KEY_OP_BITS),
-            "program too large for packed wheel keys"
+            Self::accepts(program),
+            "program too large or critical path too long for packed wheel keys"
         );
-        // Event times are bounded by the critical arrival, which must
-        // leave room for the op index in the packed key (2^40 ticks is
-        // a one-second critical path — unreachable for real netlists).
-        let critical_ticks = program.arrival_ticks.iter().copied().max().unwrap_or(0);
-        assert!(
-            critical_ticks < (1 << (64 - KEY_OP_BITS)),
-            "critical path too long for packed wheel keys"
-        );
+        let critical_ticks = program.critical_ticks();
         // Bucket span: about one minimum gate delay (then almost every
         // scheduled key lands past the bucket being drained), floored so
         // the ladder never exceeds ~4096 buckets even for degenerate

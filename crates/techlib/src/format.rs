@@ -27,9 +27,10 @@ pub enum ParseLibError {
     BadHeader(String),
     /// A token could not be parsed where a number was expected.
     BadNumber(String),
-    /// A number parsed but is negative, infinite or NaN: every library
-    /// quantity (area, capacitance, delay, drive, energy, leakage) is a
-    /// finite, non-negative physical value.
+    /// A number parsed but is negative, infinite, NaN or above
+    /// [`MAX_LIBRARY_VALUE`]: every library quantity (area, capacitance,
+    /// delay, drive, energy, leakage) is a finite, non-negative physical
+    /// value of bounded size.
     BadValue(String),
     /// A cell body is malformed or misses an attribute.
     BadCell(String),
@@ -47,7 +48,8 @@ impl std::fmt::Display for ParseLibError {
             ParseLibError::BadValue(m) => {
                 write!(
                     f,
-                    "library values must be finite and non-negative, found {m}"
+                    "library values must be finite and non-negative, \
+                     at most {MAX_LIBRARY_VALUE}, found {m}"
                 )
             }
             ParseLibError::BadCell(m) => write!(f, "malformed cell: {m}"),
@@ -58,6 +60,13 @@ impl std::fmt::Display for ParseLibError {
 }
 
 impl std::error::Error for ParseLibError {}
+
+/// Largest value a library file may hold, in the attribute's own unit:
+/// 10 ns of intrinsic delay, 10 pF of pin or wire capacitance, 10 ns/fF
+/// of drive. Real cells sit orders of magnitude below; the bound keeps
+/// gate delays, and the paths the timing engines sum them along, far
+/// inside the scalar engine's 64-bit fixed-point event times.
+pub const MAX_LIBRARY_VALUE: f64 = 1e4;
 
 /// Cell names that must appear in a library file (everything mappable;
 /// the free pseudo-cells are implicit).
@@ -88,7 +97,8 @@ impl Library {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseLibError`] for syntax problems or missing cells.
+    /// Returns [`ParseLibError`] for syntax problems, out-of-range values
+    /// or missing cells.
     pub fn from_text(text: &str) -> Result<Self, ParseLibError> {
         let mut tokens = tokenize(text);
         expect(&mut tokens, "library")?;
@@ -224,7 +234,7 @@ fn number(tokens: &mut impl Iterator<Item = String>) -> Result<f64, ParseLibErro
     let value: f64 = token
         .parse()
         .map_err(|_| ParseLibError::BadNumber(token.clone()))?;
-    if value.is_finite() && value >= 0.0 {
+    if (0.0..=MAX_LIBRARY_VALUE).contains(&value) {
         Ok(value)
     } else {
         Err(ParseLibError::BadValue(token))
@@ -334,6 +344,20 @@ library test1 {
             Library::from_text("library x { wire_cap_per_fanout_ff -1 }"),
             Err(ParseLibError::BadValue(_))
         ));
+    }
+
+    #[test]
+    fn values_above_the_cap_are_rejected() {
+        let cell = |delay: &str| {
+            let text = Library::generic_90nm().to_text();
+            text.replacen("delay 11 ", &format!("delay {delay} "), 1)
+        };
+        assert!(Library::from_text(&cell("10000")).is_ok());
+        for bad in ["10000.5", "1e30"] {
+            let err = Library::from_text(&cell(bad)).unwrap_err();
+            assert_eq!(err, ParseLibError::BadValue(bad.to_string()), "{bad}");
+            assert!(err.to_string().contains("at most 10000"), "{err}");
+        }
     }
 
     #[test]

@@ -27,5 +27,5 @@ mod format;
 mod library;
 
 pub use cell::CellSpec;
-pub use format::ParseLibError;
+pub use format::{ParseLibError, MAX_LIBRARY_VALUE};
 pub use library::Library;

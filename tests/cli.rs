@@ -356,6 +356,44 @@ fn synth_accepts_a_custom_library_file() {
 }
 
 #[test]
+fn synth_rejects_oversized_library_values_and_runs_at_the_cap() {
+    let dir = std::env::temp_dir().join("sdlc_cli_big_lib");
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = sdlc::techlib::Library::generic_90nm().to_text();
+    // Sets every `key` attribute of every cell to `value`.
+    let with = |keys: &[&str], value: &str| {
+        let tokens: Vec<&str> = good.split(' ').collect();
+        let replaced = tokens.iter().enumerate().map(|(i, &token)| {
+            if i > 0 && keys.contains(&tokens[i - 1]) {
+                value
+            } else {
+                token
+            }
+        });
+        replaced.collect::<Vec<_>>().join(" ")
+    };
+    let cap = sdlc::techlib::MAX_LIBRARY_VALUE.to_string();
+    // Every delay far past the cap: a typed parse error, not a panic.
+    let huge = dir.join("huge_delays.lib");
+    std::fs::write(&huge, with(&["delay"], "1e30")).unwrap();
+    let (stdout, stderr, ok) = run(&["synth", "--width", "8", "--lib", huge.to_str().unwrap()]);
+    assert!(!ok, "{stdout}");
+    assert!(
+        stderr.contains("at most") && stderr.contains("1e30"),
+        "{stderr}"
+    );
+    // Delays, drives and pin caps all at the cap: the critical path
+    // outgrows the compiled glitch engine, and synthesis still runs.
+    let extreme = dir.join("capped.lib");
+    let text = with(&["delay", "drive", "cap"], &cap);
+    assert_eq!(text.matches(&format!("drive {cap} ")).count(), 9);
+    std::fs::write(&extreme, text).unwrap();
+    let (stdout, stderr, ok) = run(&["synth", "--width", "8", "--lib", extreme.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("savings vs accurate"), "{stdout}");
+}
+
+#[test]
 fn synth_rejects_negative_and_non_finite_library_values() {
     let dir = std::env::temp_dir().join("sdlc_cli_bad_lib");
     std::fs::create_dir_all(&dir).unwrap();
