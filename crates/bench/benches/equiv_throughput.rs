@@ -19,7 +19,7 @@ use sdlc_core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme}
 use sdlc_core::{Multiplier, SdlcMultiplier};
 use sdlc_netlist::Netlist;
 use sdlc_sim::activity::random_activity_with_engine;
-use sdlc_sim::equiv::{check_exhaustive_with_engine, check_sampled_with_engine};
+use sdlc_sim::equiv::{check, Coverage};
 use sdlc_sim::Engine;
 use sdlc_wideint::U256;
 
@@ -69,10 +69,24 @@ fn main() {
                 println!("  {width:2}-bit {name:<9} skipped (SDLC_FAST)");
                 continue;
             }
-            let (scalar, t_scalar) =
-                timed(|| check_exhaustive_with_engine(&netlist, width, &model, Engine::Scalar));
-            let (compiled, t_compiled) =
-                timed(|| check_exhaustive_with_engine(&netlist, width, &model, Engine::Compiled));
+            let (scalar, t_scalar) = timed(|| {
+                check(
+                    &netlist,
+                    width,
+                    Coverage::Exhaustive,
+                    Engine::Scalar,
+                    &model,
+                )
+            });
+            let (compiled, t_compiled) = timed(|| {
+                check(
+                    &netlist,
+                    width,
+                    Coverage::Exhaustive,
+                    Engine::Compiled,
+                    &model,
+                )
+            });
             assert_eq!(scalar.is_ok(), compiled.is_ok(), "{name}: verdicts diverge");
             scalar.expect("generators match their models");
             let speedup = t_scalar / t_compiled;
@@ -100,10 +114,13 @@ fn main() {
 
     println!("\n== sampled equivalence (16-bit, 9 corners + 20000 seeded pairs) ==");
     for (name, netlist, model) in designs(16) {
-        let (scalar, t_scalar) =
-            timed(|| check_sampled_with_engine(&netlist, 16, 20_000, 7, &model, Engine::Scalar));
+        let coverage = Coverage::Sampled {
+            samples: 20_000,
+            seed: 7,
+        };
+        let (scalar, t_scalar) = timed(|| check(&netlist, 16, coverage, Engine::Scalar, &model));
         let (compiled, t_compiled) =
-            timed(|| check_sampled_with_engine(&netlist, 16, 20_000, 7, &model, Engine::Compiled));
+            timed(|| check(&netlist, 16, coverage, Engine::Compiled, &model));
         assert_eq!(scalar.is_ok(), compiled.is_ok(), "{name}: verdicts diverge");
         scalar.expect("generators match their models");
         println!(

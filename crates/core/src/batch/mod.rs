@@ -215,10 +215,10 @@ pub fn extract_product_lanes(planes: &[u64], out: &mut [u64; LANES]) {
 /// Evaluates one exhaustive-sweep block through a bit-sliced model:
 /// `out[i]` receives the model's product for `(a, b0 + i)` across all
 /// [`LANES`] consecutive `b` values. This is the model side of
-/// `sdlc-sim`'s batched equivalence checks (`check_exhaustive_batched`):
-/// the netlist sweep packs 64 pairs per compiled evaluation, and feeding
-/// the reference model pair-by-pair would dominate the check from
-/// ~10-bit operands up.
+/// `sdlc-sim`'s `equiv::check_exhaustive_batched`, the block-model twin
+/// of the per-pair `equiv::check`: the netlist sweep packs 64 pairs per
+/// compiled evaluation, and feeding the reference model pair-by-pair
+/// would dominate the check from ~10-bit operands up.
 ///
 /// # Panics
 ///

@@ -44,7 +44,8 @@ pub fn accurate_multiplier(width: u32, scheme: ReductionScheme) -> Result<Netlis
 mod tests {
     use super::*;
     use sdlc_netlist::GateKind;
-    use sdlc_sim::equiv::{check_exhaustive, check_sampled};
+    use sdlc_sim::equiv::{check, Coverage};
+    use sdlc_sim::Engine;
     use sdlc_wideint::U256;
 
     fn exact(a: u128, b: u128) -> U256 {
@@ -61,7 +62,7 @@ mod tests {
             ] {
                 let n = accurate_multiplier(width, scheme).unwrap();
                 n.validate().unwrap();
-                check_exhaustive(&n, width, exact)
+                check(&n, width, Coverage::Exhaustive, Engine::Scalar, exact)
                     .unwrap_or_else(|e| panic!("{width}-bit {scheme:?}: {e}"));
             }
         }
@@ -75,7 +76,17 @@ mod tests {
             ReductionScheme::Dadda,
         ] {
             let n = accurate_multiplier(16, scheme).unwrap();
-            check_sampled(&n, 16, 400, 5, exact).unwrap();
+            check(
+                &n,
+                16,
+                Coverage::Sampled {
+                    samples: 400,
+                    seed: 5,
+                },
+                Engine::Scalar,
+                exact,
+            )
+            .unwrap();
         }
     }
 

@@ -93,7 +93,8 @@ mod tests {
     use crate::baselines::EtmMultiplier;
     use crate::Multiplier;
     use sdlc_netlist::GateKind;
-    use sdlc_sim::equiv::{check_exhaustive, check_sampled};
+    use sdlc_sim::equiv::{check, Coverage};
+    use sdlc_sim::Engine;
 
     #[test]
     fn matches_functional_model_exhaustively() {
@@ -101,8 +102,10 @@ mod tests {
             let model = EtmMultiplier::new(width).unwrap();
             let n = etm_multiplier(width, ReductionScheme::RippleRows).unwrap();
             n.validate().unwrap();
-            check_exhaustive(&n, width, |a, b| model.multiply(a, b))
-                .unwrap_or_else(|e| panic!("width {width}: {e}"));
+            check(&n, width, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+                model.multiply(a, b)
+            })
+            .unwrap_or_else(|e| panic!("width {width}: {e}"));
         }
     }
 
@@ -110,7 +113,17 @@ mod tests {
     fn matches_functional_model_sampled_16bit() {
         let model = EtmMultiplier::new(16).unwrap();
         let n = etm_multiplier(16, ReductionScheme::RippleRows).unwrap();
-        check_sampled(&n, 16, 500, 23, |a, b| model.multiply(a, b)).unwrap();
+        check(
+            &n,
+            16,
+            Coverage::Sampled {
+                samples: 500,
+                seed: 23,
+            },
+            Engine::Scalar,
+            |a, b| model.multiply(a, b),
+        )
+        .unwrap();
     }
 
     #[test]

@@ -66,7 +66,8 @@ mod tests {
     use super::*;
     use crate::baselines::KulkarniMultiplier;
     use crate::Multiplier;
-    use sdlc_sim::equiv::{check_exhaustive, check_sampled};
+    use sdlc_sim::equiv::{check, Coverage};
+    use sdlc_sim::Engine;
 
     #[test]
     fn matches_functional_model_exhaustively() {
@@ -74,8 +75,10 @@ mod tests {
             let model = KulkarniMultiplier::new(width).unwrap();
             let n = kulkarni_multiplier(width, ReductionScheme::RippleRows).unwrap();
             n.validate().unwrap();
-            check_exhaustive(&n, width, |a, b| model.multiply(a, b))
-                .unwrap_or_else(|e| panic!("width {width}: {e}"));
+            check(&n, width, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+                model.multiply(a, b)
+            })
+            .unwrap_or_else(|e| panic!("width {width}: {e}"));
         }
     }
 
@@ -83,7 +86,17 @@ mod tests {
     fn matches_functional_model_sampled_16bit() {
         let model = KulkarniMultiplier::new(16).unwrap();
         let n = kulkarni_multiplier(16, ReductionScheme::RippleRows).unwrap();
-        check_sampled(&n, 16, 500, 17, |a, b| model.multiply(a, b)).unwrap();
+        check(
+            &n,
+            16,
+            Coverage::Sampled {
+                samples: 500,
+                seed: 17,
+            },
+            Engine::Scalar,
+            |a, b| model.multiply(a, b),
+        )
+        .unwrap();
     }
 
     #[test]

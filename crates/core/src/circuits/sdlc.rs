@@ -99,7 +99,7 @@ mod tests {
     use super::*;
     use crate::ClusterVariant;
     use sdlc_netlist::GateKind;
-    use sdlc_sim::equiv::{check_exhaustive, check_exhaustive_with_engine, check_sampled};
+    use sdlc_sim::equiv::{check, Coverage};
     use sdlc_sim::Engine;
     use sdlc_wideint::U256;
 
@@ -109,8 +109,10 @@ mod tests {
             let model = SdlcMultiplier::new(8, depth).unwrap();
             let n = sdlc_multiplier(&model, ReductionScheme::RippleRows);
             n.validate().unwrap();
-            check_exhaustive_with_engine(&n, 8, |a, b| model.multiply(a, b), Engine::Compiled)
-                .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
+            check(&n, 8, Coverage::Exhaustive, Engine::Compiled, |a, b| {
+                model.multiply(a, b)
+            })
+            .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
         }
     }
 
@@ -120,12 +122,9 @@ mod tests {
         // routine (the scalar cap used to be 8 bits).
         let model = SdlcMultiplier::new(10, 2).unwrap();
         let n = sdlc_multiplier(&model, ReductionScheme::RippleRows);
-        check_exhaustive_with_engine(
-            &n,
-            10,
-            |a, b| U256::from_u128(model.multiply_u64(a as u64, b as u64)),
-            Engine::Compiled,
-        )
+        check(&n, 10, Coverage::Exhaustive, Engine::Compiled, |a, b| {
+            U256::from_u128(model.multiply_u64(a as u64, b as u64))
+        })
         .unwrap();
     }
 
@@ -138,8 +137,10 @@ mod tests {
             ReductionScheme::Dadda,
         ] {
             let n = sdlc_multiplier(&model, scheme);
-            check_exhaustive(&n, 6, |a, b| model.multiply(a, b))
-                .unwrap_or_else(|e| panic!("{scheme:?}: {e}"));
+            check(&n, 6, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+                model.multiply(a, b)
+            })
+            .unwrap_or_else(|e| panic!("{scheme:?}: {e}"));
         }
     }
 
@@ -147,14 +148,27 @@ mod tests {
     fn matches_functional_model_sampled_16bit() {
         let model = SdlcMultiplier::new(16, 2).unwrap();
         let n = sdlc_multiplier(&model, ReductionScheme::RippleRows);
-        check_sampled(&n, 16, 400, 11, |a, b| model.multiply(a, b)).unwrap();
+        check(
+            &n,
+            16,
+            Coverage::Sampled {
+                samples: 400,
+                seed: 11,
+            },
+            Engine::Scalar,
+            |a, b| model.multiply(a, b),
+        )
+        .unwrap();
     }
 
     #[test]
     fn fullor_variant_matches_too() {
         let model = SdlcMultiplier::with_variant(8, 3, ClusterVariant::FullOr).unwrap();
         let n = sdlc_multiplier(&model, ReductionScheme::RippleRows);
-        check_exhaustive(&n, 8, |a, b| model.multiply(a, b)).unwrap();
+        check(&n, 8, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+            model.multiply(a, b)
+        })
+        .unwrap();
     }
 
     #[test]
@@ -183,14 +197,17 @@ mod tests {
         let model = TruncatedMultiplier::new(8, 6).unwrap();
         let n = truncated_multiplier(&model, ReductionScheme::RippleRows);
         n.validate().unwrap();
-        check_exhaustive(&n, 8, |a, b| model.multiply(a, b)).unwrap();
+        check(&n, 8, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+            model.multiply(a, b)
+        })
+        .unwrap();
     }
 
     #[test]
     fn truncated_with_no_drop_is_exact() {
         let model = TruncatedMultiplier::new(4, 0).unwrap();
         let n = truncated_multiplier(&model, ReductionScheme::Wallace);
-        check_exhaustive(&n, 4, |a, b| {
+        check(&n, 4, Coverage::Exhaustive, Engine::Scalar, |a, b| {
             sdlc_wideint::U256::from_u128(a).wrapping_mul(&sdlc_wideint::U256::from_u128(b))
         })
         .unwrap();

@@ -8,7 +8,7 @@
 //! model of the result is exactly
 //! [`SignMagnitude`](crate::SignMagnitude) over the corresponding
 //! unsigned model, and `sdlc-sim`'s
-//! [`check_exhaustive_signed`](sdlc_sim::equiv::check_exhaustive_signed)
+//! [`check_signed`](sdlc_sim::equiv::check_signed)
 //! proves the pair-for-pair agreement in this module's tests and in
 //! `tests/signed_circuit_equivalence.rs`.
 
@@ -72,15 +72,18 @@ mod tests {
     use crate::circuits::{etm_multiplier, kulkarni_multiplier, truncated_multiplier};
     use crate::signed::{SignMagnitude, SignedMultiplier};
     use crate::{AccurateMultiplier, ClusterVariant};
-    use sdlc_sim::equiv::{check_exhaustive_signed, check_sampled_signed};
+    use sdlc_sim::equiv::{check_signed, Coverage};
+    use sdlc_sim::Engine;
 
     #[test]
     fn signed_accurate_is_twos_complement_multiplication() {
         for scheme in [ReductionScheme::RippleRows, ReductionScheme::Dadda] {
             let n = signed_accurate_multiplier(4, scheme).unwrap();
             n.validate().unwrap();
-            check_exhaustive_signed(&n, 4, |a, b| sdlc_wideint::I256::from_i128(a * b))
-                .unwrap_or_else(|e| panic!("{scheme:?}: {e}"));
+            check_signed(&n, 4, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+                sdlc_wideint::I256::from_i128(a * b)
+            })
+            .unwrap_or_else(|e| panic!("{scheme:?}: {e}"));
         }
     }
 
@@ -91,15 +94,20 @@ mod tests {
             let n = signed_sdlc_multiplier(&model, ReductionScheme::RippleRows);
             n.validate().unwrap();
             let signed = SignMagnitude::new(model);
-            check_exhaustive_signed(&n, 6, |a, b| signed.multiply_signed(a, b))
-                .unwrap_or_else(|e| panic!("{variant:?}: {e}"));
+            check_signed(&n, 6, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+                signed.multiply_signed(a, b)
+            })
+            .unwrap_or_else(|e| panic!("{variant:?}: {e}"));
         }
     }
 
     #[test]
     fn signed_wrap_covers_every_baseline_generator() {
         let scheme = ReductionScheme::RippleRows;
-        let cases: Vec<(Netlist, Box<dyn Fn(i128, i128) -> sdlc_wideint::I256>)> = vec![
+        let cases: Vec<(
+            Netlist,
+            Box<dyn Fn(i128, i128) -> sdlc_wideint::I256 + Sync>,
+        )> = vec![
             (
                 signed_multiplier(
                     &truncated_multiplier(&TruncatedMultiplier::new(6, 3).unwrap(), scheme),
@@ -125,20 +133,30 @@ mod tests {
         for (netlist, model) in &cases {
             netlist.validate().unwrap();
             let width = netlist.bus("a").unwrap().len() as u32;
-            check_exhaustive_signed(netlist, width, model)
+            check_signed(netlist, width, Coverage::Exhaustive, Engine::Scalar, model)
                 .unwrap_or_else(|e| panic!("{}: {e}", netlist.name()));
         }
     }
 
     #[test]
     fn sampled_equivalence_at_16_bits() {
+        let coverage = Coverage::Sampled {
+            samples: 200,
+            seed: 9,
+        };
         let model = SdlcMultiplier::new(16, 2).unwrap();
         let n = signed_sdlc_multiplier(&model, ReductionScheme::Wallace);
         let signed = SignMagnitude::new(model);
-        check_sampled_signed(&n, 16, 200, 9, |a, b| signed.multiply_signed(a, b)).unwrap();
+        check_signed(&n, 16, coverage, Engine::Scalar, |a, b| {
+            signed.multiply_signed(a, b)
+        })
+        .unwrap();
         let exact = signed_accurate_multiplier(16, ReductionScheme::RippleRows).unwrap();
         let reference = SignMagnitude::new(AccurateMultiplier::new(16).unwrap());
-        check_sampled_signed(&exact, 16, 200, 9, |a, b| reference.multiply_signed(a, b)).unwrap();
+        check_signed(&exact, 16, coverage, Engine::Scalar, |a, b| {
+            reference.multiply_signed(a, b)
+        })
+        .unwrap();
     }
 
     #[test]

@@ -127,6 +127,8 @@ pub enum EvalError {
         width: u32,
         /// Largest width the engine accepts.
         limit: u32,
+        /// The engine whose limit applied.
+        engine: Engine,
     },
 }
 
@@ -140,9 +142,22 @@ impl fmt::Display for EvalError {
                 2 * width
             ),
             EvalError::NoSamples => write!(f, "sample count must be positive"),
-            EvalError::UnsupportedWidth { width, limit } => write!(
+            EvalError::UnsupportedWidth {
+                width,
+                limit,
+                engine: Engine::BitSliced,
+            } => write!(
                 f,
                 "the bit-sliced engine supports models up to {limit}-bit, got {width}-bit"
+            ),
+            EvalError::UnsupportedWidth {
+                width,
+                limit,
+                engine: Engine::Scalar,
+            } => write!(
+                f,
+                "the scalar engine samples signed models up to {limit}-bit \
+                 (its multiply_i64 fast path), got {width}-bit"
             ),
         }
     }
@@ -466,7 +481,7 @@ pub(crate) fn sampled_in<D: BatchDomain>(
     if options.engine == Engine::Scalar {
         return sampled_scalar(domain, samples, seed, threads);
     }
-    sampled_chunks(domain, samples, BATCH_MAX_WIDTH, threads, |shards| {
+    sampled_chunks(domain, samples, Engine::BitSliced, threads, |shards| {
         let width = domain.width();
         let planes = width as usize;
         let batch = domain.batch();
@@ -509,7 +524,7 @@ fn sampled_scalar<D: Domain>(
     seed: u64,
     threads: usize,
 ) -> Result<ErrorMetrics, EvalError> {
-    sampled_chunks(domain, samples, D::SAMPLED_WIDTH_LIMIT, threads, |shards| {
+    sampled_chunks(domain, samples, Engine::Scalar, threads, |shards| {
         let mut acc = ErrorAccumulator::new();
         for_shards(shards, samples, seed, |rng, n| {
             for _ in 0..n {
@@ -520,12 +535,13 @@ fn sampled_scalar<D: Domain>(
     })
 }
 
-/// Validates the request, splits the fixed shard list over `threads` and
-/// merges the per-run accumulators in shard order.
+/// Validates the request against `engine`'s width limit, splits the fixed
+/// shard list over `threads` and merges the per-run accumulators in shard
+/// order.
 fn sampled_chunks<D: Domain>(
     domain: &D,
     samples: u64,
-    limit: u32,
+    engine: Engine,
     threads: usize,
     run: impl Fn(&[u64]) -> ErrorAccumulator + Sync,
 ) -> Result<ErrorMetrics, EvalError> {
@@ -533,8 +549,16 @@ fn sampled_chunks<D: Domain>(
         return Err(EvalError::NoSamples);
     }
     let width = domain.width();
+    let limit = match engine {
+        Engine::Scalar => D::SAMPLED_WIDTH_LIMIT,
+        Engine::BitSliced => BATCH_MAX_WIDTH,
+    };
     if width > limit {
-        return Err(EvalError::UnsupportedWidth { width, limit });
+        return Err(EvalError::UnsupportedWidth {
+            width,
+            limit,
+            engine,
+        });
     }
     let shard_list: Vec<u64> = (0..SHARDS).collect();
     let partials = parallel_shard_chunks(&shard_list, threads, run);

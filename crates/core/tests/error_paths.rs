@@ -63,7 +63,8 @@ fn bitsliced_sampling_rejects_models_beyond_the_plane_stack() {
         err,
         EvalError::UnsupportedWidth {
             width: 64,
-            limit: 32
+            limit: 32,
+            engine: Engine::BitSliced,
         }
     );
     assert!(err.to_string().contains("up to 32-bit"), "{err}");

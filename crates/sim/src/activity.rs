@@ -1,20 +1,22 @@
 //! Switching-activity capture over seeded random stimulus.
 //!
 //! Dynamic power estimation needs per-net toggle statistics under a
-//! representative workload. [`random_activity`] drives a netlist with a
-//! deterministic uniform stream (the paper's setting: operands drawn
-//! uniformly, as in its exhaustive error analysis) through the compiled
-//! 64-lane zero-delay engine; [`random_activity_with_engine`] can run the
-//! same 64 lane streams through scalar [`LogicSim`]s instead, the
-//! differential oracle, with identical toggle totals.
-//! [`timing_activity_with_engine`] does the same through the event-driven
-//! engines to include glitch power: the scalar [`TimingSim`] reference
-//! ([`timing_activity`]) or [`glitch_activity`], the compiled
-//! word-parallel glitch backend the synthesis flow uses by default. Both
-//! glitch-aware engines drive one stimulus organization — up to
-//! [`GLITCH_GROUPS`] groups of 64 seeded lane streams — and count
-//! transitions with identical inertial-delay semantics, so they return
-//! identical [`Activity`].
+//! representative workload. There is one driver per operation, each
+//! configured by an [`Engine`]:
+//!
+//! * [`random_activity_with_engine`] counts zero-delay toggles under a
+//!   deterministic uniform stream (the paper's setting: operands drawn
+//!   uniformly, as in its exhaustive error analysis). The compiled 64-lane
+//!   engine is the fast path; the scalar engine runs the same 64 lane
+//!   streams through [`LogicSim`]s, the differential oracle, with
+//!   identical toggle totals.
+//! * [`timing_activity_with_engine`] includes glitch power through the
+//!   event-driven engines: the scalar [`TimingSim`] reference, or
+//!   [`GlitchSim`], the compiled word-parallel glitch backend the
+//!   synthesis flow uses by default. Both drive one stimulus organization
+//!   — up to eight groups of 64 seeded lane streams — and count
+//!   transitions with identical inertial-delay semantics, so they return
+//!   identical [`Activity`].
 
 use sdlc_netlist::Netlist;
 use sdlc_techlib::Library;
@@ -57,27 +59,14 @@ impl Activity {
 }
 
 /// Runs `vectors` uniformly random input vectors (rounded up to a multiple
-/// of 64) through the compiled zero-delay engine — the fast path the
-/// `sdlc-synth` power flow rides.
+/// of 64) through the zero-delay `engine`. Lane `i` of every stimulus word
+/// is vector stream `i`: [`Engine::Compiled`] sweeps all 64 lanes per word
+/// through the flattened program — the fast path the `sdlc-synth` power
+/// flow rides — and [`Engine::Scalar`] runs each lane through its own
+/// [`LogicSim`] (the differential oracle) and sums the toggles.
 ///
-/// Deterministic in `(netlist, seed, vectors)`, and bit-identical to the
-/// scalar oracle ([`random_activity_with_engine`] with
-/// [`Engine::Scalar`]): same stimulus stream, same lane-wise toggle
-/// convention, identical per-net totals.
-///
-/// # Panics
-///
-/// Panics if `vectors == 0`.
-#[must_use]
-pub fn random_activity(netlist: &Netlist, seed: u64, vectors: u64) -> Activity {
-    random_activity_with_engine(netlist, seed, vectors, Engine::Compiled)
-}
-
-/// [`random_activity`] with an explicit engine choice. Lane `i` of every
-/// stimulus word is vector stream `i`: [`Engine::Compiled`] sweeps all 64
-/// lanes per word through the flattened program, [`Engine::Scalar`] runs
-/// each lane through its own [`LogicSim`] (the differential oracle) and
-/// sums the toggles. Totals are bit-identical either way.
+/// Deterministic in `(netlist, seed, vectors)`; totals are bit-identical
+/// on either engine.
 ///
 /// # Panics
 ///
@@ -133,17 +122,10 @@ fn add_toggles(totals: &mut [u64], toggles: &[u64]) {
     }
 }
 
-/// Runs `vectors` random operand pairs (rounded up to fill whole 64-lane
-/// words) through scalar event-driven [`TimingSim`]s, glitches included —
-/// one simulator pass per lane stream of [`glitch_activity`]'s stimulus
-/// organization, which it matches exactly. Requires the `a`/`b`/`p` port
-/// convention.
-///
-/// # Panics
-///
-/// Panics if `vectors == 0` or the netlist lacks `a`/`b` buses.
-#[must_use]
-pub fn timing_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64) -> Activity {
+/// The scalar body of [`timing_activity_with_engine`]: one [`TimingSim`]
+/// pass per lane stream of [`glitch_activity`]'s stimulus organization,
+/// which it matches exactly.
+fn timing_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64) -> Activity {
     let streams = LaneStreams::new(netlist, seed, vectors);
     let toggles_per_net = streams.sum_groups(|group| {
         // `settle` rebuilds the whole steady state, so one simulator serves
@@ -164,13 +146,16 @@ pub fn timing_activity(netlist: &Netlist, library: &Library, seed: u64, vectors:
     streams.activity(toggles_per_net)
 }
 
-/// [`timing_activity`] dispatched on an [`Engine`]: [`Engine::Scalar`] is
-/// the event-driven [`TimingSim`] reference; [`Engine::Compiled`] runs
-/// the word-parallel [`GlitchSim`] backend — the default the `sdlc-synth`
-/// glitch-power flow rides. Both drive the same lane streams with the
-/// same inertial-delay semantics, so they return identical [`Activity`];
-/// each is deterministic in `(netlist, seed, vectors)` and independent of
-/// the machine's core count.
+/// Runs `vectors` random operand pairs (rounded up to fill whole 64-lane
+/// words) through an event-driven `engine`, glitches included, on a
+/// netlist with the `a`/`b`/`p` port convention. [`Engine::Scalar`] is the
+/// [`TimingSim`] reference; [`Engine::Compiled`] runs the word-parallel
+/// [`GlitchSim`] backend — the default the `sdlc-synth` glitch-power flow
+/// rides — and falls back to the scalar engine when the netlist's event
+/// times outgrow its packed wheel keys. Both drive the same lane streams
+/// with the same inertial-delay semantics, so they return identical
+/// [`Activity`]; each is deterministic in `(netlist, seed, vectors)` and
+/// independent of the machine's core count.
 ///
 /// # Panics
 ///
@@ -192,17 +177,11 @@ pub fn timing_activity_with_engine(
 /// Fixed stream-group count of the glitch-aware engines: the stimulus is
 /// organized as up to 8 groups of 64 lane streams, so results never
 /// depend on the machine's core count (groups are what the workers split).
-pub const GLITCH_GROUPS: u64 = 8;
+const GLITCH_GROUPS: u64 = 8;
 
-/// Runs `vectors` random operand pairs (rounded up to fill whole 64-lane
-/// words) through the compiled glitch engine. Requires the `a`/`b`/`p`
-/// port convention, like [`timing_activity`].
-///
-/// # Panics
-///
-/// Panics if `vectors == 0` or the netlist lacks `a`/`b` buses.
-#[must_use]
-pub fn glitch_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64) -> Activity {
+/// The compiled body of [`timing_activity_with_engine`]: the lane streams
+/// through [`GlitchSim`], 64 per word.
+fn glitch_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64) -> Activity {
     let program = TimedProgram::compile(netlist, library);
     if !GlitchSim::accepts(&program) {
         // Event times this long do not fit the packed wheel keys; the
@@ -350,23 +329,22 @@ mod tests {
         let compiled = random_activity_with_engine(&n, 42, 256, Engine::Compiled);
         let structural = random_activity_with_engine(&n, 42, 256, Engine::Scalar);
         assert_eq!(compiled, structural);
-        assert_eq!(compiled, random_activity(&n, 42, 256));
     }
 
     #[test]
     fn random_activity_is_deterministic() {
         let n = adder(8);
-        let a1 = random_activity(&n, 42, 256);
-        let a2 = random_activity(&n, 42, 256);
+        let a1 = random_activity_with_engine(&n, 42, 256, Engine::Compiled);
+        let a2 = random_activity_with_engine(&n, 42, 256, Engine::Compiled);
         assert_eq!(a1, a2);
-        let a3 = random_activity(&n, 43, 256);
+        let a3 = random_activity_with_engine(&n, 43, 256, Engine::Compiled);
         assert_ne!(a1.toggles_per_net, a3.toggles_per_net);
     }
 
     #[test]
     fn uniform_inputs_toggle_about_half_the_time() {
         let n = adder(8);
-        let activity = random_activity(&n, 7, 6400);
+        let activity = random_activity_with_engine(&n, 7, 6400, Engine::Compiled);
         let inputs = n.inputs();
         for &input in inputs {
             let rate =
@@ -381,7 +359,7 @@ mod tests {
     fn timing_activity_includes_glitches() {
         let n = adder(8);
         let lib = Library::generic_90nm();
-        let zero_delay = random_activity(&n, 11, 512);
+        let zero_delay = random_activity_with_engine(&n, 11, 512, Engine::Compiled);
         let timed = timing_activity(&n, &lib, 11, 512);
         assert!(timed.includes_glitches);
         // Same per-transition scale: compare mean activity; glitching can
@@ -393,7 +371,7 @@ mod tests {
     #[should_panic(expected = "at least one vector")]
     fn zero_vectors_rejected() {
         let n = adder(4);
-        let _ = random_activity(&n, 1, 0);
+        let _ = random_activity_with_engine(&n, 1, 0, Engine::Compiled);
     }
 
     #[test]
@@ -409,7 +387,7 @@ mod tests {
         assert_ne!(a1.toggles_per_net, other_seed.toggles_per_net);
         // Glitching can only add transitions on top of the zero-delay
         // estimate (same uniform stimulus model, independent streams).
-        let zero_delay = random_activity(&n, 21, 512);
+        let zero_delay = random_activity_with_engine(&n, 21, 512, Engine::Compiled);
         assert!(a1.mean_activity() >= zero_delay.mean_activity() * 0.9);
         // Both timing engines drive the same lane streams: identical.
         let scalar = timing_activity_with_engine(&n, &lib, 21, 512, Engine::Scalar);

@@ -2,7 +2,11 @@
 //!
 //! Every circuit generator in the workspace is validated against its
 //! word-level model: exhaustively for narrow operands, by seeded sampling
-//! above that. A mismatch reports the first failing operand pair.
+//! plus corner patterns above that ([`Coverage`]). [`check`] covers the
+//! unsigned operand domain and [`check_signed`] the two's-complement one;
+//! both return the number of operand pairs checked, or the first failing
+//! pair. [`check_exhaustive_batched`] asks the model for 64 products per
+//! call instead of one.
 //!
 //! Each check runs on one of two [`Engine`]s. The scalar engine drives
 //! one vector at a time through [`LogicSim`] — the reference. The
@@ -38,7 +42,7 @@ pub enum Engine {
     Scalar,
     /// 64 pairs per sweep through the compiled program, sharded across
     /// threads. Needs operand and product buses of at most 64 bits; the
-    /// dispatchers fall back to scalar beyond that.
+    /// checks fall back to scalar beyond that.
     Compiled,
 }
 
@@ -96,24 +100,55 @@ impl std::fmt::Display for Mismatch {
     }
 }
 
-/// Reads the `p` output bus as a [`U256`] regardless of width.
-fn read_product(sim: &LogicSim<'_>, netlist: &Netlist) -> U256 {
-    let bits = netlist.bus("p").expect("output bus `p`");
-    let mut out = U256::ZERO;
-    for (i, net) in bits.iter().enumerate() {
-        if sim.value(*net) {
-            out.set_bit(i as u32, true);
-        }
-    }
-    out
+/// A counterexample from a *signed* equivalence check, with operands and
+/// products decoded from their two's-complement bus patterns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SignedMismatch {
+    /// Left operand (signed value).
+    pub a: i128,
+    /// Right operand (signed value).
+    pub b: i128,
+    /// Signed product computed by the netlist.
+    pub netlist_product: I256,
+    /// Signed product computed by the reference model.
+    pub model_product: I256,
 }
 
-/// Checks the netlist against `model` on every operand pair of
-/// `width × width` inputs (practical to ~8 bits on the scalar engine,
-/// ~10–12 bits compiled).
+impl std::fmt::Display for SignedMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "signed netlist({}, {}) = {} but model says {}",
+            self.a, self.b, self.netlist_product, self.model_product
+        )
+    }
+}
+
+/// How much of the operand space an equivalence check covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Coverage {
+    /// Every operand pair of `width × width` inputs, row-major (at most
+    /// 16 bits; practical to ~8 bits on the scalar engine, ~10–12 bits
+    /// compiled).
+    Exhaustive,
+    /// The domain's corner patterns in every combination — 9 unsigned
+    /// pairs (0, 1, all-ones), 25 signed (0, ±1, MAX, MIN) — then
+    /// `samples` seeded draws.
+    Sampled {
+        /// Seeded random pairs checked after the corners.
+        samples: u64,
+        /// Seed of the draws.
+        seed: u64,
+    },
+}
+
+/// Checks an unsigned `a`/`b`→`p` netlist against `model` over
+/// `coverage` on `engine`, returning the number of operand pairs checked.
 ///
-/// Runs the scalar reference engine; [`check_exhaustive_with_engine`]
-/// selects the compiled fast path.
+/// Both engines sweep the identical pair order, so verdicts, pair counts
+/// and the first reported counterexample are bit-identical. The compiled
+/// engine falls back to scalar when a bus exceeds 64 bits or an operand
+/// bus is narrower than `width`.
 ///
 /// # Errors
 ///
@@ -121,67 +156,71 @@ fn read_product(sim: &LogicSim<'_>, netlist: &Netlist) -> U256 {
 ///
 /// # Panics
 ///
-/// Panics if `width > 16` (2^{2w} vectors would not terminate reasonably).
-pub fn check_exhaustive(
+/// Panics if exhaustive coverage is requested beyond 16 bits (2^{2w}
+/// vectors would not terminate reasonably), or if `width`-bit operands
+/// overflow the netlist's buses.
+pub fn check(
     netlist: &Netlist,
     width: u32,
-    model: impl Fn(u128, u128) -> U256,
-) -> Result<(), Box<Mismatch>> {
-    assert!(
-        width <= 16,
-        "exhaustive equivalence beyond 16 bits is impractical"
-    );
-    let mut sim = LogicSim::new(netlist);
-    for a in 0..(1u128 << width) {
-        for b in 0..(1u128 << width) {
-            check_one(netlist, &mut sim, a, b, &model)?;
-        }
-    }
-    Ok(())
+    coverage: Coverage,
+    engine: Engine,
+    model: impl Fn(u128, u128) -> U256 + Sync,
+) -> Result<u64, Box<Mismatch>> {
+    sweep(netlist, width, coverage, engine, &Unsigned(model))
 }
 
-/// [`check_exhaustive`] dispatched on an [`Engine`]. Both engines sweep
-/// the same row-major pair order, so pass/fail results and the first
-/// reported counterexample are bit-identical.
+/// [`check`] for a signed (two's-complement `a`/`b`→`p`) netlist: the
+/// sweeps walk bit patterns on each bus, and the model sees them decoded
+/// as signed values.
 ///
 /// # Errors
 ///
-/// Returns the first [`Mismatch`] found.
+/// Returns the first [`SignedMismatch`] found.
+///
+/// # Panics
+///
+/// As [`check`].
+pub fn check_signed(
+    netlist: &Netlist,
+    width: u32,
+    coverage: Coverage,
+    engine: Engine,
+    model: impl Fn(i128, i128) -> I256 + Sync,
+) -> Result<u64, Box<SignedMismatch>> {
+    sweep(
+        netlist,
+        width,
+        coverage,
+        engine,
+        &TwosComplement { width, model },
+    )
+}
+
+/// [`check_signed`] with [`Coverage::Exhaustive`].
+///
+/// # Errors
+///
+/// Returns the first [`SignedMismatch`] found.
 ///
 /// # Panics
 ///
 /// Panics if `width > 16`.
-pub fn check_exhaustive_with_engine(
+pub fn check_exhaustive_signed_with_engine(
     netlist: &Netlist,
     width: u32,
-    model: impl Fn(u128, u128) -> U256 + Sync,
+    model: impl Fn(i128, i128) -> I256 + Sync,
     engine: Engine,
-) -> Result<(), Box<Mismatch>> {
-    match engine {
-        Engine::Scalar => check_exhaustive(netlist, width, model),
-        Engine::Compiled if compiled_supports(netlist, width) => {
-            assert!(
-                width <= 16,
-                "exhaustive equivalence beyond 16 bits is impractical"
-            );
-            let count = 1u64 << width;
-            match exhaustive_walk_compiled(netlist, count, |a, b, got| {
-                unsigned_check_pair(a, b, got, &model)
-            }) {
-                Some(mismatch) => Err(mismatch),
-                None => Ok(()),
-            }
-        }
-        Engine::Compiled => check_exhaustive(netlist, width, model),
-    }
+) -> Result<(), Box<SignedMismatch>> {
+    check_signed(netlist, width, Coverage::Exhaustive, engine, model).map(|_| ())
 }
 
-/// [`check_exhaustive_with_engine`] with a **64-lane block model**: the
-/// model side produces the products of `(a, b0), …, (a, b0 + 63)` in one
-/// call instead of being asked pair by pair. Built for bit-sliced model
-/// twins (`sdlc-core::batch`): at 10+ bits the per-pair scalar model call
-/// dominates the compiled netlist sweep, and batching it is what raises
-/// the practical exhaustive-equivalence ceiling to 12 bits.
+/// [`check`] with [`Coverage::Exhaustive`] and a **64-lane block
+/// model**: the model side produces the products of `(a, b0), …,
+/// (a, b0 + 63)` in one call instead of being asked pair by pair. Built
+/// for bit-sliced model twins (`sdlc-core::batch`): at 10+ bits the
+/// per-pair scalar model call dominates the compiled netlist sweep, and
+/// batching it is what raises the practical exhaustive-equivalence
+/// ceiling to 12 bits.
 ///
 /// Both engines sweep the identical row-major pair order (the scalar
 /// engine consumes the same block model lane by lane), so verdicts and
@@ -272,103 +311,173 @@ fn read_product_u64(sim: &LogicSim<'_>, netlist: &Netlist) -> u64 {
         .sum()
 }
 
-/// Checks `samples` seeded random operand pairs plus the corner cases
-/// (0, 1, all-ones in each position).
-///
-/// Runs the scalar reference engine; [`check_sampled_with_engine`]
-/// selects the compiled fast path.
-///
-/// # Errors
-///
-/// Returns the first [`Mismatch`] found.
-pub fn check_sampled(
-    netlist: &Netlist,
+// ---------------------------------------------------------------------
+// Operand domains and the generic sweeps.
+// ---------------------------------------------------------------------
+
+/// An operand domain of the checks. Operands travel as bus bit patterns
+/// and products as the raw `p` bus pattern; the domain supplies the
+/// corner patterns, decodes a pair and judges it against its model.
+trait Domain: Sync {
+    /// The counterexample the domain reports.
+    type Mismatch: Send;
+
+    /// Corner patterns of one operand, in sweep order.
+    fn corners(width: u32) -> Vec<u128>;
+
+    /// Decodes the operand patterns, compares the raw product with the
+    /// model's and builds the counterexample if they differ.
+    fn check(&self, a: u128, b: u128, raw: &U256) -> Option<Box<Self::Mismatch>>;
+
+    /// [`Domain::check`] on one lane of the compiled walkers.
+    fn check_lane(&self, a: u64, b: u64, raw: u64) -> Option<Box<Self::Mismatch>> {
+        self.check(
+            u128::from(a),
+            u128::from(b),
+            &U256::from_u128(u128::from(raw)),
+        )
+    }
+}
+
+/// The unsigned domain: patterns are the operands.
+struct Unsigned<M>(M);
+
+impl<M: Fn(u128, u128) -> U256 + Sync> Domain for Unsigned<M> {
+    type Mismatch = Mismatch;
+
+    fn corners(width: u32) -> Vec<u128> {
+        vec![0, 1, pattern_mask(width)]
+    }
+
+    fn check(&self, a: u128, b: u128, raw: &U256) -> Option<Box<Mismatch>> {
+        let expect = (self.0)(a, b);
+        (*raw != expect).then(|| {
+            Box::new(Mismatch {
+                a,
+                b,
+                netlist_product: *raw,
+                model_product: expect,
+            })
+        })
+    }
+}
+
+/// The two's-complement domain: `width`-bit operand patterns, `2·width`-bit
+/// product patterns.
+struct TwosComplement<M> {
     width: u32,
-    samples: u64,
-    seed: u64,
-    model: impl Fn(u128, u128) -> U256,
-) -> Result<(), Box<Mismatch>> {
-    let mut sim = LogicSim::new(netlist);
-    for (a, b) in sampled_pairs(width, samples, seed) {
-        check_one(netlist, &mut sim, a, b, &model)?;
-    }
-    Ok(())
+    model: M,
 }
 
-/// [`check_sampled`] dispatched on an [`Engine`]: identical corner cases,
-/// identical seeded draws, identical pair order — bit-identical verdicts
-/// and first counterexamples. Operand widths beyond 64 bits fall back to
-/// the scalar engine.
-///
-/// # Errors
-///
-/// Returns the first [`Mismatch`] found.
-pub fn check_sampled_with_engine(
-    netlist: &Netlist,
-    width: u32,
-    samples: u64,
-    seed: u64,
-    model: impl Fn(u128, u128) -> U256 + Sync,
-    engine: Engine,
-) -> Result<(), Box<Mismatch>> {
-    match engine {
-        Engine::Compiled if compiled_supports(netlist, width) => {
-            let pairs: Vec<(u64, u64)> = sampled_pairs(width, samples, seed)
-                .map(|(a, b)| (a as u64, b as u64))
-                .collect();
-            match pairs_walk_compiled(netlist, &pairs, |a, b, got| {
-                unsigned_check_pair(a, b, got, &model)
-            }) {
-                Some(mismatch) => Err(mismatch),
-                None => Ok(()),
-            }
-        }
-        _ => check_sampled(netlist, width, samples, seed, model),
+impl<M: Fn(i128, i128) -> I256 + Sync> Domain for TwosComplement<M> {
+    type Mismatch = SignedMismatch;
+
+    fn corners(width: u32) -> Vec<u128> {
+        // 0, 1, −1 = 11…1, MAX = 01…1, MIN = 10…0.
+        let min = 1u128 << (width - 1);
+        vec![0, 1, pattern_mask(width), min - 1, min]
+    }
+
+    fn check(&self, ua: u128, ub: u128, raw: &U256) -> Option<Box<SignedMismatch>> {
+        let got = I256::from_twos_complement(raw, 2 * self.width);
+        let (a, b) = (sign_extend(ua, self.width), sign_extend(ub, self.width));
+        let expect = (self.model)(a, b);
+        (got != expect).then(|| {
+            Box::new(SignedMismatch {
+                a,
+                b,
+                netlist_product: got,
+                model_product: expect,
+            })
+        })
     }
 }
 
-/// One unsigned pair comparison of the compiled sweeps: the netlist's
-/// raw product lane against the model's [`U256`] product.
-fn unsigned_check_pair(
-    a: u64,
-    b: u64,
-    got: u64,
-    model: &impl Fn(u128, u128) -> U256,
-) -> Option<Box<Mismatch>> {
-    let expect = model(u128::from(a), u128::from(b));
-    if expect.to_u128() == Some(u128::from(got)) {
-        None
-    } else {
-        Some(Box::new(Mismatch {
-            a: u128::from(a),
-            b: u128::from(b),
-            netlist_product: U256::from_u128(u128::from(got)),
-            model_product: expect,
-        }))
-    }
-}
-
-/// The shared stimulus sequence of the sampled checks: nine corner pairs,
-/// then `samples` seeded draws. Both engines iterate exactly this
-/// sequence, which is what makes their first counterexamples identical.
-fn sampled_pairs(width: u32, samples: u64, seed: u64) -> impl Iterator<Item = (u128, u128)> {
-    let max = if width == 128 {
+/// The all-ones pattern of a `width`-bit bus.
+fn pattern_mask(width: u32) -> u128 {
+    if width == 128 {
         u128::MAX
     } else {
         (1u128 << width) - 1
+    }
+}
+
+/// Interprets the low `width` bits of a pattern as two's complement.
+fn sign_extend(pattern: u128, width: u32) -> i128 {
+    ((pattern << (128 - width)) as i128) >> (128 - width)
+}
+
+/// Runs one check: the coverage picks the sweep, the engine (and whether
+/// the compiled program can drive this netlist) picks its walker.
+fn sweep<D: Domain>(
+    netlist: &Netlist,
+    width: u32,
+    coverage: Coverage,
+    engine: Engine,
+    domain: &D,
+) -> Result<u64, Box<D::Mismatch>> {
+    let compiled = engine == Engine::Compiled && compiled_supports(netlist, width);
+    match coverage {
+        Coverage::Exhaustive => exhaustive(netlist, width, compiled, domain),
+        Coverage::Sampled { samples, seed } => {
+            sampled(netlist, width, samples, seed, compiled, domain)
+        }
+    }
+}
+
+/// Every pattern pair in row-major order.
+fn exhaustive<D: Domain>(
+    netlist: &Netlist,
+    width: u32,
+    compiled: bool,
+    domain: &D,
+) -> Result<u64, Box<D::Mismatch>> {
+    assert!(
+        width <= 16,
+        "exhaustive equivalence beyond 16 bits is impractical"
+    );
+    let count = 1u64 << width;
+    let found = if compiled {
+        exhaustive_walk_compiled(netlist, count, |a, b, raw| domain.check_lane(a, b, raw))
+    } else {
+        let mut sim = LogicSim::new(netlist);
+        (0..u128::from(count)).find_map(|a| {
+            (0..u128::from(count)).find_map(|b| scalar_pair(netlist, &mut sim, a, b, domain))
+        })
     };
-    let corners = [0u128, 1, max];
-    let corner_pairs: Vec<(u128, u128)> = corners
+    found.map_or(Ok(count * count), Err)
+}
+
+/// The domain's corner pairs, then `samples` seeded pattern draws. Both
+/// walkers iterate exactly this sequence, which is what makes their first
+/// counterexamples identical.
+fn sampled<D: Domain>(
+    netlist: &Netlist,
+    width: u32,
+    samples: u64,
+    seed: u64,
+    compiled: bool,
+    domain: &D,
+) -> Result<u64, Box<D::Mismatch>> {
+    let corners = D::corners(width);
+    let mut rng = SplitMix64::new(seed);
+    let mut pairs = corners
         .iter()
         .flat_map(|&a| corners.iter().map(move |&b| (a, b)))
-        .collect();
-    let mut rng = SplitMix64::new(seed);
-    let draws = (0..samples).map(move |_| {
-        let a = draw_pattern(&mut rng, width);
-        let b = draw_pattern(&mut rng, width);
-        (a, b)
-    });
-    corner_pairs.into_iter().chain(draws)
+        .chain((0..samples).map(move |_| {
+            let a = draw_pattern(&mut rng, width);
+            let b = draw_pattern(&mut rng, width);
+            (a, b)
+        }));
+    let found = if compiled {
+        let pairs: Vec<(u64, u64)> = pairs.map(|(a, b)| (a as u64, b as u64)).collect();
+        pairs_walk_compiled(netlist, &pairs, |a, b, raw| domain.check_lane(a, b, raw))
+    } else {
+        let mut sim = LogicSim::new(netlist);
+        pairs.find_map(|(a, b)| scalar_pair(netlist, &mut sim, a, b, domain))
+    };
+    let corner_pairs = (corners.len() * corners.len()) as u64;
+    found.map_or(Ok(corner_pairs + samples), Err)
 }
 
 fn draw_pattern(rng: &mut SplitMix64, width: u32) -> u128 {
@@ -379,25 +488,28 @@ fn draw_pattern(rng: &mut SplitMix64, width: u32) -> u128 {
     }
 }
 
-fn check_one(
+/// One pair through the scalar reference engine.
+fn scalar_pair<D: Domain>(
     netlist: &Netlist,
     sim: &mut LogicSim<'_>,
     a: u128,
     b: u128,
-    model: &impl Fn(u128, u128) -> U256,
-) -> Result<(), Box<Mismatch>> {
+    domain: &D,
+) -> Option<Box<D::Mismatch>> {
     sim.apply(&ab_stimulus(netlist, a, b));
-    let got = read_product(sim, netlist);
-    let expect = model(a, b);
-    if got != expect {
-        return Err(Box::new(Mismatch {
-            a,
-            b,
-            netlist_product: got,
-            model_product: expect,
-        }));
+    domain.check(a, b, &read_product(sim, netlist))
+}
+
+/// Reads the `p` output bus as a [`U256`] regardless of width.
+fn read_product(sim: &LogicSim<'_>, netlist: &Netlist) -> U256 {
+    let bits = netlist.bus("p").expect("output bus `p`");
+    let mut out = U256::ZERO;
+    for (i, net) in bits.iter().enumerate() {
+        if sim.value(*net) {
+            out.set_bit(i as u32, true);
+        }
     }
-    Ok(())
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -609,237 +721,6 @@ fn pairs_walk_compiled<E: Send>(
     partials.into_iter().flatten().next()
 }
 
-// ---------------------------------------------------------------------
-// Signed checks.
-// ---------------------------------------------------------------------
-
-/// A counterexample from a *signed* equivalence check, with operands and
-/// products decoded from their two's-complement bus patterns.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SignedMismatch {
-    /// Left operand (signed value).
-    pub a: i128,
-    /// Right operand (signed value).
-    pub b: i128,
-    /// Signed product computed by the netlist.
-    pub netlist_product: I256,
-    /// Signed product computed by the reference model.
-    pub model_product: I256,
-}
-
-impl std::fmt::Display for SignedMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "signed netlist({}, {}) = {} but model says {}",
-            self.a, self.b, self.netlist_product, self.model_product
-        )
-    }
-}
-
-/// Interprets the low `width` bits of a pattern as two's complement.
-fn sign_extend(pattern: u128, width: u32) -> i128 {
-    ((pattern << (128 - width)) as i128) >> (128 - width)
-}
-
-/// Checks a signed (two's-complement `a`/`b`→`p`) netlist against `model`
-/// on every operand pair of `width × width` signed inputs, walking the
-/// bit patterns `0..2^width` on each bus (practical to ~8 bits scalar,
-/// ~10–12 bits compiled via [`check_exhaustive_signed_with_engine`]).
-///
-/// # Errors
-///
-/// Returns the first [`SignedMismatch`] found.
-///
-/// # Panics
-///
-/// Panics if `width > 16` or `width == 128` (the pattern walk needs
-/// `1 << width` to fit).
-pub fn check_exhaustive_signed(
-    netlist: &Netlist,
-    width: u32,
-    model: impl Fn(i128, i128) -> I256,
-) -> Result<(), Box<SignedMismatch>> {
-    assert!(
-        width <= 16,
-        "exhaustive equivalence beyond 16 bits is impractical"
-    );
-    let mut sim = LogicSim::new(netlist);
-    for ua in 0..(1u128 << width) {
-        for ub in 0..(1u128 << width) {
-            check_one_signed(netlist, &mut sim, width, ua, ub, &model)?;
-        }
-    }
-    Ok(())
-}
-
-/// [`check_exhaustive_signed`] dispatched on an [`Engine`]; both engines
-/// walk the identical pattern order, so verdicts and first
-/// counterexamples are bit-identical.
-///
-/// # Errors
-///
-/// Returns the first [`SignedMismatch`] found.
-///
-/// # Panics
-///
-/// Panics if `width > 16`.
-pub fn check_exhaustive_signed_with_engine(
-    netlist: &Netlist,
-    width: u32,
-    model: impl Fn(i128, i128) -> I256 + Sync,
-    engine: Engine,
-) -> Result<(), Box<SignedMismatch>> {
-    match engine {
-        Engine::Scalar => check_exhaustive_signed(netlist, width, model),
-        Engine::Compiled if compiled_supports(netlist, width) => {
-            assert!(
-                width <= 16,
-                "exhaustive equivalence beyond 16 bits is impractical"
-            );
-            let count = 1u64 << width;
-            match exhaustive_walk_compiled(netlist, count, |ua, ub, got| {
-                signed_check_pair(width, ua, ub, got, &model)
-            }) {
-                Some(mismatch) => Err(mismatch),
-                None => Ok(()),
-            }
-        }
-        Engine::Compiled => check_exhaustive_signed(netlist, width, model),
-    }
-}
-
-/// Checks `samples` seeded random signed operand pairs plus the signed
-/// corner patterns (0, ±1, MAX, MIN in each position).
-///
-/// # Errors
-///
-/// Returns the first [`SignedMismatch`] found.
-pub fn check_sampled_signed(
-    netlist: &Netlist,
-    width: u32,
-    samples: u64,
-    seed: u64,
-    model: impl Fn(i128, i128) -> I256,
-) -> Result<(), Box<SignedMismatch>> {
-    let mut sim = LogicSim::new(netlist);
-    for (ua, ub) in sampled_signed_patterns(width, samples, seed) {
-        check_one_signed(netlist, &mut sim, width, ua, ub, &model)?;
-    }
-    Ok(())
-}
-
-/// [`check_sampled_signed`] dispatched on an [`Engine`]: identical
-/// corner patterns, identical seeded draws, bit-identical verdicts and
-/// first counterexamples. Operand widths beyond 64 bits fall back to the
-/// scalar engine.
-///
-/// # Errors
-///
-/// Returns the first [`SignedMismatch`] found.
-pub fn check_sampled_signed_with_engine(
-    netlist: &Netlist,
-    width: u32,
-    samples: u64,
-    seed: u64,
-    model: impl Fn(i128, i128) -> I256 + Sync,
-    engine: Engine,
-) -> Result<(), Box<SignedMismatch>> {
-    match engine {
-        Engine::Compiled if compiled_supports(netlist, width) => {
-            let patterns: Vec<(u64, u64)> = sampled_signed_patterns(width, samples, seed)
-                .map(|(ua, ub)| (ua as u64, ub as u64))
-                .collect();
-            match pairs_walk_compiled(netlist, &patterns, |ua, ub, got| {
-                signed_check_pair(width, ua, ub, got, &model)
-            }) {
-                Some(mismatch) => Err(mismatch),
-                None => Ok(()),
-            }
-        }
-        _ => check_sampled_signed(netlist, width, samples, seed, model),
-    }
-}
-
-/// The signed sampled stimulus sequence: 25 signed corner pairs, then
-/// `samples` seeded pattern draws — shared by both engines.
-fn sampled_signed_patterns(
-    width: u32,
-    samples: u64,
-    seed: u64,
-) -> impl Iterator<Item = (u128, u128)> {
-    let mask = if width == 128 {
-        u128::MAX
-    } else {
-        (1u128 << width) - 1
-    };
-    let min_pattern = 1u128 << (width - 1); // MIN = 100…0
-    let max_pattern = min_pattern - 1; // MAX = 011…1
-    let corners = [0u128, 1, mask /* −1 */, max_pattern, min_pattern];
-    let corner_pairs: Vec<(u128, u128)> = corners
-        .iter()
-        .flat_map(|&ua| corners.iter().map(move |&ub| (ua, ub)))
-        .collect();
-    let mut rng = SplitMix64::new(seed);
-    let draws = (0..samples).map(move |_| {
-        let ua = draw_pattern(&mut rng, width);
-        let ub = draw_pattern(&mut rng, width);
-        (ua, ub)
-    });
-    corner_pairs.into_iter().chain(draws)
-}
-
-/// One signed pair comparison of the compiled sweeps, decoding the raw
-/// product lane exactly like the scalar engine decodes the `p` bus.
-fn signed_check_pair(
-    width: u32,
-    ua: u64,
-    ub: u64,
-    got_raw: u64,
-    model: &impl Fn(i128, i128) -> I256,
-) -> Option<Box<SignedMismatch>> {
-    let got = I256::from_twos_complement(&U256::from_u128(u128::from(got_raw)), 2 * width);
-    let (a, b) = (
-        sign_extend(u128::from(ua), width),
-        sign_extend(u128::from(ub), width),
-    );
-    let expect = model(a, b);
-    if got == expect {
-        None
-    } else {
-        Some(Box::new(SignedMismatch {
-            a,
-            b,
-            netlist_product: got,
-            model_product: expect,
-        }))
-    }
-}
-
-fn check_one_signed(
-    netlist: &Netlist,
-    sim: &mut LogicSim<'_>,
-    width: u32,
-    ua: u128,
-    ub: u128,
-    model: &impl Fn(i128, i128) -> I256,
-) -> Result<(), Box<SignedMismatch>> {
-    sim.apply(&ab_stimulus(netlist, ua, ub));
-    let raw = read_product(sim, netlist);
-    let got = I256::from_twos_complement(&raw, 2 * width);
-    let (a, b) = (sign_extend(ua, width), sign_extend(ub, width));
-    let expect = model(a, b);
-    if got != expect {
-        return Err(Box::new(SignedMismatch {
-            a,
-            b,
-            netlist_product: got,
-            model_product: expect,
-        }));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -863,43 +744,40 @@ mod tests {
         n
     }
 
+    fn exact(a: u128, b: u128) -> U256 {
+        U256::from_u128(a).wrapping_mul(&U256::from_u128(b))
+    }
+
+    const BOTH: [Engine; 2] = [Engine::Scalar, Engine::Compiled];
+
     #[test]
     fn exhaustive_passes_for_exact_multiplier() {
         let n = wallace_multiplier(4);
-        check_exhaustive(&n, 4, |a, b| {
-            U256::from_u128(a).wrapping_mul(&U256::from_u128(b))
-        })
-        .unwrap();
+        assert_eq!(
+            check(&n, 4, Coverage::Exhaustive, Engine::Scalar, exact),
+            Ok(256)
+        );
     }
 
     #[test]
     fn exhaustive_passes_on_the_compiled_engine() {
         let n = wallace_multiplier(4);
-        check_exhaustive_with_engine(
-            &n,
-            4,
-            |a, b| U256::from_u128(a).wrapping_mul(&U256::from_u128(b)),
-            Engine::Compiled,
-        )
-        .unwrap();
+        assert_eq!(
+            check(&n, 4, Coverage::Exhaustive, Engine::Compiled, exact),
+            Ok(256)
+        );
     }
 
     #[test]
     fn sampled_passes_for_wide_multiplier() {
         let n = wallace_multiplier(20);
-        check_sampled(&n, 20, 500, 3, |a, b| {
-            U256::from_u128(a).wrapping_mul(&U256::from_u128(b))
-        })
-        .unwrap();
-        check_sampled_with_engine(
-            &n,
-            20,
-            500,
-            3,
-            |a, b| U256::from_u128(a).wrapping_mul(&U256::from_u128(b)),
-            Engine::Compiled,
-        )
-        .unwrap();
+        let coverage = Coverage::Sampled {
+            samples: 500,
+            seed: 3,
+        };
+        for engine in BOTH {
+            assert_eq!(check(&n, 20, coverage, engine, exact), Ok(509));
+        }
     }
 
     #[test]
@@ -911,7 +789,7 @@ mod tests {
                 *lane = a * ((b0 + i as u64) & 0xF);
             }
         };
-        for engine in [Engine::Scalar, Engine::Compiled] {
+        for engine in BOTH {
             check_exhaustive_batched(&n, 4, exact_block, engine).unwrap();
         }
         // A planted stripe bug surfaces as the same first counterexample
@@ -934,7 +812,10 @@ mod tests {
     fn mismatch_is_reported_with_operands() {
         let n = wallace_multiplier(4);
         // Deliberately wrong model.
-        let err = check_exhaustive(&n, 4, |a, b| U256::from_u128(a.wrapping_add(b))).unwrap_err();
+        let err = check(&n, 4, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+            U256::from_u128(a.wrapping_add(b))
+        })
+        .unwrap_err();
         let text = err.to_string();
         assert!(text.contains("netlist("));
         // First mismatching pair under row-major order: a=0,b=1 → product 0 vs model 1.
@@ -945,13 +826,98 @@ mod tests {
     fn both_engines_report_the_same_first_mismatch() {
         let n = wallace_multiplier(4);
         let wrong = |a: u128, b: u128| U256::from_u128(a.wrapping_add(b));
-        let scalar = check_exhaustive_with_engine(&n, 4, wrong, Engine::Scalar).unwrap_err();
-        let compiled = check_exhaustive_with_engine(&n, 4, wrong, Engine::Compiled).unwrap_err();
-        assert_eq!(scalar, compiled);
-        let scalar = check_sampled_with_engine(&n, 4, 40, 9, wrong, Engine::Scalar).unwrap_err();
-        let compiled =
-            check_sampled_with_engine(&n, 4, 40, 9, wrong, Engine::Compiled).unwrap_err();
-        assert_eq!(scalar, compiled);
+        let sampled = Coverage::Sampled {
+            samples: 40,
+            seed: 9,
+        };
+        for coverage in [Coverage::Exhaustive, sampled] {
+            let scalar = check(&n, 4, coverage, Engine::Scalar, wrong).unwrap_err();
+            let compiled = check(&n, 4, coverage, Engine::Compiled, wrong).unwrap_err();
+            assert_eq!(scalar, compiled);
+        }
+    }
+
+    /// Runs one row of the generic-sweep table on both engines, with the
+    /// exact model and with a planted bug, and checks that the engines
+    /// agree on the verdict, the whole first counterexample and the pair
+    /// count.
+    fn assert_row<E: PartialEq + fmt::Debug>(
+        row: &str,
+        pairs: u64,
+        run: impl Fn(Engine, bool) -> Result<u64, Box<E>>,
+    ) {
+        for engine in BOTH {
+            assert_eq!(run(engine, false), Ok(pairs), "{row} on {engine}");
+        }
+        let scalar = run(Engine::Scalar, true);
+        assert!(scalar.is_err(), "{row}: the planted bug went unseen");
+        assert_eq!(scalar, run(Engine::Compiled, true), "{row}");
+    }
+
+    /// Whether the planted bug fires: a sparse lattice that misses every
+    /// corner pair of the sampled rows, so their first counterexample
+    /// comes from the seeded draws.
+    fn planted(a: i128, b: i128) -> bool {
+        (a ^ b).rem_euclid(11) == 3
+    }
+
+    #[test]
+    fn generic_sweeps_agree_across_engines_domains_and_coverages() {
+        let samples = 100;
+        let sampled = Coverage::Sampled { samples, seed: 7 };
+        let wide = wallace_multiplier(36);
+        assert!(
+            !compiled_supports(&wide, 36),
+            "a 72-bit product bus takes the scalar fallback"
+        );
+        let unsigned_rows = [
+            (
+                "unsigned exhaustive",
+                wallace_multiplier(4),
+                4,
+                Coverage::Exhaustive,
+                1 << 8,
+            ),
+            (
+                "unsigned sampled",
+                wallace_multiplier(8),
+                8,
+                sampled,
+                9 + samples,
+            ),
+            ("unsigned sampled, 72-bit p", wide, 36, sampled, 9 + samples),
+        ];
+        for (row, n, width, coverage, pairs) in &unsigned_rows {
+            assert_row(row, *pairs, |engine, wrong| {
+                check(n, *width, *coverage, engine, |a, b| {
+                    let bug = wrong && planted(a as i128, b as i128);
+                    U256::from_u128(a * b + u128::from(bug))
+                })
+            });
+        }
+        let signed_rows = [
+            (
+                "signed exhaustive",
+                signed_wallace_multiplier(4),
+                4,
+                Coverage::Exhaustive,
+                1 << 8,
+            ),
+            (
+                "signed sampled",
+                signed_wallace_multiplier(8),
+                8,
+                sampled,
+                25 + samples,
+            ),
+        ];
+        for (row, n, width, coverage, pairs) in &signed_rows {
+            assert_row(row, *pairs, |engine, wrong| {
+                check_signed(n, *width, *coverage, engine, |a, b| {
+                    I256::from_i128(a * b + i128::from(wrong && planted(a, b)))
+                })
+            });
+        }
     }
 
     #[test]
@@ -961,13 +927,15 @@ mod tests {
         // BOTH engines (the compiled path falls back to scalar rather
         // than silently truncating the packed operands).
         let n = wallace_multiplier(4);
-        let _ = check_sampled_with_engine(
+        let _ = check(
             &n,
             6, // draws 6-bit operands against 4-bit buses
-            16,
-            1,
-            |a, b| U256::from_u128(a).wrapping_mul(&U256::from_u128(b)),
+            Coverage::Sampled {
+                samples: 16,
+                seed: 1,
+            },
             Engine::Compiled,
+            exact,
         );
     }
 
@@ -985,27 +953,35 @@ mod tests {
         sdlc_netlist::signed::sign_magnitude_wrap(&wallace_multiplier(width), width)
     }
 
+    fn signed_exact(a: i128, b: i128) -> I256 {
+        I256::from_i128(a * b)
+    }
+
     #[test]
     fn signed_exhaustive_passes_for_exact_multiplier() {
         let n = signed_wallace_multiplier(5);
-        check_exhaustive_signed(&n, 5, |a, b| I256::from_i128(a * b)).unwrap();
-        check_exhaustive_signed_with_engine(&n, 5, |a, b| I256::from_i128(a * b), Engine::Compiled)
-            .unwrap();
+        for engine in BOTH {
+            assert_eq!(
+                check_signed(&n, 5, Coverage::Exhaustive, engine, signed_exact),
+                Ok(1024)
+            );
+        }
+        check_exhaustive_signed_with_engine(&n, 5, signed_exact, Engine::Compiled).unwrap();
     }
 
     #[test]
     fn signed_sampled_passes_for_wide_multiplier() {
         let n = signed_wallace_multiplier(18);
-        check_sampled_signed(&n, 18, 300, 11, |a, b| I256::from_i128(a * b)).unwrap();
-        check_sampled_signed_with_engine(
-            &n,
-            18,
-            300,
-            11,
-            |a, b| I256::from_i128(a * b),
-            Engine::Compiled,
-        )
-        .unwrap();
+        let coverage = Coverage::Sampled {
+            samples: 300,
+            seed: 11,
+        };
+        for engine in BOTH {
+            assert_eq!(
+                check_signed(&n, 18, coverage, engine, signed_exact),
+                Ok(325)
+            );
+        }
     }
 
     #[test]
@@ -1016,10 +992,12 @@ mod tests {
         let compiled =
             check_exhaustive_signed_with_engine(&n, 4, wrong, Engine::Compiled).unwrap_err();
         assert_eq!(scalar, compiled);
-        let scalar =
-            check_sampled_signed_with_engine(&n, 4, 30, 2, wrong, Engine::Scalar).unwrap_err();
-        let compiled =
-            check_sampled_signed_with_engine(&n, 4, 30, 2, wrong, Engine::Compiled).unwrap_err();
+        let sampled = Coverage::Sampled {
+            samples: 30,
+            seed: 2,
+        };
+        let scalar = check_signed(&n, 4, sampled, Engine::Scalar, wrong).unwrap_err();
+        let compiled = check_signed(&n, 4, sampled, Engine::Compiled, wrong).unwrap_err();
         assert_eq!(scalar, compiled);
     }
 
@@ -1027,7 +1005,10 @@ mod tests {
     fn signed_mismatch_formats_signed_operands() {
         let n = signed_wallace_multiplier(4);
         // Deliberately wrong model: claims every product is zero.
-        let err = check_exhaustive_signed(&n, 4, |_, _| I256::ZERO).unwrap_err();
+        let err = check_signed(&n, 4, Coverage::Exhaustive, Engine::Scalar, |_, _| {
+            I256::ZERO
+        })
+        .unwrap_err();
         let text = err.to_string();
         assert!(text.contains("signed netlist("), "{text}");
         // First wrong pair in pattern order is a=1, b=1 (1·1 = 1 ≠ 0).
@@ -1035,7 +1016,11 @@ mod tests {
         assert_eq!(err.model_product, I256::ZERO);
         assert_eq!(err.netlist_product.to_i128(), Some(1));
         // Negative operands and products print with their signs.
-        let err = check_sampled_signed(&n, 4, 0, 0, |a, b| {
+        let corners_only = Coverage::Sampled {
+            samples: 0,
+            seed: 0,
+        };
+        let err = check_signed(&n, 4, corners_only, Engine::Scalar, |a, b| {
             // Wrong only where a product is negative, to land on a
             // signed counterexample.
             if a * b < 0 {

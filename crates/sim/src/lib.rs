@@ -21,13 +21,18 @@
 //!   transition accounting (same delays, same quantization, same event
 //!   order) at a fraction of the cost.
 //!
-//! [`activity`] drives the engines over seeded random vector streams and
-//! aggregates per-net toggle statistics for the power model in
-//! `sdlc-synth` (zero-delay, or glitch-aware through the timing engines);
-//! [`equiv`] checks netlists against functional models, with an
-//! [`Engine`] selector between the scalar reference and the compiled
-//! word-parallel, multi-threaded sweep (model side optionally batched
-//! 64 pairs per call via `check_exhaustive_batched`).
+//! Two modules drive the engines, one driver per operation, each taking
+//! an [`Engine`] that selects the scalar reference or the compiled
+//! word-parallel path:
+//!
+//! * [`activity`] runs seeded random vector streams and aggregates
+//!   per-net toggle statistics for the power model in `sdlc-synth`:
+//!   zero-delay (`random_activity_with_engine`) or glitch-aware through
+//!   the timing engines (`timing_activity_with_engine`).
+//! * [`equiv`] checks netlists against functional models, exhaustively or
+//!   sampled: `check` in the unsigned operand domain, `check_signed` in
+//!   the two's-complement one (model side optionally batched 64 pairs per
+//!   call via `check_exhaustive_batched`).
 
 pub mod activity;
 mod compile;

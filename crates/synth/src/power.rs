@@ -89,7 +89,8 @@ pub fn power_delay_product_fj(dynamic_power_uw: f64, delay_ps: f64) -> f64 {
 mod tests {
     use super::*;
     use sdlc_netlist::adders::ripple_add;
-    use sdlc_sim::activity::random_activity;
+    use sdlc_sim::activity::random_activity_with_engine;
+    use sdlc_sim::Engine;
 
     fn adder(width: u32) -> Netlist {
         let mut n = Netlist::new("adder");
@@ -126,8 +127,16 @@ mod tests {
         let lib = Library::generic_90nm();
         let n8 = adder(8);
         let n16 = adder(16);
-        let e8 = dynamic_energy_fj_per_op(&n8, &lib, &random_activity(&n8, 5, 2048));
-        let e16 = dynamic_energy_fj_per_op(&n16, &lib, &random_activity(&n16, 5, 2048));
+        let e8 = dynamic_energy_fj_per_op(
+            &n8,
+            &lib,
+            &random_activity_with_engine(&n8, 5, 2048, Engine::Compiled),
+        );
+        let e16 = dynamic_energy_fj_per_op(
+            &n16,
+            &lib,
+            &random_activity_with_engine(&n16, 5, 2048, Engine::Compiled),
+        );
         assert!(e8 > 0.0);
         assert!(
             e16 > 1.6 * e8,
@@ -149,7 +158,7 @@ mod tests {
         let lib = Library::generic_90nm();
         let n8 = adder(8);
         let n16 = adder(16);
-        let act = random_activity(&n8, 5, 64);
+        let act = random_activity_with_engine(&n8, 5, 64, Engine::Compiled);
         let _ = dynamic_energy_fj_per_op(&n16, &lib, &act);
     }
 }

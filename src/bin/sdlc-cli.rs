@@ -31,6 +31,7 @@ use sdlc::core::{
 };
 use sdlc::imgproc::{psnr, scenes, scharr_magnitude, sobel_magnitude, write_pgm};
 use sdlc::netlist::{passes, to_verilog};
+use sdlc::sim::equiv::{self, Coverage};
 use sdlc::synth::{analyze, AnalysisOptions};
 use sdlc::techlib::Library;
 
@@ -383,12 +384,15 @@ fn cmd_verify(options: &Options) -> Result<(), String> {
             );
         }
         let exhaustive = width <= cutoff;
-        let pairs = if exhaustive {
-            1u64 << (2 * width)
-        } else {
-            9 + samples
-        };
         let coverage = if exhaustive {
+            Coverage::Exhaustive
+        } else {
+            Coverage::Sampled {
+                samples,
+                seed: 0x5D1C,
+            }
+        };
+        let label = if exhaustive {
             format!(
                 "exhaustive, {} {}operand pairs",
                 1u64 << (2 * width),
@@ -399,57 +403,41 @@ fn cmd_verify(options: &Options) -> Result<(), String> {
         } else {
             format!("sampled, 9 corners + {samples} seeded pairs")
         };
-        let outcome: Result<(), String> = if options.signed {
+        let outcome: Result<u64, String> = if options.signed {
             let signed = SignMagnitude::new(model.clone());
-            let reference = |a: i128, b: i128| signed.multiply_signed(a, b);
-            if exhaustive {
-                sdlc::sim::equiv::check_exhaustive_signed_with_engine(
-                    &netlist, width, reference, engine,
-                )
-                .map_err(|e| e.to_string())
-            } else {
-                sdlc::sim::equiv::check_sampled_signed_with_engine(
-                    &netlist, width, samples, 0x5D1C, reference, engine,
-                )
-                .map_err(|e| e.to_string())
-            }
+            equiv::check_signed(&netlist, width, coverage, engine, |a, b| {
+                signed.multiply_signed(a, b)
+            })
+            .map_err(|e| e.to_string())
         } else if exhaustive && engine == sdlc::sim::Engine::Compiled {
             // Batched model side: one bit-sliced call per 64 consecutive
             // operand pairs instead of 64 scalar model calls.
             let batch = model.batch_model();
-            sdlc::sim::equiv::check_exhaustive_batched(
+            equiv::check_exhaustive_batched(
                 &netlist,
                 width,
                 |a, b0, out| sdlc::core::batch::exhaustive_block(&batch, a, b0, out),
                 engine,
             )
+            .map(|()| 1u64 << (2 * width))
             .map_err(|e| e.to_string())
         } else {
-            let reference = |a: u128, b: u128| model.multiply(a, b);
-            if exhaustive {
-                sdlc::sim::equiv::check_exhaustive_with_engine(&netlist, width, reference, engine)
-                    .map_err(|e| e.to_string())
-            } else {
-                sdlc::sim::equiv::check_sampled_with_engine(
-                    &netlist, width, samples, 0x5D1C, reference, engine,
-                )
-                .map_err(|e| e.to_string())
-            }
+            equiv::check(&netlist, width, coverage, engine, |a, b| {
+                model.multiply(a, b)
+            })
+            .map_err(|e| e.to_string())
         };
         if !options.json {
             match &outcome {
-                Ok(()) => println!("OK: netlist matches model ({coverage})"),
+                Ok(_) => println!("OK: netlist matches model ({label})"),
                 Err(e) => return Err(format!("equivalence FAILED: {e}")),
             }
         }
         records.push(VerifyRecord {
             design: netlist.name().to_string(),
             scheme: scheme.tag(),
-            coverage,
-            outcome: match outcome {
-                Ok(()) => Ok(pairs),
-                Err(e) => Err(e),
-            },
+            coverage: label,
+            outcome,
         });
     }
     if options.json {

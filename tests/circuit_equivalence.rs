@@ -9,9 +9,7 @@ use sdlc::core::circuits::{
 };
 use sdlc::core::{Batchable, ClusterVariant, Multiplier, SdlcMultiplier};
 use sdlc::netlist::passes;
-use sdlc::sim::equiv::{
-    check_exhaustive, check_exhaustive_with_engine, check_sampled, check_sampled_with_engine,
-};
+use sdlc::sim::equiv::{check, Coverage};
 use sdlc::sim::{
     ab_stimulus, CompiledNetlist, CompiledSim, Engine, GlitchSim, LogicSim, TimedProgram, TimingSim,
 };
@@ -32,21 +30,31 @@ fn every_generator_matches_its_model_at_6_bits() {
         ] {
             let model = SdlcMultiplier::with_variant(6, depth, variant).unwrap();
             let netlist = sdlc_multiplier(&model, scheme);
-            check_exhaustive(&netlist, 6, |a, b| model.multiply(a, b))
-                .unwrap_or_else(|e| panic!("sdlc d{depth} {variant:?}: {e}"));
+            check(&netlist, 6, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+                model.multiply(a, b)
+            })
+            .unwrap_or_else(|e| panic!("sdlc d{depth} {variant:?}: {e}"));
         }
     }
     // ETM and truncation.
     let etm = EtmMultiplier::new(6).unwrap();
-    check_exhaustive(&etm_multiplier(6, scheme).unwrap(), 6, |a, b| {
-        etm.multiply(a, b)
-    })
+    check(
+        &etm_multiplier(6, scheme).unwrap(),
+        6,
+        Coverage::Exhaustive,
+        Engine::Scalar,
+        |a, b| etm.multiply(a, b),
+    )
     .unwrap();
     for dropped in [0u32, 3, 7] {
         let model = TruncatedMultiplier::new(6, dropped).unwrap();
-        check_exhaustive(&truncated_multiplier(&model, scheme), 6, |a, b| {
-            model.multiply(a, b)
-        })
+        check(
+            &truncated_multiplier(&model, scheme),
+            6,
+            Coverage::Exhaustive,
+            Engine::Scalar,
+            |a, b| model.multiply(a, b),
+        )
         .unwrap_or_else(|e| panic!("trunc {dropped}: {e}"));
     }
 }
@@ -59,8 +67,14 @@ fn optimization_passes_preserve_multiplier_behavior() {
     let stats = passes::optimize(&mut netlist);
     assert!(stats.dead_gates_removed + stats.gates_simplified > 0);
     assert!(netlist.cell_count() <= before);
-    check_exhaustive_with_engine(&netlist, 8, |a, b| model.multiply(a, b), Engine::Compiled)
-        .unwrap();
+    check(
+        &netlist,
+        8,
+        Coverage::Exhaustive,
+        Engine::Compiled,
+        |a, b| model.multiply(a, b),
+    )
+    .unwrap();
 }
 
 #[test]
@@ -72,11 +86,12 @@ fn sdlc_circuit_matches_model_exhaustively_at_10_bits() {
     for depth in [2u32, 4] {
         let model = SdlcMultiplier::new(10, depth).unwrap();
         let netlist = sdlc_multiplier(&model, ReductionScheme::Wallace);
-        check_exhaustive_with_engine(
+        check(
             &netlist,
             10,
-            |a, b| U256::from_u128(model.multiply_u64(a as u64, b as u64)),
+            Coverage::Exhaustive,
             Engine::Compiled,
+            |a, b| U256::from_u128(model.multiply_u64(a as u64, b as u64)),
         )
         .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
     }
@@ -125,18 +140,20 @@ fn batched_and_per_pair_checks_agree_at_8_bits() {
 
 #[test]
 fn kulkarni_circuit_matches_model_at_16_bits() {
+    let coverage = Coverage::Sampled {
+        samples: 300,
+        seed: 7,
+    };
     let model = KulkarniMultiplier::new(16).unwrap();
     let netlist = kulkarni_multiplier(16, ReductionScheme::RippleRows).unwrap();
-    check_sampled(&netlist, 16, 300, 7, |a, b| model.multiply(a, b)).unwrap();
+    check(&netlist, 16, coverage, Engine::Scalar, |a, b| {
+        model.multiply(a, b)
+    })
+    .unwrap();
     // The compiled engine covers the identical sampled sequence.
-    check_sampled_with_engine(
-        &netlist,
-        16,
-        300,
-        7,
-        |a, b| model.multiply(a, b),
-        Engine::Compiled,
-    )
+    check(&netlist, 16, coverage, Engine::Compiled, |a, b| {
+        model.multiply(a, b)
+    })
     .unwrap();
 }
 
@@ -144,7 +161,17 @@ fn kulkarni_circuit_matches_model_at_16_bits() {
 fn wide_sdlc_circuit_matches_model_at_32_bits() {
     let model = SdlcMultiplier::new(32, 2).unwrap();
     let netlist = sdlc_multiplier(&model, ReductionScheme::RippleRows);
-    check_sampled(&netlist, 32, 200, 13, |a, b| model.multiply(a, b)).unwrap();
+    check(
+        &netlist,
+        32,
+        Coverage::Sampled {
+            samples: 200,
+            seed: 13,
+        },
+        Engine::Scalar,
+        |a, b| model.multiply(a, b),
+    )
+    .unwrap();
 }
 
 #[test]
@@ -203,7 +230,17 @@ fn wallace_and_dadda_give_identical_functions_different_structures() {
     let dadda = sdlc_multiplier(&model, ReductionScheme::Dadda);
     assert_ne!(wallace.cell_count(), dadda.cell_count());
     for netlist in [&wallace, &dadda] {
-        check_sampled(netlist, 8, 400, 3, |a, b| model.multiply(a, b)).unwrap();
+        check(
+            netlist,
+            8,
+            Coverage::Sampled {
+                samples: 400,
+                seed: 3,
+            },
+            Engine::Scalar,
+            |a, b| model.multiply(a, b),
+        )
+        .unwrap();
     }
 }
 
@@ -215,7 +252,7 @@ fn accurate_reference_is_exact_for_every_scheme_at_4_bits() {
         ReductionScheme::Dadda,
     ] {
         let netlist = accurate_multiplier(4, scheme).unwrap();
-        check_exhaustive(&netlist, 4, |a, b| {
+        check(&netlist, 4, Coverage::Exhaustive, Engine::Scalar, |a, b| {
             sdlc::wideint::U256::from_u128(a).wrapping_mul(&sdlc::wideint::U256::from_u128(b))
         })
         .unwrap_or_else(|e| panic!("{scheme:?}: {e}"));
@@ -227,8 +264,14 @@ fn heterogeneous_depth_circuits_match_their_models() {
     for depths in [vec![4u32, 2, 2], vec![2, 2, 4], vec![6, 2], vec![2, 3, 3]] {
         let model = SdlcMultiplier::with_group_depths(8, &depths).unwrap();
         let netlist = sdlc_multiplier(&model, ReductionScheme::RippleRows);
-        check_exhaustive_with_engine(&netlist, 8, |a, b| model.multiply(a, b), Engine::Compiled)
-            .unwrap_or_else(|e| panic!("{depths:?}: {e}"));
+        check(
+            &netlist,
+            8,
+            Coverage::Exhaustive,
+            Engine::Compiled,
+            |a, b| model.multiply(a, b),
+        )
+        .unwrap_or_else(|e| panic!("{depths:?}: {e}"));
     }
 }
 
@@ -236,10 +279,16 @@ fn heterogeneous_depth_circuits_match_their_models() {
 fn carry_save_scheme_matches_models() {
     let model = SdlcMultiplier::new(8, 2).unwrap();
     let netlist = sdlc_multiplier(&model, ReductionScheme::CarrySaveArray);
-    check_exhaustive_with_engine(&netlist, 8, |a, b| model.multiply(a, b), Engine::Compiled)
-        .unwrap();
+    check(
+        &netlist,
+        8,
+        Coverage::Exhaustive,
+        Engine::Compiled,
+        |a, b| model.multiply(a, b),
+    )
+    .unwrap();
     let exact = accurate_multiplier(6, ReductionScheme::CarrySaveArray).unwrap();
-    check_exhaustive(&exact, 6, |a, b| {
+    check(&exact, 6, Coverage::Exhaustive, Engine::Scalar, |a, b| {
         sdlc::wideint::U256::from_u128(a).wrapping_mul(&sdlc::wideint::U256::from_u128(b))
     })
     .unwrap();

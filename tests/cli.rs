@@ -86,6 +86,14 @@ fn errors_supports_the_signed_domain_on_both_engines() {
             .expect("metrics line")
     };
     assert_eq!(metrics_of(&scalar), metrics_of(&bitsliced));
+    // Past the scalar signed sampler's 32-bit fast path, the error names
+    // the scalar limit, not the bit-sliced one.
+    let (_, stderr, ok) = run(&["errors", "--width", "40", "--signed", "--samples", "100"]);
+    assert!(!ok);
+    assert!(stderr.contains("scalar engine"), "{stderr}");
+    assert!(stderr.contains("up to 32-bit"), "{stderr}");
+    assert!(stderr.contains("got 40-bit"), "{stderr}");
+    assert!(!stderr.contains("bit-sliced"), "{stderr}");
 }
 
 #[test]
@@ -162,6 +170,22 @@ fn verify_emits_machine_readable_json() {
         "{stdout}"
     );
     assert!(stdout.contains("\"pairs\":209"), "{stdout}");
+    // Signed sampling counts its 25 signed corner pairs.
+    let (stdout, _, ok) = run(&[
+        "verify",
+        "--width",
+        "16",
+        "--signed",
+        "--samples",
+        "10",
+        "--json",
+    ]);
+    assert!(ok, "{stdout}");
+    assert!(
+        stdout.contains("\"coverage\":\"sampled, 25 signed corners + 10 seeded pairs\""),
+        "{stdout}"
+    );
+    assert!(stdout.contains("\"pairs\":35"), "{stdout}");
     // --json is a verify-only flag.
     let (_, stderr, ok) = run(&["errors", "--width", "8", "--json"]);
     assert!(!ok);

@@ -12,9 +12,7 @@ use sdlc::core::circuits::{
 use sdlc::core::{Multiplier, SdlcMultiplier, SignMagnitude, SignedMultiplier};
 use sdlc::netlist::Netlist;
 use sdlc::sim::activity::random_activity_with_engine;
-use sdlc::sim::equiv::{
-    check_exhaustive_signed_with_engine, check_exhaustive_with_engine, check_sampled_with_engine,
-};
+use sdlc::sim::equiv::{check, check_signed, Coverage};
 use sdlc::sim::{CompiledNetlist, CompiledSim, Engine, LogicSim};
 use sdlc::wideint::{SplitMix64, U256};
 
@@ -138,7 +136,7 @@ fn every_generator_agrees_across_engines() {
         ),
     ];
     for (netlist, model) in &netlists {
-        check_exhaustive_with_engine(netlist, 6, model, Engine::Compiled)
+        check(netlist, 6, Coverage::Exhaustive, Engine::Compiled, model)
             .unwrap_or_else(|e| panic!("{}: {e}", netlist.name()));
         let compiled = random_activity_with_engine(netlist, 0xD1FF, 320, Engine::Compiled);
         let structural = random_activity_with_engine(netlist, 0xD1FF, 320, Engine::Scalar);
@@ -147,11 +145,12 @@ fn every_generator_agrees_across_engines() {
     // Kulkarni requires power-of-two widths; cover it at 8 bits.
     let kulkarni = KulkarniMultiplier::new(8).unwrap();
     let kulkarni_netlist = kulkarni_multiplier(8, scheme).unwrap();
-    check_exhaustive_with_engine(
+    check(
         &kulkarni_netlist,
         8,
-        |a, b| kulkarni.multiply(a, b),
+        Coverage::Exhaustive,
         Engine::Compiled,
+        |a, b| kulkarni.multiply(a, b),
     )
     .unwrap();
     assert_eq!(
@@ -161,11 +160,12 @@ fn every_generator_agrees_across_engines() {
     // The signed periphery (conditional negation, mux trees) too.
     let signed_model = SignMagnitude::new(SdlcMultiplier::new(6, 2).unwrap());
     let signed_netlist = signed_multiplier(&sdlc_multiplier(signed_model.inner(), scheme), 6);
-    check_exhaustive_signed_with_engine(
+    check_signed(
         &signed_netlist,
         6,
-        |a, b| signed_model.multiply_signed(a, b),
+        Coverage::Exhaustive,
         Engine::Compiled,
+        |a, b| signed_model.multiply_signed(a, b),
     )
     .unwrap();
     let compiled = random_activity_with_engine(&signed_netlist, 3, 256, Engine::Compiled);
@@ -189,19 +189,36 @@ fn planted_bug_yields_identical_first_counterexample() {
             p
         }
     };
-    let scalar = check_exhaustive_with_engine(&netlist, 6, wrong, Engine::Scalar).unwrap_err();
-    let compiled = check_exhaustive_with_engine(&netlist, 6, wrong, Engine::Compiled).unwrap_err();
+    let scalar = check(&netlist, 6, Coverage::Exhaustive, Engine::Scalar, wrong).unwrap_err();
+    let compiled = check(&netlist, 6, Coverage::Exhaustive, Engine::Compiled, wrong).unwrap_err();
     assert_eq!(scalar, compiled);
     assert_eq!((scalar.a, scalar.b), (37, 21));
 
     // Sampled sweeps: the corner cases and seeded draw order are shared,
     // so the first failing *sample* matches as well.
     let wrong_everywhere = |a: u128, b: u128| model.multiply(a, b).wrapping_add(&U256::ONE);
-    let scalar = check_sampled_with_engine(&netlist, 6, 100, 7, wrong_everywhere, Engine::Scalar)
-        .unwrap_err();
-    let compiled =
-        check_sampled_with_engine(&netlist, 6, 100, 7, wrong_everywhere, Engine::Compiled)
-            .unwrap_err();
+    let scalar = check(
+        &netlist,
+        6,
+        Coverage::Sampled {
+            samples: 100,
+            seed: 7,
+        },
+        Engine::Scalar,
+        wrong_everywhere,
+    )
+    .unwrap_err();
+    let compiled = check(
+        &netlist,
+        6,
+        Coverage::Sampled {
+            samples: 100,
+            seed: 7,
+        },
+        Engine::Compiled,
+        wrong_everywhere,
+    )
+    .unwrap_err();
     assert_eq!(scalar, compiled);
 }
 
@@ -212,7 +229,16 @@ fn sampled_verdicts_match_on_wide_designs() {
     let model = SdlcMultiplier::new(16, 3).unwrap();
     let netlist = sdlc_multiplier(&model, ReductionScheme::Dadda);
     for engine in [Engine::Scalar, Engine::Compiled] {
-        check_sampled_with_engine(&netlist, 16, 200, 5, |a, b| model.multiply(a, b), engine)
-            .unwrap_or_else(|e| panic!("{engine}: {e}"));
+        check(
+            &netlist,
+            16,
+            Coverage::Sampled {
+                samples: 200,
+                seed: 5,
+            },
+            engine,
+            |a, b| model.multiply(a, b),
+        )
+        .unwrap_or_else(|e| panic!("{engine}: {e}"));
     }
 }

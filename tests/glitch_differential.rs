@@ -14,7 +14,7 @@ use sdlc::core::circuits::{
 };
 use sdlc::core::SdlcMultiplier;
 use sdlc::netlist::Netlist;
-use sdlc::sim::activity::{glitch_activity, timing_activity_with_engine};
+use sdlc::sim::activity::{random_activity_with_engine, timing_activity_with_engine};
 use sdlc::sim::{
     CompiledNetlist, CompiledSim, Engine, GlitchSim, LogicSim, TimedProgram, TimingSim,
 };
@@ -264,13 +264,16 @@ fn glitch_activity_driver_contract() {
     let n = sdlc_multiplier(&model, ReductionScheme::RippleRows);
     let lib = Library::generic_90nm();
     let compiled = timing_activity_with_engine(&n, &lib, 0x5D1C, 512, Engine::Compiled);
-    assert_eq!(compiled, glitch_activity(&n, &lib, 0x5D1C, 512));
+    assert_eq!(
+        compiled,
+        timing_activity_with_engine(&n, &lib, 0x5D1C, 512, Engine::Compiled)
+    );
     assert!(compiled.includes_glitches);
     assert_eq!(compiled.transition_count, 512);
     let scalar = timing_activity_with_engine(&n, &lib, 0x5D1C, 512, Engine::Scalar);
     assert_eq!(compiled, scalar);
     // Glitch-aware totals dominate the zero-delay estimate.
-    let zero_delay = sdlc::sim::activity::random_activity(&n, 0x5D1C, 512);
+    let zero_delay = random_activity_with_engine(&n, 0x5D1C, 512, Engine::Compiled);
     assert!(compiled.mean_activity() >= zero_delay.mean_activity());
 }
 

@@ -14,7 +14,8 @@ use sdlc::core::{
     AccurateMultiplier, ClusterVariant, SdlcMultiplier, SignMagnitude, SignedMultiplier,
 };
 use sdlc::netlist::passes;
-use sdlc::sim::equiv::{check_exhaustive_signed, check_sampled_signed};
+use sdlc::sim::equiv::{check_signed, Coverage};
+use sdlc::sim::Engine;
 use sdlc::wideint::I256;
 
 #[test]
@@ -23,8 +24,14 @@ fn signed_accurate_is_exhaustively_exact_to_8_bits() {
         for scheme in [ReductionScheme::RippleRows, ReductionScheme::Wallace] {
             let netlist = signed_accurate_multiplier(width, scheme).unwrap();
             netlist.validate().unwrap();
-            check_exhaustive_signed(&netlist, width, |a, b| I256::from_i128(a * b))
-                .unwrap_or_else(|e| panic!("{width}-bit {scheme:?}: {e}"));
+            check_signed(
+                &netlist,
+                width,
+                Coverage::Exhaustive,
+                Engine::Scalar,
+                |a, b| I256::from_i128(a * b),
+            )
+            .unwrap_or_else(|e| panic!("{width}-bit {scheme:?}: {e}"));
         }
     }
 }
@@ -37,8 +44,10 @@ fn signed_sdlc_matches_its_model_exhaustively_at_8_bits() {
             let netlist = signed_sdlc_multiplier(&model, ReductionScheme::RippleRows);
             netlist.validate().unwrap();
             let signed = SignMagnitude::new(model);
-            check_exhaustive_signed(&netlist, 8, |a, b| signed.multiply_signed(a, b))
-                .unwrap_or_else(|e| panic!("{}: {e}", netlist.name()));
+            check_signed(&netlist, 8, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+                signed.multiply_signed(a, b)
+            })
+            .unwrap_or_else(|e| panic!("{}: {e}", netlist.name()));
         }
     }
 }
@@ -49,34 +58,51 @@ fn signed_baselines_match_exhaustively_at_8_bits() {
 
     let etm = SignMagnitude::new(EtmMultiplier::new(8).unwrap());
     let netlist = signed_multiplier(&etm_multiplier(8, scheme).unwrap(), 8);
-    check_exhaustive_signed(&netlist, 8, |a, b| etm.multiply_signed(a, b)).unwrap();
+    check_signed(&netlist, 8, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+        etm.multiply_signed(a, b)
+    })
+    .unwrap();
 
     let kulkarni = SignMagnitude::new(KulkarniMultiplier::new(8).unwrap());
     let netlist = signed_multiplier(&kulkarni_multiplier(8, scheme).unwrap(), 8);
-    check_exhaustive_signed(&netlist, 8, |a, b| kulkarni.multiply_signed(a, b)).unwrap();
+    check_signed(&netlist, 8, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+        kulkarni.multiply_signed(a, b)
+    })
+    .unwrap();
 
     for dropped in [3u32, 7] {
         let model = TruncatedMultiplier::new(8, dropped).unwrap();
         let netlist = signed_multiplier(&truncated_multiplier(&model, scheme), 8);
         let signed = SignMagnitude::new(model);
-        check_exhaustive_signed(&netlist, 8, |a, b| signed.multiply_signed(a, b))
-            .unwrap_or_else(|e| panic!("trunc {dropped}: {e}"));
+        check_signed(&netlist, 8, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+            signed.multiply_signed(a, b)
+        })
+        .unwrap_or_else(|e| panic!("trunc {dropped}: {e}"));
     }
 }
 
 #[test]
 fn sampled_equivalence_at_16_bits() {
+    let coverage = Coverage::Sampled {
+        samples: 400,
+        seed: 5,
+    };
     // 2^32 pairs are out of reach; seeded sampling plus the signed corner
     // patterns (0, ±1, MAX, MIN crossed) stand in.
     let exact = signed_accurate_multiplier(16, ReductionScheme::RippleRows).unwrap();
-    check_sampled_signed(&exact, 16, 400, 5, |a, b| I256::from_i128(a * b)).unwrap();
+    check_signed(&exact, 16, coverage, Engine::Scalar, |a, b| {
+        I256::from_i128(a * b)
+    })
+    .unwrap();
 
     for depth in [2u32, 4] {
         let model = SdlcMultiplier::new(16, depth).unwrap();
         let netlist = signed_sdlc_multiplier(&model, ReductionScheme::Dadda);
         let signed = SignMagnitude::new(model);
-        check_sampled_signed(&netlist, 16, 400, 5, |a, b| signed.multiply_signed(a, b))
-            .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
+        check_signed(&netlist, 16, coverage, Engine::Scalar, |a, b| {
+            signed.multiply_signed(a, b)
+        })
+        .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
     }
 }
 
@@ -88,7 +114,10 @@ fn optimization_passes_preserve_signed_behavior() {
     passes::optimize(&mut netlist);
     assert!(netlist.cell_count() <= before);
     let signed = SignMagnitude::new(model);
-    check_exhaustive_signed(&netlist, 8, |a, b| signed.multiply_signed(a, b)).unwrap();
+    check_signed(&netlist, 8, Coverage::Exhaustive, Engine::Scalar, |a, b| {
+        signed.multiply_signed(a, b)
+    })
+    .unwrap();
 }
 
 #[test]
@@ -97,7 +126,7 @@ fn mismatches_report_signed_counterexamples() {
     // exactly where the product is negative: the first counterexample in
     // pattern order is a = 1 (pattern 1) × b = −8 (pattern 8 = 0b1000).
     let netlist = signed_accurate_multiplier(4, ReductionScheme::RippleRows).unwrap();
-    let err = check_exhaustive_signed(&netlist, 4, |a, b| {
+    let err = check_signed(&netlist, 4, Coverage::Exhaustive, Engine::Scalar, |a, b| {
         if a * b < 0 {
             I256::ZERO // deliberately wrong
         } else {

@@ -40,8 +40,17 @@ fn signed_facade_reexports_resolve() {
         signed.inner(),
         sdlc::core::circuits::ReductionScheme::RippleRows,
     );
-    sdlc::sim::equiv::check_sampled_signed(&netlist, 8, 50, 1, |a, b| signed.multiply_signed(a, b))
-        .unwrap();
+    sdlc::sim::equiv::check_signed(
+        &netlist,
+        8,
+        sdlc::sim::equiv::Coverage::Sampled {
+            samples: 50,
+            seed: 1,
+        },
+        sdlc::sim::Engine::Scalar,
+        |a, b| signed.multiply_signed(a, b),
+    )
+    .unwrap();
     let image = sdlc::imgproc::scenes::bars(16, 16);
     let _: sdlc::imgproc::GrayImage = sdlc::imgproc::sobel_magnitude(
         &image,
