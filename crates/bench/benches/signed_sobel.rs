@@ -3,7 +3,7 @@
 //! / Scharr gradient-magnitude pipelines end to end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sdlc_core::batch::{BatchMultiplier, SignedBatchMultiplier, LANES};
+use sdlc_core::batch::{BatchMultiplier, LANES};
 use sdlc_core::error::{exhaustive_signed_with, Engine, EvalOptions};
 use sdlc_core::signed::signed_sdlc;
 use sdlc_core::{Batchable, Multiplier, SdlcMultiplier, SignMagnitude, SignedMultiplier};

@@ -17,7 +17,7 @@
 //! `a[j] >> i & 1 == bit j of lane i's A`; products come back as `2N`
 //! planes in the same layout. OR-compression, the Kulkarni 2×2 block, the
 //! ETM collision chain and partial-product accumulation (a word-wide
-//! ripple of XOR/majority steps — [`add_planes`]) all translate
+//! ripple of XOR/majority steps — `add_planes`) all translate
 //! directly, so the bit-sliced engines are *bit-exact* replicas of the
 //! scalar models: `tests/batch_differential.rs` proves agreement on every
 //! width/depth/variant combination and an exhaustive 8-bit cross-check.
@@ -60,7 +60,7 @@ pub(crate) mod signed;
 pub use accurate::BatchAccurate;
 pub use baselines::{BatchEtm, BatchKulkarni, BatchTruncated};
 pub use sdlc::BatchSdlc;
-pub use signed::{BatchSignMagnitude, SignedBatchMultiplier};
+pub use signed::BatchSignMagnitude;
 
 use sdlc_wideint::bitplane::transposed64;
 

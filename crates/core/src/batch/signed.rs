@@ -12,70 +12,6 @@ use sdlc_wideint::bitplane;
 
 use crate::batch::{check_planes, BatchMultiplier, BATCH_MAX_WIDTH, LANES};
 
-/// A 64-lane bit-sliced signed multiplier model; operands and products are
-/// two's-complement bit-plane stacks.
-///
-/// Implementations must be bit-exact twins of their scalar
-/// [`SignedMultiplier`](crate::SignedMultiplier) counterparts.
-pub trait SignedBatchMultiplier {
-    /// Operand width N in bits (at most [`BATCH_MAX_WIDTH`]).
-    fn width(&self) -> u32;
-
-    /// Computes 64 signed products from transposed two's-complement
-    /// operands: `a` and `b` hold at least `N` planes (plane `N−1` is the
-    /// sign plane) and `product` receives exactly `2N` two's-complement
-    /// planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` or `b` holds fewer than `N` planes or `product` does
-    /// not hold exactly `2N`.
-    fn multiply_planes_signed(&self, a: &[u64], b: &[u64], product: &mut [u64]);
-
-    /// Evaluates one exhaustive-sweep row: the fixed two's-complement
-    /// pattern `a` against every pattern `b` in `[0, count)`, walked in
-    /// 64-lane blocks of consecutive patterns, calling
-    /// `emit(b0, product_planes)` once per block. Walking *patterns* (not
-    /// values) keeps the signed sweeps in the same order as the unsigned
-    /// ones, which is what makes the scalar and bit-sliced signed error
-    /// drivers bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` does not fit the width or `count` is not a positive
-    /// multiple of [`LANES`].
-    fn sweep_operand_row_signed(&self, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64]));
-
-    /// Convenience wrapper: transposes 64 signed lane-form operand pairs,
-    /// evaluates them, and returns the 64 signed products.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any operand does not fit in [`SignedBatchMultiplier::width`]
-    /// signed bits.
-    fn multiply_lanes_signed(&self, a: &[i64; LANES], b: &[i64; LANES]) -> [i128; LANES] {
-        let width = self.width();
-        let planes = width as usize;
-        let mask = mask(width);
-        let to_patterns = |lanes: &[i64; LANES], which: &str| -> [u64; LANES] {
-            core::array::from_fn(|i| {
-                crate::signed::check_signed_operand(width, i128::from(lanes[i]), which);
-                lanes[i] as u64 & mask
-            })
-        };
-        let a_planes = bitplane::transposed64(&to_patterns(a, "left"));
-        let b_planes = bitplane::transposed64(&to_patterns(b, "right"));
-        let mut product = [0u64; LANES];
-        self.multiply_planes_signed(
-            &a_planes[..planes],
-            &b_planes[..planes],
-            &mut product[..2 * planes],
-        );
-        let lanes = bitplane::transposed64(&product);
-        core::array::from_fn(|i| sign_extend(lanes[i], 2 * width))
-    }
-}
-
 /// All-ones pattern mask for `width`-bit operands.
 fn mask(width: u32) -> u64 {
     if width == 64 {
@@ -92,12 +28,14 @@ pub(crate) fn sign_extend(pattern: u64, bits: u32) -> i128 {
 }
 
 /// The bit-sliced twin of [`SignMagnitude`](crate::SignMagnitude): wraps
-/// any unsigned [`BatchMultiplier`] with plane-level sign handling.
+/// any unsigned [`BatchMultiplier`] with plane-level sign handling; operands
+/// and products are two's-complement bit-plane stacks, bit-exact with the
+/// scalar adapter's.
 ///
 /// # Examples
 ///
 /// ```
-/// use sdlc_core::batch::{SignedBatchMultiplier, LANES};
+/// use sdlc_core::batch::LANES;
 /// use sdlc_core::{SdlcMultiplier, SignMagnitude, SignedMultiplier};
 ///
 /// let scalar = SignMagnitude::new(SdlcMultiplier::new(8, 2)?);
@@ -136,14 +74,22 @@ impl<B: BatchMultiplier> BatchSignMagnitude<B> {
         bitplane::negate_planes(&mut magnitude[..width], sign);
         (magnitude, sign)
     }
-}
 
-impl<B: BatchMultiplier> SignedBatchMultiplier for BatchSignMagnitude<B> {
-    fn width(&self) -> u32 {
+    /// Operand width N in bits (at most [`BATCH_MAX_WIDTH`]).
+    pub fn width(&self) -> u32 {
         self.inner.width()
     }
 
-    fn multiply_planes_signed(&self, a: &[u64], b: &[u64], product: &mut [u64]) {
+    /// Computes 64 signed products from transposed two's-complement
+    /// operands: `a` and `b` hold at least `N` planes (plane `N−1` is the
+    /// sign plane) and `product` receives exactly `2N` two's-complement
+    /// planes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` holds fewer than `N` planes or `product` does
+    /// not hold exactly `2N`.
+    pub fn multiply_planes_signed(&self, a: &[u64], b: &[u64], product: &mut [u64]) {
         let width = self.inner.width();
         check_planes(width, a, b, product);
         let (mag_a, sign_a) = self.magnitude_planes(a);
@@ -154,7 +100,19 @@ impl<B: BatchMultiplier> SignedBatchMultiplier for BatchSignMagnitude<B> {
         bitplane::negate_planes(product, sign_a ^ sign_b);
     }
 
-    fn sweep_operand_row_signed(&self, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64])) {
+    /// Evaluates one exhaustive-sweep row: the fixed two's-complement
+    /// pattern `a` against every pattern `b` in `[0, count)`, walked in
+    /// 64-lane blocks of consecutive patterns, calling
+    /// `emit(b0, product_planes)` once per block. Walking *patterns* (not
+    /// values) keeps the signed sweeps in the same order as the unsigned
+    /// ones, which is what makes the scalar and bit-sliced signed error
+    /// drivers bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` does not fit the width or `count` is not a positive
+    /// multiple of [`LANES`].
+    pub fn sweep_operand_row_signed(&self, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64])) {
         assert!(
             count >= LANES as u64 && count.is_multiple_of(LANES as u64),
             "sweep rows take 64-aligned block counts"
@@ -184,6 +142,35 @@ impl<B: BatchMultiplier> SignedBatchMultiplier for BatchSignMagnitude<B> {
             emit(b0, &product[..2 * planes]);
             b0 += LANES as u64;
         }
+    }
+
+    /// Convenience wrapper: transposes 64 signed lane-form operand pairs,
+    /// evaluates them, and returns the 64 signed products.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any operand does not fit in [`BatchSignMagnitude::width`]
+    /// signed bits.
+    pub fn multiply_lanes_signed(&self, a: &[i64; LANES], b: &[i64; LANES]) -> [i128; LANES] {
+        let width = self.width();
+        let planes = width as usize;
+        let mask = mask(width);
+        let to_patterns = |lanes: &[i64; LANES], which: &str| -> [u64; LANES] {
+            core::array::from_fn(|i| {
+                crate::signed::check_signed_operand(width, i128::from(lanes[i]), which);
+                lanes[i] as u64 & mask
+            })
+        };
+        let a_planes = bitplane::transposed64(&to_patterns(a, "left"));
+        let b_planes = bitplane::transposed64(&to_patterns(b, "right"));
+        let mut product = [0u64; LANES];
+        self.multiply_planes_signed(
+            &a_planes[..planes],
+            &b_planes[..planes],
+            &mut product[..2 * planes],
+        );
+        let lanes = bitplane::transposed64(&product);
+        core::array::from_fn(|i| sign_extend(lanes[i], 2 * width))
     }
 }
 

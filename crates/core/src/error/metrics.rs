@@ -443,19 +443,32 @@ mod tests {
 
     #[test]
     fn wide_and_narrow_paths_agree() {
-        let mut narrow = ErrorAccumulator::new();
-        let mut wide = ErrorAccumulator::new();
-        let cases = [(100u128, 90u128), (17, 17), (255 * 255, 255 * 254)];
-        for &(p, q) in &cases {
-            narrow.record_u64(p, q, (1, 1));
-            wide.record(&U256::from_u128(p), &U256::from_u128(q), (1, 1));
-        }
+        // The last pair's exact product is a half-ulp tie in its top 64
+        // bits that only the discarded low bit breaks.
+        let cases = [
+            (100u128, 90u128),
+            (17, 17),
+            (255 * 255, 255 * 254),
+            ((1 << 117) + (1 << 64) + 1, 1 << 117),
+        ];
         let pmax = U256::from_u64(255 * 255);
-        let a = narrow.finish(pmax);
-        let b = wide.finish(pmax);
-        assert!((a.mred - b.mred).abs() < 1e-12);
-        assert!((a.nmed - b.nmed).abs() < 1e-12);
-        assert_eq!(a.error_rate, b.error_rate);
+        let both = |pairs: &[(u128, u128)]| {
+            let mut narrow = ErrorAccumulator::new();
+            let mut wide = ErrorAccumulator::new();
+            for &(p, q) in pairs {
+                narrow.record_u64(p, q, (1, 1));
+                wide.record(&U256::from_u128(p), &U256::from_u128(q), (1, 1));
+            }
+            (narrow.finish(pmax), wide.finish(pmax))
+        };
+        // Each pair alone, so no sum can absorb a one-ulp RED difference,
+        // and all of them together.
+        for case in cases {
+            let (narrow, wide) = both(&[case]);
+            assert_eq!(narrow, wide, "{case:?}");
+        }
+        let (narrow, wide) = both(&cases);
+        assert_eq!(narrow, wide);
     }
 
     #[test]

@@ -16,12 +16,12 @@
 //! like the unsigned drivers.
 
 use crate::batch::signed::sign_extend;
-use crate::batch::SignedBatchMultiplier;
+use crate::batch::{BatchSignMagnitude, Batchable};
 use crate::error::evaluate::{
     exhaustive_in, sampled_in, BatchDomain, Domain, EvalError, EvalOptions,
 };
 use crate::error::metrics::{ErrorAccumulator, ErrorMetrics};
-use crate::signed::{SignedBatchable, SignedMultiplier};
+use crate::signed::{SignMagnitude, SignedMultiplier};
 
 /// The two's-complement domain of a [`SignedMultiplier`].
 struct Signed<'m, M> {
@@ -64,18 +64,18 @@ impl<M: SignedMultiplier + Sync> Domain for Signed<'_, M> {
     }
 }
 
-impl<M: SignedBatchable + Sync> BatchDomain for Signed<'_, M> {
-    type Batch = M::Batch;
+impl<M: Batchable + Sync> BatchDomain for Signed<'_, SignMagnitude<M>> {
+    type Batch = BatchSignMagnitude<M::Batch>;
 
-    fn batch(&self) -> M::Batch {
-        self.model.signed_batch_model()
+    fn batch(&self) -> Self::Batch {
+        self.model.batch_model()
     }
 
-    fn sweep_row(batch: &M::Batch, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64])) {
+    fn sweep_row(batch: &Self::Batch, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64])) {
         batch.sweep_operand_row_signed(a, count, emit);
     }
 
-    fn multiply_planes(batch: &M::Batch, a: &[u64], b: &[u64], product: &mut [u64]) {
+    fn multiply_planes(batch: &Self::Batch, a: &[u64], b: &[u64], product: &mut [u64]) {
         batch.multiply_planes_signed(a, b, product);
     }
 
@@ -110,11 +110,11 @@ fn signed<M: SignedMultiplier>(model: &M) -> Signed<'_, M> {
 /// limit ([`crate::error::EXHAUSTIVE_WIDTH_LIMIT`] or
 /// [`crate::error::BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`]).
 pub fn exhaustive_signed_with<M>(
-    multiplier: &M,
+    multiplier: &SignMagnitude<M>,
     options: EvalOptions,
 ) -> Result<ErrorMetrics, EvalError>
 where
-    M: SignedBatchable + Sync,
+    M: Batchable + Sync,
 {
     exhaustive_in(&signed(multiplier), options)
 }
@@ -132,13 +132,13 @@ where
 /// [`EvalError::UnsupportedWidth`] for models wider than 32 bits (the
 /// signed samplers use the `multiply_i64` fast path).
 pub fn sampled_signed_with<M>(
-    multiplier: &M,
+    multiplier: &SignMagnitude<M>,
     samples: u64,
     seed: u64,
     options: EvalOptions,
 ) -> Result<ErrorMetrics, EvalError>
 where
-    M: SignedBatchable + Sync,
+    M: Batchable + Sync,
 {
     sampled_in(&signed(multiplier), samples, seed, options)
 }

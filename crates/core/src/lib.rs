@@ -52,7 +52,7 @@ pub use batch::{BatchMultiplier, Batchable};
 pub use compensate::BiasCompensated;
 pub use multiplier::{AccurateMultiplier, Multiplier, SpecError};
 pub use sdlc::{ClusterVariant, SdlcMultiplier};
-pub use signed::{SignMagnitude, SignedBatchable, SignedMultiplier};
+pub use signed::{SignMagnitude, SignedMultiplier};
 
 /// Operand widths synthesized in the paper's evaluation (Figure 6).
 pub const PAPER_WIDTHS: [u32; 8] = [4, 6, 8, 12, 16, 32, 64, 128];

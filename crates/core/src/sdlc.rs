@@ -460,7 +460,7 @@ impl Multiplier for SdlcMultiplier {
             let mut or_val = U256::ZERO;
             for &(k, mask, rel) in &group.rows {
                 if (b >> k) & 1 == 1 {
-                    or_val |= U256::from_u128(a & mask) << rel;
+                    or_val = or_val | U256::from_u128(a & mask) << rel;
                 }
             }
             product = product.wrapping_add(&(or_val << group.base));

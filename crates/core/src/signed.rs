@@ -12,14 +12,14 @@
 //! unsigned design carries over symmetrically in every quadrant.
 //!
 //! The adapter accepts any unsigned model — [`AccurateMultiplier`], every
-//! [`SdlcMultiplier`](crate::SdlcMultiplier) variant and depth schedule,
+//! [`SdlcMultiplier`] variant and depth schedule,
 //! and the truncated/Kulkarni/ETM baselines — and has a bit-sliced twin
 //! ([`crate::batch::BatchSignMagnitude`]) plus a gate-level counterpart
 //! ([`crate::circuits::signed_multiplier`]).
 
 use sdlc_wideint::{I256, U256};
 
-use crate::batch::{BatchSignMagnitude, Batchable, SignedBatchMultiplier};
+use crate::batch::{BatchSignMagnitude, Batchable};
 use crate::multiplier::{AccurateMultiplier, Multiplier, SpecError, MAX_WIDTH};
 use crate::sdlc::SdlcMultiplier;
 
@@ -28,7 +28,7 @@ use crate::sdlc::SdlcMultiplier;
 ///
 /// # Panics
 ///
-/// Panics if `width` is 0 or exceeds [`MAX_WIDTH`].
+/// Panics if `width` is 0 or exceeds 128.
 #[must_use]
 pub fn signed_operand_range(width: u32) -> (i128, i128) {
     assert!(
@@ -225,29 +225,6 @@ pub fn signed_accurate(width: u32) -> Result<SignMagnitude<AccurateMultiplier>, 
 /// Returns [`SpecError`] for invalid widths or depths.
 pub fn signed_sdlc(width: u32, depth: u32) -> Result<SignMagnitude<SdlcMultiplier>, SpecError> {
     Ok(SignMagnitude::new(SdlcMultiplier::new(width, depth)?))
-}
-
-/// A signed model with a bit-sliced 64-lane twin; blanket-implemented for
-/// every [`SignMagnitude`] over a [`Batchable`] unsigned core.
-pub trait SignedBatchable: SignedMultiplier {
-    /// The bit-sliced signed engine type for this model.
-    type Batch: SignedBatchMultiplier;
-
-    /// Builds the bit-sliced twin (cheap; workers build one per thread).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is wider than
-    /// [`crate::batch::BATCH_MAX_WIDTH`] bits.
-    fn signed_batch_model(&self) -> Self::Batch;
-}
-
-impl<M: Batchable> SignedBatchable for SignMagnitude<M> {
-    type Batch = BatchSignMagnitude<M::Batch>;
-
-    fn signed_batch_model(&self) -> Self::Batch {
-        self.batch_model()
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! 64 operand pairs per sweep into bit-planes (reusing the
 //! `sdlc_wideint::bitplane` transpose machinery), and shards the operand
 //! space across scoped threads through the same
-//! [`parallel_chunks`](sdlc_wideint::parallel::parallel_chunks) splitter
+//! [`parallel_chunks`] splitter
 //! as the `sdlc-core` error drivers. Pair order, lane decoding order and
 //! chunk merge order all follow the scalar sweep, so the engines return
 //! bit-identical verdicts — including the *same first* counterexample —

@@ -225,8 +225,8 @@ impl TimedProgram {
 
     /// The deepest arrival time of any net — the program's critical path
     /// under the same load model as `sdlc-synth`'s STA, and an exact
-    /// upper bound on every [`GlitchApplyResult::settle_ps`] (for both
-    /// timing engines: the scalar one sums the same quantized delays).
+    /// upper bound on every lane's settle time (for both timing engines:
+    /// the scalar one sums the same quantized delays).
     #[must_use]
     pub fn critical_arrival_ps(&self) -> f64 {
         self.critical_ticks() as f64 / 1024.0

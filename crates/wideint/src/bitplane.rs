@@ -10,8 +10,8 @@
 //!
 //! This module provides the conversions between the two layouts:
 //!
-//! * [`transpose64`] / [`transposed64`] — the full 64×64 bit-matrix
-//!   transpose (an involution; Hacker's Delight §7-3 block-swap network);
+//! * [`transposed64`] — the full 64×64 bit-matrix transpose (an
+//!   involution; Hacker's Delight §7-3 block-swap network);
 //! * [`planes_from_lanes16`] / [`lanes_from_planes16`] and the `…32`
 //!   variants — cheaper partial transposes for values of at most 16 or
 //!   32 bits (the common case: an 8-bit multiplier's products need only
@@ -38,7 +38,7 @@ pub const LANES: usize = 64;
 
 /// Transposes a 64×64 bit matrix in place: afterwards, bit `c` of word `r`
 /// is what bit `r` of word `c` was. Applying it twice restores the input.
-pub fn transpose64(m: &mut [u64; LANES]) {
+fn transpose64(m: &mut [u64; LANES]) {
     let mut j = 32;
     let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
     while j != 0 {
@@ -54,7 +54,8 @@ pub fn transpose64(m: &mut [u64; LANES]) {
     }
 }
 
-/// [`transpose64`] on a copy.
+/// Transposes a 64×64 bit matrix: bit `c` of word `r` of the result is
+/// bit `r` of word `c` of `m`. Applying it twice restores the input.
 #[must_use]
 pub fn transposed64(m: &[u64; LANES]) -> [u64; LANES] {
     let mut out = *m;

@@ -1,75 +1,35 @@
-//! Conversions between [`Wide`] and primitive integers, floats and strings.
+//! Conversions between [`U256`] and primitive integers and floats.
 
-use crate::{ParseWideError, Wide};
+use crate::U256;
 
-impl<const L: usize> Wide<L> {
+impl U256 {
     /// Constructs from a `u64`.
     #[must_use]
     pub fn from_u64(value: u64) -> Self {
-        let mut out = Self::ZERO;
-        out.limbs_mut()[0] = value;
-        out
+        Self {
+            limbs: [value, 0, 0, 0],
+        }
     }
 
     /// Constructs from a `u128`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `L == 1` and the value needs more than 64 bits.
     #[must_use]
     pub fn from_u128(value: u128) -> Self {
-        let mut out = Self::ZERO;
-        out.limbs_mut()[0] = value as u64;
-        let high = (value >> 64) as u64;
-        if high != 0 {
-            assert!(L >= 2, "value needs more than {} bits", 64 * L);
-            out.limbs_mut()[1] = high;
-        }
-        out
-    }
-
-    /// Low 64 bits (truncating).
-    #[must_use]
-    pub fn as_u64(&self) -> u64 {
-        self.limbs()[0]
-    }
-
-    /// Low 128 bits (truncating).
-    #[must_use]
-    pub fn as_u128(&self) -> u128 {
-        let lo = u128::from(self.limbs()[0]);
-        if L >= 2 {
-            lo | (u128::from(self.limbs()[1]) << 64)
-        } else {
-            lo
-        }
-    }
-
-    /// Converts to `u64`, returning `None` when the value does not fit.
-    #[must_use]
-    pub fn to_u64(&self) -> Option<u64> {
-        if self.bit_len() <= 64 {
-            Some(self.limbs()[0])
-        } else {
-            None
+        Self {
+            limbs: [value as u64, (value >> 64) as u64, 0, 0],
         }
     }
 
     /// Converts to `u128`, returning `None` when the value does not fit.
     #[must_use]
     pub fn to_u128(&self) -> Option<u128> {
-        if self.bit_len() <= 128 {
-            Some(self.as_u128())
-        } else {
-            None
-        }
+        let [lo, hi, 0, 0] = self.limbs else {
+            return None;
+        };
+        Some(u128::from(lo) | (u128::from(hi) << 64))
     }
 
-    /// Converts to `f64` with standard 53-bit mantissa rounding error.
-    ///
-    /// Exact for values up to 2^53; above that the top 64 significant bits
-    /// are used, so the relative error never exceeds 2⁻⁵³ — far below the
-    /// approximation errors being measured.
+    /// Converts to the nearest `f64` (ties to even), rounding exactly as
+    /// `u128 as f64` does for values that fit.
     ///
     /// # Examples
     ///
@@ -77,160 +37,70 @@ impl<const L: usize> Wide<L> {
     /// # use sdlc_wideint::U256;
     /// let x = U256::from_u64(1) << 200;
     /// assert_eq!(x.to_f64(), 2f64.powi(200));
+    /// let y = (1u128 << 117) + (1 << 64) + 1;
+    /// assert_eq!(U256::from_u128(y).to_f64(), y as f64);
     /// ```
     #[must_use]
     pub fn to_f64(&self) -> f64 {
         let len = self.bit_len();
         if len <= 64 {
-            return self.limbs()[0] as f64;
+            return self.limbs[0] as f64;
         }
-        // Take the top-most 64 significant bits and scale back up.
+        // The top 64 significant bits carry the 53-bit mantissa and the
+        // round bit; the bits below only decide ties. OR-ing a sticky bit
+        // for them into bit 0 (never the round bit) makes the `u64 → f64`
+        // cast round as if it saw them all.
         let shift = len - 64;
-        let top = self.shr(shift).limbs()[0];
-        (top as f64) * 2f64.powi(shift as i32)
-    }
-
-    /// Widens or narrows to another limb count.
-    ///
-    /// Narrowing truncates high limbs, mirroring `as` casts on primitives.
-    #[must_use]
-    pub fn resize<const M: usize>(&self) -> Wide<M> {
-        let mut out = Wide::<M>::ZERO;
-        for i in 0..L.min(M) {
-            out.limbs_mut()[i] = self.limbs()[i];
-        }
-        out
-    }
-
-    /// Parses from a string in the given radix (2–36), accepting `_`
-    /// separators like Rust literals.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseWideError`] for empty input, invalid digits, or values
-    /// exceeding the capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radix` is not in `2..=36`.
-    pub fn from_str_radix(s: &str, radix: u32) -> Result<Self, ParseWideError> {
-        assert!((2..=36).contains(&radix), "radix must be in 2..=36");
-        let digits: Vec<char> = s.chars().filter(|&c| c != '_').collect();
-        if digits.is_empty() {
-            return Err(ParseWideError::Empty);
-        }
-        let radix_wide = Self::from_u64(u64::from(radix));
-        let mut acc = Self::ZERO;
-        for c in digits {
-            let d = c.to_digit(radix).ok_or(ParseWideError::InvalidDigit(c))?;
-            acc = acc
-                .checked_mul(&radix_wide)
-                .and_then(|acc| acc.checked_add(&Self::from_u64(u64::from(d))))
-                .ok_or(ParseWideError::Overflow)?;
-        }
-        Ok(acc)
-    }
-}
-
-impl<const L: usize> From<u64> for Wide<L> {
-    fn from(value: u64) -> Self {
-        Self::from_u64(value)
-    }
-}
-
-impl<const L: usize> From<u32> for Wide<L> {
-    fn from(value: u32) -> Self {
-        Self::from_u64(u64::from(value))
-    }
-}
-
-impl<const L: usize> From<u8> for Wide<L> {
-    fn from(value: u8) -> Self {
-        Self::from_u64(u64::from(value))
-    }
-}
-
-impl<const L: usize> From<bool> for Wide<L> {
-    fn from(value: bool) -> Self {
-        Self::from_u64(u64::from(value))
-    }
-}
-
-impl<const L: usize> core::str::FromStr for Wide<L> {
-    type Err = ParseWideError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-            Self::from_str_radix(hex, 16)
-        } else if let Some(bin) = s.strip_prefix("0b").or_else(|| s.strip_prefix("0B")) {
-            Self::from_str_radix(bin, 2)
-        } else {
-            Self::from_str_radix(s, 10)
-        }
+        let top = (*self >> shift).limbs[0];
+        let sticky = u64::from(*self != (*self >> shift) << shift);
+        ((top | sticky) as f64) * 2f64.powi(shift as i32)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{ParseWideError, U128, U256};
+    use crate::U256;
 
     #[test]
     fn primitive_roundtrips() {
-        assert_eq!(U256::from_u64(42).to_u64(), Some(42));
+        assert_eq!(U256::from_u64(42).to_u128(), Some(42));
         assert_eq!(U256::from_u128(u128::MAX).to_u128(), Some(u128::MAX));
-        assert_eq!(U256::from(7u8).as_u64(), 7);
-        assert_eq!(U256::from(9u32).as_u64(), 9);
-        assert_eq!(U256::from(true).as_u64(), 1);
+        assert_eq!(
+            U256::from_u128(u128::from(u64::MAX)),
+            U256::from_u64(u64::MAX)
+        );
         let big = U256::from_u64(1) << 130;
-        assert_eq!(big.to_u64(), None);
         assert_eq!(big.to_u128(), None);
-        assert_eq!(big.as_u128(), 0); // truncating accessor
+        assert_eq!((U256::ONE << 128).to_u128(), None);
+        assert_eq!(((U256::ONE << 128) >> 1).to_u128(), Some(1 << 127));
     }
 
     #[test]
     fn to_f64_precision() {
         assert_eq!(U256::from_u64(12345).to_f64(), 12345.0);
         let x = U256::from_u128((1u128 << 90) + (1 << 30));
-        let expect = 2f64.powi(90) + 2f64.powi(30);
-        assert!((x.to_f64() - expect).abs() / expect < 1e-15);
+        assert_eq!(x.to_f64(), ((1u128 << 90) + (1 << 30)) as f64);
         assert_eq!(U256::ZERO.to_f64(), 0.0);
-        let top = U256::MAX.to_f64();
-        assert!((top - 2f64.powi(256)).abs() / 2f64.powi(256) < 1e-15);
+        // 2^256 − 1 rounds up to 2^256, as the nearest f64 is.
+        assert_eq!(U256::MAX.to_f64(), 2f64.powi(256));
     }
 
     #[test]
-    fn resize_widen_narrow() {
-        let x = U128::from_u128(u128::MAX);
-        let wide: U256 = x.resize();
-        assert_eq!(wide.to_u128(), Some(u128::MAX));
-        let narrow: U128 = (U256::from_u64(1) << 200).resize();
-        assert!(narrow.is_zero());
-    }
-
-    #[test]
-    fn parse_radixes() {
-        let x: U256 = "0xff".parse().unwrap();
-        assert_eq!(x.as_u64(), 255);
-        let y: U256 = "0b1010".parse().unwrap();
-        assert_eq!(y.as_u64(), 10);
-        let z: U256 = "1_000_000".parse().unwrap();
-        assert_eq!(z.as_u64(), 1_000_000);
-        assert_eq!("".parse::<U256>(), Err(ParseWideError::Empty));
+    fn to_f64_rounds_ties_with_the_discarded_bits() {
+        // Bits 117 and 64 make the top-64 window an exact half-ulp tie;
+        // the +1 below the window breaks it upward. Truncating the window
+        // first rounded this to even (down).
+        let witness = (1u128 << 117) + (1 << 64) + 1;
+        assert_eq!(U256::from_u128(witness).to_f64(), witness as f64);
         assert_eq!(
-            "12g".parse::<U256>(),
-            Err(ParseWideError::InvalidDigit('g'))
+            U256::from_u128(witness).to_f64(),
+            1.661_534_994_731_145_2e35
         );
-        let huge = "f".repeat(65);
-        assert_eq!(
-            U256::from_str_radix(&huge, 16),
-            Err(ParseWideError::Overflow)
-        );
-    }
-
-    #[test]
-    fn parse_max_roundtrip() {
-        let s = "f".repeat(64);
-        let x = U256::from_str_radix(&s, 16).unwrap();
-        assert_eq!(x, U256::MAX);
+        // Without the +1 the tie stays and rounds to even.
+        let tie = (1u128 << 117) + (1 << 64);
+        assert_eq!(U256::from_u128(tie).to_f64(), tie as f64);
+        // The same tie above 128 bits, where no primitive cast exists.
+        let wide = (U256::from_u128(witness) << 100).to_f64();
+        assert_eq!(wide, witness as f64 * 2f64.powi(100));
     }
 }

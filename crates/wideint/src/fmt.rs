@@ -1,77 +1,35 @@
-//! `Display`, `LowerHex`, `UpperHex`, `Binary` and `Octal` formatting.
+//! Decimal `Display` formatting.
 
-use core::fmt;
+use core::fmt::{self, Write};
 
-use crate::Wide;
+use crate::U256;
 
-impl<const L: usize> fmt::Display for Wide<L> {
+/// 10^19, the largest power of ten below 2^64.
+const TEN_19: u128 = 10_000_000_000_000_000_000;
+
+impl fmt::Display for U256 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return f.pad_integral(true, "", "0");
+        // Peel 19-digit groups off the bottom by long division of the
+        // limbs, most significant first.
+        let mut groups = Vec::new();
+        let mut rest = self.limbs;
+        loop {
+            let mut rem = 0u128;
+            for limb in rest.iter_mut().rev() {
+                let cur = (rem << 64) | u128::from(*limb);
+                *limb = (cur / TEN_19) as u64;
+                rem = cur % TEN_19;
+            }
+            groups.push(rem as u64);
+            if rest == [0; 4] {
+                break;
+            }
         }
-        let mut digits = Vec::new();
-        let mut cur = *self;
-        while !cur.is_zero() {
-            let (q, r) = cur.div_rem_u64(10);
-            digits.push(b'0' + r as u8);
-            cur = q;
+        let mut digits = groups.pop().expect("at least one group").to_string();
+        for group in groups.iter().rev() {
+            write!(digits, "{group:019}")?;
         }
-        digits.reverse();
-        let s = core::str::from_utf8(&digits).expect("ASCII digits");
-        f.pad_integral(true, "", s)
-    }
-}
-
-/// Formats the value digit-group by digit-group in a power-of-two radix.
-fn format_pow2<const L: usize>(
-    value: &Wide<L>,
-    f: &mut fmt::Formatter<'_>,
-    bits_per_digit: u32,
-    prefix: &str,
-    digit: impl Fn(u64) -> char,
-) -> fmt::Result {
-    if value.is_zero() {
-        return f.pad_integral(true, prefix, "0");
-    }
-    let mut out = String::new();
-    let total = value.bit_len().div_ceil(bits_per_digit);
-    for i in (0..total).rev() {
-        let shift = i * bits_per_digit;
-        let d = value.shr(shift).limbs()[0] & ((1 << bits_per_digit) - 1);
-        out.push(digit(d));
-    }
-    f.pad_integral(true, prefix, &out)
-}
-
-impl<const L: usize> fmt::LowerHex for Wide<L> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        format_pow2(self, f, 4, "0x", |d| {
-            char::from_digit(d as u32, 16).expect("hex digit")
-        })
-    }
-}
-
-impl<const L: usize> fmt::UpperHex for Wide<L> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        format_pow2(self, f, 4, "0x", |d| {
-            char::from_digit(d as u32, 16)
-                .expect("hex digit")
-                .to_ascii_uppercase()
-        })
-    }
-}
-
-impl<const L: usize> fmt::Binary for Wide<L> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        format_pow2(self, f, 1, "0b", |d| if d == 1 { '1' } else { '0' })
-    }
-}
-
-impl<const L: usize> fmt::Octal for Wide<L> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        format_pow2(self, f, 3, "0o", |d| {
-            char::from_digit(d as u32, 8).expect("octal digit")
-        })
+        f.pad_integral(true, "", &digits)
     }
 }
 
@@ -85,36 +43,28 @@ mod tests {
         assert_eq!(U256::from_u64(12345).to_string(), "12345");
         let big = U256::from_u128(u128::MAX);
         assert_eq!(big.to_string(), u128::MAX.to_string());
-        // (2^128-1) * 10 + 5, checked against the same u128 math.
-        let x = big * U256::from_u64(10) + U256::from_u64(5);
-        assert!(x.to_string().ends_with('5'));
-        assert_eq!(x.to_string().len(), 40);
-    }
-
-    #[test]
-    fn hex_binary_octal() {
-        let x = U256::from_u64(0xdead_beef);
-        assert_eq!(format!("{x:x}"), "deadbeef");
-        assert_eq!(format!("{x:X}"), "DEADBEEF");
-        assert_eq!(format!("{x:#x}"), "0xdeadbeef");
-        assert_eq!(format!("{:b}", U256::from_u64(10)), "1010");
-        assert_eq!(format!("{:#b}", U256::from_u64(10)), "0b1010");
-        assert_eq!(format!("{:o}", U256::from_u64(8)), "10");
-        assert_eq!(format!("{:x}", U256::ZERO), "0");
-        assert_eq!(format!("{:b}", U256::ZERO), "0");
-    }
-
-    #[test]
-    fn hex_matches_u128_formatting() {
-        let v = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210u128;
-        assert_eq!(format!("{:x}", U256::from_u128(v)), format!("{v:x}"));
-        assert_eq!(format!("{:o}", U256::from_u128(v)), format!("{v:o}"));
-        assert_eq!(format!("{:b}", U256::from_u128(v)), format!("{v:b}"));
+        // (2^128 − 1) · 10 + 5 needs 129 bits.
+        let x = big.wrapping_mul(&U256::from_u64(10)) + U256::from_u64(5);
+        assert_eq!(x.to_string(), "3402823669209384634633746074317682114555");
+        // A group boundary with inner zeros: 10^19 and 10^38.
+        assert_eq!(
+            U256::from_u64(10_000_000_000_000_000_000).to_string(),
+            "10000000000000000000"
+        );
+        assert_eq!(
+            U256::from_u128(10u128.pow(38)).to_string(),
+            10u128.pow(38).to_string()
+        );
+        assert_eq!(
+            U256::MAX.to_string(),
+            "115792089237316195423570985008687907853269984665640564039457584007913129639935"
+        );
     }
 
     #[test]
     fn padding_works() {
         assert_eq!(format!("{:>8}", U256::from_u64(42)), "      42");
-        assert_eq!(format!("{:08x}", U256::from_u64(0xff)), "000000ff");
+        assert_eq!(format!("{:08}", U256::from_u64(42)), "00000042");
+        assert_eq!(format!("{:<4}|", U256::ZERO), "0   |");
     }
 }

@@ -1,13 +1,19 @@
-//! Fixed-capacity wide unsigned integers.
+//! The numeric layer of the SDLC reproduction: 256-bit products, bit-plane
+//! layouts, deterministic random streams and work splitting.
 //!
-//! The SDLC study synthesizes multipliers up to 128×128 bits, whose products
-//! are 256 bits wide — beyond every primitive integer type. This crate
-//! provides [`Wide<L>`], an unsigned integer stored as `L` little-endian
-//! 64-bit limbs, with the full complement of arithmetic, bitwise, shifting,
-//! comparison, conversion and formatting operations needed by the multiplier
-//! models and the error-analysis engine.
+//! The study synthesizes multipliers up to 128×128 bits, whose products
+//! are 256 bits wide — beyond every primitive integer type. [`U256`] holds
+//! any such product exactly and [`I256`] is its two's-complement signed
+//! view. Both carry only what the models and the error, simulation and
+//! synthesis flows use: construction from and conversion to primitives,
+//! correctly rounded [`U256::to_f64`], wrapping add and multiply, the
+//! absolute difference (the error distance), shifts, `&`/`|`, ordering and
+//! decimal `Display`.
 //!
-//! The common instantiations get aliases: [`U128`], [`U256`], [`U512`].
+//! The other modules serve the 64-lane engines: [`bitplane`] converts
+//! between lane and bit-plane layouts, [`parallel`] splits sweeps across
+//! scoped threads deterministically, and [`SplitMix64`] generates the
+//! reproducible operand streams.
 //!
 //! # Examples
 //!
@@ -18,19 +24,16 @@
 //! let b = U256::from_u64(3);
 //! let p = a.wrapping_mul(&b);
 //! assert_eq!(p >> 127, U256::from_u64(2));
-//! assert_eq!(p.bit(0), true);
+//! assert_eq!(p.to_string(), "510423550381407695195061911147652317181");
 //! ```
 //!
 //! # Design notes
 //!
-//! * All operations are constant-capacity: `Wide<L>` never reallocates and
-//!   is `Copy`, which keeps exhaustive error sweeps allocation-free.
-//! * Arithmetic is provided in `wrapping_*`, `checked_*` and
-//!   `overflowing_*` flavors mirroring the primitive-integer API surface.
-//!   The `+`/`-`/`*` operators panic on overflow in debug builds and wrap in
-//!   release builds, exactly like primitives.
-//! * [`Wide::widening_mul`] returns the double-width product as a
-//!   `(low, high)` pair so callers never silently lose product bits.
+//! * `U256` is four `u64` limbs and `Copy`; no operation allocates except
+//!   `Display`, which keeps exhaustive error sweeps allocation-free.
+//! * The `+`/`-` operators panic on overflow in debug builds and wrap in
+//!   release builds, exactly like primitives; `wrapping_add` and
+//!   `wrapping_mul` always wrap modulo 2^256.
 
 pub mod bitplane;
 mod convert;
@@ -41,58 +44,6 @@ pub mod parallel;
 mod rng;
 mod signed;
 
-pub use limbs::Wide;
+pub use limbs::U256;
 pub use rng::SplitMix64;
 pub use signed::I256;
-
-/// 128-bit wide integer (2 limbs).
-pub type U128 = Wide<2>;
-/// 256-bit wide integer (4 limbs) — enough for any 128×128 product.
-pub type U256 = Wide<4>;
-/// 512-bit wide integer (8 limbs) — headroom for sums of many products.
-pub type U512 = Wide<8>;
-
-/// Errors produced when parsing a [`Wide`] from a string.
-///
-/// Returned by [`Wide::from_str_radix`] and the `FromStr` impl.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseWideError {
-    /// The input string was empty.
-    Empty,
-    /// The input contained a character that is not a digit in the requested
-    /// radix (stores the offending character).
-    InvalidDigit(char),
-    /// The value does not fit in the target capacity.
-    Overflow,
-}
-
-impl core::fmt::Display for ParseWideError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ParseWideError::Empty => write!(f, "cannot parse integer from empty string"),
-            ParseWideError::InvalidDigit(c) => write!(f, "invalid digit found in string: {c:?}"),
-            ParseWideError::Overflow => write!(f, "number too large to fit in target type"),
-        }
-    }
-}
-
-impl std::error::Error for ParseWideError {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn aliases_have_expected_widths() {
-        assert_eq!(U128::BITS, 128);
-        assert_eq!(U256::BITS, 256);
-        assert_eq!(U512::BITS, 512);
-    }
-
-    #[test]
-    fn parse_error_display_is_nonempty() {
-        assert!(!ParseWideError::Empty.to_string().is_empty());
-        assert!(ParseWideError::InvalidDigit('z').to_string().contains('z'));
-        assert!(!ParseWideError::Overflow.to_string().is_empty());
-    }
-}

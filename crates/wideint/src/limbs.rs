@@ -1,118 +1,61 @@
-//! Core representation and bit-level accessors of [`Wide`].
+//! Representation and bit-level accessors of [`U256`].
 
-/// An `L × 64`-bit unsigned integer stored as little-endian limbs.
+/// A 256-bit unsigned integer stored as four little-endian 64-bit limbs —
+/// wide enough for any product of two 128-bit operands.
 ///
-/// `Wide<L>` behaves like the primitive unsigned integers: it is `Copy`,
-/// ordered, hashable, and supports the usual operator set. Capacity is fixed
-/// at compile time; see the crate docs for the overflow policy.
+/// `U256` behaves like the primitive unsigned integers: it is `Copy`,
+/// ordered and hashable. The `+`/`-` operators panic on overflow in debug
+/// builds and wrap in release builds; [`U256::wrapping_add`] and
+/// [`U256::wrapping_mul`] always wrap modulo 2^256.
 ///
 /// # Examples
 ///
 /// ```
-/// use sdlc_wideint::Wide;
+/// use sdlc_wideint::U256;
 ///
-/// let x: Wide<4> = Wide::from_u64(0xdead_beef);
-/// assert_eq!(x.bit_len(), 32);
-/// assert_eq!(x.count_ones(), 0xdead_beefu64.count_ones());
+/// let a = U256::from_u128(u128::MAX);
+/// let p = a.wrapping_mul(&a); // (2^128 − 1)^2 = 2^256 − 2^129 + 1 fits
+/// assert_eq!(p >> 128, U256::from_u128(u128::MAX - 1));
+/// assert_eq!(p & U256::from_u128(u128::MAX), U256::ONE);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Wide<const L: usize> {
-    limbs: [u64; L],
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct U256 {
+    pub(crate) limbs: [u64; 4],
 }
 
-impl<const L: usize> Default for Wide<L> {
-    fn default() -> Self {
-        Self::ZERO
-    }
-}
-
-impl<const L: usize> Wide<L> {
-    /// Total capacity in bits.
-    pub const BITS: u32 = 64 * L as u32;
-
+impl U256 {
     /// The value `0`.
-    pub const ZERO: Self = Self { limbs: [0; L] };
+    pub const ZERO: Self = Self { limbs: [0; 4] };
 
     /// The value `1`.
-    pub const ONE: Self = {
-        let mut limbs = [0u64; L];
-        limbs[0] = 1;
-        Self { limbs }
+    pub const ONE: Self = Self {
+        limbs: [1, 0, 0, 0],
     };
 
-    /// The largest representable value (all bits set).
+    /// The largest representable value, 2^256 − 1.
     pub const MAX: Self = Self {
-        limbs: [u64::MAX; L],
+        limbs: [u64::MAX; 4],
     };
-
-    /// Creates a zero value; identical to [`Wide::ZERO`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use sdlc_wideint::U256;
-    /// assert_eq!(U256::new(), U256::ZERO);
-    /// ```
-    #[must_use]
-    pub fn new() -> Self {
-        Self::ZERO
-    }
-
-    /// Constructs a value from raw little-endian limbs.
-    #[must_use]
-    pub const fn from_limbs(limbs: [u64; L]) -> Self {
-        Self { limbs }
-    }
-
-    /// Borrows the little-endian limb array.
-    #[must_use]
-    pub const fn limbs(&self) -> &[u64; L] {
-        &self.limbs
-    }
-
-    /// Consumes `self` and returns the little-endian limb array.
-    #[must_use]
-    pub const fn into_limbs(self) -> [u64; L] {
-        self.limbs
-    }
-
-    /// Mutably borrows the little-endian limb array.
-    pub fn limbs_mut(&mut self) -> &mut [u64; L] {
-        &mut self.limbs
-    }
 
     /// Returns `true` when the value is zero.
     #[must_use]
     pub fn is_zero(&self) -> bool {
-        self.limbs.iter().all(|&l| l == 0)
+        self.limbs == [0; 4]
     }
 
-    /// Reads bit `i` (little-endian; bit 0 is the least significant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= Self::BITS`.
-    #[must_use]
-    pub fn bit(&self, i: u32) -> bool {
-        assert!(
-            i < Self::BITS,
-            "bit index {i} out of range for {} bits",
-            Self::BITS
-        );
+    /// Reads bit `i` (bit 0 is the least significant).
+    pub(crate) fn bit(&self, i: u32) -> bool {
+        assert!(i < 256, "bit index {i} out of range for 256 bits");
         (self.limbs[(i / 64) as usize] >> (i % 64)) & 1 == 1
     }
 
-    /// Sets bit `i` to `value`.
+    /// Sets bit `i` (bit 0 is the least significant) to `value`.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= Self::BITS`.
+    /// Panics if `i >= 256`.
     pub fn set_bit(&mut self, i: u32, value: bool) {
-        assert!(
-            i < Self::BITS,
-            "bit index {i} out of range for {} bits",
-            Self::BITS
-        );
+        assert!(i < 256, "bit index {i} out of range for 256 bits");
         let limb = &mut self.limbs[(i / 64) as usize];
         let mask = 1u64 << (i % 64);
         if value {
@@ -122,54 +65,12 @@ impl<const L: usize> Wide<L> {
         }
     }
 
-    /// Number of set bits.
-    #[must_use]
-    pub fn count_ones(&self) -> u32 {
-        self.limbs.iter().map(|l| l.count_ones()).sum()
-    }
-
-    /// Number of leading zero bits (counting from the capacity top).
-    #[must_use]
-    pub fn leading_zeros(&self) -> u32 {
-        let mut zeros = 0;
-        for &limb in self.limbs.iter().rev() {
-            if limb == 0 {
-                zeros += 64;
-            } else {
-                zeros += limb.leading_zeros();
-                break;
-            }
-        }
-        zeros
-    }
-
-    /// Number of trailing zero bits; equals `Self::BITS` for zero.
-    #[must_use]
-    pub fn trailing_zeros(&self) -> u32 {
-        let mut zeros = 0;
-        for &limb in &self.limbs {
-            if limb == 0 {
-                zeros += 64;
-            } else {
-                zeros += limb.trailing_zeros();
-                break;
-            }
-        }
-        zeros
-    }
-
     /// Position of the most significant set bit plus one; `0` for zero.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use sdlc_wideint::U256;
-    /// assert_eq!(U256::from_u64(0b100).bit_len(), 3);
-    /// assert_eq!(U256::ZERO.bit_len(), 0);
-    /// ```
-    #[must_use]
-    pub fn bit_len(&self) -> u32 {
-        Self::BITS - self.leading_zeros()
+    pub(crate) fn bit_len(&self) -> u32 {
+        (0..4)
+            .rev()
+            .find(|&i| self.limbs[i] != 0)
+            .map_or(0, |i| 64 * i as u32 + 64 - self.limbs[i].leading_zeros())
     }
 }
 
@@ -180,9 +81,10 @@ mod tests {
     #[test]
     fn constants() {
         assert!(U256::ZERO.is_zero());
+        assert_eq!(U256::ZERO, U256::default());
         assert_eq!(U256::ONE.bit_len(), 1);
-        assert_eq!(U256::MAX.count_ones(), 256);
-        assert_eq!(U256::new(), U256::default());
+        assert_eq!(U256::MAX.bit_len(), 256);
+        assert_eq!(U256::MAX.wrapping_add(&U256::ONE), U256::ZERO);
     }
 
     #[test]
@@ -191,8 +93,8 @@ mod tests {
         for i in [0u32, 1, 63, 64, 127, 128, 255] {
             x.set_bit(i, true);
             assert!(x.bit(i), "bit {i} should be set");
+            assert_eq!(x.bit_len(), i + 1);
         }
-        assert_eq!(x.count_ones(), 7);
         for i in [0u32, 1, 63, 64, 127, 128, 255] {
             x.set_bit(i, false);
         }
@@ -202,27 +104,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bit_out_of_range_panics() {
-        let _ = U256::ZERO.bit(256);
-    }
-
-    #[test]
-    fn leading_trailing_zeros() {
-        assert_eq!(U256::ZERO.leading_zeros(), 256);
-        assert_eq!(U256::ZERO.trailing_zeros(), 256);
         let mut x = U256::ZERO;
-        x.set_bit(200, true);
-        assert_eq!(x.leading_zeros(), 55);
-        assert_eq!(x.trailing_zeros(), 200);
-        assert_eq!(x.bit_len(), 201);
-    }
-
-    #[test]
-    fn limb_accessors() {
-        let x = U256::from_limbs([1, 2, 3, 4]);
-        assert_eq!(x.limbs(), &[1, 2, 3, 4]);
-        assert_eq!(x.into_limbs(), [1, 2, 3, 4]);
-        let mut y = x;
-        y.limbs_mut()[0] = 9;
-        assert_eq!(y.limbs()[0], 9);
+        x.set_bit(256, true);
     }
 }

@@ -1,70 +1,46 @@
-//! Arithmetic, bitwise, shift and comparison operations for [`Wide`].
+//! Arithmetic, bitwise, shift and comparison operations for [`U256`].
 
 use core::cmp::Ordering;
-use core::ops::{
-    Add, AddAssign, BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Mul, MulAssign,
-    Not, Shl, ShlAssign, Shr, ShrAssign, Sub, SubAssign,
-};
+use core::ops::{Add, BitAnd, BitOr, Shl, Shr, Sub};
 
-use crate::Wide;
+use crate::U256;
 
-impl<const L: usize> Wide<L> {
-    /// Adds with wraparound on overflow.
-    #[must_use]
-    pub fn wrapping_add(&self, rhs: &Self) -> Self {
-        self.overflowing_add(rhs).0
-    }
-
+impl U256 {
     /// Adds, reporting whether the sum wrapped.
-    #[must_use]
-    pub fn overflowing_add(&self, rhs: &Self) -> (Self, bool) {
+    fn overflowing_add(&self, rhs: &Self) -> (Self, bool) {
         let mut out = Self::ZERO;
         let mut carry = false;
-        for i in 0..L {
-            let (s1, c1) = self.limbs()[i].overflowing_add(rhs.limbs()[i]);
+        for i in 0..4 {
+            let (s1, c1) = self.limbs[i].overflowing_add(rhs.limbs[i]);
             let (s2, c2) = s1.overflowing_add(u64::from(carry));
-            out.limbs_mut()[i] = s2;
+            out.limbs[i] = s2;
             carry = c1 || c2;
         }
         (out, carry)
     }
 
-    /// Adds, returning `None` on overflow.
-    #[must_use]
-    pub fn checked_add(&self, rhs: &Self) -> Option<Self> {
-        match self.overflowing_add(rhs) {
-            (sum, false) => Some(sum),
-            _ => None,
-        }
-    }
-
-    /// Subtracts with wraparound on underflow.
-    #[must_use]
-    pub fn wrapping_sub(&self, rhs: &Self) -> Self {
-        self.overflowing_sub(rhs).0
-    }
-
     /// Subtracts, reporting whether the difference wrapped below zero.
-    #[must_use]
-    pub fn overflowing_sub(&self, rhs: &Self) -> (Self, bool) {
+    fn overflowing_sub(&self, rhs: &Self) -> (Self, bool) {
         let mut out = Self::ZERO;
         let mut borrow = false;
-        for i in 0..L {
-            let (d1, b1) = self.limbs()[i].overflowing_sub(rhs.limbs()[i]);
+        for i in 0..4 {
+            let (d1, b1) = self.limbs[i].overflowing_sub(rhs.limbs[i]);
             let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
-            out.limbs_mut()[i] = d2;
+            out.limbs[i] = d2;
             borrow = b1 || b2;
         }
         (out, borrow)
     }
 
-    /// Subtracts, returning `None` on underflow.
+    /// Adds with wraparound modulo 2^256.
     #[must_use]
-    pub fn checked_sub(&self, rhs: &Self) -> Option<Self> {
-        match self.overflowing_sub(rhs) {
-            (diff, false) => Some(diff),
-            _ => None,
-        }
+    pub fn wrapping_add(&self, rhs: &Self) -> Self {
+        self.overflowing_add(rhs).0
+    }
+
+    /// Subtracts with wraparound modulo 2^256.
+    pub(crate) fn wrapping_sub(&self, rhs: &Self) -> Self {
+        self.overflowing_sub(rhs).0
     }
 
     /// Absolute difference, `|self − rhs|`; never overflows.
@@ -79,304 +55,131 @@ impl<const L: usize> Wide<L> {
         }
     }
 
-    /// Schoolbook multiply keeping only the low `L` limbs.
-    #[must_use]
-    pub fn wrapping_mul(&self, rhs: &Self) -> Self {
-        self.widening_mul(rhs).0
-    }
-
-    /// Multiplies, returning `None` if the product exceeds the capacity.
-    #[must_use]
-    pub fn checked_mul(&self, rhs: &Self) -> Option<Self> {
-        let (lo, hi) = self.widening_mul(rhs);
-        if hi.is_zero() {
-            Some(lo)
-        } else {
-            None
-        }
-    }
-
-    /// Full double-width product as `(low, high)` halves.
+    /// Schoolbook multiply modulo 2^256. Exact for any product of two
+    /// 128-bit operands.
     ///
     /// # Examples
     ///
     /// ```
-    /// # use sdlc_wideint::U128;
-    /// let (lo, hi) = U128::MAX.widening_mul(&U128::MAX);
-    /// assert_eq!(lo, U128::ONE);                 // (2^128-1)^2 mod 2^128
-    /// assert_eq!(hi, U128::MAX.wrapping_sub(&U128::ONE));
+    /// # use sdlc_wideint::U256;
+    /// let big = U256::from_u128(u128::MAX);
+    /// assert_eq!(big.wrapping_mul(&U256::from_u64(2)), big << 1);
+    /// assert_eq!(U256::MAX.wrapping_mul(&U256::MAX), U256::ONE); // mod 2^256
     /// ```
     #[must_use]
-    pub fn widening_mul(&self, rhs: &Self) -> (Self, Self) {
-        let mut acc = vec![0u64; 2 * L];
-        for i in 0..L {
-            let mut carry = 0u64;
-            let a = u128::from(self.limbs()[i]);
-            if a == 0 {
-                continue;
-            }
-            for j in 0..L {
-                let t = a * u128::from(rhs.limbs()[j]) + u128::from(acc[i + j]) + u128::from(carry);
-                acc[i + j] = t as u64;
-                carry = (t >> 64) as u64;
-            }
-            acc[i + L] = acc[i + L].wrapping_add(carry);
-        }
-        let mut lo = Self::ZERO;
-        let mut hi = Self::ZERO;
-        lo.limbs_mut().copy_from_slice(&acc[..L]);
-        hi.limbs_mut().copy_from_slice(&acc[L..]);
-        (lo, hi)
-    }
-
-    /// Logical shift left; shifts of `Self::BITS` or more yield zero.
-    #[must_use]
-    pub fn shl(&self, shift: u32) -> Self {
-        if shift >= Self::BITS {
-            return Self::ZERO;
-        }
-        let limb_shift = (shift / 64) as usize;
-        let bit_shift = shift % 64;
+    pub fn wrapping_mul(&self, rhs: &Self) -> Self {
         let mut out = Self::ZERO;
-        for i in (limb_shift..L).rev() {
-            let mut v = self.limbs()[i - limb_shift] << bit_shift;
-            if bit_shift > 0 && i > limb_shift {
-                v |= self.limbs()[i - limb_shift - 1] >> (64 - bit_shift);
+        for i in 0..4 {
+            let a = u128::from(self.limbs[i]);
+            let mut carry = 0u128;
+            // (2^64−1)^2 + 2·(2^64−1) = 2^128 − 1: `t` never overflows.
+            for j in 0..4 - i {
+                let t = a * u128::from(rhs.limbs[j]) + u128::from(out.limbs[i + j]) + carry;
+                out.limbs[i + j] = t as u64;
+                carry = t >> 64;
             }
-            out.limbs_mut()[i] = v;
         }
         out
-    }
-
-    /// Logical shift right; shifts of `Self::BITS` or more yield zero.
-    #[must_use]
-    pub fn shr(&self, shift: u32) -> Self {
-        if shift >= Self::BITS {
-            return Self::ZERO;
-        }
-        let limb_shift = (shift / 64) as usize;
-        let bit_shift = shift % 64;
-        let mut out = Self::ZERO;
-        for i in 0..L - limb_shift {
-            let mut v = self.limbs()[i + limb_shift] >> bit_shift;
-            if bit_shift > 0 && i + limb_shift + 1 < L {
-                v |= self.limbs()[i + limb_shift + 1] << (64 - bit_shift);
-            }
-            out.limbs_mut()[i] = v;
-        }
-        out
-    }
-
-    /// Divides by a single 64-bit divisor, returning `(quotient, remainder)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor == 0`.
-    #[must_use]
-    pub fn div_rem_u64(&self, divisor: u64) -> (Self, u64) {
-        assert!(divisor != 0, "division by zero");
-        let mut quot = Self::ZERO;
-        let mut rem = 0u64;
-        for i in (0..L).rev() {
-            let cur = (u128::from(rem) << 64) | u128::from(self.limbs()[i]);
-            quot.limbs_mut()[i] = (cur / u128::from(divisor)) as u64;
-            rem = (cur % u128::from(divisor)) as u64;
-        }
-        (quot, rem)
-    }
-
-    /// Full division, returning `(quotient, remainder)`.
-    ///
-    /// Uses binary long division on the significant bits; adequate for the
-    /// report-formatting and metric paths where it is used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor` is zero.
-    #[must_use]
-    pub fn div_rem(&self, divisor: &Self) -> (Self, Self) {
-        assert!(!divisor.is_zero(), "division by zero");
-        if divisor.bit_len() <= 64 {
-            let (q, r) = self.div_rem_u64(divisor.limbs()[0]);
-            let mut rem = Self::ZERO;
-            rem.limbs_mut()[0] = r;
-            return (q, rem);
-        }
-        match self.cmp(divisor) {
-            Ordering::Less => return (Self::ZERO, *self),
-            Ordering::Equal => return (Self::ONE, Self::ZERO),
-            Ordering::Greater => {}
-        }
-        let mut quotient = Self::ZERO;
-        let mut remainder = Self::ZERO;
-        for i in (0..self.bit_len()).rev() {
-            remainder = remainder.shl(1);
-            if self.bit(i) {
-                remainder.set_bit(0, true);
-            }
-            if remainder >= *divisor {
-                remainder = remainder.wrapping_sub(divisor);
-                quotient.set_bit(i, true);
-            }
-        }
-        (quotient, remainder)
     }
 }
 
-impl<const L: usize> PartialOrd for Wide<L> {
+impl PartialOrd for U256 {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<const L: usize> Ord for Wide<L> {
+impl Ord for U256 {
     fn cmp(&self, other: &Self) -> Ordering {
-        for i in (0..L).rev() {
-            match self.limbs()[i].cmp(&other.limbs()[i]) {
-                Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        Ordering::Equal
+        self.limbs.iter().rev().cmp(other.limbs.iter().rev())
     }
 }
 
-// The `f(...)` indirection lets one macro accept both closures and fn
-// items; clippy flags the immediate call inside the expansion.
-#[allow(clippy::redundant_closure_call)]
-mod binop_impls {
-    use super::*;
-    macro_rules! forward_binop {
-        ($trait:ident, $method:ident, $assign_trait:ident, $assign_method:ident, $imp:expr) => {
-            impl<const L: usize> $trait for Wide<L> {
-                type Output = Wide<L>;
-                fn $method(self, rhs: Wide<L>) -> Wide<L> {
-                    let f: fn(&Wide<L>, &Wide<L>) -> Wide<L> = $imp;
-                    f(&self, &rhs)
-                }
-            }
-            impl<const L: usize> $trait<&Wide<L>> for Wide<L> {
-                type Output = Wide<L>;
-                fn $method(self, rhs: &Wide<L>) -> Wide<L> {
-                    let f: fn(&Wide<L>, &Wide<L>) -> Wide<L> = $imp;
-                    f(&self, rhs)
-                }
-            }
-            impl<const L: usize> $assign_trait for Wide<L> {
-                fn $assign_method(&mut self, rhs: Wide<L>) {
-                    let f: fn(&Wide<L>, &Wide<L>) -> Wide<L> = $imp;
-                    *self = f(self, &rhs);
-                }
-            }
-        };
-    }
+impl Add for U256 {
+    type Output = U256;
 
-    #[cfg(debug_assertions)]
-    fn add_impl<const L: usize>(a: &Wide<L>, b: &Wide<L>) -> Wide<L> {
-        let (sum, overflow) = a.overflowing_add(b);
-        assert!(!overflow, "attempt to add with overflow");
+    /// Panics on overflow in debug builds and wraps in release builds,
+    /// like the primitive integers.
+    fn add(self, rhs: U256) -> U256 {
+        let (sum, overflow) = self.overflowing_add(&rhs);
+        debug_assert!(!overflow, "attempt to add with overflow");
         sum
     }
+}
 
-    #[cfg(not(debug_assertions))]
-    fn add_impl<const L: usize>(a: &Wide<L>, b: &Wide<L>) -> Wide<L> {
-        a.wrapping_add(b)
-    }
+impl Sub for U256 {
+    type Output = U256;
 
-    #[cfg(debug_assertions)]
-    fn sub_impl<const L: usize>(a: &Wide<L>, b: &Wide<L>) -> Wide<L> {
-        let (diff, overflow) = a.overflowing_sub(b);
-        assert!(!overflow, "attempt to subtract with overflow");
+    /// Panics on underflow in debug builds and wraps in release builds,
+    /// like the primitive integers.
+    fn sub(self, rhs: U256) -> U256 {
+        let (diff, overflow) = self.overflowing_sub(&rhs);
+        debug_assert!(!overflow, "attempt to subtract with overflow");
         diff
     }
-
-    #[cfg(not(debug_assertions))]
-    fn sub_impl<const L: usize>(a: &Wide<L>, b: &Wide<L>) -> Wide<L> {
-        a.wrapping_sub(b)
-    }
-
-    #[cfg(debug_assertions)]
-    fn mul_impl<const L: usize>(a: &Wide<L>, b: &Wide<L>) -> Wide<L> {
-        a.checked_mul(b).expect("attempt to multiply with overflow")
-    }
-
-    #[cfg(not(debug_assertions))]
-    fn mul_impl<const L: usize>(a: &Wide<L>, b: &Wide<L>) -> Wide<L> {
-        a.wrapping_mul(b)
-    }
-
-    forward_binop!(Add, add, AddAssign, add_assign, add_impl);
-    forward_binop!(Sub, sub, SubAssign, sub_assign, sub_impl);
-    forward_binop!(Mul, mul, MulAssign, mul_assign, mul_impl);
-    forward_binop!(BitAnd, bitand, BitAndAssign, bitand_assign, |a, b| {
-        let mut out = Wide::ZERO;
-        for i in 0..L {
-            out.limbs_mut()[i] = a.limbs()[i] & b.limbs()[i];
-        }
-        out
-    });
-    forward_binop!(BitOr, bitor, BitOrAssign, bitor_assign, |a, b| {
-        let mut out = Wide::ZERO;
-        for i in 0..L {
-            out.limbs_mut()[i] = a.limbs()[i] | b.limbs()[i];
-        }
-        out
-    });
-    forward_binop!(BitXor, bitxor, BitXorAssign, bitxor_assign, |a, b| {
-        let mut out = Wide::ZERO;
-        for i in 0..L {
-            out.limbs_mut()[i] = a.limbs()[i] ^ b.limbs()[i];
-        }
-        out
-    });
 }
 
-impl<const L: usize> Not for Wide<L> {
-    type Output = Wide<L>;
-    fn not(self) -> Wide<L> {
-        let mut out = Wide::ZERO;
-        for i in 0..L {
-            out.limbs_mut()[i] = !self.limbs()[i];
+impl BitAnd for U256 {
+    type Output = U256;
+    fn bitand(self, rhs: U256) -> U256 {
+        U256 {
+            limbs: core::array::from_fn(|i| self.limbs[i] & rhs.limbs[i]),
+        }
+    }
+}
+
+impl BitOr for U256 {
+    type Output = U256;
+    fn bitor(self, rhs: U256) -> U256 {
+        U256 {
+            limbs: core::array::from_fn(|i| self.limbs[i] | rhs.limbs[i]),
+        }
+    }
+}
+
+impl Shl<u32> for U256 {
+    type Output = U256;
+
+    /// Logical shift left; shifts of 256 or more yield zero.
+    fn shl(self, shift: u32) -> U256 {
+        if shift >= 256 {
+            return U256::ZERO;
+        }
+        let (limb_shift, bit_shift) = ((shift / 64) as usize, shift % 64);
+        let mut out = U256::ZERO;
+        for i in limb_shift..4 {
+            out.limbs[i] = self.limbs[i - limb_shift] << bit_shift;
+            if bit_shift > 0 && i > limb_shift {
+                out.limbs[i] |= self.limbs[i - limb_shift - 1] >> (64 - bit_shift);
+            }
         }
         out
     }
 }
 
-impl<const L: usize> Shl<u32> for Wide<L> {
-    type Output = Wide<L>;
-    fn shl(self, shift: u32) -> Wide<L> {
-        Wide::shl(&self, shift)
-    }
-}
+impl Shr<u32> for U256 {
+    type Output = U256;
 
-impl<const L: usize> ShlAssign<u32> for Wide<L> {
-    fn shl_assign(&mut self, shift: u32) {
-        *self = Wide::shl(self, shift);
-    }
-}
-
-impl<const L: usize> Shr<u32> for Wide<L> {
-    type Output = Wide<L>;
-    fn shr(self, shift: u32) -> Wide<L> {
-        Wide::shr(&self, shift)
-    }
-}
-
-impl<const L: usize> ShrAssign<u32> for Wide<L> {
-    fn shr_assign(&mut self, shift: u32) {
-        *self = Wide::shr(self, shift);
-    }
-}
-
-impl<const L: usize> core::iter::Sum for Wide<L> {
-    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-        iter.fold(Self::ZERO, |acc, x| acc + x)
+    /// Logical shift right; shifts of 256 or more yield zero.
+    fn shr(self, shift: u32) -> U256 {
+        if shift >= 256 {
+            return U256::ZERO;
+        }
+        let (limb_shift, bit_shift) = ((shift / 64) as usize, shift % 64);
+        let mut out = U256::ZERO;
+        for i in 0..4 - limb_shift {
+            out.limbs[i] = self.limbs[i + limb_shift] >> bit_shift;
+            if bit_shift > 0 && i + limb_shift + 1 < 4 {
+                out.limbs[i] |= self.limbs[i + limb_shift + 1] << (64 - bit_shift);
+            }
+        }
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{U128, U256};
+    use crate::U256;
 
     #[test]
     fn add_sub_roundtrip() {
@@ -388,11 +191,15 @@ mod tests {
 
     #[test]
     fn overflow_flags() {
-        assert_eq!(U256::MAX.overflowing_add(&U256::ONE), (U256::ZERO, true));
-        assert_eq!(U256::ZERO.overflowing_sub(&U256::ONE), (U256::MAX, true));
-        assert!(U256::MAX.checked_add(&U256::ONE).is_none());
-        assert!(U256::ZERO.checked_sub(&U256::ONE).is_none());
-        assert!(U256::MAX.checked_mul(&U256::from_u64(2)).is_none());
+        // The wrapping forms wrap modulo 2^256 at both ends of the range.
+        assert_eq!(U256::MAX.wrapping_add(&U256::ONE), U256::ZERO);
+        assert_eq!(U256::MAX.wrapping_add(&U256::MAX), U256::MAX - U256::ONE);
+        assert_eq!(U256::MAX.wrapping_mul(&U256::MAX), U256::ONE);
+        assert_eq!(
+            (U256::ONE << 255).wrapping_mul(&U256::from_u64(2)),
+            U256::ZERO
+        );
+        assert_eq!(U256::ZERO.abs_diff(&U256::MAX), U256::MAX);
     }
 
     #[test]
@@ -404,17 +211,19 @@ mod tests {
             (1 << 40, 1 << 41),
         ] {
             let expect = u128::from(a) * u128::from(b);
-            let got = U256::from_u64(a) * U256::from_u64(b);
+            let got = U256::from_u64(a).wrapping_mul(&U256::from_u64(b));
             assert_eq!(got, U256::from_u128(expect), "{a} * {b}");
         }
     }
 
     #[test]
     fn widening_mul_carries_into_high() {
-        let (lo, hi) = U128::MAX.widening_mul(&U128::MAX);
-        // (2^128 - 1)^2 = 2^256 - 2^129 + 1
-        assert_eq!(lo, U128::ONE);
-        assert_eq!(hi, U128::MAX.wrapping_sub(&U128::ONE));
+        // (2^128 − 1)^2 = 2^256 − 2^129 + 1: every partial product
+        // carries into the high 128 bits, and nothing is lost.
+        let max = U256::from_u128(u128::MAX);
+        let p = max.wrapping_mul(&max);
+        assert_eq!(p & max, U256::ONE);
+        assert_eq!(p >> 128, U256::from_u128(u128::MAX - 1));
     }
 
     #[test]
@@ -438,59 +247,21 @@ mod tests {
     }
 
     #[test]
-    fn div_rem_u64_basics() {
-        let x = U256::from_u128(1_000_000_000_000_000_000_000_000_007);
-        let (q, r) = x.div_rem_u64(10);
-        assert_eq!(r, 7);
-        assert_eq!(q * U256::from_u64(10) + U256::from_u64(7), x);
-    }
-
-    #[test]
-    #[should_panic(expected = "division by zero")]
-    fn div_by_zero_panics() {
-        let _ = U256::ONE.div_rem_u64(0);
-    }
-
-    #[test]
-    fn div_rem_full() {
-        let a = (U256::from_u128(u128::MAX) << 100) | U256::from_u64(12345);
-        let d = (U256::from_u64(0xffff_ffff) << 70) | U256::from_u64(999);
-        let (q, r) = a.div_rem(&d);
-        assert!(r < d);
-        assert_eq!(q * d + r, a);
-        // divisor > dividend
-        let (q2, r2) = d.div_rem(&a);
-        assert_eq!(q2, U256::ZERO);
-        assert_eq!(r2, d);
-        // equal
-        let (q3, r3) = a.div_rem(&a);
-        assert_eq!(q3, U256::ONE);
-        assert!(r3.is_zero());
-    }
-
-    #[test]
     fn ordering() {
         let a = U256::from_u64(5) << 200;
         let b = U256::from_u64(6) << 100;
         assert!(a > b);
         assert!(b < a);
         assert_eq!(a.cmp(&a), core::cmp::Ordering::Equal);
+        assert!(U256::from_u128(1 << 64) > U256::from_u64(u64::MAX));
     }
 
     #[test]
     fn bitwise_ops() {
-        let a = U256::from_u128(0xf0f0);
-        let b = U256::from_u128(0x0ff0);
-        assert_eq!(a & b, U256::from_u128(0x00f0));
-        assert_eq!(a | b, U256::from_u128(0xfff0));
-        assert_eq!(a ^ b, U256::from_u128(0xff00));
-        assert_eq!(!(!a), a);
-    }
-
-    #[test]
-    fn sum_iterator() {
-        let total: U256 = (1..=10u64).map(U256::from_u64).sum();
-        assert_eq!(total, U256::from_u64(55));
+        let a = U256::from_u128(0xf0f0) << 130;
+        let b = U256::from_u128(0x0ff0) << 130;
+        assert_eq!(a & b, U256::from_u128(0x00f0) << 130);
+        assert_eq!(a | b, U256::from_u128(0xfff0) << 130);
     }
 
     #[test]
@@ -498,5 +269,12 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn debug_add_overflow_panics() {
         let _ = U256::MAX + U256::ONE;
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overflow")]
+    fn debug_sub_overflow_panics() {
+        let _ = U256::ZERO - U256::ONE;
     }
 }

@@ -7,8 +7,6 @@
 //! generator of `java.util.SplittableRandom`), which passes BigCrush and is
 //! four instructions per draw.
 
-use crate::Wide;
-
 /// Deterministic 64-bit SplitMix64 generator.
 ///
 /// # Examples
@@ -76,31 +74,11 @@ impl SplitMix64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Next wide integer with uniformly random low `bits` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits > Wide::<L>::BITS`.
-    pub fn next_wide<const L: usize>(&mut self, bits: u32) -> Wide<L> {
-        assert!(bits <= Wide::<L>::BITS, "too many bits for capacity");
-        let mut out = Wide::<L>::ZERO;
-        let mut remaining = bits;
-        let mut i = 0;
-        while remaining > 0 {
-            let take = remaining.min(64);
-            out.limbs_mut()[i] = self.next_bits(take);
-            remaining -= take;
-            i += 1;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::U256;
 
     #[test]
     fn deterministic_stream() {
@@ -161,25 +139,5 @@ mod tests {
         }
         let mean = sum / 10_000.0;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean} far from 0.5");
-    }
-
-    #[test]
-    fn next_wide_respects_bit_budget() {
-        let mut g = SplitMix64::new(11);
-        for bits in [0u32, 1, 64, 65, 128, 255, 256] {
-            let v: U256 = g.next_wide(bits);
-            assert!(
-                v.bit_len() <= bits,
-                "value used {} bits > {bits}",
-                v.bit_len()
-            );
-        }
-        // Top bits should actually get populated eventually.
-        let mut top_seen = false;
-        for _ in 0..50 {
-            let v: U256 = g.next_wide(256);
-            top_seen |= v.bit(255);
-        }
-        assert!(top_seen);
     }
 }

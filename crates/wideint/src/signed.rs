@@ -17,14 +17,14 @@ use crate::U256;
 /// # Examples
 ///
 /// ```
-/// use sdlc_wideint::I256;
+/// use sdlc_wideint::{I256, U256};
 ///
 /// let a = I256::from_i128(-7);
-/// let b = I256::from_i128(3);
-/// assert_eq!(a.wrapping_add(&b).to_i128(), Some(-4));
+/// let b = I256::from_sign_magnitude(&U256::from_u64(3), false);
 /// assert!(a < b);
 /// assert_eq!(a.to_string(), "-7");
-/// assert_eq!(a.magnitude().as_u64(), 7);
+/// assert_eq!(a.magnitude(), U256::from_u64(7));
+/// assert_eq!(b.to_i128(), Some(3));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct I256 {
@@ -38,18 +38,7 @@ impl I256 {
     /// Sign-extends an `i128` into the full 256-bit representation.
     #[must_use]
     pub fn from_i128(value: i128) -> Self {
-        let low = U256::from_u128(value as u128);
-        if value < 0 {
-            // Set limbs 2 and 3 to all-ones to complete the extension.
-            let mut limbs = low.into_limbs();
-            limbs[2] = u64::MAX;
-            limbs[3] = u64::MAX;
-            Self {
-                bits: U256::from_limbs(limbs),
-            }
-        } else {
-            Self { bits: low }
-        }
+        Self::from_twos_complement(&U256::from_u128(value as u128), 128)
     }
 
     /// Builds a value from an unsigned magnitude and a sign — the shape
@@ -84,18 +73,14 @@ impl I256 {
     #[must_use]
     pub fn from_twos_complement(bits: &U256, width: u32) -> Self {
         assert!((1..=256).contains(&width), "width {width} out of 1..=256");
-        if width == 256 || !bits.bit(width - 1) {
-            let mut out = *bits;
-            for i in width..256 {
-                out.set_bit(i, false);
-            }
-            return Self { bits: out };
+        let low = *bits & (U256::MAX >> (256 - width));
+        Self {
+            bits: if bits.bit(width - 1) {
+                low | (U256::MAX << width)
+            } else {
+                low
+            },
         }
-        let mut out = *bits;
-        for i in width..256 {
-            out.set_bit(i, true);
-        }
-        Self { bits: out }
     }
 
     /// Raw two's-complement bit pattern.
@@ -108,12 +93,6 @@ impl I256 {
     #[must_use]
     pub fn is_negative(&self) -> bool {
         self.bits.bit(255)
-    }
-
-    /// True for zero.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.bits.is_zero()
     }
 
     /// Absolute value as an unsigned integer (`|-2^255|` = `2^255` is
@@ -130,85 +109,27 @@ impl I256 {
     /// Converts to `i128` if the value fits.
     #[must_use]
     pub fn to_i128(&self) -> Option<i128> {
-        let limbs = self.bits.limbs();
-        let low = (u128::from(limbs[1]) << 64) | u128::from(limbs[0]);
-        let extension = if self.is_negative() { u64::MAX } else { 0 };
-        let sign_ok = (low as i128 >= 0) != self.is_negative();
-        if limbs[2] == extension && limbs[3] == extension && sign_ok {
-            Some(low as i128)
-        } else {
-            None
-        }
-    }
-
-    /// Two's-complement negation (wraps only for `-2^255`).
-    #[must_use]
-    pub fn wrapping_neg(&self) -> Self {
-        Self {
-            bits: U256::ZERO.wrapping_sub(&self.bits),
-        }
-    }
-
-    /// Wrapping addition.
-    #[must_use]
-    pub fn wrapping_add(&self, rhs: &Self) -> Self {
-        Self {
-            bits: self.bits.wrapping_add(&rhs.bits),
-        }
-    }
-
-    /// Wrapping subtraction.
-    #[must_use]
-    pub fn wrapping_sub(&self, rhs: &Self) -> Self {
-        Self {
-            bits: self.bits.wrapping_sub(&rhs.bits),
-        }
-    }
-
-    /// Absolute difference `|self − rhs|` as an unsigned integer — the
-    /// error-distance primitive of the signed metrics.
-    #[must_use]
-    pub fn abs_diff(&self, rhs: &Self) -> U256 {
-        if self >= rhs {
-            self.bits.wrapping_sub(&rhs.bits)
-        } else {
-            rhs.bits.wrapping_sub(&self.bits)
-        }
-    }
-
-    /// Nearest `f64` (sign applied to the magnitude's conversion).
-    #[must_use]
-    pub fn to_f64(&self) -> f64 {
-        let mag = self.magnitude().to_f64();
-        if self.is_negative() {
-            -mag
-        } else {
-            mag
-        }
+        let low = (self.bits & (U256::MAX >> 128)).to_u128()? as i128;
+        // The value fits exactly when sign-extending its low 128 bits
+        // reproduces it.
+        (Self::from_i128(low) == *self).then_some(low)
     }
 }
 
 impl Ord for I256 {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Flipping the sign bit turns two's-complement order into
-        // unsigned order.
-        let mut a = self.bits;
-        let mut b = other.bits;
-        a.set_bit(255, !a.bit(255));
-        b.set_bit(255, !b.bit(255));
-        a.cmp(&b)
+        // Negative values first; within one sign, two's-complement order
+        // is unsigned order.
+        other
+            .is_negative()
+            .cmp(&self.is_negative())
+            .then_with(|| self.bits.cmp(&other.bits))
     }
 }
 
 impl PartialOrd for I256 {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-impl From<i128> for I256 {
-    fn from(value: i128) -> Self {
-        Self::from_i128(value)
     }
 }
 
@@ -233,6 +154,7 @@ mod tests {
             assert_eq!(wide.to_i128(), Some(v), "value {v}");
             assert_eq!(wide.is_negative(), v < 0);
             assert_eq!(wide.to_string(), v.to_string());
+            assert_eq!(wide.magnitude(), U256::from_u128(v.unsigned_abs()));
         }
     }
 
@@ -240,7 +162,8 @@ mod tests {
     fn magnitude_of_min_is_exact() {
         let min = I256::from_i128(i128::MIN);
         assert_eq!(min.magnitude(), U256::from_u128(1) << 127);
-        assert_eq!(min.to_f64(), -(2f64.powi(127)));
+        let extreme = I256::from_sign_magnitude(&(U256::ONE << 255), true);
+        assert_eq!(extreme.magnitude(), U256::ONE << 255);
     }
 
     #[test]
@@ -273,38 +196,51 @@ mod tests {
         let raw = U256::from_u64(0xF);
         assert_eq!(I256::from_twos_complement(&raw, 4).to_i128(), Some(-1));
         assert_eq!(I256::from_twos_complement(&raw, 5).to_i128(), Some(15));
+        // Bits above the width are ignored.
+        let dirty = raw | (U256::ONE << 200);
+        assert_eq!(I256::from_twos_complement(&dirty, 4).to_i128(), Some(-1));
+        assert_eq!(I256::from_twos_complement(&dirty, 8).to_i128(), Some(15));
         // Full-width patterns pass through.
         let neg = I256::from_i128(-123);
         assert_eq!(
             I256::from_twos_complement(&neg.to_twos_complement(), 256),
             neg
         );
+        assert_eq!(
+            I256::from_twos_complement(&U256::MAX, 1).to_i128(),
+            Some(-1)
+        );
     }
 
     #[test]
     fn to_i128_rejects_wide_values() {
-        let big = I256::from_sign_magnitude(&(U256::from_u64(1) << 200), false);
-        assert_eq!(big.to_i128(), None);
-        assert_eq!(big.wrapping_neg().to_i128(), None);
-        // One past i128::MIN in magnitude.
-        let just_over = I256::from_sign_magnitude(&(U256::from_u64(1) << 127), false);
-        assert_eq!(just_over.to_i128(), None);
-        assert_eq!(just_over.wrapping_neg().to_i128(), Some(i128::MIN));
+        let big = U256::from_u64(1) << 200;
+        assert_eq!(I256::from_sign_magnitude(&big, false).to_i128(), None);
+        assert_eq!(I256::from_sign_magnitude(&big, true).to_i128(), None);
+        // One past i128::MAX, and exactly i128::MIN.
+        let just_over = U256::from_u64(1) << 127;
+        assert_eq!(I256::from_sign_magnitude(&just_over, false).to_i128(), None);
+        assert_eq!(
+            I256::from_sign_magnitude(&just_over, true).to_i128(),
+            Some(i128::MIN)
+        );
+        // One past i128::MIN.
+        let below_min = just_over + U256::ONE;
+        assert_eq!(I256::from_sign_magnitude(&below_min, true).to_i128(), None);
     }
 
     #[test]
     fn arithmetic_and_ordering() {
         let a = I256::from_i128(-100);
         let b = I256::from_i128(30);
-        assert_eq!(a.wrapping_add(&b).to_i128(), Some(-70));
-        assert_eq!(a.wrapping_sub(&b).to_i128(), Some(-130));
-        assert_eq!(a.wrapping_neg().to_i128(), Some(100));
-        assert_eq!(a.abs_diff(&b), U256::from_u64(130));
-        assert_eq!(b.abs_diff(&a), U256::from_u64(130));
         assert!(a < b);
         assert!(I256::from_i128(-2) < I256::from_i128(-1));
         assert!(I256::from_i128(1) > I256::from_i128(-1));
-        assert_eq!(I256::from(5i128).to_f64(), 5.0);
-        assert_eq!(I256::from(-5i128).to_f64(), -5.0);
+        assert!(I256::from_i128(i128::MIN) < I256::ZERO);
+        let extreme = I256::from_sign_magnitude(&(U256::ONE << 255), true);
+        let top = I256::from_sign_magnitude(&(U256::MAX >> 1), false);
+        assert!(extreme < I256::from_i128(i128::MIN));
+        assert!(top > I256::from_i128(i128::MAX));
+        assert_eq!(a.cmp(&a), Ordering::Equal);
     }
 }

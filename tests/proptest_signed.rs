@@ -1,10 +1,10 @@
 //! Property-based invariants of the signed multiplier layer.
 
 use proptest::prelude::*;
-use sdlc::core::batch::{SignedBatchMultiplier, LANES};
+use sdlc::core::batch::LANES;
 use sdlc::core::signed::{signed_accurate, signed_operand_range};
 use sdlc::core::{
-    AccurateMultiplier, Multiplier, SdlcMultiplier, SignMagnitude, SignedMultiplier, PAPER_WIDTHS,
+    AccurateMultiplier, SdlcMultiplier, SignMagnitude, SignedMultiplier, PAPER_WIDTHS,
 };
 use sdlc::wideint::{I256, U256};
 

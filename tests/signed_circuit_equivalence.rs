@@ -6,9 +6,8 @@
 
 use sdlc::core::baselines::{EtmMultiplier, KulkarniMultiplier, TruncatedMultiplier};
 use sdlc::core::circuits::{
-    accurate_multiplier, etm_multiplier, kulkarni_multiplier, sdlc_multiplier,
-    signed_accurate_multiplier, signed_multiplier, signed_sdlc_multiplier, truncated_multiplier,
-    ReductionScheme,
+    accurate_multiplier, etm_multiplier, kulkarni_multiplier, signed_accurate_multiplier,
+    signed_multiplier, signed_sdlc_multiplier, truncated_multiplier, ReductionScheme,
 };
 use sdlc::core::{
     AccurateMultiplier, ClusterVariant, SdlcMultiplier, SignMagnitude, SignedMultiplier,

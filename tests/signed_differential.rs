@@ -16,7 +16,7 @@
 //!    {2, 3, 4} × all four cluster variants, plus the baselines.
 
 use sdlc::core::baselines::{EtmMultiplier, KulkarniMultiplier, TruncatedMultiplier};
-use sdlc::core::batch::{SignedBatchMultiplier, LANES};
+use sdlc::core::batch::LANES;
 use sdlc::core::error::{exhaustive_signed_with, sampled_signed_with, Engine, EvalOptions};
 use sdlc::core::signed::signed_operand_range;
 use sdlc::core::{
