@@ -23,15 +23,18 @@ use sdlc_sim::equiv::{check, Coverage};
 use sdlc_sim::Engine;
 use sdlc_wideint::U256;
 
+/// An unsigned functional model, checked against its netlist.
+type Oracle = Box<dyn Fn(u128, u128) -> U256 + Sync>;
+
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())
 }
 
-fn designs(width: u32) -> Vec<(String, Netlist, Box<dyn Fn(u128, u128) -> U256 + Sync>)> {
+fn designs(width: u32) -> Vec<(String, Netlist, Oracle)> {
     let scheme = ReductionScheme::RippleRows;
-    let mut out: Vec<(String, Netlist, Box<dyn Fn(u128, u128) -> U256 + Sync>)> = vec![(
+    let mut out: Vec<(String, Netlist, Oracle)> = vec![(
         "accurate".into(),
         accurate_multiplier(width, scheme).expect("valid width"),
         Box::new(|a, b| U256::from_u128(a).wrapping_mul(&U256::from_u128(b))),

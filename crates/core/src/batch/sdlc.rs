@@ -306,12 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_thresholds_agree() {
-        let model = SdlcMultiplier::with_thresholds(8, 2, vec![8, 7, 6, 5, 4, 3, 2, 1]).unwrap();
-        agree_on(&model, 0xCAFE);
-    }
-
-    #[test]
     fn width_32_agrees() {
         let model = SdlcMultiplier::new(32, 3).unwrap();
         agree_on(&model, 32);

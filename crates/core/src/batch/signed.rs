@@ -201,10 +201,10 @@ mod tests {
             let a = sign_extend(a_pattern, 6);
             batch.sweep_operand_row_signed(a_pattern, 64, &mut |b0, planes| {
                 crate::batch::extract_product_lanes(planes, &mut out);
-                for i in 0..LANES {
+                for (i, &lane) in out.iter().enumerate() {
                     let b = sign_extend(b0 + i as u64, 6);
                     assert_eq!(
-                        sign_extend(out[i], 12),
+                        sign_extend(lane, 12),
                         scalar.multiply_i64(a as i64, b as i64),
                         "a {a} b {b}"
                     );

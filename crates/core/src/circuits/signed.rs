@@ -75,6 +75,9 @@ mod tests {
     use sdlc_sim::equiv::{check_signed, Coverage};
     use sdlc_sim::Engine;
 
+    /// A signed functional model, checked against its netlist.
+    type SignedOracle = Box<dyn Fn(i128, i128) -> sdlc_wideint::I256 + Sync>;
+
     #[test]
     fn signed_accurate_is_twos_complement_multiplication() {
         for scheme in [ReductionScheme::RippleRows, ReductionScheme::Dadda] {
@@ -104,10 +107,7 @@ mod tests {
     #[test]
     fn signed_wrap_covers_every_baseline_generator() {
         let scheme = ReductionScheme::RippleRows;
-        let cases: Vec<(
-            Netlist,
-            Box<dyn Fn(i128, i128) -> sdlc_wideint::I256 + Sync>,
-        )> = vec![
+        let cases: Vec<(Netlist, SignedOracle)> = vec![
             (
                 signed_multiplier(
                     &truncated_multiplier(&TruncatedMultiplier::new(6, 3).unwrap(), scheme),

@@ -39,8 +39,7 @@ use crate::sdlc::{ClusterVariant, SdlcMultiplier};
 /// # Panics
 ///
 /// Panics if `width == 0` or `width > 63` (counts are kept exact in `u64`).
-#[must_use]
-pub fn adjacent_ones_profile(width: u32) -> (Vec<f64>, f64) {
+fn adjacent_ones_profile(width: u32) -> (Vec<f64>, f64) {
     assert!((1..=63).contains(&width), "width {width} out of 1..=63");
     let n = width as usize;
     // z[m] / o[m]: number of length-m strings with no "11", ending in 0 / 1.
@@ -156,19 +155,11 @@ pub fn mean_error_distance(model: &SdlcMultiplier) -> f64 {
     med
 }
 
-/// Exact normalized mean error distance (`MED / Pmax`); see
-/// [`mean_error_distance`].
-#[must_use]
-pub fn normalized_mean_error_distance(model: &SdlcMultiplier) -> f64 {
-    use crate::multiplier::Multiplier;
-    mean_error_distance(model) / model.max_product().to_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::exhaustive;
-    use crate::SdlcMultiplier;
+    use crate::{Multiplier, SdlcMultiplier};
 
     #[test]
     fn profile_is_a_distribution() {
@@ -276,7 +267,7 @@ mod tests {
         // Paper Table II NMED column, now derived without any simulation.
         for (width, expect) in [(4u32, 0.010556), (8, 0.003527), (12, 0.000952)] {
             let model = SdlcMultiplier::new(width, 2).unwrap();
-            let nmed = normalized_mean_error_distance(&model);
+            let nmed = mean_error_distance(&model) / model.max_product().to_f64();
             assert!(
                 (nmed - expect).abs() < 5e-6,
                 "width {width}: {nmed} vs {expect}"

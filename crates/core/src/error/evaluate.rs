@@ -608,8 +608,8 @@ fn draw_u128(rng: &mut SplitMix64, width: u32) -> u128 {
 
 /// Exhaustively evaluates every operand pair of an `N ≤ 16` bit multiplier
 /// on the scalar engine using all available cores — the oracle the
-/// bit-sliced engine is checked against, and the driver for models with no
-/// bit-sliced twin (e.g. [`crate::BiasCompensated`]).
+/// bit-sliced engine is checked against, and the driver for any
+/// [`Multiplier`] with no bit-sliced twin.
 ///
 /// # Errors
 ///

@@ -106,7 +106,7 @@ impl RedHistogram {
 
     /// Creates an empty histogram.
     #[must_use]
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             counts: vec![0; RED_HISTOGRAM_BINS],
             overflow: 0,
@@ -115,7 +115,7 @@ impl RedHistogram {
     }
 
     /// Records one `(exact, approximate)` product pair.
-    pub fn record(&mut self, exact: u128, approx: u128) {
+    pub(crate) fn record(&mut self, exact: u128, approx: u128) {
         self.samples += 1;
         let red = if exact == approx {
             0.0
@@ -132,7 +132,7 @@ impl RedHistogram {
     }
 
     /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &RedHistogram) {
+    pub(crate) fn merge(&mut self, other: &RedHistogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }

@@ -6,28 +6,15 @@ use sdlc_wideint::U256;
 
 use crate::batch::LANES;
 
-/// Streaming accumulator for error statistics.
+/// Streaming accumulator for error statistics, private to the error
+/// drivers.
 ///
 /// Feed it `(exact, approximate)` product pairs with
 /// [`ErrorAccumulator::record_u64`] (fast path, products ≤ 128 bits) or
 /// [`ErrorAccumulator::record`] (wide path); partial accumulators from
 /// worker threads combine with [`ErrorAccumulator::merge`].
-///
-/// # Examples
-///
-/// ```
-/// use sdlc_core::error::ErrorAccumulator;
-/// use sdlc_wideint::U256;
-///
-/// let mut acc = ErrorAccumulator::new();
-/// acc.record_u64(9, 7, (3, 3));   // ED = 2, RED = 2/9
-/// acc.record_u64(4, 4, (2, 2));   // exact
-/// let m = acc.finish(U256::from_u64(9)); // Pmax of a 2-bit multiplier
-/// assert_eq!(m.samples, 2);
-/// assert_eq!(m.error_rate, 0.5);
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct ErrorAccumulator {
+pub(crate) struct ErrorAccumulator {
     samples: u64,
     errors: u64,
     undefined_red: u64,
@@ -42,7 +29,7 @@ pub struct ErrorAccumulator {
 impl ErrorAccumulator {
     /// Creates an empty accumulator.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -54,7 +41,7 @@ impl ErrorAccumulator {
     /// defined RED; such pairs count toward ER and the ED statistics but
     /// are excluded from the RED mean and maximum
     /// ([`ErrorMetrics::undefined_red_count`] reports how many).
-    pub fn record_u64(&mut self, exact: u128, approx: u128, operands: (u64, u64)) {
+    pub(crate) fn record_u64(&mut self, exact: u128, approx: u128, operands: (u64, u64)) {
         self.samples += 1;
         if exact == approx {
             return;
@@ -93,7 +80,7 @@ impl ErrorAccumulator {
     /// two's-complement patterns (see
     /// [`ErrorMetrics::worst_red_operands_signed`]); the zero-product
     /// convention matches [`ErrorAccumulator::record_u64`].
-    pub fn record_i64(&mut self, exact: i128, approx: i128, operands: (i64, i64)) {
+    pub(crate) fn record_i64(&mut self, exact: i128, approx: i128, operands: (i64, i64)) {
         self.samples += 1;
         if exact == approx {
             return;
@@ -130,7 +117,7 @@ impl ErrorAccumulator {
 
     /// Records one multiplication with wide products; see
     /// [`ErrorAccumulator::record_u64`] for the zero-product convention.
-    pub fn record(&mut self, exact: &U256, approx: &U256, operands: (u128, u128)) {
+    pub(crate) fn record(&mut self, exact: &U256, approx: &U256, operands: (u128, u128)) {
         self.samples += 1;
         if exact == approx {
             return;
@@ -225,15 +212,9 @@ impl ErrorAccumulator {
         }
     }
 
-    /// Number of samples recorded so far.
-    #[must_use]
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
     /// Combines a partial accumulator (e.g. from another thread) into this
     /// one.
-    pub fn merge(&mut self, other: &ErrorAccumulator) {
+    pub(crate) fn merge(&mut self, other: &ErrorAccumulator) {
         self.samples += other.samples;
         self.errors += other.errors;
         self.undefined_red += other.undefined_red;
@@ -253,7 +234,7 @@ impl ErrorAccumulator {
     ///
     /// Panics if no samples were recorded or `pmax` is zero.
     #[must_use]
-    pub fn finish(&self, pmax: U256) -> ErrorMetrics {
+    pub(crate) fn finish(&self, pmax: U256) -> ErrorMetrics {
         self.finish_inner(pmax, false)
     }
 
@@ -267,7 +248,7 @@ impl ErrorAccumulator {
     ///
     /// Panics if no samples were recorded or `pmax` is zero.
     #[must_use]
-    pub fn finish_signed(&self, pmax: U256) -> ErrorMetrics {
+    pub(crate) fn finish_signed(&self, pmax: U256) -> ErrorMetrics {
         self.finish_inner(pmax, true)
     }
 
@@ -344,9 +325,8 @@ pub struct ErrorMetrics {
     /// signed runs these are full-width two's-complement patterns; decode
     /// them with [`ErrorMetrics::worst_red_operands_signed`].
     pub worst_red_operands: Option<(u128, u128)>,
-    /// Whether the operand domain was signed (recorded through
-    /// [`ErrorAccumulator::record_i64`] / finished with
-    /// [`ErrorAccumulator::finish_signed`]): the sweep covered
+    /// Whether the operand domain was signed (a two's-complement sweep
+    /// such as [`crate::error::exhaustive_signed_with`]): the sweep covered
     /// `[-2^{N-1}, 2^{N-1})²` and `Pmax = (2^{N-1})²`.
     pub signed: bool,
 }

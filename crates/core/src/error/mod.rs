@@ -32,16 +32,14 @@ mod histogram;
 mod metrics;
 mod signed;
 
-pub use analytic::{
-    adjacent_ones_profile, error_rate_depth2, mean_error_distance, normalized_mean_error_distance,
-};
+pub use analytic::{error_rate_depth2, mean_error_distance};
 pub use evaluate::{
     exhaustive, exhaustive_with, exhaustive_with_engine, sampled, sampled_with,
     sampled_with_operands, Engine, EvalError, EvalOptions, BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
     EXHAUSTIVE_WIDTH_LIMIT,
 };
 pub use histogram::{RedHistogram, RED_HISTOGRAM_BINS};
-pub use metrics::{ErrorAccumulator, ErrorMetrics};
+pub use metrics::ErrorMetrics;
 // The deterministic work splitter every parallel driver shards through —
 // re-exported so downstream sweeps (benches, external tools) can partition
 // work the exact same way and inherit the bit-identity guarantees.

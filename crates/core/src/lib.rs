@@ -20,9 +20,7 @@
 //!   MaxRED), exhaustive and Monte-Carlo evaluators, RED histograms
 //!   (Figure 5) and an exact analytical error-rate model;
 //! * [`circuits`] — gate-level netlist generators for every multiplier,
-//!   feeding the synthesis-style area/power/delay flow;
-//! * [`BiasCompensated`] — constant error correction driven by the exact
-//!   closed-form mean-error model (with its measured limits documented).
+//!   feeding the synthesis-style area/power/delay flow.
 //!
 //! # Quickstart
 //!
@@ -41,7 +39,6 @@
 pub mod baselines;
 pub mod batch;
 pub mod circuits;
-mod compensate;
 pub mod error;
 pub mod matrix;
 mod multiplier;
@@ -49,13 +46,9 @@ mod sdlc;
 pub mod signed;
 
 pub use batch::{BatchMultiplier, Batchable};
-pub use compensate::BiasCompensated;
 pub use multiplier::{AccurateMultiplier, Multiplier, SpecError};
 pub use sdlc::{ClusterVariant, SdlcMultiplier};
 pub use signed::{SignMagnitude, SignedMultiplier};
 
 /// Operand widths synthesized in the paper's evaluation (Figure 6).
 pub const PAPER_WIDTHS: [u32; 8] = [4, 6, 8, 12, 16, 32, 64, 128];
-
-/// Cluster depths evaluated in the paper (Table III, Figures 4/7/8).
-pub const PAPER_DEPTHS: [u32; 3] = [2, 3, 4];

@@ -298,41 +298,6 @@ impl SdlcMultiplier {
         Ok(multiplier)
     }
 
-    /// Creates an SDLC multiplier with caller-supplied per-row compression
-    /// thresholds (`thresholds[k]` = `t(k)`; dots with `j < t(k)` are
-    /// OR-compressed within their depth-`depth` cluster).
-    ///
-    /// This is the research back-door used by the ablation benches to
-    /// explore tail schedules beyond the named [`ClusterVariant`]s.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError`] under the same conditions as
-    /// [`SdlcMultiplier::new`], or if `thresholds.len() != width` or any
-    /// threshold exceeds the width.
-    pub fn with_thresholds(
-        width: u32,
-        depth: u32,
-        thresholds: Vec<u32>,
-    ) -> Result<Self, SpecError> {
-        let mut multiplier = Self::with_variant(width, depth, ClusterVariant::Progressive)?;
-        if thresholds.len() != width as usize {
-            return Err(SpecError::Width {
-                width,
-                requirement: "needs one threshold per row",
-            });
-        }
-        if thresholds.iter().any(|&t| t > width) {
-            return Err(SpecError::Width {
-                width,
-                requirement: "thresholds must be <= width",
-            });
-        }
-        multiplier.thresholds = thresholds;
-        multiplier.rebuild_groups();
-        Ok(multiplier)
-    }
-
     /// Recomputes the per-group masks from `self.thresholds`.
     fn rebuild_groups(&mut self) {
         let thresholds = &self.thresholds;

@@ -6,7 +6,8 @@
 //! exact-multiplier result (Figure 8). This crate provides everything that
 //! experiment needs:
 //!
-//! * [`GrayImage`] — 8-bit grayscale images with PGM (P2/P5) I/O;
+//! * [`GrayImage`] — 8-bit grayscale images, written out as binary PGM
+//!   (P5) by [`write_pgm`];
 //! * [`scenes`] — procedural test scenes (the paper's photograph is not
 //!   redistributable; PSNR is measured against an internal reference, so
 //!   scene choice only needs to exercise the full intensity range);
@@ -42,7 +43,7 @@ mod sobel;
 pub use convolve::convolve_3x3;
 pub use image::GrayImage;
 pub use kernel::FixedKernel;
-pub use pgm::{read_pgm, write_pgm, PgmError};
+pub use pgm::write_pgm;
 pub use signed_kernel::SignedKernel;
 pub use sobel::{
     convolve_3x3_signed, gradient_magnitude, scharr_magnitude, sobel_magnitude, GradientField,

@@ -1,187 +1,34 @@
-//! Netpbm PGM image I/O (P2 ASCII and P5 binary), 8-bit only.
+//! Netpbm PGM image output (P5 binary), 8-bit only.
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 use crate::image::GrayImage;
-
-/// PGM parsing/encoding errors.
-#[derive(Debug)]
-pub enum PgmError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// Missing or unsupported magic number (only P2/P5 are supported).
-    BadMagic(String),
-    /// Header fields missing or malformed.
-    BadHeader(String),
-    /// Pixel payload shorter than the header promises, or invalid ASCII.
-    BadPixels(String),
-}
-
-impl std::fmt::Display for PgmError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PgmError::Io(e) => write!(f, "i/o error: {e}"),
-            PgmError::BadMagic(m) => write!(f, "unsupported magic {m:?} (want P2 or P5)"),
-            PgmError::BadHeader(m) => write!(f, "malformed header: {m}"),
-            PgmError::BadPixels(m) => write!(f, "malformed pixel data: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for PgmError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PgmError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for PgmError {
-    fn from(e: std::io::Error) -> Self {
-        PgmError::Io(e)
-    }
-}
-
-/// Reads a P2 or P5 PGM image.
-///
-/// # Errors
-///
-/// Returns [`PgmError`] on I/O failure or malformed content; images with
-/// `maxval != 255` are rejected as unsupported.
-pub fn read_pgm(reader: &mut impl BufRead) -> Result<GrayImage, PgmError> {
-    let mut content = Vec::new();
-    reader.read_to_end(&mut content)?;
-    let mut pos = 0usize;
-
-    let next_token = |content: &[u8], pos: &mut usize| -> Result<String, PgmError> {
-        // Skip whitespace and comments.
-        loop {
-            while *pos < content.len() && content[*pos].is_ascii_whitespace() {
-                *pos += 1;
-            }
-            if *pos < content.len() && content[*pos] == b'#' {
-                while *pos < content.len() && content[*pos] != b'\n' {
-                    *pos += 1;
-                }
-            } else {
-                break;
-            }
-        }
-        let start = *pos;
-        while *pos < content.len() && !content[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-        if start == *pos {
-            return Err(PgmError::BadHeader("unexpected end of file".into()));
-        }
-        Ok(String::from_utf8_lossy(&content[start..*pos]).into_owned())
-    };
-
-    let magic = next_token(&content, &mut pos)?;
-    if magic != "P2" && magic != "P5" {
-        return Err(PgmError::BadMagic(magic));
-    }
-    let parse = |t: String| -> Result<u32, PgmError> {
-        t.parse()
-            .map_err(|_| PgmError::BadHeader(format!("not a number: {t:?}")))
-    };
-    let width = parse(next_token(&content, &mut pos)?)?;
-    let height = parse(next_token(&content, &mut pos)?)?;
-    let maxval = parse(next_token(&content, &mut pos)?)?;
-    if width == 0 || height == 0 {
-        return Err(PgmError::BadHeader("zero dimension".into()));
-    }
-    if maxval != 255 {
-        return Err(PgmError::BadHeader(format!("unsupported maxval {maxval}")));
-    }
-    let count = (width * height) as usize;
-    let data = if magic == "P5" {
-        pos += 1; // single whitespace after maxval
-        if content.len() < pos + count {
-            return Err(PgmError::BadPixels(format!(
-                "need {count} bytes, found {}",
-                content.len().saturating_sub(pos)
-            )));
-        }
-        content[pos..pos + count].to_vec()
-    } else {
-        let mut pixels = Vec::with_capacity(count);
-        for _ in 0..count {
-            let token = next_token(&content, &mut pos)
-                .map_err(|_| PgmError::BadPixels("ran out of ASCII samples".into()))?;
-            let value: u32 = token
-                .parse()
-                .map_err(|_| PgmError::BadPixels(format!("bad sample {token:?}")))?;
-            if value > 255 {
-                return Err(PgmError::BadPixels(format!("sample {value} exceeds 255")));
-            }
-            pixels.push(value as u8);
-        }
-        pixels
-    };
-    Ok(GrayImage::from_raw(width, height, data))
-}
 
 /// Writes a binary (P5) PGM image.
 ///
 /// # Errors
 ///
-/// Returns [`PgmError::Io`] on write failure.
-pub fn write_pgm(image: &GrayImage, writer: &mut impl Write) -> Result<(), PgmError> {
+/// Returns the writer's error on write failure.
+pub fn write_pgm(image: &GrayImage, writer: &mut impl Write) -> std::io::Result<()> {
     writeln!(writer, "P5")?;
     writeln!(writer, "# sdlc-imgproc")?;
     writeln!(writer, "{} {}", image.width(), image.height())?;
     writeln!(writer, "255")?;
-    writer.write_all(image.pixels())?;
-    Ok(())
+    writer.write_all(image.pixels())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenes;
-    use std::io::BufReader;
 
     #[test]
-    fn binary_roundtrip() {
-        let img = scenes::blobs(37, 23, 3);
+    fn writes_byte_exact_p5() {
+        let img = GrayImage::from_raw(3, 2, vec![0, 1, 127, 128, 254, 255]);
         let mut buffer = Vec::new();
         write_pgm(&img, &mut buffer).unwrap();
-        let back = read_pgm(&mut BufReader::new(buffer.as_slice())).unwrap();
-        assert_eq!(img, back);
-    }
-
-    #[test]
-    fn ascii_p2_parses_with_comments() {
-        let text = "P2 # a comment\n# another\n2 2\n255\n0 128\n255 7\n";
-        let img = read_pgm(&mut BufReader::new(text.as_bytes())).unwrap();
-        assert_eq!(img.get(0, 0), 0);
-        assert_eq!(img.get(1, 0), 128);
-        assert_eq!(img.get(0, 1), 255);
-        assert_eq!(img.get(1, 1), 7);
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let err = read_pgm(&mut BufReader::new("P7 2 2 255".as_bytes())).unwrap_err();
-        assert!(matches!(err, PgmError::BadMagic(_)));
-        assert!(err.to_string().contains("P7"));
-    }
-
-    #[test]
-    fn rejects_wrong_maxval_and_truncated_payload() {
-        let err = read_pgm(&mut BufReader::new("P2 1 1 65535 0".as_bytes())).unwrap_err();
-        assert!(matches!(err, PgmError::BadHeader(_)));
-        let err = read_pgm(&mut BufReader::new("P2 2 2 255 1 2 3".as_bytes())).unwrap_err();
-        assert!(matches!(err, PgmError::BadPixels(_)));
-        let err = read_pgm(&mut BufReader::new(&b"P5 4 4 255 \x01\x02"[..])).unwrap_err();
-        assert!(matches!(err, PgmError::BadPixels(_)));
-    }
-
-    #[test]
-    fn rejects_oversized_ascii_sample() {
-        let err = read_pgm(&mut BufReader::new("P2 1 1 255 999".as_bytes())).unwrap_err();
-        assert!(matches!(err, PgmError::BadPixels(_)));
+        assert_eq!(
+            buffer,
+            b"P5\n# sdlc-imgproc\n3 2\n255\n\x00\x01\x7f\x80\xfe\xff".to_vec()
+        );
     }
 }

@@ -109,6 +109,7 @@ mod tests {
         let w = [[-3, 0, 3], [-10, 5, 10], [-3, 0, 3]];
         let k = SignedKernel::from_weights(w);
         assert_eq!(k.weight(0, 1), -10);
-        assert_eq!(k.weight_sum(), 2 * (3 - 3) + 5);
+        // The ±3 and ±10 taps cancel, leaving the centre tap.
+        assert_eq!(k.weight_sum(), 5);
     }
 }

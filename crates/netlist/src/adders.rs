@@ -11,24 +11,24 @@ use crate::ir::{NetId, Netlist};
 
 /// Sum and carry of a half adder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HalfAdd {
+pub(crate) struct HalfAdd {
     /// `a ⊕ b`.
-    pub sum: NetId,
+    pub(crate) sum: NetId,
     /// `a ∧ b`.
-    pub carry: NetId,
+    pub(crate) carry: NetId,
 }
 
 /// Sum and carry of a full adder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FullAdd {
+pub(crate) struct FullAdd {
     /// `a ⊕ b ⊕ c`.
-    pub sum: NetId,
+    pub(crate) sum: NetId,
     /// Majority carry.
-    pub carry: NetId,
+    pub(crate) carry: NetId,
 }
 
 /// Builds a half adder.
-pub fn half_adder(n: &mut Netlist, a: NetId, b: NetId) -> HalfAdd {
+pub(crate) fn half_adder(n: &mut Netlist, a: NetId, b: NetId) -> HalfAdd {
     HalfAdd {
         sum: n.xor2(a, b),
         carry: n.and2(a, b),
@@ -37,7 +37,7 @@ pub fn half_adder(n: &mut Netlist, a: NetId, b: NetId) -> HalfAdd {
 
 /// Builds a full adder from five 2-input gates:
 /// `sum = (a⊕b)⊕c`, `carry = (a∧b) ∨ (c∧(a⊕b))`.
-pub fn full_adder(n: &mut Netlist, a: NetId, b: NetId, c: NetId) -> FullAdd {
+pub(crate) fn full_adder(n: &mut Netlist, a: NetId, b: NetId, c: NetId) -> FullAdd {
     let axb = n.xor2(a, b);
     let sum = n.xor2(axb, c);
     let and1 = n.and2(a, b);
@@ -119,25 +119,8 @@ pub fn ripple_add_shifted(n: &mut Netlist, a: &[NetId], b: &[NetId], shift: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{GateKind, Netlist};
-
-    /// Evaluates a pure combinational netlist by walking gates in order —
-    /// a tiny local interpreter so this crate's tests need no simulator.
-    fn eval(n: &Netlist, stimulus: &[(NetId, bool)]) -> Vec<bool> {
-        let mut values = vec![false; n.net_count()];
-        let map: std::collections::HashMap<_, _> = stimulus.iter().copied().collect();
-        for gate in n.gates() {
-            let value = match gate.kind {
-                GateKind::Input => *map.get(&gate.output).expect("stimulus covers inputs"),
-                kind => {
-                    let pins: Vec<bool> = gate.inputs.iter().map(|i| values[i.index()]).collect();
-                    kind.evaluate(&pins)
-                }
-            };
-            values[gate.output.index()] = value;
-        }
-        n.outputs().iter().map(|o| values[o.index()]).collect()
-    }
+    use crate::ir::Netlist;
+    use crate::testing::outputs as eval;
 
     fn drive(bits: &[NetId], value: u64) -> Vec<(NetId, bool)> {
         bits.iter()

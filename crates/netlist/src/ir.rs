@@ -259,7 +259,7 @@ impl Netlist {
 
     /// All declared bus names in deterministic (lexicographic) order.
     #[must_use]
-    pub fn bus_names(&self) -> Vec<String> {
+    pub(crate) fn bus_names(&self) -> Vec<String> {
         self.buses.keys().cloned().collect()
     }
 
@@ -416,28 +416,14 @@ impl Netlist {
 
     /// Balanced OR tree over any number of nets (empty → constant 0).
     pub fn or_tree(&mut self, nets: &[NetId]) -> NetId {
-        self.tree(nets, GateKind::Or2)
-    }
-
-    /// Balanced AND tree over any number of nets (empty → constant 1).
-    pub fn and_tree(&mut self, nets: &[NetId]) -> NetId {
-        self.tree(nets, GateKind::And2)
-    }
-
-    fn tree(&mut self, nets: &[NetId], kind: GateKind) -> NetId {
         match nets.len() {
-            0 => match kind {
-                GateKind::Or2 => self.const0(),
-                GateKind::And2 => self.const1(),
-                _ => unreachable!("trees are built from OR2/AND2"),
-            },
+            0 => self.const0(),
             1 => nets[0],
             len => {
                 let (lo, hi) = nets.split_at(len / 2);
-                let (lo, hi) = (lo.to_vec(), hi.to_vec());
-                let l = self.tree(&lo, kind);
-                let r = self.tree(&hi, kind);
-                self.add_gate(kind, &[l, r])
+                let l = self.or_tree(lo);
+                let r = self.or_tree(hi);
+                self.or2(l, r)
             }
         }
     }
@@ -461,21 +447,6 @@ impl Netlist {
             .iter()
             .filter(|g| g.kind != GateKind::Input)
             .count()
-    }
-
-    /// Fanout count per net.
-    #[must_use]
-    pub fn fanouts(&self) -> Vec<u32> {
-        let mut fanout = vec![0u32; self.net_count()];
-        for gate in &self.gates {
-            for input in &gate.inputs {
-                fanout[input.index()] += 1;
-            }
-        }
-        for output in &self.outputs {
-            fanout[output.index()] += 1;
-        }
-        fanout
     }
 
     /// Checks structural invariants.
@@ -518,11 +489,6 @@ impl Netlist {
             self.driver[gate.output.index()] = Some(i);
         }
         debug_assert_eq!(self.validate(), Ok(()));
-    }
-
-    /// Renames the design.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
     }
 }
 
@@ -614,26 +580,6 @@ mod tests {
             m.driver_of(root).map(|i| m.gates()[i].kind),
             Some(GateKind::Const0)
         );
-        let root1 = m.and_tree(&[]);
-        assert_eq!(
-            m.driver_of(root1).map(|i| m.gates()[i].kind),
-            Some(GateKind::Const1)
-        );
-    }
-
-    #[test]
-    fn fanout_accounting() {
-        let mut n = Netlist::new("f");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let x = n.and2(a, b);
-        let y = n.or2(x, a); // a has fanout 2, x fanout 1 (plus output below)
-        n.set_output_bus("y", vec![y]);
-        let fanout = n.fanouts();
-        assert_eq!(fanout[a.index()], 2);
-        assert_eq!(fanout[b.index()], 1);
-        assert_eq!(fanout[x.index()], 1);
-        assert_eq!(fanout[y.index()], 1); // the primary output counts
     }
 
     #[test]

@@ -29,7 +29,6 @@
 //! ```
 
 pub mod adders;
-mod dot;
 mod ir;
 pub mod passes;
 pub mod reduce;
@@ -37,7 +36,42 @@ pub mod signed;
 mod stats;
 mod verilog;
 
-pub use dot::to_dot;
 pub use ir::{Gate, GateKind, NetId, Netlist, ValidateError};
 pub use stats::NetlistStats;
 pub use verilog::to_verilog;
+
+/// Gate-order interpreter for this crate's unit tests: `sdlc-sim` sits
+/// above this crate, so they cannot use a real simulator. Netlists are
+/// feed-forward by construction, so one pass settles every net.
+#[cfg(test)]
+pub(crate) mod testing {
+    use std::collections::HashMap;
+
+    use crate::{GateKind, NetId, Netlist};
+
+    /// Every net's value under `stimulus`, indexed by [`NetId::index`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stimulus` leaves a primary input undriven.
+    pub(crate) fn net_values(n: &Netlist, stimulus: &[(NetId, bool)]) -> Vec<bool> {
+        let driven: HashMap<NetId, bool> = stimulus.iter().copied().collect();
+        let mut values = vec![false; n.net_count()];
+        for gate in n.gates() {
+            values[gate.output.index()] = match gate.kind {
+                GateKind::Input => *driven.get(&gate.output).expect("stimulus covers inputs"),
+                kind => {
+                    let pins: Vec<bool> = gate.inputs.iter().map(|i| values[i.index()]).collect();
+                    kind.evaluate(&pins)
+                }
+            };
+        }
+        values
+    }
+
+    /// The primary outputs' values under `stimulus`, in declaration order.
+    pub(crate) fn outputs(n: &Netlist, stimulus: &[(NetId, bool)]) -> Vec<bool> {
+        let values = net_values(n, stimulus);
+        n.outputs().iter().map(|o| values[o.index()]).collect()
+    }
+}

@@ -56,7 +56,7 @@ fn resolve(facts: &[NetFact], mut net: NetId) -> NetId {
 /// Propagates constants and aliases through the gate list, rewriting gates
 /// in place. Returns the number of simplified gates.
 #[allow(clippy::too_many_lines)]
-pub fn fold_constants(netlist: &mut Netlist) -> usize {
+fn fold_constants(netlist: &mut Netlist) -> usize {
     let net_count = netlist.net_count();
     let mut facts = vec![NetFact::Unknown; net_count];
     let mut simplified = 0;
@@ -202,7 +202,7 @@ pub fn fold_constants(netlist: &mut Netlist) -> usize {
 
 /// Removes gates whose outputs reach no primary output. Returns the number
 /// of removed gates. Primary inputs are always kept (ports are interface).
-pub fn eliminate_dead_gates(netlist: &mut Netlist) -> usize {
+fn eliminate_dead_gates(netlist: &mut Netlist) -> usize {
     let net_count = netlist.net_count();
     let gates = netlist.gates().to_vec();
     let mut live = vec![false; net_count];
@@ -229,21 +229,7 @@ pub fn eliminate_dead_gates(netlist: &mut Netlist) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn eval(n: &Netlist, stimulus: &[(NetId, bool)]) -> Vec<bool> {
-        let mut values = vec![false; n.net_count()];
-        let map: std::collections::HashMap<_, _> = stimulus.iter().copied().collect();
-        for gate in n.gates() {
-            values[gate.output.index()] = match gate.kind {
-                GateKind::Input => map.get(&gate.output).copied().unwrap_or(false),
-                kind => {
-                    let pins: Vec<bool> = gate.inputs.iter().map(|i| values[i.index()]).collect();
-                    kind.evaluate(&pins)
-                }
-            };
-        }
-        n.outputs().iter().map(|o| values[o.index()]).collect()
-    }
+    use crate::testing::outputs as eval;
 
     #[test]
     fn folds_and_with_zero() {

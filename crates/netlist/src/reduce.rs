@@ -251,24 +251,14 @@ fn final_two_row_add(n: &mut Netlist, columns: Columns) -> Vec<NetId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::GateKind;
 
+    /// The primary outputs under `stimulus`, read as one little-endian
+    /// integer.
     fn eval(n: &Netlist, stimulus: &[(NetId, bool)]) -> u64 {
-        let mut values = vec![false; n.net_count()];
-        let map: std::collections::HashMap<_, _> = stimulus.iter().copied().collect();
-        for gate in n.gates() {
-            values[gate.output.index()] = match gate.kind {
-                GateKind::Input => *map.get(&gate.output).expect("input driven"),
-                kind => {
-                    let pins: Vec<bool> = gate.inputs.iter().map(|i| values[i.index()]).collect();
-                    kind.evaluate(&pins)
-                }
-            };
-        }
-        n.outputs()
+        crate::testing::outputs(n, stimulus)
             .iter()
             .enumerate()
-            .map(|(i, o)| u64::from(values[o.index()]) << i)
+            .map(|(i, &bit)| u64::from(bit) << i)
             .sum()
     }
 

@@ -11,10 +11,11 @@
 //! 2. run the unchanged unsigned array on the magnitudes,
 //! 3. conditionally negate the product keyed on the XOR of the signs.
 //!
-//! The unsigned core is *inlined* ([`inline`]) rather than re-generated,
-//! so the wrapper works for every generator in the workspace — accurate,
-//! SDLC in any variant, and all baselines — and the word-level
-//! sign-magnitude adapter in `sdlc-core` is its exact functional model.
+//! The unsigned core is *inlined*, copied gate for gate, rather than
+//! re-generated, so the wrapper works for every generator in the
+//! workspace — accurate, SDLC in any variant, and all baselines — and the
+//! word-level sign-magnitude adapter in `sdlc-core` is its exact
+//! functional model.
 
 use std::collections::BTreeMap;
 
@@ -27,7 +28,7 @@ use crate::{GateKind, NetId, Netlist};
 /// One XOR per bit for the conditional inversion plus an AND/XOR ripple
 /// for the `+1`; the carry out of the top bit is dropped (mod-2^n
 /// semantics, so the most negative pattern negates to itself).
-pub fn conditional_negate(n: &mut Netlist, bits: &[NetId], negate: NetId) -> Vec<NetId> {
+fn conditional_negate(n: &mut Netlist, bits: &[NetId], negate: NetId) -> Vec<NetId> {
     let mut out = Vec::with_capacity(bits.len());
     let mut carry = negate;
     for (i, &bit) in bits.iter().enumerate() {
@@ -49,7 +50,7 @@ pub fn conditional_negate(n: &mut Netlist, bits: &[NetId], negate: NetId) -> Vec
 /// # Panics
 ///
 /// Panics on an empty bus.
-pub fn magnitude(n: &mut Netlist, bits: &[NetId]) -> (Vec<NetId>, NetId) {
+fn magnitude(n: &mut Netlist, bits: &[NetId]) -> (Vec<NetId>, NetId) {
     let sign = *bits.last().expect("magnitude of an empty bus");
     (conditional_negate(n, bits, sign), sign)
 }
@@ -67,7 +68,7 @@ pub fn magnitude(n: &mut Netlist, bits: &[NetId]) -> (Vec<NetId>, NetId) {
 ///
 /// Panics if a binding names an unknown bus, a width mismatches, an input
 /// of `sub` is left unbound, or a binding net does not exist in `host`.
-pub fn inline(
+fn inline(
     host: &mut Netlist,
     sub: &Netlist,
     bindings: &[(&str, &[NetId])],
@@ -161,24 +162,7 @@ pub fn sign_magnitude_wrap(core: &Netlist, width: u32) -> Netlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Minimal topological evaluator (netlists are feed-forward by
-    /// construction) — `sdlc-sim` sits above this crate, so the unit tests
-    /// bring their own.
-    fn evaluate(n: &Netlist, stimulus: &[(NetId, bool)]) -> Vec<bool> {
-        let mut values = vec![false; n.net_count()];
-        for &(net, v) in stimulus {
-            values[net.index()] = v;
-        }
-        for gate in n.gates() {
-            if gate.kind == GateKind::Input {
-                continue;
-            }
-            let inputs: Vec<bool> = gate.inputs.iter().map(|i| values[i.index()]).collect();
-            values[gate.output.index()] = gate.kind.evaluate(&inputs);
-        }
-        values
-    }
+    use crate::testing::net_values as evaluate;
 
     fn bus_stimulus(bits: &[NetId], value: u64) -> Vec<(NetId, bool)> {
         bits.iter()

@@ -42,8 +42,7 @@ pub struct Activity {
 
 impl Activity {
     /// Total toggles across all nets.
-    #[must_use]
-    pub fn total_toggles(&self) -> u64 {
+    fn total_toggles(&self) -> u64 {
         self.toggles_per_net.iter().sum()
     }
 

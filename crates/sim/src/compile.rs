@@ -22,8 +22,8 @@
 //!   net aliases its source's slot, and chains collapse transitively.
 //! * **Pre-mapped ports** — primary inputs get dedicated slots in
 //!   declaration order, so stimulus words are written straight into the
-//!   value array; any net (including bus bits) resolves to its slot once
-//!   via [`CompiledNetlist::slot_of`].
+//!   value array; any net (including bus bits) resolves to its slot once,
+//!   at compile time.
 //!
 //! Every fold preserves the boolean function of each net, so the per-net
 //! value stream — and therefore the per-net toggle count — is bit-identical
@@ -42,56 +42,34 @@ use std::collections::HashMap;
 
 use sdlc_netlist::{GateKind, NetId, Netlist};
 
-/// Slot holding the folded constant-0 plane.
-const SLOT_CONST0: u32 = 0;
-/// Slot holding the folded constant-1 plane.
-const SLOT_CONST1: u32 = 1;
-
-/// Compact opcode of one compiled operation.
-///
-/// `Input`, `Const0`, `Const1` and `Buf` never appear: inputs are written
-/// directly into their slots, constants fold into the two reserved slots,
-/// and buffers alias their source slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-enum OpCode {
-    And,
-    Or,
-    Nand,
-    Nor,
-    Xor,
-    Xnor,
-    Not,
-    Mux,
-}
+use crate::ops::{scatter_toggles, source_slots, Op, SLOT_CONST0, SLOT_CONST1};
 
 /// Outcome of folding one gate: either it needs no op (its output net
 /// aliases an existing slot) or it survives as a (possibly rewritten) op.
+/// A `Buf` never survives: it aliases its source, so the program's ops
+/// are all logic.
 enum Folded {
     Alias(u32),
-    Op(OpCode, u32, u32, u32),
+    Op(Op, u32, u32, u32),
 }
 
 /// Applies the constant-propagation / degenerate-gate rewrite rules until
 /// fixpoint. `not_source` maps the output slot of every emitted `NOT` op
 /// back to its source slot, which is what lets `NOT(NOT x)` alias `x`.
-fn fold(
-    mut opcode: OpCode,
-    mut a: u32,
-    mut b: u32,
-    c: u32,
-    not_source: &HashMap<u32, u32>,
-) -> Folded {
+fn fold(mut opcode: Op, mut a: u32, mut b: u32, c: u32, not_source: &HashMap<u32, u32>) -> Folded {
     loop {
         // Canonicalize commutative operand order (const slots are 0/1 and
         // therefore always sort into `a`, so the rules below only need to
         // test one side).
-        if !matches!(opcode, OpCode::Not | OpCode::Mux) && a > b {
+        if !matches!(opcode, Op::Not | Op::Mux) && a > b {
             core::mem::swap(&mut a, &mut b);
         }
-        let rewrite_not = |x: u32| Folded::Op(OpCode::Not, x, x, x);
+        let rewrite_not = |x: u32| Folded::Op(Op::Not, x, x, x);
         return match opcode {
-            OpCode::Not => {
+            // Chains collapse transitively: the source is already resolved
+            // to its own (possibly aliased) slot.
+            Op::Buf => Folded::Alias(a),
+            Op::Not => {
                 if a == SLOT_CONST0 {
                     Folded::Alias(SLOT_CONST1)
                 } else if a == SLOT_CONST1 {
@@ -103,7 +81,7 @@ fn fold(
                 }
             }
             // Sources are [sel, a, b]: sel ? b : a (slots sel=a, lo=b, hi=c).
-            OpCode::Mux => {
+            Op::Mux => {
                 let (sel, lo, hi) = (a, b, c);
                 if sel == SLOT_CONST0 {
                     Folded::Alias(lo)
@@ -115,17 +93,17 @@ fn fold(
                     rewrite_not(sel)
                 } else if lo == SLOT_CONST0 {
                     // sel ? hi : 0
-                    (opcode, a, b) = (OpCode::And, sel, hi);
+                    (opcode, a, b) = (Op::And, sel, hi);
                     continue;
                 } else if hi == SLOT_CONST1 {
                     // sel ? 1 : lo
-                    (opcode, a, b) = (OpCode::Or, sel, lo);
+                    (opcode, a, b) = (Op::Or, sel, lo);
                     continue;
                 } else {
-                    Folded::Op(OpCode::Mux, sel, lo, hi)
+                    Folded::Op(Op::Mux, sel, lo, hi)
                 }
             }
-            OpCode::And => {
+            Op::And => {
                 if a == SLOT_CONST0 {
                     Folded::Alias(SLOT_CONST0)
                 } else if a == SLOT_CONST1 || a == b {
@@ -134,7 +112,7 @@ fn fold(
                     Folded::Op(opcode, a, b, a)
                 }
             }
-            OpCode::Or => {
+            Op::Or => {
                 if a == SLOT_CONST0 || a == b {
                     Folded::Alias(b)
                 } else if a == SLOT_CONST1 {
@@ -143,19 +121,19 @@ fn fold(
                     Folded::Op(opcode, a, b, a)
                 }
             }
-            OpCode::Nand => {
+            Op::Nand => {
                 if a == SLOT_CONST0 {
                     Folded::Alias(SLOT_CONST1)
                 } else if a == SLOT_CONST1 || a == b {
-                    (opcode, a) = (OpCode::Not, b);
+                    (opcode, a) = (Op::Not, b);
                     continue;
                 } else {
                     Folded::Op(opcode, a, b, a)
                 }
             }
-            OpCode::Nor => {
+            Op::Nor => {
                 if a == SLOT_CONST0 || a == b {
-                    (opcode, a) = (OpCode::Not, b);
+                    (opcode, a) = (Op::Not, b);
                     continue;
                 } else if a == SLOT_CONST1 {
                     Folded::Alias(SLOT_CONST0)
@@ -163,11 +141,11 @@ fn fold(
                     Folded::Op(opcode, a, b, a)
                 }
             }
-            OpCode::Xor => {
+            Op::Xor => {
                 if a == SLOT_CONST0 {
                     Folded::Alias(b)
                 } else if a == SLOT_CONST1 {
-                    (opcode, a) = (OpCode::Not, b);
+                    (opcode, a) = (Op::Not, b);
                     continue;
                 } else if a == b {
                     Folded::Alias(SLOT_CONST0)
@@ -175,9 +153,9 @@ fn fold(
                     Folded::Op(opcode, a, b, a)
                 }
             }
-            OpCode::Xnor => {
+            Op::Xnor => {
                 if a == SLOT_CONST0 {
-                    (opcode, a) = (OpCode::Not, b);
+                    (opcode, a) = (Op::Not, b);
                     continue;
                 } else if a == SLOT_CONST1 {
                     Folded::Alias(b)
@@ -221,7 +199,7 @@ fn fold(
 #[derive(Debug, Clone)]
 pub struct CompiledNetlist {
     // Struct-of-arrays program, one entry per non-folded logic op.
-    code: Vec<OpCode>,
+    code: Vec<Op>,
     src0: Vec<u32>,
     src1: Vec<u32>,
     src2: Vec<u32>,
@@ -252,13 +230,8 @@ impl CompiledNetlist {
         let mut src1 = Vec::new();
         let mut src2 = Vec::new();
         let mut dst = Vec::new();
-        let mut shared: HashMap<(OpCode, u32, u32, u32), u32> = HashMap::new();
+        let mut shared: HashMap<(Op, u32, u32, u32), u32> = HashMap::new();
         let mut not_source: HashMap<u32, u32> = HashMap::new();
-        let slot = |table: &[u32], net: NetId| -> u32 {
-            let s = table[net.index()];
-            assert!(s != u32::MAX, "net {net} read before it is driven");
-            s
-        };
         for gate in netlist.gates() {
             let out = gate.output.index();
             match gate.kind {
@@ -270,34 +243,9 @@ impl CompiledNetlist {
                 }
                 GateKind::Const0 => slot_of_net[out] = SLOT_CONST0,
                 GateKind::Const1 => slot_of_net[out] = SLOT_CONST1,
-                GateKind::Buf => {
-                    // Chains collapse transitively: the source is already
-                    // resolved to its own (possibly aliased) slot.
-                    slot_of_net[out] = slot(&slot_of_net, gate.inputs[0]);
-                }
                 kind => {
-                    let opcode = match kind {
-                        GateKind::And2 => OpCode::And,
-                        GateKind::Or2 => OpCode::Or,
-                        GateKind::Nand2 => OpCode::Nand,
-                        GateKind::Nor2 => OpCode::Nor,
-                        GateKind::Xor2 => OpCode::Xor,
-                        GateKind::Xnor2 => OpCode::Xnor,
-                        GateKind::Not => OpCode::Not,
-                        GateKind::Mux2 => OpCode::Mux,
-                        _ => unreachable!("folded kinds handled above"),
-                    };
-                    let a = slot(&slot_of_net, gate.inputs[0]);
-                    let b = if gate.inputs.len() > 1 {
-                        slot(&slot_of_net, gate.inputs[1])
-                    } else {
-                        a
-                    };
-                    let c = if gate.inputs.len() > 2 {
-                        slot(&slot_of_net, gate.inputs[2])
-                    } else {
-                        a
-                    };
+                    let opcode = Op::of(kind).expect("port kinds handled above");
+                    let [a, b, c] = source_slots(&slot_of_net, gate);
                     match fold(opcode, a, b, c, &not_source) {
                         Folded::Alias(s) => slot_of_net[out] = s,
                         Folded::Op(opcode, a, b, c) => {
@@ -315,7 +263,7 @@ impl CompiledNetlist {
                             src2.push(c);
                             dst.push(d);
                             shared.insert((opcode, a, b, c), d);
-                            if opcode == OpCode::Not {
+                            if opcode == Op::Not {
                                 not_source.insert(d, a);
                             }
                             slot_of_net[out] = d;
@@ -342,40 +290,9 @@ impl CompiledNetlist {
         self.code.len()
     }
 
-    /// Number of value slots (two constants + inputs + op outputs).
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.slot_count
-    }
-
     /// Value-slot index of a net (folded nets alias their source's slot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` does not belong to the compiled netlist.
-    #[must_use]
-    pub fn slot_of(&self, net: NetId) -> usize {
+    fn slot_of(&self, net: NetId) -> usize {
         self.slot_of_net[net.index()] as usize
-    }
-
-    /// Scatters per-slot toggle counts back to the source netlist's net
-    /// indexing (folded nets report their alias target's count, which
-    /// equals what the structural engine counts for them: every fold
-    /// preserves the net's boolean function, so its value stream — and
-    /// toggle count — is the alias target's). Dead nets — left behind
-    /// without a driver by `sdlc-netlist`'s DCE pass, which keeps net
-    /// numbering stable — never move and report 0.
-    fn scatter_toggles(&self, toggles: &[u64]) -> Vec<u64> {
-        self.slot_of_net
-            .iter()
-            .map(|&slot| {
-                if slot == u32::MAX {
-                    0
-                } else {
-                    toggles[slot as usize]
-                }
-            })
-            .collect()
     }
 }
 
@@ -389,7 +306,8 @@ pub struct CompiledSim<'p> {
     program: &'p CompiledNetlist,
     values: Vec<u64>,
     toggles: Vec<u64>,
-    words_applied: u64,
+    /// Whether [`CompiledSim::apply`] has established a first state.
+    primed: bool,
 }
 
 impl<'p> CompiledSim<'p> {
@@ -397,13 +315,13 @@ impl<'p> CompiledSim<'p> {
     /// pre-loaded).
     #[must_use]
     pub fn new(program: &'p CompiledNetlist) -> Self {
-        let mut values = vec![0u64; program.slot_count()];
+        let mut values = vec![0u64; program.slot_count];
         values[SLOT_CONST1 as usize] = u64::MAX;
         Self {
             program,
-            toggles: vec![0; program.slot_count()],
+            toggles: vec![0; program.slot_count],
             values,
-            words_applied: 0,
+            primed: false,
         }
     }
 
@@ -434,9 +352,14 @@ impl<'p> CompiledSim<'p> {
             .zip(&p.src2)
             .zip(&p.dst);
         for ((((&code, &s0), &s1), &s2), &d) in ops {
-            let a = values[s0 as usize];
-            let b = values[s1 as usize];
-            let new = eval_op(code, a, b, values[s2 as usize]);
+            // Loading all three sources up front (unused ones repeat pin
+            // 0) keeps the dispatch branch-light in this hot loop.
+            let planes = [
+                values[s0 as usize],
+                values[s1 as usize],
+                values[s2 as usize],
+            ];
+            let new = code.eval(|pin| planes[pin]);
             let d = d as usize;
             if TOGGLED {
                 toggles[d] += u64::from((values[d] ^ new).count_ones());
@@ -455,12 +378,12 @@ impl<'p> CompiledSim<'p> {
     ///
     /// Panics if the stimulus length differs from the input count.
     pub fn apply(&mut self, stimulus: &[u64]) {
-        if self.words_applied == 0 {
-            self.exec::<false>(stimulus);
-        } else {
+        if self.primed {
             self.exec::<true>(stimulus);
+        } else {
+            self.exec::<false>(stimulus);
+            self.primed = true;
         }
-        self.words_applied += 1;
     }
 
     /// Settles all lanes *without* toggle accounting — the equivalence
@@ -496,36 +419,7 @@ impl<'p> CompiledSim<'p> {
     /// fold preserves the net's boolean function).
     #[must_use]
     pub fn toggles_per_net(&self) -> Vec<u64> {
-        self.program.scatter_toggles(&self.toggles)
-    }
-
-    /// Number of stimulus words applied with toggle accounting.
-    #[must_use]
-    pub fn words_applied(&self) -> u64 {
-        self.words_applied
-    }
-
-    /// Total vectors that produced countable transitions:
-    /// `(words − 1) × 64`.
-    #[must_use]
-    pub fn transition_vectors(&self) -> u64 {
-        self.words_applied.saturating_sub(1) * 64
-    }
-}
-
-/// One word-wide op evaluation.
-#[inline]
-fn eval_op(code: OpCode, a: u64, b: u64, c: u64) -> u64 {
-    match code {
-        OpCode::And => a & b,
-        OpCode::Or => a | b,
-        OpCode::Nand => !(a & b),
-        OpCode::Nor => !(a | b),
-        OpCode::Xor => a ^ b,
-        OpCode::Xnor => !(a ^ b),
-        OpCode::Not => !a,
-        // Sources are [sel, a, b]: sel ? b : a.
-        OpCode::Mux => (b & !a) | (c & a),
+        scatter_toggles(&self.program.slot_of_net, &self.toggles)
     }
 }
 
@@ -573,7 +467,6 @@ mod tests {
             assert_eq!(compiled.plane(id), planes[id.index()], "net {id}");
         }
         assert_eq!(compiled.toggles_per_net(), toggles);
-        assert_eq!(compiled.transition_vectors(), (words.len() as u64 - 1) * 64);
     }
 
     fn random_words(seed: u64, count: usize, inputs: usize) -> Vec<Vec<u64>> {
@@ -698,7 +591,7 @@ mod tests {
         // constants, the inputs and slots written by earlier ops, so one
         // in-order pass settles the whole netlist.
         let program = CompiledNetlist::compile(&adder(8));
-        let mut written = vec![false; program.slot_count()];
+        let mut written = vec![false; program.slot_count];
         written[SLOT_CONST0 as usize] = true;
         written[SLOT_CONST1 as usize] = true;
         for &s in &program.input_slots {

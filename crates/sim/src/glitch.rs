@@ -36,28 +36,8 @@
 use sdlc_netlist::{GateKind, NetId, Netlist};
 use sdlc_techlib::Library;
 
+use crate::ops::{scatter_toggles, source_slots, Op, SLOT_CONST0, SLOT_CONST1};
 use crate::timing::to_fixed_ps;
-
-/// Slot holding the constant-0 plane.
-const SLOT_CONST0: u32 = 0;
-/// Slot holding the constant-1 plane.
-const SLOT_CONST1: u32 = 1;
-
-/// Compact opcode of one timed op. `Buf` is a real op here — a buffer has
-/// a real delay and can filter pulses, so the timing engine must keep it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum TimedOp {
-    And,
-    Or,
-    Nand,
-    Nor,
-    Xor,
-    Xnor,
-    Not,
-    Buf,
-    Mux,
-}
 
 /// A [`Netlist`] flattened into a timed program: the compile-once side of
 /// the word-parallel glitch engine.
@@ -66,7 +46,9 @@ enum TimedOp {
 /// [`GlitchSim`].
 #[derive(Debug, Clone)]
 pub struct TimedProgram {
-    code: Vec<TimedOp>,
+    /// One op per logic cell. `Buf` is a real op here — a buffer has a
+    /// real delay and can filter pulses, so the timing engine keeps it.
+    code: Vec<Op>,
     src0: Vec<u32>,
     src1: Vec<u32>,
     src2: Vec<u32>,
@@ -109,11 +91,6 @@ impl TimedProgram {
         let (mut src0, mut src1, mut src2) = (Vec::new(), Vec::new(), Vec::new());
         let mut dst = Vec::new();
         let mut delay_ticks = Vec::new();
-        let slot = |table: &[u32], net: NetId| -> u32 {
-            let s = table[net.index()];
-            assert!(s != u32::MAX, "net {net} read before it is driven");
-            s
-        };
         for (gate, &delay) in netlist.gates().iter().zip(&delays_ps) {
             let out = gate.output.index();
             match gate.kind {
@@ -126,29 +103,8 @@ impl TimedProgram {
                 GateKind::Const0 => slot_of_net[out] = SLOT_CONST0,
                 GateKind::Const1 => slot_of_net[out] = SLOT_CONST1,
                 kind => {
-                    let opcode = match kind {
-                        GateKind::And2 => TimedOp::And,
-                        GateKind::Or2 => TimedOp::Or,
-                        GateKind::Nand2 => TimedOp::Nand,
-                        GateKind::Nor2 => TimedOp::Nor,
-                        GateKind::Xor2 => TimedOp::Xor,
-                        GateKind::Xnor2 => TimedOp::Xnor,
-                        GateKind::Not => TimedOp::Not,
-                        GateKind::Buf => TimedOp::Buf,
-                        GateKind::Mux2 => TimedOp::Mux,
-                        _ => unreachable!("port kinds handled above"),
-                    };
-                    let a = slot(&slot_of_net, gate.inputs[0]);
-                    let b = if gate.inputs.len() > 1 {
-                        slot(&slot_of_net, gate.inputs[1])
-                    } else {
-                        a
-                    };
-                    let c = if gate.inputs.len() > 2 {
-                        slot(&slot_of_net, gate.inputs[2])
-                    } else {
-                        a
-                    };
+                    let opcode = Op::of(kind).expect("port kinds handled above");
+                    let [a, b, c] = source_slots(&slot_of_net, gate);
                     let d = arrival_ticks.len() as u32;
                     code.push(opcode);
                     src0.push(a);
@@ -168,8 +124,15 @@ impl TimedProgram {
         // CSR fanout per slot, ops in program order.
         let slot_count = arrival_ticks.len();
         let mut fanout_start = vec![0u32; slot_count + 1];
+        // Only a cell's own pins count (its unused source slots repeat pin
+        // 0), so fanout multiplicity matches the scalar engine's lists.
+        let sources = |op: usize| {
+            [src0[op], src1[op], src2[op]]
+                .into_iter()
+                .take(code[op].arity())
+        };
         for op in 0..code.len() {
-            for s in op_sources(&code, &src0, &src1, &src2, op) {
+            for s in sources(op) {
                 fanout_start[s as usize + 1] += 1;
             }
         }
@@ -179,7 +142,7 @@ impl TimedProgram {
         let mut fanout_ops = vec![0u32; fanout_start[slot_count] as usize];
         let mut next = fanout_start.clone();
         for op in 0..code.len() {
-            for s in op_sources(&code, &src0, &src1, &src2, op) {
+            for s in sources(op) {
                 fanout_ops[next[s as usize] as usize] = op as u32;
                 next[s as usize] += 1;
             }
@@ -206,21 +169,8 @@ impl TimedProgram {
     }
 
     /// Number of value slots.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
+    fn slot_count(&self) -> usize {
         self.arrival_ticks.len()
-    }
-
-    /// STA-style worst-case arrival time of a net, in ps, computed in the
-    /// event queue's own fixed-point domain — no event the simulator
-    /// schedules for this net can ever land later.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` does not belong to the compiled netlist.
-    #[must_use]
-    pub fn arrival_ps(&self, net: NetId) -> f64 {
-        self.arrival_ticks[self.slot_of_net[net.index()] as usize] as f64 / 1024.0
     }
 
     /// The deepest arrival time of any net — the program's critical path
@@ -241,43 +191,22 @@ impl TimedProgram {
         let hi = self.fanout_start[slot as usize + 1] as usize;
         &self.fanout_ops[lo..hi]
     }
-}
 
-/// The per-op source iterator used for fanout construction (unary ops
-/// repeat their single source in `src1`/`src2`; only distinct pins count,
-/// and pin multiplicity must match the scalar engine's fanout lists).
-fn op_sources(
-    code: &[TimedOp],
-    src0: &[u32],
-    src1: &[u32],
-    src2: &[u32],
-    op: usize,
-) -> impl Iterator<Item = u32> {
-    let arity = match code[op] {
-        TimedOp::Not | TimedOp::Buf => 1,
-        TimedOp::Mux => 3,
-        _ => 2,
-    };
-    [src0[op], src1[op], src2[op]].into_iter().take(arity)
-}
-
-/// One word-wide timed-op evaluation over the current value planes —
-/// shared by [`GlitchSim::settle`]'s zero-delay pass and the event loop
-/// of [`GlitchSim::apply`], so the two can never drift apart.
-#[inline]
-fn eval_timed(p: &TimedProgram, values: &[u64], op: usize) -> u64 {
-    let a = values[p.src0[op] as usize];
-    match p.code[op] {
-        TimedOp::And => a & values[p.src1[op] as usize],
-        TimedOp::Or => a | values[p.src1[op] as usize],
-        TimedOp::Nand => !(a & values[p.src1[op] as usize]),
-        TimedOp::Nor => !(a | values[p.src1[op] as usize]),
-        TimedOp::Xor => a ^ values[p.src1[op] as usize],
-        TimedOp::Xnor => !(a ^ values[p.src1[op] as usize]),
-        TimedOp::Not => !a,
-        TimedOp::Buf => a,
-        // Sources are [sel, lo, hi]: sel ? hi : lo.
-        TimedOp::Mux => (values[p.src1[op] as usize] & !a) | (values[p.src2[op] as usize] & a),
+    /// Evaluates op `op` on the current value planes — the one evaluation
+    /// [`GlitchSim::settle`]'s zero-delay pass and the event loop of
+    /// [`GlitchSim::apply`] share, so the two can never drift apart.
+    #[inline]
+    fn eval(&self, values: &[u64], op: usize) -> u64 {
+        // Sources load on demand: the event loop measured slower loading
+        // all three up front.
+        self.code[op].eval(|pin| {
+            let slot = match pin {
+                0 => self.src0[op],
+                1 => self.src1[op],
+                _ => self.src2[op],
+            };
+            values[slot as usize]
+        })
     }
 }
 
@@ -405,7 +334,7 @@ impl<'p> GlitchSim<'p> {
             self.values[slot as usize] = word;
         }
         for op in 0..p.op_count() {
-            self.values[p.dst[op] as usize] = eval_timed(p, &self.values, op);
+            self.values[p.dst[op] as usize] = p.eval(&self.values, op);
         }
         self.settled_once = true;
     }
@@ -436,7 +365,6 @@ impl<'p> GlitchSim<'p> {
         let ladder = &mut self.ladder[..];
         let bucket_shift = self.bucket_shift;
         let pending = &mut self.pending[..];
-        let eval = |values: &[u64], op: usize| eval_timed(p, values, op);
         // Splits `mask` by the op's present evaluation — the captured
         // value the scalar engine stores in its heap entries — and merges
         // into the wheel (fresh keys also drop into their time bucket, so
@@ -447,7 +375,7 @@ impl<'p> GlitchSim<'p> {
                         time: u64,
                         op: u32,
                         mask: u64| {
-            let eval = eval(values, op as usize);
+            let eval = p.eval(values, op as usize);
             let (low, high) = (mask & !eval, mask & eval);
             let list = &mut pending[op as usize];
             if let Some(entry) = list.iter_mut().find(|entry| entry.time == time) {
@@ -462,13 +390,13 @@ impl<'p> GlitchSim<'p> {
         // Input changes land at t = 0, processed in declaration order with
         // fanout evaluations seeing the partially-updated input vector —
         // the scalar engine's exact capture semantics.
-        for k in 0..p.input_slots.len() {
-            let slot = p.input_slots[k] as usize;
-            let changed = values[slot] ^ stimulus[k];
+        for (&slot, &word) in p.input_slots.iter().zip(stimulus) {
+            let slot = slot as usize;
+            let changed = values[slot] ^ word;
             if changed == 0 {
                 continue;
             }
-            values[slot] = stimulus[k];
+            values[slot] = word;
             let flips = u64::from(changed.count_ones());
             toggles[slot] += flips;
             transitions += flips;
@@ -512,7 +440,7 @@ impl<'p> GlitchSim<'p> {
                     .position(|entry| entry.time == time)
                     .expect("ladder key has a pending entry");
                 let Pending { low, high, .. } = list.swap_remove(index);
-                let present = eval(values, op);
+                let present = p.eval(values, op);
                 let dst = p.dst[op] as usize;
                 let out = values[dst];
                 // Inertial cancellation, word-wide: an event fires only
@@ -554,17 +482,7 @@ impl<'p> GlitchSim<'p> {
     /// indexing. Dead nets (no driver after DCE) never move and report 0.
     #[must_use]
     pub fn toggles_per_net(&self) -> Vec<u64> {
-        self.program
-            .slot_of_net
-            .iter()
-            .map(|&slot| {
-                if slot == u32::MAX {
-                    0
-                } else {
-                    self.toggles[slot as usize]
-                }
-            })
-            .collect()
+        scatter_toggles(&self.program.slot_of_net, &self.toggles)
     }
 
     /// Current 64-lane plane of one net.
@@ -677,7 +595,7 @@ mod tests {
         let bound = program.critical_arrival_ps();
         assert!(bound > 0.0);
         let mut sim = GlitchSim::new(&program);
-        sim.settle(&vec![0u64; 16]);
+        sim.settle(&[0u64; 16]);
         let mut rng = SplitMix64::new(3);
         for _ in 0..20 {
             let stimulus: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
@@ -690,7 +608,8 @@ mod tests {
         }
         // Per-net arrivals are monotone along the carry chain.
         let p_bus = n.bus("p").unwrap();
-        assert!(program.arrival_ps(p_bus[7]) > program.arrival_ps(p_bus[0]));
+        let arrival = |net: NetId| program.arrival_ticks[program.slot_of_net[net.index()] as usize];
+        assert!(arrival(p_bus[7]) > arrival(p_bus[0]));
         assert!(program.op_count() >= n.cell_count() - 2);
     }
 
@@ -713,6 +632,6 @@ mod tests {
         let n = adder(4);
         let lib = Library::generic_90nm();
         let program = TimedProgram::compile(&n, &lib);
-        let _ = GlitchSim::new(&program).apply(&vec![0u64; 8]);
+        let _ = GlitchSim::new(&program).apply(&[0u64; 8]);
     }
 }

@@ -39,6 +39,7 @@ mod compile;
 pub mod equiv;
 mod glitch;
 mod logic;
+mod ops;
 mod timing;
 
 pub use compile::{CompiledNetlist, CompiledSim};

@@ -33,7 +33,8 @@ pub struct LogicSim<'n> {
     netlist: &'n Netlist,
     values: Vec<bool>,
     toggles: Vec<u64>,
-    vectors_applied: u64,
+    /// Whether a first vector has established state.
+    primed: bool,
 }
 
 impl<'n> LogicSim<'n> {
@@ -44,7 +45,7 @@ impl<'n> LogicSim<'n> {
             netlist,
             values: vec![false; netlist.net_count()],
             toggles: vec![0; netlist.net_count()],
-            vectors_applied: 0,
+            primed: false,
         }
     }
 
@@ -58,7 +59,7 @@ impl<'n> LogicSim<'n> {
     pub fn apply(&mut self, stimulus: &[bool]) {
         let inputs = self.netlist.inputs();
         assert_eq!(stimulus.len(), inputs.len(), "stimulus width mismatch");
-        let first = self.vectors_applied == 0;
+        let first = !self.primed;
         let mut input_iter = stimulus.iter();
         for gate in self.netlist.gates() {
             let new = match gate.kind {
@@ -83,7 +84,7 @@ impl<'n> LogicSim<'n> {
                 }
             }
         }
-        self.vectors_applied += 1;
+        self.primed = true;
     }
 
     /// Current value of one net.
@@ -126,29 +127,11 @@ impl<'n> LogicSim<'n> {
     pub fn toggles(&self) -> &[u64] {
         &self.toggles
     }
-
-    /// Vectors applied so far.
-    #[must_use]
-    pub fn vectors_applied(&self) -> u64 {
-        self.vectors_applied
-    }
-
-    /// Convenience: drive buses `a`/`b` with integers and return bus `p`.
-    ///
-    /// This matches the port convention of every multiplier generator in
-    /// `sdlc-core::circuits`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buses `a`/`b` are missing or operands exceed their width.
-    pub fn run_ab(&mut self, a: u128, b: u128) -> u128 {
-        let stimulus = ab_stimulus(self.netlist, a, b);
-        self.apply(&stimulus);
-        self.read_bus("p")
-    }
 }
 
-/// Builds the stimulus vector for netlists with `a`/`b` input buses.
+/// Builds the stimulus vector for netlists with `a`/`b` input buses —
+/// the port convention of every multiplier generator in
+/// `sdlc-core::circuits`.
 ///
 /// # Panics
 ///
@@ -205,10 +188,10 @@ mod tests {
         let mut sim = LogicSim::new(&n);
         for a in 0..16u128 {
             for b in 0..16u128 {
-                assert_eq!(sim.run_ab(a, b), a + b);
+                sim.apply(&ab_stimulus(&n, a, b));
+                assert_eq!(sim.read_bus("p"), a + b);
             }
         }
-        assert_eq!(sim.vectors_applied(), 256);
     }
 
     #[test]
@@ -230,7 +213,7 @@ mod tests {
     fn read_bus_and_value() {
         let n = adder4();
         let mut sim = LogicSim::new(&n);
-        sim.run_ab(9, 6);
+        sim.apply(&ab_stimulus(&n, 9, 6));
         assert_eq!(sim.read_bus("a"), 9);
         assert_eq!(sim.read_bus("b"), 6);
         assert_eq!(sim.read_bus("p"), 15);
@@ -249,7 +232,6 @@ mod tests {
     #[should_panic(expected = "overflows bus")]
     fn operand_overflow_panics() {
         let n = adder4();
-        let mut sim = LogicSim::new(&n);
-        let _ = sim.run_ab(16, 0);
+        let _ = ab_stimulus(&n, 16, 0);
     }
 }

@@ -57,18 +57,6 @@ impl Default for AnalysisOptions {
     }
 }
 
-impl AnalysisOptions {
-    /// Fast variant for tests and coarse sweeps: zero-delay activity.
-    #[must_use]
-    pub fn zero_delay() -> Self {
-        Self {
-            glitch_power: false,
-            activity_vectors: 2048,
-            ..Self::default()
-        }
-    }
-}
-
 /// One design's post-flow record — the rows of the paper's Figures 6/7/9.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisReport {
@@ -223,6 +211,15 @@ mod tests {
         n
     }
 
+    /// Zero-delay activity over fewer vectors: the fast flow variant.
+    fn zero_delay() -> AnalysisOptions {
+        AnalysisOptions {
+            glitch_power: false,
+            activity_vectors: 2048,
+            ..AnalysisOptions::default()
+        }
+    }
+
     #[test]
     fn full_flow_produces_consistent_report() {
         let lib = Library::generic_90nm();
@@ -272,13 +269,13 @@ mod tests {
     #[test]
     fn zero_delay_reports_match_across_activity_engines() {
         let lib = Library::generic_90nm();
-        let compiled = analyze(adder(10), &lib, &AnalysisOptions::zero_delay());
+        let compiled = analyze(adder(10), &lib, &zero_delay());
         let structural = analyze(
             adder(10),
             &lib,
             &AnalysisOptions {
                 activity_engine: Engine::Scalar,
-                ..AnalysisOptions::zero_delay()
+                ..zero_delay()
             },
         );
         // The compiled program and the structural walk count identical
@@ -290,7 +287,7 @@ mod tests {
     fn glitch_power_exceeds_zero_delay_power() {
         let lib = Library::generic_90nm();
         let glitchy = analyze(adder(12), &lib, &AnalysisOptions::default());
-        let functional = analyze(adder(12), &lib, &AnalysisOptions::zero_delay());
+        let functional = analyze(adder(12), &lib, &zero_delay());
         assert!(glitchy.energy_fj_per_op > functional.energy_fj_per_op);
         // Area/delay are activity-independent.
         assert_eq!(glitchy.area_um2, functional.area_um2);

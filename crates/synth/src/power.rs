@@ -1,6 +1,6 @@
 //! Area, leakage and activity-based dynamic power/energy models.
 
-use sdlc_netlist::{GateKind, Netlist};
+use sdlc_netlist::Netlist;
 use sdlc_sim::activity::Activity;
 use sdlc_techlib::Library;
 
@@ -48,20 +48,13 @@ pub fn dynamic_energy_fj_per_op(netlist: &Netlist, library: &Library, activity: 
     );
     // Wire + pin load energy per toggle at ~1.0 V swing.
     const LOAD_ENERGY_FJ_PER_FF: f64 = 0.5;
-    let mut fanout_kinds: Vec<Vec<GateKind>> = vec![Vec::new(); netlist.net_count()];
-    for gate in netlist.gates() {
-        for &input in &gate.inputs {
-            fanout_kinds[input.index()].push(gate.kind);
-        }
-    }
     let mut total_fj = 0.0;
-    for gate in netlist.gates() {
+    for (gate, load) in netlist.gates().iter().zip(library.gate_loads_ff(netlist)) {
         let toggles = activity.toggles_per_net[gate.output.index()] as f64;
         if toggles == 0.0 {
             continue;
         }
         let cell_energy = library.cell(gate.kind).switch_energy_fj;
-        let load = library.load_ff(&fanout_kinds[gate.output.index()]);
         total_fj += toggles * (cell_energy + LOAD_ENERGY_FJ_PER_FF * load);
     }
     total_fj / activity.transition_count as f64

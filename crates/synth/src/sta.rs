@@ -22,22 +22,17 @@ impl Timing {
 
 /// Computes arrival times with the library's linear delay model: a gate's
 /// output arrives at `max(input arrivals) + intrinsic + slope × load`,
-/// where the load sums the fanout pin and wire capacitances.
+/// with the per-gate delays of [`Library::gate_delays_ps`] — the same
+/// vector both timing simulators schedule their events with.
 ///
 /// # Panics
 ///
 /// Panics if the netlist has no primary outputs.
 #[must_use]
 pub fn analyze_timing(netlist: &Netlist, library: &Library) -> Timing {
-    // Fanout kinds per net for the load model.
-    let mut fanout_kinds: Vec<Vec<GateKind>> = vec![Vec::new(); netlist.net_count()];
-    for gate in netlist.gates() {
-        for &input in &gate.inputs {
-            fanout_kinds[input.index()].push(gate.kind);
-        }
-    }
+    let delays = library.gate_delays_ps(netlist);
     let mut arrival = vec![0.0f64; netlist.net_count()];
-    for gate in netlist.gates() {
+    for (gate, delay) in netlist.gates().iter().zip(delays) {
         if gate.kind == GateKind::Input {
             continue;
         }
@@ -46,8 +41,6 @@ pub fn analyze_timing(netlist: &Netlist, library: &Library) -> Timing {
             .iter()
             .map(|i| arrival[i.index()])
             .fold(0.0f64, f64::max);
-        let load = library.load_ff(&fanout_kinds[gate.output.index()]);
-        let delay = library.cell(gate.kind).delay_ps(load);
         arrival[gate.output.index()] = input_arrival + delay;
     }
     let critical = netlist
@@ -60,30 +53,6 @@ pub fn analyze_timing(netlist: &Netlist, library: &Library) -> Timing {
         arrival_ps: arrival,
         critical,
     }
-}
-
-/// Extracts the critical path as a list of nets from a primary input to
-/// the critical output (following worst arrival times backwards).
-#[must_use]
-pub fn critical_path(netlist: &Netlist, timing: &Timing) -> Vec<NetId> {
-    let mut path = vec![timing.critical.0];
-    let mut current = timing.critical.0;
-    while let Some(gate_idx) = netlist.driver_of(current) {
-        let gate = &netlist.gates()[gate_idx];
-        if gate.kind == GateKind::Input || gate.inputs.is_empty() {
-            break;
-        }
-        let worst = gate
-            .inputs
-            .iter()
-            .copied()
-            .max_by(|a, b| timing.arrival_ps[a.index()].total_cmp(&timing.arrival_ps[b.index()]))
-            .expect("gate has inputs");
-        path.push(worst);
-        current = worst;
-    }
-    path.reverse();
-    path
 }
 
 #[cfg(test)]
@@ -122,26 +91,6 @@ mod tests {
             assert_eq!(timing.arrival_ps[input.index()], 0.0);
         }
         assert!(timing.critical_delay_ps() > 0.0);
-    }
-
-    #[test]
-    fn critical_path_is_monotone_and_ends_at_critical_output() {
-        let lib = Library::generic_90nm();
-        let n = adder(8);
-        let timing = analyze_timing(&n, &lib);
-        let path = critical_path(&n, &timing);
-        assert_eq!(*path.last().unwrap(), timing.critical.0);
-        for pair in path.windows(2) {
-            assert!(
-                timing.arrival_ps[pair[0].index()] <= timing.arrival_ps[pair[1].index()],
-                "arrivals must not decrease along the path"
-            );
-        }
-        // Path starts at a primary input (arrival 0).
-        assert_eq!(timing.arrival_ps[path[0].index()], 0.0);
-        // A ripple adder's critical path traverses at least one gate per
-        // bit position.
-        assert!(path.len() >= 8);
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl CellSpec {
 
     /// A zero-cost pseudo-cell (primary inputs, tie cells).
     #[must_use]
-    pub const fn free(name: &'static str) -> Self {
+    pub(crate) const fn free(name: &'static str) -> Self {
         Self {
             name,
             area_um2: 0.0,

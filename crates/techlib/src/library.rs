@@ -92,7 +92,7 @@ impl Library {
 
     /// Wire capacitance estimate per fanout connection, in fF.
     #[must_use]
-    pub fn wire_cap_per_fanout_ff(&self) -> f64 {
+    pub(crate) fn wire_cap_per_fanout_ff(&self) -> f64 {
         self.wire_cap_per_fanout_ff
     }
 
@@ -130,24 +130,23 @@ impl Library {
     }
 
     /// Output load for a gate driving the given input pins plus wire.
-    #[must_use]
-    pub fn load_ff(&self, fanout_kinds: &[GateKind]) -> f64 {
+    fn load_ff(&self, fanout_kinds: &[GateKind]) -> f64 {
         fanout_kinds
             .iter()
             .map(|&k| self.cell(k).input_cap_ff + self.wire_cap_per_fanout_ff)
             .sum()
     }
 
-    /// Load-dependent propagation delay of every gate in the netlist, in
-    /// gate order: `delay(kind, Σ fanout pin caps + wire)` with fanout
-    /// loads summed in gate order.
+    /// Output load of every gate in the netlist, in gate order, in fF:
+    /// `Σ (fanout pin cap + wire)` with the fanout pins summed in gate
+    /// order.
     ///
-    /// This is the *shared* delay model of the timing engines: the scalar
-    /// event-driven simulator and the compiled glitch engine both read
-    /// their per-gate delays from here, so their event times can never
-    /// diverge (the float summation order is part of the contract).
+    /// This is the one load model of the workspace: delays
+    /// ([`Library::gate_delays_ps`]) and load-slewing energy both read it,
+    /// so timing and power can never disagree on a net's load (the float
+    /// summation order is part of the contract).
     #[must_use]
-    pub fn gate_delays_ps(&self, netlist: &sdlc_netlist::Netlist) -> Vec<f64> {
+    pub fn gate_loads_ff(&self, netlist: &sdlc_netlist::Netlist) -> Vec<f64> {
         let mut fanout_kinds: Vec<Vec<GateKind>> = vec![Vec::new(); netlist.net_count()];
         for gate in netlist.gates() {
             for &input in &gate.inputs {
@@ -157,10 +156,24 @@ impl Library {
         netlist
             .gates()
             .iter()
-            .map(|gate| {
-                let load = self.load_ff(&fanout_kinds[gate.output.index()]);
-                self.cell(gate.kind).delay_ps(load)
-            })
+            .map(|gate| self.load_ff(&fanout_kinds[gate.output.index()]))
+            .collect()
+    }
+
+    /// Load-dependent propagation delay of every gate in the netlist, in
+    /// gate order: `delay(kind, load)` over [`Library::gate_loads_ff`].
+    ///
+    /// This is the *shared* delay model of static timing analysis and both
+    /// timing engines: the scalar event-driven simulator and the compiled
+    /// glitch engine read their per-gate delays from here, so their event
+    /// times can never diverge, and STA bounds them exactly.
+    #[must_use]
+    pub fn gate_delays_ps(&self, netlist: &sdlc_netlist::Netlist) -> Vec<f64> {
+        netlist
+            .gates()
+            .iter()
+            .zip(self.gate_loads_ff(netlist))
+            .map(|(gate, load)| self.cell(gate.kind).delay_ps(load))
             .collect()
     }
 }

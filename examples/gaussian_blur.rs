@@ -27,8 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let save = |img: &sdlc::imgproc::GrayImage, name: &str| -> std::io::Result<()> {
         let mut file = std::fs::File::create(out_dir.join(name))?;
-        write_pgm(img, &mut file).map_err(|e| std::io::Error::other(e.to_string()))?;
-        Ok(())
+        write_pgm(img, &mut file)
     };
     save(&image, "input.pgm")?;
 

@@ -73,12 +73,18 @@ OPTIONS:
                    operand range with signed ED/RED statistics
   --samples K      Monte-Carlo samples for wide widths (`errors`
                    default 2^22; `verify` default 2048 netlist sweeps)
-  --size W,H       scene size for `sobel` (default 200,200)
+  --size W,H       scene size for `sobel` (default 200,200; at most
+                   4194304 = 2048x2048 pixels)
   --out PATH       output path for `verilog` (default stdout); for
                    `sobel`, a directory receiving the PGM before/after set
   --lib FILE       cell library in sdlc-techlib text format
                    (default: built-in generic 90 nm)
 ";
+
+/// Largest `sobel` scene, in pixels (2048 × 2048): every pixel runs
+/// through both kernels on the exact and the approximate multiplier, so
+/// the cap keeps a run to seconds and its images to a few MB.
+const MAX_SCENE_PIXELS: u64 = 1 << 22;
 
 #[derive(Debug)]
 struct Options {
@@ -194,13 +200,20 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 if options.size.0 == 0 || options.size.1 == 0 {
                     return Err(format!("bad --size {list:?}: dimensions must be positive"));
                 }
+                if u64::from(options.size.0) * u64::from(options.size.1) > MAX_SCENE_PIXELS {
+                    return Err(format!(
+                        "bad --size {list:?}: at most {MAX_SCENE_PIXELS} pixels"
+                    ));
+                }
             }
             "--samples" => {
-                options.samples = Some(
-                    value()?
-                        .parse()
-                        .map_err(|e| format!("bad --samples: {e}"))?,
-                );
+                let samples = value()?
+                    .parse()
+                    .map_err(|e| format!("bad --samples: {e}"))?;
+                if samples == 0 {
+                    return Err("sample count must be positive".into());
+                }
+                options.samples = Some(samples);
             }
             "--out" => options.out = Some(value()?),
             "--lib" => options.lib = Some(value()?),

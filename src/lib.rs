@@ -16,7 +16,7 @@
 //! | [`wideint`] | `sdlc-wideint` | fixed-capacity wide integers (products up to 256 bits) |
 //! | [`netlist`] | `sdlc-netlist` | gate-level IR, adders, reduction trees, passes |
 //! | [`techlib`] | `sdlc-techlib` | synthetic 90 nm standard-cell library |
-//! | [`sim`] | `sdlc-sim` | levelized / bit-parallel / event-driven simulation |
+//! | [`sim`] | `sdlc-sim` | scalar reference, compiled 64-lane and event-driven (scalar + compiled glitch) simulation |
 //! | [`synth`] | `sdlc-synth` | STA, power/area/energy reports |
 //! | [`imgproc`] | `sdlc-imgproc` | Gaussian-blur and Sobel/Scharr case-study substrate |
 //!

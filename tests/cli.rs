@@ -270,6 +270,34 @@ fn sobel_command_runs_and_validates() {
 }
 
 #[test]
+fn sobel_rejects_scenes_above_the_pixel_cap_promptly() {
+    let start = std::time::Instant::now();
+    let (stdout, stderr, ok) = run(&["sobel", "--size", "100000,100000"]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("at most 4194304 pixels"), "{stderr}");
+    assert!(start.elapsed() < std::time::Duration::from_secs(5));
+    // The cap itself is in range: the largest square scene parses (checked
+    // on a narrow width so it fails fast on the width, not the size).
+    let (_, stderr, ok) = run(&["sobel", "--size", "2048,2048", "--width", "8"]);
+    assert!(!ok);
+    assert!(stderr.contains("10..=32 bits"), "{stderr}");
+}
+
+#[test]
+fn zero_samples_are_rejected_by_every_command() {
+    for command in ["errors", "verify"] {
+        let (stdout, stderr, ok) = run(&[command, "--width", "16", "--samples", "0"]);
+        assert!(!ok, "{command}: {stdout}");
+        assert!(stdout.is_empty(), "{command}: {stdout}");
+        assert!(
+            stderr.contains("sample count must be positive"),
+            "{command}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn sobel_writes_the_pgm_set() {
     let dir = std::env::temp_dir().join("sdlc_cli_sobel");
     let _ = std::fs::remove_dir_all(&dir);

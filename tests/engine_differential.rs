@@ -20,6 +20,9 @@ use sdlc::wideint::{SplitMix64, U256};
 /// `ops` gates whose kinds and source nets are decoded from the seeds.
 /// Deliberately includes buffers, constants and muxes so compile-time
 /// folding is exercised, not just the arithmetic cells.
+/// An unsigned functional model, checked against its netlist.
+type Oracle = Box<dyn Fn(u128, u128) -> U256 + Sync>;
+
 fn random_dag(inputs: u32, ops: &[(u8, u32, u32, u32)]) -> Netlist {
     let mut n = Netlist::new("dag");
     let mut nets = n.add_input_bus("a", inputs);
@@ -113,7 +116,7 @@ fn every_generator_agrees_across_engines() {
     let trunc = TruncatedMultiplier::new(6, 3).unwrap();
     let etm = EtmMultiplier::new(6).unwrap();
     let sdlc2 = SdlcMultiplier::new(6, 2).unwrap();
-    let netlists: Vec<(Netlist, Box<dyn Fn(u128, u128) -> U256 + Sync>)> = vec![
+    let netlists: Vec<(Netlist, Oracle)> = vec![
         (
             accurate_multiplier(6, scheme).unwrap(),
             Box::new(|a, b| U256::from_u128(a).wrapping_mul(&U256::from_u128(b))),

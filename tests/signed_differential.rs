@@ -158,7 +158,7 @@ fn exhaustive_8bit_three_way_cross_check() {
         let a = ((ua as i64) << 56) >> 56;
         batch.sweep_operand_row_signed(ua, 256, &mut |b0, planes| {
             sdlc::core::batch::extract_product_lanes(planes, &mut lanes_out);
-            for i in 0..LANES {
+            for (i, &lane) in lanes_out.iter().enumerate() {
                 let ub = b0 + i as u64;
                 let b = ((ub as i64) << 56) >> 56;
                 let scalar = signed.multiply_i64(a, b);
@@ -168,7 +168,7 @@ fn exhaustive_8bit_three_way_cross_check() {
                 } else {
                     magnitude
                 };
-                let batch_product = i128::from(((lanes_out[i] << 48) as i64) >> 48);
+                let batch_product = i128::from(((lane << 48) as i64) >> 48);
                 assert_eq!(scalar, reference, "scalar vs core at ({a}, {b})");
                 assert_eq!(batch_product, scalar, "batch vs scalar at ({a}, {b})");
             }
