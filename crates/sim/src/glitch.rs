@@ -222,17 +222,106 @@ pub struct GlitchApplyResult {
     pub settle_ps: f64,
 }
 
-/// Bits of a packed wheel key reserved for the op index (low bits, so
-/// keys order by time first, then op — the scalar heap's order).
-const KEY_OP_BITS: u32 = 24;
+/// Widest op field of a packed wheel key. A key is `(time << op_bits) |
+/// op`, op in the low bits so keys order by time first, then op — the
+/// scalar heap's order. `op_bits` is just wide enough for the program's
+/// op indices, at most this.
+const MAX_OP_BITS: u32 = 24;
 
-/// One pending event of the wheel: the `(time, op)` key's 64-lane masks
-/// of events scheduled with value 0 / value 1.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    time: u64,
+/// One scheduled event: its packed `(time, op)` key and the 64-lane masks
+/// of the lanes scheduled to value 0 / value 1 at it. Several events may
+/// share a key; the drain ORs them together.
+#[derive(Debug, Clone, Copy, Default)]
+struct Event {
+    key: u64,
     low: u64,
     high: u64,
+}
+
+/// Runs shorter than this are ordered by a comparison sort.
+const RADIX_MIN: usize = 64;
+
+/// Runs longer than this are split by their top key digit before the LSD
+/// passes. Such a run and its second buffer take 1.5 MB, most of a 2 MB
+/// per-core L2 cache; split, each LSD pass scatters within cache. Only
+/// the widest arrays have such buckets (128-bit buckets average 58 k
+/// events), and only there does the split pay: paired `synth --width
+/// 128` rows with and without it are in `BENCH_e2e.json`.
+const CACHE_EVENTS: usize = 1 << 15;
+
+/// Widest radix digit, in bits.
+const RADIX_BITS: u32 = 11;
+
+/// Orders a wheel bucket by key (see [`sort_run`]); `scratch` is the
+/// sort's reusable second buffer.
+fn sort_events(events: &mut [Event], scratch: &mut Vec<Event>) {
+    scratch.resize(events.len(), Event::default());
+    sort_run(events, scratch);
+}
+
+/// Orders `events` by key, with `scratch` (as long) as the second buffer:
+/// a comparison sort for short runs, otherwise a radix sort over the low
+/// key bits up to the highest one that varies across `events`. Inside one
+/// wheel bucket the time bits above the bucket span are all equal, so
+/// they cost no pass. Runs that fit in cache take stable LSD passes of at
+/// most [`RADIX_BITS`]; longer ones are first split by their top digit
+/// (one MSD pass), and each part is sorted the same way.
+fn sort_run(events: &mut [Event], scratch: &mut [Event]) {
+    if events.len() < RADIX_MIN {
+        events.sort_unstable_by_key(|e| e.key);
+        return;
+    }
+    let (any, all) = events
+        .iter()
+        .fold((0u64, u64::MAX), |(any, all), e| (any | e.key, all & e.key));
+    let bits = 64 - (any ^ all).leading_zeros();
+    if bits == 0 {
+        return; // one key throughout
+    }
+    let mut counts = [0u32; 1 << RADIX_BITS];
+    // Scatters `src` into `dst` by the `width`-bit digit at `shift`,
+    // stably; leaves each digit's end offset in `counts`.
+    let mut scatter = |src: &[Event], dst: &mut [Event], shift: u32, width: u32| {
+        let digit = |key: u64| ((key >> shift) & ((1 << width) - 1)) as usize;
+        let counts = &mut counts[..1 << width];
+        counts.fill(0);
+        for e in src {
+            counts[digit(e.key)] += 1;
+        }
+        let mut start = 0;
+        for count in counts.iter_mut() {
+            (*count, start) = (start, start + *count);
+        }
+        for e in src {
+            let next = &mut counts[digit(e.key)];
+            dst[*next as usize] = *e;
+            *next += 1;
+        }
+    };
+    if events.len() > CACHE_EVENTS {
+        let width = bits.min(RADIX_BITS);
+        scatter(events, scratch, bits - width, width);
+        let mut start = 0;
+        for &end in &counts[..1 << width] {
+            let end = end as usize;
+            let (part, spare) = (&mut scratch[start..end], &mut events[start..end]);
+            sort_run(part, spare);
+            spare.copy_from_slice(part);
+            start = end;
+        }
+        return;
+    }
+    let passes = bits.div_ceil(RADIX_BITS);
+    let width = bits.div_ceil(passes);
+    let (mut src, mut dst) = (events, scratch);
+    for pass in 0..passes {
+        scatter(src, dst, pass * width, width);
+        std::mem::swap(&mut src, &mut dst);
+    }
+    if passes % 2 == 1 {
+        // The sorted run is in `scratch`.
+        dst.copy_from_slice(src);
+    }
 }
 
 /// 64-lane event-driven executor over a [`TimedProgram`] — the exact
@@ -242,28 +331,39 @@ struct Pending {
 /// lane, transition accounting (inertial pulse filtering included) is
 /// identical to running one scalar `TimingSim` on that stream.
 ///
-/// The event wheel is a **bucketed time ladder**: packed `(time, op)`
-/// keys land in buckets of ~one-gate-delay span (every bucket fits the
-/// program's whole arrival window, so the ladder is allocated once and
-/// reused), each bucket is sorted when the drain reaches it, and keys
+/// The event wheel is a **ring of time buckets**. An event carries its
+/// packed `(time, op)` key and its lane masks, and lands in bucket
+/// `time >> bucket_shift`, whose span is about one minimum gate delay. No
+/// event is scheduled more than the largest gate delay ahead, so a small
+/// power-of-two ring of reused buckets holds every pending one. When the
+/// drain reaches a bucket it radix-sorts it by key; events that share a
+/// key are then adjacent, and one pop ORs their masks together (OR
+/// commutes, so this equals merging them as they are scheduled). Keys
 /// whose delay folds back into the bucket being drained (possible only
-/// for sub-span delays) trigger a tail re-sort — so keys always pop in
-/// the scalar engine's exact `(time, gate)` order, at sequential-scan
-/// cost instead of heap-sift cost. Per-op pending lists hold each key's
-/// lane masks and keep their capacity across `apply` calls; steady
-/// state allocates nothing.
+/// for delays shorter than the span) trigger a re-sort of the unprocessed
+/// tail. So keys always pop in the scalar engine's exact `(time, gate)`
+/// order, at sequential-scan cost instead of heap-sift cost. Buckets and
+/// sort buffers keep their capacity across `apply` calls.
 #[derive(Debug, Clone)]
 pub struct GlitchSim<'p> {
     program: &'p TimedProgram,
     values: Vec<u64>,
     toggles: Vec<u64>,
-    /// Time ladder: bucket `t >> bucket_shift` holds the packed
-    /// `(time << KEY_OP_BITS) | op` keys of its span, unsorted until
-    /// drained.
-    ladder: Vec<Vec<u64>>,
+    /// Ring of time buckets: events of logical bucket `t >> bucket_shift`
+    /// sit in `ring[(t >> bucket_shift) & (ring.len() - 1)]`, unsorted
+    /// until drained.
+    ring: Vec<Vec<Event>>,
     bucket_shift: u32,
-    /// Per-op pending events (drained to empty by every `apply`).
-    pending: Vec<Vec<Pending>>,
+    /// Width of the op field of the packed keys: just enough for the
+    /// program's op indices, so the radix sort orders as few bits as it
+    /// can.
+    op_bits: u32,
+    /// The last logical bucket any event can land in.
+    last_bucket: usize,
+    /// A spare bucket, swapped into the ring slot the drain empties, and
+    /// the radix sort's second buffer; both keep their capacity.
+    drain: Vec<Event>,
+    scratch: Vec<Event>,
     settled_once: bool,
 }
 
@@ -273,8 +373,8 @@ impl<'p> GlitchSim<'p> {
     /// inside both limits; a library with extreme loads can push the
     /// critical path past the second.
     pub(crate) fn accepts(program: &TimedProgram) -> bool {
-        (program.op_count() as u64) < (1 << KEY_OP_BITS)
-            && program.critical_ticks() < (1 << (64 - KEY_OP_BITS))
+        (program.op_count() as u64) < (1 << MAX_OP_BITS)
+            && program.critical_ticks() < (1 << (64 - MAX_OP_BITS))
     }
 
     /// Creates an executor with all lanes at 0 (constants pre-loaded).
@@ -292,27 +392,31 @@ impl<'p> GlitchSim<'p> {
         let critical_ticks = program.critical_ticks();
         // Bucket span: about one minimum gate delay (then almost every
         // scheduled key lands past the bucket being drained), floored so
-        // the ladder never exceeds ~4096 buckets even for degenerate
-        // zero-delay libraries.
-        let min_delay = program
-            .delay_ticks
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(1)
-            .max(1);
+        // the drain never walks more than ~4096 buckets even for
+        // degenerate zero-delay libraries.
+        let delays = program.delay_ticks.iter().copied();
+        let min_delay = delays.clone().min().unwrap_or(1).max(1);
+        let max_delay = delays.max().unwrap_or(0);
         let span_for_budget = (critical_ticks / 4096).max(1);
         let bucket_shift = 63 - (min_delay.max(span_for_budget) | 1).leading_zeros();
-        let buckets = (critical_ticks >> bucket_shift) as usize + 1;
+        // An event lands at most `(max_delay >> shift) + 1` buckets past
+        // the one being drained, so this many slots never alias.
+        let ring_len = ((max_delay >> bucket_shift) as usize + 2).next_power_of_two();
+        // Just enough key bits for the largest op index.
+        let last_op = (program.op_count() as u64).saturating_sub(1);
+        let op_bits = u64::BITS - last_op.leading_zeros();
         let mut values = vec![0u64; program.slot_count()];
         values[SLOT_CONST1 as usize] = u64::MAX;
         Self {
             program,
             toggles: vec![0; program.slot_count()],
             values,
-            ladder: vec![Vec::new(); buckets],
+            ring: vec![Vec::new(); ring_len],
             bucket_shift,
-            pending: vec![Vec::new(); program.op_count()],
+            op_bits,
+            last_bucket: (critical_ticks >> bucket_shift) as usize,
+            drain: Vec::new(),
+            scratch: Vec::new(),
             settled_once: false,
         }
     }
@@ -362,29 +466,21 @@ impl<'p> GlitchSim<'p> {
         // method calls (which would re-borrow the whole struct per event).
         let values = &mut self.values[..];
         let toggles = &mut self.toggles[..];
-        let ladder = &mut self.ladder[..];
+        let ring = &mut self.ring[..];
+        let ring_mask = ring.len() - 1;
         let bucket_shift = self.bucket_shift;
-        let pending = &mut self.pending[..];
+        let op_bits = self.op_bits;
+        let scratch = &mut self.scratch;
         // Splits `mask` by the op's present evaluation — the captured
-        // value the scalar engine stores in its heap entries — and merges
-        // into the wheel (fresh keys also drop into their time bucket, so
-        // the ladder never carries duplicates).
-        let schedule = |values: &[u64],
-                        ladder: &mut [Vec<u64>],
-                        pending: &mut [Vec<Pending>],
-                        time: u64,
-                        op: u32,
-                        mask: u64| {
+        // value the scalar engine stores in its heap entries — and drops
+        // the event into its time bucket.
+        let schedule = |values: &[u64], ring: &mut [Vec<Event>], time: u64, op: u32, mask: u64| {
             let eval = p.eval(values, op as usize);
-            let (low, high) = (mask & !eval, mask & eval);
-            let list = &mut pending[op as usize];
-            if let Some(entry) = list.iter_mut().find(|entry| entry.time == time) {
-                entry.low |= low;
-                entry.high |= high;
-            } else {
-                list.push(Pending { time, low, high });
-                ladder[(time >> bucket_shift) as usize].push((time << KEY_OP_BITS) | u64::from(op));
-            }
+            ring[(time >> bucket_shift) as usize & ring_mask].push(Event {
+                key: (time << op_bits) | u64::from(op),
+                low: mask & !eval,
+                high: mask & eval,
+            });
         };
 
         // Input changes land at t = 0, processed in declaration order with
@@ -401,45 +497,47 @@ impl<'p> GlitchSim<'p> {
             toggles[slot] += flips;
             transitions += flips;
             for &op in p.fanout(slot as u32) {
-                schedule(
-                    values,
-                    ladder,
-                    pending,
-                    p.delay_ticks[op as usize],
-                    op,
-                    changed,
-                );
+                schedule(values, ring, p.delay_ticks[op as usize], op, changed);
             }
         }
 
-        // Drain the ladder bucket by bucket in (time, op) order — the
+        // Drain the ring bucket by bucket in (time, op) order — the
         // scalar heap's order, with the value-0 event of a key popping
         // before the value-1 one. A bucket is sorted when the drain
         // reaches it; keys scheduled back into the bucket being drained
         // (delays shorter than the bucket span) re-sort the unprocessed
         // tail, so the order stays exact.
-        for b in 0..ladder.len() {
-            if ladder[b].is_empty() {
+        let mut bucket = std::mem::take(&mut self.drain);
+        for b in 0..=self.last_bucket {
+            let slot = b & ring_mask;
+            if ring[slot].is_empty() {
                 continue;
             }
-            ladder[b].sort_unstable();
-            let mut sorted_len = ladder[b].len();
+            // The spare swaps in as the slot's (empty) bucket.
+            std::mem::swap(&mut bucket, &mut ring[slot]);
+            sort_events(&mut bucket, scratch);
             let mut i = 0;
-            while i < ladder[b].len() {
-                if ladder[b].len() > sorted_len {
-                    ladder[b][i..].sort_unstable();
-                    sorted_len = ladder[b].len();
+            loop {
+                if !ring[slot].is_empty() {
+                    bucket.append(&mut ring[slot]);
+                    bucket[i..].sort_unstable_by_key(|e| e.key);
                 }
-                let key = ladder[b][i];
+                let Some(&Event {
+                    key,
+                    mut low,
+                    mut high,
+                }) = bucket.get(i)
+                else {
+                    break;
+                };
                 i += 1;
-                let time = key >> KEY_OP_BITS;
-                let op = (key & ((1 << KEY_OP_BITS) - 1)) as usize;
-                let list = &mut pending[op];
-                let index = list
-                    .iter()
-                    .position(|entry| entry.time == time)
-                    .expect("ladder key has a pending entry");
-                let Pending { low, high, .. } = list.swap_remove(index);
+                while let Some(same) = bucket.get(i).filter(|e| e.key == key) {
+                    low |= same.low;
+                    high |= same.high;
+                    i += 1;
+                }
+                let time = key >> op_bits;
+                let op = (key & ((1 << op_bits) - 1)) as usize;
                 let present = p.eval(values, op);
                 let dst = p.dst[op] as usize;
                 let out = values[dst];
@@ -461,16 +559,20 @@ impl<'p> GlitchSim<'p> {
                 for &downstream in p.fanout(dst as u32) {
                     schedule(
                         values,
-                        ladder,
-                        pending,
+                        ring,
                         time + p.delay_ticks[downstream as usize],
                         downstream,
                         fired,
                     );
                 }
             }
-            ladder[b].clear();
+            bucket.clear();
         }
+        self.drain = bucket;
+        assert!(
+            self.ring.iter().all(Vec::is_empty),
+            "an event landed past the critical path"
+        );
         GlitchApplyResult {
             transitions,
             settle_ps: last_tick as f64 / 1024.0,
@@ -585,6 +687,79 @@ mod tests {
         }
         assert_eq!(compiled.toggles_per_net(), scalar_totals);
         assert_eq!(compiled_transitions, scalar_transitions);
+    }
+
+    /// The skewed-delay library of `tests/glitch_differential.rs`
+    /// (`skewed_delays_agree_with_timing_sim`): AND2 is four orders of
+    /// magnitude faster than every other cell. The bucket span then
+    /// follows the critical path (`critical / 4096`), not the fast cell,
+    /// so AND2 events land in the bucket being drained and take the tail
+    /// re-sort path that the integration test checks against the scalar
+    /// engine.
+    #[test]
+    fn skewed_delays_schedule_into_the_bucket_being_drained() {
+        let mut text = String::from("library delays { wire_cap_per_fanout_ff 1\n");
+        for cell in [
+            "BUF", "INV", "AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2", "MUX2",
+        ] {
+            let (delay, drive) = if cell == "AND2" {
+                (0.01, 0.0)
+            } else {
+                (100.0, 2.5)
+            };
+            text += &format!(
+                "cell {cell} {{ area 1 cap 1 delay {delay} drive {drive} energy 1 leak 1 }}\n"
+            );
+        }
+        let lib = Library::from_text(&(text + "}")).unwrap();
+        let program = TimedProgram::compile(&adder(8), &lib);
+        let min_delay = program.delay_ticks.iter().copied().min().unwrap();
+        let sim = GlitchSim::new(&program);
+        assert!(
+            min_delay < 1 << sim.bucket_shift,
+            "the {min_delay}-tick AND2 must be shorter than the bucket span 2^{}",
+            sim.bucket_shift
+        );
+    }
+
+    /// Every run length, through the comparison, LSD and MSD paths:
+    /// keys come out ordered and no event is lost or duplicated.
+    #[test]
+    fn sort_events_orders_runs_of_every_length() {
+        let mut rng = SplitMix64::new(0x5027);
+        let mut scratch = Vec::new();
+        for len in [
+            0,
+            1,
+            RADIX_MIN - 1,
+            RADIX_MIN,
+            5000,
+            CACHE_EVENTS + 1,
+            3 * CACHE_EVENTS,
+        ] {
+            // One bucket's keys: equal high time bits, few distinct
+            // times (bursts of equal keys), any op.
+            let events: Vec<Event> = (0..len as u64)
+                .map(|i| {
+                    let r = rng.next_u64();
+                    let key = (0x5A << 32) | ((r & 0x70_0000) << 8) | (r & 0xFFF);
+                    Event {
+                        key,
+                        low: i,
+                        high: !i,
+                    }
+                })
+                .collect();
+            let mut sorted = events.clone();
+            sort_events(&mut sorted, &mut scratch);
+            assert!(sorted.windows(2).all(|w| w[0].key <= w[1].key), "len {len}");
+            let pairs = |events: &[Event]| {
+                let mut pairs: Vec<(u64, u64)> = events.iter().map(|e| (e.key, e.low)).collect();
+                pairs.sort_unstable();
+                pairs
+            };
+            assert_eq!(pairs(&sorted), pairs(&events), "len {len}");
+        }
     }
 
     #[test]

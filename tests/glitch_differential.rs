@@ -13,7 +13,7 @@ use sdlc::core::circuits::{
     truncated_multiplier, ReductionScheme,
 };
 use sdlc::core::SdlcMultiplier;
-use sdlc::netlist::Netlist;
+use sdlc::netlist::{passes, Netlist};
 use sdlc::sim::activity::{random_activity_with_engine, timing_activity_with_engine};
 use sdlc::sim::{
     CompiledNetlist, CompiledSim, Engine, GlitchSim, LogicSim, TimedProgram, TimingSim,
@@ -82,11 +82,10 @@ fn random_dag(inputs: u32, ops: &[(u8, u32, u32, u32)]) -> Netlist {
 /// words must carry `streams` distinct lane streams replicated across all
 /// 64 lanes (lane `i` = stream `i % streams`), so the compiled totals are
 /// exactly `64 / streams` times the scalar sum.
-fn assert_glitch_match(n: &Netlist, words: &[Vec<u64>], streams: u32) {
+fn assert_glitch_match(n: &Netlist, lib: &Library, words: &[Vec<u64>], streams: u32) {
     assert_eq!(64 % streams, 0);
     let replication = u64::from(64 / streams);
-    let lib = Library::generic_90nm();
-    let program = TimedProgram::compile(n, &lib);
+    let program = TimedProgram::compile(n, lib);
     let mut compiled = GlitchSim::new(&program);
     compiled.settle(&words[0]);
     let mut compiled_transitions = 0u64;
@@ -102,7 +101,7 @@ fn assert_glitch_match(n: &Netlist, words: &[Vec<u64>], streams: u32) {
     for lane in 0..streams {
         let bits =
             |word: &Vec<u64>| -> Vec<bool> { word.iter().map(|&w| (w >> lane) & 1 == 1).collect() };
-        let mut sim = TimingSim::new(n, &lib);
+        let mut sim = TimingSim::new(n, lib);
         sim.settle(&bits(&words[0]));
         for word in &words[1..] {
             let result = sim.apply(&bits(word));
@@ -151,7 +150,7 @@ proptest! {
         let words: Vec<Vec<u64>> = (0..4)
             .map(|_| (0..inputs).map(|_| replicate8(rng.next_u64())).collect())
             .collect();
-        assert_glitch_match(&n, &words, 8);
+        assert_glitch_match(&n, &Library::generic_90nm(), &words, 8);
     }
 
     /// Deeper zero-delay folding stays bit-identical to 64 scalar
@@ -215,15 +214,13 @@ proptest! {
     }
 }
 
-/// Every circuit generator family produces identical glitch totals on the
-/// compiled engine and on scalar TimingSim streams.
-#[test]
-fn every_generator_family_agrees_with_timing_sim() {
+/// One small design per circuit generator family.
+fn generator_families() -> Vec<Netlist> {
     let scheme = ReductionScheme::RippleRows;
     let sdlc2 = SdlcMultiplier::new(6, 2).unwrap();
     let sdlc4 = SdlcMultiplier::new(6, 4).unwrap();
     let trunc = TruncatedMultiplier::new(6, 3).unwrap();
-    let netlists: Vec<Netlist> = vec![
+    vec![
         accurate_multiplier(6, scheme).unwrap(),
         accurate_multiplier(6, ReductionScheme::Wallace).unwrap(),
         sdlc_multiplier(&sdlc2, scheme),
@@ -232,15 +229,64 @@ fn every_generator_family_agrees_with_timing_sim() {
         etm_multiplier(6, scheme).unwrap(),
         kulkarni_multiplier(8, scheme).unwrap(),
         signed_multiplier(&sdlc_multiplier(&sdlc2, scheme), 6),
-    ];
-    for n in &netlists {
+    ]
+}
+
+/// Runs every generator family through [`assert_glitch_match`] under `lib`.
+fn assert_families_match(lib: &Library) {
+    for n in &generator_families() {
         let inputs = n.inputs().len();
         let mut rng = SplitMix64::new(0x6117C4);
         let words: Vec<Vec<u64>> = (0..4)
             .map(|_| (0..inputs).map(|_| replicate8(rng.next_u64())).collect())
             .collect();
-        assert_glitch_match(n, &words, 8);
+        assert_glitch_match(n, lib, &words, 8);
     }
+}
+
+/// A library whose cell `name` has intrinsic delay `delay(name)` and load
+/// slope `drive(name)` (input caps and wire caps of 1 fF).
+fn delay_library(delay: impl Fn(&str) -> f64, drive: impl Fn(&str) -> f64) -> Library {
+    let mut text = String::from("library delays { wire_cap_per_fanout_ff 1\n");
+    for cell in [
+        "BUF", "INV", "AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2", "MUX2",
+    ] {
+        text += &format!(
+            "cell {cell} {{ area 1 cap 1 delay {} drive {} energy 1 leak 1 }}\n",
+            delay(cell),
+            drive(cell)
+        );
+    }
+    Library::from_text(&(text + "}")).unwrap()
+}
+
+/// Every circuit generator family produces identical glitch totals on the
+/// compiled engine and on scalar TimingSim streams.
+#[test]
+fn every_generator_family_agrees_with_timing_sim() {
+    assert_families_match(&Library::generic_90nm());
+}
+
+/// One cell four orders of magnitude faster than the rest: the wheel's
+/// bucket span follows the critical path (`critical / 4096`), not that
+/// cell, so its events land in the bucket being drained. That holds once
+/// the critical path passes 64 ps, as every design here does; a unit test
+/// in `glitch.rs` asserts it for this library.
+#[test]
+fn skewed_delays_agree_with_timing_sim() {
+    let fast = |cell: &str| cell == "AND2";
+    assert_families_match(&delay_library(
+        |cell| if fast(cell) { 0.01 } else { 100.0 },
+        |cell| if fast(cell) { 0.0 } else { 2.5 },
+    ));
+}
+
+/// Equal delays and no load slope: whole logic levels switch at the same
+/// tick, so many ops share one time and reconvergent paths schedule the
+/// same `(time, op)` key more than once.
+#[test]
+fn uniform_delays_agree_with_timing_sim() {
+    assert_families_match(&delay_library(|_| 40.0, |_| 0.0));
 }
 
 /// The full 64-lane stream layout (no replication) matches 64 scalar
@@ -253,7 +299,7 @@ fn full_64_lane_streams_match_on_an_sdlc_multiplier() {
     let words: Vec<Vec<u64>> = (0..3)
         .map(|_| (0..n.inputs().len()).map(|_| rng.next_u64()).collect())
         .collect();
-    assert_glitch_match(&n, &words, 64);
+    assert_glitch_match(&n, &Library::generic_90nm(), &words, 64);
 }
 
 /// The glitch-activity driver: deterministic, glitch-aware, and identical
@@ -296,4 +342,29 @@ fn arrival_metadata_bounds_both_engines() {
         let result = sim.apply(&stim(a, b));
         assert!(result.settle_ps <= bound + 1e-6);
     }
+}
+
+/// The glitch-activity drivers at the benchmark's `synth` configuration:
+/// optimized 16-bit designs, 512 vectors, seed `0x5D1C`, as the synthesis
+/// flow runs them.
+fn assert_engines_agree_at_16_bits(mut n: Netlist) {
+    let _ = passes::optimize(&mut n);
+    let lib = Library::generic_90nm();
+    let compiled = timing_activity_with_engine(&n, &lib, 0x5D1C, 512, Engine::Compiled);
+    let scalar = timing_activity_with_engine(&n, &lib, 0x5D1C, 512, Engine::Scalar);
+    assert_eq!(compiled, scalar);
+}
+
+#[test]
+#[ignore = "scalar event simulation of a 16-bit array; run in release"]
+fn release_accurate_ripple_16_bit_engines_agree() {
+    assert_engines_agree_at_16_bits(accurate_multiplier(16, ReductionScheme::RippleRows).unwrap());
+}
+
+#[test]
+#[ignore = "scalar event simulation of a 16-bit array; run in release"]
+fn release_signed_sdlc_csa_16_bit_engines_agree() {
+    let model = SdlcMultiplier::new(16, 4).unwrap();
+    let core = sdlc_multiplier(&model, ReductionScheme::CarrySaveArray);
+    assert_engines_agree_at_16_bits(signed_multiplier(&core, 16));
 }
