@@ -60,6 +60,10 @@ pub(crate) mod signed;
 pub use accurate::BatchAccurate;
 pub use baselines::{BatchEtm, BatchKulkarni, BatchTruncated};
 pub use sdlc::BatchSdlc;
+/// Un-transposes product planes into per-lane values (`out[i]` = lane
+/// `i`'s product); the error drivers and benches consume
+/// [`BatchMultiplier::sweep_operand_row`] output through this.
+pub use sdlc_wideint::bitplane::lanes_from_planes as extract_product_lanes;
 pub use signed::BatchSignMagnitude;
 
 use sdlc_wideint::bitplane::transposed64;
@@ -181,44 +185,32 @@ pub trait Batchable: Multiplier {
     fn batch_model(&self) -> Self::Batch;
 }
 
-/// Un-transposes product planes into per-lane values (`out[i]` = lane
-/// `i`'s product), using the cheaper 16- and 32-plane block networks when
-/// the products are narrow enough. The error drivers and benches consume
-/// [`BatchMultiplier::sweep_operand_row`] output through this.
+/// Evaluates one exhaustive-sweep block through a bit-sliced model in
+/// the bit-plane domain: `product` receives the `2N` planes of the model's
+/// products for `(a, b0 + i)`, lane `i` for each of the [`LANES`]
+/// consecutive `b` patterns (taken modulo `2^N`, so a block may start past
+/// a narrow model's last pattern). This is the unsigned block model of
+/// `sdlc-sim`'s `equiv::check_exhaustive_planes`, which compares it plane
+/// by plane against the netlist's product bus.
 ///
 /// # Panics
 ///
-/// Panics if more than [`LANES`] planes are passed.
-pub fn extract_product_lanes(planes: &[u64], out: &mut [u64; LANES]) {
-    use sdlc_wideint::bitplane;
-    if planes.len() <= 16 {
-        let mut w = [0u64; 16];
-        w[..planes.len()].copy_from_slice(planes);
-        let lanes = bitplane::lanes_from_planes16(&w);
-        for (o, &l) in out.iter_mut().zip(&lanes) {
-            *o = u64::from(l);
-        }
-    } else if planes.len() <= 32 {
-        let mut w = [0u64; 32];
-        w[..planes.len()].copy_from_slice(planes);
-        let lanes = bitplane::lanes_from_planes32(&w);
-        for (o, &l) in out.iter_mut().zip(&lanes) {
-            *o = u64::from(l);
-        }
-    } else {
-        let mut w = [0u64; LANES];
-        w[..planes.len()].copy_from_slice(planes);
-        *out = transposed64(&w);
-    }
+/// Panics if `a` does not fit the model's width, `b0` is not 64-aligned
+/// or `product` does not hold exactly `2N` planes.
+pub fn exhaustive_block_planes(batch: &impl BatchMultiplier, a: u64, b0: u64, product: &mut [u64]) {
+    let width = batch.width() as usize;
+    let mut b_planes = [0u64; BATCH_MAX_WIDTH as usize];
+    sdlc_wideint::bitplane::counter_planes(b0, batch.width(), &mut b_planes[..width]);
+    batch.multiply_planes_bcast(a, &b_planes[..width], product);
 }
 
-/// Evaluates one exhaustive-sweep block through a bit-sliced model:
-/// `out[i]` receives the model's product for `(a, b0 + i)` across all
-/// [`LANES`] consecutive `b` values. This is the model side of
-/// `sdlc-sim`'s `equiv::check_exhaustive_batched`, the block-model twin
-/// of the per-pair `equiv::check`: the netlist sweep packs 64 pairs per
-/// compiled evaluation, and feeding the reference model pair-by-pair
-/// would dominate the check from ~10-bit operands up.
+/// [`exhaustive_block_planes`] in lane form: `out[i]` receives the
+/// model's product for `(a, b0 + i)` across all [`LANES`] consecutive `b`
+/// values. This is the model side of `sdlc-sim`'s
+/// `equiv::check_exhaustive_batched`, the block-model twin of the
+/// per-pair `equiv::check`: the netlist sweep packs 64 pairs per compiled
+/// evaluation, and feeding the reference model pair-by-pair would
+/// dominate the check from ~10-bit operands up.
 ///
 /// # Panics
 ///
@@ -240,12 +232,10 @@ pub fn extract_product_lanes(planes: &[u64], out: &mut [u64; LANES]) {
 /// # Ok::<(), sdlc_core::SpecError>(())
 /// ```
 pub fn exhaustive_block(batch: &impl BatchMultiplier, a: u64, b0: u64, out: &mut [u64; LANES]) {
-    let width = batch.width() as usize;
-    let mut b_planes = [0u64; BATCH_MAX_WIDTH as usize];
-    sdlc_wideint::bitplane::counter_planes(b0, batch.width(), &mut b_planes[..width]);
+    let planes = 2 * batch.width() as usize;
     let mut product = [0u64; LANES];
-    batch.multiply_planes_bcast(a, &b_planes[..width], &mut product[..2 * width]);
-    extract_product_lanes(&product[..2 * width], out);
+    exhaustive_block_planes(batch, a, b0, &mut product[..planes]);
+    extract_product_lanes(&product[..planes], out);
 }
 
 /// Validates a scalar model's width for batching.
@@ -333,6 +323,25 @@ mod tests {
             let sums = transposed64(&acc);
             for i in 0..LANES {
                 assert_eq!(sums[i], x[i] + (y[i] << shift), "lane {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn exhaustive_block_planes_hold_the_scalar_products() {
+        // Width 4 wraps `b` within the block (16 patterns per 64 lanes).
+        for (width, a, b0) in [(4u32, 11u64, 0u64), (8, 200, 64), (8, 0, 192)] {
+            let model = crate::SdlcMultiplier::new(width, 2).unwrap();
+            let batch = model.batch_model();
+            let planes = 2 * width as usize;
+            let mut product = [0u64; LANES];
+            exhaustive_block_planes(&batch, a, b0, &mut product[..planes]);
+            let mut lanes = [0u64; LANES];
+            exhaustive_block(&batch, a, b0, &mut lanes);
+            assert_eq!(transposed64(&product), lanes);
+            for (i, &p) in lanes.iter().enumerate() {
+                let b = (b0 + i as u64) % (1 << width);
+                assert_eq!(u128::from(p), model.multiply_u64(a, b), "{a} x {b}");
             }
         }
     }

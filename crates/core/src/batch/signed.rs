@@ -100,6 +100,37 @@ impl<B: BatchMultiplier> BatchSignMagnitude<B> {
         bitplane::negate_planes(product, sign_a ^ sign_b);
     }
 
+    /// Evaluates one exhaustive-sweep block in the bit-plane domain: the
+    /// fixed two's-complement pattern `a` against the 64 consecutive
+    /// patterns `b0 + i` (taken modulo `2^N`), `product` receiving the
+    /// `2N` two's-complement product planes. This is the signed block
+    /// model of `sdlc-sim`'s `equiv::check_exhaustive_planes_signed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` does not fit the width, `b0` is not 64-aligned or
+    /// `product` does not hold exactly `2N` planes.
+    pub fn exhaustive_block_planes_signed(&self, a: u64, b0: u64, product: &mut [u64]) {
+        let width = self.inner.width();
+        let planes = width as usize;
+        assert!(a <= mask(width), "left pattern does not fit {width} bits");
+        // The broadcast operand's sign and magnitude are lane-invariant:
+        // the unsigned engine's broadcast fast path (SDLC's cluster
+        // pre-summation) runs on the magnitude.
+        let a_value = sign_extend(a, width);
+        let sign_a = if a_value < 0 { u64::MAX } else { 0 };
+        let mut b_planes = [0u64; BATCH_MAX_WIDTH as usize];
+        bitplane::counter_planes(b0, width, &mut b_planes);
+        let sign_b = b_planes[planes - 1];
+        bitplane::negate_planes(&mut b_planes[..planes], sign_b);
+        self.inner.multiply_planes_bcast(
+            a_value.unsigned_abs() as u64,
+            &b_planes[..planes],
+            product,
+        );
+        bitplane::negate_planes(product, sign_a ^ sign_b);
+    }
+
     /// Evaluates one exhaustive-sweep row: the fixed two's-complement
     /// pattern `a` against every pattern `b` in `[0, count)`, walked in
     /// 64-lane blocks of consecutive patterns, calling
@@ -117,29 +148,12 @@ impl<B: BatchMultiplier> BatchSignMagnitude<B> {
             count >= LANES as u64 && count.is_multiple_of(LANES as u64),
             "sweep rows take 64-aligned block counts"
         );
-        let width = self.inner.width();
-        let planes = width as usize;
-        assert!(a <= mask(width), "left pattern does not fit {width} bits");
-        // The broadcast operand's sign and magnitude are block-invariant:
-        // compute them once and keep the unsigned engine's broadcast fast
-        // path (SDLC's cluster pre-summation) on the magnitude.
-        let a_value = sign_extend(a, width);
-        let sign_a = if a_value < 0 { u64::MAX } else { 0 };
-        let mag_a = a_value.unsigned_abs() as u64;
-        let mut b_planes = [0u64; BATCH_MAX_WIDTH as usize];
+        let planes = 2 * self.inner.width() as usize;
         let mut product = [0u64; LANES];
         let mut b0 = 0u64;
         while b0 < count {
-            bitplane::counter_planes(b0, width, &mut b_planes);
-            let sign_b = b_planes[planes - 1];
-            bitplane::negate_planes(&mut b_planes[..planes], sign_b);
-            self.inner.multiply_planes_bcast(
-                mag_a,
-                &b_planes[..planes],
-                &mut product[..2 * planes],
-            );
-            bitplane::negate_planes(&mut product[..2 * planes], sign_a ^ sign_b);
-            emit(b0, &product[..2 * planes]);
+            self.exhaustive_block_planes_signed(a, b0, &mut product[..planes]);
+            emit(b0, &product[..planes]);
             b0 += LANES as u64;
         }
     }
@@ -210,6 +224,29 @@ mod tests {
                     );
                 }
             });
+        }
+    }
+
+    #[test]
+    fn exhaustive_block_planes_hold_the_scalar_products() {
+        // Width 4 wraps the `b` patterns within the block.
+        for (width, a) in [(4u32, 0b1011u64), (4, 0b0011), (8, 0x80), (8, 0x7F)] {
+            let scalar = signed_sdlc(width, 2).unwrap();
+            let batch = scalar.batch_model();
+            let planes = 2 * width as usize;
+            for b0 in [0u64, 128] {
+                let mut product = [0u64; LANES];
+                batch.exhaustive_block_planes_signed(a, b0, &mut product[..planes]);
+                let lanes = bitplane::transposed64(&product);
+                for (i, &lane) in lanes.iter().enumerate() {
+                    let (x, y) = (sign_extend(a, width), sign_extend(b0 + i as u64, width));
+                    assert_eq!(
+                        sign_extend(lane, 2 * width),
+                        scalar.multiply_i64(x as i64, y as i64),
+                        "{x} x {y}"
+                    );
+                }
+            }
         }
     }
 

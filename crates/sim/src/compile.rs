@@ -32,13 +32,16 @@
 //! The executor, [`CompiledSim`], evaluates 64 independent vectors per
 //! sweep — lane `i` of every value word is stimulus stream `i`, the same
 //! stream a scalar [`crate::LogicSim`] would see on its own — and its
-//! inner loop reads compact opcodes and `u32` slot indices from flat
-//! arrays instead of matching on gate structs. [`CompiledSim::apply`]
+//! inner loop reads `u32` slot indices from flat arrays instead of
+//! matching on gate structs. Ops are stored by logic level, and by opcode
+//! within a level, so the executor matches once per run of equal opcodes
+//! and runs each as a tight loop of one gate kind. [`CompiledSim::apply`]
 //! counts toggles lane-wise, so its totals equal the sum of 64 `LogicSim`
 //! streams; [`CompiledSim::evaluate`] skips that for equivalence sweeps
 //! where only final values matter.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use sdlc_netlist::{GateKind, NetId, Netlist};
 
@@ -198,12 +201,15 @@ fn fold(mut opcode: Op, mut a: u32, mut b: u32, c: u32, not_source: &HashMap<u32
 /// ```
 #[derive(Debug, Clone)]
 pub struct CompiledNetlist {
-    // Struct-of-arrays program, one entry per non-folded logic op.
-    code: Vec<Op>,
+    // Struct-of-arrays program, one entry per non-folded logic op, in
+    // (level, opcode, netlist order).
     src0: Vec<u32>,
     src1: Vec<u32>,
     src2: Vec<u32>,
     dst: Vec<u32>,
+    /// Runs of equal opcode: `(op, end)` covers the ops from the previous
+    /// run's end up to `end`.
+    runs: Vec<(Op, u32)>,
     /// Net index → value-slot index (aliased for folded gates).
     slot_of_net: Vec<u32>,
     /// Slot per primary input, in declaration order.
@@ -272,12 +278,37 @@ impl CompiledNetlist {
                 }
             }
         }
+        // Any topological order settles a zero-delay sweep in one pass.
+        // Ordering by level, then opcode, groups each level's ops into
+        // runs of one opcode, so the executor dispatches once per run.
+        let mut level = vec![0u32; slot_count];
+        let op_level: Vec<u32> = (0..code.len())
+            .map(|i| {
+                let l = 1 + [src0[i], src1[i], src2[i]]
+                    .iter()
+                    .map(|&s| level[s as usize])
+                    .max()
+                    .unwrap_or(0);
+                level[dst[i] as usize] = l;
+                l
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..code.len()).collect();
+        order.sort_by_key(|&i| (op_level[i], code[i] as u8, i));
+        let mut runs: Vec<(Op, u32)> = Vec::new();
+        for (end, &i) in order.iter().enumerate() {
+            match runs.last_mut() {
+                Some((op, run_end)) if *op == code[i] => *run_end = end as u32 + 1,
+                _ => runs.push((code[i], end as u32 + 1)),
+            }
+        }
+        let permute = |v: &[u32]| order.iter().map(|&i| v[i]).collect();
         Self {
-            code,
-            src0,
-            src1,
-            src2,
-            dst,
+            src0: permute(&src0),
+            src1: permute(&src1),
+            src2: permute(&src2),
+            dst: permute(&dst),
+            runs,
             slot_of_net,
             input_slots,
             slot_count,
@@ -287,12 +318,38 @@ impl CompiledNetlist {
     /// Number of executed operations (gates that survived folding).
     #[must_use]
     pub fn op_count(&self) -> usize {
-        self.code.len()
+        self.dst.len()
     }
 
     /// Value-slot index of a net (folded nets alias their source's slot).
     fn slot_of(&self, net: NetId) -> usize {
         self.slot_of_net[net.index()] as usize
+    }
+}
+
+/// Evaluates the program's ops in `run`, all of opcode `op`, in order.
+#[inline(always)]
+fn exec_run<const TOGGLED: bool>(
+    p: &CompiledNetlist,
+    run: Range<usize>,
+    op: Op,
+    values: &mut [u64],
+    toggles: &mut [u64],
+) {
+    // Zipped slice iteration keeps the loop free of per-op bounds checks
+    // on the program arrays.
+    let ops = p.src0[run.clone()]
+        .iter()
+        .zip(&p.src1[run.clone()])
+        .zip(&p.src2[run.clone()])
+        .zip(&p.dst[run]);
+    for (((&s0, &s1), &s2), &d) in ops {
+        let new = op.eval(|pin| values[[s0, s1, s2][pin] as usize]);
+        let d = d as usize;
+        if TOGGLED {
+            toggles[d] += u64::from((values[d] ^ new).count_ones());
+        }
+        values[d] = new;
     }
 }
 
@@ -342,29 +399,24 @@ impl<'p> CompiledSim<'p> {
             }
             values[slot] = word;
         }
-        // Zipped slice iteration keeps the hot loop free of per-op bounds
-        // checks on the program arrays.
-        let ops = p
-            .code
-            .iter()
-            .zip(&p.src0)
-            .zip(&p.src1)
-            .zip(&p.src2)
-            .zip(&p.dst);
-        for ((((&code, &s0), &s1), &s2), &d) in ops {
-            // Loading all three sources up front (unused ones repeat pin
-            // 0) keeps the dispatch branch-light in this hot loop.
-            let planes = [
-                values[s0 as usize],
-                values[s1 as usize],
-                values[s2 as usize],
-            ];
-            let new = code.eval(|pin| planes[pin]);
-            let d = d as usize;
-            if TOGGLED {
-                toggles[d] += u64::from((values[d] ^ new).count_ones());
+        let mut start = 0;
+        for &(op, end) in &p.runs {
+            let run = start..end as usize;
+            start = end as usize;
+            // One dispatch per run: each arm passes a constant opcode, so
+            // its inlined loop evaluates that one gate and loads only the
+            // pins it has.
+            match op {
+                Op::And => exec_run::<TOGGLED>(p, run, Op::And, values, toggles),
+                Op::Or => exec_run::<TOGGLED>(p, run, Op::Or, values, toggles),
+                Op::Nand => exec_run::<TOGGLED>(p, run, Op::Nand, values, toggles),
+                Op::Nor => exec_run::<TOGGLED>(p, run, Op::Nor, values, toggles),
+                Op::Xor => exec_run::<TOGGLED>(p, run, Op::Xor, values, toggles),
+                Op::Xnor => exec_run::<TOGGLED>(p, run, Op::Xnor, values, toggles),
+                Op::Not => exec_run::<TOGGLED>(p, run, Op::Not, values, toggles),
+                Op::Buf => exec_run::<TOGGLED>(p, run, Op::Buf, values, toggles),
+                Op::Mux => exec_run::<TOGGLED>(p, run, Op::Mux, values, toggles),
             }
-            values[d] = new;
         }
     }
 
@@ -604,6 +656,35 @@ mod tests {
             written[program.dst[i] as usize] = true;
         }
         assert!(written.iter().all(|&w| w), "every slot is written");
+    }
+
+    #[test]
+    fn ops_run_in_level_then_opcode_order() {
+        // The executor dispatches once per run, so runs must be maximal
+        // and each level's ops grouped by opcode.
+        let n = adder(8);
+        let program = CompiledNetlist::compile(&n);
+        let mut level = vec![0u32; program.slot_count];
+        let mut keys = Vec::new();
+        let mut start = 0;
+        for &(op, end) in &program.runs {
+            assert!(start < end as usize, "empty run");
+            for i in start..end as usize {
+                let sources = [program.src0[i], program.src1[i], program.src2[i]];
+                let l = 1 + sources.iter().map(|&s| level[s as usize]).max().unwrap();
+                level[program.dst[i] as usize] = l;
+                keys.push((l, op as u8));
+            }
+            start = end as usize;
+        }
+        assert_eq!(start, program.op_count());
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{keys:?}");
+        assert!(
+            program.runs.windows(2).all(|w| w[0].0 != w[1].0),
+            "adjacent runs share an opcode"
+        );
+        assert!(program.runs.len() < program.op_count());
+        assert_matches_per_lane_logic_sim(&n, &random_words(0xAD, 6, 16));
     }
 
     #[test]

@@ -5,8 +5,13 @@
 //! plus corner patterns above that ([`Coverage`]). [`check`] covers the
 //! unsigned operand domain and [`check_signed`] the two's-complement one;
 //! both return the number of operand pairs checked, or the first failing
-//! pair. [`check_exhaustive_batched`] asks the model for 64 products per
-//! call instead of one.
+//! pair. [`check_exhaustive_planes`] and [`check_exhaustive_planes_signed`]
+//! are their exhaustive twins against a bit-sliced *block* model: per 64
+//! operand pairs the model fills its product bit-planes, and the check
+//! XORs them against the netlist's `p` planes, so a passing block costs
+//! one word operation per product bit — no per-pair model call, no
+//! transpose — and only a failing block is decoded into a counterexample.
+//! [`check_exhaustive_batched`] is the older lane-form block check.
 //!
 //! Each check runs on one of two [`Engine`]s. The scalar engine drives
 //! one vector at a time through [`LogicSim`] — the reference. The
@@ -166,7 +171,11 @@ pub fn check(
     engine: Engine,
     model: impl Fn(u128, u128) -> U256 + Sync,
 ) -> Result<u64, Box<Mismatch>> {
-    sweep(netlist, width, coverage, engine, &Unsigned(model))
+    let pairs = PairModel {
+        domain: Unsigned { width },
+        model,
+    };
+    sweep(netlist, width, coverage, engine, &pairs)
 }
 
 /// [`check`] for a signed (two's-complement `a`/`b`→`p`) netlist: the
@@ -187,13 +196,11 @@ pub fn check_signed(
     engine: Engine,
     model: impl Fn(i128, i128) -> I256 + Sync,
 ) -> Result<u64, Box<SignedMismatch>> {
-    sweep(
-        netlist,
-        width,
-        coverage,
-        engine,
-        &TwosComplement { width, model },
-    )
+    let pairs = PairModel {
+        domain: TwosComplement { width },
+        model: |a, b| model(sign_extend(a, width), sign_extend(b, width)),
+    };
+    sweep(netlist, width, coverage, engine, &pairs)
 }
 
 /// [`check_signed`] with [`Coverage::Exhaustive`].
@@ -214,13 +221,74 @@ pub fn check_exhaustive_signed_with_engine(
     check_signed(netlist, width, Coverage::Exhaustive, engine, model).map(|_| ())
 }
 
+/// [`check`] with [`Coverage::Exhaustive`] against a **bit-plane block
+/// model**: `block_model(a, b0, planes)` fills the `2·width` raw product
+/// planes of `(a, b0), …, (a, b0 + 63)` (lane `i` of plane `k` is bit `k`
+/// of the product for `b0 + i`, patterns taken modulo `2^width`). Built
+/// for the bit-sliced model twins (`sdlc-core::batch`): products are
+/// compared plane by plane against the netlist's `p` planes, so a passing
+/// block costs one XOR/OR per plane, no per-pair model call and no
+/// transpose on either side; only a failing block is decoded.
+///
+/// The compared planes cover both products: a `p` bus shorter than
+/// `2·width` bits reads as zero in its missing planes, and planes past
+/// `2·width` must be zero, exactly as [`check`] compares raw products.
+/// Verdicts, the pair count and the first counterexample are the ones
+/// [`check`] reports with the block model's per-pair twin. The compiled
+/// engine falls back to scalar where [`check_exhaustive_batched`] does.
+///
+/// # Errors
+///
+/// Returns the first [`Mismatch`] found.
+///
+/// # Panics
+///
+/// Panics if `width > 16` (the sweep would not terminate reasonably), if
+/// the `p` bus exceeds 64 bits, or if `width`-bit operands overflow the
+/// netlist's buses.
+pub fn check_exhaustive_planes(
+    netlist: &Netlist,
+    width: u32,
+    engine: Engine,
+    block_model: impl Fn(u64, u64, &mut [u64]) + Sync,
+) -> Result<u64, Box<Mismatch>> {
+    exhaustive_planes(netlist, width, engine, &Unsigned { width }, block_model)
+}
+
+/// [`check_exhaustive_planes`] for a signed (two's-complement
+/// `a`/`b`→`p`) netlist: the block model fills the `2·width`
+/// two's-complement product planes of the operand *patterns*
+/// `(a, b0 + i)`, and a counterexample is decoded as [`check_signed`]
+/// reports it. Only the low `2·width` planes are compared — a wider `p`
+/// bus's upper planes are ignored, as [`check_signed`] ignores them.
+///
+/// # Errors
+///
+/// Returns the first [`SignedMismatch`] found.
+///
+/// # Panics
+///
+/// As [`check_exhaustive_planes`].
+pub fn check_exhaustive_planes_signed(
+    netlist: &Netlist,
+    width: u32,
+    engine: Engine,
+    block_model: impl Fn(u64, u64, &mut [u64]) + Sync,
+) -> Result<u64, Box<SignedMismatch>> {
+    exhaustive_planes(
+        netlist,
+        width,
+        engine,
+        &TwosComplement { width },
+        block_model,
+    )
+}
+
 /// [`check`] with [`Coverage::Exhaustive`] and a **64-lane block
 /// model**: the model side produces the products of `(a, b0), …,
-/// (a, b0 + 63)` in one call instead of being asked pair by pair. Built
-/// for bit-sliced model twins (`sdlc-core::batch`): at 10+ bits the
-/// per-pair scalar model call dominates the compiled netlist sweep, and
-/// batching it is what raises the practical exhaustive-equivalence
-/// ceiling to 12 bits.
+/// (a, b0 + 63)` in one call instead of being asked pair by pair, in lane
+/// form. [`check_exhaustive_planes`] is the same check without the
+/// transposes to and from lanes.
 ///
 /// Both engines sweep the identical row-major pair order (the scalar
 /// engine consumes the same block model lane by lane), so verdicts and
@@ -248,50 +316,36 @@ pub fn check_exhaustive_batched(
         "exhaustive equivalence beyond 16 bits is impractical"
     );
     let count = 1u64 << width;
-    let check_block = |a: u64, b0: u64, valid: usize, got: &[u64; bitplane::LANES]| {
+    let check_block = |a: u64, b0: u64, got: &[u64; bitplane::LANES]| {
         let mut expect = [0u64; bitplane::LANES];
         block_model(a, b0, &mut expect);
-        for i in 0..valid {
-            if got[i] != expect[i] {
-                return Some(Box::new(Mismatch {
-                    a: u128::from(a),
-                    b: u128::from(b0 + i as u64),
-                    netlist_product: U256::from_u128(u128::from(got[i])),
-                    model_product: U256::from_u128(u128::from(expect[i])),
-                }));
-            }
-        }
-        None
+        let valid = (count - b0).min(bitplane::LANES as u64) as usize;
+        (0..valid).find(|&i| got[i] != expect[i]).map(|i| {
+            Box::new(Mismatch {
+                a: u128::from(a),
+                b: u128::from(b0 + i as u64),
+                netlist_product: U256::from_u128(u128::from(got[i])),
+                model_product: U256::from_u128(u128::from(expect[i])),
+            })
+        })
     };
     let found = match engine {
         Engine::Compiled if compiled_supports(netlist, width) => {
-            exhaustive_walk_compiled_blocks(netlist, count, check_block)
+            let p_len = product_bus(netlist).len();
+            exhaustive_walk_compiled_blocks(netlist, count, |a, b0, planes| {
+                let mut got = [0u64; bitplane::LANES];
+                bitplane::lanes_from_planes(&planes[..p_len], &mut got);
+                check_block(a, b0, &got)
+            })
         }
         _ => {
             // Scalar netlist walk, same block-model consumption order.
-            let mut sim = LogicSim::new(netlist);
-            let mut found = None;
-            'rows: for a in 0..count {
-                let mut b0 = 0u64;
-                while b0 < count {
-                    let valid = (count - b0).min(bitplane::LANES as u64) as usize;
-                    let mut got = [0u64; bitplane::LANES];
-                    for (i, lane) in got.iter_mut().enumerate().take(valid) {
-                        sim.apply(&ab_stimulus(
-                            netlist,
-                            u128::from(a),
-                            u128::from(b0 + i as u64),
-                        ));
-                        *lane = read_product_u64(&sim, netlist);
-                    }
-                    if let Some(err) = check_block(a, b0, valid, &got) {
-                        found = Some(err);
-                        break 'rows;
-                    }
-                    b0 += bitplane::LANES as u64;
-                }
-            }
-            found
+            let p_len = product_bus(netlist).len();
+            exhaustive_walk_scalar_blocks(netlist, count, |a, b0, planes| {
+                let mut got = [0u64; bitplane::LANES];
+                bitplane::lanes_from_planes(&planes[..p_len], &mut got);
+                check_block(a, b0, &got)
+            })
         }
     };
     match found {
@@ -300,15 +354,9 @@ pub fn check_exhaustive_batched(
     }
 }
 
-/// Reads the `p` output bus of a scalar sweep as a raw `u64` pattern (the
-/// batched checks' product domain).
-fn read_product_u64(sim: &LogicSim<'_>, netlist: &Netlist) -> u64 {
-    let bits = netlist.bus("p").expect("output bus `p`");
-    assert!(bits.len() <= 64, "batched checks need products <= 64 bits");
-    bits.iter()
-        .enumerate()
-        .map(|(i, net)| u64::from(sim.value(*net)) << i)
-        .sum()
+/// The `p` output bus.
+fn product_bus(netlist: &Netlist) -> &[NetId] {
+    netlist.bus("p").expect("output bus `p`")
 }
 
 // ---------------------------------------------------------------------
@@ -317,59 +365,76 @@ fn read_product_u64(sim: &LogicSim<'_>, netlist: &Netlist) -> u64 {
 
 /// An operand domain of the checks. Operands travel as bus bit patterns
 /// and products as the raw `p` bus pattern; the domain supplies the
-/// corner patterns, decodes a pair and judges it against its model.
+/// corner patterns, decodes a raw product and builds the counterexample.
+/// Models stay outside: a per-pair model ([`PairModel`]) maps operand
+/// patterns to the domain's product, a block model fills raw product
+/// planes ([`exhaustive_planes`]).
 trait Domain: Sync {
+    /// A decoded product.
+    type Product: PartialEq;
     /// The counterexample the domain reports.
     type Mismatch: Send;
 
     /// Corner patterns of one operand, in sweep order.
     fn corners(width: u32) -> Vec<u128>;
 
-    /// Decodes the operand patterns, compares the raw product with the
-    /// model's and builds the counterexample if they differ.
-    fn check(&self, a: u128, b: u128, raw: &U256) -> Option<Box<Self::Mismatch>>;
+    /// Decodes a raw `p` bus pattern.
+    fn product(&self, raw: &U256) -> Self::Product;
 
-    /// [`Domain::check`] on one lane of the compiled walkers.
-    fn check_lane(&self, a: u64, b: u64, raw: u64) -> Option<Box<Self::Mismatch>> {
-        self.check(
-            u128::from(a),
-            u128::from(b),
-            &U256::from_u128(u128::from(raw)),
-        )
-    }
+    /// How many low product planes decide equality, for a `p_len`-bit
+    /// product bus: exactly the raw bits [`Domain::product`] reads.
+    fn judged_planes(&self, p_len: usize) -> usize;
+
+    /// The counterexample at operand patterns `(a, b)`.
+    fn mismatch(
+        &self,
+        a: u128,
+        b: u128,
+        netlist_product: Self::Product,
+        model_product: Self::Product,
+    ) -> Box<Self::Mismatch>;
 }
 
-/// The unsigned domain: patterns are the operands.
-struct Unsigned<M>(M);
+/// The unsigned domain: patterns are the operands and raw products the
+/// products.
+struct Unsigned {
+    width: u32,
+}
 
-impl<M: Fn(u128, u128) -> U256 + Sync> Domain for Unsigned<M> {
+impl Domain for Unsigned {
+    type Product = U256;
     type Mismatch = Mismatch;
 
     fn corners(width: u32) -> Vec<u128> {
         vec![0, 1, pattern_mask(width)]
     }
 
-    fn check(&self, a: u128, b: u128, raw: &U256) -> Option<Box<Mismatch>> {
-        let expect = (self.0)(a, b);
-        (*raw != expect).then(|| {
-            Box::new(Mismatch {
-                a,
-                b,
-                netlist_product: *raw,
-                model_product: expect,
-            })
+    fn product(&self, raw: &U256) -> U256 {
+        *raw
+    }
+
+    fn judged_planes(&self, p_len: usize) -> usize {
+        p_len.max(2 * self.width as usize)
+    }
+
+    fn mismatch(&self, a: u128, b: u128, got: U256, expect: U256) -> Box<Mismatch> {
+        Box::new(Mismatch {
+            a,
+            b,
+            netlist_product: got,
+            model_product: expect,
         })
     }
 }
 
 /// The two's-complement domain: `width`-bit operand patterns, `2·width`-bit
 /// product patterns.
-struct TwosComplement<M> {
+struct TwosComplement {
     width: u32,
-    model: M,
 }
 
-impl<M: Fn(i128, i128) -> I256 + Sync> Domain for TwosComplement<M> {
+impl Domain for TwosComplement {
+    type Product = I256;
     type Mismatch = SignedMismatch;
 
     fn corners(width: u32) -> Vec<u128> {
@@ -378,18 +443,47 @@ impl<M: Fn(i128, i128) -> I256 + Sync> Domain for TwosComplement<M> {
         vec![0, 1, pattern_mask(width), min - 1, min]
     }
 
-    fn check(&self, ua: u128, ub: u128, raw: &U256) -> Option<Box<SignedMismatch>> {
-        let got = I256::from_twos_complement(raw, 2 * self.width);
-        let (a, b) = (sign_extend(ua, self.width), sign_extend(ub, self.width));
-        let expect = (self.model)(a, b);
-        (got != expect).then(|| {
-            Box::new(SignedMismatch {
-                a,
-                b,
-                netlist_product: got,
-                model_product: expect,
-            })
+    fn product(&self, raw: &U256) -> I256 {
+        I256::from_twos_complement(raw, 2 * self.width)
+    }
+
+    fn judged_planes(&self, _p_len: usize) -> usize {
+        2 * self.width as usize
+    }
+
+    fn mismatch(&self, a: u128, b: u128, got: I256, expect: I256) -> Box<SignedMismatch> {
+        Box::new(SignedMismatch {
+            a: sign_extend(a, self.width),
+            b: sign_extend(b, self.width),
+            netlist_product: got,
+            model_product: expect,
         })
+    }
+}
+
+/// A per-pair model in its domain: `model` maps operand patterns to the
+/// domain's product.
+struct PairModel<D, M> {
+    domain: D,
+    model: M,
+}
+
+impl<D: Domain, M: Fn(u128, u128) -> D::Product + Sync> PairModel<D, M> {
+    /// Compares the netlist's raw product at patterns `(a, b)` with the
+    /// model's, building the counterexample if they differ.
+    fn check(&self, a: u128, b: u128, raw: &U256) -> Option<Box<D::Mismatch>> {
+        let got = self.domain.product(raw);
+        let expect = (self.model)(a, b);
+        (got != expect).then(|| self.domain.mismatch(a, b, got, expect))
+    }
+
+    /// [`PairModel::check`] on one lane of the compiled walkers.
+    fn check_lane(&self, a: u64, b: u64, raw: u64) -> Option<Box<D::Mismatch>> {
+        self.check(
+            u128::from(a),
+            u128::from(b),
+            &U256::from_u128(u128::from(raw)),
+        )
     }
 }
 
@@ -409,28 +503,28 @@ fn sign_extend(pattern: u128, width: u32) -> i128 {
 
 /// Runs one check: the coverage picks the sweep, the engine (and whether
 /// the compiled program can drive this netlist) picks its walker.
-fn sweep<D: Domain>(
+fn sweep<D: Domain, M: Fn(u128, u128) -> D::Product + Sync>(
     netlist: &Netlist,
     width: u32,
     coverage: Coverage,
     engine: Engine,
-    domain: &D,
+    pairs: &PairModel<D, M>,
 ) -> Result<u64, Box<D::Mismatch>> {
     let compiled = engine == Engine::Compiled && compiled_supports(netlist, width);
     match coverage {
-        Coverage::Exhaustive => exhaustive(netlist, width, compiled, domain),
+        Coverage::Exhaustive => exhaustive(netlist, width, compiled, pairs),
         Coverage::Sampled { samples, seed } => {
-            sampled(netlist, width, samples, seed, compiled, domain)
+            sampled(netlist, width, samples, seed, compiled, pairs)
         }
     }
 }
 
 /// Every pattern pair in row-major order.
-fn exhaustive<D: Domain>(
+fn exhaustive<D: Domain, M: Fn(u128, u128) -> D::Product + Sync>(
     netlist: &Netlist,
     width: u32,
     compiled: bool,
-    domain: &D,
+    pairs: &PairModel<D, M>,
 ) -> Result<u64, Box<D::Mismatch>> {
     assert!(
         width <= 16,
@@ -438,30 +532,100 @@ fn exhaustive<D: Domain>(
     );
     let count = 1u64 << width;
     let found = if compiled {
-        exhaustive_walk_compiled(netlist, count, |a, b, raw| domain.check_lane(a, b, raw))
+        exhaustive_walk_compiled(netlist, count, |a, b, raw| pairs.check_lane(a, b, raw))
     } else {
         let mut sim = LogicSim::new(netlist);
         (0..u128::from(count)).find_map(|a| {
-            (0..u128::from(count)).find_map(|b| scalar_pair(netlist, &mut sim, a, b, domain))
+            (0..u128::from(count)).find_map(|b| scalar_pair(netlist, &mut sim, a, b, pairs))
         })
     };
     found.map_or(Ok(count * count), Err)
 }
 
+/// The exhaustive sweep in the bit-plane domain, behind
+/// [`check_exhaustive_planes`] and [`check_exhaustive_planes_signed`].
+///
+/// Per 64-lane block, the block model fills its `2·width` product planes,
+/// the netlist's `p` planes are XORed against them (the domain's judged
+/// planes; missing planes on either side read as zero) and ORed into one
+/// difference word, masked to the lanes below `2^width` — widths under 6
+/// fill only part of a block. Only a nonzero difference is decoded: its
+/// lowest lane, which is the first failing pair of the block in scalar
+/// order, gathered bit by bit from both plane stacks into the domain's
+/// counterexample. Rows shard and chunks merge as in the per-pair sweep,
+/// so the first counterexample is the same one.
+fn exhaustive_planes<D: Domain>(
+    netlist: &Netlist,
+    width: u32,
+    engine: Engine,
+    domain: &D,
+    block_model: impl Fn(u64, u64, &mut [u64]) + Sync,
+) -> Result<u64, Box<D::Mismatch>> {
+    assert!(
+        width <= 16,
+        "exhaustive equivalence beyond 16 bits is impractical"
+    );
+    let count = 1u64 << width;
+    let model_len = 2 * width as usize;
+    let p_len = product_bus(netlist).len();
+    let judged = domain.judged_planes(p_len);
+    let valid = if count < 64 {
+        (1 << count) - 1
+    } else {
+        u64::MAX
+    };
+    let check_block = |a: u64, b0: u64, got: &[u64; bitplane::LANES]| {
+        let mut expect = [0u64; bitplane::LANES];
+        block_model(a, b0, &mut expect[..model_len]);
+        let diff = got[..judged]
+            .iter()
+            .zip(&expect[..judged])
+            .fold(0, |diff, (g, e)| diff | (g ^ e))
+            & valid;
+        (diff != 0).then(|| {
+            let lane = diff.trailing_zeros();
+            let raw = |planes: &[u64]| lane_pattern(planes, lane);
+            domain.mismatch(
+                u128::from(a),
+                u128::from(b0 + u64::from(lane)),
+                domain.product(&raw(&got[..p_len])),
+                domain.product(&raw(&expect[..model_len])),
+            )
+        })
+    };
+    let found = if engine == Engine::Compiled && compiled_supports(netlist, width) {
+        exhaustive_walk_compiled_blocks(netlist, count, check_block)
+    } else {
+        exhaustive_walk_scalar_blocks(netlist, count, check_block)
+    };
+    found.map_or(Ok(count * count), Err)
+}
+
+/// Bit `lane` of each plane, as one raw pattern (plane `k` → bit `k`).
+fn lane_pattern(planes: &[u64], lane: u32) -> U256 {
+    let mut out = U256::ZERO;
+    for (k, plane) in planes.iter().enumerate() {
+        if (plane >> lane) & 1 == 1 {
+            out.set_bit(k as u32, true);
+        }
+    }
+    out
+}
+
 /// The domain's corner pairs, then `samples` seeded pattern draws. Both
 /// walkers iterate exactly this sequence, which is what makes their first
 /// counterexamples identical.
-fn sampled<D: Domain>(
+fn sampled<D: Domain, M: Fn(u128, u128) -> D::Product + Sync>(
     netlist: &Netlist,
     width: u32,
     samples: u64,
     seed: u64,
     compiled: bool,
-    domain: &D,
+    pairs: &PairModel<D, M>,
 ) -> Result<u64, Box<D::Mismatch>> {
     let corners = D::corners(width);
     let mut rng = SplitMix64::new(seed);
-    let mut pairs = corners
+    let mut sequence = corners
         .iter()
         .flat_map(|&a| corners.iter().map(move |&b| (a, b)))
         .chain((0..samples).map(move |_| {
@@ -470,11 +634,11 @@ fn sampled<D: Domain>(
             (a, b)
         }));
     let found = if compiled {
-        let pairs: Vec<(u64, u64)> = pairs.map(|(a, b)| (a as u64, b as u64)).collect();
-        pairs_walk_compiled(netlist, &pairs, |a, b, raw| domain.check_lane(a, b, raw))
+        let sequence: Vec<(u64, u64)> = sequence.map(|(a, b)| (a as u64, b as u64)).collect();
+        pairs_walk_compiled(netlist, &sequence, |a, b, raw| pairs.check_lane(a, b, raw))
     } else {
         let mut sim = LogicSim::new(netlist);
-        pairs.find_map(|(a, b)| scalar_pair(netlist, &mut sim, a, b, domain))
+        sequence.find_map(|(a, b)| scalar_pair(netlist, &mut sim, a, b, pairs))
     };
     let corner_pairs = (corners.len() * corners.len()) as u64;
     found.map_or(Ok(corner_pairs + samples), Err)
@@ -489,27 +653,54 @@ fn draw_pattern(rng: &mut SplitMix64, width: u32) -> u128 {
 }
 
 /// One pair through the scalar reference engine.
-fn scalar_pair<D: Domain>(
+fn scalar_pair<D: Domain, M: Fn(u128, u128) -> D::Product + Sync>(
     netlist: &Netlist,
     sim: &mut LogicSim<'_>,
     a: u128,
     b: u128,
-    domain: &D,
+    pairs: &PairModel<D, M>,
 ) -> Option<Box<D::Mismatch>> {
     sim.apply(&ab_stimulus(netlist, a, b));
-    domain.check(a, b, &read_product(sim, netlist))
+    pairs.check(a, b, &read_product(sim, netlist))
 }
 
 /// Reads the `p` output bus as a [`U256`] regardless of width.
 fn read_product(sim: &LogicSim<'_>, netlist: &Netlist) -> U256 {
-    let bits = netlist.bus("p").expect("output bus `p`");
     let mut out = U256::ZERO;
-    for (i, net) in bits.iter().enumerate() {
+    for (i, net) in product_bus(netlist).iter().enumerate() {
         if sim.value(*net) {
             out.set_bit(i as u32, true);
         }
     }
     out
+}
+
+/// The scalar twin of [`exhaustive_walk_compiled_blocks`]: one
+/// [`LogicSim`] sweep per pair, packed lane by lane into `p` planes so the
+/// block checks run unchanged. Needs a `p` bus of at most 64 bits.
+fn exhaustive_walk_scalar_blocks<E>(
+    netlist: &Netlist,
+    count: u64,
+    check_block: impl Fn(u64, u64, &[u64; bitplane::LANES]) -> Option<Box<E>>,
+) -> Option<Box<E>> {
+    let mut sim = LogicSim::new(netlist);
+    let p_nets = product_bus(netlist);
+    assert!(
+        p_nets.len() <= bitplane::LANES,
+        "batched checks need products <= 64 bits"
+    );
+    (0..count).find_map(|a| {
+        (0..count).step_by(bitplane::LANES).find_map(|b0| {
+            let mut planes = [0u64; bitplane::LANES];
+            for lane in 0..(count - b0).min(bitplane::LANES as u64) {
+                sim.apply(&ab_stimulus(netlist, u128::from(a), u128::from(b0 + lane)));
+                for (plane, net) in planes.iter_mut().zip(p_nets) {
+                    *plane |= u64::from(sim.value(*net)) << lane;
+                }
+            }
+            check_block(a, b0, &planes)
+        })
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -548,7 +739,7 @@ impl AbPorts {
     fn of(netlist: &Netlist) -> Self {
         let bus_a = netlist.bus("a").expect("input bus `a`");
         let bus_b = netlist.bus("b").expect("input bus `b`");
-        let p_nets = netlist.bus("p").expect("output bus `p`").to_vec();
+        let p_nets = product_bus(netlist).to_vec();
         assert_eq!(
             netlist.inputs().len(),
             bus_a.len() + bus_b.len(),
@@ -583,35 +774,18 @@ impl AbPorts {
         }
     }
 
-    /// Decodes the 64 per-lane products from the `p` bus planes, using
-    /// the cheapest bitplane transpose that fits the product width.
-    fn product_lanes(&self, sim: &CompiledSim<'_>, out: &mut [u64; bitplane::LANES]) {
-        let len = self.p_nets.len();
-        if len <= 16 {
-            let mut planes = [0u64; 16];
-            for (plane, &net) in planes.iter_mut().zip(&self.p_nets) {
-                *plane = sim.plane(net);
-            }
-            let lanes = bitplane::lanes_from_planes16(&planes);
-            for (o, &l) in out.iter_mut().zip(&lanes) {
-                *o = u64::from(l);
-            }
-        } else if len <= 32 {
-            let mut planes = [0u64; 32];
-            for (plane, &net) in planes.iter_mut().zip(&self.p_nets) {
-                *plane = sim.plane(net);
-            }
-            let lanes = bitplane::lanes_from_planes32(&planes);
-            for (o, &l) in out.iter_mut().zip(&lanes) {
-                *o = u64::from(l);
-            }
-        } else {
-            let mut planes = [0u64; bitplane::LANES];
-            for (plane, &net) in planes.iter_mut().zip(&self.p_nets) {
-                *plane = sim.plane(net);
-            }
-            *out = bitplane::transposed64(&planes);
+    /// Reads the `p` bus planes into the low planes of `planes`.
+    fn product_planes(&self, sim: &CompiledSim<'_>, planes: &mut [u64; bitplane::LANES]) {
+        for (plane, &net) in planes.iter_mut().zip(&self.p_nets) {
+            *plane = sim.plane(net);
         }
+    }
+
+    /// Decodes the 64 per-lane products from the `p` bus planes.
+    fn product_lanes(&self, sim: &CompiledSim<'_>, out: &mut [u64; bitplane::LANES]) {
+        let mut planes = [0u64; bitplane::LANES];
+        self.product_planes(sim, &mut planes);
+        bitplane::lanes_from_planes(&planes[..self.p_nets.len()], out);
     }
 }
 
@@ -626,26 +800,25 @@ fn exhaustive_walk_compiled<E: Send>(
     count: u64,
     check_pair: impl Fn(u64, u64, u64) -> Option<Box<E>> + Sync,
 ) -> Option<Box<E>> {
-    exhaustive_walk_compiled_blocks(netlist, count, |a, b0, valid, lanes| {
-        for (i, &got) in lanes.iter().enumerate().take(valid) {
-            if let Some(err) = check_pair(a, b0 + i as u64, got) {
-                return Some(err);
-            }
-        }
-        None
+    let p_len = product_bus(netlist).len();
+    exhaustive_walk_compiled_blocks(netlist, count, |a, b0, planes| {
+        let mut lanes = [0u64; bitplane::LANES];
+        bitplane::lanes_from_planes(&planes[..p_len], &mut lanes);
+        let valid = (count - b0).min(bitplane::LANES as u64) as usize;
+        (0..valid).find_map(|i| check_pair(a, b0 + i as u64, lanes[i]))
     })
 }
 
 /// The block form of the compiled exhaustive sweep: `check_block(a, b0,
-/// valid, product_lanes)` receives one whole 64-lane block per call (lane
-/// `i` is the netlist's raw product for `(a, b0 + i)`; only the first
-/// `valid` lanes are meaningful). Blocks arrive in exact row-major scalar
-/// order within each chunk, chunks merge in order — same
-/// first-counterexample guarantee as the per-pair walk.
+/// planes)` receives one whole 64-lane block per call — `planes` holds
+/// the netlist's `p` bus planes for `(a, b0 + i)` in lane `i`, zero past
+/// the bus width (lanes at or past `count` are meaningless). Blocks
+/// arrive in exact row-major scalar order within each chunk, chunks merge
+/// in order — same first-counterexample guarantee as the per-pair walk.
 fn exhaustive_walk_compiled_blocks<E: Send>(
     netlist: &Netlist,
     count: u64,
-    check_block: impl Fn(u64, u64, usize, &[u64; bitplane::LANES]) -> Option<Box<E>> + Sync,
+    check_block: impl Fn(u64, u64, &[u64; bitplane::LANES]) -> Option<Box<E>> + Sync,
 ) -> Option<Box<E>> {
     let program = CompiledNetlist::compile(netlist);
     let ports = AbPorts::of(netlist);
@@ -655,7 +828,7 @@ fn exhaustive_walk_compiled_blocks<E: Send>(
         let mut stimulus = vec![0u64; netlist.inputs().len()];
         let mut a_planes = vec![0u64; ports.a_len as usize];
         let mut b_planes = vec![0u64; ports.b_len as usize];
-        let mut lanes = [0u64; bitplane::LANES];
+        let mut planes = [0u64; bitplane::LANES];
         for a in lo..hi {
             bitplane::broadcast_planes(a, ports.a_len, &mut a_planes);
             let mut b0 = 0u64;
@@ -663,9 +836,8 @@ fn exhaustive_walk_compiled_blocks<E: Send>(
                 bitplane::counter_planes(b0, ports.b_len, &mut b_planes);
                 ports.fill_stimulus(&a_planes, &b_planes, &mut stimulus);
                 sim.evaluate(&stimulus);
-                ports.product_lanes(&sim, &mut lanes);
-                let valid = (count - b0).min(bitplane::LANES as u64) as usize;
-                if let Some(err) = check_block(a, b0, valid, &lanes) {
+                ports.product_planes(&sim, &mut planes);
+                if let Some(err) = check_block(a, b0, &planes) {
                     return Some(err);
                 }
                 b0 += bitplane::LANES as u64;
@@ -806,6 +978,133 @@ mod tests {
         let compiled = check_exhaustive_batched(&n, 4, wrong_block, Engine::Compiled).unwrap_err();
         assert_eq!(scalar, compiled);
         assert_eq!((scalar.a, scalar.b), (5, 9));
+    }
+
+    /// A block model from a per-lane raw-product function: lane `i` of
+    /// the `2·width` planes holds `lane(a, (b0 + i) mod 2^width, i)`.
+    fn block_model(
+        width: u32,
+        lane: impl Fn(u64, u64, usize) -> u64 + Sync,
+    ) -> impl Fn(u64, u64, &mut [u64]) + Sync {
+        move |a, b0, planes| {
+            let mask = (1u64 << width) - 1;
+            let lanes = core::array::from_fn(|i| lane(a, (b0 + i as u64) & mask, i));
+            let transposed = bitplane::transposed64(&lanes);
+            planes.copy_from_slice(&transposed[..2 * width as usize]);
+        }
+    }
+
+    /// The stripe the plane tests plant: one row, from a column on.
+    fn stripe(width: u32, a: u64, b: u64) -> bool {
+        a == (1 << width) - 2 && b > (1 << width) / 2
+    }
+
+    #[test]
+    fn plane_checks_match_per_pair_checks() {
+        // Widths 2 and 4 fill a partial block, so the planted garbage in
+        // lanes past 2^width must be masked; 6 fills whole blocks.
+        for width in [2u32, 4, 6] {
+            let count = 1usize << width;
+            let pairs = 1u64 << (2 * width);
+            let n = wallace_multiplier(width);
+            let flip = |a: u64, b: u64, i: usize| u64::from(stripe(width, a, b) || i >= count);
+            let exact_planes = block_model(width, |a, b, _| a * b);
+            let wrong_planes = block_model(width, |a, b, i| (a * b) ^ flip(a, b, i));
+            let wrong = |a: u128, b: u128| {
+                let bug = stripe(width, a as u64, b as u64);
+                U256::from_u128((a * b) ^ u128::from(bug))
+            };
+            let reference = check(&n, width, Coverage::Exhaustive, Engine::Scalar, wrong);
+            assert_eq!(
+                reference.as_ref().map_err(|e| (e.a, e.b)),
+                Err(((1 << width) - 2, (1 << width) / 2 + 1))
+            );
+            for engine in BOTH {
+                assert_eq!(
+                    check_exhaustive_planes(&n, width, engine, &exact_planes),
+                    Ok(pairs)
+                );
+                assert_eq!(
+                    check_exhaustive_planes(&n, width, engine, &wrong_planes),
+                    reference,
+                    "{width}-bit on {engine}"
+                );
+            }
+
+            let n = signed_wallace_multiplier(width);
+            let product = |a: u64, b: u64| {
+                let value = sign_extend(u128::from(a), width) * sign_extend(u128::from(b), width);
+                value as u64 & ((1 << (2 * width)) - 1)
+            };
+            let exact_planes = block_model(width, |a, b, _| product(a, b));
+            let wrong_planes = block_model(width, |a, b, i| product(a, b) ^ flip(a, b, i));
+            let wrong = |a: i128, b: i128| {
+                let pattern = |v: i128| (v as u64) & ((1 << width) - 1);
+                let bug = stripe(width, pattern(a), pattern(b));
+                I256::from_i128((a * b) ^ i128::from(bug))
+            };
+            let reference = check_signed(&n, width, Coverage::Exhaustive, Engine::Scalar, wrong);
+            assert!(reference.is_err());
+            for engine in BOTH {
+                assert_eq!(
+                    check_exhaustive_planes_signed(&n, width, engine, &exact_planes),
+                    Ok(pairs)
+                );
+                assert_eq!(
+                    check_exhaustive_planes_signed(&n, width, engine, &wrong_planes),
+                    reference,
+                    "signed {width}-bit on {engine}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn plane_checks_compare_product_buses_of_any_length() {
+        // A `p` bus one plane short reads as zero in its top plane; one
+        // plane long must hold zero there (unsigned) or is ignored
+        // (two's complement) — as the per-pair checks decode raw products.
+        let width = 4;
+        let resized = |n: &Netlist, extra: bool| {
+            let mut n = n.clone();
+            let mut p = n.bus("p").unwrap().to_vec();
+            p.truncate(2 * width as usize - 1);
+            if extra {
+                p.push(n.bus("p").unwrap()[p.len()]);
+                p.push(n.const1());
+            }
+            n.set_output_bus("p", p);
+            n
+        };
+        let exact_planes = block_model(width, |a, b, _| a * b);
+        let signed_planes = block_model(width, |a, b, _| {
+            let value = sign_extend(u128::from(a), width) * sign_extend(u128::from(b), width);
+            value as u64 & 0xFF
+        });
+        for extra in [false, true] {
+            let n = resized(&wallace_multiplier(width), extra);
+            let reference = check(&n, width, Coverage::Exhaustive, Engine::Scalar, exact);
+            assert!(reference.is_err(), "extra plane {extra}");
+            let n_signed = resized(&signed_wallace_multiplier(width), extra);
+            let signed_reference = check_signed(
+                &n_signed,
+                width,
+                Coverage::Exhaustive,
+                Engine::Scalar,
+                signed_exact,
+            );
+            assert_eq!(signed_reference.is_ok(), extra, "extra plane {extra}");
+            for engine in BOTH {
+                assert_eq!(
+                    check_exhaustive_planes(&n, width, engine, &exact_planes),
+                    reference
+                );
+                assert_eq!(
+                    check_exhaustive_planes_signed(&n_signed, width, engine, &signed_planes),
+                    signed_reference
+                );
+            }
+        }
     }
 
     #[test]

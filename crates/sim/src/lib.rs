@@ -31,8 +31,10 @@
 //!   the timing engines (`timing_activity_with_engine`).
 //! * [`equiv`] checks netlists against functional models, exhaustively or
 //!   sampled: `check` in the unsigned operand domain, `check_signed` in
-//!   the two's-complement one (model side optionally batched 64 pairs per
-//!   call via `check_exhaustive_batched`).
+//!   the two's-complement one, and their exhaustive twins against a
+//!   bit-sliced block model, `check_exhaustive_planes` and
+//!   `check_exhaustive_planes_signed`, which compare products as
+//!   bit-planes, 64 pairs per word.
 
 pub mod activity;
 mod compile;

@@ -15,7 +15,8 @@
 //! * [`planes_from_lanes16`] / [`lanes_from_planes16`] and the `…32`
 //!   variants — cheaper partial transposes for values of at most 16 or
 //!   32 bits (the common case: an 8-bit multiplier's products need only
-//!   16 planes);
+//!   16 planes), and [`lanes_from_planes`], which picks the cheapest
+//!   network for a plane count;
 //! * [`broadcast_planes`] / [`counter_planes`] — closed-form plane sets
 //!   for the two operand patterns exhaustive sweeps use (a constant lane
 //!   and 64 consecutive integers), which need no transpose at all.
@@ -154,6 +155,34 @@ pub fn lanes_from_planes32(planes: &[u64; 32]) -> [u32; LANES] {
     lanes
 }
 
+/// Recovers the 64 lane values of a stack of at most 64 planes
+/// (`out[i]` = lane `i`; planes past `planes.len()` read as zero), using
+/// the cheapest transpose that fits: the 16- or 32-plane network for
+/// narrow values, the full 64×64 one otherwise.
+///
+/// # Panics
+///
+/// Panics if more than [`LANES`] planes are passed.
+pub fn lanes_from_planes(planes: &[u64], out: &mut [u64; LANES]) {
+    if planes.len() <= 16 {
+        let mut w = [0u64; 16];
+        w[..planes.len()].copy_from_slice(planes);
+        for (o, &l) in out.iter_mut().zip(&lanes_from_planes16(&w)) {
+            *o = u64::from(l);
+        }
+    } else if planes.len() <= 32 {
+        let mut w = [0u64; 32];
+        w[..planes.len()].copy_from_slice(planes);
+        for (o, &l) in out.iter_mut().zip(&lanes_from_planes32(&w)) {
+            *o = u64::from(l);
+        }
+    } else {
+        let mut w = [0u64; LANES];
+        w[..planes.len()].copy_from_slice(planes);
+        *out = transposed64(&w);
+    }
+}
+
 /// Fills `out[j]` with the plane of a value broadcast to all 64 lanes:
 /// all-ones where bit `j` of `value` is set, zero elsewhere.
 ///
@@ -275,6 +304,20 @@ mod tests {
         assert_eq!(planes_from_lanes32(&lanes32)[..], full32[..32]);
         assert_eq!(lanes_from_planes16(&planes_from_lanes16(&lanes16)), lanes16);
         assert_eq!(lanes_from_planes32(&planes_from_lanes32(&lanes32)), lanes32);
+        // The sized entry picks a network per plane count; every count
+        // recovers the lanes truncated to that many bits.
+        let lanes: [u64; LANES] = core::array::from_fn(|_| rng.next_u64());
+        let planes = transposed64(&lanes);
+        for count in [0, 5, 16, 17, 32, 33, 64] {
+            let mut out = [0u64; LANES];
+            lanes_from_planes(&planes[..count], &mut out);
+            let mask = if count == 64 {
+                u64::MAX
+            } else {
+                (1 << count) - 1
+            };
+            assert_eq!(out, lanes.map(|l| l & mask), "{count} planes");
+        }
     }
 
     #[test]

@@ -1,29 +1,47 @@
 #!/usr/bin/env bash
 # Paired end-to-end timings of two checkouts, appended to BENCH_e2e.json.
 #
-#   bash scripts/bench_e2e.sh BASE_DIR HEAD_DIR
+#   bash scripts/bench_e2e.sh WORKLOAD BASE_DIR HEAD_DIR
 #
-# Builds `sdlc-cli` in each checkout (release, into its own `target/`),
-# then times the rows flowbench does not cover on one pinned core (the last
-# CPU of this machine), in pairs of one base and one head run, alternating
-# which side runs first, so both sides see the same machine state:
+# WORKLOAD is `synth`, `verify` or `errors`. Builds `sdlc-cli` in each
+# checkout (release, into its own `target/`), then times the workload's
+# rows that flowbench does not cover on one pinned core (the last CPU of
+# this machine), in pairs of one base and one head run, alternating which
+# side runs first, so both sides see the same machine state:
 #
-#   sdlc-cli synth --width {16,64,128} --depth 4
+#   synth:  sdlc-cli synth --width {16,64,128} --depth 4          (5, 3, 1 pairs)
+#   verify: sdlc-cli verify --width 12 --depth 2                   (10 pairs)
+#           sdlc-cli verify --width 10 --depth 2 --signed          (10 pairs)
+#   errors: sdlc-cli errors --width 14 --depth 2 --engine bitsliced (5 pairs)
 #
-# plus 10 paired `flowbench` synth passes (seed 1, 10 s each), recording
-# both of their end-to-end metrics, `flow_ms` and `setup_s`.
-# Every record holds the side, git rev, the hash of the checkout's
-# `crates/` tree (equal to `git rev-parse <commit>:crates` for a commit
-# holding the same sources, so a row names the code it measured even when
-# recorded before commit), date, core count, the per-run values and their
-# median and quartiles; head records also count the pairs head won. CLI
-# rows hold the SHA-256 of the run's stdout, so equal hashes on both sides
-# show the outputs are byte-identical. CLI repeats are few on purpose (the
-# parent's 128-bit row takes minutes).
+# plus 10 paired `flowbench` passes of the workload (seed 1, 10 s each),
+# recording both of their end-to-end metrics, `flow_ms` and `setup_s`, and
+# each pass's median calibration-kernel time, which tracks the machine's
+# speed during the pass.
+#
+# Every record holds the side, git rev, the hashes of the checkout's
+# `crates/` and `src/` trees (equal to `git rev-parse <commit>:crates` and
+# `<commit>:src` for a commit holding the same sources, so a row names the
+# code it measured even when recorded before commit), date, core count,
+# the per-run values and their median and quartiles; head records of
+# timings also count the pairs head won. CLI rows hold the SHA-256 of the
+# run's stdout, so equal hashes on both sides show the outputs are
+# byte-identical. CLI repeats are few where runs are long (the parent's
+# 128-bit synth row takes minutes).
 set -euo pipefail
 
-base=$(cd "$1" && pwd)
-head=$(cd "$2" && pwd)
+workload=${1:-}
+case $workload in
+    synth) rows=("5|synth --width 16 --depth 4" "3|synth --width 64 --depth 4" "1|synth --width 128 --depth 4") ;;
+    verify) rows=("10|verify --width 12 --depth 2" "10|verify --width 10 --depth 2 --signed") ;;
+    errors) rows=("5|errors --width 14 --depth 2 --engine bitsliced") ;;
+    *)
+        echo "usage: $0 {synth|verify|errors} BASE_DIR HEAD_DIR" >&2
+        exit 2
+        ;;
+esac
+base=$(cd "$2" && pwd)
+head=$(cd "$3" && pwd)
 out="$(cd "$(dirname "$0")/.." && pwd)/BENCH_e2e.json"
 cpu=$(($(nproc) - 1))
 cores=$(nproc)
@@ -31,21 +49,22 @@ date=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
 rev() { git -C "$1" describe --always --dirty=+uncommitted; }
 
-# Tree hash of the checkout's working `crates/` directory, staged into a
-# throwaway index so the checkout's own index is untouched.
-crates_tree() {
+# Tree hash of one of the checkout's working directories (`crates` or
+# `src`), staged into a throwaway index so the checkout's own index is
+# untouched.
+tree_of() {
     local index
     index=$(mktemp -u)
-    GIT_INDEX_FILE=$index git -C "$1" add crates
-    GIT_INDEX_FILE=$index git -C "$1" write-tree --prefix=crates/
+    GIT_INDEX_FILE=$index git -C "$1" add "$2"
+    GIT_INDEX_FILE=$index git -C "$1" write-tree --prefix="$2/"
     rm -f "$index"
 }
 
 for dir in "$base" "$head"; do
     (cd "$dir" && CARGO_TARGET_DIR=target cargo build --quiet --release --offline --bin sdlc-cli)
 done
-base_tree=$(crates_tree "$base")
-head_tree=$(crates_tree "$head")
+base_tree=$(tree_of "$base" crates) base_src=$(tree_of "$base" src)
+head_tree=$(tree_of "$head" crates) head_src=$(tree_of "$head" src)
 
 # Median and quartiles (linear interpolation) of whitespace-separated values.
 stats() {
@@ -63,9 +82,9 @@ wins() {
 
 records=()
 record() { # side flow unit values [extra]
-    local dir=$base tree=$base_tree values=$4
-    if [ "$1" = head ]; then dir=$head tree=$head_tree; fi
-    records+=("  {\"side\": \"$1\", \"rev\": \"$(rev "$dir")\", \"crates_tree\": \"$tree\", \"date\": \"$date\", \"cores\": $cores, \"pinned_cpu\": $cpu, \"flow\": \"$2\", \"unit\": \"$3\", \"runs\": [${values// /, }], $(echo "$values" | stats)${5:+, $5}}")
+    local dir=$base tree=$base_tree src=$base_src values=$4
+    if [ "$1" = head ]; then dir=$head tree=$head_tree src=$head_src; fi
+    records+=("  {\"side\": \"$1\", \"rev\": \"$(rev "$dir")\", \"crates_tree\": \"$tree\", \"src_tree\": \"$src\", \"date\": \"$date\", \"cores\": $cores, \"pinned_cpu\": $cpu, \"flow\": \"$2\", \"unit\": \"$3\", \"runs\": [${values// /, }], $(echo "$values" | stats)${5:+, $5}}")
 }
 
 # One timed CLI run: prints "<seconds> <stdout sha256>".
@@ -77,10 +96,9 @@ time_cli() {
     echo "$(awk "BEGIN { print $end - $start }") $sha"
 }
 
-for width_repeats in 16:5 64:3 128:1; do
-    width=${width_repeats%:*}
-    repeats=${width_repeats#*:}
-    args=(synth --width "$width" --depth 4)
+for row in "${rows[@]}"; do
+    repeats=${row%%|*}
+    read -ra args <<< "${row#*|}"
     base_times="" head_times=""
     for i in $(seq "$repeats"); do
         for side in $( ((i % 2)) && echo base head || echo head base); do
@@ -99,31 +117,39 @@ for width_repeats in 16:5 64:3 128:1; do
         "\"stdout_sha256\": \"$head_sha\", \"head_won\": $(wins "$base_times" "$head_times")"
 done
 
-# One flowbench pass: prints "<flow_ms> <setup_s>".
+# One flowbench pass: prints "<flow_ms> <setup_s> <calibration_ms>".
 flowbench_pass() {
-    (cd "$1" && CARGO_TARGET_DIR=.bench_build bash flowbench/run.sh --workload synth --seed 1 --seconds 10 --trace 0) |
+    local log
+    log=$(mktemp)
+    (cd "$1" && CARGO_TARGET_DIR=.bench_build bash flowbench/run.sh --workload "$workload" --seed 1 --seconds 10 --trace 0 2> "$log") |
         tail -n 1 |
-        sed -E 's/.*"flow_ms": \{"value": ([0-9.eE+-]+).*"setup_s": \{"value": ([0-9.eE+-]+).*/\1 \2/'
+        sed -E 's/.*"flow_ms": \{"value": ([0-9.eE+-]+).*"setup_s": \{"value": ([0-9.eE+-]+).*/\1 \2/' |
+        tr '\n' ' '
+    sed -nE 's/.*calibration ([0-9.]+) ms.*/\1/p' "$log" | tail -n 1
+    rm -f "$log"
 }
-base_ms="" head_ms="" base_s="" head_s=""
+base_ms="" head_ms="" base_s="" head_s="" base_cal="" head_cal=""
 for i in $(seq 10); do
     for side in $( ((i % 2)) && echo base head || echo head base); do
         if [ "$side" = base ]; then
-            read -r ms s < <(flowbench_pass "$base")
-            base_ms+="${base_ms:+ }$ms" base_s+="${base_s:+ }$s"
+            read -r ms s cal < <(flowbench_pass "$base")
+            base_ms+="${base_ms:+ }$ms" base_s+="${base_s:+ }$s" base_cal+="${base_cal:+ }$cal"
         else
-            read -r ms s < <(flowbench_pass "$head")
-            head_ms+="${head_ms:+ }$ms" head_s+="${head_s:+ }$s"
+            read -r ms s cal < <(flowbench_pass "$head")
+            head_ms+="${head_ms:+ }$ms" head_s+="${head_s:+ }$s" head_cal+="${head_cal:+ }$cal"
         fi
     done
 done
-echo "flowbench synth flow_ms: base [$base_ms] head [$head_ms]" >&2
-echo "flowbench synth setup_s: base [$base_s] head [$head_s]" >&2
-flow="flowbench synth --seed 1 --seconds 10"
+echo "flowbench $workload flow_ms: base [$base_ms] head [$head_ms]" >&2
+echo "flowbench $workload setup_s: base [$base_s] head [$head_s]" >&2
+echo "flowbench $workload calibration_ms: base [$base_cal] head [$head_cal]" >&2
+flow="flowbench $workload --seed 1 --seconds 10"
 record base "$flow (flow_ms)" ms "$base_ms"
 record head "$flow (flow_ms)" ms "$head_ms" "\"head_won\": $(wins "$base_ms" "$head_ms")"
 record base "$flow (setup_s)" s "$base_s"
 record head "$flow (setup_s)" s "$head_s" "\"head_won\": $(wins "$base_s" "$head_s")"
+record base "$flow (calibration_ms)" ms "$base_cal"
+record head "$flow (calibration_ms)" ms "$head_cal"
 
 # Append to the JSON array (created on first use).
 if [ -s "$out" ]; then

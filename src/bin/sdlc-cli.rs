@@ -374,15 +374,14 @@ fn cmd_verify(options: &Options) -> Result<(), String> {
         core::slice::from_ref(&options.scheme)
     };
     // The compiled engine packs 64 vectors per netlist sweep and shards
-    // rows across cores; batching the model side through its bit-sliced
-    // twin lifts the practical exhaustive ceiling from 8 (scalar) to 12
-    // bits unsigned (10 signed — the signed model has no batched
-    // exhaustive path yet). Above the ceiling, seeded sampling plus the
+    // rows across cores, and its exhaustive checks compare products as
+    // bit-planes against the model's bit-sliced twin, unsigned or signed;
+    // that lifts the practical exhaustive ceiling from 8 bits (scalar) to
+    // 12 in both domains. Above the ceiling, seeded sampling plus the
     // corner patterns.
-    let cutoff = match (engine, options.signed) {
-        (sdlc::sim::Engine::Scalar, _) => 8,
-        (sdlc::sim::Engine::Compiled, true) => 10,
-        (sdlc::sim::Engine::Compiled, false) => 12,
+    let cutoff = match engine {
+        sdlc::sim::Engine::Scalar => 8,
+        sdlc::sim::Engine::Compiled => 12,
     };
     let mut records = Vec::new();
     for &scheme in schemes {
@@ -416,23 +415,24 @@ fn cmd_verify(options: &Options) -> Result<(), String> {
         } else {
             format!("sampled, 9 corners + {samples} seeded pairs")
         };
-        let outcome: Result<u64, String> = if options.signed {
+        let compiled_exhaustive = exhaustive && engine == sdlc::sim::Engine::Compiled;
+        let outcome: Result<u64, String> = if options.signed && compiled_exhaustive {
+            let batch = SignMagnitude::new(model.clone()).batch_model();
+            equiv::check_exhaustive_planes_signed(&netlist, width, engine, |a, b0, planes| {
+                batch.exhaustive_block_planes_signed(a, b0, planes)
+            })
+            .map_err(|e| e.to_string())
+        } else if options.signed {
             let signed = SignMagnitude::new(model.clone());
             equiv::check_signed(&netlist, width, coverage, engine, |a, b| {
                 signed.multiply_signed(a, b)
             })
             .map_err(|e| e.to_string())
-        } else if exhaustive && engine == sdlc::sim::Engine::Compiled {
-            // Batched model side: one bit-sliced call per 64 consecutive
-            // operand pairs instead of 64 scalar model calls.
+        } else if compiled_exhaustive {
             let batch = model.batch_model();
-            equiv::check_exhaustive_batched(
-                &netlist,
-                width,
-                |a, b0, out| sdlc::core::batch::exhaustive_block(&batch, a, b0, out),
-                engine,
-            )
-            .map(|()| 1u64 << (2 * width))
+            equiv::check_exhaustive_planes(&netlist, width, engine, |a, b0, planes| {
+                sdlc::core::batch::exhaustive_block_planes(&batch, a, b0, planes)
+            })
             .map_err(|e| e.to_string())
         } else {
             equiv::check(&netlist, width, coverage, engine, |a, b| {

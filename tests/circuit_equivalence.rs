@@ -100,30 +100,33 @@ fn sdlc_circuit_matches_model_exhaustively_at_10_bits() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "2^24 pairs want the release suite")]
 fn sdlc_circuit_matches_model_exhaustively_at_12_bits() {
-    // 2^24 = 16.8 M operand pairs — the new compiled-equivalence ceiling.
+    // 2^24 = 16.8 M operand pairs — the compiled-equivalence ceiling.
     // At this size the per-pair scalar model call dominates the compiled
     // netlist sweep, so the model side rides its bit-sliced 64-lane twin
-    // through `check_exhaustive_batched` (identical verdict semantics,
-    // proven against the per-pair checks at 10 bits above).
+    // and products are compared as bit-planes, as `sdlc-cli verify` does
+    // (identical verdict semantics, proven against the per-pair checks at
+    // 8 bits below).
     for depth in [2u32, 4] {
         let model = SdlcMultiplier::new(12, depth).unwrap();
         let batch = model.batch_model();
         let netlist = sdlc_multiplier(&model, ReductionScheme::Wallace);
-        sdlc::sim::equiv::check_exhaustive_batched(
+        let pairs = sdlc::sim::equiv::check_exhaustive_planes(
             &netlist,
             12,
-            |a, b0, out| sdlc::core::batch::exhaustive_block(&batch, a, b0, out),
             Engine::Compiled,
+            |a, b0, planes| sdlc::core::batch::exhaustive_block_planes(&batch, a, b0, planes),
         )
         .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
+        assert_eq!(pairs, 1 << 24);
     }
 }
 
 #[test]
 fn batched_and_per_pair_checks_agree_at_8_bits() {
-    // The batched model path must be a drop-in twin of the per-pair
-    // model calls: same pass verdicts here, and `sdlc-sim`'s own suite
-    // proves same first counterexamples on planted bugs.
+    // The batched model paths, lane form and plane form, must be
+    // drop-in twins of the per-pair model calls: same pass verdicts here,
+    // and the engine-differential suite proves same first counterexamples
+    // on planted bugs.
     let model = SdlcMultiplier::new(8, 3).unwrap();
     let batch = model.batch_model();
     let netlist = sdlc_multiplier(&model, ReductionScheme::Dadda);
@@ -135,6 +138,12 @@ fn batched_and_per_pair_checks_agree_at_8_bits() {
             engine,
         )
         .unwrap_or_else(|e| panic!("{engine}: {e}"));
+        let pairs =
+            sdlc::sim::equiv::check_exhaustive_planes(&netlist, 8, engine, |a, b0, planes| {
+                sdlc::core::batch::exhaustive_block_planes(&batch, a, b0, planes)
+            })
+            .unwrap_or_else(|e| panic!("{engine}: {e}"));
+        assert_eq!(pairs, 1 << 16);
     }
 }
 

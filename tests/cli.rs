@@ -193,6 +193,19 @@ fn verify_emits_machine_readable_json() {
 }
 
 #[test]
+#[cfg_attr(debug_assertions, ignore = "2^24 pairs want the release suite")]
+fn verify_sweeps_signed_12_bit_designs_exhaustively() {
+    // 12 bits is the compiled engine's exhaustive ceiling in both domains.
+    let (stdout, stderr, ok) = run(&["verify", "--width", "12", "--signed", "--json"]);
+    assert!(ok, "{stdout}{stderr}");
+    assert!(
+        stdout.contains("\"coverage\":\"exhaustive, 16777216 signed operand pairs\""),
+        "{stdout}"
+    );
+    assert!(stdout.contains("\"pairs\":16777216"), "{stdout}");
+}
+
+#[test]
 fn verify_rejects_unknown_engines() {
     let (_, stderr, ok) = run(&["verify", "--width", "8", "--engine", "warp"]);
     assert!(!ok);

@@ -5,14 +5,15 @@
 
 use proptest::prelude::*;
 use sdlc::core::baselines::{EtmMultiplier, KulkarniMultiplier, TruncatedMultiplier};
+use sdlc::core::batch::exhaustive_block_planes;
 use sdlc::core::circuits::{
     accurate_multiplier, etm_multiplier, kulkarni_multiplier, sdlc_multiplier, signed_multiplier,
     truncated_multiplier, ReductionScheme,
 };
-use sdlc::core::{Multiplier, SdlcMultiplier, SignMagnitude, SignedMultiplier};
+use sdlc::core::{Batchable, Multiplier, SdlcMultiplier, SignMagnitude, SignedMultiplier};
 use sdlc::netlist::Netlist;
 use sdlc::sim::activity::random_activity_with_engine;
-use sdlc::sim::equiv::{check, check_signed, Coverage};
+use sdlc::sim::equiv::{check, check_exhaustive_planes, check_signed, Coverage};
 use sdlc::sim::{CompiledNetlist, CompiledSim, Engine, LogicSim};
 use sdlc::wideint::{SplitMix64, U256};
 
@@ -196,6 +197,44 @@ fn planted_bug_yields_identical_first_counterexample() {
     let compiled = check(&netlist, 6, Coverage::Exhaustive, Engine::Compiled, wrong).unwrap_err();
     assert_eq!(scalar, compiled);
     assert_eq!((scalar.a, scalar.b), (37, 21));
+
+    // The plane walker, with the same stripe planted in the bit-sliced
+    // block model, reports the whole per-pair counterexample on both
+    // engines. Widths 2 and 4 fill partial blocks: the bug also fires in
+    // every lane past 2^width, which the valid-lane mask must hide.
+    for (width, a_bug, b_bug) in [(2u32, 2u64, 1u64), (4, 11, 9), (6, 37, 21), (8, 200, 77)] {
+        let model = SdlcMultiplier::new(width, 2).unwrap();
+        let netlist = sdlc_multiplier(&model, ReductionScheme::Wallace);
+        let batch = model.batch_model();
+        let count = 1u64 << width;
+        let wrong = |a: u128, b: u128| {
+            let p = model.multiply(a, b);
+            if a == u128::from(a_bug) && b >= u128::from(b_bug) {
+                p.wrapping_add(&U256::ONE)
+            } else {
+                p
+            }
+        };
+        let wrong_planes = |a: u64, b0: u64, planes: &mut [u64]| {
+            exhaustive_block_planes(&batch, a, b0, planes);
+            // Lane-wise +1 on the planted lanes.
+            let mut carry = (0..64u64)
+                .filter(|&i| (a == a_bug && b0 + i >= b_bug) || b0 + i >= count)
+                .fold(0u64, |mask, i| mask | 1 << i);
+            for plane in planes.iter_mut() {
+                let old = *plane;
+                *plane ^= carry;
+                carry &= old;
+            }
+        };
+        let reference =
+            check(&netlist, width, Coverage::Exhaustive, Engine::Scalar, wrong).unwrap_err();
+        assert_eq!((reference.a, reference.b), (a_bug.into(), b_bug.into()));
+        for engine in [Engine::Scalar, Engine::Compiled] {
+            let planes = check_exhaustive_planes(&netlist, width, engine, wrong_planes);
+            assert_eq!(planes, Err(reference.clone()), "{width}-bit on {engine}");
+        }
+    }
 
     // Sampled sweeps: the corner cases and seeded draw order are shared,
     // so the first failing *sample* matches as well.

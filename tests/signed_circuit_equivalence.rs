@@ -13,7 +13,7 @@ use sdlc::core::{
     AccurateMultiplier, ClusterVariant, SdlcMultiplier, SignMagnitude, SignedMultiplier,
 };
 use sdlc::netlist::passes;
-use sdlc::sim::equiv::{check_signed, Coverage};
+use sdlc::sim::equiv::{check_exhaustive_planes_signed, check_signed, Coverage};
 use sdlc::sim::Engine;
 use sdlc::wideint::I256;
 
@@ -138,6 +138,59 @@ fn mismatches_report_signed_counterexamples() {
     assert_eq!(err.model_product, I256::ZERO);
     let text = err.to_string();
     assert!(text.contains("signed netlist(1, -8) = -8"), "{text}");
+
+    // The plane walker, with the same bug planted in the bit-sliced block
+    // model (negative lanes zeroed), reports the whole per-pair
+    // counterexample on both engines. Widths 2 and 4 fill partial blocks:
+    // the lanes past 2^width are garbage the valid-lane mask must hide.
+    for width in [2u32, 4, 8] {
+        let netlist = signed_accurate_multiplier(width, ReductionScheme::RippleRows).unwrap();
+        let batch = SignMagnitude::new(AccurateMultiplier::new(width).unwrap()).batch_model();
+        let count = 1u64 << width;
+        let wrong = |a: i128, b: i128| {
+            if a * b < 0 {
+                I256::ZERO
+            } else {
+                I256::from_i128(a * b)
+            }
+        };
+        let wrong_planes = |a: u64, b0: u64, planes: &mut [u64]| {
+            batch.exhaustive_block_planes_signed(a, b0, planes);
+            let negative = planes[planes.len() - 1];
+            let garbage = (0..64u64)
+                .filter(|&i| b0 + i >= count)
+                .fold(0u64, |mask, i| mask | 1 << i);
+            for plane in planes.iter_mut() {
+                *plane = (*plane & !negative) | garbage;
+            }
+        };
+        let reference =
+            check_signed(&netlist, width, Coverage::Exhaustive, Engine::Scalar, wrong).unwrap_err();
+        assert_eq!((reference.a, reference.b), (1, -(1 << (width - 1))));
+        for engine in [Engine::Scalar, Engine::Compiled] {
+            let planes = check_exhaustive_planes_signed(&netlist, width, engine, wrong_planes);
+            assert_eq!(planes, Err(reference.clone()), "{width}-bit on {engine}");
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "2^24 pairs want the release suite")]
+fn signed_sdlc_matches_its_model_exhaustively_at_12_bits() {
+    // 2^24 signed pattern pairs — the compiled signed exhaustive ceiling,
+    // reached by comparing product planes against the bit-sliced
+    // sign-magnitude twin instead of calling the scalar model per pair.
+    for depth in [2u32, 4] {
+        let model = SdlcMultiplier::new(12, depth).unwrap();
+        let netlist = signed_sdlc_multiplier(&model, ReductionScheme::Wallace);
+        let batch = SignMagnitude::new(model).batch_model();
+        let pairs =
+            check_exhaustive_planes_signed(&netlist, 12, Engine::Compiled, |a, b0, planes| {
+                batch.exhaustive_block_planes_signed(a, b0, planes)
+            })
+            .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
+        assert_eq!(pairs, 1 << 24);
+    }
 }
 
 #[test]
