@@ -25,7 +25,7 @@ use sdlc_wideint::SplitMix64;
 
 use crate::compile::{CompiledNetlist, CompiledSim};
 use crate::glitch::{GlitchSim, TimedProgram};
-use crate::logic::LogicSim;
+use crate::logic::{draw_pattern, AbPortMap, LogicSim};
 use crate::timing::TimingSim;
 use crate::Engine;
 
@@ -158,7 +158,8 @@ fn timing_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64
 ///
 /// # Panics
 ///
-/// Panics if `vectors == 0` or the netlist lacks `a`/`b` buses.
+/// Panics if `vectors == 0`, the netlist lacks `a`/`b` buses or it has
+/// inputs beyond them.
 #[must_use]
 pub fn timing_activity_with_engine(
     netlist: &Netlist,
@@ -191,15 +192,17 @@ fn glitch_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64
     let toggles_per_net = streams.sum_groups(|group| {
         let mut rngs: Vec<SplitMix64> = (0..64).map(|lane| streams.lane_rng(group, lane)).collect();
         let mut stimulus = vec![0u64; netlist.inputs().len()];
-        let mut bits = vec![false; stimulus.len()];
+        let mut a_planes = vec![0u64; streams.ports.a_len as usize];
+        let mut b_planes = vec![0u64; streams.ports.b_len as usize];
         let mut draw_word = |stimulus: &mut [u64]| {
-            stimulus.fill(0);
+            a_planes.fill(0);
+            b_planes.fill(0);
             for (lane, rng) in rngs.iter_mut().enumerate() {
-                streams.draw_bits(rng, &mut bits);
-                for (word, &bit) in stimulus.iter_mut().zip(&bits) {
-                    *word |= u64::from(bit) << lane;
-                }
+                let (a, b) = streams.draw(rng);
+                set_lane(&mut a_planes, a, lane);
+                set_lane(&mut b_planes, b, lane);
             }
+            streams.ports.fill_planes(&a_planes, &b_planes, stimulus);
         };
         let mut sim = GlitchSim::new(&program);
         draw_word(&mut stimulus);
@@ -213,49 +216,35 @@ fn glitch_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64
     streams.activity(toggles_per_net)
 }
 
+/// Sets lane `lane` of the bit-planes `planes` to the bits of `value`.
+fn set_lane(planes: &mut [u64], value: u128, lane: usize) {
+    for (j, plane) in planes.iter_mut().enumerate() {
+        *plane |= (((value >> j) & 1) as u64) << lane;
+    }
+}
+
 /// The stimulus organization of the glitch-aware engines: `groups` groups
 /// of 64 seeded lane streams, each settling on its first operand pair
 /// (uncounted) and then applying `words` counted pairs.
 struct LaneStreams<'n> {
     netlist: &'n Netlist,
+    ports: AbPortMap,
     seed: u64,
     groups: u64,
     words: u64,
-    /// Per primary input: whether it belongs to bus `b`, and its bit.
-    input_src: Vec<(bool, u32)>,
-    widths: (u32, u32),
 }
 
 impl<'n> LaneStreams<'n> {
     fn new(netlist: &'n Netlist, seed: u64, vectors: u64) -> Self {
         assert!(vectors > 0, "need at least one vector");
-        let bus_a = netlist.bus("a").expect("input bus `a`");
-        let bus_b = netlist.bus("b").expect("input bus `b`");
-        // Map each primary input to its operand bus and bit position once.
-        let input_src = netlist
-            .inputs()
-            .iter()
-            .map(|&input| {
-                if let Some(j) = bus_a.iter().position(|&n| n == input) {
-                    (false, j as u32)
-                } else {
-                    let j = bus_b
-                        .iter()
-                        .position(|&n| n == input)
-                        .expect("net in a bus");
-                    (true, j as u32)
-                }
-            })
-            .collect();
         let groups = GLITCH_GROUPS.min(vectors.div_ceil(64)).max(1);
         Self {
             netlist,
+            ports: AbPortMap::of(netlist),
             seed,
             groups,
             // Counted words per group; each carries 64 lane transitions.
             words: vectors.div_ceil(groups * 64),
-            input_src,
-            widths: (bus_a.len() as u32, bus_b.len() as u32),
         }
     }
 
@@ -263,21 +252,17 @@ impl<'n> LaneStreams<'n> {
         SplitMix64::new(self.seed ^ (group * 64 + lane).wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
-    /// Draws the next `(a, b)` pair of a lane stream into one stimulus
-    /// bit per primary input.
+    /// Draws the next `(a, b)` pair of a lane stream, each operand uniform
+    /// over its bus.
+    fn draw(&self, rng: &mut SplitMix64) -> (u128, u128) {
+        let a = draw_pattern(rng, self.ports.a_len);
+        (a, draw_pattern(rng, self.ports.b_len))
+    }
+
+    /// [`LaneStreams::draw`] into one stimulus bit per primary input.
     fn draw_bits(&self, rng: &mut SplitMix64, bits: &mut [bool]) {
-        let draw = |width: u32, rng: &mut SplitMix64| -> u128 {
-            if width <= 64 {
-                u128::from(rng.next_bits(width))
-            } else {
-                (u128::from(rng.next_bits(width - 64)) << 64) | u128::from(rng.next_u64())
-            }
-        };
-        let a = draw(self.widths.0, rng);
-        let b = draw(self.widths.1, rng);
-        for (bit, &(is_b, j)) in bits.iter_mut().zip(&self.input_src) {
-            *bit = ((if is_b { b } else { a }) >> j) & 1 == 1;
-        }
+        let (a, b) = self.draw(rng);
+        self.ports.fill(a, b, bits);
     }
 
     /// Sums `group_toggles(group)` over every group, groups split over

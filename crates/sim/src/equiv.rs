@@ -11,29 +11,33 @@
 //! XORs them against the netlist's `p` planes, so a passing block costs
 //! one word operation per product bit — no per-pair model call, no
 //! transpose — and only a failing block is decoded into a counterexample.
-//! [`check_exhaustive_batched`] is the older lane-form block check.
+//! [`check_exhaustive_batched`] takes a block model in lane form instead.
 //!
-//! Each check runs on one of two [`Engine`]s. The scalar engine drives
+//! Every check runs on one sweep. A pair source — every pattern pair
+//! row-major, or the corner pairs then seeded draws, regenerated from the
+//! seed rather than stored — is cut into blocks of up to 64 pairs; the
+//! sweep runs each block through the netlist and hands the block with its
+//! `p` bit-planes to the check's checker (per pair, per lane or per
+//! plane). It runs on one of two [`Engine`]s. The scalar engine drives
 //! one vector at a time through [`LogicSim`] — the reference. The
-//! compiled engine flattens the netlist once ([`CompiledNetlist`]), packs
-//! 64 operand pairs per sweep into bit-planes (reusing the
-//! `sdlc_wideint::bitplane` transpose machinery), and shards the operand
-//! space across scoped threads through the same
-//! [`parallel_chunks`] splitter
-//! as the `sdlc-core` error drivers. Pair order, lane decoding order and
-//! chunk merge order all follow the scalar sweep, so the engines return
-//! bit-identical verdicts — including the *same first* counterexample —
-//! at a fraction of the cost (the differential suite proves it).
+//! compiled engine flattens the netlist once ([`CompiledNetlist`]),
+//! evaluates a whole block per pass from operand bit-planes (reusing the
+//! `sdlc_wideint::bitplane` machinery), and shards the blocks across
+//! scoped threads through the same [`parallel_chunks`] splitter as the
+//! `sdlc-core` error drivers. Both see the same blocks in the same order
+//! and chunks merge in order, so the engines return bit-identical
+//! verdicts — including the *same first* counterexample — at a fraction
+//! of the cost (the differential suite proves it).
 
 use core::fmt;
 
 use sdlc_netlist::{NetId, Netlist};
+use sdlc_wideint::bitplane::{self, LANES};
 use sdlc_wideint::parallel::parallel_chunks;
-use sdlc_wideint::{bitplane, SplitMix64, I256, U256};
+use sdlc_wideint::{SplitMix64, I256, U256};
 
 use crate::compile::{CompiledNetlist, CompiledSim};
-use crate::logic::ab_stimulus;
-use crate::LogicSim;
+use crate::logic::{draw_pattern, AbPortMap, LogicSim};
 
 /// Which simulation engine an equivalence check runs on.
 ///
@@ -175,7 +179,7 @@ pub fn check(
         domain: Unsigned { width },
         model,
     };
-    sweep(netlist, width, coverage, engine, &pairs)
+    pairs.sweep(netlist, width, coverage, engine)
 }
 
 /// [`check`] for a signed (two's-complement `a`/`b`→`p`) netlist: the
@@ -200,7 +204,7 @@ pub fn check_signed(
         domain: TwosComplement { width },
         model: |a, b| model(sign_extend(a, width), sign_extend(b, width)),
     };
-    sweep(netlist, width, coverage, engine, &pairs)
+    pairs.sweep(netlist, width, coverage, engine)
 }
 
 /// [`check_signed`] with [`Coverage::Exhaustive`].
@@ -235,7 +239,7 @@ pub fn check_exhaustive_signed_with_engine(
 /// `2·width` must be zero, exactly as [`check`] compares raw products.
 /// Verdicts, the pair count and the first counterexample are the ones
 /// [`check`] reports with the block model's per-pair twin. The compiled
-/// engine falls back to scalar where [`check_exhaustive_batched`] does.
+/// engine falls back to scalar where [`check`] does.
 ///
 /// # Errors
 ///
@@ -290,10 +294,9 @@ pub fn check_exhaustive_planes_signed(
 /// form. [`check_exhaustive_planes`] is the same check without the
 /// transposes to and from lanes.
 ///
-/// Both engines sweep the identical row-major pair order (the scalar
-/// engine consumes the same block model lane by lane), so verdicts and
-/// the first reported counterexample are bit-identical to the per-pair
-/// checks.
+/// Both engines sweep the identical row-major pair order, so verdicts
+/// and the first reported counterexample are bit-identical to the
+/// per-pair checks.
 ///
 /// # Errors
 ///
@@ -301,26 +304,23 @@ pub fn check_exhaustive_planes_signed(
 ///
 /// # Panics
 ///
-/// Panics if `width > 16` (the sweep would not terminate reasonably);
-/// the scalar fallback additionally panics if the `p` bus exceeds 64
-/// bits (lane products must fit one `u64` — the compiled path falls
-/// back to scalar for such netlists and hits the same check).
+/// Panics if `width > 16` (the sweep would not terminate reasonably) or
+/// if the `p` bus exceeds 64 bits (lane products must fit one `u64`).
 pub fn check_exhaustive_batched(
     netlist: &Netlist,
     width: u32,
-    block_model: impl Fn(u64, u64, &mut [u64; bitplane::LANES]) + Sync,
+    block_model: impl Fn(u64, u64, &mut [u64; LANES]) + Sync,
     engine: Engine,
 ) -> Result<(), Box<Mismatch>> {
-    assert!(
-        width <= 16,
-        "exhaustive equivalence beyond 16 bits is impractical"
-    );
-    let count = 1u64 << width;
-    let check_block = |a: u64, b0: u64, got: &[u64; bitplane::LANES]| {
-        let mut expect = [0u64; bitplane::LANES];
+    let pairs = Pairs::rows(width);
+    let p_len = block_product_len(netlist);
+    let check_block = |block: Block<'_>, planes: &[u64]| {
+        let (a, b0) = block.row();
+        let mut got = [0u64; LANES];
+        bitplane::lanes_from_planes(&planes[..p_len], &mut got);
+        let mut expect = [0u64; LANES];
         block_model(a, b0, &mut expect);
-        let valid = (count - b0).min(bitplane::LANES as u64) as usize;
-        (0..valid).find(|&i| got[i] != expect[i]).map(|i| {
+        (0..block.len()).find(|&i| got[i] != expect[i]).map(|i| {
             Box::new(Mismatch {
                 a: u128::from(a),
                 b: u128::from(b0 + i as u64),
@@ -329,29 +329,7 @@ pub fn check_exhaustive_batched(
             })
         })
     };
-    let found = match engine {
-        Engine::Compiled if compiled_supports(netlist, width) => {
-            let p_len = product_bus(netlist).len();
-            exhaustive_walk_compiled_blocks(netlist, count, |a, b0, planes| {
-                let mut got = [0u64; bitplane::LANES];
-                bitplane::lanes_from_planes(&planes[..p_len], &mut got);
-                check_block(a, b0, &got)
-            })
-        }
-        _ => {
-            // Scalar netlist walk, same block-model consumption order.
-            let p_len = product_bus(netlist).len();
-            exhaustive_walk_scalar_blocks(netlist, count, |a, b0, planes| {
-                let mut got = [0u64; bitplane::LANES];
-                bitplane::lanes_from_planes(&planes[..p_len], &mut got);
-                check_block(a, b0, &got)
-            })
-        }
-    };
-    match found {
-        Some(mismatch) => Err(mismatch),
-        None => Ok(()),
-    }
+    sweep(netlist, width, engine, &pairs, check_block).map(|_| ())
 }
 
 /// The `p` output bus.
@@ -359,8 +337,16 @@ fn product_bus(netlist: &Netlist) -> &[NetId] {
     netlist.bus("p").expect("output bus `p`")
 }
 
+/// The `p` bus width of a block-model check, whose products are compared
+/// as at most 64 planes.
+fn block_product_len(netlist: &Netlist) -> usize {
+    let p_len = product_bus(netlist).len();
+    assert!(p_len <= LANES, "batched checks need products <= 64 bits");
+    p_len
+}
+
 // ---------------------------------------------------------------------
-// Operand domains and the generic sweeps.
+// Operand domains and the checkers.
 // ---------------------------------------------------------------------
 
 /// An operand domain of the checks. Operands travel as bus bit patterns
@@ -469,22 +455,107 @@ struct PairModel<D, M> {
 }
 
 impl<D: Domain, M: Fn(u128, u128) -> D::Product + Sync> PairModel<D, M> {
-    /// Compares the netlist's raw product at patterns `(a, b)` with the
-    /// model's, building the counterexample if they differ.
-    fn check(&self, a: u128, b: u128, raw: &U256) -> Option<Box<D::Mismatch>> {
-        let got = self.domain.product(raw);
-        let expect = (self.model)(a, b);
-        (got != expect).then(|| self.domain.mismatch(a, b, got, expect))
+    /// Sweeps `coverage` with the per-pair checker.
+    fn sweep(
+        &self,
+        netlist: &Netlist,
+        width: u32,
+        coverage: Coverage,
+        engine: Engine,
+    ) -> Result<u64, Box<D::Mismatch>> {
+        let pairs = match coverage {
+            Coverage::Exhaustive => Pairs::rows(width),
+            Coverage::Sampled { samples, seed } => Pairs::Sampled {
+                corners: D::corners(width),
+                samples,
+                seed,
+                width,
+            },
+        };
+        let p_len = product_bus(netlist).len();
+        sweep(netlist, width, engine, &pairs, |block, planes| {
+            self.check_block(block, &planes[..p_len])
+        })
     }
 
-    /// [`PairModel::check`] on one lane of the compiled walkers.
-    fn check_lane(&self, a: u64, b: u64, raw: u64) -> Option<Box<D::Mismatch>> {
-        self.check(
-            u128::from(a),
-            u128::from(b),
-            &U256::from_u128(u128::from(raw)),
-        )
+    /// The per-pair checker: the first lane of `block` whose product, read
+    /// from the netlist's `p` planes, differs from the model's. Products
+    /// of up to 64 bits are decoded with one transpose, wider ones (only
+    /// the scalar engine drives such buses) bit by bit.
+    fn check_block(&self, block: Block<'_>, p_planes: &[u64]) -> Option<Box<D::Mismatch>> {
+        let narrow = p_planes.len() <= LANES;
+        let mut lanes = [0u64; LANES];
+        if narrow {
+            bitplane::lanes_from_planes(p_planes, &mut lanes);
+        }
+        (0..block.len()).find_map(|lane| {
+            let raw = if narrow {
+                U256::from_u128(u128::from(lanes[lane]))
+            } else {
+                lane_pattern(p_planes, lane as u32)
+            };
+            let (a, b) = block.pair(lane);
+            let got = self.domain.product(&raw);
+            let expect = (self.model)(a, b);
+            (got != expect).then(|| self.domain.mismatch(a, b, got, expect))
+        })
     }
+}
+
+/// The plane checker behind [`check_exhaustive_planes`] and
+/// [`check_exhaustive_planes_signed`].
+///
+/// Per block, the block model fills its `2·width` product planes, the
+/// netlist's `p` planes are XORed against them (the domain's judged
+/// planes; missing planes on either side read as zero) and ORed into one
+/// difference word, masked to the block's lanes — widths under 6 fill
+/// only part of a block. Only a nonzero difference is decoded: its
+/// lowest lane, which is the block's first failing pair in sweep order,
+/// gathered bit by bit from both plane stacks into the domain's
+/// counterexample.
+fn exhaustive_planes<D: Domain>(
+    netlist: &Netlist,
+    width: u32,
+    engine: Engine,
+    domain: &D,
+    block_model: impl Fn(u64, u64, &mut [u64]) + Sync,
+) -> Result<u64, Box<D::Mismatch>> {
+    let pairs = Pairs::rows(width);
+    let p_len = block_product_len(netlist);
+    let model_len = 2 * width as usize;
+    let judged = domain.judged_planes(p_len);
+    let check_block = |block: Block<'_>, got: &[u64]| {
+        let (a, b0) = block.row();
+        let mut expect = [0u64; LANES];
+        block_model(a, b0, &mut expect[..model_len]);
+        let diff = got[..judged]
+            .iter()
+            .zip(&expect[..judged])
+            .fold(0, |diff, (g, e)| diff | (g ^ e))
+            & block.lanes();
+        (diff != 0).then(|| {
+            let lane = diff.trailing_zeros();
+            let raw = |planes: &[u64]| lane_pattern(planes, lane);
+            domain.mismatch(
+                u128::from(a),
+                u128::from(b0 + u64::from(lane)),
+                domain.product(&raw(&got[..p_len])),
+                domain.product(&raw(&expect[..model_len])),
+            )
+        })
+    };
+    sweep(netlist, width, engine, &pairs, check_block)
+}
+
+/// Bit `lane` of each plane, as one raw pattern (plane `k` → bit `k`).
+fn lane_pattern(planes: &[u64], lane: u32) -> U256 {
+    let mut out = U256::ZERO;
+    for (k, plane) in planes.iter().enumerate() {
+        if (plane >> lane) & 1 == 1 {
+            out.set_bit(k as u32, true);
+        }
+    }
+    out
 }
 
 /// The all-ones pattern of a `width`-bit bus.
@@ -501,219 +572,254 @@ fn sign_extend(pattern: u128, width: u32) -> i128 {
     ((pattern << (128 - width)) as i128) >> (128 - width)
 }
 
-/// Runs one check: the coverage picks the sweep, the engine (and whether
-/// the compiled program can drive this netlist) picks its walker.
-fn sweep<D: Domain, M: Fn(u128, u128) -> D::Product + Sync>(
-    netlist: &Netlist,
-    width: u32,
-    coverage: Coverage,
-    engine: Engine,
-    pairs: &PairModel<D, M>,
-) -> Result<u64, Box<D::Mismatch>> {
-    let compiled = engine == Engine::Compiled && compiled_supports(netlist, width);
-    match coverage {
-        Coverage::Exhaustive => exhaustive(netlist, width, compiled, pairs),
-        Coverage::Sampled { samples, seed } => {
-            sampled(netlist, width, samples, seed, compiled, pairs)
+// ---------------------------------------------------------------------
+// The pair sources and the sweep.
+// ---------------------------------------------------------------------
+
+/// The operand pairs of a check, in sweep order, cut into blocks of up
+/// to 64 pairs (block `k` holds pairs `64k .. 64k + 64`).
+enum Pairs {
+    /// Every pattern pair of `count × count`, row-major, each row cut
+    /// into blocks on its own.
+    Rows { count: u64 },
+    /// The domain's corner pairs, row-major, then `samples` seeded draws
+    /// of `width`-bit patterns (`a` drawn before `b`). The draws are
+    /// regenerated from the seed, never stored.
+    Sampled {
+        corners: Vec<u128>,
+        samples: u64,
+        seed: u64,
+        width: u32,
+    },
+}
+
+impl Pairs {
+    /// Every pair of `width`-bit patterns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width > 16`: 2^{2w} pairs would not terminate reasonably.
+    fn rows(width: u32) -> Self {
+        assert!(
+            width <= 16,
+            "exhaustive equivalence beyond 16 bits is impractical"
+        );
+        Pairs::Rows { count: 1 << width }
+    }
+
+    /// The number of pairs.
+    fn len(&self) -> u64 {
+        match self {
+            Pairs::Rows { count } => count * count,
+            Pairs::Sampled {
+                corners, samples, ..
+            } => (corners.len() * corners.len()) as u64 + samples,
+        }
+    }
+
+    /// The number of blocks.
+    fn blocks(&self) -> u64 {
+        match self {
+            Pairs::Rows { count } => count * count.div_ceil(LANES as u64),
+            Pairs::Sampled { .. } => self.len().div_ceil(LANES as u64),
+        }
+    }
+
+    /// Hands blocks `lo..hi` to `visit` in order, stopping at the first
+    /// `Some`.
+    fn walk<E>(
+        &self,
+        lo: u64,
+        hi: u64,
+        mut visit: impl FnMut(Block<'_>) -> Option<E>,
+    ) -> Option<E> {
+        const STEP: u64 = LANES as u64;
+        match *self {
+            Pairs::Rows { count } => {
+                let per_row = count.div_ceil(STEP);
+                let (mut a, mut b0) = (lo / per_row, lo % per_row * STEP);
+                for _ in lo..hi {
+                    let len = (count - b0).min(STEP) as usize;
+                    if let Some(found) = visit(Block::Row { a, b0, len }) {
+                        return Some(found);
+                    }
+                    b0 += STEP;
+                    if b0 >= count {
+                        (a, b0) = (a + 1, 0);
+                    }
+                }
+                None
+            }
+            Pairs::Sampled {
+                ref corners,
+                samples,
+                seed,
+                width,
+            } => {
+                let corner_count = corners.len() as u64;
+                let corner_pairs = corner_count * corner_count;
+                let draw = |rng: &mut SplitMix64| {
+                    let a = draw_pattern(rng, width);
+                    (a, draw_pattern(rng, width))
+                };
+                let mut rng = SplitMix64::new(seed);
+                let mut next = lo * STEP;
+                // Skip ahead past the draws of the pairs before block `lo`.
+                for _ in corner_pairs..next {
+                    draw(&mut rng);
+                }
+                let end = (hi * STEP).min(corner_pairs + samples);
+                let mut block = [(0, 0); LANES];
+                while next < end {
+                    let len = (end - next).min(STEP) as usize;
+                    for pair in &mut block[..len] {
+                        *pair = if next < corner_pairs {
+                            let (i, j) = (next / corner_count, next % corner_count);
+                            (corners[i as usize], corners[j as usize])
+                        } else {
+                            draw(&mut rng)
+                        };
+                        next += 1;
+                    }
+                    if let Some(found) = visit(Block::Listed(&block[..len])) {
+                        return Some(found);
+                    }
+                }
+                None
+            }
         }
     }
 }
 
-/// Every pattern pair in row-major order.
-fn exhaustive<D: Domain, M: Fn(u128, u128) -> D::Product + Sync>(
-    netlist: &Netlist,
-    width: u32,
-    compiled: bool,
-    pairs: &PairModel<D, M>,
-) -> Result<u64, Box<D::Mismatch>> {
-    assert!(
-        width <= 16,
-        "exhaustive equivalence beyond 16 bits is impractical"
-    );
-    let count = 1u64 << width;
-    let found = if compiled {
-        exhaustive_walk_compiled(netlist, count, |a, b, raw| pairs.check_lane(a, b, raw))
-    } else {
-        let mut sim = LogicSim::new(netlist);
-        (0..u128::from(count)).find_map(|a| {
-            (0..u128::from(count)).find_map(|b| scalar_pair(netlist, &mut sim, a, b, pairs))
-        })
-    };
-    found.map_or(Ok(count * count), Err)
+/// Up to 64 operand pairs, one per lane.
+#[derive(Clone, Copy)]
+enum Block<'a> {
+    /// A segment of an exhaustive row: lane `i` holds `(a, b0 + i)`.
+    Row { a: u64, b0: u64, len: usize },
+    /// Listed pairs: lane `i` holds the `i`-th.
+    Listed(&'a [(u128, u128)]),
 }
 
-/// The exhaustive sweep in the bit-plane domain, behind
-/// [`check_exhaustive_planes`] and [`check_exhaustive_planes_signed`].
+impl Block<'_> {
+    /// The number of valid lanes.
+    fn len(self) -> usize {
+        match self {
+            Block::Row { len, .. } => len,
+            Block::Listed(pairs) => pairs.len(),
+        }
+    }
+
+    /// The valid lanes, as a lane mask.
+    fn lanes(self) -> u64 {
+        u64::MAX >> (LANES - self.len())
+    }
+
+    /// The pair in `lane`.
+    fn pair(self, lane: usize) -> (u128, u128) {
+        match self {
+            Block::Row { a, b0, .. } => (u128::from(a), u128::from(b0 + lane as u64)),
+            Block::Listed(pairs) => pairs[lane],
+        }
+    }
+
+    /// The `(a, b0)` of a row segment — every block of an exhaustive
+    /// sweep, the only coverage the block-model checkers take.
+    fn row(self) -> (u64, u64) {
+        let (a, b0) = self.pair(0);
+        (a as u64, b0 as u64)
+    }
+}
+
+/// The one sweep behind every check: runs `pairs` through the netlist a
+/// block at a time and hands each block with the netlist's `p` planes
+/// for it to `check` — lane `i` of plane `k` is bit `k` of the product of
+/// the block's pair `i`; at least 64 planes, zero past the bus, lanes
+/// past the block's meaningless. Returns the pair count, or the first
+/// counterexample in pair order.
 ///
-/// Per 64-lane block, the block model fills its `2·width` product planes,
-/// the netlist's `p` planes are XORed against them (the domain's judged
-/// planes; missing planes on either side read as zero) and ORed into one
-/// difference word, masked to the lanes below `2^width` — widths under 6
-/// fill only part of a block. Only a nonzero difference is decoded: its
-/// lowest lane, which is the first failing pair of the block in scalar
-/// order, gathered bit by bit from both plane stacks into the domain's
-/// counterexample. Rows shard and chunks merge as in the per-pair sweep,
-/// so the first counterexample is the same one.
-fn exhaustive_planes<D: Domain>(
+/// The compiled engine writes operand planes per block (a broadcast row
+/// operand and a counter for row segments, a transpose for listed
+/// pairs), evaluates 64 pairs per pass, shards the blocks across threads
+/// via [`parallel_chunks`] and merges the chunks in order. The scalar
+/// engine runs one [`LogicSim`] pass per pair on the calling thread, so
+/// its panics (an operand overflowing its bus) surface unchanged; the
+/// compiled engine falls back to it beyond [`compiled_supports`].
+fn sweep<E: Send>(
     netlist: &Netlist,
     width: u32,
     engine: Engine,
-    domain: &D,
-    block_model: impl Fn(u64, u64, &mut [u64]) + Sync,
-) -> Result<u64, Box<D::Mismatch>> {
-    assert!(
-        width <= 16,
-        "exhaustive equivalence beyond 16 bits is impractical"
-    );
-    let count = 1u64 << width;
-    let model_len = 2 * width as usize;
-    let p_len = product_bus(netlist).len();
-    let judged = domain.judged_planes(p_len);
-    let valid = if count < 64 {
-        (1 << count) - 1
-    } else {
-        u64::MAX
-    };
-    let check_block = |a: u64, b0: u64, got: &[u64; bitplane::LANES]| {
-        let mut expect = [0u64; bitplane::LANES];
-        block_model(a, b0, &mut expect[..model_len]);
-        let diff = got[..judged]
-            .iter()
-            .zip(&expect[..judged])
-            .fold(0, |diff, (g, e)| diff | (g ^ e))
-            & valid;
-        (diff != 0).then(|| {
-            let lane = diff.trailing_zeros();
-            let raw = |planes: &[u64]| lane_pattern(planes, lane);
-            domain.mismatch(
-                u128::from(a),
-                u128::from(b0 + u64::from(lane)),
-                domain.product(&raw(&got[..p_len])),
-                domain.product(&raw(&expect[..model_len])),
-            )
-        })
-    };
+    pairs: &Pairs,
+    check: impl Fn(Block<'_>, &[u64]) -> Option<Box<E>> + Sync,
+) -> Result<u64, Box<E>> {
+    let ports = AbPortMap::of(netlist);
+    let p_nets = product_bus(netlist);
     let found = if engine == Engine::Compiled && compiled_supports(netlist, width) {
-        exhaustive_walk_compiled_blocks(netlist, count, check_block)
-    } else {
-        exhaustive_walk_scalar_blocks(netlist, count, check_block)
-    };
-    found.map_or(Ok(count * count), Err)
-}
-
-/// Bit `lane` of each plane, as one raw pattern (plane `k` → bit `k`).
-fn lane_pattern(planes: &[u64], lane: u32) -> U256 {
-    let mut out = U256::ZERO;
-    for (k, plane) in planes.iter().enumerate() {
-        if (plane >> lane) & 1 == 1 {
-            out.set_bit(k as u32, true);
-        }
-    }
-    out
-}
-
-/// The domain's corner pairs, then `samples` seeded pattern draws. Both
-/// walkers iterate exactly this sequence, which is what makes their first
-/// counterexamples identical.
-fn sampled<D: Domain, M: Fn(u128, u128) -> D::Product + Sync>(
-    netlist: &Netlist,
-    width: u32,
-    samples: u64,
-    seed: u64,
-    compiled: bool,
-    pairs: &PairModel<D, M>,
-) -> Result<u64, Box<D::Mismatch>> {
-    let corners = D::corners(width);
-    let mut rng = SplitMix64::new(seed);
-    let mut sequence = corners
-        .iter()
-        .flat_map(|&a| corners.iter().map(move |&b| (a, b)))
-        .chain((0..samples).map(move |_| {
-            let a = draw_pattern(&mut rng, width);
-            let b = draw_pattern(&mut rng, width);
-            (a, b)
-        }));
-    let found = if compiled {
-        let sequence: Vec<(u64, u64)> = sequence.map(|(a, b)| (a as u64, b as u64)).collect();
-        pairs_walk_compiled(netlist, &sequence, |a, b, raw| pairs.check_lane(a, b, raw))
+        let program = CompiledNetlist::compile(netlist);
+        let (a_len, b_len) = (ports.a_len as usize, ports.b_len as usize);
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let partials = parallel_chunks(pairs.blocks(), threads, |lo, hi| {
+            let mut sim = CompiledSim::new(&program);
+            let mut stimulus = vec![0u64; netlist.inputs().len()];
+            let (mut a_planes, mut b_planes) = ([0u64; LANES], [0u64; LANES]);
+            let mut planes = [0u64; LANES];
+            let mut row = None;
+            pairs.walk(lo, hi, |block| {
+                match block {
+                    Block::Row { a, b0, .. } => {
+                        if row != Some(a) {
+                            bitplane::broadcast_planes(a, ports.a_len, &mut a_planes);
+                            row = Some(a);
+                        }
+                        bitplane::counter_planes(b0, ports.b_len, &mut b_planes);
+                    }
+                    Block::Listed(list) => {
+                        let transposed = |operand: fn(&(u128, u128)) -> u128| {
+                            let mut lanes = [0u64; LANES];
+                            for (lane, pair) in lanes.iter_mut().zip(list) {
+                                *lane = operand(pair) as u64;
+                            }
+                            bitplane::transposed64(&lanes)
+                        };
+                        (a_planes, b_planes) = (transposed(|p| p.0), transposed(|p| p.1));
+                        row = None;
+                    }
+                }
+                ports.fill_planes(&a_planes[..a_len], &b_planes[..b_len], &mut stimulus);
+                sim.evaluate(&stimulus);
+                for (plane, &net) in planes.iter_mut().zip(p_nets) {
+                    *plane = sim.plane(net);
+                }
+                check(block, &planes)
+            })
+        });
+        partials.into_iter().flatten().next()
     } else {
         let mut sim = LogicSim::new(netlist);
-        sequence.find_map(|(a, b)| scalar_pair(netlist, &mut sim, a, b, pairs))
-    };
-    let corner_pairs = (corners.len() * corners.len()) as u64;
-    found.map_or(Ok(corner_pairs + samples), Err)
-}
-
-fn draw_pattern(rng: &mut SplitMix64, width: u32) -> u128 {
-    if width <= 64 {
-        u128::from(rng.next_bits(width))
-    } else {
-        (u128::from(rng.next_bits(width - 64)) << 64) | u128::from(rng.next_u64())
-    }
-}
-
-/// One pair through the scalar reference engine.
-fn scalar_pair<D: Domain, M: Fn(u128, u128) -> D::Product + Sync>(
-    netlist: &Netlist,
-    sim: &mut LogicSim<'_>,
-    a: u128,
-    b: u128,
-    pairs: &PairModel<D, M>,
-) -> Option<Box<D::Mismatch>> {
-    sim.apply(&ab_stimulus(netlist, a, b));
-    pairs.check(a, b, &read_product(sim, netlist))
-}
-
-/// Reads the `p` output bus as a [`U256`] regardless of width.
-fn read_product(sim: &LogicSim<'_>, netlist: &Netlist) -> U256 {
-    let mut out = U256::ZERO;
-    for (i, net) in product_bus(netlist).iter().enumerate() {
-        if sim.value(*net) {
-            out.set_bit(i as u32, true);
-        }
-    }
-    out
-}
-
-/// The scalar twin of [`exhaustive_walk_compiled_blocks`]: one
-/// [`LogicSim`] sweep per pair, packed lane by lane into `p` planes so the
-/// block checks run unchanged. Needs a `p` bus of at most 64 bits.
-fn exhaustive_walk_scalar_blocks<E>(
-    netlist: &Netlist,
-    count: u64,
-    check_block: impl Fn(u64, u64, &[u64; bitplane::LANES]) -> Option<Box<E>>,
-) -> Option<Box<E>> {
-    let mut sim = LogicSim::new(netlist);
-    let p_nets = product_bus(netlist);
-    assert!(
-        p_nets.len() <= bitplane::LANES,
-        "batched checks need products <= 64 bits"
-    );
-    (0..count).find_map(|a| {
-        (0..count).step_by(bitplane::LANES).find_map(|b0| {
-            let mut planes = [0u64; bitplane::LANES];
-            for lane in 0..(count - b0).min(bitplane::LANES as u64) {
-                sim.apply(&ab_stimulus(netlist, u128::from(a), u128::from(b0 + lane)));
-                for (plane, net) in planes.iter_mut().zip(p_nets) {
-                    *plane |= u64::from(sim.value(*net)) << lane;
+        let mut stimulus = vec![false; netlist.inputs().len()];
+        let mut planes = vec![0u64; p_nets.len().max(LANES)];
+        pairs.walk(0, pairs.blocks(), |block| {
+            planes.fill(0);
+            for lane in 0..block.len() {
+                let (a, b) = block.pair(lane);
+                ports.fill(a, b, &mut stimulus);
+                sim.apply(&stimulus);
+                for (plane, &net) in planes.iter_mut().zip(p_nets) {
+                    *plane |= u64::from(sim.value(net)) << lane;
                 }
             }
-            check_block(a, b0, &planes)
+            check(block, &planes)
         })
-    })
+    };
+    found.map_or(Ok(pairs.len()), Err)
 }
-
-// ---------------------------------------------------------------------
-// Compiled word-parallel sweeps.
-// ---------------------------------------------------------------------
 
 /// Whether the compiled fast path can drive this netlist at this operand
 /// width: the `a`/`b` operand buses and the `p` product bus must each fit
 /// one 64-lane plane stack, and the operand buses must be at least
 /// `width` bits so packed operands are never truncated. Checks beyond
 /// these bounds fall back to the scalar engine — which, for operands
-/// overflowing their bus, preserves the loud `ab_stimulus` panic instead
-/// of a silently truncated sweep.
+/// overflowing their bus, preserves the port map's loud `overflows bus`
+/// panic instead of a silently truncated sweep.
 fn compiled_supports(netlist: &Netlist, width: u32) -> bool {
     let operand_fits = |name: &str| {
         netlist
@@ -721,176 +827,6 @@ fn compiled_supports(netlist: &Netlist, width: u32) -> bool {
             .is_some_and(|bus| (width as usize..=64).contains(&bus.len()))
     };
     operand_fits("a") && operand_fits("b") && netlist.bus("p").is_some_and(|bus| bus.len() <= 64)
-}
-
-/// Pre-resolved `a`/`b`/`p` port map for the compiled sweeps: stimulus
-/// slots are written straight from operand bit-planes, products read
-/// straight from the `p` nets.
-struct AbPorts {
-    /// Per primary input (netlist order): operand bus (false = `a`) and
-    /// bit position within it.
-    input_src: Vec<(bool, usize)>,
-    a_len: u32,
-    b_len: u32,
-    p_nets: Vec<NetId>,
-}
-
-impl AbPorts {
-    fn of(netlist: &Netlist) -> Self {
-        let bus_a = netlist.bus("a").expect("input bus `a`");
-        let bus_b = netlist.bus("b").expect("input bus `b`");
-        let p_nets = product_bus(netlist).to_vec();
-        assert_eq!(
-            netlist.inputs().len(),
-            bus_a.len() + bus_b.len(),
-            "netlist has inputs beyond a/b"
-        );
-        let input_src = netlist
-            .inputs()
-            .iter()
-            .map(|&input| {
-                if let Some(j) = bus_a.iter().position(|&n| n == input) {
-                    (false, j)
-                } else {
-                    let j = bus_b
-                        .iter()
-                        .position(|&n| n == input)
-                        .expect("net in a bus");
-                    (true, j)
-                }
-            })
-            .collect();
-        Self {
-            input_src,
-            a_len: bus_a.len() as u32,
-            b_len: bus_b.len() as u32,
-            p_nets,
-        }
-    }
-
-    fn fill_stimulus(&self, a_planes: &[u64], b_planes: &[u64], stimulus: &mut [u64]) {
-        for (slot, &(is_b, bit)) in stimulus.iter_mut().zip(&self.input_src) {
-            *slot = if is_b { b_planes[bit] } else { a_planes[bit] };
-        }
-    }
-
-    /// Reads the `p` bus planes into the low planes of `planes`.
-    fn product_planes(&self, sim: &CompiledSim<'_>, planes: &mut [u64; bitplane::LANES]) {
-        for (plane, &net) in planes.iter_mut().zip(&self.p_nets) {
-            *plane = sim.plane(net);
-        }
-    }
-
-    /// Decodes the 64 per-lane products from the `p` bus planes.
-    fn product_lanes(&self, sim: &CompiledSim<'_>, out: &mut [u64; bitplane::LANES]) {
-        let mut planes = [0u64; bitplane::LANES];
-        self.product_planes(sim, &mut planes);
-        bitplane::lanes_from_planes(&planes[..self.p_nets.len()], out);
-    }
-}
-
-/// Sweeps the full `count × count` operand rectangle in row-major order,
-/// 64 consecutive `b` values per sweep, rows sharded across threads via
-/// the shared chunk splitter. `check_pair(a, b, netlist_product_lane)`
-/// is called in exact scalar order within each chunk; the first `Some`
-/// across chunks (merged in chunk order) is therefore the same
-/// counterexample the scalar engine reports.
-fn exhaustive_walk_compiled<E: Send>(
-    netlist: &Netlist,
-    count: u64,
-    check_pair: impl Fn(u64, u64, u64) -> Option<Box<E>> + Sync,
-) -> Option<Box<E>> {
-    let p_len = product_bus(netlist).len();
-    exhaustive_walk_compiled_blocks(netlist, count, |a, b0, planes| {
-        let mut lanes = [0u64; bitplane::LANES];
-        bitplane::lanes_from_planes(&planes[..p_len], &mut lanes);
-        let valid = (count - b0).min(bitplane::LANES as u64) as usize;
-        (0..valid).find_map(|i| check_pair(a, b0 + i as u64, lanes[i]))
-    })
-}
-
-/// The block form of the compiled exhaustive sweep: `check_block(a, b0,
-/// planes)` receives one whole 64-lane block per call — `planes` holds
-/// the netlist's `p` bus planes for `(a, b0 + i)` in lane `i`, zero past
-/// the bus width (lanes at or past `count` are meaningless). Blocks
-/// arrive in exact row-major scalar order within each chunk, chunks merge
-/// in order — same first-counterexample guarantee as the per-pair walk.
-fn exhaustive_walk_compiled_blocks<E: Send>(
-    netlist: &Netlist,
-    count: u64,
-    check_block: impl Fn(u64, u64, &[u64; bitplane::LANES]) -> Option<Box<E>> + Sync,
-) -> Option<Box<E>> {
-    let program = CompiledNetlist::compile(netlist);
-    let ports = AbPorts::of(netlist);
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let partials = parallel_chunks(count, threads, |lo, hi| {
-        let mut sim = CompiledSim::new(&program);
-        let mut stimulus = vec![0u64; netlist.inputs().len()];
-        let mut a_planes = vec![0u64; ports.a_len as usize];
-        let mut b_planes = vec![0u64; ports.b_len as usize];
-        let mut planes = [0u64; bitplane::LANES];
-        for a in lo..hi {
-            bitplane::broadcast_planes(a, ports.a_len, &mut a_planes);
-            let mut b0 = 0u64;
-            while b0 < count {
-                bitplane::counter_planes(b0, ports.b_len, &mut b_planes);
-                ports.fill_stimulus(&a_planes, &b_planes, &mut stimulus);
-                sim.evaluate(&stimulus);
-                ports.product_planes(&sim, &mut planes);
-                if let Some(err) = check_block(a, b0, &planes) {
-                    return Some(err);
-                }
-                b0 += bitplane::LANES as u64;
-            }
-        }
-        None
-    });
-    partials.into_iter().flatten().next()
-}
-
-/// Sweeps an explicit pair list (the sampled sequence) in order, 64 pairs
-/// per sweep, blocks sharded across threads. Lane decoding follows list
-/// order, so the first `Some` matches the scalar engine's.
-fn pairs_walk_compiled<E: Send>(
-    netlist: &Netlist,
-    pairs: &[(u64, u64)],
-    check_pair: impl Fn(u64, u64, u64) -> Option<Box<E>> + Sync,
-) -> Option<Box<E>> {
-    let program = CompiledNetlist::compile(netlist);
-    let ports = AbPorts::of(netlist);
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let blocks = pairs.len().div_ceil(bitplane::LANES) as u64;
-    let partials = parallel_chunks(blocks, threads, |lo, hi| {
-        let mut sim = CompiledSim::new(&program);
-        let mut stimulus = vec![0u64; netlist.inputs().len()];
-        let mut lanes = [0u64; bitplane::LANES];
-        for block in lo..hi {
-            let base = block as usize * bitplane::LANES;
-            let chunk = &pairs[base..pairs.len().min(base + bitplane::LANES)];
-            let mut a_lanes = [0u64; bitplane::LANES];
-            let mut b_lanes = [0u64; bitplane::LANES];
-            for (i, &(a, b)) in chunk.iter().enumerate() {
-                a_lanes[i] = a;
-                b_lanes[i] = b;
-            }
-            let a_planes = bitplane::transposed64(&a_lanes);
-            let b_planes = bitplane::transposed64(&b_lanes);
-            ports.fill_stimulus(
-                &a_planes[..ports.a_len as usize],
-                &b_planes[..ports.b_len as usize],
-                &mut stimulus,
-            );
-            sim.evaluate(&stimulus);
-            ports.product_lanes(&sim, &mut lanes);
-            for (i, &(a, b)) in chunk.iter().enumerate() {
-                if let Some(err) = check_pair(a, b, lanes[i]) {
-                    return Some(err);
-                }
-            }
-        }
-        None
-    });
-    partials.into_iter().flatten().next()
 }
 
 #[cfg(test)]
@@ -1103,6 +1039,75 @@ mod tests {
                     check_exhaustive_planes_signed(&n_signed, width, engine, &signed_planes),
                     signed_reference
                 );
+            }
+        }
+    }
+
+    /// Every pair `pairs.walk(lo, hi, ..)` visits, in order.
+    fn visited(pairs: &Pairs, lo: u64, hi: u64) -> Vec<(u128, u128)> {
+        let mut seen = Vec::new();
+        pairs.walk(lo, hi, |block| {
+            seen.extend((0..block.len()).map(|lane| block.pair(lane)));
+            None::<()>
+        });
+        seen
+    }
+
+    /// Asserts that a single pass over `pairs` visits `expected`, and so
+    /// does every split of its blocks into two chunks.
+    fn assert_walks(pairs: &Pairs, expected: &[(u128, u128)], row: &str) {
+        let blocks = pairs.blocks();
+        assert_eq!(visited(pairs, 0, blocks), expected, "{row}");
+        assert_eq!(pairs.len(), expected.len() as u64, "{row}");
+        for k in 0..=blocks {
+            let mut split = visited(pairs, 0, k);
+            split.extend(visited(pairs, k, blocks));
+            assert_eq!(split, expected, "{row} split at block {k}");
+        }
+    }
+
+    #[test]
+    fn pair_sources_are_the_same_sequence_from_any_chunk_start() {
+        // Exhaustive rows, row-major: 3 bits fill part of a block, 7 bits
+        // cut each row into two.
+        for width in [3u32, 7] {
+            let count = 1u128 << width;
+            let expected: Vec<_> = (0..count)
+                .flat_map(|a| (0..count).map(move |b| (a, b)))
+                .collect();
+            assert_walks(&Pairs::rows(width), &expected, &format!("{width}-bit rows"));
+        }
+        // Sampled: the corners row-major, then the draws, `a` before `b`;
+        // a 70-bit pattern takes two draws, its high 6 bits first.
+        let draw = |rng: &mut SplitMix64, width: u32| {
+            if width == 70 {
+                (u128::from(rng.next_bits(6)) << 64) | u128::from(rng.next_u64())
+            } else {
+                u128::from(rng.next_bits(width))
+            }
+        };
+        for width in [8u32, 70] {
+            for (corners, samples) in [
+                (Unsigned::corners(width), 100),
+                (TwosComplement::corners(width), 300),
+            ] {
+                let mut rng = SplitMix64::new(5);
+                let mut expected: Vec<_> = corners
+                    .iter()
+                    .flat_map(|&a| corners.iter().map(move |&b| (a, b)))
+                    .collect();
+                for _ in 0..samples {
+                    let a = draw(&mut rng, width);
+                    expected.push((a, draw(&mut rng, width)));
+                }
+                let row = format!("{width}-bit, {} corners + {samples}", corners.len());
+                let pairs = Pairs::Sampled {
+                    corners,
+                    samples,
+                    seed: 5,
+                    width,
+                };
+                assert_walks(&pairs, &expected, &row);
             }
         }
     }

@@ -34,7 +34,14 @@
 //!   the two's-complement one, and their exhaustive twins against a
 //!   bit-sliced block model, `check_exhaustive_planes` and
 //!   `check_exhaustive_planes_signed`, which compare products as
-//!   bit-planes, 64 pairs per word.
+//!   bit-planes, 64 pairs per word. Every check runs on one block sweep,
+//!   and sampled checks regenerate their draws from the seed, so their
+//!   memory does not grow with the sample count.
+//!
+//! The equivalence sweep, the glitch-aware activity streams and
+//! [`ab_stimulus`] resolve the multipliers' port convention (operand buses
+//! `a` and `b` as the only primary inputs, product bus `p`) through one
+//! port map, built once per netlist.
 
 pub mod activity;
 mod compile;

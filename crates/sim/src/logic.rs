@@ -1,6 +1,8 @@
-//! Scalar levelized zero-delay simulator.
+//! Scalar levelized zero-delay simulator, and the `a`/`b` operand-port
+//! map every driver feeds operand pairs through.
 
 use sdlc_netlist::{GateKind, NetId, Netlist};
+use sdlc_wideint::SplitMix64;
 
 /// Levelized two-valued simulator with toggle accounting.
 ///
@@ -139,34 +141,89 @@ impl<'n> LogicSim<'n> {
 /// has inputs outside the two buses.
 #[must_use]
 pub fn ab_stimulus(netlist: &Netlist, a: u128, b: u128) -> Vec<bool> {
-    let bus_a = netlist.bus("a").expect("input bus `a`");
-    let bus_b = netlist.bus("b").expect("input bus `b`");
-    assert!(
-        bus_a.len() == 128 || a < (1u128 << bus_a.len()),
-        "operand a overflows bus"
-    );
-    assert!(
-        bus_b.len() == 128 || b < (1u128 << bus_b.len()),
-        "operand b overflows bus"
-    );
-    assert_eq!(
-        netlist.inputs().len(),
-        bus_a.len() + bus_b.len(),
-        "netlist has inputs beyond a/b"
-    );
-    let mut stimulus = Vec::with_capacity(netlist.inputs().len());
-    let value_of = |net: NetId| -> bool {
-        if let Some(pos) = bus_a.iter().position(|&n| n == net) {
-            (a >> pos) & 1 == 1
-        } else {
-            let pos = bus_b.iter().position(|&n| n == net).expect("net in a bus");
-            (b >> pos) & 1 == 1
-        }
-    };
-    for &input in netlist.inputs() {
-        stimulus.push(value_of(input));
-    }
+    let mut stimulus = vec![false; netlist.inputs().len()];
+    AbPortMap::of(netlist).fill(a, b, &mut stimulus);
     stimulus
+}
+
+/// The `a`/`b` operand-port convention of a netlist, resolved once: the
+/// operand and bit each primary input takes its value from. Every driver
+/// that feeds operand pairs to a netlist builds its stimulus through it.
+pub(crate) struct AbPortMap {
+    /// Per primary input (netlist order): whether it belongs to bus `b`,
+    /// and its bit position within its bus.
+    src: Vec<(bool, u32)>,
+    /// Width of bus `a`.
+    pub(crate) a_len: u32,
+    /// Width of bus `b`.
+    pub(crate) b_len: u32,
+}
+
+impl AbPortMap {
+    /// Resolves the netlist's ports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the `a` or `b` bus is missing or the netlist has inputs
+    /// outside the two buses.
+    pub(crate) fn of(netlist: &Netlist) -> Self {
+        let bus_a = netlist.bus("a").expect("input bus `a`");
+        let bus_b = netlist.bus("b").expect("input bus `b`");
+        assert_eq!(
+            netlist.inputs().len(),
+            bus_a.len() + bus_b.len(),
+            "netlist has inputs beyond a/b"
+        );
+        let src = netlist
+            .inputs()
+            .iter()
+            .map(|&input| match bus_a.iter().position(|&n| n == input) {
+                Some(j) => (false, j as u32),
+                None => {
+                    let j = bus_b.iter().position(|&n| n == input);
+                    (true, j.expect("net in a bus") as u32)
+                }
+            })
+            .collect();
+        Self {
+            src,
+            a_len: bus_a.len() as u32,
+            b_len: bus_b.len() as u32,
+        }
+    }
+
+    /// Writes the scalar stimulus of the pair `(a, b)`, one bit per
+    /// primary input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand overflows its bus.
+    pub(crate) fn fill(&self, a: u128, b: u128, stimulus: &mut [bool]) {
+        let fits = |value: u128, len: u32| len >= 128 || value < (1u128 << len);
+        assert!(fits(a, self.a_len), "operand a overflows bus");
+        assert!(fits(b, self.b_len), "operand b overflows bus");
+        for (bit, &(is_b, j)) in stimulus.iter_mut().zip(&self.src) {
+            *bit = ((if is_b { b } else { a }) >> j) & 1 == 1;
+        }
+    }
+
+    /// Writes the 64-lane stimulus of operand bit-planes: plane `j` of
+    /// `a_planes` carries bit `j` of each lane's `a` (likewise `b`).
+    pub(crate) fn fill_planes(&self, a_planes: &[u64], b_planes: &[u64], stimulus: &mut [u64]) {
+        for (word, &(is_b, j)) in stimulus.iter_mut().zip(&self.src) {
+            *word = if is_b { b_planes } else { a_planes }[j as usize];
+        }
+    }
+}
+
+/// A uniform `width`-bit pattern (at most 128 bits): one draw up to 64
+/// bits, two above, the high part first.
+pub(crate) fn draw_pattern(rng: &mut SplitMix64, width: u32) -> u128 {
+    if width <= 64 {
+        u128::from(rng.next_bits(width))
+    } else {
+        (u128::from(rng.next_bits(width - 64)) << 64) | u128::from(rng.next_u64())
+    }
 }
 
 #[cfg(test)]

@@ -12,6 +12,9 @@
 #   synth:  sdlc-cli synth --width {16,64,128} --depth 4          (5, 3, 1 pairs)
 #   verify: sdlc-cli verify --width 12 --depth 2                   (10 pairs)
 #           sdlc-cli verify --width 10 --depth 2 --signed          (10 pairs)
+#           sdlc-cli verify --width 16 --depth 2 --samples 4000000 (5 pairs;
+#                   the sampled path, which flowbench's exhaustive
+#                   requests never reach)
 #   errors: sdlc-cli errors --width 14 --depth 2 --engine bitsliced (5 pairs)
 #
 # plus 10 paired `flowbench` passes of the workload (seed 1, 10 s each),
@@ -33,7 +36,7 @@ set -euo pipefail
 workload=${1:-}
 case $workload in
     synth) rows=("5|synth --width 16 --depth 4" "3|synth --width 64 --depth 4" "1|synth --width 128 --depth 4") ;;
-    verify) rows=("10|verify --width 12 --depth 2" "10|verify --width 10 --depth 2 --signed") ;;
+    verify) rows=("10|verify --width 12 --depth 2" "10|verify --width 10 --depth 2 --signed" "5|verify --width 16 --depth 2 --samples 4000000") ;;
     errors) rows=("5|errors --width 14 --depth 2 --engine bitsliced") ;;
     *)
         echo "usage: $0 {synth|verify|errors} BASE_DIR HEAD_DIR" >&2

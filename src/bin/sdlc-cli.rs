@@ -18,6 +18,7 @@
 //! (structural export, optionally `--signed`), `dot` (dot-notation
 //! diagram), `help`.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use sdlc::core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme};
@@ -55,7 +56,8 @@ OPTIONS:
   --width N        operand width (even, 2..=128; default 8;
                    `sobel` needs >=10 and defaults to 16)
   --depth D        uniform cluster depth (default 2)
-  --depths A,B,..  heterogeneous cluster depths (sum = width)
+  --depths A,B,..  heterogeneous cluster depths (sum = width; replaces
+                   --depth and --variant)
   --variant V      prog | ceiltails | pairtails | fullor (default prog)
   --scheme S       ripple | csa | wallace | dadda (default ripple);
                    `verify` also accepts `all` to sweep every scheme in
@@ -106,6 +108,9 @@ struct Options {
     size: (u32, u32),
     out: Option<String>,
     lib: Option<String>,
+    /// Every flag given, in order, for the per-command check in
+    /// [`reject_unread_flags`].
+    given: Vec<String>,
 }
 
 impl Default for Options {
@@ -124,6 +129,7 @@ impl Default for Options {
             size: (200, 200),
             out: None,
             lib: None,
+            given: Vec::new(),
         }
     }
 }
@@ -219,36 +225,99 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--lib" => options.lib = Some(value()?),
             other => return Err(format!("unknown option {other:?}")),
         }
+        options.given.push(flag.clone());
     }
     Ok(options)
 }
 
-/// Commands without an engine dimension must reject `--engine` rather
-/// than silently ignore a value that only `errors`/`verify` interpret.
-fn reject_engine(options: &Options, command: &str) -> Result<(), String> {
-    match &options.engine {
-        Some(engine) => Err(format!(
-            "--engine {engine} is not supported by `{command}`; it selects \
-             evaluation engines for `errors` and `verify`"
-        )),
-        None => Ok(()),
-    }
+/// A command's body, writing its report to stdout.
+type Command = fn(&Options, &mut dyn Write) -> Result<(), Failure>;
+
+/// Every command with the flags it reads. Any other flag is rejected
+/// rather than silently ignored; `help` reads none and ignores all.
+const COMMANDS: [(&str, &str, Command); 6] = [
+    (
+        "errors",
+        "--width --depth --depths --variant --engine --signed --samples",
+        cmd_errors,
+    ),
+    (
+        "verify",
+        "--width --depth --depths --variant --engine --signed --samples --scheme --json",
+        cmd_verify,
+    ),
+    (
+        "sobel",
+        "--width --depth --depths --variant --size --out",
+        cmd_sobel,
+    ),
+    (
+        "synth",
+        "--width --depth --depths --variant --scheme --signed --lib",
+        cmd_synth,
+    ),
+    (
+        "verilog",
+        "--width --depth --depths --variant --scheme --signed --out",
+        cmd_verilog,
+    ),
+    ("dot", "--width --depth --depths --variant", cmd_dot),
+];
+
+/// Whether the space-separated flag list `reads` holds `flag`.
+fn reads_flag(reads: &str, flag: &str) -> bool {
+    reads.split(' ').any(|read| read == flag)
 }
 
-/// Flags only `verify` interprets must not be silently swallowed by a
-/// command that would ignore them.
-fn reject_verify_flags(options: &Options, command: &str) -> Result<(), String> {
-    if options.scheme_all {
+/// Rejects every given flag that `command` (reading `reads`) would
+/// ignore: flags outside its read set, `--depth`/`--variant` beside
+/// `--depths` (whose clusters are each their own depth, progressive), and
+/// `--scheme all` outside `verify`.
+fn reject_unread_flags(options: &Options, command: &str, reads: &str) -> Result<(), String> {
+    for flag in &options.given {
+        if !reads_flag(reads, flag) {
+            let readers: Vec<String> = COMMANDS
+                .iter()
+                .filter(|(_, flags, _)| reads_flag(flags, flag))
+                .map(|(name, _, _)| format!("`{name}`"))
+                .collect();
+            return Err(format!(
+                "{flag} is not supported by `{command}` (only supported by {}); drop {flag}",
+                readers.join(", ")
+            ));
+        }
+        if options.depths.is_some() && (flag == "--depth" || flag == "--variant") {
+            return Err(format!(
+                "{flag} cannot be combined with --depths, which sets every cluster's \
+                 depth (progressive); drop {flag}"
+            ));
+        }
+    }
+    if options.scheme_all && command != "verify" {
         return Err(format!(
             "--scheme all is only supported by `verify`; `{command}` needs one concrete scheme"
         ));
     }
-    if options.json {
-        return Err(format!(
-            "--json is only supported by `verify`, not `{command}`"
-        ));
-    }
     Ok(())
+}
+
+/// Why a command failed: a message for the user, or a failed write to
+/// stdout.
+enum Failure {
+    Message(String),
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(error: io::Error) -> Self {
+        Failure::Stdout(error)
+    }
 }
 
 fn build_model(options: &Options, width: u32) -> Result<SdlcMultiplier, String> {
@@ -259,8 +328,7 @@ fn build_model(options: &Options, width: u32) -> Result<SdlcMultiplier, String> 
     model.map_err(|e| e.to_string())
 }
 
-fn cmd_errors(options: &Options) -> Result<(), String> {
-    reject_verify_flags(options, "errors")?;
+fn cmd_errors(options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     let width = options.width("errors");
     let model = build_model(options, width)?;
     let engine: Engine = options.engine.as_deref().unwrap_or("scalar").parse()?;
@@ -277,14 +345,14 @@ fn cmd_errors(options: &Options) -> Result<(), String> {
     let sweep = EvalOptions::from(engine);
     let metrics = if options.signed {
         let signed = SignMagnitude::new(model.clone());
-        println!("design {} (engine {engine})", signed.name());
+        writeln!(out, "design {} (engine {engine})", signed.name())?;
         if width <= exhaustive_cutoff {
             exhaustive_signed_with(&signed, sweep)
         } else {
             sampled_signed_with(&signed, samples, 0x5D1C, sweep)
         }
     } else {
-        println!("design {} (engine {engine})", model.name());
+        writeln!(out, "design {} (engine {engine})", model.name())?;
         if width <= exhaustive_cutoff {
             exhaustive_with(&model, sweep)
         } else {
@@ -292,26 +360,28 @@ fn cmd_errors(options: &Options) -> Result<(), String> {
         }
     }
     .map_err(|e| e.to_string())?;
-    println!("{metrics}");
+    writeln!(out, "{metrics}")?;
     // Sampled runs cover fewer than the 2^{2N} pairs of the domain; at
     // width ≥ 32 that pair count overflows u64, so any sample count is
     // partial by definition.
     if width >= 32 || metrics.samples < 1u64 << (2 * width) {
-        println!(
+        writeln!(
+            out,
             "(Monte-Carlo; 95% CI: MRED ±{:.5}pp, ER ±{:.4}pp)",
             1.96 * metrics.mred_std_error * 100.0,
             1.96 * metrics.er_std_error * 100.0
-        );
+        )?;
     }
     if let Some((a, b)) = metrics.worst_red_operands_signed() {
-        println!("worst RED at ({a}, {b})");
+        writeln!(out, "worst RED at ({a}, {b})")?;
     }
     if !options.signed {
-        println!(
+        writeln!(
+            out,
             "analytic MED = {:.4} (model, no simulation; simulated {:.4})",
             mean_error_distance(&model),
             metrics.med
-        );
+        )?;
     }
     Ok(())
 }
@@ -332,7 +402,13 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn render_verify_json(options: &Options, width: u32, engine: &str, records: &[VerifyRecord]) {
+fn render_verify_json(
+    out: &mut dyn Write,
+    options: &Options,
+    width: u32,
+    engine: &str,
+    records: &[VerifyRecord],
+) -> io::Result<()> {
     let results: Vec<String> = records
         .iter()
         .map(|r| {
@@ -351,14 +427,15 @@ fn render_verify_json(options: &Options, width: u32, engine: &str, records: &[Ve
             )
         })
         .collect();
-    println!(
+    writeln!(
+        out,
         "{{\"command\":\"verify\",\"width\":{width},\"signed\":{},\"engine\":\"{engine}\",\"results\":[{}]}}",
         options.signed,
         results.join(",")
-    );
+    )
 }
 
-fn cmd_verify(options: &Options) -> Result<(), String> {
+fn cmd_verify(options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     let width = options.width("verify");
     let engine: sdlc::sim::Engine = options.engine.as_deref().unwrap_or("compiled").parse()?;
     let samples = options.samples.unwrap_or(2048);
@@ -390,10 +467,11 @@ fn cmd_verify(options: &Options) -> Result<(), String> {
             netlist = sdlc::core::circuits::signed_multiplier(&netlist, width);
         }
         if !options.json {
-            println!(
+            writeln!(
+                out,
                 "verifying {} against its functional model (engine {engine})",
                 netlist.name()
-            );
+            )?;
         }
         let exhaustive = width <= cutoff;
         let coverage = if exhaustive {
@@ -442,8 +520,8 @@ fn cmd_verify(options: &Options) -> Result<(), String> {
         };
         if !options.json {
             match &outcome {
-                Ok(_) => println!("OK: netlist matches model ({label})"),
-                Err(e) => return Err(format!("equivalence FAILED: {e}")),
+                Ok(_) => writeln!(out, "OK: netlist matches model ({label})")?,
+                Err(e) => return Err(format!("equivalence FAILED: {e}").into()),
             }
         }
         records.push(VerifyRecord {
@@ -454,27 +532,27 @@ fn cmd_verify(options: &Options) -> Result<(), String> {
         });
     }
     if options.json {
-        render_verify_json(options, width, engine.tag(), &records);
+        render_verify_json(out, options, width, engine.tag(), &records)?;
         if let Some(failed) = records.iter().find(|r| r.outcome.is_err()) {
             return Err(format!(
                 "equivalence FAILED ({}): {}",
                 failed.design,
                 failed.outcome.as_ref().unwrap_err()
-            ));
+            )
+            .into());
         }
     }
     Ok(())
 }
 
-fn cmd_sobel(options: &Options) -> Result<(), String> {
-    reject_engine(options, "sobel")?;
-    reject_verify_flags(options, "sobel")?;
+fn cmd_sobel(options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     let width = options.width("sobel");
     if !(10..=32).contains(&width) {
         return Err(format!(
             "sobel needs a signed multiplier of 10..=32 bits \
              (pixel×tap products through the i64 fast path), got --width {width}"
-        ));
+        )
+        .into());
     }
     let model = build_model(options, width)?;
     let approx = SignMagnitude::new(model);
@@ -482,24 +560,30 @@ fn cmd_sobel(options: &Options) -> Result<(), String> {
         SignMagnitude::new(sdlc::core::AccurateMultiplier::new(width).map_err(|e| e.to_string())?);
     let (w, h) = options.size;
     let image = scenes::blobs(w, h, 7);
-    println!(
+    writeln!(
+        out,
         "gradient magnitude {}×{} through {} (reference {})",
         w,
         h,
         approx.name(),
         exact.name()
-    );
+    )?;
     let sobel_ref = sobel_magnitude(&image, &exact);
     let sobel_approx = sobel_magnitude(&image, &approx);
     let scharr_ref = scharr_magnitude(&image, &exact);
     let scharr_approx = scharr_magnitude(&image, &approx);
     // Sobel's ±1/±2 taps are powers of two — exact through SDLC (∞ dB);
     // Scharr's ±3/±10 taps collide in compressed clusters.
-    println!("  sobel  PSNR {:>8.2} dB", psnr(&sobel_ref, &sobel_approx));
-    println!(
+    writeln!(
+        out,
+        "  sobel  PSNR {:>8.2} dB",
+        psnr(&sobel_ref, &sobel_approx)
+    )?;
+    writeln!(
+        out,
         "  scharr PSNR {:>8.2} dB",
         psnr(&scharr_ref, &scharr_approx)
-    );
+    )?;
     if let Some(dir) = &options.out {
         let dir = std::path::Path::new(dir);
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
@@ -514,10 +598,11 @@ fn cmd_sobel(options: &Options) -> Result<(), String> {
         save(&sobel_approx, &format!("sobel_{}.pgm", approx.name()))?;
         save(&scharr_ref, "scharr_exact.pgm")?;
         save(&scharr_approx, &format!("scharr_{}.pgm", approx.name()))?;
-        println!(
+        writeln!(
+            out,
             "wrote input + exact/approximate edge maps to {}",
             dir.display()
-        );
+        )?;
     }
     Ok(())
 }
@@ -532,9 +617,7 @@ fn load_library(options: &Options) -> Result<Library, String> {
     }
 }
 
-fn cmd_synth(options: &Options) -> Result<(), String> {
-    reject_engine(options, "synth")?;
-    reject_verify_flags(options, "synth")?;
+fn cmd_synth(options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     let width = options.width("synth");
     let model = build_model(options, width)?;
     let lib = load_library(options)?;
@@ -551,15 +634,12 @@ fn cmd_synth(options: &Options) -> Result<(), String> {
     };
     let exact = analyze(accurate, &lib, &analysis);
     let report = analyze(approx, &lib, &analysis);
-    print!("{exact}");
-    print!("{report}");
-    println!("savings vs accurate: {}", report.reduction_vs(&exact));
+    write!(out, "{exact}{report}")?;
+    writeln!(out, "savings vs accurate: {}", report.reduction_vs(&exact))?;
     Ok(())
 }
 
-fn cmd_verilog(options: &Options) -> Result<(), String> {
-    reject_engine(options, "verilog")?;
-    reject_verify_flags(options, "verilog")?;
+fn cmd_verilog(options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     let width = options.width("verilog");
     let model = build_model(options, width)?;
     let mut netlist = sdlc_multiplier(&model, options.scheme);
@@ -573,31 +653,23 @@ fn cmd_verilog(options: &Options) -> Result<(), String> {
             std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("wrote {path} ({} cells)", netlist.cell_count());
         }
-        None => print!("{text}"),
+        None => write!(out, "{text}")?,
     }
     Ok(())
 }
 
-fn cmd_dot(options: &Options) -> Result<(), String> {
-    reject_engine(options, "dot")?;
-    reject_verify_flags(options, "dot")?;
-    if options.signed {
-        return Err(
-            "dot draws the unsigned partial-product matrix; the signed wrapper adds no dots \
-             (drop --signed)"
-                .into(),
-        );
-    }
+fn cmd_dot(options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     let model = build_model(options, options.width("dot"))?;
     let matrix = ReducedMatrix::from_multiplier(&model);
-    println!(
+    writeln!(
+        out,
         "{} — {} rows, critical column {}, {} compressed bits",
         model.name(),
         matrix.rows().len(),
         matrix.critical_column_height(),
         matrix.compressed_bit_count()
-    );
-    print!("{matrix}");
+    )?;
+    write!(out, "{matrix}")?;
     Ok(())
 }
 
@@ -607,27 +679,33 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = match parse_options(&args[1..]) {
-        Err(e) => Err(e),
-        Ok(options) => match command.as_str() {
-            "errors" => cmd_errors(&options),
-            "verify" => cmd_verify(&options),
-            "sobel" => cmd_sobel(&options),
-            "synth" => cmd_synth(&options),
-            "verilog" => cmd_verilog(&options),
-            "dot" => cmd_dot(&options),
-            "help" | "--help" | "-h" => {
-                print!("{USAGE}");
-                Ok(())
-            }
-            other => Err(format!("unknown command {other:?}; try `sdlc-cli help`")),
-        },
-    };
+    let mut out = io::stdout().lock();
+    let result = parse_options(&args[1..])
+        .map_err(Failure::from)
+        .and_then(|options| run(command, &options, &mut out))
+        .and_then(|()| Ok(out.flush()?));
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        // A reader that stops early (`| head`) is not an error.
+        Err(Failure::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("error: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(message)) => {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
     }
+}
+
+fn run(command: &str, options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
+    if matches!(command, "help" | "--help" | "-h") {
+        return Ok(write!(out, "{USAGE}")?);
+    }
+    let Some((_, reads, body)) = COMMANDS.iter().find(|(name, _, _)| *name == command) else {
+        return Err(format!("unknown command {command:?}; try `sdlc-cli help`").into());
+    };
+    reject_unread_flags(options, command, reads)?;
+    body(options, out)
 }

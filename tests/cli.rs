@@ -234,6 +234,74 @@ fn engineless_commands_reject_the_engine_flag() {
 }
 
 #[test]
+fn commands_reject_every_flag_they_do_not_read() {
+    // (arguments, a substring of the error). Each flag would otherwise be
+    // silently ignored.
+    let cases: [(&[&str], &str); 10] = [
+        (
+            &[
+                "errors",
+                "--width",
+                "8",
+                "--depths",
+                "4,4",
+                "--variant",
+                "fullor",
+            ],
+            "--variant cannot be combined with --depths",
+        ),
+        (
+            &["errors", "--width", "8", "--depth", "3", "--depths", "4,4"],
+            "--depth cannot be combined with --depths",
+        ),
+        (
+            &["verify", "--width", "8", "--depths", "4,4", "--depth", "4"],
+            "--depth cannot be combined with --depths",
+        ),
+        (&["synth", "--samples", "5"], "not supported by `synth`"),
+        (
+            &["errors", "--scheme", "wallace"],
+            "not supported by `errors`",
+        ),
+        (&["errors", "--lib", "FILE"], "not supported by `errors`"),
+        (
+            &["verify", "--lib", "x", "--size", "3,3"],
+            "--lib is not supported by `verify` (only supported by `synth`)",
+        ),
+        (&["sobel", "--scheme", "csa"], "not supported by `sobel`"),
+        (&["verilog", "--lib", "x"], "not supported by `verilog`"),
+        (&["dot", "--out", "x"], "not supported by `dot`"),
+    ];
+    for (args, expected) in cases {
+        let (stdout, stderr, ok) = run(args);
+        assert!(!ok, "{args:?} was accepted");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn closing_stdout_early_is_not_an_error() {
+    for args in [
+        &["verify", "--width", "6", "--scheme", "all"][..],
+        &["errors", "--width", "8"],
+    ] {
+        // A reader that is already gone: the first write fails with
+        // `BrokenPipe`.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let output = cli()
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(output.status.success(), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn wide_sampled_runs_report_their_confidence_interval() {
     // Width ≥ 32: the 2^{2N} pair count overflows u64, which used to
     // overflow the partial-coverage shift; the CI line must print and
