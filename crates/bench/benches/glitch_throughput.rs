@@ -3,10 +3,11 @@
 //! `glitch_power` from being the slow tail of `sdlc-cli synth`.
 //!
 //! Drives 8/12/16-bit SDLC and accurate multipliers through both timing
-//! engines on ONE thread each (the compiled engine's 64-lane sharing is
-//! the whole win measured here; multi-threading its stream groups only
-//! multiplies it). The 12-bit SDLC case is the acceptance headline: the
-//! compiled backend must be at least 10× faster single-core (asserted).
+//! engines on ONE thread each (the compiled engine sharing each wheel
+//! pop across its 256 lanes is the whole win measured here;
+//! multi-threading its wheels only multiplies it). The 12-bit SDLC case
+//! is the acceptance headline: the compiled backend must be at least 10×
+//! faster single-core (asserted).
 //!
 //! `SDLC_FAST=1` shrinks the vector budgets and skips the assertions.
 
@@ -16,7 +17,7 @@ use sdlc_bench::{banner, fast_mode};
 use sdlc_core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme};
 use sdlc_core::SdlcMultiplier;
 use sdlc_netlist::Netlist;
-use sdlc_sim::{ab_stimulus, GlitchSim, TimedProgram, TimingSim};
+use sdlc_sim::{ab_stimulus, GlitchSim, TimedProgram, TimingSim, WHEEL_LANES, WHEEL_WORDS};
 use sdlc_techlib::Library;
 use sdlc_wideint::SplitMix64;
 
@@ -58,37 +59,43 @@ fn scalar_transitions(netlist: &Netlist, library: &Library, seed: u64, vectors: 
     transitions
 }
 
-/// The compiled equivalent: 64 lane streams, `vectors / 64` words, one
-/// thread.
+/// Input planes the compiled engine applies for `vectors` vectors, one
+/// per lane stream.
+fn compiled_applies(vectors: u64) -> u64 {
+    vectors.div_ceil(WHEEL_LANES as u64)
+}
+
+/// The compiled equivalent: `WHEEL_LANES` lane streams,
+/// [`compiled_applies`] planes, one thread.
 fn compiled_transitions(netlist: &Netlist, library: &Library, seed: u64, vectors: u64) -> u64 {
     let width = netlist.bus("a").unwrap().len() as u32;
     let program = TimedProgram::compile(netlist, library);
-    let mut rngs: Vec<SplitMix64> = (0..64)
+    let mut rngs: Vec<SplitMix64> = (0..WHEEL_LANES as u64)
         .map(|lane| SplitMix64::new(seed ^ (lane * 0x9e37_79b9_7f4a_7c15)))
         .collect();
     let inputs = netlist.inputs().len();
-    let mut stimulus = vec![0u64; inputs];
-    let mut draw_word = |stimulus: &mut [u64]| {
-        stimulus.fill(0);
+    let mut stimulus = vec![[0u64; WHEEL_WORDS]; inputs];
+    let mut draw_plane = |stimulus: &mut [[u64; WHEEL_WORDS]]| {
+        stimulus.fill([0; WHEEL_WORDS]);
         for (lane, rng) in rngs.iter_mut().enumerate() {
             let a = rng.next_bits(width);
             let b = rng.next_bits(width);
-            for (j, word) in stimulus.iter_mut().enumerate() {
+            for (j, plane) in stimulus.iter_mut().enumerate() {
                 let bit = if (j as u32) < width {
                     (a >> j) & 1
                 } else {
                     (b >> (j as u32 - width)) & 1
                 };
-                *word |= bit << lane;
+                plane[lane / 64] |= bit << (lane % 64);
             }
         }
     };
     let mut sim = GlitchSim::new(&program);
-    draw_word(&mut stimulus);
+    draw_plane(&mut stimulus);
     sim.settle(&stimulus);
     let mut transitions = 0;
-    for _ in 0..vectors.div_ceil(64) {
-        draw_word(&mut stimulus);
+    for _ in 0..compiled_applies(vectors) {
+        draw_plane(&mut stimulus);
         transitions += sim.apply(&stimulus).transitions;
     }
     transitions
@@ -103,7 +110,7 @@ fn main() {
     println!("machine: {cores} cores\n");
     let lib = Library::generic_90nm();
 
-    println!("== glitch-aware activity, single-core (64-lane sharing is the win) ==");
+    println!("== glitch-aware activity, single-core (256-lane wheel pops are the win) ==");
     let mut headline = None;
     for width in [8u32, 12, 16] {
         let vectors: u64 = match width {
@@ -125,7 +132,7 @@ fn main() {
                 vectors as f64 / t_scalar / 1e3,
                 scalar as f64 / vectors as f64,
                 vectors as f64 / t_compiled / 1e3,
-                compiled as f64 / (vectors.div_ceil(64) * 64) as f64,
+                compiled as f64 / (compiled_applies(vectors) * WHEEL_LANES as u64) as f64,
             );
         }
     }

@@ -14,9 +14,11 @@
 //!   event-driven engines: the scalar [`TimingSim`] reference, or
 //!   [`GlitchSim`], the compiled word-parallel glitch backend the
 //!   synthesis flow uses by default. Both drive one stimulus organization
-//!   — up to eight groups of 64 seeded lane streams — and count
-//!   transitions with identical inertial-delay semantics, so they return
-//!   identical [`Activity`].
+//!   — up to eight groups of 64 seeded lane streams, which the scalar
+//!   engine runs lane by lane and the compiled one up to four groups
+//!   (256 lanes) per event wheel, as few as keep every core busy — and
+//!   count transitions with identical
+//!   inertial-delay semantics, so they return identical [`Activity`].
 
 use sdlc_netlist::Netlist;
 use sdlc_techlib::Library;
@@ -24,7 +26,7 @@ use sdlc_wideint::parallel::parallel_shard_chunks;
 use sdlc_wideint::SplitMix64;
 
 use crate::compile::{CompiledNetlist, CompiledSim};
-use crate::glitch::{GlitchSim, TimedProgram};
+use crate::glitch::{GlitchSim, TimedProgram, WHEEL_WORDS};
 use crate::logic::{draw_pattern, AbPortMap, LogicSim};
 use crate::timing::TimingSim;
 use crate::Engine;
@@ -126,18 +128,20 @@ fn add_toggles(totals: &mut [u64], toggles: &[u64]) {
 /// which it matches exactly.
 fn timing_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64) -> Activity {
     let streams = LaneStreams::new(netlist, seed, vectors);
-    let toggles_per_net = streams.sum_groups(|group| {
+    let toggles_per_net = streams.sum_shards(streams.groups, worker_threads(), |groups| {
         // `settle` rebuilds the whole steady state, so one simulator serves
-        // every lane; its toggle counts sum over them.
+        // every lane of every group; its toggle counts sum over them.
         let mut sim = TimingSim::new(netlist, library);
         let mut stimulus = vec![false; netlist.inputs().len()];
-        for lane in 0..64 {
-            let mut rng = streams.lane_rng(group, lane);
-            streams.draw_bits(&mut rng, &mut stimulus);
-            sim.settle(&stimulus);
-            for _ in 0..streams.words {
+        for &group in groups {
+            for lane in 0..64 {
+                let mut rng = streams.lane_rng(group, lane);
                 streams.draw_bits(&mut rng, &mut stimulus);
-                let _ = sim.apply(&stimulus);
+                sim.settle(&stimulus);
+                for _ in 0..streams.words {
+                    streams.draw_bits(&mut rng, &mut stimulus);
+                    let _ = sim.apply(&stimulus);
+                }
             }
         }
         sim.toggles().to_vec()
@@ -176,12 +180,32 @@ pub fn timing_activity_with_engine(
 
 /// Fixed stream-group count of the glitch-aware engines: the stimulus is
 /// organized as up to 8 groups of 64 lane streams, so results never
-/// depend on the machine's core count (groups are what the workers split).
+/// depend on the machine's core count (the scalar engine's workers split
+/// groups, the compiled engine's split wheels of up to [`WHEEL_WORDS`]
+/// groups).
 const GLITCH_GROUPS: u64 = 8;
 
-/// The compiled body of [`timing_activity_with_engine`]: the lane streams
-/// through [`GlitchSim`], 64 per word.
+/// The compiled body of [`timing_activity_with_engine`], on one worker
+/// per available core.
 fn glitch_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64) -> Activity {
+    glitch_activity_on(netlist, library, seed, vectors, worker_threads())
+}
+
+/// The lane streams through [`GlitchSim`] on `threads` workers, one group
+/// per wheel word. Each wheel takes as many groups as keep every worker
+/// busy, at most [`WHEEL_WORDS`]: a fuller wheel pops each key for more
+/// lanes, more wheels spread over more cores. On one or two workers the 8
+/// default groups run as 2 full wheels; on 8 or more, as 8 wheels of one
+/// group. Words of a wheel past its last group stay 0 and count nothing,
+/// and every lane counts as in [`TimingSim`], so the split never changes
+/// the [`Activity`].
+fn glitch_activity_on(
+    netlist: &Netlist,
+    library: &Library,
+    seed: u64,
+    vectors: u64,
+    threads: usize,
+) -> Activity {
     let program = TimedProgram::compile(netlist, library);
     if !GlitchSim::accepts(&program) {
         // Event times this long do not fit the packed wheel keys; the
@@ -189,37 +213,57 @@ fn glitch_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64
         return timing_activity(netlist, library, seed, vectors);
     }
     let streams = LaneStreams::new(netlist, seed, vectors);
-    let toggles_per_net = streams.sum_groups(|group| {
-        let mut rngs: Vec<SplitMix64> = (0..64).map(|lane| streams.lane_rng(group, lane)).collect();
-        let mut stimulus = vec![0u64; netlist.inputs().len()];
-        let mut a_planes = vec![0u64; streams.ports.a_len as usize];
-        let mut b_planes = vec![0u64; streams.ports.b_len as usize];
-        let mut draw_word = |stimulus: &mut [u64]| {
-            a_planes.fill(0);
-            b_planes.fill(0);
-            for (lane, rng) in rngs.iter_mut().enumerate() {
-                let (a, b) = streams.draw(rng);
-                set_lane(&mut a_planes, a, lane);
-                set_lane(&mut b_planes, b, lane);
-            }
-            streams.ports.fill_planes(&a_planes, &b_planes, stimulus);
-        };
+    let fill = streams
+        .groups
+        .div_ceil(threads as u64)
+        .clamp(1, WHEEL_WORDS as u64);
+    let wheels = streams.groups.div_ceil(fill);
+    let toggles_per_net = streams.sum_shards(wheels, threads, |wheels| {
+        // As in the scalar engine, `settle` rebuilds the steady state, so
+        // one simulator (and its warm wheel memory) serves every wheel.
         let mut sim = GlitchSim::new(&program);
-        draw_word(&mut stimulus);
-        sim.settle(&stimulus); // establishes state, uncounted
-        for _ in 0..streams.words {
-            draw_word(&mut stimulus);
-            let _ = sim.apply(&stimulus);
+        let mut stimulus = vec![[0u64; WHEEL_WORDS]; netlist.inputs().len()];
+        let mut a_planes = vec![[0u64; WHEEL_WORDS]; streams.ports.a_len as usize];
+        let mut b_planes = vec![[0u64; WHEEL_WORDS]; streams.ports.b_len as usize];
+        for &wheel in wheels {
+            // The wheel's lanes, numbered across groups (64 per group).
+            let first = wheel * fill * 64;
+            let lanes = first..(streams.groups * 64).min(first + fill * 64);
+            let mut rngs: Vec<SplitMix64> = lanes
+                .map(|lane| streams.lane_rng(lane / 64, lane % 64))
+                .collect();
+            let mut draw_plane = |stimulus: &mut [[u64; WHEEL_WORDS]]| {
+                a_planes.fill([0; WHEEL_WORDS]);
+                b_planes.fill([0; WHEEL_WORDS]);
+                for (lane, rng) in rngs.iter_mut().enumerate() {
+                    let (a, b) = streams.draw(rng);
+                    set_lane(&mut a_planes, a, lane);
+                    set_lane(&mut b_planes, b, lane);
+                }
+                streams.ports.fill_planes(&a_planes, &b_planes, stimulus);
+            };
+            draw_plane(&mut stimulus);
+            sim.settle(&stimulus); // establishes state, uncounted
+            for _ in 0..streams.words {
+                draw_plane(&mut stimulus);
+                let _ = sim.apply(&stimulus);
+            }
         }
         sim.toggles_per_net()
     });
     streams.activity(toggles_per_net)
 }
 
+/// Worker threads of the glitch-aware engines: one per available core.
+fn worker_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Sets lane `lane` of the bit-planes `planes` to the bits of `value`.
-fn set_lane(planes: &mut [u64], value: u128, lane: usize) {
+fn set_lane(planes: &mut [[u64; WHEEL_WORDS]], value: u128, lane: usize) {
+    let (word, bit) = (lane / 64, lane % 64);
     for (j, plane) in planes.iter_mut().enumerate() {
-        *plane |= (((value >> j) & 1) as u64) << lane;
+        plane[word] |= (((value >> j) & 1) as u64) << bit;
     }
 }
 
@@ -265,21 +309,19 @@ impl<'n> LaneStreams<'n> {
         self.ports.fill(a, b, bits);
     }
 
-    /// Sums `group_toggles(group)` over every group, groups split over
-    /// worker threads.
-    fn sum_groups(&self, group_toggles: impl Fn(u64) -> Vec<u64> + Sync) -> Vec<u64> {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let group_ids: Vec<u64> = (0..self.groups).collect();
-        let partials = parallel_shard_chunks(&group_ids, threads, |ids| {
-            let mut toggles = vec![0u64; self.netlist.net_count()];
-            for &group in ids {
-                add_toggles(&mut toggles, &group_toggles(group));
-            }
-            toggles
-        });
+    /// Sums the toggles `run_toggles` counts over runs of the shards
+    /// `0..shards` (groups, or wheels of groups), one run per worker
+    /// thread.
+    fn sum_shards(
+        &self,
+        shards: u64,
+        threads: usize,
+        run_toggles: impl Fn(&[u64]) -> Vec<u64> + Sync,
+    ) -> Vec<u64> {
+        let shard_ids: Vec<u64> = (0..shards).collect();
         let mut totals = vec![0u64; self.netlist.net_count()];
-        for partial in &partials {
-            add_toggles(&mut totals, partial);
+        for partial in parallel_shard_chunks(&shard_ids, threads, run_toggles) {
+            add_toggles(&mut totals, &partial);
         }
         totals
     }
@@ -379,6 +421,42 @@ mod tests {
         // Tiny runs (fewer vectors than one 64-lane word) still work.
         let tiny = glitch_activity(&n, &lib, 5, 3);
         assert_eq!(tiny.transition_count, 64);
+    }
+
+    /// Vector counts that leave wheel words idle (1, 3 and 5 groups of 64
+    /// lanes) or, on one or two cores, none (8 groups): idle words count
+    /// nothing, and the transition count stays the groups' own.
+    #[test]
+    fn partly_filled_wheels_match_the_scalar_engine() {
+        let n = adder(8);
+        let lib = Library::generic_90nm();
+        for vectors in [64, 192, 320, 512] {
+            let glitch = glitch_activity(&n, &lib, 0x64, vectors);
+            assert_eq!(
+                glitch,
+                timing_activity(&n, &lib, 0x64, vectors),
+                "{vectors}"
+            );
+            assert_eq!(glitch.transition_count, vectors);
+        }
+    }
+
+    /// Every wheel fill the worker count can pick (4 groups per wheel on
+    /// 1 worker, 3 on 3, 2 on 4, 1 on 8) counts the same activity.
+    #[test]
+    fn every_wheel_fill_matches_the_scalar_engine() {
+        let n = adder(8);
+        let lib = Library::generic_90nm();
+        for vectors in [320, 512] {
+            let scalar = timing_activity(&n, &lib, 0x15, vectors);
+            for threads in [1, 3, 4, 8] {
+                assert_eq!(
+                    glitch_activity_on(&n, &lib, 0x15, vectors, threads),
+                    scalar,
+                    "{vectors} vectors on {threads} workers"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,16 +14,17 @@
 //! *not* fold buffers or constant-fed gates: every cell has its own delay,
 //! and folding would change which pulses get inertially filtered.
 //!
-//! [`GlitchSim`] then runs **64 independent stimulus streams** (lane `i`
-//! of every plane word is stream `i`) through one shared event wheel.
-//! Event *times* are lane-independent — delays are per-op constants, so
-//! two lanes whose activity travels the same path schedule events at the
-//! same `(time, op)` key — which is where the word-parallelism comes
-//! from: one wheel entry carries a 64-lane mask of scheduled values, one
+//! [`GlitchSim`] then runs **[`WHEEL_LANES`] independent stimulus
+//! streams** ([`WHEEL_WORDS`] words of 64 lanes; lane `64 w + i` is bit
+//! `i` of word `w`) through one shared event wheel. Event *times* are
+//! lane-independent — delays are per-op constants, so two lanes whose
+//! activity travels the same path schedule events at the same
+//! `(time, op)` key — which is where the word-parallelism comes from: one
+//! wheel entry carries a mask of the lanes scheduled to each value, one
 //! pop re-evaluates the op for all lanes at once, and the inertial
 //! cancellation rule (`fire only if the scheduled value still matches the
 //! gate's present evaluation and differs from its output`) becomes three
-//! word-wide boolean ops.
+//! lane-wide boolean ops.
 //!
 //! The emulation is **exact**: for identical per-lane stimulus streams,
 //! per-net transition counts (functional toggles *and* glitches), total
@@ -196,7 +197,7 @@ impl TimedProgram {
     /// [`GlitchSim::settle`]'s zero-delay pass and the event loop of
     /// [`GlitchSim::apply`] share, so the two can never drift apart.
     #[inline]
-    fn eval(&self, values: &[u64], op: usize) -> u64 {
+    fn eval(&self, values: &[Lanes], op: usize) -> Lanes {
         // Sources load on demand: the event loop measured slower loading
         // all three up front.
         self.code[op].eval(|pin| {
@@ -210,11 +211,73 @@ impl TimedProgram {
     }
 }
 
-/// Result of settling one 64-lane input transition.
+/// Words of 64 lanes per [`GlitchSim`] value plane: the wheel drains this
+/// many stimulus words at once, so each `(time, op)` key pops once for
+/// 256 lanes. A compile-time constant, so every lane-wide op is a fixed
+/// run of word ops the compiler unrolls. The activity driver fills each
+/// wheel with one stimulus group per word, as many groups as keep every
+/// worker busy: its 8 default groups run as 2 full wheels on one or two
+/// cores and as 8 one-word wheels on eight.
+pub const WHEEL_WORDS: usize = 4;
+
+/// Lanes per [`GlitchSim`] value plane.
+pub const WHEEL_LANES: usize = 64 * WHEEL_WORDS;
+
+/// One value plane of the glitch engine: [`WHEEL_WORDS`] words of 64
+/// lanes, with lane-wide boolean ops.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lanes([u64; WHEEL_WORDS]);
+
+impl Lanes {
+    const ONES: Lanes = Lanes([u64::MAX; WHEEL_WORDS]);
+
+    fn map2(self, other: Lanes, f: impl Fn(u64, u64) -> u64) -> Lanes {
+        Lanes(std::array::from_fn(|w| f(self.0[w], other.0[w])))
+    }
+
+    fn is_zero(self) -> bool {
+        self.0.iter().fold(0, |any, &w| any | w) == 0
+    }
+
+    fn count_ones(self) -> u64 {
+        self.0.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+}
+
+impl std::ops::BitAnd for Lanes {
+    type Output = Lanes;
+    fn bitand(self, other: Lanes) -> Lanes {
+        self.map2(other, |x, y| x & y)
+    }
+}
+
+impl std::ops::BitOr for Lanes {
+    type Output = Lanes;
+    fn bitor(self, other: Lanes) -> Lanes {
+        self.map2(other, |x, y| x | y)
+    }
+}
+
+impl std::ops::BitXor for Lanes {
+    type Output = Lanes;
+    fn bitxor(self, other: Lanes) -> Lanes {
+        self.map2(other, |x, y| x ^ y)
+    }
+}
+
+impl std::ops::Not for Lanes {
+    type Output = Lanes;
+    fn not(self) -> Lanes {
+        Lanes(self.0.map(|w| !w))
+    }
+}
+
+/// Result of settling one input transition of every lane.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GlitchApplyResult {
-    /// Net transitions summed over all 64 lanes (glitches included) — the
-    /// sum of the per-lane [`crate::ApplyResult::transitions`].
+    /// Net transitions summed over all [`WHEEL_LANES`] lanes (glitches
+    /// included) — the sum of the per-lane
+    /// [`crate::ApplyResult::transitions`].
     pub transitions: u64,
     /// Time of the last transition in any lane, in ps — the maximum of
     /// the per-lane settle times (bounded by
@@ -228,32 +291,75 @@ pub struct GlitchApplyResult {
 /// op indices, at most this.
 const MAX_OP_BITS: u32 = 24;
 
-/// One scheduled event: its packed `(time, op)` key and the 64-lane masks
-/// of the lanes scheduled to value 0 / value 1 at it. Several events may
-/// share a key; the drain ORs them together.
+/// One scheduled event as the wheel sorts it: its packed `(time, op)` key
+/// and the index of its lane masks in its bucket's arena. Several events
+/// may share a key; the drain ORs their masks together.
 #[derive(Debug, Clone, Copy, Default)]
 struct Event {
     key: u64,
-    low: u64,
-    high: u64,
+    index: usize,
+}
+
+/// The lanes an event schedules to value 0 and to value 1.
+#[derive(Debug, Clone, Copy)]
+struct Masks {
+    low: Lanes,
+    high: Lanes,
+}
+
+/// One ring slot of the event wheel: its unsorted events and the arena of
+/// their masks. Sorting moves only the 16-byte events; the 64-byte masks
+/// stay where they were written until the drain reads them.
+#[derive(Debug, Clone, Default)]
+struct Bucket {
+    events: Vec<Event>,
+    masks: Vec<Masks>,
+}
+
+impl Bucket {
+    fn push(&mut self, key: u64, masks: Masks) {
+        self.events.push(Event {
+            key,
+            index: self.masks.len(),
+        });
+        self.masks.push(masks);
+    }
+
+    /// Moves `other`'s events and masks to the end of this bucket,
+    /// rebasing their arena indices past this bucket's masks.
+    fn absorb(&mut self, other: &mut Bucket) {
+        let base = self.masks.len();
+        self.events.extend(other.events.drain(..).map(|e| Event {
+            key: e.key,
+            index: e.index + base,
+        }));
+        self.masks.append(&mut other.masks);
+    }
+
+    fn clear(&mut self) {
+        self.events.clear();
+        self.masks.clear();
+    }
 }
 
 /// Runs shorter than this are ordered by a comparison sort.
 const RADIX_MIN: usize = 64;
 
 /// Runs longer than this are split by their top key digit before the LSD
-/// passes. Such a run and its second buffer take 1.5 MB, most of a 2 MB
-/// per-core L2 cache; split, each LSD pass scatters within cache. Only
-/// the widest arrays have such buckets (128-bit buckets average 58 k
-/// events), and only there does the split pay: paired `synth --width
-/// 128` rows with and without it are in `BENCH_e2e.json`.
-const CACHE_EVENTS: usize = 1 << 15;
+/// passes. Such a run of 16-byte events and its second buffer take 2 MB,
+/// a per-core L2 cache; split, each LSD pass scatters within cache. Only
+/// the widest arrays have such buckets (4-word wheels average 19 k events
+/// per bucket at 64 bits, 97 k at 128), and only at 128 bits did the
+/// threshold measurably matter. Paired one-core `synth --width 128` runs
+/// against `1 << 15`: `1 << 16` won 9 of 10 pairs (by about 5 %), no
+/// split 1 of 6 and `1 << 14` 0 of 2; at 64 bits all were within noise.
+const CACHE_EVENTS: usize = 1 << 16;
 
 /// Widest radix digit, in bits.
 const RADIX_BITS: u32 = 11;
 
-/// Orders a wheel bucket by key (see [`sort_run`]); `scratch` is the
-/// sort's reusable second buffer.
+/// Orders a wheel bucket's events by key (see [`sort_run`]); `scratch` is
+/// the sort's reusable second buffer.
 fn sort_events(events: &mut [Event], scratch: &mut Vec<Event>) {
     scratch.resize(events.len(), Event::default());
     sort_run(events, scratch);
@@ -324,35 +430,39 @@ fn sort_run(events: &mut [Event], scratch: &mut [Event]) {
     }
 }
 
-/// 64-lane event-driven executor over a [`TimedProgram`] — the exact
-/// word-parallel twin of [`crate::TimingSim`].
+/// [`WHEEL_LANES`]-lane event-driven executor over a [`TimedProgram`] —
+/// the exact word-parallel twin of [`crate::TimingSim`].
 ///
-/// Lane `i` of every stimulus word is an independent vector stream; per
-/// lane, transition accounting (inertial pulse filtering included) is
-/// identical to running one scalar `TimingSim` on that stream.
+/// Each lane of a stimulus plane (lane `64 w + i` is bit `i` of word `w`)
+/// is an independent vector stream; per lane, transition accounting
+/// (inertial pulse filtering included) is identical to running one scalar
+/// `TimingSim` on that stream. A caller with fewer streams holds the
+/// spare lanes constant, and they count nothing.
 ///
-/// The event wheel is a **ring of time buckets**. An event carries its
-/// packed `(time, op)` key and its lane masks, and lands in bucket
-/// `time >> bucket_shift`, whose span is about one minimum gate delay. No
-/// event is scheduled more than the largest gate delay ahead, so a small
-/// power-of-two ring of reused buckets holds every pending one. When the
-/// drain reaches a bucket it radix-sorts it by key; events that share a
-/// key are then adjacent, and one pop ORs their masks together (OR
-/// commutes, so this equals merging them as they are scheduled). Keys
-/// whose delay folds back into the bucket being drained (possible only
-/// for delays shorter than the span) trigger a re-sort of the unprocessed
-/// tail. So keys always pop in the scalar engine's exact `(time, gate)`
-/// order, at sequential-scan cost instead of heap-sift cost. Buckets and
-/// sort buffers keep their capacity across `apply` calls.
+/// The event wheel is a **ring of time buckets**. An event is a packed
+/// `(time, op)` key and the index of its lane masks in its bucket's mask
+/// arena; it lands in bucket `time >> bucket_shift`, whose span is about
+/// one minimum gate delay. No event is scheduled more than the largest
+/// gate delay ahead, so a small power-of-two ring of reused buckets holds
+/// every pending one. When the drain reaches a bucket it radix-sorts the
+/// bucket's events (not their masks) by key; events that share a key are
+/// then adjacent, and one pop ORs their masks together (OR commutes, so
+/// this equals merging them as they are scheduled). Keys whose delay
+/// folds back into the bucket being drained (possible only for delays
+/// shorter than the span) move into it, arena and all, and trigger a
+/// re-sort of the unprocessed tail. So keys always pop in the scalar
+/// engine's exact `(time, gate)` order, at sequential-scan cost instead
+/// of heap-sift cost. Buckets, arenas and sort buffers keep their
+/// capacity across `apply` calls.
 #[derive(Debug, Clone)]
 pub struct GlitchSim<'p> {
     program: &'p TimedProgram,
-    values: Vec<u64>,
+    values: Vec<Lanes>,
     toggles: Vec<u64>,
     /// Ring of time buckets: events of logical bucket `t >> bucket_shift`
     /// sit in `ring[(t >> bucket_shift) & (ring.len() - 1)]`, unsorted
     /// until drained.
-    ring: Vec<Vec<Event>>,
+    ring: Vec<Bucket>,
     bucket_shift: u32,
     /// Width of the op field of the packed keys: just enough for the
     /// program's op indices, so the radix sort orders as few bits as it
@@ -362,7 +472,7 @@ pub struct GlitchSim<'p> {
     last_bucket: usize,
     /// A spare bucket, swapped into the ring slot the drain empties, and
     /// the radix sort's second buffer; both keep their capacity.
-    drain: Vec<Event>,
+    drain: Bucket,
     scratch: Vec<Event>,
     settled_once: bool,
 }
@@ -405,37 +515,37 @@ impl<'p> GlitchSim<'p> {
         // Just enough key bits for the largest op index.
         let last_op = (program.op_count() as u64).saturating_sub(1);
         let op_bits = u64::BITS - last_op.leading_zeros();
-        let mut values = vec![0u64; program.slot_count()];
-        values[SLOT_CONST1 as usize] = u64::MAX;
+        let mut values = vec![Lanes::default(); program.slot_count()];
+        values[SLOT_CONST1 as usize] = Lanes::ONES;
         Self {
             program,
             toggles: vec![0; program.slot_count()],
             values,
-            ring: vec![Vec::new(); ring_len],
+            ring: vec![Bucket::default(); ring_len],
             bucket_shift,
             op_bits,
             last_bucket: (critical_ticks >> bucket_shift) as usize,
-            drain: Vec::new(),
+            drain: Bucket::default(),
             scratch: Vec::new(),
             settled_once: false,
         }
     }
 
-    /// Establishes a steady state for one stimulus word per primary input
-    /// (lane `i` of each word is stream `i`) without counting activity.
+    /// Establishes a steady state for one stimulus plane per primary
+    /// input without counting activity.
     ///
     /// # Panics
     ///
     /// Panics on stimulus width mismatch.
-    pub fn settle(&mut self, stimulus: &[u64]) {
+    pub fn settle(&mut self, stimulus: &[[u64; WHEEL_WORDS]]) {
         let p = self.program;
         assert_eq!(
             stimulus.len(),
             p.input_slots.len(),
             "stimulus width mismatch"
         );
-        for (&slot, &word) in p.input_slots.iter().zip(stimulus) {
-            self.values[slot as usize] = word;
+        for (&slot, &plane) in p.input_slots.iter().zip(stimulus) {
+            self.values[slot as usize] = Lanes(plane);
         }
         for op in 0..p.op_count() {
             self.values[p.dst[op] as usize] = p.eval(&self.values, op);
@@ -443,16 +553,16 @@ impl<'p> GlitchSim<'p> {
         self.settled_once = true;
     }
 
-    /// Applies a new stimulus word per input against the current steady
+    /// Applies a new stimulus plane per input against the current steady
     /// state and simulates every lane to quiescence, counting every
-    /// transition (glitches included) exactly like 64 scalar
+    /// transition (glitches included) exactly like [`WHEEL_LANES`] scalar
     /// [`crate::TimingSim`] streams.
     ///
     /// # Panics
     ///
     /// Panics if [`GlitchSim::settle`] has not established an initial
     /// state, or on stimulus width mismatch.
-    pub fn apply(&mut self, stimulus: &[u64]) -> GlitchApplyResult {
+    pub fn apply(&mut self, stimulus: &[[u64; WHEEL_WORDS]]) -> GlitchApplyResult {
         assert!(self.settled_once, "call settle() before apply()");
         let p = self.program;
         assert_eq!(
@@ -474,26 +584,28 @@ impl<'p> GlitchSim<'p> {
         // Splits `mask` by the op's present evaluation — the captured
         // value the scalar engine stores in its heap entries — and drops
         // the event into its time bucket.
-        let schedule = |values: &[u64], ring: &mut [Vec<Event>], time: u64, op: u32, mask: u64| {
+        let schedule = |values: &[Lanes], ring: &mut [Bucket], time: u64, op: u32, mask: Lanes| {
             let eval = p.eval(values, op as usize);
-            ring[(time >> bucket_shift) as usize & ring_mask].push(Event {
-                key: (time << op_bits) | u64::from(op),
-                low: mask & !eval,
-                high: mask & eval,
-            });
+            ring[(time >> bucket_shift) as usize & ring_mask].push(
+                (time << op_bits) | u64::from(op),
+                Masks {
+                    low: mask & !eval,
+                    high: mask & eval,
+                },
+            );
         };
 
         // Input changes land at t = 0, processed in declaration order with
         // fanout evaluations seeing the partially-updated input vector —
         // the scalar engine's exact capture semantics.
-        for (&slot, &word) in p.input_slots.iter().zip(stimulus) {
+        for (&slot, &plane) in p.input_slots.iter().zip(stimulus) {
             let slot = slot as usize;
-            let changed = values[slot] ^ word;
-            if changed == 0 {
+            let changed = values[slot] ^ Lanes(plane);
+            if changed.is_zero() {
                 continue;
             }
-            values[slot] = word;
-            let flips = u64::from(changed.count_ones());
+            values[slot] = Lanes(plane);
+            let flips = changed.count_ones();
             toggles[slot] += flips;
             transitions += flips;
             for &op in p.fanout(slot as u32) {
@@ -505,35 +617,32 @@ impl<'p> GlitchSim<'p> {
         // scalar heap's order, with the value-0 event of a key popping
         // before the value-1 one. A bucket is sorted when the drain
         // reaches it; keys scheduled back into the bucket being drained
-        // (delays shorter than the bucket span) re-sort the unprocessed
-        // tail, so the order stays exact.
+        // (delays shorter than the bucket span) join it and re-sort the
+        // unprocessed tail, so the order stays exact.
         let mut bucket = std::mem::take(&mut self.drain);
         for b in 0..=self.last_bucket {
             let slot = b & ring_mask;
-            if ring[slot].is_empty() {
+            if ring[slot].events.is_empty() {
                 continue;
             }
             // The spare swaps in as the slot's (empty) bucket.
             std::mem::swap(&mut bucket, &mut ring[slot]);
-            sort_events(&mut bucket, scratch);
+            sort_events(&mut bucket.events, scratch);
             let mut i = 0;
             loop {
-                if !ring[slot].is_empty() {
-                    bucket.append(&mut ring[slot]);
-                    bucket[i..].sort_unstable_by_key(|e| e.key);
+                if !ring[slot].events.is_empty() {
+                    bucket.absorb(&mut ring[slot]);
+                    bucket.events[i..].sort_unstable_by_key(|e| e.key);
                 }
-                let Some(&Event {
-                    key,
-                    mut low,
-                    mut high,
-                }) = bucket.get(i)
-                else {
+                let Some(&Event { key, index }) = bucket.events.get(i) else {
                     break;
                 };
+                let Masks { mut low, mut high } = bucket.masks[index];
                 i += 1;
-                while let Some(same) = bucket.get(i).filter(|e| e.key == key) {
-                    low |= same.low;
-                    high |= same.high;
+                while let Some(same) = bucket.events.get(i).filter(|e| e.key == key) {
+                    let masks = &bucket.masks[same.index];
+                    low = low | masks.low;
+                    high = high | masks.high;
                     i += 1;
                 }
                 let time = key >> op_bits;
@@ -541,18 +650,18 @@ impl<'p> GlitchSim<'p> {
                 let present = p.eval(values, op);
                 let dst = p.dst[op] as usize;
                 let out = values[dst];
-                // Inertial cancellation, word-wide: an event fires only
+                // Inertial cancellation, lane-wide: an event fires only
                 // where its captured value still matches the present
                 // evaluation AND differs from the present output.
                 let fired_low = low & !present & out;
                 let after_low = out & !fired_low;
                 let fired_high = high & present & !after_low;
                 let fired = fired_low | fired_high;
-                if fired == 0 {
+                if fired.is_zero() {
                     continue;
                 }
                 values[dst] = after_low | fired_high;
-                let flips = u64::from(fired.count_ones());
+                let flips = fired.count_ones();
                 toggles[dst] += flips;
                 transitions += flips;
                 last_tick = last_tick.max(time);
@@ -570,7 +679,7 @@ impl<'p> GlitchSim<'p> {
         }
         self.drain = bucket;
         assert!(
-            self.ring.iter().all(Vec::is_empty),
+            self.ring.iter().all(|b| b.events.is_empty()),
             "an event landed past the critical path"
         );
         GlitchApplyResult {
@@ -580,28 +689,28 @@ impl<'p> GlitchSim<'p> {
     }
 
     /// Per-net transition counts (glitches included) since construction,
-    /// summed over all 64 lanes and scattered to the source netlist's net
+    /// summed over all lanes and scattered to the source netlist's net
     /// indexing. Dead nets (no driver after DCE) never move and report 0.
     #[must_use]
     pub fn toggles_per_net(&self) -> Vec<u64> {
         scatter_toggles(&self.program.slot_of_net, &self.toggles)
     }
 
-    /// Current 64-lane plane of one net.
+    /// Current value plane of one net.
     #[must_use]
-    pub fn plane(&self, net: NetId) -> u64 {
-        self.values[self.program.slot_of_net[net.index()] as usize]
+    pub fn plane(&self, net: NetId) -> [u64; WHEEL_WORDS] {
+        self.values[self.program.slot_of_net[net.index()] as usize].0
     }
 
     /// Lane-`lane` value of one net.
     ///
     /// # Panics
     ///
-    /// Panics if `lane >= 64`.
+    /// Panics if `lane >= WHEEL_LANES`.
     #[must_use]
     pub fn lane_value(&self, net: NetId, lane: u32) -> bool {
-        assert!(lane < 64);
-        (self.plane(net) >> lane) & 1 == 1
+        assert!((lane as usize) < WHEEL_LANES);
+        (self.plane(net)[lane as usize / 64] >> (lane % 64)) & 1 == 1
     }
 }
 
@@ -622,8 +731,81 @@ mod tests {
         n
     }
 
-    /// Lane 0 broadcast: a single-stream compiled run must match one
-    /// scalar TimingSim transition for transition.
+    /// `count` stimulus planes per input of `n`, random in every lane.
+    fn random_planes(n: &Netlist, seed: u64, count: usize) -> Vec<Vec<[u64; WHEEL_WORDS]>> {
+        let mut rng = SplitMix64::new(seed);
+        (0..count)
+            .map(|_| {
+                (0..n.inputs().len())
+                    .map(|_| std::array::from_fn(|_| rng.next_u64()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Runs `planes` through one `GlitchSim` and each lane's stream
+    /// through its own `TimingSim`: per-net totals, transitions and final
+    /// values must agree lane for lane.
+    fn assert_lanes_match(n: &Netlist, lib: &Library, planes: &[Vec<[u64; WHEEL_WORDS]>]) {
+        let program = TimedProgram::compile(n, lib);
+        let mut compiled = GlitchSim::new(&program);
+        compiled.settle(&planes[0]);
+        let mut compiled_transitions = 0u64;
+        for plane in &planes[1..] {
+            compiled_transitions += compiled.apply(plane).transitions;
+        }
+        let mut scalar_totals = vec![0u64; n.net_count()];
+        let mut scalar_transitions = 0u64;
+        for lane in 0..WHEEL_LANES as u32 {
+            let mut sim = TimingSim::new(n, lib);
+            let bits = |plane: &Vec<[u64; WHEEL_WORDS]>| -> Vec<bool> {
+                plane
+                    .iter()
+                    .map(|w| (w[lane as usize / 64] >> (lane % 64)) & 1 == 1)
+                    .collect()
+            };
+            sim.settle(&bits(&planes[0]));
+            for plane in &planes[1..] {
+                scalar_transitions += sim.apply(&bits(plane)).transitions;
+            }
+            for (total, &t) in scalar_totals.iter_mut().zip(sim.toggles()) {
+                *total += t;
+            }
+            for gate in n.gates() {
+                let net = gate.output;
+                assert_eq!(
+                    compiled.lane_value(net, lane),
+                    sim.value(net),
+                    "net {net} lane {lane}"
+                );
+            }
+        }
+        assert_eq!(compiled.toggles_per_net(), scalar_totals);
+        assert_eq!(compiled_transitions, scalar_transitions);
+    }
+
+    /// The skewed-delay library of `tests/glitch_differential.rs`
+    /// (`skewed_delays_agree_with_timing_sim`): AND2 is four orders of
+    /// magnitude faster than every other cell.
+    fn skewed_library() -> Library {
+        let mut text = String::from("library delays { wire_cap_per_fanout_ff 1\n");
+        for cell in [
+            "BUF", "INV", "AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2", "MUX2",
+        ] {
+            let (delay, drive) = if cell == "AND2" {
+                (0.01, 0.0)
+            } else {
+                (100.0, 2.5)
+            };
+            text += &format!(
+                "cell {cell} {{ area 1 cap 1 delay {delay} drive {drive} energy 1 leak 1 }}\n"
+            );
+        }
+        Library::from_text(&(text + "}")).unwrap()
+    }
+
+    /// Lane 0 alone: a single-stream compiled run must match one scalar
+    /// TimingSim transition for transition.
     #[test]
     fn single_lane_matches_timing_sim_exactly() {
         let n = adder(8);
@@ -632,8 +814,11 @@ mod tests {
         let mut compiled = GlitchSim::new(&program);
         let mut scalar = TimingSim::new(&n, &lib);
         let mut rng = SplitMix64::new(0x911);
-        let to_planes =
-            |bits: &[bool]| -> Vec<u64> { bits.iter().map(|&b| u64::from(b)).collect() };
+        let to_planes = |bits: &[bool]| -> Vec<[u64; WHEEL_WORDS]> {
+            bits.iter()
+                .map(|&b| std::array::from_fn(|w| u64::from(b && w == 0)))
+                .collect()
+        };
         let first = ab_stimulus(&n, 0xA5, 0x5A);
         scalar.settle(&first);
         compiled.settle(&to_planes(&first));
@@ -654,65 +839,25 @@ mod tests {
         assert_eq!(compiled.toggles_per_net(), scalar.toggles().to_vec());
     }
 
-    /// All 64 lanes running distinct streams must equal 64 scalar sims.
+    /// All lanes of every wheel word running distinct streams must equal
+    /// as many scalar sims.
     #[test]
     fn all_lanes_match_their_scalar_streams() {
         let n = adder(6);
-        let lib = Library::generic_90nm();
-        let program = TimedProgram::compile(&n, &lib);
-        let mut rng = SplitMix64::new(0x64);
-        let words: Vec<Vec<u64>> = (0..8)
-            .map(|_| (0..12).map(|_| rng.next_u64()).collect())
-            .collect();
-        let mut compiled = GlitchSim::new(&program);
-        compiled.settle(&words[0]);
-        let mut compiled_transitions = 0u64;
-        for word in &words[1..] {
-            compiled_transitions += compiled.apply(word).transitions;
-        }
-        let mut scalar_totals = vec![0u64; n.net_count()];
-        let mut scalar_transitions = 0u64;
-        for lane in 0..64u32 {
-            let mut sim = TimingSim::new(&n, &lib);
-            let bits = |word: &Vec<u64>| -> Vec<bool> {
-                word.iter().map(|&w| (w >> lane) & 1 == 1).collect()
-            };
-            sim.settle(&bits(&words[0]));
-            for word in &words[1..] {
-                scalar_transitions += sim.apply(&bits(word)).transitions;
-            }
-            for (total, &t) in scalar_totals.iter_mut().zip(sim.toggles()) {
-                *total += t;
-            }
-        }
-        assert_eq!(compiled.toggles_per_net(), scalar_totals);
-        assert_eq!(compiled_transitions, scalar_transitions);
+        assert_lanes_match(&n, &Library::generic_90nm(), &random_planes(&n, 0x64, 8));
     }
 
-    /// The skewed-delay library of `tests/glitch_differential.rs`
-    /// (`skewed_delays_agree_with_timing_sim`): AND2 is four orders of
-    /// magnitude faster than every other cell. The bucket span then
-    /// follows the critical path (`critical / 4096`), not the fast cell,
-    /// so AND2 events land in the bucket being drained and take the tail
-    /// re-sort path that the integration test checks against the scalar
-    /// engine.
+    /// Under the skewed library the bucket span follows the critical path
+    /// (`critical / 4096`), not the fast AND2, so AND2 events land in the
+    /// bucket being drained and join it: the tail re-sort path, whose
+    /// moved events must point at their masks in the drained bucket's
+    /// arena. Every lane of every word must still match its scalar
+    /// stream.
     #[test]
     fn skewed_delays_schedule_into_the_bucket_being_drained() {
-        let mut text = String::from("library delays { wire_cap_per_fanout_ff 1\n");
-        for cell in [
-            "BUF", "INV", "AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2", "MUX2",
-        ] {
-            let (delay, drive) = if cell == "AND2" {
-                (0.01, 0.0)
-            } else {
-                (100.0, 2.5)
-            };
-            text += &format!(
-                "cell {cell} {{ area 1 cap 1 delay {delay} drive {drive} energy 1 leak 1 }}\n"
-            );
-        }
-        let lib = Library::from_text(&(text + "}")).unwrap();
-        let program = TimedProgram::compile(&adder(8), &lib);
+        let lib = skewed_library();
+        let n = adder(8);
+        let program = TimedProgram::compile(&n, &lib);
         let min_delay = program.delay_ticks.iter().copied().min().unwrap();
         let sim = GlitchSim::new(&program);
         assert!(
@@ -720,6 +865,7 @@ mod tests {
             "the {min_delay}-tick AND2 must be shorter than the bucket span 2^{}",
             sim.bucket_shift
         );
+        assert_lanes_match(&n, &lib, &random_planes(&n, 0x5E4, 6));
     }
 
     /// Every run length, through the comparison, LSD and MSD paths:
@@ -739,22 +885,19 @@ mod tests {
         ] {
             // One bucket's keys: equal high time bits, few distinct
             // times (bursts of equal keys), any op.
-            let events: Vec<Event> = (0..len as u64)
-                .map(|i| {
+            let events: Vec<Event> = (0..len)
+                .map(|index| {
                     let r = rng.next_u64();
                     let key = (0x5A << 32) | ((r & 0x70_0000) << 8) | (r & 0xFFF);
-                    Event {
-                        key,
-                        low: i,
-                        high: !i,
-                    }
+                    Event { key, index }
                 })
                 .collect();
             let mut sorted = events.clone();
             sort_events(&mut sorted, &mut scratch);
             assert!(sorted.windows(2).all(|w| w[0].key <= w[1].key), "len {len}");
             let pairs = |events: &[Event]| {
-                let mut pairs: Vec<(u64, u64)> = events.iter().map(|e| (e.key, e.low)).collect();
+                let mut pairs: Vec<(u64, usize)> =
+                    events.iter().map(|e| (e.key, e.index)).collect();
                 pairs.sort_unstable();
                 pairs
             };
@@ -770,11 +913,10 @@ mod tests {
         let bound = program.critical_arrival_ps();
         assert!(bound > 0.0);
         let mut sim = GlitchSim::new(&program);
-        sim.settle(&[0u64; 16]);
-        let mut rng = SplitMix64::new(3);
-        for _ in 0..20 {
-            let stimulus: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
-            let result = sim.apply(&stimulus);
+        let planes = random_planes(&n, 3, 21);
+        sim.settle(&planes[0]);
+        for plane in &planes[1..] {
+            let result = sim.apply(plane);
             assert!(
                 result.settle_ps <= bound + 1e-6,
                 "{} > {bound}",
@@ -794,9 +936,9 @@ mod tests {
         let lib = Library::generic_90nm();
         let program = TimedProgram::compile(&n, &lib);
         let mut sim = GlitchSim::new(&program);
-        let word = vec![0xDEADu64; 8];
-        sim.settle(&word);
-        let result = sim.apply(&word);
+        let plane = vec![std::array::from_fn(|w| 0xDEAD << w); 8];
+        sim.settle(&plane);
+        let result = sim.apply(&plane);
         assert_eq!(result.transitions, 0);
         assert_eq!(result.settle_ps, 0.0);
     }
@@ -807,6 +949,6 @@ mod tests {
         let n = adder(4);
         let lib = Library::generic_90nm();
         let program = TimedProgram::compile(&n, &lib);
-        let _ = GlitchSim::new(&program).apply(&[0u64; 8]);
+        let _ = GlitchSim::new(&program).apply(&[[0; WHEEL_WORDS]; 8]);
     }
 }

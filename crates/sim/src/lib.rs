@@ -15,11 +15,11 @@
 //!   delays from `sdlc-techlib`; observes *glitches* (spurious transitions
 //!   inside a cycle) that zero-delay simulation cannot, and reports settle
 //!   times that cross-check static timing analysis.
-//! * [`TimedProgram`]/[`GlitchSim`] — the compiled timing twin: 64
-//!   independent stimulus streams through one shared event wheel, an
-//!   exact per-lane emulation of [`TimingSim`]'s inertial-delay
-//!   transition accounting (same delays, same quantization, same event
-//!   order) at a fraction of the cost.
+//! * [`TimedProgram`]/[`GlitchSim`] — the compiled timing twin:
+//!   [`WHEEL_LANES`] (256) independent stimulus streams through one shared
+//!   event wheel, an exact per-lane emulation of [`TimingSim`]'s
+//!   inertial-delay transition accounting (same delays, same
+//!   quantization, same event order) at a fraction of the cost.
 //!
 //! Two modules drive the engines, one driver per operation, each taking
 //! an [`Engine`] that selects the scalar reference or the compiled
@@ -53,6 +53,6 @@ mod timing;
 
 pub use compile::{CompiledNetlist, CompiledSim};
 pub use equiv::Engine;
-pub use glitch::{GlitchSim, TimedProgram};
+pub use glitch::{GlitchSim, TimedProgram, WHEEL_LANES, WHEEL_WORDS};
 pub use logic::{ab_stimulus, LogicSim};
 pub use timing::{ApplyResult, TimingSim};

@@ -207,9 +207,9 @@ impl AbPortMap {
         }
     }
 
-    /// Writes the 64-lane stimulus of operand bit-planes: plane `j` of
+    /// Writes the word-wide stimulus of operand bit-planes: plane `j` of
     /// `a_planes` carries bit `j` of each lane's `a` (likewise `b`).
-    pub(crate) fn fill_planes(&self, a_planes: &[u64], b_planes: &[u64], stimulus: &mut [u64]) {
+    pub(crate) fn fill_planes<P: Copy>(&self, a_planes: &[P], b_planes: &[P], stimulus: &mut [P]) {
         for (word, &(is_b, j)) in stimulus.iter_mut().zip(&self.src) {
             *word = if is_b { b_planes } else { a_planes }[j as usize];
         }

@@ -6,9 +6,11 @@
 //! cell, two reserved slots holding the constant planes, and a net → slot
 //! table. Their lowering loops differ — one folds constants, buffers and
 //! common subexpressions, the other must keep every cell and its delay —
-//! but the opcode set, the pin convention, the 64-lane evaluation and the
+//! but the opcode set, the pin convention, the lane-wide evaluation and the
 //! slot → net scatter live here once, so the two engines cannot drift
 //! apart.
+
+use std::ops::{BitAnd, BitOr, BitXor, Not};
 
 use sdlc_netlist::{Gate, GateKind};
 
@@ -62,11 +64,13 @@ impl Op {
         }
     }
 
-    /// Evaluates the op on all 64 lanes: `pin(i)` yields the value plane
-    /// on source pin `i`, and is called only for pins the cell has, so a
-    /// caller chooses whether to load sources up front or on demand.
+    /// Evaluates the op on every lane of a value plane: `pin(i)` yields
+    /// the plane on source pin `i`, and is called only for pins the cell
+    /// has, so a caller chooses whether to load sources up front or on
+    /// demand. A plane is one 64-lane `u64` (the zero-delay engine) or
+    /// several side by side (the glitch engine's wheel words).
     #[inline]
-    pub(crate) fn eval(self, pin: impl Fn(usize) -> u64) -> u64 {
+    pub(crate) fn eval<P: Plane>(self, pin: impl Fn(usize) -> P) -> P {
         let a = pin(0);
         match self {
             Op::And => a & pin(1),
@@ -81,6 +85,18 @@ impl Op {
             Op::Mux => (pin(1) & !a) | (pin(2) & a),
         }
     }
+}
+
+/// A value plane the ops evaluate on: the lanes are independent bits, so
+/// any type with word-wide boolean ops will do.
+pub(crate) trait Plane:
+    Copy + BitAnd<Output = Self> + BitOr<Output = Self> + BitXor<Output = Self> + Not<Output = Self>
+{
+}
+
+impl<P> Plane for P where
+    P: Copy + BitAnd<Output = P> + BitOr<Output = P> + BitXor<Output = P> + Not<Output = P>
+{
 }
 
 /// The slots of `gate`'s source pins, resolved through `slot_of_net`.

@@ -11,7 +11,8 @@ use sdlc::core::{Batchable, ClusterVariant, Multiplier, SdlcMultiplier};
 use sdlc::netlist::passes;
 use sdlc::sim::equiv::{check, Coverage};
 use sdlc::sim::{
-    ab_stimulus, CompiledNetlist, CompiledSim, Engine, GlitchSim, LogicSim, TimedProgram, TimingSim,
+    ab_stimulus, CompiledNetlist, CompiledSim, Engine, GlitchSim, LogicSim, TimedProgram,
+    TimingSim, WHEEL_LANES, WHEEL_WORDS,
 };
 use sdlc::techlib::Library;
 use sdlc::wideint::SplitMix64;
@@ -195,7 +196,7 @@ fn all_four_engines_agree_on_an_sdlc_multiplier() {
     let mut timing = TimingSim::new(&netlist, &lib);
     let mut glitch = GlitchSim::new(&timed);
     timing.settle(&ab_stimulus(&netlist, 0, 0));
-    glitch.settle(&vec![0; netlist.inputs().len()]);
+    glitch.settle(&vec![[0; WHEEL_WORDS]; netlist.inputs().len()]);
 
     let mut rng = SplitMix64::new(0xE9417);
     for _ in 0..300 {
@@ -207,9 +208,11 @@ fn all_four_engines_agree_on_an_sdlc_multiplier() {
             .iter()
             .map(|&bit| if bit { u64::MAX } else { 0 })
             .collect();
+        let plane_stimulus: Vec<[u64; WHEEL_WORDS]> =
+            word_stimulus.iter().map(|&w| [w; WHEEL_WORDS]).collect();
         compiled.apply(&word_stimulus);
         timing.apply(&stimulus);
-        glitch.apply(&word_stimulus);
+        glitch.apply(&plane_stimulus);
 
         let expect = model.multiply(a, b).to_u128().unwrap();
         assert_eq!(scalar.read_bus("p"), expect);
@@ -224,12 +227,17 @@ fn all_four_engines_agree_on_an_sdlc_multiplier() {
         };
         assert_eq!(lane17(&|net| compiled.lane_value(*net, 17)), expect);
         assert_eq!(lane17(&|net| glitch.lane_value(*net, 17)), expect);
+        assert_eq!(lane17(&|net| glitch.lane_value(*net, 255)), expect);
     }
     // Every lane carries the scalar stream, so each word-wide engine
-    // counts exactly 64 times its scalar twin's toggles.
-    let times64 = |toggles: &[u64]| -> Vec<u64> { toggles.iter().map(|&t| 64 * t).collect() };
-    assert_eq!(compiled.toggles_per_net(), times64(scalar.toggles()));
-    assert_eq!(glitch.toggles_per_net(), times64(timing.toggles()));
+    // counts exactly its lane count times its scalar twin's toggles.
+    let times =
+        |lanes: u64, toggles: &[u64]| -> Vec<u64> { toggles.iter().map(|&t| lanes * t).collect() };
+    assert_eq!(compiled.toggles_per_net(), times(64, scalar.toggles()));
+    assert_eq!(
+        glitch.toggles_per_net(),
+        times(WHEEL_LANES as u64, timing.toggles())
+    );
 }
 
 #[test]
