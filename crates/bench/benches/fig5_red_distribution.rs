@@ -1,9 +1,9 @@
 //! Figure 5 — probability distribution of relative error (1 %-wide bins,
 //! 0–34 %) for 4-, 8- and 12-bit SDLC multipliers with 2-bit clusters,
-//! computed exhaustively and drawn as ASCII bars.
+//! computed exhaustively on the bit-sliced engine and drawn as ASCII bars.
 
 use sdlc_bench::{banner, bar, timed};
-use sdlc_core::error::{RedHistogram, RED_HISTOGRAM_BINS};
+use sdlc_core::error::{Engine, RedHistogram, RED_HISTOGRAM_BINS};
 use sdlc_core::SdlcMultiplier;
 
 fn main() {
@@ -15,7 +15,8 @@ fn main() {
     for width in [4u32, 8, 12] {
         let model = SdlcMultiplier::new(width, 2).expect("valid spec");
         let hist = timed(&format!("{width}-bit exhaustive"), || {
-            RedHistogram::exhaustive(&model)
+            RedHistogram::exhaustive_with(&model, Engine::BitSliced.into())
+                .expect("within the exhaustive width limit")
         });
         histograms.push((width, hist));
     }

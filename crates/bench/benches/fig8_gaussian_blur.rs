@@ -89,7 +89,7 @@ fn main() {
     println!(
         "\nshape check: PSNR falls monotonically with depth while energy saving \
          grows — the paper's trade-off. Absolute PSNR depends on the (unpublished) \
-         kernel quantization; see EXPERIMENTS.md."
+         kernel quantization; see \"Known divergences\" in the README."
     );
 }
 

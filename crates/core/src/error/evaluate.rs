@@ -19,24 +19,36 @@
 //! with the error accounting) that also raises the exhaustive ceiling to
 //! [`BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`] bits.
 //!
-//! The bit-sliced engine accounts a whole 64-lane block at once
-//! (`ErrorAccumulator::record_block`): a branch-free pass compares every
-//! lane with its exact product, then only the wrong lanes are walked, in
-//! ascending lane order, with the running sums and maxima kept in
-//! registers. The float adds thus run in the scalar engine's per-pair
-//! order, which is what keeps the metrics bit-identical.
+//! Every sweep runs through one skeleton: a fixed list of logical shards
+//! — `min(256, 2^N)` equal row ranges for the exhaustive drivers, 256
+//! seeded substreams for the samplers — is split over the workers, each
+//! shard fills a tally of its own, and the tallies fold in shard order.
+//! Float sums are thus grouped by shard, never by worker, so the metrics
+//! are bit-identical for any thread count.
 //!
-//! One generic sweep serves both operand domains: the unsigned drivers
-//! here and the two's-complement ones in [`crate::error::signed`] differ
-//! only in how a bit pattern decodes and how a pair is recorded.
+//! A tally applies one record rule to every pair, from the pair's error
+//! distance and exact-product magnitude. The bit-sliced engine records a
+//! whole 64-lane block at once (`Tally::record_block`): a branch-free
+//! pass compares every lane with its exact product, then only the wrong
+//! lanes are walked, in ascending lane order, with the running sums and
+//! maxima kept in registers. The float adds thus run in the scalar
+//! engine's per-pair order, which is what keeps the engines bit-identical.
+//!
+//! One generic sweep serves both operand domains and both statistics: the
+//! unsigned drivers here and the two's-complement ones in
+//! [`crate::error::signed`] differ only in how a bit pattern decodes and
+//! how a pair's products turn into its error distance, and the RED
+//! histogram of [`crate::error::RedHistogram`] is a second tally on the
+//! same exhaustive sweep.
 
 use core::fmt;
 use std::num::NonZeroUsize;
 
+use sdlc_wideint::parallel::{parallel_shard_chunks, worker_threads};
 use sdlc_wideint::{bitplane, SplitMix64, U256};
 
 use crate::batch::{BatchMultiplier, Batchable, BATCH_MAX_WIDTH, LANES};
-use crate::error::metrics::{ErrorAccumulator, ErrorMetrics};
+use crate::error::metrics::{ErrorAccumulator, ErrorMetrics, Tally};
 use crate::multiplier::{Multiplier, MAX_WIDTH};
 
 /// Which evaluation engine a driver runs on.
@@ -103,7 +115,7 @@ impl From<Engine> for EvalOptions {
 
 impl EvalOptions {
     fn thread_count(self) -> usize {
-        self.threads.map_or_else(default_threads, NonZeroUsize::get)
+        self.threads.map_or_else(worker_threads, NonZeroUsize::get)
     }
 }
 
@@ -174,26 +186,15 @@ pub const EXHAUSTIVE_WIDTH_LIMIT: u32 = 16;
 /// raises the practical ceiling to 20 bits (2^40 cases, ≈ minutes again).
 pub const BITSLICED_EXHAUSTIVE_WIDTH_LIMIT: u32 = 20;
 
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Every exhaustive driver (scalar and bit-sliced, metrics and histogram)
-/// partitions and merges through the one shared splitter in
-/// `sdlc-wideint` — the chunk formula and merge order are part of the
-/// engines' bit-identity contract, so they must never diverge between
-/// paths (the compiled-engine equivalence checks in `sdlc-sim` shard the
-/// same way, through the same function).
-pub(crate) use sdlc_wideint::parallel::{parallel_chunks, parallel_shard_chunks};
-
 /// An operand domain of the sweeps. Operands travel as `u64` bit
 /// patterns in sweep order (`0, 1, …, 2^N − 1`); the domain decodes them,
-/// forms the exact product and records each pair.
+/// forms the exact product and turns each pair into the error distance
+/// and exact-product magnitude a [`Tally`] records.
 pub(crate) trait Domain: Sync {
     /// Decoded operand, also the tag of the worst-case pair.
     type Operand: Copy + Into<i128>;
     /// Exact and approximate products of the per-pair accounting.
-    type Product: Copy + PartialEq;
+    type Product: Copy;
     /// Widest model the scalar sampler accepts.
     const SAMPLED_WIDTH_LIMIT: u32;
 
@@ -205,30 +206,46 @@ pub(crate) trait Domain: Sync {
     fn exact(a: Self::Operand, b: Self::Operand) -> Self::Product;
     /// The scalar model's product.
     fn multiply(&self, a: Self::Operand, b: Self::Operand) -> Self::Product;
-    /// Records one pair into the accumulator.
-    fn record(
-        acc: &mut ErrorAccumulator,
+    /// Error distance `|P − P′|` and exact-product magnitude `|P|` of an
+    /// exact and an approximate product.
+    fn error(exact: Self::Product, approx: Self::Product) -> (u128, u128);
+    /// Finalizes the folded accumulator.
+    fn finish(&self, acc: &ErrorAccumulator) -> ErrorMetrics;
+
+    /// Records the decoded pair `(a, b)` with its exact and approximate
+    /// products.
+    #[inline]
+    fn record<T: Tally>(
+        &self,
+        tally: &mut T,
         exact: Self::Product,
         approx: Self::Product,
-        operands: (Self::Operand, Self::Operand),
-    );
-    /// Finalizes the merged accumulator.
-    fn finish(&self, acc: &ErrorAccumulator) -> ErrorMetrics;
+        (a, b): (Self::Operand, Self::Operand),
+    ) {
+        let (ed, magnitude) = Self::error(exact, approx);
+        tally.record(ed, magnitude, || (tag(a), tag(b)));
+    }
 
     /// Records the pattern pair `(a, b)` through the scalar model.
     #[inline]
-    fn record_pair(&self, acc: &mut ErrorAccumulator, a: u64, b: u64) {
+    fn record_pair<T: Tally>(&self, tally: &mut T, a: u64, b: u64) {
         let (a, b) = (self.decode(a), self.decode(b));
-        Self::record(acc, Self::exact(a, b), self.multiply(a, b), (a, b));
+        self.record(tally, Self::exact(a, b), self.multiply(a, b), (a, b));
     }
 
     /// Draws one pair from `rng` and records it through the scalar model.
     #[inline]
-    fn record_sample(&self, acc: &mut ErrorAccumulator, rng: &mut SplitMix64) {
+    fn record_sample<T: Tally>(&self, tally: &mut T, rng: &mut SplitMix64) {
         let a = rng.next_bits(self.width());
         let b = rng.next_bits(self.width());
-        self.record_pair(acc, a, b);
+        self.record_pair(tally, a, b);
     }
+}
+
+/// The worst-case tag of an operand: its full-width two's-complement
+/// pattern.
+fn tag(operand: impl Into<i128>) -> u128 {
+    operand.into() as u128
 }
 
 /// A domain whose model has a bit-sliced twin.
@@ -253,14 +270,14 @@ pub(crate) trait BatchDomain: Domain {
     /// Records one block of `valid` lanes: lane `i` holds the pattern pair
     /// `pair(i)` and the product lane `approx[i]`.
     #[inline]
-    fn record_block(
+    fn record_block<T: Tally>(
         &self,
-        acc: &mut ErrorAccumulator,
+        tally: &mut T,
         approx: &[u64; LANES],
         valid: usize,
         pair: impl Fn(usize) -> (u64, u64),
     ) {
-        acc.record_block(
+        tally.record_block(
             valid,
             |i| {
                 let (a, b) = pair(i);
@@ -269,8 +286,7 @@ pub(crate) trait BatchDomain: Domain {
             |exact, approx| self.lane_error(exact, approx),
             |i| {
                 let (a, b) = pair(i);
-                let tag = |x| self.decode(x).into() as u128;
-                (tag(a), tag(b))
+                (tag(self.decode(a)), tag(self.decode(b)))
             },
         );
     }
@@ -305,25 +321,26 @@ impl<M: Multiplier + Sync> Domain for Unsigned<'_, M> {
     }
 
     #[inline]
-    fn record(acc: &mut ErrorAccumulator, exact: u128, approx: u128, operands: (u64, u64)) {
-        acc.record_u64(exact, approx, operands);
+    fn error(exact: u128, approx: u128) -> (u128, u128) {
+        (exact.abs_diff(approx), exact)
     }
 
     fn finish(&self, acc: &ErrorAccumulator) -> ErrorMetrics {
         acc.finish(self.0.max_product())
     }
 
-    fn record_sample(&self, acc: &mut ErrorAccumulator, rng: &mut SplitMix64) {
+    fn record_sample<T: Tally>(&self, tally: &mut T, rng: &mut SplitMix64) {
         let width = self.width();
         if width <= 32 {
             let a = rng.next_bits(width);
             let b = rng.next_bits(width);
-            self.record_pair(acc, a, b);
+            self.record_pair(tally, a, b);
         } else {
             let a = draw_u128(rng, width);
             let b = draw_u128(rng, width);
             let exact = U256::from_u128(a).wrapping_mul(&U256::from_u128(b));
-            acc.record(&exact, &self.0.multiply(a, b), (a, b));
+            let approx = self.0.multiply(a, b);
+            tally.record(exact.abs_diff(&approx), exact, || (a, b));
         }
     }
 }
@@ -355,76 +372,120 @@ impl<M: Batchable + Sync> BatchDomain for Unsigned<'_, M> {
     }
 }
 
+/// The fixed logical shard count of every sweep: exhaustive sweeps split
+/// their `2^N` rows into `min(256, 2^N)` equal ranges, samplers draw from
+/// 256 seeded substreams.
+const SHARDS: u64 = 256;
+
+/// The one sweep skeleton. Splits the shards `0..shards` over `threads`
+/// workers; each worker builds its state once with `init` (the bit-sliced
+/// twin, say), then `fill(state, shard, tally)` records one shard into a
+/// fresh tally. The tallies fold in shard order, so every float sum is
+/// grouped by shard, never by worker: the result depends only on the shard
+/// list, never on the thread count.
+fn sweep<T: Tally, S>(
+    shards: u64,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    fill: impl Fn(&mut S, u64, &mut T) + Sync,
+) -> T {
+    let shard_list: Vec<u64> = (0..shards).collect();
+    let runs = parallel_shard_chunks(&shard_list, threads, |run| {
+        let mut state = init();
+        let tallies: Vec<T> = run
+            .iter()
+            .map(|&shard| {
+                let mut tally = T::default();
+                fill(&mut state, shard, &mut tally);
+                tally
+            })
+            .collect();
+        tallies
+    });
+    let mut total = T::default();
+    for tally in runs.iter().flatten() {
+        total.merge(tally);
+    }
+    total
+}
+
+/// Checks the width against `limit` and sweeps the `2^N` rows of the
+/// pattern space as `min(256, 2^N)` shards of equal row ranges;
+/// `rows(state, lo, hi, tally)` records rows `[lo, hi)`.
+fn exhaustive_rows<D: Domain, T: Tally, S>(
+    domain: &D,
+    limit: u32,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    rows: impl Fn(&mut S, u64, u64, &mut T) + Sync,
+) -> Result<T, EvalError> {
+    let width = domain.width();
+    if width > limit {
+        return Err(EvalError::WidthTooLarge { width, limit });
+    }
+    let count = 1u64 << width;
+    let shards = count.min(SHARDS);
+    let per_shard = count / shards;
+    Ok(sweep(shards, threads, init, |state, shard, tally| {
+        let lo = shard * per_shard;
+        rows(state, lo, lo + per_shard, tally);
+    }))
+}
+
 /// The exhaustive driver: every pattern pair of `domain` on the selected
-/// engine.
-pub(crate) fn exhaustive_in<D: BatchDomain>(
+/// engine, into any [`Tally`].
+pub(crate) fn exhaustive_in<D: BatchDomain, T: Tally>(
     domain: &D,
     options: EvalOptions,
-) -> Result<ErrorMetrics, EvalError> {
+) -> Result<T, EvalError> {
     let threads = options.thread_count();
     match options.engine {
         Engine::Scalar => exhaustive_scalar(domain, threads),
-        Engine::BitSliced => exhaustive_chunks(
+        Engine::BitSliced => exhaustive_rows(
             domain,
             BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
             threads,
-            |lo, hi| {
-                let batch = domain.batch();
-                let mut acc = ErrorAccumulator::new();
-                sweep_blocks(domain, &batch, lo, hi, |a, b0, valid, approx| {
-                    domain.record_block(&mut acc, approx, valid, |i| (a, b0 + i as u64));
+            || domain.batch(),
+            |batch, lo, hi, tally| {
+                sweep_blocks(domain, batch, lo, hi, |a, b0, valid, approx| {
+                    domain.record_block(tally, approx, valid, |i| (a, b0 + i as u64));
                 });
-                acc
             },
         ),
     }
 }
 
+/// [`exhaustive_in`] finished into [`ErrorMetrics`].
+pub(crate) fn exhaustive_metrics<D: BatchDomain>(
+    domain: &D,
+    options: EvalOptions,
+) -> Result<ErrorMetrics, EvalError> {
+    exhaustive_in(domain, options).map(|acc| domain.finish(&acc))
+}
+
 /// The scalar arm of [`exhaustive_in`], open to models without a
 /// bit-sliced twin.
-fn exhaustive_scalar<D: Domain>(domain: &D, threads: usize) -> Result<ErrorMetrics, EvalError> {
-    exhaustive_chunks(domain, EXHAUSTIVE_WIDTH_LIMIT, threads, |lo, hi| {
-        let count = 1u64 << domain.width();
-        let mut acc = ErrorAccumulator::new();
-        for a in lo..hi {
-            for b in 0..count {
-                domain.record_pair(&mut acc, a, b);
+fn exhaustive_scalar<D: Domain, T: Tally>(domain: &D, threads: usize) -> Result<T, EvalError> {
+    exhaustive_rows(
+        domain,
+        EXHAUSTIVE_WIDTH_LIMIT,
+        threads,
+        || (),
+        |(), lo, hi, tally| {
+            let count = 1u64 << domain.width();
+            for a in lo..hi {
+                for b in 0..count {
+                    domain.record_pair(tally, a, b);
+                }
             }
-        }
-        acc
-    })
-}
-
-/// Checks the width against `limit`, splits the `2^N` rows over `threads`
-/// and merges the per-chunk accumulators in chunk order.
-fn exhaustive_chunks<D: Domain>(
-    domain: &D,
-    limit: u32,
-    threads: usize,
-    chunk: impl Fn(u64, u64) -> ErrorAccumulator + Sync,
-) -> Result<ErrorMetrics, EvalError> {
-    let width = domain.width();
-    if width > limit {
-        return Err(EvalError::WidthTooLarge { width, limit });
-    }
-    let partials = parallel_chunks(1u64 << width, threads, chunk);
-    Ok(domain.finish(&merged(&partials)))
-}
-
-fn merged(partials: &[ErrorAccumulator]) -> ErrorAccumulator {
-    let mut total = ErrorAccumulator::new();
-    for p in partials {
-        total.merge(p);
-    }
-    total
+        },
+    )
 }
 
 /// Walks rows `[lo, hi)` of the exhaustive pattern space in 64-lane blocks
 /// through a bit-sliced model, handing each block's un-transposed products
-/// to `visit(a, b0, valid, products)`. The exhaustive drivers (metrics and
-/// histogram) share this loop so their pair order matches the scalar
-/// engine exactly.
-pub(crate) fn sweep_blocks<D: BatchDomain>(
+/// to `visit(a, b0, valid, products)` in the scalar engine's pair order.
+fn sweep_blocks<D: BatchDomain>(
     domain: &D,
     batch: &D::Batch,
     lo: u64,
@@ -464,11 +525,6 @@ pub(crate) fn sweep_blocks<D: BatchDomain>(
     }
 }
 
-/// Fixed logical partitioning of the samplers: 256 shards, each with its
-/// own SplitMix64 substream, so the draws never depend on the thread
-/// count.
-const SHARDS: u64 = 256;
-
 /// The sampled driver: `samples` seeded uniform pairs of `domain` on the
 /// selected engine.
 pub(crate) fn sampled_in<D: BatchDomain>(
@@ -481,16 +537,20 @@ pub(crate) fn sampled_in<D: BatchDomain>(
     if options.engine == Engine::Scalar {
         return sampled_scalar(domain, samples, seed, threads);
     }
-    sampled_chunks(domain, samples, Engine::BitSliced, threads, |shards| {
-        let width = domain.width();
-        let planes = width as usize;
-        let batch = domain.batch();
-        let mut acc = ErrorAccumulator::new();
-        let mut a_lanes = [0u64; LANES];
-        let mut b_lanes = [0u64; LANES];
-        let mut approx = [0u64; LANES];
-        let mut product = [0u64; LANES];
-        for_shards(shards, samples, seed, |rng, mut left| {
+    let width = domain.width();
+    let planes = width as usize;
+    sampled_shards(
+        domain,
+        samples,
+        seed,
+        Engine::BitSliced,
+        threads,
+        || domain.batch(),
+        |batch, rng, mut left, acc| {
+            let mut a_lanes = [0u64; LANES];
+            let mut b_lanes = [0u64; LANES];
+            let mut approx = [0u64; LANES];
+            let mut product = [0u64; LANES];
             while left > 0 {
                 let valid = left.min(LANES as u64) as usize;
                 for i in 0..valid {
@@ -502,18 +562,17 @@ pub(crate) fn sampled_in<D: BatchDomain>(
                 let a_planes = operand_planes(&a_lanes, width);
                 let b_planes = operand_planes(&b_lanes, width);
                 D::multiply_planes(
-                    &batch,
+                    batch,
                     &a_planes[..planes],
                     &b_planes[..planes],
                     &mut product[..2 * planes],
                 );
                 crate::batch::extract_product_lanes(&product[..2 * planes], &mut approx);
-                domain.record_block(&mut acc, &approx, valid, |i| (a_lanes[i], b_lanes[i]));
+                domain.record_block(acc, &approx, valid, |i| (a_lanes[i], b_lanes[i]));
                 left -= valid as u64;
             }
-        });
-        acc
-    })
+        },
+    )
 }
 
 /// The scalar arm of [`sampled_in`], open to models without a bit-sliced
@@ -524,26 +583,33 @@ fn sampled_scalar<D: Domain>(
     seed: u64,
     threads: usize,
 ) -> Result<ErrorMetrics, EvalError> {
-    sampled_chunks(domain, samples, Engine::Scalar, threads, |shards| {
-        let mut acc = ErrorAccumulator::new();
-        for_shards(shards, samples, seed, |rng, n| {
+    sampled_shards(
+        domain,
+        samples,
+        seed,
+        Engine::Scalar,
+        threads,
+        || (),
+        |(), rng, n, acc| {
             for _ in 0..n {
-                domain.record_sample(&mut acc, rng);
+                domain.record_sample(acc, rng);
             }
-        });
-        acc
-    })
+        },
+    )
 }
 
-/// Validates the request against `engine`'s width limit, splits the fixed
-/// shard list over `threads` and merges the per-run accumulators in shard
-/// order.
-fn sampled_chunks<D: Domain>(
+/// Validates the request against `engine`'s width limit and sweeps the
+/// 256 sampler shards: shard `s` draws its share of the `samples` pairs
+/// from its own SplitMix64 substream of `seed`, handed to
+/// `draw(state, rng, n, acc)`.
+fn sampled_shards<D: Domain, S>(
     domain: &D,
     samples: u64,
+    seed: u64,
     engine: Engine,
     threads: usize,
-    run: impl Fn(&[u64]) -> ErrorAccumulator + Sync,
+    init: impl Fn() -> S + Sync,
+    draw: impl Fn(&mut S, &mut SplitMix64, u64, &mut ErrorAccumulator) + Sync,
 ) -> Result<ErrorMetrics, EvalError> {
     if samples == 0 {
         return Err(EvalError::NoSamples);
@@ -560,26 +626,14 @@ fn sampled_chunks<D: Domain>(
             engine,
         });
     }
-    let shard_list: Vec<u64> = (0..SHARDS).collect();
-    let partials = parallel_shard_chunks(&shard_list, threads, run);
-    Ok(domain.finish(&merged(&partials)))
-}
-
-/// Calls `visit(rng, n)` for each shard with its seeded substream and its
-/// share of the `samples` draws.
-fn for_shards(
-    shards: &[u64],
-    samples: u64,
-    seed: u64,
-    mut visit: impl FnMut(&mut SplitMix64, u64),
-) {
     let per_shard = samples.div_ceil(SHARDS);
-    for &shard in shards {
+    let acc = sweep(SHARDS, threads, init, |state, shard, acc| {
         let mut rng = SplitMix64::new(seed ^ (shard.wrapping_mul(0x9e37_79b9)));
         let begin = shard * per_shard;
         let end = (begin + per_shard).min(samples);
-        visit(&mut rng, end.saturating_sub(begin));
-    }
+        draw(state, &mut rng, end.saturating_sub(begin), acc);
+    });
+    Ok(domain.finish(&acc))
 }
 
 /// Transposes 64 lane-form operands into `width` bit-planes, picking the
@@ -619,7 +673,8 @@ pub fn exhaustive<M>(multiplier: &M) -> Result<ErrorMetrics, EvalError>
 where
     M: Multiplier + Sync,
 {
-    exhaustive_scalar(&Unsigned(multiplier), default_threads())
+    let domain = Unsigned(multiplier);
+    exhaustive_scalar(&domain, worker_threads()).map(|acc| domain.finish(&acc))
 }
 
 /// Exhaustively evaluates every operand pair on the engine and thread
@@ -635,7 +690,7 @@ pub fn exhaustive_with<M>(multiplier: &M, options: EvalOptions) -> Result<ErrorM
 where
     M: Batchable + Sync,
 {
-    exhaustive_in(&Unsigned(multiplier), options)
+    exhaustive_metrics(&Unsigned(multiplier), options)
 }
 
 /// [`exhaustive_with`] on all cores of the given engine.
@@ -662,7 +717,7 @@ pub fn sampled<M>(multiplier: &M, samples: u64, seed: u64) -> Result<ErrorMetric
 where
     M: Multiplier + Sync,
 {
-    sampled_scalar(&Unsigned(multiplier), samples, seed, default_threads())
+    sampled_scalar(&Unsigned(multiplier), samples, seed, worker_threads())
 }
 
 /// [`sampled`] on the engine and thread count of `options`.
@@ -689,67 +744,6 @@ where
     sampled_in(&Unsigned(multiplier), samples, seed, options)
 }
 
-/// Evaluates error metrics under a *caller-supplied operand distribution*
-/// instead of the uniform one — real workloads (image pixels against a
-/// handful of kernel weights, filter taps, …) exercise very different dot
-/// patterns, and SDLC's error profile depends on which bits collide (see
-/// the Figure 8 kernel-sensitivity notes in `EXPERIMENTS.md`).
-///
-/// `draw` receives a seeded PRNG and the sample index and returns the
-/// operand pair; single-threaded and deterministic in `seed`.
-///
-/// # Errors
-///
-/// Returns [`EvalError::NoSamples`] when `samples == 0`.
-///
-/// # Panics
-///
-/// Panics (through the multiplier) if `draw` emits operands beyond the
-/// multiplier's width.
-///
-/// # Examples
-///
-/// ```
-/// use sdlc_core::error::sampled_with_operands;
-/// use sdlc_core::SdlcMultiplier;
-///
-/// let m = SdlcMultiplier::new(8, 2)?;
-/// // Image-like workload: pixel × one of three kernel weights.
-/// let weights = [164u64, 204, 255];
-/// let metrics = sampled_with_operands(&m, 10_000, 1, |rng, _| {
-///     (rng.next_bits(8), weights[rng.next_below(3) as usize])
-/// })
-/// .unwrap();
-/// assert!(metrics.mred < 0.05);
-/// # Ok::<(), sdlc_core::SpecError>(())
-/// ```
-pub fn sampled_with_operands<M>(
-    multiplier: &M,
-    samples: u64,
-    seed: u64,
-    mut draw: impl FnMut(&mut SplitMix64, u64) -> (u64, u64),
-) -> Result<ErrorMetrics, EvalError>
-where
-    M: Multiplier,
-{
-    if samples == 0 {
-        return Err(EvalError::NoSamples);
-    }
-    assert!(
-        multiplier.width() <= 32,
-        "distribution evaluation uses the u64 fast path"
-    );
-    let mut rng = SplitMix64::new(seed);
-    let mut acc = ErrorAccumulator::new();
-    for i in 0..samples {
-        let (a, b) = draw(&mut rng, i);
-        let exact = u128::from(a) * u128::from(b);
-        let approx = multiplier.multiply_u64(a, b);
-        acc.record_u64(exact, approx, (a, b));
-    }
-    Ok(acc.finish(multiplier.max_product()))
-}
-
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
@@ -767,23 +761,19 @@ pub(super) mod tests {
         assert_eq!(metrics.samples, 1 << 16);
     }
 
-    /// One row of the engine table: a sweep under test, and how far its
-    /// float means may move between thread counts.
+    /// One row of the engine table: a named sweep under test.
     pub(in crate::error) struct Row {
         name: String,
         sweep: Box<dyn Fn(EvalOptions) -> ErrorMetrics>,
-        mean_tolerance: f64,
     }
 
     fn row(
         name: impl Into<String>,
-        mean_tolerance: f64,
         sweep: impl Fn(EvalOptions) -> Result<ErrorMetrics, EvalError> + 'static,
     ) -> Row {
         Row {
             name: name.into(),
             sweep: Box::new(move |options| sweep(options).unwrap()),
-            mean_tolerance,
         }
     }
 
@@ -810,23 +800,16 @@ pub(super) mod tests {
         }
     }
 
-    /// Across thread counts, chunk merges reassociate the float sums, so
-    /// counts, maxima and the worst pair agree exactly and the means within
-    /// the row's tolerance.
+    /// Across thread counts the sweeps fold the same per-shard tallies in
+    /// the same order, so the full metrics agree bit for bit, float means
+    /// included.
     pub(in crate::error) fn assert_thread_count_invariant(rows: &[Row], engine: Engine) {
         for row in rows {
             let name = &row.name;
             let one = (row.sweep)(options(engine, 1));
             for threads in &THREADS[1..] {
                 let other = (row.sweep)(options(engine, *threads));
-                assert_eq!(one.samples, other.samples, "{name}");
-                assert_eq!(one.error_rate, other.error_rate, "{name}");
-                assert_eq!(one.undefined_red_count, other.undefined_red_count, "{name}");
-                assert_eq!(one.max_red, other.max_red, "{name}");
-                assert_eq!(one.max_ed, other.max_ed, "{name}");
-                assert_eq!(one.worst_red_operands, other.worst_red_operands, "{name}");
-                assert!((one.mred - other.mred).abs() < row.mean_tolerance, "{name}");
-                assert!((one.nmed - other.nmed).abs() < row.mean_tolerance, "{name}");
+                assert_eq!(one, other, "{name} at {threads} threads ({engine})");
             }
         }
     }
@@ -840,7 +823,6 @@ pub(super) mod tests {
             let m = SdlcMultiplier::new(width, depth).unwrap();
             row(
                 format!("unsigned exhaustive {width}-bit d{depth}"),
-                1e-15,
                 move |o| exhaustive_with(&m, o),
             )
         });
@@ -848,36 +830,27 @@ pub(super) mod tests {
     }
 
     /// The signed rows for the engine and thread-count tests in
-    /// `error::signed`. The 8-bit d4 row (MRED ≈ 10 %) has larger float
-    /// sums whose means move by a few 1e-15 across thread counts
-    /// (measured: up to 2.5e-15), so it is checked within 1e-14.
+    /// `error::signed`.
     pub(in crate::error) fn signed_exhaustive_rows() -> Vec<Row> {
         let rows = EXHAUSTIVE_CASES.map(|(width, depth)| {
             let s = signed_sdlc(width, depth).unwrap();
-            let tolerance = if (width, depth) == (8, 4) {
-                1e-14
-            } else {
-                1e-15
-            };
             row(
                 format!("signed exhaustive {width}-bit d{depth}"),
-                tolerance,
                 move |o| exhaustive_signed_with(&s, o),
             )
         });
         rows.into()
     }
 
-    /// ETM errs on exact-zero products: the undefined-RED path, whose
-    /// means move by up to 2.5e-15 across thread counts.
+    /// ETM errs on exact-zero products: the undefined-RED path.
     fn unsigned_sampled_rows() -> Vec<Row> {
         let m = SdlcMultiplier::new(12, 3).unwrap();
         let etm = EtmMultiplier::new(8).unwrap();
         vec![
-            row("unsigned sampled 12-bit d3", 1e-15, move |o| {
+            row("unsigned sampled 12-bit d3", move |o| {
                 sampled_with(&m, 40_000, 42, o)
             }),
-            row("unsigned sampled ETM 8-bit", 1e-14, move |o| {
+            row("unsigned sampled ETM 8-bit", move |o| {
                 let metrics = sampled_with(&etm, 20_000, 7, o)?;
                 assert!(metrics.undefined_red_count > 0);
                 Ok(metrics)
@@ -890,13 +863,13 @@ pub(super) mod tests {
         let m6 = signed_sdlc(6, 2).unwrap();
         let etm = SignMagnitude::new(EtmMultiplier::new(8).unwrap());
         vec![
-            row("signed sampled 12-bit d3", 1e-15, move |o| {
+            row("signed sampled 12-bit d3", move |o| {
                 sampled_signed_with(&m12, 40_000, 42, o)
             }),
-            row("signed sampled 6-bit d2", 1e-15, move |o| {
+            row("signed sampled 6-bit d2", move |o| {
                 sampled_signed_with(&m6, 9_000, 3, o)
             }),
-            row("signed sampled ETM 8-bit", 1e-14, move |o| {
+            row("signed sampled ETM 8-bit", move |o| {
                 sampled_signed_with(&etm, 20_000, 7, o)
             }),
         ]
@@ -1032,8 +1005,8 @@ pub(super) mod tests {
             worst,
         } in groups
         {
-            let mut block_acc = ErrorAccumulator::new();
-            let mut replay = ErrorAccumulator::new();
+            let mut block_acc = ErrorAccumulator::default();
+            let mut replay = ErrorAccumulator::default();
             for Block { lanes, valid } in blocks {
                 let approx: [u64; LANES] = core::array::from_fn(|i| lanes[i].2);
                 domain.record_block(&mut block_acc, &approx, *valid, |i| {
@@ -1041,7 +1014,7 @@ pub(super) mod tests {
                 });
                 for &(a, b, p) in &lanes[..*valid] {
                     let (a, b) = (domain.decode(a), domain.decode(b));
-                    D::record(&mut replay, D::exact(a, b), approx_product(p), (a, b));
+                    domain.record(&mut replay, D::exact(a, b), approx_product(p), (a, b));
                 }
             }
             let (block, pairs) = (domain.finish(&block_acc), domain.finish(&replay));
@@ -1196,50 +1169,6 @@ pub(super) mod tests {
             metrics.mred < 1e-3,
             "but relative error is tiny: {}",
             metrics.mred
-        );
-    }
-
-    #[test]
-    fn distribution_evaluation_differs_from_uniform() {
-        let m = SdlcMultiplier::new(8, 3).unwrap();
-        let uniform = exhaustive(&m).unwrap();
-        // Kernel-weight workload (small Q0.8 weights): different collisions.
-        let weights = [24u64, 30, 40];
-        let workload = sampled_with_operands(&m, 200_000, 5, |rng, _| {
-            (rng.next_bits(8), weights[rng.next_below(3) as usize])
-        })
-        .unwrap();
-        let rel = (workload.mred - uniform.mred).abs() / uniform.mred;
-        assert!(
-            rel > 0.2,
-            "workload MRED {} vs uniform {}",
-            workload.mred,
-            uniform.mred
-        );
-    }
-
-    #[test]
-    fn distribution_evaluation_matches_uniform_when_uniform() {
-        let m = SdlcMultiplier::new(8, 2).unwrap();
-        let exact = exhaustive(&m).unwrap();
-        let sampled_uniform = sampled_with_operands(&m, 400_000, 9, |rng, _| {
-            (rng.next_bits(8), rng.next_bits(8))
-        })
-        .unwrap();
-        assert!((exact.mred - sampled_uniform.mred).abs() / exact.mred < 0.05);
-        assert!((exact.error_rate - sampled_uniform.error_rate).abs() < 0.01);
-    }
-
-    #[test]
-    fn distribution_evaluation_is_deterministic_and_validates() {
-        let m = SdlcMultiplier::new(8, 2).unwrap();
-        let draw = |rng: &mut sdlc_wideint::SplitMix64, _: u64| (rng.next_bits(8), 3u64);
-        let a = sampled_with_operands(&m, 1000, 7, draw).unwrap();
-        let b = sampled_with_operands(&m, 1000, 7, draw).unwrap();
-        assert_eq!(a.mred, b.mred);
-        assert_eq!(
-            sampled_with_operands(&m, 0, 7, draw).unwrap_err(),
-            EvalError::NoSamples
         );
     }
 }

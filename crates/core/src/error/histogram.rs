@@ -6,8 +6,8 @@
 //! the leftmost bin, and the mass shifts left as the width grows.
 
 use crate::batch::Batchable;
-use crate::error::evaluate::{parallel_chunks, sweep_blocks, BatchDomain, Engine, Unsigned};
-use crate::multiplier::Multiplier;
+use crate::error::evaluate::{exhaustive_in, EvalError, EvalOptions, Unsigned};
+use crate::error::metrics::{Magnitude, Tally};
 
 /// Number of 1 %-wide bins; the paper's x-axis runs 0–34 %.
 pub const RED_HISTOGRAM_BINS: usize = 34;
@@ -17,127 +17,38 @@ pub const RED_HISTOGRAM_BINS: usize = 34;
 /// # Examples
 ///
 /// ```
-/// use sdlc_core::{error::RedHistogram, SdlcMultiplier};
+/// use sdlc_core::error::{EvalOptions, RedHistogram};
+/// use sdlc_core::SdlcMultiplier;
 ///
 /// let m = SdlcMultiplier::new(4, 2)?;
-/// let h = RedHistogram::exhaustive(&m);
+/// let h = RedHistogram::exhaustive_with(&m, EvalOptions::default())?;
 /// // The leftmost bin (exact or nearly exact results) dominates.
 /// assert!(h.probability(0) > 0.5);
-/// # Ok::<(), sdlc_core::SpecError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RedHistogram {
-    counts: Vec<u64>,
+    counts: [u64; RED_HISTOGRAM_BINS],
     overflow: u64,
     samples: u64,
 }
 
 impl RedHistogram {
-    /// Builds the histogram over every operand pair of a ≤ 16-bit
-    /// multiplier.
+    /// Builds the histogram over every operand pair, on the engine and
+    /// thread count of `options` — the same sweep as
+    /// [`crate::error::exhaustive_with`], so both engines bin identical
+    /// products and the counts never depend on the thread count.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the multiplier is wider than 16 bits (use sampling
-    /// upstream for wider designs).
-    #[must_use]
-    pub fn exhaustive<M: Multiplier + Sync>(multiplier: &M) -> Self {
-        let width = multiplier.width();
-        assert!(
-            width <= 16,
-            "exhaustive histogram limited to 16-bit multipliers"
-        );
-        let count: u64 = 1u64 << width;
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let partials = parallel_chunks(count, threads, |lo, hi| {
-            let mut hist = RedHistogram::empty();
-            for a in lo..hi {
-                for b in 0..count {
-                    let exact = u128::from(a) * u128::from(b);
-                    let approx = multiplier.multiply_u64(a, b);
-                    hist.record(exact, approx);
-                }
-            }
-            hist
-        });
-        let mut total = RedHistogram::empty();
-        for p in &partials {
-            total.merge(p);
-        }
-        total
-    }
-
-    /// [`RedHistogram::exhaustive`] dispatched on an [`Engine`]; the
-    /// bit-sliced path evaluates 64 pairs per pass and bins the same
-    /// products, so the counts are identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the multiplier is wider than 16 bits.
-    #[must_use]
-    pub fn exhaustive_with_engine<M: Batchable + Sync>(multiplier: &M, engine: Engine) -> Self {
-        if engine == Engine::Scalar {
-            return Self::exhaustive(multiplier);
-        }
-        let width = multiplier.width();
-        assert!(
-            width <= 16,
-            "exhaustive histogram limited to 16-bit multipliers"
-        );
-        let domain = Unsigned(multiplier);
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let partials = parallel_chunks(1u64 << width, threads, |lo, hi| {
-            let batch = domain.batch();
-            let mut hist = RedHistogram::empty();
-            sweep_blocks(&domain, &batch, lo, hi, |a, b0, valid, approx| {
-                for (i, &p) in approx.iter().enumerate().take(valid) {
-                    let exact = u128::from(a) * u128::from(b0 + i as u64);
-                    hist.record(exact, u128::from(p));
-                }
-            });
-            hist
-        });
-        let mut total = RedHistogram::empty();
-        for p in &partials {
-            total.merge(p);
-        }
-        total
-    }
-
-    /// Creates an empty histogram.
-    #[must_use]
-    pub(crate) fn empty() -> Self {
-        Self {
-            counts: vec![0; RED_HISTOGRAM_BINS],
-            overflow: 0,
-            samples: 0,
-        }
-    }
-
-    /// Records one `(exact, approximate)` product pair.
-    pub(crate) fn record(&mut self, exact: u128, approx: u128) {
-        self.samples += 1;
-        let red = if exact == approx {
-            0.0
-        } else {
-            debug_assert!(exact > 0);
-            exact.abs_diff(approx) as f64 / exact as f64
-        };
-        let bin = (red * 100.0).floor() as usize;
-        if bin < RED_HISTOGRAM_BINS {
-            self.counts[bin] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Merges another histogram into this one.
-    pub(crate) fn merge(&mut self, other: &RedHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.samples += other.samples;
+    /// Returns [`EvalError::WidthTooLarge`] above the selected engine's
+    /// width limit ([`crate::error::EXHAUSTIVE_WIDTH_LIMIT`] or
+    /// [`crate::error::BITSLICED_EXHAUSTIVE_WIDTH_LIMIT`]).
+    pub fn exhaustive_with<M: Batchable + Sync>(
+        multiplier: &M,
+        options: EvalOptions,
+    ) -> Result<Self, EvalError> {
+        exhaustive_in(&Unsigned(multiplier), options)
     }
 
     /// Probability mass of bin `i` (covering `[i %, i+1 %)`).
@@ -185,19 +96,55 @@ impl RedHistogram {
 
 impl Default for RedHistogram {
     fn default() -> Self {
-        Self::empty()
+        Self {
+            counts: [0; RED_HISTOGRAM_BINS],
+            overflow: 0,
+            samples: 0,
+        }
+    }
+}
+
+/// Bins each pair's RED at `floor(100 · RED)`; an exact product is RED 0.
+/// A wrong product against an exact product of zero has no defined RED and
+/// counts toward the overflow bin.
+impl Tally for RedHistogram {
+    #[inline]
+    fn record<E: Magnitude>(&mut self, ed: E, magnitude: E, _: impl FnOnce() -> (u128, u128)) {
+        self.samples += 1;
+        let red = if ed.is_zero() {
+            0.0
+        } else {
+            ed.to_f64() / magnitude.to_f64()
+        };
+        match self.counts.get_mut((red * 100.0).floor() as usize) {
+            Some(count) => *count += 1,
+            None => self.overflow += 1,
+        }
+    }
+
+    fn merge(&mut self, other: &RedHistogram) {
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
+        }
+        self.overflow += other.overflow;
+        self.samples += other.samples;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Engine;
     use crate::SdlcMultiplier;
+
+    fn exhaustive<M: Batchable + Sync>(m: &M) -> RedHistogram {
+        RedHistogram::exhaustive_with(m, EvalOptions::default()).unwrap()
+    }
 
     #[test]
     fn probabilities_sum_to_one() {
         let m = SdlcMultiplier::new(8, 2).unwrap();
-        let h = RedHistogram::exhaustive(&m);
+        let h = exhaustive(&m);
         let total: f64 = (0..RED_HISTOGRAM_BINS)
             .map(|b| h.probability(b))
             .sum::<f64>()
@@ -208,8 +155,8 @@ mod tests {
 
     #[test]
     fn mass_concentrates_left_with_width() {
-        let h4 = RedHistogram::exhaustive(&SdlcMultiplier::new(4, 2).unwrap());
-        let h8 = RedHistogram::exhaustive(&SdlcMultiplier::new(8, 2).unwrap());
+        let h4 = exhaustive(&SdlcMultiplier::new(4, 2).unwrap());
+        let h8 = exhaustive(&SdlcMultiplier::new(8, 2).unwrap());
         // Paper: "the mass of the distribution is gradually concentrated to
         // the leftmost in higher bit-widths" — the high-RED tail shrinks
         // even though the error *rate* (bin 0 complement) grows.
@@ -228,7 +175,7 @@ mod tests {
     #[test]
     fn exact_multiplier_is_all_in_bin_zero() {
         let m = crate::AccurateMultiplier::new(6).unwrap();
-        let h = RedHistogram::exhaustive(&m);
+        let h = exhaustive(&m);
         assert_eq!(h.probability(0), 1.0);
         assert_eq!(h.last_occupied_bin(), Some(0));
         assert_eq!(h.overflow_probability(), 0.0);
@@ -238,18 +185,28 @@ mod tests {
     fn bitsliced_histogram_is_identical() {
         for depth in [2u32, 4] {
             let m = SdlcMultiplier::new(8, depth).unwrap();
-            let scalar = RedHistogram::exhaustive_with_engine(&m, Engine::Scalar);
-            let bitsliced = RedHistogram::exhaustive_with_engine(&m, Engine::BitSliced);
-            assert_eq!(scalar, bitsliced, "depth {depth}");
+            let histogram = |engine, threads| {
+                let threads = std::num::NonZeroUsize::new(threads);
+                RedHistogram::exhaustive_with(&m, EvalOptions { engine, threads }).unwrap()
+            };
+            let scalar = histogram(Engine::Scalar, 1);
+            for threads in [1, 3] {
+                assert_eq!(
+                    scalar,
+                    histogram(Engine::BitSliced, threads),
+                    "depth {depth}"
+                );
+                assert_eq!(scalar, histogram(Engine::Scalar, threads), "depth {depth}");
+            }
         }
     }
 
     #[test]
     fn merge_adds_counts() {
-        let mut a = RedHistogram::empty();
-        let mut b = RedHistogram::empty();
-        a.record(100, 100);
-        b.record(100, 50); // RED = 50 % → overflow
+        let mut a = RedHistogram::default();
+        let mut b = RedHistogram::default();
+        a.record(0u64, 100, || (10, 10));
+        b.record(50u64, 100, || (10, 5)); // RED = 50 % → overflow
         a.merge(&b);
         assert_eq!(a.samples(), 2);
         assert_eq!(a.counts()[0], 1);
@@ -257,8 +214,17 @@ mod tests {
     }
 
     #[test]
+    fn oversized_width_is_a_typed_error() {
+        let m = SdlcMultiplier::new(32, 2).unwrap();
+        for engine in [Engine::Scalar, Engine::BitSliced] {
+            let err = RedHistogram::exhaustive_with(&m, engine.into()).unwrap_err();
+            assert!(matches!(err, EvalError::WidthTooLarge { width: 32, .. }));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn bad_bin_panics() {
-        let _ = RedHistogram::empty().probability(RED_HISTOGRAM_BINS);
+        let _ = RedHistogram::default().probability(RED_HISTOGRAM_BINS);
     }
 }

@@ -6,14 +6,107 @@ use sdlc_wideint::U256;
 
 use crate::batch::LANES;
 
-/// Streaming accumulator for error statistics, private to the error
-/// drivers.
+/// An integer error distance or exact-product magnitude, as the
+/// domains hand it to a [`Tally`].
+pub(crate) trait Magnitude: Copy {
+    fn is_zero(self) -> bool;
+    fn to_f64(self) -> f64;
+}
+
+impl Magnitude for u64 {
+    #[inline]
+    fn is_zero(self) -> bool {
+        self == 0
+    }
+
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Magnitude for u128 {
+    #[inline]
+    fn is_zero(self) -> bool {
+        self == 0
+    }
+
+    /// `u64 → f64` is a single instruction while `u128 → f64` is a slow
+    /// libcall; both round identically for values that fit, so taking the
+    /// narrow path keeps results bit-identical. Error distances and
+    /// ≤ 64-bit products (the exhaustive sweeps' entire diet) always fit.
+    #[inline]
+    fn to_f64(self) -> f64 {
+        match u64::try_from(self) {
+            Ok(narrow) => narrow as f64,
+            Err(_) => self as f64,
+        }
+    }
+}
+
+impl Magnitude for U256 {
+    #[inline]
+    fn is_zero(self) -> bool {
+        U256::is_zero(&self)
+    }
+
+    #[inline]
+    fn to_f64(self) -> f64 {
+        U256::to_f64(&self)
+    }
+}
+
+/// A statistic the error sweeps accumulate: one tally per shard, folded in
+/// shard order.
 ///
-/// Feed it `(exact, approximate)` product pairs with
-/// [`ErrorAccumulator::record_u64`] (fast path, products ≤ 128 bits) or
-/// [`ErrorAccumulator::record`] (wide path); partial accumulators from
-/// worker threads combine with [`ErrorAccumulator::merge`].
-#[derive(Debug, Clone, Default)]
+/// The operand domain turns each pair into its error distance
+/// `ED = |P − P′|` and exact-product magnitude `|P|`, so a tally never
+/// sees whether the operands were signed or how wide the products were.
+pub(crate) trait Tally: Default + Send {
+    /// Records one pair from its error distance and exact-product
+    /// magnitude; `operands` gives the pair's worst-case tag on demand.
+    fn record<E: Magnitude>(
+        &mut self,
+        ed: E,
+        magnitude: E,
+        operands: impl FnOnce() -> (u128, u128),
+    );
+
+    /// Records one 64-lane block of the bit-sliced engines: lane `i <
+    /// valid` holds the exact and approximate product patterns
+    /// `products(i)`, `error` turns such a pair into its error distance
+    /// and exact-product magnitude, and `operands(i)` gives lane `i`'s
+    /// worst-case tag. Equivalent to [`Tally::record`] on lanes
+    /// `0..valid` in order (which is what this default does), so the
+    /// engines tally bit-identically.
+    #[inline]
+    fn record_block(
+        &mut self,
+        valid: usize,
+        products: impl Fn(usize) -> (u64, u64),
+        error: impl Fn(u64, u64) -> (u64, u64),
+        operands: impl Fn(usize) -> (u128, u128),
+    ) {
+        for i in 0..valid {
+            let (exact, approx) = products(i);
+            let (ed, magnitude) = error(exact, approx);
+            self.record(ed, magnitude, || operands(i));
+        }
+    }
+
+    /// Folds the next shard's tally into this one.
+    fn merge(&mut self, other: &Self);
+}
+
+/// Streaming accumulator for error statistics, private to the error
+/// drivers: the [`Tally`] behind [`ErrorMetrics`].
+///
+/// A wrong product against an exact product of zero (possible for
+/// baselines like ETM whose OR chains ignore a zero operand) has no
+/// defined RED; such pairs count toward ER and the ED statistics but are
+/// excluded from the RED mean and maximum
+/// ([`ErrorMetrics::undefined_red_count`] reports how many).
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ErrorAccumulator {
     samples: u64,
     errors: u64,
@@ -26,147 +119,32 @@ pub(crate) struct ErrorAccumulator {
     worst_red_operands: Option<(u128, u128)>,
 }
 
-impl ErrorAccumulator {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one multiplication with products that fit in `u128`,
-    /// tagging it with the operand pair for worst-case reporting.
-    ///
-    /// A wrong product against an exact product of zero (possible for
-    /// baselines like ETM whose OR chains ignore a zero operand) has no
-    /// defined RED; such pairs count toward ER and the ED statistics but
-    /// are excluded from the RED mean and maximum
-    /// ([`ErrorMetrics::undefined_red_count`] reports how many).
-    pub(crate) fn record_u64(&mut self, exact: u128, approx: u128, operands: (u64, u64)) {
+impl Tally for ErrorAccumulator {
+    #[inline]
+    fn record<E: Magnitude>(
+        &mut self,
+        ed: E,
+        magnitude: E,
+        operands: impl FnOnce() -> (u128, u128),
+    ) {
         self.samples += 1;
-        if exact == approx {
-            return;
-        }
-        self.errors += 1;
-        // `u64 → f64` is a single instruction while `u128 → f64` is a
-        // slow libcall; both round identically for values that fit, so
-        // taking the narrow path keeps results bit-identical. Error
-        // distances and ≤64-bit products (the exhaustive sweeps' entire
-        // diet) always fit.
-        let diff = exact.abs_diff(approx);
-        let ed = if diff <= u128::from(u64::MAX) {
-            diff as u64 as f64
-        } else {
-            diff as f64
-        };
-        if exact == 0 {
-            self.undefined_red += 1;
-            self.sum_ed += ed;
-            self.max_ed = self.max_ed.max(ed);
-            return;
-        }
-        let exact_f = if exact <= u128::from(u64::MAX) {
-            exact as u64 as f64
-        } else {
-            exact as f64
-        };
-        let red = ed / exact_f;
-        self.bump(ed, red, (u128::from(operands.0), u128::from(operands.1)));
-    }
-
-    /// Records one *signed* multiplication with products that fit `i128`:
-    /// `ED = |P − P′|` over the signed values and `RED = ED / |P|`, so a
-    /// sign-magnitude model's statistics are the unsigned core's mirrored
-    /// into every quadrant. Operands are tagged as full-width
-    /// two's-complement patterns (see
-    /// [`ErrorMetrics::worst_red_operands_signed`]); the zero-product
-    /// convention matches [`ErrorAccumulator::record_u64`].
-    pub(crate) fn record_i64(&mut self, exact: i128, approx: i128, operands: (i64, i64)) {
-        self.samples += 1;
-        if exact == approx {
-            return;
-        }
-        self.errors += 1;
-        let diff = exact.abs_diff(approx);
-        let ed = if diff <= u128::from(u64::MAX) {
-            diff as u64 as f64
-        } else {
-            diff as f64
-        };
-        if exact == 0 {
-            self.undefined_red += 1;
-            self.sum_ed += ed;
-            self.max_ed = self.max_ed.max(ed);
-            return;
-        }
-        let magnitude = exact.unsigned_abs();
-        let exact_f = if magnitude <= u128::from(u64::MAX) {
-            magnitude as u64 as f64
-        } else {
-            magnitude as f64
-        };
-        let red = ed / exact_f;
-        self.bump(
-            ed,
-            red,
-            (
-                i128::from(operands.0) as u128,
-                i128::from(operands.1) as u128,
-            ),
-        );
-    }
-
-    /// Records one multiplication with wide products; see
-    /// [`ErrorAccumulator::record_u64`] for the zero-product convention.
-    pub(crate) fn record(&mut self, exact: &U256, approx: &U256, operands: (u128, u128)) {
-        self.samples += 1;
-        if exact == approx {
-            return;
-        }
-        self.errors += 1;
-        let ed = exact.abs_diff(approx).to_f64();
-        if exact.is_zero() {
-            self.undefined_red += 1;
-            self.sum_ed += ed;
-            self.max_ed = self.max_ed.max(ed);
-            return;
-        }
-        let red = ed / exact.to_f64();
-        self.bump(ed, red, operands);
-    }
-
-    fn bump(&mut self, ed: f64, red: f64, operands: (u128, u128)) {
-        self.sum_ed += ed;
-        self.sum_red += red;
-        self.sum_red_sq += red * red;
-        self.max_ed = self.max_ed.max(ed);
-        if red > self.max_red {
-            self.max_red = red;
-            self.worst_red_operands = Some(operands);
+        if !ed.is_zero() && self.record_wrong(ed.to_f64(), magnitude.to_f64()) {
+            self.worst_red_operands = Some(operands());
         }
     }
 
-    /// Records one 64-lane block of the bit-sliced engines: lane `i <
-    /// valid` holds the exact and approximate product patterns
-    /// `products(i)`, `error` turns such a pair into its error distance
-    /// and exact-product magnitude, and `operands(i)` gives lane `i`'s
-    /// worst-case tag. Equivalent to calling
-    /// [`ErrorAccumulator::record_u64`] (or `record_i64`) on lanes
-    /// `0..valid` in order, so the float sums come out bit-identical to
-    /// the scalar engine's.
-    ///
-    /// Both error values are `u64` — every product of a ≤ 32-bit model
-    /// fits — and `u64 as f64` rounds exactly as the per-pair path does.
     /// The error mask is built branch-free over all 64 lanes (`products`
     /// must accept the idle lanes `valid..64`; they are masked off); the
-    /// wrong lanes are then walked in ascending order with the sums and
-    /// maxima in locals, which are written back once per block.
+    /// wrong lanes are then walked in ascending order through the record
+    /// rule on a local copy, whose sums and maxima stay in registers and
+    /// are written back once per block.
     #[inline]
-    pub(crate) fn record_block(
+    fn record_block(
         &mut self,
         valid: usize,
         products: impl Fn(usize) -> (u64, u64),
         error: impl Fn(u64, u64) -> (u64, u64),
-        operands: impl FnOnce(usize) -> (u128, u128),
+        operands: impl Fn(usize) -> (u128, u128),
     ) {
         let mut wrong = 0u64;
         for i in (0..LANES).rev() {
@@ -178,43 +156,24 @@ impl ErrorAccumulator {
         if wrong == 0 {
             return;
         }
-        self.errors += u64::from(wrong.count_ones());
-        let (mut sum_ed, mut sum_red, mut sum_red_sq) =
-            (self.sum_ed, self.sum_red, self.sum_red_sq);
-        let (mut max_ed, mut max_red) = (self.max_ed, self.max_red);
+        let mut run = *self;
         let mut worst = None;
-        let mut undefined_red = 0;
         while wrong != 0 {
             let i = wrong.trailing_zeros() as usize;
             wrong &= wrong - 1;
             let (exact, approx) = products(i);
             let (ed, magnitude) = error(exact, approx);
-            let ed = ed as f64;
-            sum_ed += ed;
-            max_ed = max_ed.max(ed);
-            if magnitude == 0 {
-                undefined_red += 1;
-                continue;
-            }
-            let red = ed / magnitude as f64;
-            sum_red += red;
-            sum_red_sq += red * red;
-            if red > max_red {
-                max_red = red;
+            if run.record_wrong(ed.to_f64(), magnitude.to_f64()) {
                 worst = Some(i);
             }
         }
-        (self.sum_ed, self.sum_red, self.sum_red_sq) = (sum_ed, sum_red, sum_red_sq);
-        (self.max_ed, self.max_red) = (max_ed, max_red);
-        self.undefined_red += undefined_red;
+        *self = run;
         if let Some(i) = worst {
             self.worst_red_operands = Some(operands(i));
         }
     }
 
-    /// Combines a partial accumulator (e.g. from another thread) into this
-    /// one.
-    pub(crate) fn merge(&mut self, other: &ErrorAccumulator) {
+    fn merge(&mut self, other: &ErrorAccumulator) {
         self.samples += other.samples;
         self.errors += other.errors;
         self.undefined_red += other.undefined_red;
@@ -227,6 +186,31 @@ impl ErrorAccumulator {
             self.worst_red_operands = other.worst_red_operands;
         }
     }
+}
+
+impl ErrorAccumulator {
+    /// The record rule of one wrong product, given its error distance and
+    /// exact-product magnitude: the errors count, the undefined-RED case,
+    /// the ED and RED sums and the maxima. Returns whether the pair set a
+    /// new MAX(RED), so the caller can tag it.
+    #[inline]
+    fn record_wrong(&mut self, ed: f64, magnitude: f64) -> bool {
+        self.errors += 1;
+        self.sum_ed += ed;
+        self.max_ed = self.max_ed.max(ed);
+        if magnitude == 0.0 {
+            self.undefined_red += 1;
+            return false;
+        }
+        let red = ed / magnitude;
+        self.sum_red += red;
+        self.sum_red_sq += red * red;
+        let worst = red > self.max_red;
+        if worst {
+            self.max_red = red;
+        }
+        worst
+    }
 
     /// Finalizes the statistics given `Pmax = (2^N − 1)²`.
     ///
@@ -238,11 +222,10 @@ impl ErrorAccumulator {
         self.finish_inner(pmax, false)
     }
 
-    /// [`ErrorAccumulator::finish`] for a stream recorded through
-    /// [`ErrorAccumulator::record_i64`]: `pmax` is the signed product
-    /// magnitude ceiling `(2^{N−1})²` and the metrics carry the
-    /// [`ErrorMetrics::signed`] marker, making the worst-operand pair
-    /// decodable as two's complement.
+    /// [`ErrorAccumulator::finish`] for a stream of the signed domain:
+    /// `pmax` is the signed product magnitude ceiling `(2^{N−1})²` and the
+    /// metrics carry the [`ErrorMetrics::signed`] marker, making the
+    /// worst-operand pair decodable as two's complement.
     ///
     /// # Panics
     ///
@@ -363,11 +346,24 @@ impl fmt::Display for ErrorMetrics {
 mod tests {
     use super::*;
 
+    /// Records an unsigned pair the way the unsigned domain does.
+    fn record(acc: &mut ErrorAccumulator, exact: u128, approx: u128, (a, b): (u64, u64)) {
+        acc.record(exact.abs_diff(approx), exact, || (a.into(), b.into()));
+    }
+
+    /// Records a signed pair the way the two's-complement domain does.
+    fn record_signed(acc: &mut ErrorAccumulator, exact: i128, approx: i128, (a, b): (i64, i64)) {
+        let tag = |x: i64| i128::from(x) as u128;
+        acc.record(exact.abs_diff(approx), exact.unsigned_abs(), || {
+            (tag(a), tag(b))
+        });
+    }
+
     #[test]
     fn exact_stream_has_zero_errors() {
-        let mut acc = ErrorAccumulator::new();
+        let mut acc = ErrorAccumulator::default();
         for x in 1..100u128 {
-            acc.record_u64(x, x, (x as u64, 1));
+            record(&mut acc, x, x, (x as u64, 1));
         }
         let m = acc.finish(U256::from_u64(10000));
         assert_eq!(m.error_rate, 0.0);
@@ -379,9 +375,9 @@ mod tests {
 
     #[test]
     fn single_error_metrics() {
-        let mut acc = ErrorAccumulator::new();
-        acc.record_u64(10, 7, (5, 2));
-        acc.record_u64(10, 10, (5, 2));
+        let mut acc = ErrorAccumulator::default();
+        record(&mut acc, 10, 7, (5, 2));
+        record(&mut acc, 10, 10, (5, 2));
         let m = acc.finish(U256::from_u64(100));
         assert_eq!(m.samples, 2);
         assert_eq!(m.error_rate, 0.5);
@@ -394,18 +390,18 @@ mod tests {
 
     #[test]
     fn merge_equals_sequential() {
-        let mut a = ErrorAccumulator::new();
-        let mut b = ErrorAccumulator::new();
-        let mut whole = ErrorAccumulator::new();
+        let mut a = ErrorAccumulator::default();
+        let mut b = ErrorAccumulator::default();
+        let mut whole = ErrorAccumulator::default();
         for i in 1..50u128 {
             let approx = i * i - (i % 3);
-            a.record_u64(i * i, approx, (i as u64, i as u64));
-            whole.record_u64(i * i, approx, (i as u64, i as u64));
+            record(&mut a, i * i, approx, (i as u64, i as u64));
+            record(&mut whole, i * i, approx, (i as u64, i as u64));
         }
         for i in 50..100u128 {
             let approx = i * i - (i % 7);
-            b.record_u64(i * i, approx, (i as u64, i as u64));
-            whole.record_u64(i * i, approx, (i as u64, i as u64));
+            record(&mut b, i * i, approx, (i as u64, i as u64));
+            record(&mut whole, i * i, approx, (i as u64, i as u64));
         }
         a.merge(&b);
         let pmax = U256::from_u64(99 * 99);
@@ -433,11 +429,12 @@ mod tests {
         ];
         let pmax = U256::from_u64(255 * 255);
         let both = |pairs: &[(u128, u128)]| {
-            let mut narrow = ErrorAccumulator::new();
-            let mut wide = ErrorAccumulator::new();
+            let mut narrow = ErrorAccumulator::default();
+            let mut wide = ErrorAccumulator::default();
             for &(p, q) in pairs {
-                narrow.record_u64(p, q, (1, 1));
-                wide.record(&U256::from_u128(p), &U256::from_u128(q), (1, 1));
+                record(&mut narrow, p, q, (1, 1));
+                let (p, q) = (U256::from_u128(p), U256::from_u128(q));
+                wide.record(p.abs_diff(&q), p, || (1, 1));
             }
             (narrow.finish(pmax), wide.finish(pmax))
         };
@@ -454,19 +451,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty accumulator")]
     fn finish_empty_panics() {
-        let _ = ErrorAccumulator::new().finish(U256::ONE);
+        let _ = ErrorAccumulator::default().finish(U256::ONE);
     }
 
     #[test]
     fn standard_errors_shrink_with_sample_count() {
         let run = |n: u64| {
-            let mut acc = ErrorAccumulator::new();
+            let mut acc = ErrorAccumulator::default();
             for i in 0..n {
                 // Half the samples err with RED = 0.2.
                 if i % 2 == 0 {
-                    acc.record_u64(10, 8, (1, 1));
+                    record(&mut acc, 10, 8, (1, 1));
                 } else {
-                    acc.record_u64(10, 10, (1, 1));
+                    record(&mut acc, 10, 10, (1, 1));
                 }
             }
             acc.finish(U256::from_u64(100))
@@ -483,13 +480,18 @@ mod tests {
     fn signed_records_mirror_unsigned_magnitudes() {
         // Same magnitudes, all four sign quadrants: the signed statistics
         // must equal the unsigned ones computed on the magnitudes.
-        let mut unsigned = ErrorAccumulator::new();
-        let mut signed = ErrorAccumulator::new();
+        let mut unsigned = ErrorAccumulator::default();
+        let mut signed = ErrorAccumulator::default();
         for (exact, approx) in [(100i128, 90i128), (17, 17), (55, 48)] {
-            unsigned.record_u64(exact as u128, approx as u128, (5, 20));
+            record(&mut unsigned, exact as u128, approx as u128, (5, 20));
             for (sa, sb) in [(1i128, 1i128), (-1, 1), (1, -1), (-1, -1)] {
                 let sign = sa * sb;
-                signed.record_i64(exact * sign, approx * sign, (5 * sa as i64, 20 * sb as i64));
+                record_signed(
+                    &mut signed,
+                    exact * sign,
+                    approx * sign,
+                    (5 * sa as i64, 20 * sb as i64),
+                );
             }
         }
         let pmax = U256::from_u64(1 << 14);
@@ -509,9 +511,9 @@ mod tests {
 
     #[test]
     fn signed_zero_product_errors_have_undefined_red() {
-        let mut acc = ErrorAccumulator::new();
-        acc.record_i64(0, -3, (-1, 0));
-        acc.record_i64(-10, -8, (5, -2));
+        let mut acc = ErrorAccumulator::default();
+        record_signed(&mut acc, 0, -3, (-1, 0));
+        record_signed(&mut acc, -10, -8, (5, -2));
         let m = acc.finish_signed(U256::from_u64(100));
         assert_eq!(m.undefined_red_count, 1);
         assert_eq!(m.error_rate, 1.0);
@@ -521,8 +523,8 @@ mod tests {
 
     #[test]
     fn display_mentions_all_metrics() {
-        let mut acc = ErrorAccumulator::new();
-        acc.record_u64(10, 9, (5, 2));
+        let mut acc = ErrorAccumulator::default();
+        record(&mut acc, 10, 9, (5, 2));
         let text = acc.finish(U256::from_u64(100)).to_string();
         for needle in ["MRED", "NMED", "ER", "MAX(RED)"] {
             assert!(text.contains(needle), "missing {needle} in {text}");

@@ -11,14 +11,14 @@
 //! Pair order is the *pattern* order `0, 1, …, 2^N − 1` — i.e. the
 //! non-negative half first, then the negative half — which is exactly the
 //! unsigned drivers' order. That choice makes the scalar and bit-sliced
-//! signed engines bit-identical to each other (same chunking, same
+//! signed engines bit-identical to each other (same shards, same
 //! accumulation order) and keeps thread count out of the result, just
 //! like the unsigned drivers.
 
 use crate::batch::signed::sign_extend;
 use crate::batch::{BatchSignMagnitude, Batchable};
 use crate::error::evaluate::{
-    exhaustive_in, sampled_in, BatchDomain, Domain, EvalError, EvalOptions,
+    exhaustive_metrics, sampled_in, BatchDomain, Domain, EvalError, EvalOptions,
 };
 use crate::error::metrics::{ErrorAccumulator, ErrorMetrics};
 use crate::signed::{SignMagnitude, SignedMultiplier};
@@ -55,8 +55,8 @@ impl<M: SignedMultiplier + Sync> Domain for Signed<'_, M> {
     }
 
     #[inline]
-    fn record(acc: &mut ErrorAccumulator, exact: i128, approx: i128, operands: (i64, i64)) {
-        acc.record_i64(exact, approx, operands);
+    fn error(exact: i128, approx: i128) -> (u128, u128) {
+        (exact.abs_diff(approx), exact.unsigned_abs())
     }
 
     fn finish(&self, acc: &ErrorAccumulator) -> ErrorMetrics {
@@ -116,7 +116,7 @@ pub fn exhaustive_signed_with<M>(
 where
     M: Batchable + Sync,
 {
-    exhaustive_in(&signed(multiplier), options)
+    exhaustive_metrics(&signed(multiplier), options)
 }
 
 /// Evaluates `samples` uniformly random signed operand pairs on the engine
@@ -150,14 +150,15 @@ mod tests {
         assert_blocks_match_replay, assert_engines_agree, assert_thread_count_invariant,
         signed_exhaustive_rows, signed_sampled_rows, synthetic_blocks,
     };
+    use crate::error::metrics::Tally;
     use crate::error::Engine;
     use crate::signed::{signed_accurate, signed_sdlc, SignMagnitude};
     use crate::{Multiplier, SdlcMultiplier};
 
-    fn one_thread(engine: Engine) -> EvalOptions {
+    fn on_threads(engine: Engine, threads: usize) -> EvalOptions {
         EvalOptions {
             engine,
-            threads: std::num::NonZeroUsize::new(1),
+            threads: std::num::NonZeroUsize::new(threads),
         }
     }
 
@@ -174,12 +175,14 @@ mod tests {
     fn signed_sweep_equals_manual_unsigned_core_cross_check() {
         // Replay the exact sweep through the *unsigned* core by hand —
         // magnitudes in, signs re-applied — and demand bit-identical
-        // metrics from the signed driver on both engines (single-threaded
-        // so the accumulation order matches).
+        // metrics from the signed driver on both engines at any thread
+        // count. The replay follows the sweep's shard order: 2^6 rows make
+        // 64 shards of one row, each tallied alone, folded in row order.
         let inner = SdlcMultiplier::new(6, 2).unwrap();
         let m = SignMagnitude::new(inner.clone());
-        let mut acc = ErrorAccumulator::new();
+        let mut acc = ErrorAccumulator::default();
         for ua in 0..64u64 {
+            let mut row = ErrorAccumulator::default();
             for ub in 0..64u64 {
                 let a = sign_extend(ua, 6) as i64;
                 let b = sign_extend(ub, 6) as i64;
@@ -189,13 +192,20 @@ mod tests {
                 } else {
                     magnitude
                 };
-                acc.record_i64(i128::from(a) * i128::from(b), approx, (a, b));
+                let exact = i128::from(a) * i128::from(b);
+                let tag = |x: i64| i128::from(x) as u128;
+                row.record(exact.abs_diff(approx), exact.unsigned_abs(), || {
+                    (tag(a), tag(b))
+                });
             }
+            acc.merge(&row);
         }
         let manual = acc.finish_signed(m.max_product_magnitude());
         for engine in [Engine::Scalar, Engine::BitSliced] {
-            let metrics = exhaustive_signed_with(&m, one_thread(engine)).unwrap();
-            assert_eq!(metrics, manual, "{engine}");
+            for threads in [1, 3] {
+                let metrics = exhaustive_signed_with(&m, on_threads(engine, threads)).unwrap();
+                assert_eq!(metrics, manual, "{engine} on {threads} threads");
+            }
         }
         assert!(manual.mred > 0.0);
     }
@@ -237,8 +247,10 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_results() {
-        assert_thread_count_invariant(&signed_exhaustive_rows(), Engine::Scalar);
-        assert_thread_count_invariant(&signed_sampled_rows(), Engine::Scalar);
+        for engine in [Engine::Scalar, Engine::BitSliced] {
+            assert_thread_count_invariant(&signed_exhaustive_rows(), engine);
+            assert_thread_count_invariant(&signed_sampled_rows(), engine);
+        }
     }
 
     #[test]

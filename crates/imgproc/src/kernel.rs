@@ -7,7 +7,7 @@
 /// weight values and the *approximate-multiplier* error profile is
 /// sensitive to which bit patterns the weights land on (weights whose set
 /// bits fall into the same logic cluster collide; others are exact —
-/// see `EXPERIMENTS.md`, Figure 8 notes):
+/// see "Known divergences" in the README, Fig. 8):
 ///
 /// * [`FixedKernel::gaussian_3x3`] — full-scale: the center weight is 255,
 ///   exercising the whole 8×8 multiplier as the paper's description

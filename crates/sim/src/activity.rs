@@ -22,7 +22,7 @@
 
 use sdlc_netlist::Netlist;
 use sdlc_techlib::Library;
-use sdlc_wideint::parallel::parallel_shard_chunks;
+use sdlc_wideint::parallel::{parallel_shard_chunks, worker_threads};
 use sdlc_wideint::SplitMix64;
 
 use crate::compile::{CompiledNetlist, CompiledSim};
@@ -252,11 +252,6 @@ fn glitch_activity_on(
         sim.toggles_per_net()
     });
     streams.activity(toggles_per_net)
-}
-
-/// Worker threads of the glitch-aware engines: one per available core.
-fn worker_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Sets lane `lane` of the bit-planes `planes` to the bits of `value`.

@@ -33,7 +33,7 @@ use core::fmt;
 
 use sdlc_netlist::{NetId, Netlist};
 use sdlc_wideint::bitplane::{self, LANES};
-use sdlc_wideint::parallel::parallel_chunks;
+use sdlc_wideint::parallel::{parallel_chunks, worker_threads};
 use sdlc_wideint::{SplitMix64, I256, U256};
 
 use crate::compile::{CompiledNetlist, CompiledSim};
@@ -756,8 +756,7 @@ fn sweep<E: Send>(
     let found = if engine == Engine::Compiled && compiled_supports(netlist, width) {
         let program = CompiledNetlist::compile(netlist);
         let (a_len, b_len) = (ports.a_len as usize, ports.b_len as usize);
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let partials = parallel_chunks(pairs.blocks(), threads, |lo, hi| {
+        let partials = parallel_chunks(pairs.blocks(), worker_threads(), |lo, hi| {
             let mut sim = CompiledSim::new(&program);
             let mut stimulus = vec![0u64; netlist.inputs().len()];
             let (mut a_planes, mut b_planes) = ([0u64; LANES], [0u64; LANES]);

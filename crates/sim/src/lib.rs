@@ -53,6 +53,6 @@ mod timing;
 
 pub use compile::{CompiledNetlist, CompiledSim};
 pub use equiv::Engine;
-pub use glitch::{GlitchSim, TimedProgram, WHEEL_LANES, WHEEL_WORDS};
+pub use glitch::{GlitchApplyResult, GlitchSim, TimedProgram, WHEEL_LANES, WHEEL_WORDS};
 pub use logic::{ab_stimulus, LogicSim};
 pub use timing::{ApplyResult, TimingSim};

@@ -37,8 +37,9 @@ pub struct AnalysisOptions {
     /// toggle totals and serves as the differential reference.
     pub activity_engine: Engine,
     /// Glitch-activity engine used when `glitch_power` is set. The
-    /// compiled word-parallel backend (64 lane streams per sweep,
-    /// identical inertial-delay transition accounting) is the default; the
+    /// compiled word-parallel backend (up to
+    /// [`sdlc_sim::WHEEL_LANES`] lane streams per event wheel, identical
+    /// inertial-delay transition accounting) is the default; the
     /// scalar event-driven `TimingSim` remains the reference. Both drive
     /// the same lane streams, so their reports are identical.
     pub glitch_engine: Engine,

@@ -10,6 +10,13 @@
 //! must be the same one the single-threaded sweep would report. Keeping
 //! one shared implementation guarantees the paths can never diverge.
 
+/// Worker threads for a sweep that runs on every core: the machine's
+/// available parallelism, or 1 where it cannot be queried.
+#[must_use]
+pub fn worker_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Splits `[0, count)` into at most `threads` contiguous chunks and runs
 /// `worker(lo, hi)` on scoped threads, returning the partial results in
 /// chunk order.

@@ -110,6 +110,8 @@ fn main() -> Result<(), sdlc::core::SpecError> {
     println!("\nthe approximate filter's noise floor tracks cluster depth, but not");
     println!("strictly monotonically: these Q0.8 taps are small (≤ 6 bits), so which");
     println!("tap bits share a cluster dominates — the same quantization sensitivity");
-    println!("the Gaussian-kernel ablation quantifies (see EXPERIMENTS.md, Fig. 8).");
+    println!(
+        "the Gaussian-kernel ablation quantifies (see the README's \"Known divergences\", Fig. 8)."
+    );
     Ok(())
 }

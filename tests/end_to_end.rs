@@ -166,17 +166,3 @@ fn savings_are_library_robust() {
         assert!((a - b).abs() < 0.12, "{what}: 90nm {a:.3} vs 65nm {b:.3}");
     }
 }
-
-/// Workload-aware error evaluation reproduces the uniform sweep when the
-/// workload *is* uniform, end to end through the public API.
-#[test]
-fn distribution_api_round_trip() {
-    use sdlc::core::error::{exhaustive as run_exhaustive, sampled_with_operands};
-    let model = SdlcMultiplier::new(8, 2).unwrap();
-    let uniform = run_exhaustive(&model).unwrap();
-    let resampled = sampled_with_operands(&model, 300_000, 11, |rng, _| {
-        (rng.next_bits(8), rng.next_bits(8))
-    })
-    .unwrap();
-    assert!((uniform.error_rate - resampled.error_rate).abs() < 0.01);
-}
