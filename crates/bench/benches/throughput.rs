@@ -44,9 +44,10 @@ fn bench_multipliers(c: &mut Criterion) {
 /// The headline engine comparison, part 1 — raw multiplication
 /// throughput: the full 8-bit exhaustive product sweep (65 536 pairs,
 /// every product materialized and folded into a checksum), scalar
-/// `multiply_u64` vs the bit-sliced 64-lane row sweep. This is the work
-/// the batch engine actually accelerates, and where the ≥10× per-core
-/// speedup shows.
+/// `multiply_u64` vs the lane-form row sweep
+/// (`sweep_operand_row_lanes`) that the bit-sliced `errors` flow runs.
+/// This is the work the batch engine actually accelerates, and where the
+/// ≥10× per-core speedup shows.
 fn bench_exhaustive_products(c: &mut Criterion) {
     let model = SdlcMultiplier::new(8, 2).unwrap();
     let batch = model.batch_model();
@@ -64,13 +65,11 @@ fn bench_exhaustive_products(c: &mut Criterion) {
         })
     });
     group.bench_function("engine_bitsliced", |b| {
-        let mut lanes = [0u64; LANES];
         b.iter(|| {
             let mut fold = 0u64;
             for a in 0..256u64 {
-                batch.sweep_operand_row(a, 256, &mut |_b0, planes| {
-                    sdlc_core::batch::extract_product_lanes(planes, &mut lanes);
-                    for &lane in &lanes {
+                batch.sweep_operand_row_lanes(a, 256, &mut |_b0, lanes| {
+                    for &lane in lanes {
                         fold ^= lane;
                     }
                 });
@@ -87,8 +86,8 @@ fn bench_exhaustive_products(c: &mut Criterion) {
 /// differs. The ratio is smaller than the product sweep's because both
 /// engines add the errors of the paper's 49 % wrong pairs at 8 bits in
 /// the same scalar order. The bit-sliced engine does so per 64-lane
-/// block, with the sums and maxima held in registers, which leaves the
-/// accounting about as costly as the products themselves.
+/// block, with the sums and maxima held in registers; even so, the
+/// accounting takes most of its sweep.
 fn bench_exhaustive_metrics(c: &mut Criterion) {
     let model = SdlcMultiplier::new(8, 2).unwrap();
     let mut group = c.benchmark_group("exhaustive_metrics_8bit_sdlc_d2");

@@ -35,6 +35,18 @@
 //! and histograms through either engine (see
 //! [`Engine`](crate::error::Engine)).
 //!
+//! # Exhaustive rows
+//!
+//! An exhaustive sweep fixes `a` per row and walks `b` in 64-aligned
+//! blocks `b0 + i`, so `b`'s six low bits are the lane index and the rest
+//! are constant per block. [`BatchMultiplier::sweep_operand_row_lanes`]
+//! emits each block's products in lane form, the shape the error
+//! accounting reads. Its default runs the plane-form
+//! [`BatchMultiplier::sweep_operand_row`] and un-transposes each block.
+//! [`BatchSdlc`] overrides it without planes: per row it builds 64-entry
+//! lane tables for the rows below bit 6, and per block it adds the few
+//! rows above.
+//!
 //! # Examples
 //!
 //! ```
@@ -61,8 +73,9 @@ pub use accurate::BatchAccurate;
 pub use baselines::{BatchEtm, BatchKulkarni, BatchTruncated};
 pub use sdlc::BatchSdlc;
 /// Un-transposes product planes into per-lane values (`out[i]` = lane
-/// `i`'s product); the error drivers and benches consume
-/// [`BatchMultiplier::sweep_operand_row`] output through this.
+/// `i`'s product); the default
+/// [`BatchMultiplier::sweep_operand_row_lanes`] and the sampled error
+/// drivers read plane products through this.
 pub use sdlc_wideint::bitplane::lanes_from_planes as extract_product_lanes;
 pub use signed::BatchSignMagnitude;
 
@@ -118,23 +131,20 @@ pub trait BatchMultiplier {
         self.multiply_planes(&a_planes[..self.width() as usize], b, product);
     }
 
-    /// Evaluates one exhaustive-sweep row: the fixed operand `a` against
-    /// every `b` in `[0, count)`, walked in 64-lane blocks of consecutive
-    /// values, calling `emit(b0, product_planes)` once per block. The
-    /// default builds each block's counting planes and defers to
-    /// [`BatchMultiplier::multiply_planes_bcast`]; engines that can hoist
-    /// block-invariant work out of the loop (SDLC pre-sums every cluster
-    /// gated only by `b`'s six low bits) override it.
+    /// Evaluates one exhaustive-sweep row in the bit-plane domain: the
+    /// fixed operand `a` against every `b` in `[0, count)`, walked in
+    /// 64-lane blocks of consecutive values, calling
+    /// `emit(b0, product_planes)` once per block. It builds each block's
+    /// counting planes and defers to
+    /// [`BatchMultiplier::multiply_planes_bcast`]. The error drivers take
+    /// the lane-form [`BatchMultiplier::sweep_operand_row_lanes`] instead.
     ///
     /// # Panics
     ///
     /// Panics if `a` does not fit the width or `count` is not a positive
     /// multiple of [`LANES`].
     fn sweep_operand_row(&self, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64])) {
-        assert!(
-            count >= LANES as u64 && count.is_multiple_of(LANES as u64),
-            "sweep rows take 64-aligned block counts"
-        );
+        check_row_count(count);
         let width = self.width() as usize;
         let mut b_planes = [0u64; BATCH_MAX_WIDTH as usize];
         let mut product = [0u64; LANES];
@@ -145,6 +155,31 @@ pub trait BatchMultiplier {
             emit(b0, &product[..2 * width]);
             b0 += LANES as u64;
         }
+    }
+
+    /// [`BatchMultiplier::sweep_operand_row`] in lane form: one
+    /// `emit(b0, products)` per 64-lane block, in ascending `b0`, where
+    /// `products[i]` is the product of `(a, b0 + i)` (`b` taken modulo
+    /// `2^N`). This is the exhaustive sweep of the error drivers. The
+    /// default un-transposes the plane sweep's blocks
+    /// ([`extract_product_lanes`]); SDLC overrides it with per-row lane
+    /// tables that need neither planes nor the transpose.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` does not fit the width or `count` is not a positive
+    /// multiple of [`LANES`].
+    fn sweep_operand_row_lanes(
+        &self,
+        a: u64,
+        count: u64,
+        emit: &mut dyn FnMut(u64, &[u64; LANES]),
+    ) {
+        let mut lanes = [0u64; LANES];
+        self.sweep_operand_row(a, count, &mut |b0, planes| {
+            extract_product_lanes(planes, &mut lanes);
+            emit(b0, &lanes);
+        });
     }
 
     /// Convenience wrapper over [`BatchMultiplier::multiply_planes`] that
@@ -236,6 +271,15 @@ pub fn exhaustive_block(batch: &impl BatchMultiplier, a: u64, b0: u64, out: &mut
     let mut product = [0u64; LANES];
     exhaustive_block_planes(batch, a, b0, &mut product[..planes]);
     extract_product_lanes(&product[..planes], out);
+}
+
+/// Panics unless `count` is a positive multiple of [`LANES`], the block
+/// count contract of the exhaustive row sweeps.
+pub(crate) fn check_row_count(count: u64) {
+    assert!(
+        count >= LANES as u64 && count.is_multiple_of(LANES as u64),
+        "sweep rows take 64-aligned block counts"
+    );
 }
 
 /// Validates a scalar model's width for batching.

@@ -2,7 +2,8 @@
 //! reduced-matrix accumulation as word-wide boolean ops.
 
 use crate::batch::{
-    add_planes, check_batch_width, check_planes, BatchMultiplier, Batchable, BATCH_MAX_WIDTH, LANES,
+    add_planes, check_batch_width, check_planes, check_row_count, BatchMultiplier, Batchable,
+    BATCH_MAX_WIDTH, LANES,
 };
 use crate::multiplier::Multiplier;
 use crate::sdlc::SdlcMultiplier;
@@ -33,13 +34,6 @@ pub struct BatchSdlc {
     groups: Vec<BatchGroup>,
     /// Rows with exact tail bits: `(row k, threshold t(k) < width)`.
     tails: Vec<(u32, u32)>,
-    /// Number of leading groups whose rows are all below the 64-lane
-    /// block stride (bit 6): their contribution is identical for every
-    /// block of one exhaustive sweep row (see
-    /// [`BatchMultiplier::sweep_operand_row`]).
-    stride_invariant_groups: usize,
-    /// Same prefix split for `tails`.
-    stride_invariant_tails: usize,
 }
 
 /// Rows below this bit index see only the fixed counting patterns of a
@@ -72,64 +66,10 @@ impl BatchSdlc {
             .filter(|&k| model.threshold(k) < width)
             .map(|k| (k, model.threshold(k)))
             .collect();
-        // Rows ascend across groups and tails, so the block-invariant
-        // members form prefixes.
-        let stride_invariant_groups = groups
-            .iter()
-            .take_while(|g| g.rows.iter().all(|&(k, _, _)| k < BLOCK_BITS))
-            .count();
-        let stride_invariant_tails = tails.iter().take_while(|&&(k, _)| k < BLOCK_BITS).count();
         Self {
             width,
             groups,
             tails,
-            stride_invariant_groups,
-            stride_invariant_tails,
-        }
-    }
-
-    /// Adds the broadcast-`a` contributions of the given groups and tails
-    /// into `product` (which the caller primes — zeros or a snapshot).
-    fn accumulate_bcast(
-        &self,
-        a: u64,
-        b: &[u64],
-        product: &mut [u64],
-        groups: &[BatchGroup],
-        tails: &[(u32, u32)],
-    ) {
-        let mut row = [0u64; LANES];
-        for group in groups {
-            let span = group.span as usize;
-            if span == 0 {
-                continue;
-            }
-            row[..span].fill(0);
-            for &(k, t, rel) in &group.rows {
-                let bk = b[k as usize];
-                if bk == 0 {
-                    continue;
-                }
-                let mut bits = a & low_mask(t);
-                while bits != 0 {
-                    let j = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    row[j + rel as usize] |= bk;
-                }
-            }
-            add_planes(product, &row[..span], group.base as usize);
-        }
-        for &(k, t) in tails {
-            let bk = b[k as usize];
-            if bk == 0 {
-                continue;
-            }
-            let n = (self.width - t) as usize;
-            let tail_bits = a >> t;
-            for (j, slot) in row.iter_mut().enumerate().take(n) {
-                *slot = if (tail_bits >> j) & 1 == 1 { bk } else { 0 };
-            }
-            add_planes(product, &row[..n], (t + k) as usize);
         }
     }
 }
@@ -173,59 +113,173 @@ impl BatchMultiplier for BatchSdlc {
         }
     }
 
-    /// Exhaustive-sweep fast path: with `a` equal in every lane, the
-    /// AND against its broadcast planes degenerates — dot `(j, k)` either
-    /// contributes `b[k]` verbatim (bit `j` of `a` set) or nothing — so
-    /// the whole compression stage becomes ORs of `b` planes selected by
-    /// `a`'s bits, roughly halving the boolean work per block.
+    /// Broadcast fast path: with `a` equal in every lane, the AND against
+    /// its broadcast planes degenerates — dot `(j, k)` either contributes
+    /// `b[k]` verbatim (bit `j` of `a` set) or nothing — so the whole
+    /// compression stage becomes ORs of `b` planes selected by `a`'s bits,
+    /// roughly halving the boolean work per block.
     fn multiply_planes_bcast(&self, a: u64, b: &[u64], product: &mut [u64]) {
         crate::multiplier::check_operand(self.width, u128::from(a), "left");
         let width = self.width as usize;
         assert!(b.len() >= width, "right operand needs {width} planes");
         assert_eq!(product.len(), 2 * width, "product takes exactly 2N planes");
         product.fill(0);
-        self.accumulate_bcast(a, b, product, &self.groups, &self.tails);
+        let mut row = [0u64; LANES];
+        for group in &self.groups {
+            let span = group.span as usize;
+            if span == 0 {
+                continue;
+            }
+            row[..span].fill(0);
+            for &(k, t, rel) in &group.rows {
+                let bk = b[k as usize];
+                if bk == 0 {
+                    continue;
+                }
+                let mut bits = a & low_mask(t);
+                while bits != 0 {
+                    let j = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    row[j + rel as usize] |= bk;
+                }
+            }
+            add_planes(product, &row[..span], group.base as usize);
+        }
+        for &(k, t) in &self.tails {
+            let bk = b[k as usize];
+            if bk == 0 {
+                continue;
+            }
+            let n = (self.width - t) as usize;
+            let tail_bits = a >> t;
+            for (j, slot) in row.iter_mut().enumerate().take(n) {
+                *slot = if (tail_bits >> j) & 1 == 1 { bk } else { 0 };
+            }
+            add_planes(product, &row[..n], (t + k) as usize);
+        }
     }
 
-    fn sweep_operand_row(&self, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64])) {
+    /// Lane-form row sweep without planes. With `a` fixed, row `k` adds
+    /// `or[k] = (a & mask(t(k))) << (k − base)` into its cluster's OR and
+    /// `tail[k] = (a >> t(k)) << (t(k) + k)` to the sum whenever bit `k`
+    /// of `b` is set. In a 64-aligned block `b = b0 + i`, bits below 6
+    /// are the lane index `i` and the rest are `b0`'s, so lane `i`'s
+    /// product splits into `low[i] + high + ((mixed[i] | straddle) << base)`:
+    ///
+    /// * `low` sums every cluster wholly below bit 6 and every tail below
+    ///   bit 6, and `mixed` ORs the low rows of the one cluster that
+    ///   straddles bit 6 (if any). Both are 64-entry lane tables built
+    ///   once per row by subset doubling.
+    /// * `high` (clusters from bit 6 up, and the tails of rows from bit 6
+    ///   up) and `straddle` (the straddling cluster's high rows) are
+    ///   scalars per block.
+    ///
+    /// Integer addition is exact, so the regrouping leaves every product
+    /// equal to [`SdlcMultiplier::multiply_u64`]'s.
+    fn sweep_operand_row_lanes(
+        &self,
+        a: u64,
+        count: u64,
+        emit: &mut dyn FnMut(u64, &[u64; LANES]),
+    ) {
         crate::multiplier::check_operand(self.width, u128::from(a), "left");
-        assert!(
-            count >= LANES as u64 && count.is_multiple_of(LANES as u64),
-            "sweep rows take 64-aligned block counts"
-        );
-        let width = self.width as usize;
-        // Blocks walk b in consecutive 64-value strides, so the b planes
-        // below `BLOCK_BITS` are fixed counting patterns: every cluster
-        // and tail gated only by them contributes identically to all
-        // blocks of this `a` row. Pre-sum those once and start each block
-        // from the snapshot; only the rows gated by b's upper (broadcast)
-        // bits are evaluated per block. Integer plane addition is exact,
-        // so the reassociation leaves every product bit unchanged.
-        let mut b_planes = [0u64; BATCH_MAX_WIDTH as usize];
-        sdlc_wideint::bitplane::counter_planes(0, self.width, &mut b_planes);
-        let mut base = [0u64; LANES];
-        self.accumulate_bcast(
-            a,
-            &b_planes[..width],
-            &mut base[..2 * width],
-            &self.groups[..self.stride_invariant_groups],
-            &self.tails[..self.stride_invariant_tails],
-        );
-        let mut product = [0u64; LANES];
+        check_row_count(count);
+        let mut or = [0u64; BATCH_MAX_WIDTH as usize];
+        let mut tail = [0u64; BATCH_MAX_WIDTH as usize];
+        for group in &self.groups {
+            for &(k, t, rel) in &group.rows {
+                or[k as usize] = (a & low_mask(t)) << rel;
+                // `t = width` leaves no tail: `a >> width` is 0.
+                tail[k as usize] = (a >> t) << (t + k);
+            }
+        }
+        let lane_bits = self.width.min(BLOCK_BITS);
+        // `low[..len]` covers lane bits `[0, log2 len)`; each cluster
+        // below bit 6 extends it by its own rows (clusters are
+        // consecutive row ranges from row 0).
+        let mut low = [0u64; LANES];
+        let mut mixed = [0u64; LANES];
+        let (mut unit, mut ors) = ([0u64; LANES], [0u64; LANES]);
+        let mut len = 1usize;
+        let mut split = self.groups.len();
+        for (g, group) in self.groups.iter().enumerate() {
+            if group.base >= lane_bits {
+                split = g;
+                break;
+            }
+            let lo = group.base as usize;
+            let rows = group.rows.len().min(lane_bits as usize - lo);
+            let straddles = rows < group.rows.len();
+            subset_fold(&tail[lo..lo + rows], |x, y| x + y, &mut unit[..1 << rows]);
+            subset_fold(&or[lo..lo + rows], |x, y| x | y, &mut ors[..1 << rows]);
+            if straddles {
+                // The low rows' OR stays apart until the block's high rows
+                // join it.
+                for (i, slot) in mixed.iter_mut().enumerate() {
+                    *slot = ors[i >> lo];
+                }
+            } else {
+                for (u, &o) in unit[..1 << rows].iter_mut().zip(&ors) {
+                    *u += o << lo;
+                }
+            }
+            for j in 1..1 << rows {
+                for r in 0..len {
+                    low[j * len + r] = low[r] + unit[j];
+                }
+            }
+            len <<= rows;
+            if straddles {
+                split = g;
+                break;
+            }
+        }
+        // Narrower than 6 bits: `b` repeats every `2^width` lanes.
+        for i in len..LANES {
+            low[i] = low[i % len];
+        }
+        let high_groups = &self.groups[split..];
+        let straddle_base = high_groups
+            .first()
+            .filter(|g| g.base < lane_bits)
+            .map_or(0, |g| g.base);
+        let mut out = [0u64; LANES];
         let mut b0 = 0u64;
         while b0 < count {
-            sdlc_wideint::bitplane::counter_planes(b0, self.width, &mut b_planes);
-            product[..2 * width].copy_from_slice(&base[..2 * width]);
-            self.accumulate_bcast(
-                a,
-                &b_planes[..width],
-                &mut product[..2 * width],
-                &self.groups[self.stride_invariant_groups..],
-                &self.tails[self.stride_invariant_tails..],
-            );
-            emit(b0, &product[..2 * width]);
+            let mut high = 0u64;
+            let mut straddle = 0u64;
+            for group in high_groups {
+                let mut or_val = 0u64;
+                for &(k, _, _) in &group.rows {
+                    if k < lane_bits {
+                        continue;
+                    }
+                    let hit = ((b0 >> k) & 1).wrapping_neg();
+                    or_val |= or[k as usize] & hit;
+                    high += tail[k as usize] & hit;
+                }
+                if group.base < lane_bits {
+                    straddle = or_val;
+                } else {
+                    high += or_val << group.base;
+                }
+            }
+            for ((slot, &l), &m) in out.iter_mut().zip(&low).zip(&mixed) {
+                *slot = l + high + ((m | straddle) << straddle_base);
+            }
+            emit(b0, &out);
             b0 += LANES as u64;
         }
+    }
+}
+
+/// Subset doubling: `out[j]` (`j < 2^terms.len()`) receives the `op`-fold
+/// of `terms[k]` over the set bits `k` of `j` (0 for the empty set), each
+/// entry one `op` away from the entry without its lowest set bit.
+fn subset_fold(terms: &[u64], op: impl Fn(u64, u64) -> u64, out: &mut [u64]) {
+    out[0] = 0;
+    for j in 1..out.len() {
+        out[j] = op(out[j & (j - 1)], terms[j.trailing_zeros() as usize]);
     }
 }
 
@@ -311,35 +365,91 @@ mod tests {
         agree_on(&model, 32);
     }
 
-    /// The exhaustive-row fast path (block-invariant pre-summing) must
-    /// reproduce the scalar products for widths on both sides of the
-    /// 64-value block stride.
+    /// Checks one lane-form row sweep: every lane against the scalar
+    /// model and one emit per block in ascending `b0`.
+    fn assert_row_lanes_match(model: &SdlcMultiplier, a: u64, count: u64) {
+        let batch = model.batch_model();
+        let pattern_mask = (1u64 << model.width()) - 1;
+        let mut next_b0 = 0u64;
+        batch.sweep_operand_row_lanes(a, count, &mut |b0, lanes| {
+            assert_eq!(b0, next_b0, "{} a={a}: blocks out of order", model.name());
+            for (i, &lane) in lanes.iter().enumerate() {
+                let b = (b0 + i as u64) & pattern_mask;
+                assert_eq!(
+                    u128::from(lane),
+                    model.multiply_u64(a, b),
+                    "{} a={a} b={b}",
+                    model.name()
+                );
+            }
+            next_b0 += LANES as u64;
+        });
+        assert_eq!(next_b0, count, "{} a={a}: one emit per block", model.name());
+    }
+
+    /// Operand rows worth sweeping: the extremes plus a few mixed patterns.
+    fn rows_of(width: u32) -> [u64; 5] {
+        let mask = (1u64 << width) - 1;
+        [0, 1, 0x35 & mask, 0xA5A5_A5A5 & mask, mask]
+    }
+
+    /// The lane-form row sweep must reproduce the scalar products whether
+    /// the operand is narrower than the block, the clusters sit wholly
+    /// below the 64-value block stride (bit 6), straddle it (10 bits at
+    /// depths 4 and 5), stop exactly at it (depth 3) or sit wholly above
+    /// it (depth 2's upper clusters).
     #[test]
     fn sweep_operand_row_matches_scalar() {
-        for (width, depth) in [(6u32, 2u32), (8, 2), (8, 3), (12, 2), (16, 4)] {
-            let model = SdlcMultiplier::new(width, depth).unwrap();
-            let batch = model.batch_model();
-            let count = 1u64 << width;
-            let mask = count - 1;
-            // A handful of operand rows, including the all-ones row.
-            for a in [0u64, 1, 0x35 & mask, mask] {
-                let mut blocks = 0u64;
-                batch.sweep_operand_row(a, count, &mut |b0, planes| {
-                    let mut lanes = [0u64; LANES];
-                    crate::batch::extract_product_lanes(planes, &mut lanes);
-                    for (i, &lane) in lanes.iter().enumerate() {
-                        let b = b0 + i as u64;
-                        assert_eq!(
-                            u128::from(lane),
-                            model.multiply_u64(a, b),
-                            "{} a={a} b={b}",
-                            model.name()
-                        );
-                    }
-                    blocks += 1;
-                });
-                assert_eq!(blocks, count / LANES as u64);
+        let variants = [
+            ClusterVariant::Progressive,
+            ClusterVariant::CeilTails,
+            ClusterVariant::PairTails,
+            ClusterVariant::FullOr,
+        ];
+        for (width, depth) in [
+            (4u32, 2u32),
+            (4, 3),
+            (6, 2),
+            (6, 4),
+            (8, 2),
+            (8, 3),
+            (10, 2),
+            (10, 3),
+            (10, 4),
+            (10, 5),
+            (12, 4),
+            (16, 4),
+        ] {
+            for variant in variants {
+                let model = SdlcMultiplier::with_variant(width, depth, variant).unwrap();
+                // Width 4 wraps `b` within its single block.
+                for a in rows_of(width) {
+                    assert_row_lanes_match(&model, a, (1u64 << width).max(LANES as u64));
+                }
             }
         }
+        for depths in [&[6u32, 2][..], &[1, 4, 3, 2], &[1; 8]] {
+            let width = depths.iter().sum();
+            let model = SdlcMultiplier::with_group_depths(width, depths).unwrap();
+            for a in rows_of(width) {
+                assert_row_lanes_match(&model, a, 1 << width);
+            }
+        }
+        // Width 32: a few rows, never the whole 2^32-value row.
+        for depth in [2u32, 3, 5] {
+            let model = SdlcMultiplier::new(32, depth).unwrap();
+            for a in rows_of(32) {
+                for count in [64u64, 128] {
+                    assert_row_lanes_match(&model, a, count);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "64-aligned block counts")]
+    fn lane_sweep_rejects_partial_blocks() {
+        let batch = SdlcMultiplier::new(8, 2).unwrap().batch_model();
+        batch.sweep_operand_row_lanes(3, 96, &mut |_, _| {});
     }
 }

@@ -4,13 +4,13 @@
 //! ([`sdlc_wideint::bitplane::negate_planes`]): lanes whose sign plane is
 //! set are two's-complement-negated in place — an XOR per plane plus a
 //! carry ripple, all 64 lanes at once — so the unsigned engines (and
-//! their broadcast/exhaustive-row fast paths) run unchanged on the
+//! their broadcast fast paths) run unchanged on the
 //! magnitude planes, exactly mirroring the word-level
 //! [`SignMagnitude`](crate::SignMagnitude) adapter.
 
 use sdlc_wideint::bitplane;
 
-use crate::batch::{check_planes, BatchMultiplier, BATCH_MAX_WIDTH, LANES};
+use crate::batch::{check_planes, check_row_count, BatchMultiplier, BATCH_MAX_WIDTH, LANES};
 
 /// All-ones pattern mask for `width`-bit operands.
 fn mask(width: u32) -> u64 {
@@ -115,8 +115,7 @@ impl<B: BatchMultiplier> BatchSignMagnitude<B> {
         let planes = width as usize;
         assert!(a <= mask(width), "left pattern does not fit {width} bits");
         // The broadcast operand's sign and magnitude are lane-invariant:
-        // the unsigned engine's broadcast fast path (SDLC's cluster
-        // pre-summation) runs on the magnitude.
+        // the unsigned engine's broadcast fast path runs on the magnitude.
         let a_value = sign_extend(a, width);
         let sign_a = if a_value < 0 { u64::MAX } else { 0 };
         let mut b_planes = [0u64; BATCH_MAX_WIDTH as usize];
@@ -144,10 +143,7 @@ impl<B: BatchMultiplier> BatchSignMagnitude<B> {
     /// Panics if `a` does not fit the width or `count` is not a positive
     /// multiple of [`LANES`].
     pub fn sweep_operand_row_signed(&self, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64])) {
-        assert!(
-            count >= LANES as u64 && count.is_multiple_of(LANES as u64),
-            "sweep rows take 64-aligned block counts"
-        );
+        check_row_count(count);
         let planes = 2 * self.inner.width() as usize;
         let mut product = [0u64; LANES];
         let mut b0 = 0u64;

@@ -255,9 +255,11 @@ pub(crate) trait BatchDomain: Domain {
 
     /// Builds the twin (workers build one each).
     fn batch(&self) -> Self::Batch;
-    /// One exhaustive row: the fixed operand `a` against every `b` in
-    /// `[0, count)`, one `emit(b0, product_planes)` per 64-lane block.
-    fn sweep_row(batch: &Self::Batch, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64]));
+    /// One exhaustive row: the fixed pattern `a` against every pattern `b`
+    /// in `[0, count)`, one `emit(b0, product_lanes)` per 64-lane block in
+    /// ascending `b0` (lane `i` holds the product of `(a, b0 + i)`, the
+    /// pattern taken modulo `2^N`).
+    fn sweep_row(batch: &Self::Batch, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64; LANES]));
     /// 64 products from transposed operands.
     fn multiply_planes(batch: &Self::Batch, a: &[u64], b: &[u64], product: &mut [u64]);
     /// The exact product of the pattern pair `(a, b)` as a 2N-bit product
@@ -352,8 +354,8 @@ impl<M: Batchable + Sync> BatchDomain for Unsigned<'_, M> {
         self.0.batch_model()
     }
 
-    fn sweep_row(batch: &M::Batch, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64])) {
-        batch.sweep_operand_row(a, count, emit);
+    fn sweep_row(batch: &M::Batch, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64; LANES])) {
+        batch.sweep_operand_row_lanes(a, count, emit);
     }
 
     fn multiply_planes(batch: &M::Batch, a: &[u64], b: &[u64], product: &mut [u64]) {
@@ -483,8 +485,8 @@ fn exhaustive_scalar<D: Domain, T: Tally>(domain: &D, threads: usize) -> Result<
 }
 
 /// Walks rows `[lo, hi)` of the exhaustive pattern space in 64-lane blocks
-/// through a bit-sliced model, handing each block's un-transposed products
-/// to `visit(a, b0, valid, products)` in the scalar engine's pair order.
+/// through a bit-sliced model, handing each block's lane-form products to
+/// `visit(a, b0, valid, products)` in the scalar engine's pair order.
 fn sweep_blocks<D: BatchDomain>(
     domain: &D,
     batch: &D::Batch,
@@ -492,36 +494,14 @@ fn sweep_blocks<D: BatchDomain>(
     hi: u64,
     mut visit: impl FnMut(u64, u64, usize, &[u64; LANES]),
 ) {
-    let width = domain.width();
-    let count = 1u64 << width;
-    let planes = width as usize;
-    let mut approx = [0u64; LANES];
-    if count >= LANES as u64 {
-        for a in lo..hi {
-            D::sweep_row(batch, a, count, &mut |b0, product| {
-                crate::batch::extract_product_lanes(product, &mut approx);
-                visit(a, b0, LANES, &approx);
-            });
-        }
-    } else {
-        // Fewer pairs than lanes (widths 2 and 4): one zero-padded block
-        // per row, idle lanes ignored.
-        let valid = count as usize;
-        let lanes: [u64; LANES] = core::array::from_fn(|i| if i < valid { i as u64 } else { 0 });
-        let b_planes = bitplane::transposed64(&lanes);
-        let mut a_planes = [0u64; BATCH_MAX_WIDTH as usize];
-        let mut product = [0u64; LANES];
-        for a in lo..hi {
-            bitplane::broadcast_planes(a, width, &mut a_planes);
-            D::multiply_planes(
-                batch,
-                &a_planes[..planes],
-                &b_planes[..planes],
-                &mut product[..2 * planes],
-            );
-            crate::batch::extract_product_lanes(&product[..2 * planes], &mut approx);
-            visit(a, 0, valid, &approx);
-        }
+    let count = 1u64 << domain.width();
+    // Widths 2 and 4 have fewer patterns than lanes: one block per row,
+    // whose lanes past `count` wrap around and are ignored.
+    let valid = count.min(LANES as u64) as usize;
+    for a in lo..hi {
+        D::sweep_row(batch, a, count.max(LANES as u64), &mut |b0, approx| {
+            visit(a, b0, valid, approx)
+        });
     }
 }
 

@@ -16,7 +16,7 @@
 //! like the unsigned drivers.
 
 use crate::batch::signed::sign_extend;
-use crate::batch::{BatchSignMagnitude, Batchable};
+use crate::batch::{extract_product_lanes, BatchSignMagnitude, Batchable, LANES};
 use crate::error::evaluate::{
     exhaustive_metrics, sampled_in, BatchDomain, Domain, EvalError, EvalOptions,
 };
@@ -71,8 +71,17 @@ impl<M: Batchable + Sync> BatchDomain for Signed<'_, SignMagnitude<M>> {
         self.model.batch_model()
     }
 
-    fn sweep_row(batch: &Self::Batch, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64])) {
-        batch.sweep_operand_row_signed(a, count, emit);
+    fn sweep_row(
+        batch: &Self::Batch,
+        a: u64,
+        count: u64,
+        emit: &mut dyn FnMut(u64, &[u64; LANES]),
+    ) {
+        let mut lanes = [0u64; LANES];
+        batch.sweep_operand_row_signed(a, count, &mut |b0, planes| {
+            extract_product_lanes(planes, &mut lanes);
+            emit(b0, &lanes);
+        });
     }
 
     fn multiply_planes(batch: &Self::Batch, a: &[u64], b: &[u64], product: &mut [u64]) {

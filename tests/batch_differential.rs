@@ -6,10 +6,10 @@
 //! 1. seeded SplitMix64 operand sweeps over every (width, depth, variant)
 //!    combination of the SDLC design plus all baselines — every lane's
 //!    product must equal the scalar product exactly;
-//! 2. a full exhaustive 8-bit cross-check: the error drivers' finished
-//!    `ErrorMetrics` must be **bit-identical** between the two engines
-//!    (same floats, same counters, same worst-case operands) for every
-//!    `ClusterVariant` and every baseline.
+//! 2. full exhaustive 8-bit and 10-bit cross-checks: the error drivers'
+//!    finished `ErrorMetrics` must be **bit-identical** between the two
+//!    engines (same floats, same counters, same worst-case operands) for
+//!    every `ClusterVariant` and every baseline.
 
 use sdlc::core::baselines::{EtmMultiplier, KulkarniMultiplier, TruncatedMultiplier};
 use sdlc::core::batch::{BatchMultiplier, Batchable, LANES};
@@ -127,28 +127,52 @@ fn boundary_operands_agree() {
     }
 }
 
+/// Runs one exhaustive sweep through both engines and asserts
+/// bit-identical `ErrorMetrics`. Matching thread counts keep the float
+/// merge order identical.
+fn assert_engines_agree<M: Batchable + Sync>(model: &M) {
+    let run = |engine| {
+        let threads = std::num::NonZeroUsize::new(4);
+        exhaustive_with(model, EvalOptions { engine, threads }).unwrap()
+    };
+    let scalar = run(Engine::Scalar);
+    assert_eq!(scalar, run(Engine::BitSliced), "{}", model.name());
+    assert_eq!(scalar.samples, 1 << (2 * model.width()));
+}
+
 /// The acceptance cross-check: a full exhaustive 8-bit sweep through both
 /// engines must finish with bit-identical `ErrorMetrics` for every
-/// `ClusterVariant` (and the baselines ride along). Matching thread
-/// counts keep the float merge order identical.
+/// `ClusterVariant` at every depth, for mixed schedules with clusters on
+/// both sides of the 64-lane block stride (bit 6), and for the baselines.
 #[test]
 fn exhaustive_8bit_metrics_bit_identical() {
-    fn assert_engines_agree<M: Batchable + Sync>(model: &M) {
-        let run = |engine| {
-            let threads = std::num::NonZeroUsize::new(4);
-            exhaustive_with(model, EvalOptions { engine, threads }).unwrap()
-        };
-        let scalar = run(Engine::Scalar);
-        assert_eq!(scalar, run(Engine::BitSliced), "{}", model.name());
-        assert_eq!(scalar.samples, 1 << 16);
-    }
     for variant in VARIANTS {
-        for depth in DEPTHS {
+        for depth in 1..=6 {
             assert_engines_agree(&SdlcMultiplier::with_variant(8, depth, variant).unwrap());
         }
+    }
+    for depths in [&[6u32, 2][..], &[1; 8]] {
+        assert_engines_agree(&SdlcMultiplier::with_group_depths(8, depths).unwrap());
     }
     assert_engines_agree(&AccurateMultiplier::new(8).unwrap());
     assert_engines_agree(&EtmMultiplier::new(8).unwrap());
     assert_engines_agree(&KulkarniMultiplier::new(8).unwrap());
     assert_engines_agree(&TruncatedMultiplier::new(8, 6).unwrap());
+}
+
+/// The 10-bit sibling: at depths 4 and 5 one cluster straddles bit 6, so
+/// the bit-sliced row sweep splits it between its per-row lane table and
+/// the per-block rows. Both engines must still agree bit for bit.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "2^20 scalar pairs per design want the release suite"
+)]
+fn exhaustive_10bit_straddling_clusters_bit_identical() {
+    for variant in VARIANTS {
+        for depth in [4, 5] {
+            assert_engines_agree(&SdlcMultiplier::with_variant(10, depth, variant).unwrap());
+        }
+    }
+    assert_engines_agree(&SdlcMultiplier::with_group_depths(10, &[1, 4, 3, 2]).unwrap());
 }
