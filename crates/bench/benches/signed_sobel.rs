@@ -61,8 +61,8 @@ fn bench_scalar_signed_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Bit-sliced path: 64-lane signed blocks vs unsigned blocks (three
-/// word-wide conditional negates of overhead).
+/// Bit-sliced path: 64-lane signed blocks vs unsigned blocks (the sign
+/// rule on every lane of overhead).
 fn bench_bitsliced_signed_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("bitsliced_16bit_block");
     group.throughput(Throughput::Elements(LANES as u64));
@@ -71,19 +71,17 @@ fn bench_bitsliced_signed_overhead(c: &mut Criterion) {
     let unsigned_batch = inner.batch_model();
     let signed_batch = signed.batch_model();
     let mut rng = SplitMix64::new(9);
-    let a_planes: [u64; 16] = core::array::from_fn(|_| rng.next_u64());
-    let b_planes: [u64; 16] = core::array::from_fn(|_| rng.next_u64());
-    let mut product = [0u64; 32];
-    group.bench_function("unsigned_core", |b| {
-        b.iter(|| {
-            unsigned_batch.multiply_planes(&a_planes, &b_planes, &mut product);
-            std::hint::black_box(product[31])
-        });
+    let a: [u64; LANES] = core::array::from_fn(|_| rng.next_bits(16));
+    let b: [u64; LANES] = core::array::from_fn(|_| rng.next_bits(16));
+    let [a_signed, b_signed] = [a, b].map(|lanes| lanes.map(|x| i64::from(x as u16 as i16)));
+    group.bench_function("unsigned_core", |bench| {
+        bench.iter(|| std::hint::black_box(unsigned_batch.multiply_lanes(&a, &b)[LANES - 1]));
     });
-    group.bench_function("sign_magnitude", |b| {
-        b.iter(|| {
-            signed_batch.multiply_planes_signed(&a_planes, &b_planes, &mut product);
-            std::hint::black_box(product[31])
+    group.bench_function("sign_magnitude", |bench| {
+        bench.iter(|| {
+            std::hint::black_box(
+                signed_batch.multiply_lanes_signed(&a_signed, &b_signed)[LANES - 1],
+            )
         });
     });
     group.finish();

@@ -79,7 +79,7 @@ pub use sdlc::BatchSdlc;
 pub use sdlc_wideint::bitplane::lanes_from_planes as extract_product_lanes;
 pub use signed::BatchSignMagnitude;
 
-use sdlc_wideint::bitplane::transposed64;
+use sdlc_wideint::bitplane;
 
 use crate::multiplier::{check_operand, Multiplier};
 
@@ -127,7 +127,7 @@ pub trait BatchMultiplier {
     fn multiply_planes_bcast(&self, a: u64, b: &[u64], product: &mut [u64]) {
         check_operand(self.width(), u128::from(a), "left");
         let mut a_planes = [0u64; BATCH_MAX_WIDTH as usize];
-        sdlc_wideint::bitplane::broadcast_planes(a, self.width(), &mut a_planes);
+        bitplane::broadcast_planes(a, self.width(), &mut a_planes);
         self.multiply_planes(&a_planes[..self.width() as usize], b, product);
     }
 
@@ -150,7 +150,7 @@ pub trait BatchMultiplier {
         let mut product = [0u64; LANES];
         let mut b0 = 0u64;
         while b0 < count {
-            sdlc_wideint::bitplane::counter_planes(b0, self.width(), &mut b_planes);
+            bitplane::counter_planes(b0, self.width(), &mut b_planes);
             self.multiply_planes_bcast(a, &b_planes[..width], &mut product[..2 * width]);
             emit(b0, &product[..2 * width]);
             b0 += LANES as u64;
@@ -192,17 +192,7 @@ pub trait BatchMultiplier {
     /// bits.
     fn multiply_lanes(&self, a: &[u64; LANES], b: &[u64; LANES]) -> [u128; LANES] {
         check_lanes(self.width(), a, b);
-        let width = self.width() as usize;
-        let a_planes = transposed64(a);
-        let b_planes = transposed64(b);
-        let mut product = [0u64; LANES];
-        self.multiply_planes(
-            &a_planes[..width],
-            &b_planes[..width],
-            &mut product[..2 * width],
-        );
-        let lanes = transposed64(&product);
-        core::array::from_fn(|i| u128::from(lanes[i]))
+        multiply_block(self, a, b).map(u128::from)
     }
 }
 
@@ -235,7 +225,7 @@ pub trait Batchable: Multiplier {
 pub fn exhaustive_block_planes(batch: &impl BatchMultiplier, a: u64, b0: u64, product: &mut [u64]) {
     let width = batch.width() as usize;
     let mut b_planes = [0u64; BATCH_MAX_WIDTH as usize];
-    sdlc_wideint::bitplane::counter_planes(b0, batch.width(), &mut b_planes[..width]);
+    bitplane::counter_planes(b0, batch.width(), &mut b_planes[..width]);
     batch.multiply_planes_bcast(a, &b_planes[..width], product);
 }
 
@@ -271,6 +261,34 @@ pub fn exhaustive_block(batch: &impl BatchMultiplier, a: u64, b0: u64, out: &mut
     let mut product = [0u64; LANES];
     exhaustive_block_planes(batch, a, b0, &mut product[..planes]);
     extract_product_lanes(&product[..planes], out);
+}
+
+/// The lane-form block product of the sampled sweeps and
+/// [`BatchMultiplier::multiply_lanes`]: `out[i]` is the model's product of
+/// `(a[i], b[i])`. The operands go in through the 16- or 32-plane block
+/// transpose that fits the width, and the `2N` product planes come out
+/// through [`extract_product_lanes`]. Operands are not checked.
+pub(crate) fn multiply_block<B: BatchMultiplier + ?Sized>(
+    batch: &B,
+    a: &[u64; LANES],
+    b: &[u64; LANES],
+) -> [u64; LANES] {
+    let width = batch.width() as usize;
+    let planes = |lanes: &[u64; LANES]| {
+        let mut out = [0u64; BATCH_MAX_WIDTH as usize];
+        if width <= 16 {
+            out[..16].copy_from_slice(&bitplane::planes_from_lanes16(&lanes.map(|x| x as u16)));
+        } else {
+            out = bitplane::planes_from_lanes32(&lanes.map(|x| x as u32));
+        }
+        out
+    };
+    let (a, b) = (planes(a), planes(b));
+    let mut product = [0u64; LANES];
+    batch.multiply_planes(&a[..width], &b[..width], &mut product[..2 * width]);
+    let mut out = [0u64; LANES];
+    extract_product_lanes(&product[..2 * width], &mut out);
+    out
 }
 
 /// Panics unless `count` is a positive multiple of [`LANES`], the block
@@ -353,6 +371,7 @@ pub(crate) fn add_planes(acc: &mut [u64], addend: &[u64], offset: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdlc_wideint::bitplane::transposed64;
 
     #[test]
     fn add_planes_is_lanewise_addition() {

@@ -1,24 +1,22 @@
 //! Bit-sliced 64-lane twins of the signed sign-magnitude models.
 //!
-//! Sign handling on bit-planes is three word-wide conditional negations
-//! ([`sdlc_wideint::bitplane::negate_planes`]): lanes whose sign plane is
-//! set are two's-complement-negated in place — an XOR per plane plus a
-//! carry ripple, all 64 lanes at once — so the unsigned engines (and
-//! their broadcast fast paths) run unchanged on the
-//! magnitude planes, exactly mirroring the word-level
-//! [`SignMagnitude`](crate::SignMagnitude) adapter.
+//! Sign handling is one per-lane rule around the unsigned twin, exactly
+//! mirroring the word-level [`SignMagnitude`](crate::SignMagnitude)
+//! adapter: the unsigned engine multiplies the operand magnitudes
+//! (`|MIN| = 2^{N−1}` still fits its `N` bits), and the product lane is
+//! that magnitude as a `2N`-bit two's-complement pattern, negated iff the
+//! operand signs differ. Exhaustive rows sweep the magnitudes once through
+//! the twin's lane-form row and relabel them per pattern; the plane-form
+//! block of `verify` negates whole planes instead
+//! ([`sdlc_wideint::bitplane::negate_planes`]).
 
 use sdlc_wideint::bitplane;
 
-use crate::batch::{check_planes, check_row_count, BatchMultiplier, BATCH_MAX_WIDTH, LANES};
+use crate::batch::{check_row_count, multiply_block, BatchMultiplier, BATCH_MAX_WIDTH, LANES};
 
-/// All-ones pattern mask for `width`-bit operands.
+/// All-ones pattern mask for `width`-bit operands (`1 ≤ width ≤ 64`).
 fn mask(width: u32) -> u64 {
-    if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
+    u64::MAX >> (64 - width)
 }
 
 /// Interprets the low `bits` of a pattern as two's complement.
@@ -27,10 +25,27 @@ pub(crate) fn sign_extend(pattern: u64, bits: u32) -> i128 {
     i128::from(((pattern << (64 - bits)) as i64) >> (64 - bits))
 }
 
+/// Splits a `width`-bit two's-complement pattern (bits above `width` are
+/// ignored) into its magnitude and whether it is negative.
+#[inline]
+fn sign_and_magnitude(pattern: u64, width: u32) -> (u64, bool) {
+    let value = sign_extend(pattern, width) as i64;
+    (value.unsigned_abs(), value < 0)
+}
+
+/// The sign rule: the unsigned core's product of the operand magnitudes as
+/// a `2N`-bit two's-complement product lane, negated iff `negative` (the
+/// operand signs differ).
+#[inline]
+fn signed_lane(magnitude: u64, negative: bool, width: u32) -> u64 {
+    let flip = u64::from(negative).wrapping_neg();
+    (magnitude ^ flip).wrapping_sub(flip) & mask(2 * width)
+}
+
 /// The bit-sliced twin of [`SignMagnitude`](crate::SignMagnitude): wraps
-/// any unsigned [`BatchMultiplier`] with plane-level sign handling; operands
-/// and products are two's-complement bit-plane stacks, bit-exact with the
-/// scalar adapter's.
+/// any unsigned [`BatchMultiplier`] with per-lane sign handling; operands
+/// and products are two's-complement patterns, bit-exact with the scalar
+/// adapter's.
 ///
 /// # Examples
 ///
@@ -64,40 +79,9 @@ impl<B: BatchMultiplier> BatchSignMagnitude<B> {
         &self.inner
     }
 
-    /// Conditionally negates the `width` low planes of each operand into a
-    /// magnitude stack and returns the sign mask.
-    fn magnitude_planes(&self, planes: &[u64]) -> ([u64; BATCH_MAX_WIDTH as usize], u64) {
-        let width = self.inner.width() as usize;
-        let sign = planes[width - 1];
-        let mut magnitude = [0u64; BATCH_MAX_WIDTH as usize];
-        magnitude[..width].copy_from_slice(&planes[..width]);
-        bitplane::negate_planes(&mut magnitude[..width], sign);
-        (magnitude, sign)
-    }
-
     /// Operand width N in bits (at most [`BATCH_MAX_WIDTH`]).
     pub fn width(&self) -> u32 {
         self.inner.width()
-    }
-
-    /// Computes 64 signed products from transposed two's-complement
-    /// operands: `a` and `b` hold at least `N` planes (plane `N−1` is the
-    /// sign plane) and `product` receives exactly `2N` two's-complement
-    /// planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` or `b` holds fewer than `N` planes or `product` does
-    /// not hold exactly `2N`.
-    pub fn multiply_planes_signed(&self, a: &[u64], b: &[u64], product: &mut [u64]) {
-        let width = self.inner.width();
-        check_planes(width, a, b, product);
-        let (mag_a, sign_a) = self.magnitude_planes(a);
-        let (mag_b, sign_b) = self.magnitude_planes(b);
-        let planes = width as usize;
-        self.inner
-            .multiply_planes(&mag_a[..planes], &mag_b[..planes], product);
-        bitplane::negate_planes(product, sign_a ^ sign_b);
     }
 
     /// Evaluates one exhaustive-sweep block in the bit-plane domain: the
@@ -130,32 +114,67 @@ impl<B: BatchMultiplier> BatchSignMagnitude<B> {
         bitplane::negate_planes(product, sign_a ^ sign_b);
     }
 
-    /// Evaluates one exhaustive-sweep row: the fixed two's-complement
-    /// pattern `a` against every pattern `b` in `[0, count)`, walked in
-    /// 64-lane blocks of consecutive patterns, calling
-    /// `emit(b0, product_planes)` once per block. Walking *patterns* (not
-    /// values) keeps the signed sweeps in the same order as the unsigned
-    /// ones, which is what makes the scalar and bit-sliced signed error
-    /// drivers bit-identical.
+    /// One exhaustive row in lane form: the fixed two's-complement pattern
+    /// `a` against every pattern `b` in `[0, count)`, one
+    /// `emit(b0, products)` per 64-lane block in ascending `b0`, lane `i`
+    /// holding the `2N`-bit product pattern of `(a, b0 + i)` (`b` taken
+    /// modulo `2^N`). Walking *patterns* (not values) keeps the signed
+    /// sweeps in the unsigned ones' order.
+    ///
+    /// The inner twin's lane-form row sweeps `|a|` against the magnitudes
+    /// `0..=2^{N−1}` once into `row` (reused across rows, `2^{N−1} + 64`
+    /// entries); lane `i` is then the sign rule applied to
+    /// `row[|b0 + i|]`.
     ///
     /// # Panics
     ///
     /// Panics if `a` does not fit the width or `count` is not a positive
     /// multiple of [`LANES`].
-    pub fn sweep_operand_row_signed(&self, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64])) {
+    pub(crate) fn sweep_row_lanes(
+        &self,
+        a: u64,
+        count: u64,
+        row: &mut Vec<u64>,
+        emit: &mut dyn FnMut(u64, &[u64; LANES]),
+    ) {
+        let width = self.width();
+        assert!(a <= mask(width), "left pattern does not fit {width} bits");
         check_row_count(count);
-        let planes = 2 * self.inner.width() as usize;
-        let mut product = [0u64; LANES];
+        let (a_magnitude, a_negative) = sign_and_magnitude(a, width);
+        // `|MIN| = 2^{N−1}` takes one block past the non-negative half.
+        let magnitudes = ((1u64 << (width - 1)) + 1).next_multiple_of(LANES as u64);
+        row.clear();
+        self.inner
+            .sweep_operand_row_lanes(a_magnitude, magnitudes, &mut |_, lanes| {
+                row.extend_from_slice(lanes);
+            });
+        let mut out = [0u64; LANES];
         let mut b0 = 0u64;
         while b0 < count {
-            self.exhaustive_block_planes_signed(a, b0, &mut product[..planes]);
-            emit(b0, &product[..planes]);
+            for (i, slot) in out.iter_mut().enumerate() {
+                let (magnitude, negative) = sign_and_magnitude(b0 + i as u64, width);
+                *slot = signed_lane(row[magnitude as usize], negative != a_negative, width);
+            }
+            emit(b0, &out);
             b0 += LANES as u64;
         }
     }
 
-    /// Convenience wrapper: transposes 64 signed lane-form operand pairs,
-    /// evaluates them, and returns the 64 signed products.
+    /// 64 signed products of two's-complement patterns: `out[i]` is the
+    /// `2N`-bit product pattern of `(a[i], b[i])`. The magnitudes run
+    /// through the inner twin's lane-form block product, then the sign
+    /// rule. Patterns are not checked.
+    pub(crate) fn multiply_patterns(&self, a: &[u64; LANES], b: &[u64; LANES]) -> [u64; LANES] {
+        let width = self.width();
+        let magnitudes = |lanes: &[u64; LANES]| lanes.map(|lane| sign_and_magnitude(lane, width).0);
+        let products = multiply_block(&self.inner, &magnitudes(a), &magnitudes(b));
+        // The signs differ iff the patterns' XOR has the sign bit set.
+        let negative = |i: usize| (a[i] ^ b[i]) >> (width - 1) & 1 == 1;
+        core::array::from_fn(|i| signed_lane(products[i], negative(i), width))
+    }
+
+    /// Computes 64 signed lane-form products: `product[i]` belongs to
+    /// `(a[i], b[i])`.
     ///
     /// # Panics
     ///
@@ -163,7 +182,6 @@ impl<B: BatchMultiplier> BatchSignMagnitude<B> {
     /// signed bits.
     pub fn multiply_lanes_signed(&self, a: &[i64; LANES], b: &[i64; LANES]) -> [i128; LANES] {
         let width = self.width();
-        let planes = width as usize;
         let mask = mask(width);
         let to_patterns = |lanes: &[i64; LANES], which: &str| -> [u64; LANES] {
             core::array::from_fn(|i| {
@@ -171,16 +189,8 @@ impl<B: BatchMultiplier> BatchSignMagnitude<B> {
                 lanes[i] as u64 & mask
             })
         };
-        let a_planes = bitplane::transposed64(&to_patterns(a, "left"));
-        let b_planes = bitplane::transposed64(&to_patterns(b, "right"));
-        let mut product = [0u64; LANES];
-        self.multiply_planes_signed(
-            &a_planes[..planes],
-            &b_planes[..planes],
-            &mut product[..2 * planes],
-        );
-        let lanes = bitplane::transposed64(&product);
-        core::array::from_fn(|i| sign_extend(lanes[i], 2 * width))
+        self.multiply_patterns(&to_patterns(a, "left"), &to_patterns(b, "right"))
+            .map(|lane| sign_extend(lane, 2 * width))
     }
 }
 
@@ -206,11 +216,10 @@ mod tests {
     fn sweep_row_matches_scalar_pattern_order() {
         let scalar = signed_accurate(6).unwrap();
         let batch = scalar.batch_model();
-        let mut out = [0u64; LANES];
+        let mut row = Vec::new();
         for a_pattern in [0u64, 17, 32, 63] {
             let a = sign_extend(a_pattern, 6);
-            batch.sweep_operand_row_signed(a_pattern, 64, &mut |b0, planes| {
-                crate::batch::extract_product_lanes(planes, &mut out);
+            batch.sweep_row_lanes(a_pattern, 64, &mut row, &mut |b0, out| {
                 for (i, &lane) in out.iter().enumerate() {
                     let b = sign_extend(b0 + i as u64, 6);
                     assert_eq!(

@@ -45,7 +45,7 @@ use core::fmt;
 use std::num::NonZeroUsize;
 
 use sdlc_wideint::parallel::{parallel_shard_chunks, worker_threads};
-use sdlc_wideint::{bitplane, SplitMix64, U256};
+use sdlc_wideint::{SplitMix64, U256};
 
 use crate::batch::{BatchMultiplier, Batchable, BATCH_MAX_WIDTH, LANES};
 use crate::error::metrics::{ErrorAccumulator, ErrorMetrics, Tally};
@@ -250,18 +250,23 @@ fn tag(operand: impl Into<i128>) -> u128 {
 
 /// A domain whose model has a bit-sliced twin.
 pub(crate) trait BatchDomain: Domain {
-    /// The 64-lane twin.
-    type Batch;
+    /// One worker's state: the 64-lane twin and any scratch its rows need.
+    type Worker;
 
-    /// Builds the twin (workers build one each).
-    fn batch(&self) -> Self::Batch;
+    /// Builds one worker's state.
+    fn worker(&self) -> Self::Worker;
     /// One exhaustive row: the fixed pattern `a` against every pattern `b`
     /// in `[0, count)`, one `emit(b0, product_lanes)` per 64-lane block in
     /// ascending `b0` (lane `i` holds the product of `(a, b0 + i)`, the
     /// pattern taken modulo `2^N`).
-    fn sweep_row(batch: &Self::Batch, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64; LANES]));
-    /// 64 products from transposed operands.
-    fn multiply_planes(batch: &Self::Batch, a: &[u64], b: &[u64], product: &mut [u64]);
+    fn sweep_row(
+        worker: &mut Self::Worker,
+        a: u64,
+        count: u64,
+        emit: &mut dyn FnMut(u64, &[u64; LANES]),
+    );
+    /// The product lanes of 64 pattern pairs `(a[i], b[i])`.
+    fn multiply_block(worker: &Self::Worker, a: &[u64; LANES], b: &[u64; LANES]) -> [u64; LANES];
     /// The exact product of the pattern pair `(a, b)` as a 2N-bit product
     /// lane of the twin.
     fn exact_lane(&self, a: u64, b: u64) -> u64;
@@ -348,18 +353,23 @@ impl<M: Multiplier + Sync> Domain for Unsigned<'_, M> {
 }
 
 impl<M: Batchable + Sync> BatchDomain for Unsigned<'_, M> {
-    type Batch = M::Batch;
+    type Worker = M::Batch;
 
-    fn batch(&self) -> M::Batch {
+    fn worker(&self) -> M::Batch {
         self.0.batch_model()
     }
 
-    fn sweep_row(batch: &M::Batch, a: u64, count: u64, emit: &mut dyn FnMut(u64, &[u64; LANES])) {
+    fn sweep_row(
+        batch: &mut M::Batch,
+        a: u64,
+        count: u64,
+        emit: &mut dyn FnMut(u64, &[u64; LANES]),
+    ) {
         batch.sweep_operand_row_lanes(a, count, emit);
     }
 
-    fn multiply_planes(batch: &M::Batch, a: &[u64], b: &[u64], product: &mut [u64]) {
-        batch.multiply_planes(a, b, product);
+    fn multiply_block(batch: &M::Batch, a: &[u64; LANES], b: &[u64; LANES]) -> [u64; LANES] {
+        crate::batch::multiply_block(batch, a, b)
     }
 
     #[inline]
@@ -447,11 +457,17 @@ pub(crate) fn exhaustive_in<D: BatchDomain, T: Tally>(
             domain,
             BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
             threads,
-            || domain.batch(),
-            |batch, lo, hi, tally| {
-                sweep_blocks(domain, batch, lo, hi, |a, b0, valid, approx| {
-                    domain.record_block(tally, approx, valid, |i| (a, b0 + i as u64));
-                });
+            || domain.worker(),
+            |worker, lo, hi, tally| {
+                // Widths 2 and 4 have fewer patterns than lanes: one block
+                // per row, whose lanes past `count` wrap and are ignored.
+                let count = 1u64 << domain.width();
+                let valid = count.min(LANES as u64) as usize;
+                for a in lo..hi {
+                    D::sweep_row(worker, a, count.max(LANES as u64), &mut |b0, approx| {
+                        domain.record_block(tally, approx, valid, |i| (a, b0 + i as u64));
+                    });
+                }
             },
         ),
     }
@@ -484,27 +500,6 @@ fn exhaustive_scalar<D: Domain, T: Tally>(domain: &D, threads: usize) -> Result<
     )
 }
 
-/// Walks rows `[lo, hi)` of the exhaustive pattern space in 64-lane blocks
-/// through a bit-sliced model, handing each block's lane-form products to
-/// `visit(a, b0, valid, products)` in the scalar engine's pair order.
-fn sweep_blocks<D: BatchDomain>(
-    domain: &D,
-    batch: &D::Batch,
-    lo: u64,
-    hi: u64,
-    mut visit: impl FnMut(u64, u64, usize, &[u64; LANES]),
-) {
-    let count = 1u64 << domain.width();
-    // Widths 2 and 4 have fewer patterns than lanes: one block per row,
-    // whose lanes past `count` wrap around and are ignored.
-    let valid = count.min(LANES as u64) as usize;
-    for a in lo..hi {
-        D::sweep_row(batch, a, count.max(LANES as u64), &mut |b0, approx| {
-            visit(a, b0, valid, approx)
-        });
-    }
-}
-
 /// The sampled driver: `samples` seeded uniform pairs of `domain` on the
 /// selected engine.
 pub(crate) fn sampled_in<D: BatchDomain>(
@@ -518,19 +513,16 @@ pub(crate) fn sampled_in<D: BatchDomain>(
         return sampled_scalar(domain, samples, seed, threads);
     }
     let width = domain.width();
-    let planes = width as usize;
     sampled_shards(
         domain,
         samples,
         seed,
         Engine::BitSliced,
         threads,
-        || domain.batch(),
-        |batch, rng, mut left, acc| {
+        || domain.worker(),
+        |worker, rng, mut left, acc| {
             let mut a_lanes = [0u64; LANES];
             let mut b_lanes = [0u64; LANES];
-            let mut approx = [0u64; LANES];
-            let mut product = [0u64; LANES];
             while left > 0 {
                 let valid = left.min(LANES as u64) as usize;
                 for i in 0..valid {
@@ -539,15 +531,7 @@ pub(crate) fn sampled_in<D: BatchDomain>(
                 }
                 a_lanes[valid..].fill(0);
                 b_lanes[valid..].fill(0);
-                let a_planes = operand_planes(&a_lanes, width);
-                let b_planes = operand_planes(&b_lanes, width);
-                D::multiply_planes(
-                    batch,
-                    &a_planes[..planes],
-                    &b_planes[..planes],
-                    &mut product[..2 * planes],
-                );
-                crate::batch::extract_product_lanes(&product[..2 * planes], &mut approx);
+                let approx = D::multiply_block(worker, &a_lanes, &b_lanes);
                 domain.record_block(acc, &approx, valid, |i| (a_lanes[i], b_lanes[i]));
                 left -= valid as u64;
             }
@@ -614,20 +598,6 @@ fn sampled_shards<D: Domain, S>(
         draw(state, &mut rng, end.saturating_sub(begin), acc);
     });
     Ok(domain.finish(&acc))
-}
-
-/// Transposes 64 lane-form operands into `width` bit-planes, picking the
-/// cheapest block network that fits.
-fn operand_planes(lanes: &[u64; LANES], width: u32) -> [u64; BATCH_MAX_WIDTH as usize] {
-    let mut out = [0u64; BATCH_MAX_WIDTH as usize];
-    if width <= 16 {
-        let narrow: [u16; LANES] = core::array::from_fn(|i| lanes[i] as u16);
-        out[..16].copy_from_slice(&bitplane::planes_from_lanes16(&narrow));
-    } else {
-        let narrow: [u32; LANES] = core::array::from_fn(|i| lanes[i] as u32);
-        out.copy_from_slice(&bitplane::planes_from_lanes32(&narrow));
-    }
-    out
 }
 
 fn draw_u128(rng: &mut SplitMix64, width: u32) -> u128 {

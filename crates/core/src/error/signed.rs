@@ -16,7 +16,7 @@
 //! like the unsigned drivers.
 
 use crate::batch::signed::sign_extend;
-use crate::batch::{extract_product_lanes, BatchSignMagnitude, Batchable, LANES};
+use crate::batch::{BatchSignMagnitude, Batchable, LANES};
 use crate::error::evaluate::{
     exhaustive_metrics, sampled_in, BatchDomain, Domain, EvalError, EvalOptions,
 };
@@ -65,27 +65,28 @@ impl<M: SignedMultiplier + Sync> Domain for Signed<'_, M> {
 }
 
 impl<M: Batchable + Sync> BatchDomain for Signed<'_, SignMagnitude<M>> {
-    type Batch = BatchSignMagnitude<M::Batch>;
+    /// The twin and its row buffer of magnitude products.
+    type Worker = (BatchSignMagnitude<M::Batch>, Vec<u64>);
 
-    fn batch(&self) -> Self::Batch {
-        self.model.batch_model()
+    fn worker(&self) -> Self::Worker {
+        (self.model.batch_model(), Vec::new())
     }
 
     fn sweep_row(
-        batch: &Self::Batch,
+        (batch, row): &mut Self::Worker,
         a: u64,
         count: u64,
         emit: &mut dyn FnMut(u64, &[u64; LANES]),
     ) {
-        let mut lanes = [0u64; LANES];
-        batch.sweep_operand_row_signed(a, count, &mut |b0, planes| {
-            extract_product_lanes(planes, &mut lanes);
-            emit(b0, &lanes);
-        });
+        batch.sweep_row_lanes(a, count, row, emit);
     }
 
-    fn multiply_planes(batch: &Self::Batch, a: &[u64], b: &[u64], product: &mut [u64]) {
-        batch.multiply_planes_signed(a, b, product);
+    fn multiply_block(
+        (batch, _): &Self::Worker,
+        a: &[u64; LANES],
+        b: &[u64; LANES],
+    ) -> [u64; LANES] {
+        batch.multiply_patterns(a, b)
     }
 
     #[inline]
@@ -217,6 +218,99 @@ mod tests {
             }
         }
         assert!(manual.mred > 0.0);
+    }
+
+    /// The product pattern of `(a, b)` through the scalar adapter.
+    fn scalar_lane<M: Multiplier>(m: &SignMagnitude<M>, a: u64, b: u64) -> i128 {
+        let width = m.width();
+        let [a, b] = [a, b].map(|p| sign_extend(p, width) as i64);
+        m.multiply_i64(a, b)
+    }
+
+    /// Every lane of the signed rows through `BatchDomain::sweep_row`
+    /// against the scalar adapter: all rows up to 6 bits (one block holds
+    /// both sign halves, or wraps), and MIN, −1, 0, 1, MAX and a few
+    /// others above.
+    fn assert_rows_match_scalar<M: Batchable + Sync>(m: &SignMagnitude<M>) {
+        let width = m.width();
+        let domain = signed(m);
+        let mut worker = domain.worker();
+        let count = 1u64 << width;
+        let half = count / 2;
+        let rows: Vec<u64> = if width <= 6 {
+            (0..count).collect()
+        } else {
+            vec![half, count - 1, 0, 1, half - 1, half + 1, 3, count - 5]
+        };
+        for a in rows {
+            let mut blocks = 0u64;
+            Signed::<SignMagnitude<M>>::sweep_row(
+                &mut worker,
+                a,
+                count.max(64),
+                &mut |b0, lanes| {
+                    assert_eq!(b0, 64 * blocks, "blocks in ascending order");
+                    blocks += 1;
+                    for (i, &lane) in lanes.iter().enumerate() {
+                        let b = (b0 + i as u64) % count;
+                        assert_eq!(
+                            sign_extend(lane, 2 * width),
+                            scalar_lane(m, a, b),
+                            "{} at patterns ({a}, {b})",
+                            m.name()
+                        );
+                    }
+                },
+            );
+            assert_eq!(blocks, count.max(64) / 64);
+        }
+    }
+
+    #[test]
+    fn signed_rows_match_the_scalar_adapter_at_every_lane() {
+        for width in [2, 4, 6, 8, 10] {
+            for depth in [1, 2] {
+                assert_rows_match_scalar(&signed_sdlc(width, depth).unwrap());
+            }
+            // ETM's product of a zero magnitude can be nonzero, so the
+            // sign rule negates it too.
+            let etm = crate::baselines::EtmMultiplier::new(width).unwrap();
+            assert_rows_match_scalar(&SignMagnitude::new(etm));
+        }
+    }
+
+    #[test]
+    fn sampled_blocks_match_the_scalar_adapter_in_every_quadrant() {
+        for width in [4, 8, 16, 32] {
+            let m = signed_sdlc(width, 2).unwrap();
+            let domain = signed(&m);
+            let worker = domain.worker();
+            let mask = u64::MAX >> (64 - width);
+            let (min, max) = (1u64 << (width - 1), (1u64 << (width - 1)) - 1);
+            let corners = [min, max, mask, 0, 1, min + 1];
+            let mut rng = sdlc_wideint::SplitMix64::new(u64::from(width));
+            let mut a = [0u64; LANES];
+            let mut b = [0u64; LANES];
+            for i in 0..LANES {
+                (a[i], b[i]) = if i < 36 {
+                    (corners[i / 6], corners[i % 6])
+                } else {
+                    (rng.next_bits(width), rng.next_bits(width))
+                };
+            }
+            let lanes = Signed::<SignMagnitude<SdlcMultiplier>>::multiply_block(&worker, &a, &b);
+            let mut quadrants = std::collections::HashSet::new();
+            for i in 0..LANES {
+                let [x, y] = [a[i], b[i]].map(|p| domain.decode(p));
+                quadrants.insert((x < 0, y < 0));
+                assert_eq!(
+                    sign_extend(lanes[i], 2 * width),
+                    scalar_lane(&m, a[i], b[i]),
+                    "{width}-bit lane {i}: {x} x {y}"
+                );
+            }
+            assert_eq!(quadrants.len(), 4);
+        }
     }
 
     #[test]

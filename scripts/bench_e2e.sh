@@ -20,6 +20,8 @@
 #                   the full 2^32-pair sweep, about a minute a run)
 #           sdlc-cli errors --width 24 --depth 3 --engine bitsliced (5 pairs;
 #                   the sampled path past the 20-bit exhaustive ceiling)
+#           sdlc-cli errors --width 14 --depth 2 --signed --engine bitsliced
+#                   (5 pairs; the signed exhaustive row)
 #
 # plus 10 paired `flowbench` passes of the workload (seed 1, 10 s each),
 # recording both of their end-to-end metrics, `flow_ms` and `setup_s`, and
@@ -41,7 +43,7 @@ workload=${1:-}
 case $workload in
     synth) rows=("5|synth --width 16 --depth 4" "3|synth --width 64 --depth 4" "1|synth --width 128 --depth 4") ;;
     verify) rows=("10|verify --width 12 --depth 2" "10|verify --width 10 --depth 2 --signed" "5|verify --width 16 --depth 2 --samples 4000000") ;;
-    errors) rows=("5|errors --width 14 --depth 2 --engine bitsliced" "2|errors --width 16 --depth 2 --engine bitsliced" "5|errors --width 24 --depth 3 --engine bitsliced") ;;
+    errors) rows=("5|errors --width 14 --depth 2 --engine bitsliced" "2|errors --width 16 --depth 2 --engine bitsliced" "5|errors --width 24 --depth 3 --engine bitsliced" "5|errors --width 14 --depth 2 --signed --engine bitsliced") ;;
     *)
         echo "usage: $0 {synth|verify|errors} BASE_DIR HEAD_DIR" >&2
         exit 2

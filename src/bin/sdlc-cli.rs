@@ -343,23 +343,26 @@ fn cmd_errors(options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
         Engine::BitSliced => BITSLICED_EXHAUSTIVE_WIDTH_LIMIT,
     };
     let sweep = EvalOptions::from(engine);
-    let metrics = if options.signed {
+    // The report starts only once the metrics exist, so a rejected run
+    // leaves stdout empty.
+    let (design, metrics) = if options.signed {
         let signed = SignMagnitude::new(model.clone());
-        writeln!(out, "design {} (engine {engine})", signed.name())?;
-        if width <= exhaustive_cutoff {
+        let metrics = if width <= exhaustive_cutoff {
             exhaustive_signed_with(&signed, sweep)
         } else {
             sampled_signed_with(&signed, samples, 0x5D1C, sweep)
-        }
+        };
+        (signed.name(), metrics)
     } else {
-        writeln!(out, "design {} (engine {engine})", model.name())?;
-        if width <= exhaustive_cutoff {
+        let metrics = if width <= exhaustive_cutoff {
             exhaustive_with(&model, sweep)
         } else {
             sampled_with(&model, samples, 0x5D1C, sweep)
-        }
-    }
-    .map_err(|e| e.to_string())?;
+        };
+        (model.name(), metrics)
+    };
+    let metrics = metrics.map_err(|e| e.to_string())?;
+    writeln!(out, "design {design} (engine {engine})")?;
     writeln!(out, "{metrics}")?;
     // Sampled runs cover fewer than the 2^{2N} pairs of the domain; at
     // width ≥ 32 that pair count overflows u64, so any sample count is

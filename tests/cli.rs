@@ -379,6 +379,29 @@ fn zero_samples_are_rejected_by_every_command() {
 }
 
 #[test]
+fn errors_rejected_for_width_leave_stdout_empty() {
+    for (args, message) in [
+        (
+            &["--width", "34", "--engine", "bitsliced"][..],
+            "the bit-sliced engine supports models up to 32-bit, got 34-bit",
+        ),
+        (
+            &["--width", "34", "--engine", "bitsliced", "--signed"],
+            "the bit-sliced engine supports models up to 32-bit, got 34-bit",
+        ),
+        (
+            &["--width", "64", "--signed"],
+            "samples signed models up to 32-bit (its multiply_i64 fast path), got 64-bit",
+        ),
+    ] {
+        let (stdout, stderr, ok) = run(&[&["errors"], args].concat());
+        assert!(!ok, "{args:?}: {stdout}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn sobel_writes_the_pgm_set() {
     let dir = std::env::temp_dir().join("sdlc_cli_sobel");
     let _ = std::fs::remove_dir_all(&dir);

@@ -153,11 +153,14 @@ fn exhaustive_8bit_three_way_cross_check() {
     let inner = SdlcMultiplier::new(8, 2).unwrap();
     let signed = SignMagnitude::new(inner.clone());
     let batch = signed.batch_model();
+    let mut planes = [0u64; 16];
     let mut lanes_out = [0u64; LANES];
     for ua in 0..256u64 {
         let a = ((ua as i64) << 56) >> 56;
-        batch.sweep_operand_row_signed(ua, 256, &mut |b0, planes| {
-            sdlc::core::batch::extract_product_lanes(planes, &mut lanes_out);
+        for b0 in (0..256u64).step_by(LANES) {
+            // The block model `verify --signed` checks netlists against.
+            batch.exhaustive_block_planes_signed(ua, b0, &mut planes);
+            sdlc::core::batch::extract_product_lanes(&planes, &mut lanes_out);
             for (i, &lane) in lanes_out.iter().enumerate() {
                 let ub = b0 + i as u64;
                 let b = ((ub as i64) << 56) >> 56;
@@ -172,7 +175,7 @@ fn exhaustive_8bit_three_way_cross_check() {
                 assert_eq!(scalar, reference, "scalar vs core at ({a}, {b})");
                 assert_eq!(batch_product, scalar, "batch vs scalar at ({a}, {b})");
             }
-        });
+        }
     }
 }
 
