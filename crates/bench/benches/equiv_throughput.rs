@@ -6,7 +6,9 @@
 //! For each width in {4, 6, 8, 10} and each design family (accurate,
 //! SDLC d2, SDLC d4), the harness times `check_exhaustive` on both
 //! engines and reports vectors/s plus the compiled speedup; then sampled
-//! equivalence at 16 bits and switching-activity sweeps. The two engines'
+//! equivalence at 16 bits — per-pair model calls on both engines, and the
+//! compiled engine against the bit-sliced twin through `check_planes`, as
+//! `sdlc-cli verify` runs it — and switching-activity sweeps. The
 //! verdicts (and toggle totals) are asserted identical along the way, so
 //! the bench doubles as a coarse differential test.
 //!
@@ -15,16 +17,28 @@
 use std::time::Instant;
 
 use sdlc_bench::{banner, fast_mode};
+use sdlc_core::batch::{BatchMultiplier, Batchable};
 use sdlc_core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme};
-use sdlc_core::{Multiplier, SdlcMultiplier};
+use sdlc_core::{AccurateMultiplier, Multiplier, SdlcMultiplier};
 use sdlc_netlist::Netlist;
 use sdlc_sim::activity::random_activity_with_engine;
-use sdlc_sim::equiv::{check, Coverage};
+use sdlc_sim::equiv::{check, check_planes, Coverage, OperandPlanes};
 use sdlc_sim::Engine;
 use sdlc_wideint::U256;
 
 /// An unsigned functional model, checked against its netlist.
 type Oracle = Box<dyn Fn(u128, u128) -> U256 + Sync>;
+
+/// The model's bit-sliced twin, as a plane model of `check_planes`.
+type PlaneOracle = Box<dyn Fn(OperandPlanes<'_>, &mut [u64]) + Sync>;
+
+/// `batch` as a plane model.
+fn plane_oracle(batch: impl BatchMultiplier + Sync + 'static) -> PlaneOracle {
+    Box::new(move |ops, product| match ops.row {
+        Some(a) => batch.multiply_planes_bcast(a, ops.b, product),
+        None => batch.multiply_planes(ops.a, ops.b, product),
+    })
+}
 
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -32,21 +46,25 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-fn designs(width: u32) -> Vec<(String, Netlist, Oracle)> {
+fn designs(width: u32) -> Vec<(String, Netlist, Oracle, PlaneOracle)> {
     let scheme = ReductionScheme::RippleRows;
-    let mut out: Vec<(String, Netlist, Oracle)> = vec![(
+    let accurate = AccurateMultiplier::new(width).expect("valid width");
+    let mut out: Vec<(String, Netlist, Oracle, PlaneOracle)> = vec![(
         "accurate".into(),
         accurate_multiplier(width, scheme).expect("valid width"),
         Box::new(|a, b| U256::from_u128(a).wrapping_mul(&U256::from_u128(b))),
+        plane_oracle(accurate.batch_model()),
     )];
     for depth in [2u32, 4] {
         match SdlcMultiplier::new(width, depth) {
             Ok(model) => {
                 let netlist = sdlc_multiplier(&model, scheme);
+                let planes = plane_oracle(model.batch_model());
                 out.push((
                     format!("sdlc_d{depth}"),
                     netlist,
                     Box::new(move |a, b| U256::from_u128(model.multiply_u64(a as u64, b as u64))),
+                    planes,
                 ));
             }
             Err(_) => continue, // depth exceeds what this width supports
@@ -67,7 +85,7 @@ fn main() {
     let mut headline: Option<f64> = None;
     for width in [4u32, 6, 8, 10] {
         let pairs = 1u64 << (2 * width);
-        for (name, netlist, model) in designs(width) {
+        for (name, netlist, model, _) in designs(width) {
             if width == 10 && fast_mode() {
                 println!("  {width:2}-bit {name:<9} skipped (SDLC_FAST)");
                 continue;
@@ -116,7 +134,7 @@ fn main() {
     }
 
     println!("\n== sampled equivalence (16-bit, 9 corners + 20000 seeded pairs) ==");
-    for (name, netlist, model) in designs(16) {
+    for (name, netlist, model, plane_model) in designs(16) {
         let coverage = Coverage::Sampled {
             samples: 20_000,
             seed: 7,
@@ -124,13 +142,19 @@ fn main() {
         let (scalar, t_scalar) = timed(|| check(&netlist, 16, coverage, Engine::Scalar, &model));
         let (compiled, t_compiled) =
             timed(|| check(&netlist, 16, coverage, Engine::Compiled, &model));
+        let (planes, t_planes) =
+            timed(|| check_planes(&netlist, 16, coverage, Engine::Compiled, &plane_model));
         assert_eq!(scalar.is_ok(), compiled.is_ok(), "{name}: verdicts diverge");
+        assert_eq!(scalar, planes, "{name}: plane model diverges");
         scalar.expect("generators match their models");
         println!(
-            "  {name:<9} scalar {:>7.1} kpairs/s  compiled {:>9.1} kpairs/s  speedup {:>6.1}x",
+            "  {name:<9} scalar {:>7.1} kpairs/s  compiled {:>9.1} kpairs/s  speedup {:>6.1}x  \
+             compiled+plane model {:>9.1} kpairs/s  speedup {:>6.1}x",
             20_009.0 / t_scalar / 1e3,
             20_009.0 / t_compiled / 1e3,
             t_scalar / t_compiled,
+            20_009.0 / t_planes / 1e3,
+            t_scalar / t_planes,
         );
     }
 
@@ -139,7 +163,7 @@ fn main() {
     // `LogicSim`; the compiled engine packs them into one sweep, with
     // bit-identical toggle totals.
     for width in [8u32, 16] {
-        for (name, netlist, _) in designs(width) {
+        for (name, netlist, _, _) in designs(width) {
             let vectors = 1u64 << 16;
             let (scalar, t_scalar) =
                 timed(|| random_activity_with_engine(&netlist, 0xAC, vectors, Engine::Scalar));

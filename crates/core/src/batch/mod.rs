@@ -210,36 +210,18 @@ pub trait Batchable: Multiplier {
     fn batch_model(&self) -> Self::Batch;
 }
 
-/// Evaluates one exhaustive-sweep block through a bit-sliced model in
-/// the bit-plane domain: `product` receives the `2N` planes of the model's
-/// products for `(a, b0 + i)`, lane `i` for each of the [`LANES`]
-/// consecutive `b` patterns (taken modulo `2^N`, so a block may start past
-/// a narrow model's last pattern). This is the unsigned block model of
-/// `sdlc-sim`'s `equiv::check_exhaustive_planes`, which compares it plane
-/// by plane against the netlist's product bus.
+/// Evaluates one exhaustive-sweep block through a bit-sliced model:
+/// `out[i]` receives the model's product for `(a, b0 + i)` across all
+/// [`LANES`] consecutive `b` patterns (taken modulo `2^N`, so a block may
+/// start past a narrow model's last pattern). The block's counter planes
+/// go through [`BatchMultiplier::multiply_planes_bcast`] and the product
+/// planes come out through [`extract_product_lanes`]. This is the model
+/// side of `sdlc-sim`'s lane-form `equiv::check_exhaustive_batched`.
 ///
 /// # Panics
 ///
-/// Panics if `a` does not fit the model's width, `b0` is not 64-aligned
-/// or `product` does not hold exactly `2N` planes.
-pub fn exhaustive_block_planes(batch: &impl BatchMultiplier, a: u64, b0: u64, product: &mut [u64]) {
-    let width = batch.width() as usize;
-    let mut b_planes = [0u64; BATCH_MAX_WIDTH as usize];
-    bitplane::counter_planes(b0, batch.width(), &mut b_planes[..width]);
-    batch.multiply_planes_bcast(a, &b_planes[..width], product);
-}
-
-/// [`exhaustive_block_planes`] in lane form: `out[i]` receives the
-/// model's product for `(a, b0 + i)` across all [`LANES`] consecutive `b`
-/// values. This is the model side of `sdlc-sim`'s
-/// `equiv::check_exhaustive_batched`, the block-model twin of the
-/// per-pair `equiv::check`: the netlist sweep packs 64 pairs per compiled
-/// evaluation, and feeding the reference model pair-by-pair would
-/// dominate the check from ~10-bit operands up.
-///
-/// # Panics
-///
-/// Panics if `a` does not fit the model's width.
+/// Panics if `a` does not fit the model's width or `b0` is not
+/// 64-aligned.
 ///
 /// # Examples
 ///
@@ -257,10 +239,12 @@ pub fn exhaustive_block_planes(batch: &impl BatchMultiplier, a: u64, b0: u64, pr
 /// # Ok::<(), sdlc_core::SpecError>(())
 /// ```
 pub fn exhaustive_block(batch: &impl BatchMultiplier, a: u64, b0: u64, out: &mut [u64; LANES]) {
-    let planes = 2 * batch.width() as usize;
+    let width = batch.width() as usize;
+    let mut b_planes = [0u64; BATCH_MAX_WIDTH as usize];
+    bitplane::counter_planes(b0, batch.width(), &mut b_planes[..width]);
     let mut product = [0u64; LANES];
-    exhaustive_block_planes(batch, a, b0, &mut product[..planes]);
-    extract_product_lanes(&product[..planes], out);
+    batch.multiply_planes_bcast(a, &b_planes[..width], &mut product[..2 * width]);
+    extract_product_lanes(&product[..2 * width], out);
 }
 
 /// The lane-form block product of the sampled sweeps and
@@ -396,11 +380,19 @@ mod tests {
         for (width, a, b0) in [(4u32, 11u64, 0u64), (8, 200, 64), (8, 0, 192)] {
             let model = crate::SdlcMultiplier::new(width, 2).unwrap();
             let batch = model.batch_model();
-            let planes = 2 * width as usize;
-            let mut product = [0u64; LANES];
-            exhaustive_block_planes(&batch, a, b0, &mut product[..planes]);
             let mut lanes = [0u64; LANES];
             exhaustive_block(&batch, a, b0, &mut lanes);
+            // The same block in plane form, as `verify`'s plane checker
+            // models it: the broadcast form and the plane form on the
+            // broadcast planes.
+            let planes = 2 * width as usize;
+            let (mut a_planes, mut b_planes) = ([0u64; LANES], [0u64; LANES]);
+            bitplane::broadcast_planes(a, width, &mut a_planes);
+            bitplane::counter_planes(b0, width, &mut b_planes);
+            let mut product = [0u64; LANES];
+            batch.multiply_planes_bcast(a, &b_planes[..width as usize], &mut product[..planes]);
+            assert_eq!(transposed64(&product), lanes);
+            batch.multiply_planes(&a_planes, &b_planes, &mut product[..planes]);
             assert_eq!(transposed64(&product), lanes);
             for (i, &p) in lanes.iter().enumerate() {
                 let b = (b0 + i as u64) % (1 << width);

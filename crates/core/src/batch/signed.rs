@@ -7,7 +7,7 @@
 //! that magnitude as a `2N`-bit two's-complement pattern, negated iff the
 //! operand signs differ. Exhaustive rows sweep the magnitudes once through
 //! the twin's lane-form row and relabel them per pattern; the plane-form
-//! block of `verify` negates whole planes instead
+//! products of `verify` negate whole planes instead
 //! ([`sdlc_wideint::bitplane::negate_planes`]).
 
 use sdlc_wideint::bitplane;
@@ -40,6 +40,16 @@ fn sign_and_magnitude(pattern: u64, width: u32) -> (u64, bool) {
 fn signed_lane(magnitude: u64, negative: bool, width: u32) -> u64 {
     let flip = u64::from(negative).wrapping_neg();
     (magnitude ^ flip).wrapping_sub(flip) & mask(2 * width)
+}
+
+/// The magnitudes of `planes`-bit two's-complement pattern planes: a copy
+/// negated by its sign plane.
+#[inline]
+fn magnitude_planes(pattern: &[u64], planes: usize) -> [u64; BATCH_MAX_WIDTH as usize] {
+    let mut out = [0u64; BATCH_MAX_WIDTH as usize];
+    out[..planes].copy_from_slice(&pattern[..planes]);
+    bitplane::negate_planes(&mut out[..planes], pattern[planes - 1]);
+    out
 }
 
 /// The bit-sliced twin of [`SignMagnitude`](crate::SignMagnitude): wraps
@@ -84,34 +94,44 @@ impl<B: BatchMultiplier> BatchSignMagnitude<B> {
         self.inner.width()
     }
 
-    /// Evaluates one exhaustive-sweep block in the bit-plane domain: the
-    /// fixed two's-complement pattern `a` against the 64 consecutive
-    /// patterns `b0 + i` (taken modulo `2^N`), `product` receiving the
-    /// `2N` two's-complement product planes. This is the signed block
-    /// model of `sdlc-sim`'s `equiv::check_exhaustive_planes_signed`.
+    /// The signed [`BatchMultiplier::multiply_planes`]: 64 products of
+    /// transposed two's-complement patterns (`a` and `b` hold at least `N`
+    /// planes; `product` receives exactly the `2N` product planes). The
+    /// magnitudes, copies of the operands negated by their sign planes, go
+    /// through the inner twin, and the product is negated by
+    /// `sign_a ^ sign_b`.
     ///
     /// # Panics
     ///
-    /// Panics if `a` does not fit the width, `b0` is not 64-aligned or
-    /// `product` does not hold exactly `2N` planes.
-    pub fn exhaustive_block_planes_signed(&self, a: u64, b0: u64, product: &mut [u64]) {
-        let width = self.inner.width();
-        let planes = width as usize;
+    /// Panics if `a` or `b` holds fewer than `N` planes or `product` does
+    /// not hold exactly `2N`.
+    pub fn multiply_planes_signed(&self, a: &[u64], b: &[u64], product: &mut [u64]) {
+        crate::batch::check_planes(self.width(), a, b, product);
+        let planes = self.width() as usize;
+        let (a_magnitude, b_magnitude) = (magnitude_planes(a, planes), magnitude_planes(b, planes));
+        self.inner
+            .multiply_planes(&a_magnitude[..planes], &b_magnitude[..planes], product);
+        bitplane::negate_planes(product, a[planes - 1] ^ b[planes - 1]);
+    }
+
+    /// The signed [`BatchMultiplier::multiply_planes_bcast`]:
+    /// [`BatchSignMagnitude::multiply_planes_signed`] with the pattern `a`
+    /// in every lane, its sign and magnitude taken once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` does not fit the width or the plane slices are
+    /// missized.
+    pub fn multiply_planes_bcast_signed(&self, a: u64, b: &[u64], product: &mut [u64]) {
+        let width = self.width();
         assert!(a <= mask(width), "left pattern does not fit {width} bits");
-        // The broadcast operand's sign and magnitude are lane-invariant:
-        // the unsigned engine's broadcast fast path runs on the magnitude.
-        let a_value = sign_extend(a, width);
-        let sign_a = if a_value < 0 { u64::MAX } else { 0 };
-        let mut b_planes = [0u64; BATCH_MAX_WIDTH as usize];
-        bitplane::counter_planes(b0, width, &mut b_planes);
-        let sign_b = b_planes[planes - 1];
-        bitplane::negate_planes(&mut b_planes[..planes], sign_b);
-        self.inner.multiply_planes_bcast(
-            a_value.unsigned_abs() as u64,
-            &b_planes[..planes],
-            product,
-        );
-        bitplane::negate_planes(product, sign_a ^ sign_b);
+        let planes = width as usize;
+        assert!(b.len() >= planes, "right operand needs {planes} planes");
+        let (a_magnitude, negative) = sign_and_magnitude(a, width);
+        let b_magnitude = magnitude_planes(b, planes);
+        self.inner
+            .multiply_planes_bcast(a_magnitude, &b_magnitude[..planes], product);
+        bitplane::negate_planes(product, u64::from(negative).wrapping_neg() ^ b[planes - 1]);
     }
 
     /// One exhaustive row in lane form: the fixed two's-complement pattern
@@ -210,6 +230,14 @@ mod tests {
         for i in 0..LANES {
             assert_eq!(products[i], scalar.multiply_i64(a[i], b[i]), "lane {i}");
         }
+        // The plane form, on lane-varying patterns.
+        let planes = |lanes: &[i64; LANES]| bitplane::transposed64(&lanes.map(|v| v as u64 & 0xFF));
+        let mut product = [0u64; LANES];
+        batch.multiply_planes_signed(&planes(&a), &planes(&b), &mut product[..16]);
+        let lanes = bitplane::transposed64(&product);
+        for i in 0..LANES {
+            assert_eq!(sign_extend(lanes[i], 16), products[i], "plane lane {i}");
+        }
     }
 
     #[test]
@@ -234,14 +262,23 @@ mod tests {
 
     #[test]
     fn exhaustive_block_planes_hold_the_scalar_products() {
-        // Width 4 wraps the `b` patterns within the block.
+        // An exhaustive block: the pattern `a` against the counter
+        // `b0 + i`, through the broadcast form and through the plane form
+        // on `a`'s broadcast planes. Width 4 wraps the `b` patterns within
+        // the block.
         for (width, a) in [(4u32, 0b1011u64), (4, 0b0011), (8, 0x80), (8, 0x7F)] {
             let scalar = signed_sdlc(width, 2).unwrap();
             let batch = scalar.batch_model();
             let planes = 2 * width as usize;
             for b0 in [0u64, 128] {
+                let (mut a_planes, mut b_planes) = ([0u64; LANES], [0u64; LANES]);
+                bitplane::broadcast_planes(a, width, &mut a_planes);
+                bitplane::counter_planes(b0, width, &mut b_planes);
                 let mut product = [0u64; LANES];
-                batch.exhaustive_block_planes_signed(a, b0, &mut product[..planes]);
+                batch.multiply_planes_bcast_signed(a, &b_planes, &mut product[..planes]);
+                let mut general = [0u64; LANES];
+                batch.multiply_planes_signed(&a_planes, &b_planes, &mut general[..planes]);
+                assert_eq!(general, product, "{width}-bit a {a:#x} b0 {b0}");
                 let lanes = bitplane::transposed64(&product);
                 for (i, &lane) in lanes.iter().enumerate() {
                     let (x, y) = (sign_extend(a, width), sign_extend(b0 + i as u64, width));

@@ -44,7 +44,7 @@
 use core::fmt;
 use std::num::NonZeroUsize;
 
-use sdlc_wideint::parallel::{parallel_shard_chunks, worker_threads};
+use sdlc_wideint::parallel::{parallel_chunks, worker_threads};
 use sdlc_wideint::{SplitMix64, U256};
 
 use crate::batch::{BatchMultiplier, Batchable, BATCH_MAX_WIDTH, LANES};
@@ -401,12 +401,10 @@ fn sweep<T: Tally, S>(
     init: impl Fn() -> S + Sync,
     fill: impl Fn(&mut S, u64, &mut T) + Sync,
 ) -> T {
-    let shard_list: Vec<u64> = (0..shards).collect();
-    let runs = parallel_shard_chunks(&shard_list, threads, |run| {
+    let runs = parallel_chunks(shards, threads, |lo, hi| {
         let mut state = init();
-        let tallies: Vec<T> = run
-            .iter()
-            .map(|&shard| {
+        let tallies: Vec<T> = (lo..hi)
+            .map(|shard| {
                 let mut tally = T::default();
                 fill(&mut state, shard, &mut tally);
                 tally

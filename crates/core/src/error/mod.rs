@@ -41,8 +41,8 @@ pub use evaluate::{
 };
 pub use histogram::{RedHistogram, RED_HISTOGRAM_BINS};
 pub use metrics::ErrorMetrics;
-// The workspace's deterministic work splitters (the error drivers shard
-// through `parallel_shard_chunks`) — re-exported so downstream sweeps
-// (benches, external tools) can partition work the same way.
-pub use sdlc_wideint::parallel::{parallel_chunks, parallel_shard_chunks};
+// The workspace's deterministic work splitter (the error drivers shard
+// through it) — re-exported so downstream sweeps (benches, external
+// tools) can partition work the same way.
+pub use sdlc_wideint::parallel::parallel_chunks;
 pub use signed::{exhaustive_signed_with, sampled_signed_with};

@@ -182,8 +182,6 @@ fn fold_constants(netlist: &mut Netlist) -> usize {
         }
     }
     if !alias.is_empty() {
-        let is_output: std::collections::HashSet<NetId> =
-            netlist.outputs().iter().copied().collect();
         for gate in &mut new_gates {
             for input in &mut gate.inputs {
                 if let Some(&root) = alias.get(input) {
@@ -193,7 +191,6 @@ fn fold_constants(netlist: &mut Netlist) -> usize {
         }
         // Buffers feeding only swept readers become dead unless they drive
         // a primary output; DCE cleans them next.
-        let _ = is_output;
     }
 
     netlist.replace_gates(new_gates, net_count);

@@ -20,9 +20,11 @@
 //!   count transitions with identical
 //!   inertial-delay semantics, so they return identical [`Activity`].
 
+use core::ops::Range;
+
 use sdlc_netlist::Netlist;
 use sdlc_techlib::Library;
-use sdlc_wideint::parallel::{parallel_shard_chunks, worker_threads};
+use sdlc_wideint::parallel::{parallel_chunks, worker_threads};
 use sdlc_wideint::SplitMix64;
 
 use crate::compile::{CompiledNetlist, CompiledSim};
@@ -133,7 +135,7 @@ fn timing_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64
         // every lane of every group; its toggle counts sum over them.
         let mut sim = TimingSim::new(netlist, library);
         let mut stimulus = vec![false; netlist.inputs().len()];
-        for &group in groups {
+        for group in groups {
             for lane in 0..64 {
                 let mut rng = streams.lane_rng(group, lane);
                 streams.draw_bits(&mut rng, &mut stimulus);
@@ -225,7 +227,7 @@ fn glitch_activity_on(
         let mut stimulus = vec![[0u64; WHEEL_WORDS]; netlist.inputs().len()];
         let mut a_planes = vec![[0u64; WHEEL_WORDS]; streams.ports.a_len as usize];
         let mut b_planes = vec![[0u64; WHEEL_WORDS]; streams.ports.b_len as usize];
-        for &wheel in wheels {
+        for wheel in wheels {
             // The wheel's lanes, numbered across groups (64 per group).
             let first = wheel * fill * 64;
             let lanes = first..(streams.groups * 64).min(first + fill * 64);
@@ -311,11 +313,10 @@ impl<'n> LaneStreams<'n> {
         &self,
         shards: u64,
         threads: usize,
-        run_toggles: impl Fn(&[u64]) -> Vec<u64> + Sync,
+        run_toggles: impl Fn(Range<u64>) -> Vec<u64> + Sync,
     ) -> Vec<u64> {
-        let shard_ids: Vec<u64> = (0..shards).collect();
         let mut totals = vec![0u64; self.netlist.net_count()];
-        for partial in parallel_shard_chunks(&shard_ids, threads, run_toggles) {
+        for partial in parallel_chunks(shards, threads, |lo, hi| run_toggles(lo..hi)) {
             add_toggles(&mut totals, &partial);
         }
         totals

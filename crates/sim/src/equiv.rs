@@ -3,31 +3,29 @@
 //! Every circuit generator in the workspace is validated against its
 //! word-level model: exhaustively for narrow operands, by seeded sampling
 //! plus corner patterns above that ([`Coverage`]). [`check`] covers the
-//! unsigned operand domain and [`check_signed`] the two's-complement one;
-//! both return the number of operand pairs checked, or the first failing
-//! pair. [`check_exhaustive_planes`] and [`check_exhaustive_planes_signed`]
-//! are their exhaustive twins against a bit-sliced *block* model: per 64
-//! operand pairs the model fills its product bit-planes, and the check
-//! XORs them against the netlist's `p` planes, so a passing block costs
-//! one word operation per product bit — no per-pair model call, no
-//! transpose — and only a failing block is decoded into a counterexample.
-//! [`check_exhaustive_batched`] takes a block model in lane form instead.
+//! unsigned operand domain and [`check_signed`] the two's-complement one,
+//! calling the model once per pair; both return the number of operand
+//! pairs checked, or the first failing pair. Their twins [`check_planes`]
+//! and [`check_planes_signed`] compare a bit-sliced model's product planes
+//! for each block's [`OperandPlanes`] against the netlist's, one word
+//! operation per product bit; only a failing block is decoded.
+//! [`check_exhaustive_batched`] takes a lane-form block model instead.
 //!
 //! Every check runs on one sweep. A pair source — every pattern pair
 //! row-major, or the corner pairs then seeded draws, regenerated from the
 //! seed rather than stored — is cut into blocks of up to 64 pairs; the
-//! sweep runs each block through the netlist and hands the block with its
-//! `p` bit-planes to the check's checker (per pair, per lane or per
-//! plane). It runs on one of two [`Engine`]s. The scalar engine drives
-//! one vector at a time through [`LogicSim`] — the reference. The
-//! compiled engine flattens the netlist once ([`CompiledNetlist`]),
-//! evaluates a whole block per pass from operand bit-planes (reusing the
-//! `sdlc_wideint::bitplane` machinery), and shards the blocks across
-//! scoped threads through the same [`parallel_chunks`] splitter as the
-//! `sdlc-core` error drivers. Both see the same blocks in the same order
-//! and chunks merge in order, so the engines return bit-identical
-//! verdicts — including the *same first* counterexample — at a fraction
-//! of the cost (the differential suite proves it).
+//! sweep writes each block's operand bit-planes, runs it through the
+//! netlist and hands it with its operand and `p` planes to the check's
+//! checker (per pair, per lane or per plane). It runs on one of two
+//! [`Engine`]s. The scalar engine drives one vector at a time through
+//! [`LogicSim`] — the reference. The compiled engine flattens the netlist
+//! once ([`CompiledNetlist`]), evaluates a whole block per pass from the
+//! operand bit-planes, and shards the blocks across scoped threads
+//! through the same [`parallel_chunks`] splitter as the `sdlc-core` error
+//! drivers. Both see the same blocks in the same order and chunks merge
+//! in order, so the engines return bit-identical verdicts — including the
+//! *same first* counterexample — at a fraction of the cost (the
+//! differential suite proves it).
 
 use core::fmt;
 
@@ -151,6 +149,19 @@ pub enum Coverage {
     },
 }
 
+/// One block's operands, as a plane model of [`check_planes`] reads them.
+#[derive(Debug, Clone, Copy)]
+pub struct OperandPlanes<'a> {
+    /// The left operand's `width` bit-planes (lane `i` of plane `j` is bit
+    /// `j` of pair `i`'s pattern; lanes past the block's pairs are arbitrary).
+    pub a: &'a [u64],
+    /// The right operand's `width` bit-planes.
+    pub b: &'a [u64],
+    /// The left pattern of an exhaustive row segment `(a, b0 + i)`, held by
+    /// every lane, for a model's broadcast form; `None` for listed pairs.
+    pub row: Option<u64>,
+}
+
 /// Checks an unsigned `a`/`b`→`p` netlist against `model` over
 /// `coverage` on `engine`, returning the number of operand pairs checked.
 ///
@@ -175,11 +186,7 @@ pub fn check(
     engine: Engine,
     model: impl Fn(u128, u128) -> U256 + Sync,
 ) -> Result<u64, Box<Mismatch>> {
-    let pairs = PairModel {
-        domain: Unsigned { width },
-        model,
-    };
-    pairs.sweep(netlist, width, coverage, engine)
+    pair_sweep(netlist, width, coverage, engine, &Unsigned { width }, model)
 }
 
 /// [`check`] for a signed (two's-complement `a`/`b`→`p`) netlist: the
@@ -200,11 +207,10 @@ pub fn check_signed(
     engine: Engine,
     model: impl Fn(i128, i128) -> I256 + Sync,
 ) -> Result<u64, Box<SignedMismatch>> {
-    let pairs = PairModel {
-        domain: TwosComplement { width },
-        model: |a, b| model(sign_extend(a, width), sign_extend(b, width)),
-    };
-    pairs.sweep(netlist, width, coverage, engine)
+    let domain = TwosComplement { width };
+    pair_sweep(netlist, width, coverage, engine, &domain, |a, b| {
+        model(sign_extend(a, width), sign_extend(b, width))
+    })
 }
 
 /// [`check_signed`] with [`Coverage::Exhaustive`].
@@ -225,21 +231,20 @@ pub fn check_exhaustive_signed_with_engine(
     check_signed(netlist, width, Coverage::Exhaustive, engine, model).map(|_| ())
 }
 
-/// [`check`] with [`Coverage::Exhaustive`] against a **bit-plane block
-/// model**: `block_model(a, b0, planes)` fills the `2·width` raw product
-/// planes of `(a, b0), …, (a, b0 + 63)` (lane `i` of plane `k` is bit `k`
-/// of the product for `b0 + i`, patterns taken modulo `2^width`). Built
-/// for the bit-sliced model twins (`sdlc-core::batch`): products are
-/// compared plane by plane against the netlist's `p` planes, so a passing
-/// block costs one XOR/OR per plane, no per-pair model call and no
-/// transpose on either side; only a failing block is decoded.
+/// [`check`] against a **bit-plane model**: per block of up to 64 operand
+/// pairs, `model(operands, product)` fills the `2·width` raw product
+/// planes of the block's [`OperandPlanes`], as the bit-sliced twins of
+/// `sdlc-core::batch` do (their broadcast form on exhaustive rows). They
+/// are compared plane by plane against the netlist's `p` planes: a passing
+/// block costs one XOR/OR per plane, only a failing block is decoded, and
+/// lanes past a block's pairs are never compared.
 ///
 /// The compared planes cover both products: a `p` bus shorter than
 /// `2·width` bits reads as zero in its missing planes, and planes past
 /// `2·width` must be zero, exactly as [`check`] compares raw products.
 /// Verdicts, the pair count and the first counterexample are the ones
-/// [`check`] reports with the block model's per-pair twin. The compiled
-/// engine falls back to scalar where [`check`] does.
+/// [`check`] reports with the model's per-pair twin, for either coverage.
+/// The compiled engine falls back to scalar where [`check`] does.
 ///
 /// # Errors
 ///
@@ -247,24 +252,24 @@ pub fn check_exhaustive_signed_with_engine(
 ///
 /// # Panics
 ///
-/// Panics if `width > 16` (the sweep would not terminate reasonably), if
-/// the `p` bus exceeds 64 bits, or if `width`-bit operands overflow the
-/// netlist's buses.
-pub fn check_exhaustive_planes(
+/// Panics if `width > 32` or the `p` bus exceeds 64 bits (products are
+/// compared as at most 64 planes), and where [`check`] panics.
+pub fn check_planes(
     netlist: &Netlist,
     width: u32,
+    coverage: Coverage,
     engine: Engine,
-    block_model: impl Fn(u64, u64, &mut [u64]) + Sync,
+    model: impl Fn(OperandPlanes<'_>, &mut [u64]) + Sync,
 ) -> Result<u64, Box<Mismatch>> {
-    exhaustive_planes(netlist, width, engine, &Unsigned { width }, block_model)
+    plane_sweep(netlist, width, coverage, engine, &Unsigned { width }, model)
 }
 
-/// [`check_exhaustive_planes`] for a signed (two's-complement
-/// `a`/`b`→`p`) netlist: the block model fills the `2·width`
-/// two's-complement product planes of the operand *patterns*
-/// `(a, b0 + i)`, and a counterexample is decoded as [`check_signed`]
-/// reports it. Only the low `2·width` planes are compared — a wider `p`
-/// bus's upper planes are ignored, as [`check_signed`] ignores them.
+/// [`check_planes`] for a signed (two's-complement `a`/`b`→`p`) netlist:
+/// the model reads the operand *pattern* planes and fills the `2·width`
+/// two's-complement product planes, and a counterexample is decoded as
+/// [`check_signed`] reports it. Only the low `2·width` planes are
+/// compared — a wider `p` bus's upper planes are ignored, as
+/// [`check_signed`] ignores them.
 ///
 /// # Errors
 ///
@@ -272,27 +277,23 @@ pub fn check_exhaustive_planes(
 ///
 /// # Panics
 ///
-/// As [`check_exhaustive_planes`].
-pub fn check_exhaustive_planes_signed(
+/// As [`check_planes`].
+pub fn check_planes_signed(
     netlist: &Netlist,
     width: u32,
+    coverage: Coverage,
     engine: Engine,
-    block_model: impl Fn(u64, u64, &mut [u64]) + Sync,
+    model: impl Fn(OperandPlanes<'_>, &mut [u64]) + Sync,
 ) -> Result<u64, Box<SignedMismatch>> {
-    exhaustive_planes(
-        netlist,
-        width,
-        engine,
-        &TwosComplement { width },
-        block_model,
-    )
+    let domain = TwosComplement { width };
+    plane_sweep(netlist, width, coverage, engine, &domain, model)
 }
 
 /// [`check`] with [`Coverage::Exhaustive`] and a **64-lane block
 /// model**: the model side produces the products of `(a, b0), …,
 /// (a, b0 + 63)` in one call instead of being asked pair by pair, in lane
-/// form. [`check_exhaustive_planes`] is the same check without the
-/// transposes to and from lanes.
+/// form. [`check_planes`] is the same check without the transposes to
+/// and from lanes.
 ///
 /// Both engines sweep the identical row-major pair order, so verdicts
 /// and the first reported counterexample are bit-identical to the
@@ -312,24 +313,22 @@ pub fn check_exhaustive_batched(
     block_model: impl Fn(u64, u64, &mut [u64; LANES]) + Sync,
     engine: Engine,
 ) -> Result<(), Box<Mismatch>> {
-    let pairs = Pairs::rows(width);
+    let pairs = Pairs::of::<Unsigned>(Coverage::Exhaustive, width);
     let p_len = block_product_len(netlist);
-    let check_block = |block: Block<'_>, planes: &[u64]| {
-        let (a, b0) = block.row();
+    let check_block = |block: Block<'_>, _: &[u64], _: &[u64], p: &[u64]| {
         let mut got = [0u64; LANES];
-        bitplane::lanes_from_planes(&planes[..p_len], &mut got);
+        bitplane::lanes_from_planes(&p[..p_len], &mut got);
+        // Every block of an exhaustive sweep is a row segment, `(a, b0 + i)`.
+        let (a, b0) = block.pair(0);
         let mut expect = [0u64; LANES];
-        block_model(a, b0, &mut expect);
+        block_model(a as u64, b0 as u64, &mut expect);
         (0..block.len()).find(|&i| got[i] != expect[i]).map(|i| {
-            Box::new(Mismatch {
-                a: u128::from(a),
-                b: u128::from(b0 + i as u64),
-                netlist_product: U256::from_u128(u128::from(got[i])),
-                model_product: U256::from_u128(u128::from(expect[i])),
-            })
+            let (a, b) = block.pair(i);
+            let product = |lane: u64| U256::from_u128(u128::from(lane));
+            Unsigned { width }.mismatch(a, b, product(got[i]), product(expect[i]))
         })
     };
-    sweep(netlist, width, engine, &pairs, check_block).map(|_| ())
+    sweep(netlist, width, engine, &pairs, false, check_block).map(|_| ())
 }
 
 /// The `p` output bus.
@@ -337,8 +336,8 @@ fn product_bus(netlist: &Netlist) -> &[NetId] {
     netlist.bus("p").expect("output bus `p`")
 }
 
-/// The `p` bus width of a block-model check, whose products are compared
-/// as at most 64 planes.
+/// The `p` bus width of a batched or plane check, whose products are
+/// compared as at most 64 planes.
 fn block_product_len(netlist: &Netlist) -> usize {
     let p_len = product_bus(netlist).len();
     assert!(p_len <= LANES, "batched checks need products <= 64 bits");
@@ -352,9 +351,9 @@ fn block_product_len(netlist: &Netlist) -> usize {
 /// An operand domain of the checks. Operands travel as bus bit patterns
 /// and products as the raw `p` bus pattern; the domain supplies the
 /// corner patterns, decodes a raw product and builds the counterexample.
-/// Models stay outside: a per-pair model ([`PairModel`]) maps operand
-/// patterns to the domain's product, a block model fills raw product
-/// planes ([`exhaustive_planes`]).
+/// Models stay outside: a per-pair model ([`pair_sweep`]) maps operand
+/// patterns to the domain's product, a plane model fills raw product
+/// planes from operand planes ([`plane_sweep`]).
 trait Domain: Sync {
     /// A decoded product.
     type Product: PartialEq;
@@ -447,87 +446,75 @@ impl Domain for TwosComplement {
     }
 }
 
-/// A per-pair model in its domain: `model` maps operand patterns to the
-/// domain's product.
-struct PairModel<D, M> {
-    domain: D,
-    model: M,
-}
-
-impl<D: Domain, M: Fn(u128, u128) -> D::Product + Sync> PairModel<D, M> {
-    /// Sweeps `coverage` with the per-pair checker.
-    fn sweep(
-        &self,
-        netlist: &Netlist,
-        width: u32,
-        coverage: Coverage,
-        engine: Engine,
-    ) -> Result<u64, Box<D::Mismatch>> {
-        let pairs = match coverage {
-            Coverage::Exhaustive => Pairs::rows(width),
-            Coverage::Sampled { samples, seed } => Pairs::Sampled {
-                corners: D::corners(width),
-                samples,
-                seed,
-                width,
-            },
-        };
-        let p_len = product_bus(netlist).len();
-        sweep(netlist, width, engine, &pairs, |block, planes| {
-            self.check_block(block, &planes[..p_len])
-        })
-    }
-
-    /// The per-pair checker: the first lane of `block` whose product, read
-    /// from the netlist's `p` planes, differs from the model's. Products
-    /// of up to 64 bits are decoded with one transpose, wider ones (only
-    /// the scalar engine drives such buses) bit by bit.
-    fn check_block(&self, block: Block<'_>, p_planes: &[u64]) -> Option<Box<D::Mismatch>> {
-        let narrow = p_planes.len() <= LANES;
+/// The per-pair checker behind [`check`] and [`check_signed`]: per block,
+/// the first lane whose product, read from the netlist's `p` planes,
+/// differs from `model`'s for the lane's operand patterns. Products of up
+/// to 64 bits are decoded with one transpose, wider ones (only the scalar
+/// engine drives such buses) bit by bit.
+fn pair_sweep<D: Domain>(
+    netlist: &Netlist,
+    width: u32,
+    coverage: Coverage,
+    engine: Engine,
+    domain: &D,
+    model: impl Fn(u128, u128) -> D::Product + Sync,
+) -> Result<u64, Box<D::Mismatch>> {
+    let pairs = Pairs::of::<D>(coverage, width);
+    let p_len = product_bus(netlist).len();
+    let narrow = p_len <= LANES;
+    sweep(netlist, width, engine, &pairs, false, |block, _, _, p| {
         let mut lanes = [0u64; LANES];
         if narrow {
-            bitplane::lanes_from_planes(p_planes, &mut lanes);
+            bitplane::lanes_from_planes(&p[..p_len], &mut lanes);
         }
         (0..block.len()).find_map(|lane| {
             let raw = if narrow {
                 U256::from_u128(u128::from(lanes[lane]))
             } else {
-                lane_pattern(p_planes, lane as u32)
+                lane_pattern(&p[..p_len], lane as u32)
             };
             let (a, b) = block.pair(lane);
-            let got = self.domain.product(&raw);
-            let expect = (self.model)(a, b);
-            (got != expect).then(|| self.domain.mismatch(a, b, got, expect))
+            let got = domain.product(&raw);
+            let expect = model(a, b);
+            (got != expect).then(|| domain.mismatch(a, b, got, expect))
         })
-    }
+    })
 }
 
-/// The plane checker behind [`check_exhaustive_planes`] and
-/// [`check_exhaustive_planes_signed`].
+/// The plane checker behind [`check_planes`] and [`check_planes_signed`].
 ///
-/// Per block, the block model fills its `2·width` product planes, the
-/// netlist's `p` planes are XORed against them (the domain's judged
-/// planes; missing planes on either side read as zero) and ORed into one
-/// difference word, masked to the block's lanes — widths under 6 fill
-/// only part of a block. Only a nonzero difference is decoded: its
-/// lowest lane, which is the block's first failing pair in sweep order,
-/// gathered bit by bit from both plane stacks into the domain's
-/// counterexample.
-fn exhaustive_planes<D: Domain>(
+/// Per block, the model fills its `2·width` product planes from the
+/// block's operand planes, the netlist's `p` planes are XORed against them
+/// (the domain's judged planes; missing planes on either side read as
+/// zero) and ORed into one difference word, masked to the block's lanes —
+/// the last block of a sweep, and every block under 6 bits, fill only
+/// part of a block. Only a nonzero difference is decoded: its lowest
+/// lane, which is the block's first failing pair in sweep order, gathered
+/// bit by bit from both plane stacks into the domain's counterexample.
+fn plane_sweep<D: Domain>(
     netlist: &Netlist,
     width: u32,
+    coverage: Coverage,
     engine: Engine,
     domain: &D,
-    block_model: impl Fn(u64, u64, &mut [u64]) + Sync,
+    model: impl Fn(OperandPlanes<'_>, &mut [u64]) + Sync,
 ) -> Result<u64, Box<D::Mismatch>> {
-    let pairs = Pairs::rows(width);
-    let p_len = block_product_len(netlist);
     let model_len = 2 * width as usize;
+    assert!(model_len <= LANES, "plane checks need products <= 64 bits");
+    let pairs = Pairs::of::<D>(coverage, width);
+    let p_len = block_product_len(netlist);
     let judged = domain.judged_planes(p_len);
-    let check_block = |block: Block<'_>, got: &[u64]| {
-        let (a, b0) = block.row();
+    let check_block = |block: Block<'_>, a: &[u64], b: &[u64], got: &[u64]| {
+        let operands = OperandPlanes {
+            a: &a[..width as usize],
+            b: &b[..width as usize],
+            row: match block {
+                Block::Row { a, .. } => Some(a),
+                Block::Listed(_) => None,
+            },
+        };
         let mut expect = [0u64; LANES];
-        block_model(a, b0, &mut expect[..model_len]);
+        model(operands, &mut expect[..model_len]);
         let diff = got[..judged]
             .iter()
             .zip(&expect[..judged])
@@ -535,16 +522,17 @@ fn exhaustive_planes<D: Domain>(
             & block.lanes();
         (diff != 0).then(|| {
             let lane = diff.trailing_zeros();
+            let (a, b) = block.pair(lane as usize);
             let raw = |planes: &[u64]| lane_pattern(planes, lane);
             domain.mismatch(
-                u128::from(a),
-                u128::from(b0 + u64::from(lane)),
+                a,
+                b,
                 domain.product(&raw(&got[..p_len])),
                 domain.product(&raw(&expect[..model_len])),
             )
         })
     };
-    sweep(netlist, width, engine, &pairs, check_block)
+    sweep(netlist, width, engine, &pairs, true, check_block)
 }
 
 /// Bit `lane` of each plane, as one raw pattern (plane `k` → bit `k`).
@@ -594,17 +582,28 @@ enum Pairs {
 }
 
 impl Pairs {
-    /// Every pair of `width`-bit patterns.
+    /// The pairs `coverage` asks for in domain `D`.
     ///
     /// # Panics
     ///
-    /// Panics if `width > 16`: 2^{2w} pairs would not terminate reasonably.
-    fn rows(width: u32) -> Self {
-        assert!(
-            width <= 16,
-            "exhaustive equivalence beyond 16 bits is impractical"
-        );
-        Pairs::Rows { count: 1 << width }
+    /// Panics on exhaustive coverage beyond 16 bits: 2^{2w} pairs would not
+    /// terminate reasonably.
+    fn of<D: Domain>(coverage: Coverage, width: u32) -> Self {
+        match coverage {
+            Coverage::Exhaustive => {
+                assert!(
+                    width <= 16,
+                    "exhaustive equivalence beyond 16 bits is impractical"
+                );
+                Pairs::Rows { count: 1 << width }
+            }
+            Coverage::Sampled { samples, seed } => Pairs::Sampled {
+                corners: D::corners(width),
+                samples,
+                seed,
+                width,
+            },
+        }
     }
 
     /// The number of pairs.
@@ -721,92 +720,94 @@ impl Block<'_> {
             Block::Listed(pairs) => pairs[lane],
         }
     }
+}
 
-    /// The `(a, b0)` of a row segment — every block of an exhaustive
-    /// sweep, the only coverage the block-model checkers take.
-    fn row(self) -> (u64, u64) {
-        let (a, b0) = self.pair(0);
-        (a as u64, b0 as u64)
+/// Writes the operand planes of `block` into `a` and `b`: a broadcast row
+/// operand and a counter for a row segment (`bits` planes each, at most
+/// 64; the planes above are left as they are), one transpose per operand
+/// (its low 64 bits) for listed pairs.
+fn operand_planes(block: Block<'_>, bits: u32, a: &mut [u64; LANES], b: &mut [u64; LANES]) {
+    match block {
+        Block::Row { a: row, b0, .. } => {
+            bitplane::broadcast_planes(row, bits, a);
+            bitplane::counter_planes(b0, bits, b);
+        }
+        Block::Listed(list) => {
+            let transposed = |operand: fn(&(u128, u128)) -> u128| {
+                let mut lanes = [0u64; LANES];
+                for (lane, pair) in lanes.iter_mut().zip(list) {
+                    *lane = operand(pair) as u64;
+                }
+                bitplane::transposed64(&lanes)
+            };
+            (*a, *b) = (transposed(|p| p.0), transposed(|p| p.1));
+        }
     }
 }
 
 /// The one sweep behind every check: runs `pairs` through the netlist a
-/// block at a time and hands each block with the netlist's `p` planes
-/// for it to `check` — lane `i` of plane `k` is bit `k` of the product of
-/// the block's pair `i`; at least 64 planes, zero past the bus, lanes
-/// past the block's meaningless. Returns the pair count, or the first
-/// counterexample in pair order.
+/// block at a time and hands each block to `check` with its operand
+/// planes `a` and `b` ([`operand_planes`] of `min(width, 64)` bits; zero
+/// on the scalar engine unless `operands`) and the netlist's `p` planes —
+/// lane `i` of plane `k` is bit `k` of the block's pair `i`; at least 64
+/// `p` planes, zero past the bus, lanes past the block's meaningless.
+/// Returns the pair count, or the first counterexample in pair order.
 ///
-/// The compiled engine writes operand planes per block (a broadcast row
-/// operand and a counter for row segments, a transpose for listed
-/// pairs), evaluates 64 pairs per pass, shards the blocks across threads
-/// via [`parallel_chunks`] and merges the chunks in order. The scalar
-/// engine runs one [`LogicSim`] pass per pair on the calling thread, so
-/// its panics (an operand overflowing its bus) surface unchanged; the
-/// compiled engine falls back to it beyond [`compiled_supports`].
+/// The compiled engine evaluates 64 pairs per pass from the operand
+/// planes, shards the blocks across threads via [`parallel_chunks`] and
+/// merges the chunks in order. The scalar engine runs one [`LogicSim`]
+/// pass per pair on the calling thread, so its panics (an operand
+/// overflowing its bus) surface unchanged; the compiled engine falls back
+/// to it beyond [`compiled_supports`].
 fn sweep<E: Send>(
     netlist: &Netlist,
     width: u32,
     engine: Engine,
     pairs: &Pairs,
-    check: impl Fn(Block<'_>, &[u64]) -> Option<Box<E>> + Sync,
+    operands: bool,
+    check: impl Fn(Block<'_>, &[u64], &[u64], &[u64]) -> Option<Box<E>> + Sync,
 ) -> Result<u64, Box<E>> {
     let ports = AbPortMap::of(netlist);
     let p_nets = product_bus(netlist);
+    let bits = width.min(LANES as u32);
     let found = if engine == Engine::Compiled && compiled_supports(netlist, width) {
         let program = CompiledNetlist::compile(netlist);
         let (a_len, b_len) = (ports.a_len as usize, ports.b_len as usize);
         let partials = parallel_chunks(pairs.blocks(), worker_threads(), |lo, hi| {
             let mut sim = CompiledSim::new(&program);
             let mut stimulus = vec![0u64; netlist.inputs().len()];
-            let (mut a_planes, mut b_planes) = ([0u64; LANES], [0u64; LANES]);
-            let mut planes = [0u64; LANES];
-            let mut row = None;
+            // Planes from `width` up to a wider bus stay zero.
+            let (mut a, mut b, mut p) = ([0u64; LANES], [0u64; LANES], [0u64; LANES]);
             pairs.walk(lo, hi, |block| {
-                match block {
-                    Block::Row { a, b0, .. } => {
-                        if row != Some(a) {
-                            bitplane::broadcast_planes(a, ports.a_len, &mut a_planes);
-                            row = Some(a);
-                        }
-                        bitplane::counter_planes(b0, ports.b_len, &mut b_planes);
-                    }
-                    Block::Listed(list) => {
-                        let transposed = |operand: fn(&(u128, u128)) -> u128| {
-                            let mut lanes = [0u64; LANES];
-                            for (lane, pair) in lanes.iter_mut().zip(list) {
-                                *lane = operand(pair) as u64;
-                            }
-                            bitplane::transposed64(&lanes)
-                        };
-                        (a_planes, b_planes) = (transposed(|p| p.0), transposed(|p| p.1));
-                        row = None;
-                    }
-                }
-                ports.fill_planes(&a_planes[..a_len], &b_planes[..b_len], &mut stimulus);
+                operand_planes(block, bits, &mut a, &mut b);
+                ports.fill_planes(&a[..a_len], &b[..b_len], &mut stimulus);
                 sim.evaluate(&stimulus);
-                for (plane, &net) in planes.iter_mut().zip(p_nets) {
+                for (plane, &net) in p.iter_mut().zip(p_nets) {
                     *plane = sim.plane(net);
                 }
-                check(block, &planes)
+                check(block, &a, &b, &p)
             })
         });
         partials.into_iter().flatten().next()
     } else {
         let mut sim = LogicSim::new(netlist);
         let mut stimulus = vec![false; netlist.inputs().len()];
-        let mut planes = vec![0u64; p_nets.len().max(LANES)];
+        let (mut a, mut b) = ([0u64; LANES], [0u64; LANES]);
+        let mut p = vec![0u64; p_nets.len().max(LANES)];
         pairs.walk(0, pairs.blocks(), |block| {
-            planes.fill(0);
+            p.fill(0);
             for lane in 0..block.len() {
                 let (a, b) = block.pair(lane);
                 ports.fill(a, b, &mut stimulus);
                 sim.apply(&stimulus);
-                for (plane, &net) in planes.iter_mut().zip(p_nets) {
+                for (plane, &net) in p.iter_mut().zip(p_nets) {
                     *plane |= u64::from(sim.value(net)) << lane;
                 }
             }
-            check(block, &planes)
+            if operands {
+                operand_planes(block, bits, &mut a, &mut b);
+            }
+            check(block, &a, &b, &p)
         })
     };
     found.map_or(Ok(pairs.len()), Err)
@@ -915,15 +916,25 @@ mod tests {
         assert_eq!((scalar.a, scalar.b), (5, 9));
     }
 
-    /// A block model from a per-lane raw-product function: lane `i` of
-    /// the `2·width` planes holds `lane(a, (b0 + i) mod 2^width, i)`.
-    fn block_model(
+    /// A plane model from a per-lane raw-product function: lane `i` of
+    /// the `2·width` product planes holds `lane(a, b, i)` for the lane's
+    /// operand patterns `(a, b)`. A row block's `a` must hold its `row`
+    /// pattern in every lane.
+    fn plane_model(
         width: u32,
         lane: impl Fn(u64, u64, usize) -> u64 + Sync,
-    ) -> impl Fn(u64, u64, &mut [u64]) + Sync {
-        move |a, b0, planes| {
-            let mask = (1u64 << width) - 1;
-            let lanes = core::array::from_fn(|i| lane(a, (b0 + i as u64) & mask, i));
+    ) -> impl Fn(OperandPlanes<'_>, &mut [u64]) + Sync {
+        move |operands, planes| {
+            let lanes_of = |planes: &[u64]| {
+                let mut lanes = [0u64; LANES];
+                bitplane::lanes_from_planes(planes, &mut lanes);
+                lanes
+            };
+            let (a, b) = (lanes_of(operands.a), lanes_of(operands.b));
+            if let Some(row) = operands.row {
+                assert_eq!(a, [row; LANES], "row operand planes");
+            }
+            let lanes = core::array::from_fn(|i| lane(a[i], b[i], i));
             let transposed = bitplane::transposed64(&lanes);
             planes.copy_from_slice(&transposed[..2 * width as usize]);
         }
@@ -936,60 +947,85 @@ mod tests {
 
     #[test]
     fn plane_checks_match_per_pair_checks() {
-        // Widths 2 and 4 fill a partial block, so the planted garbage in
-        // lanes past 2^width must be masked; 6 fills whole blocks.
+        // Exhaustive widths 2 and 4 fill a partial block, so the planted
+        // garbage in lanes past 2^width must be masked; 6 fills whole
+        // blocks. The sampled sweeps end in a partial block; their first
+        // counterexample is a seeded draw (the stripe misses the corners).
+        let sampled = Coverage::Sampled {
+            samples: 300,
+            seed: 4,
+        };
         for width in [2u32, 4, 6] {
             let count = 1usize << width;
-            let pairs = 1u64 << (2 * width);
             let n = wallace_multiplier(width);
-            let flip = |a: u64, b: u64, i: usize| u64::from(stripe(width, a, b) || i >= count);
-            let exact_planes = block_model(width, |a, b, _| a * b);
-            let wrong_planes = block_model(width, |a, b, i| (a * b) ^ flip(a, b, i));
-            let wrong = |a: u128, b: u128| {
-                let bug = stripe(width, a as u64, b as u64);
-                U256::from_u128((a * b) ^ u128::from(bug))
-            };
-            let reference = check(&n, width, Coverage::Exhaustive, Engine::Scalar, wrong);
-            assert_eq!(
-                reference.as_ref().map_err(|e| (e.a, e.b)),
-                Err(((1 << width) - 2, (1 << width) / 2 + 1))
-            );
-            for engine in BOTH {
-                assert_eq!(
-                    check_exhaustive_planes(&n, width, engine, &exact_planes),
-                    Ok(pairs)
-                );
-                assert_eq!(
-                    check_exhaustive_planes(&n, width, engine, &wrong_planes),
-                    reference,
-                    "{width}-bit on {engine}"
-                );
-            }
+            for coverage in [Coverage::Exhaustive, sampled] {
+                let exhaustive = coverage == Coverage::Exhaustive;
+                let (pairs, signed_pairs) = if exhaustive {
+                    let all = 1u64 << (2 * width);
+                    (all, all)
+                } else {
+                    (9 + 300, 25 + 300)
+                };
+                let flip = |a: u64, b: u64, i: usize| {
+                    u64::from(stripe(width, a, b) || (exhaustive && i >= count))
+                };
+                let exact_planes = plane_model(width, |a, b, _| a * b);
+                let wrong_planes = plane_model(width, |a, b, i| (a * b) ^ flip(a, b, i));
+                let wrong = |a: u128, b: u128| {
+                    let bug = stripe(width, a as u64, b as u64);
+                    U256::from_u128((a * b) ^ u128::from(bug))
+                };
+                let reference = check(&n, width, coverage, Engine::Scalar, wrong);
+                if exhaustive {
+                    assert_eq!(
+                        reference.as_ref().map_err(|e| (e.a, e.b)),
+                        Err(((1 << width) - 2, (1 << width) / 2 + 1))
+                    );
+                } else {
+                    assert!(reference.is_err(), "{width}-bit {coverage:?}");
+                }
+                for engine in BOTH {
+                    let row = format!("{width}-bit {coverage:?} on {engine}");
+                    assert_eq!(
+                        check_planes(&n, width, coverage, engine, &exact_planes),
+                        Ok(pairs),
+                        "{row}"
+                    );
+                    assert_eq!(
+                        check_planes(&n, width, coverage, engine, &wrong_planes),
+                        reference,
+                        "{row}"
+                    );
+                }
 
-            let n = signed_wallace_multiplier(width);
-            let product = |a: u64, b: u64| {
-                let value = sign_extend(u128::from(a), width) * sign_extend(u128::from(b), width);
-                value as u64 & ((1 << (2 * width)) - 1)
-            };
-            let exact_planes = block_model(width, |a, b, _| product(a, b));
-            let wrong_planes = block_model(width, |a, b, i| product(a, b) ^ flip(a, b, i));
-            let wrong = |a: i128, b: i128| {
-                let pattern = |v: i128| (v as u64) & ((1 << width) - 1);
-                let bug = stripe(width, pattern(a), pattern(b));
-                I256::from_i128((a * b) ^ i128::from(bug))
-            };
-            let reference = check_signed(&n, width, Coverage::Exhaustive, Engine::Scalar, wrong);
-            assert!(reference.is_err());
-            for engine in BOTH {
-                assert_eq!(
-                    check_exhaustive_planes_signed(&n, width, engine, &exact_planes),
-                    Ok(pairs)
-                );
-                assert_eq!(
-                    check_exhaustive_planes_signed(&n, width, engine, &wrong_planes),
-                    reference,
-                    "signed {width}-bit on {engine}"
-                );
+                let n = signed_wallace_multiplier(width);
+                let product = |a: u64, b: u64| {
+                    let value =
+                        sign_extend(u128::from(a), width) * sign_extend(u128::from(b), width);
+                    value as u64 & ((1 << (2 * width)) - 1)
+                };
+                let exact_planes = plane_model(width, |a, b, _| product(a, b));
+                let wrong_planes = plane_model(width, |a, b, i| product(a, b) ^ flip(a, b, i));
+                let wrong = |a: i128, b: i128| {
+                    let pattern = |v: i128| (v as u64) & ((1 << width) - 1);
+                    let bug = stripe(width, pattern(a), pattern(b));
+                    I256::from_i128((a * b) ^ i128::from(bug))
+                };
+                let reference = check_signed(&n, width, coverage, Engine::Scalar, wrong);
+                assert!(reference.is_err(), "signed {width}-bit {coverage:?}");
+                for engine in BOTH {
+                    let row = format!("signed {width}-bit {coverage:?} on {engine}");
+                    assert_eq!(
+                        check_planes_signed(&n, width, coverage, engine, &exact_planes),
+                        Ok(signed_pairs),
+                        "{row}"
+                    );
+                    assert_eq!(
+                        check_planes_signed(&n, width, coverage, engine, &wrong_planes),
+                        reference,
+                        "{row}"
+                    );
+                }
             }
         }
     }
@@ -1011,8 +1047,8 @@ mod tests {
             n.set_output_bus("p", p);
             n
         };
-        let exact_planes = block_model(width, |a, b, _| a * b);
-        let signed_planes = block_model(width, |a, b, _| {
+        let exact_planes = plane_model(width, |a, b, _| a * b);
+        let signed_planes = plane_model(width, |a, b, _| {
             let value = sign_extend(u128::from(a), width) * sign_extend(u128::from(b), width);
             value as u64 & 0xFF
         });
@@ -1031,11 +1067,17 @@ mod tests {
             assert_eq!(signed_reference.is_ok(), extra, "extra plane {extra}");
             for engine in BOTH {
                 assert_eq!(
-                    check_exhaustive_planes(&n, width, engine, &exact_planes),
+                    check_planes(&n, width, Coverage::Exhaustive, engine, &exact_planes),
                     reference
                 );
                 assert_eq!(
-                    check_exhaustive_planes_signed(&n_signed, width, engine, &signed_planes),
+                    check_planes_signed(
+                        &n_signed,
+                        width,
+                        Coverage::Exhaustive,
+                        engine,
+                        &signed_planes
+                    ),
                     signed_reference
                 );
             }
@@ -1074,7 +1116,8 @@ mod tests {
             let expected: Vec<_> = (0..count)
                 .flat_map(|a| (0..count).map(move |b| (a, b)))
                 .collect();
-            assert_walks(&Pairs::rows(width), &expected, &format!("{width}-bit rows"));
+            let pairs = Pairs::of::<Unsigned>(Coverage::Exhaustive, width);
+            assert_walks(&pairs, &expected, &format!("{width}-bit rows"));
         }
         // Sampled: the corners row-major, then the draws, `a` before `b`;
         // a 70-bit pattern takes two draws, its high 6 bits first.

@@ -30,13 +30,14 @@
 //!   zero-delay (`random_activity_with_engine`) or glitch-aware through
 //!   the timing engines (`timing_activity_with_engine`).
 //! * [`equiv`] checks netlists against functional models, exhaustively or
-//!   sampled: `check` in the unsigned operand domain, `check_signed` in
-//!   the two's-complement one, and their exhaustive twins against a
-//!   bit-sliced block model, `check_exhaustive_planes` and
-//!   `check_exhaustive_planes_signed`, which compare products as
-//!   bit-planes, 64 pairs per word. Every check runs on one block sweep,
-//!   and sampled checks regenerate their draws from the seed, so their
-//!   memory does not grow with the sample count.
+//!   sampled: `check` in the unsigned operand domain and `check_signed` in
+//!   the two's-complement one, calling the model per pair, and their
+//!   plane twins `check_planes` and `check_planes_signed`, whose
+//!   bit-sliced model reads each block's operand bit-planes (and, on an
+//!   exhaustive row, the row's left pattern) and whose products are
+//!   compared as bit-planes, 64 pairs per word. Every check
+//!   runs on one block sweep, and sampled checks regenerate their draws
+//!   from the seed, so their memory does not grow with the sample count.
 //!
 //! The equivalence sweep, the glitch-aware activity streams and
 //! [`ab_stimulus`] resolve the multipliers' port convention (operand buses

@@ -3,7 +3,7 @@
 //! Every parallel sweep in the workspace — the scalar and bit-sliced error
 //! drivers in `sdlc-core`, the compiled-engine equivalence checks and the
 //! activity stream groups in `sdlc-sim` — partitions its iteration space
-//! through these two functions; there is no other thread machinery.
+//! through [`parallel_chunks`]; there is no other thread machinery.
 //! The chunk formula and the merge order (partials returned in chunk
 //! order) are part of the engines' bit-identity contract: results must
 //! never depend on the machine's core count, and a "first counterexample"
@@ -52,33 +52,6 @@ where
     partials
 }
 
-/// The samplers' equivalent: splits a fixed shard list into at most
-/// `threads` contiguous runs and hands each run to `worker`, returning
-/// the partial results in run order.
-///
-/// # Panics
-///
-/// Panics if a worker panics.
-pub fn parallel_shard_chunks<T, F>(shards: &[u64], threads: usize, worker: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&[u64]) -> T + Sync,
-{
-    let chunk = shards.len().div_ceil(threads).max(1);
-    let worker = &worker;
-    let mut partials = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .chunks(chunk)
-            .map(|run| scope.spawn(move || worker(run)))
-            .collect();
-        for handle in handles {
-            partials.push(handle.join().expect("worker panicked"));
-        }
-    });
-    partials
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,7 +90,7 @@ mod tests {
     #[test]
     fn shard_chunks_preserve_shard_order() {
         let shards: Vec<u64> = (0..10).collect();
-        let partials = parallel_shard_chunks(&shards, 3, <[u64]>::to_vec);
+        let partials = parallel_chunks(10, 3, |lo, hi| (lo..hi).collect::<Vec<_>>());
         let flat: Vec<u64> = partials.into_iter().flatten().collect();
         assert_eq!(flat, shards);
     }

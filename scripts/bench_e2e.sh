@@ -14,7 +14,7 @@
 #           sdlc-cli verify --width 10 --depth 2 --signed          (10 pairs)
 #           sdlc-cli verify --width 16 --depth 2 --samples 4000000 (5 pairs;
 #                   the sampled path, which flowbench's exhaustive
-#                   requests never reach)
+#                   requests never reach), unsigned and --signed
 #   errors: sdlc-cli errors --width 14 --depth 2 --engine bitsliced (5 pairs)
 #           sdlc-cli errors --width 16 --depth 2 --engine bitsliced (2 pairs;
 #                   the full 2^32-pair sweep, about a minute a run)
@@ -24,9 +24,12 @@
 #                   (5 pairs; the signed exhaustive row)
 #
 # plus 10 paired `flowbench` passes of the workload (seed 1, 10 s each),
-# recording both of their end-to-end metrics, `flow_ms` and `setup_s`, and
-# each pass's median calibration-kernel time, which tracks the machine's
-# speed during the pass.
+# recording both of their end-to-end metrics, `flow_ms` and `setup_s`
+# (scaled by flowbench's calibration kernel), the same two metrics in
+# wall-clock time as flowbench prints them on stderr, and each pass's
+# median calibration-kernel time, which tracks the machine's speed during
+# the pass. The wall-clock rows show whether a scaled difference comes
+# from the flows or from the calibration kernel.
 #
 # Every record holds the side, git rev, the hashes of the checkout's
 # `crates/` and `src/` trees (equal to `git rev-parse <commit>:crates` and
@@ -42,7 +45,7 @@ set -euo pipefail
 workload=${1:-}
 case $workload in
     synth) rows=("5|synth --width 16 --depth 4" "3|synth --width 64 --depth 4" "1|synth --width 128 --depth 4") ;;
-    verify) rows=("10|verify --width 12 --depth 2" "10|verify --width 10 --depth 2 --signed" "5|verify --width 16 --depth 2 --samples 4000000") ;;
+    verify) rows=("10|verify --width 12 --depth 2" "10|verify --width 10 --depth 2 --signed" "5|verify --width 16 --depth 2 --samples 4000000" "5|verify --width 16 --depth 2 --samples 4000000 --signed") ;;
     errors) rows=("5|errors --width 14 --depth 2 --engine bitsliced" "2|errors --width 16 --depth 2 --engine bitsliced" "5|errors --width 24 --depth 3 --engine bitsliced" "5|errors --width 14 --depth 2 --signed --engine bitsliced") ;;
     *)
         echo "usage: $0 {synth|verify|errors} BASE_DIR HEAD_DIR" >&2
@@ -126,7 +129,8 @@ for row in "${rows[@]}"; do
         "\"stdout_sha256\": \"$head_sha\", \"head_won\": $(wins "$base_times" "$head_times")"
 done
 
-# One flowbench pass: prints "<flow_ms> <setup_s> <calibration_ms>".
+# One flowbench pass: prints "<flow_ms> <setup_s> <calibration_ms>
+# <wall flow_ms> <wall setup_s>".
 flowbench_pass() {
     local log
     log=$(mktemp)
@@ -134,24 +138,29 @@ flowbench_pass() {
         tail -n 1 |
         sed -E 's/.*"flow_ms": \{"value": ([0-9.eE+-]+).*"setup_s": \{"value": ([0-9.eE+-]+).*/\1 \2/' |
         tr '\n' ' '
-    sed -nE 's/.*calibration ([0-9.]+) ms.*/\1/p' "$log" | tail -n 1
+    sed -nE 's/.*wall-clock flow_ms ([0-9.]+), setup_s ([0-9.]+); calibration ([0-9.]+) ms.*/\3 \1 \2/p' "$log" | tail -n 1
     rm -f "$log"
 }
 base_ms="" head_ms="" base_s="" head_s="" base_cal="" head_cal=""
+base_wall_ms="" head_wall_ms="" base_wall_s="" head_wall_s=""
 for i in $(seq 10); do
     for side in $( ((i % 2)) && echo base head || echo head base); do
         if [ "$side" = base ]; then
-            read -r ms s cal < <(flowbench_pass "$base")
+            read -r ms s cal wall_ms wall_s < <(flowbench_pass "$base")
             base_ms+="${base_ms:+ }$ms" base_s+="${base_s:+ }$s" base_cal+="${base_cal:+ }$cal"
+            base_wall_ms+="${base_wall_ms:+ }$wall_ms" base_wall_s+="${base_wall_s:+ }$wall_s"
         else
-            read -r ms s cal < <(flowbench_pass "$head")
+            read -r ms s cal wall_ms wall_s < <(flowbench_pass "$head")
             head_ms+="${head_ms:+ }$ms" head_s+="${head_s:+ }$s" head_cal+="${head_cal:+ }$cal"
+            head_wall_ms+="${head_wall_ms:+ }$wall_ms" head_wall_s+="${head_wall_s:+ }$wall_s"
         fi
     done
 done
 echo "flowbench $workload flow_ms: base [$base_ms] head [$head_ms]" >&2
 echo "flowbench $workload setup_s: base [$base_s] head [$head_s]" >&2
 echo "flowbench $workload calibration_ms: base [$base_cal] head [$head_cal]" >&2
+echo "flowbench $workload wall flow_ms: base [$base_wall_ms] head [$head_wall_ms]" >&2
+echo "flowbench $workload wall setup_s: base [$base_wall_s] head [$head_wall_s]" >&2
 flow="flowbench $workload --seed 1 --seconds 10"
 record base "$flow (flow_ms)" ms "$base_ms"
 record head "$flow (flow_ms)" ms "$head_ms" "\"head_won\": $(wins "$base_ms" "$head_ms")"
@@ -159,6 +168,10 @@ record base "$flow (setup_s)" s "$base_s"
 record head "$flow (setup_s)" s "$head_s" "\"head_won\": $(wins "$base_s" "$head_s")"
 record base "$flow (calibration_ms)" ms "$base_cal"
 record head "$flow (calibration_ms)" ms "$head_cal"
+record base "$flow (wall flow_ms)" ms "$base_wall_ms"
+record head "$flow (wall flow_ms)" ms "$head_wall_ms" "\"head_won\": $(wins "$base_wall_ms" "$head_wall_ms")"
+record base "$flow (wall setup_s)" s "$base_wall_s"
+record head "$flow (wall setup_s)" s "$head_wall_s" "\"head_won\": $(wins "$base_wall_s" "$head_wall_s")"
 
 # Append to the JSON array (created on first use).
 if [ -s "$out" ]; then

@@ -21,6 +21,7 @@
 use std::io::{self, Write};
 use std::process::ExitCode;
 
+use sdlc::core::batch::{BatchMultiplier, BATCH_MAX_WIDTH};
 use sdlc::core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme};
 use sdlc::core::error::{
     exhaustive_signed_with, exhaustive_with, mean_error_distance, sampled_signed_with,
@@ -175,17 +176,14 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 };
             }
             "--scheme" => {
-                options.scheme = match value()?.as_str() {
-                    "ripple" => ReductionScheme::RippleRows,
-                    "csa" => ReductionScheme::CarrySaveArray,
-                    "wallace" => ReductionScheme::Wallace,
-                    "dadda" => ReductionScheme::Dadda,
-                    "all" => {
-                        options.scheme_all = true;
-                        ReductionScheme::RippleRows
-                    }
-                    other => return Err(format!("unknown scheme {other:?}")),
-                };
+                let name = value()?;
+                options.scheme_all |= name == "all";
+                if name != "all" {
+                    options.scheme = ReductionScheme::all()
+                        .into_iter()
+                        .find(|scheme| scheme.tag() == name)
+                        .ok_or_else(|| format!("unknown scheme {name:?}"))?;
+                }
             }
             "--json" => options.json = true,
             "--engine" => {
@@ -443,28 +441,22 @@ fn cmd_verify(options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
     let engine: sdlc::sim::Engine = options.engine.as_deref().unwrap_or("compiled").parse()?;
     let samples = options.samples.unwrap_or(2048);
     let model = build_model(options, width)?;
-    let schemes: &[ReductionScheme] = if options.scheme_all {
-        &[
-            ReductionScheme::RippleRows,
-            ReductionScheme::CarrySaveArray,
-            ReductionScheme::Wallace,
-            ReductionScheme::Dadda,
-        ]
+    let schemes = if options.scheme_all {
+        ReductionScheme::all().to_vec()
     } else {
-        core::slice::from_ref(&options.scheme)
+        vec![options.scheme]
     };
-    // The compiled engine packs 64 vectors per netlist sweep and shards
-    // rows across cores, and its exhaustive checks compare products as
-    // bit-planes against the model's bit-sliced twin, unsigned or signed;
-    // that lifts the practical exhaustive ceiling from 8 bits (scalar) to
-    // 12 in both domains. Above the ceiling, seeded sampling plus the
-    // corner patterns.
+    // The compiled engine lifts the practical exhaustive ceiling from 8
+    // bits (scalar) to 12 in both domains; above it, seeded sampling plus
+    // the corner patterns. Up to the bit-sliced twins' width every check
+    // compares product planes against the twin, wider ones call the
+    // scalar model per pair.
     let cutoff = match engine {
         sdlc::sim::Engine::Scalar => 8,
         sdlc::sim::Engine::Compiled => 12,
     };
     let mut records = Vec::new();
-    for &scheme in schemes {
+    for scheme in schemes {
         let mut netlist = sdlc_multiplier(&model, scheme);
         if options.signed {
             netlist = sdlc::core::circuits::signed_multiplier(&netlist, width);
@@ -485,36 +477,37 @@ fn cmd_verify(options: &Options, out: &mut dyn Write) -> Result<(), Failure> {
                 seed: 0x5D1C,
             }
         };
-        let label = if exhaustive {
-            format!(
-                "exhaustive, {} {}operand pairs",
-                1u64 << (2 * width),
-                if options.signed { "signed " } else { "" }
-            )
-        } else if options.signed {
-            format!("sampled, 25 signed corners + {samples} seeded pairs")
+        let (signed, corners) = if options.signed {
+            ("signed ", 25)
         } else {
-            format!("sampled, 9 corners + {samples} seeded pairs")
+            ("", 9)
         };
-        let compiled_exhaustive = exhaustive && engine == sdlc::sim::Engine::Compiled;
-        let outcome: Result<u64, String> = if options.signed && compiled_exhaustive {
+        let label = if exhaustive {
+            format!("exhaustive, {} {signed}operand pairs", 1u64 << (2 * width))
+        } else {
+            format!("sampled, {corners} {signed}corners + {samples} seeded pairs")
+        };
+        let outcome: Result<u64, String> = if options.signed && width <= BATCH_MAX_WIDTH {
             let batch = SignMagnitude::new(model.clone()).batch_model();
-            equiv::check_exhaustive_planes_signed(&netlist, width, engine, |a, b0, planes| {
-                batch.exhaustive_block_planes_signed(a, b0, planes)
-            })
-            .map_err(|e| e.to_string())
+            let twin = |ops: equiv::OperandPlanes<'_>, product: &mut [u64]| match ops.row {
+                Some(a) => batch.multiply_planes_bcast_signed(a, ops.b, product),
+                None => batch.multiply_planes_signed(ops.a, ops.b, product),
+            };
+            equiv::check_planes_signed(&netlist, width, coverage, engine, twin)
+                .map_err(|e| e.to_string())
         } else if options.signed {
             let signed = SignMagnitude::new(model.clone());
             equiv::check_signed(&netlist, width, coverage, engine, |a, b| {
                 signed.multiply_signed(a, b)
             })
             .map_err(|e| e.to_string())
-        } else if compiled_exhaustive {
+        } else if width <= BATCH_MAX_WIDTH {
             let batch = model.batch_model();
-            equiv::check_exhaustive_planes(&netlist, width, engine, |a, b0, planes| {
-                sdlc::core::batch::exhaustive_block_planes(&batch, a, b0, planes)
-            })
-            .map_err(|e| e.to_string())
+            let twin = |ops: equiv::OperandPlanes<'_>, product: &mut [u64]| match ops.row {
+                Some(a) => batch.multiply_planes_bcast(a, ops.b, product),
+                None => batch.multiply_planes(ops.a, ops.b, product),
+            };
+            equiv::check_planes(&netlist, width, coverage, engine, twin).map_err(|e| e.to_string())
         } else {
             equiv::check(&netlist, width, coverage, engine, |a, b| {
                 model.multiply(a, b)

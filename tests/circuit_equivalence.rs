@@ -3,13 +3,14 @@
 //! simulation engines must agree with each other on real multipliers.
 
 use sdlc::core::baselines::{EtmMultiplier, KulkarniMultiplier, TruncatedMultiplier};
+use sdlc::core::batch::BatchMultiplier;
 use sdlc::core::circuits::{
     accurate_multiplier, etm_multiplier, kulkarni_multiplier, sdlc_multiplier,
     truncated_multiplier, ReductionScheme,
 };
 use sdlc::core::{Batchable, ClusterVariant, Multiplier, SdlcMultiplier};
 use sdlc::netlist::passes;
-use sdlc::sim::equiv::{check, Coverage};
+use sdlc::sim::equiv::{check, Coverage, OperandPlanes};
 use sdlc::sim::{
     ab_stimulus, CompiledNetlist, CompiledSim, Engine, GlitchSim, LogicSim, TimedProgram,
     TimingSim, WHEEL_LANES, WHEEL_WORDS,
@@ -104,21 +105,31 @@ fn sdlc_circuit_matches_model_exhaustively_at_12_bits() {
     // 2^24 = 16.8 M operand pairs — the compiled-equivalence ceiling.
     // At this size the per-pair scalar model call dominates the compiled
     // netlist sweep, so the model side rides its bit-sliced 64-lane twin
-    // and products are compared as bit-planes, as `sdlc-cli verify` does
-    // (identical verdict semantics, proven against the per-pair checks at
-    // 8 bits below).
+    // (its broadcast form, one row per block) and products are compared as
+    // bit-planes, as `sdlc-cli verify` does (identical verdict semantics,
+    // proven against the per-pair checks at 8 bits below).
     for depth in [2u32, 4] {
         let model = SdlcMultiplier::new(12, depth).unwrap();
         let batch = model.batch_model();
         let netlist = sdlc_multiplier(&model, ReductionScheme::Wallace);
-        let pairs = sdlc::sim::equiv::check_exhaustive_planes(
+        let pairs = sdlc::sim::equiv::check_planes(
             &netlist,
             12,
+            Coverage::Exhaustive,
             Engine::Compiled,
-            |a, b0, planes| sdlc::core::batch::exhaustive_block_planes(&batch, a, b0, planes),
+            |ops, product| plane_model(&batch, ops, product),
         )
         .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
         assert_eq!(pairs, 1 << 24);
+    }
+}
+
+/// `batch` as `sdlc-cli verify`'s plane model: the broadcast form on
+/// exhaustive rows, the plane form on listed pairs.
+fn plane_model(batch: &impl BatchMultiplier, ops: OperandPlanes<'_>, product: &mut [u64]) {
+    match ops.row {
+        Some(a) => batch.multiply_planes_bcast(a, ops.b, product),
+        None => batch.multiply_planes(ops.a, ops.b, product),
     }
 }
 
@@ -139,11 +150,14 @@ fn batched_and_per_pair_checks_agree_at_8_bits() {
             engine,
         )
         .unwrap_or_else(|e| panic!("{engine}: {e}"));
-        let pairs =
-            sdlc::sim::equiv::check_exhaustive_planes(&netlist, 8, engine, |a, b0, planes| {
-                sdlc::core::batch::exhaustive_block_planes(&batch, a, b0, planes)
-            })
-            .unwrap_or_else(|e| panic!("{engine}: {e}"));
+        let pairs = sdlc::sim::equiv::check_planes(
+            &netlist,
+            8,
+            Coverage::Exhaustive,
+            engine,
+            |ops, product| plane_model(&batch, ops, product),
+        )
+        .unwrap_or_else(|e| panic!("{engine}: {e}"));
         assert_eq!(pairs, 1 << 16);
     }
 }

@@ -206,6 +206,57 @@ fn verify_sweeps_signed_12_bit_designs_exhaustively() {
 }
 
 #[test]
+fn verify_checks_designs_past_the_bit_sliced_twins_per_pair() {
+    // Past 32 bits no bit-sliced twin exists, so `verify` calls the scalar
+    // model per pair, unsigned and signed.
+    for (signed, design, label) in [
+        (false, "sdlc40_d2_ripple", "9 corners + 64 seeded pairs"),
+        (
+            true,
+            "signed_sdlc40_d2_ripple",
+            "25 signed corners + 64 seeded pairs",
+        ),
+    ] {
+        let mut args = vec!["verify", "--width", "40", "--samples", "64"];
+        if signed {
+            args.push("--signed");
+        }
+        let (stdout, stderr, ok) = run(&args);
+        assert!(ok, "{stdout}{stderr}");
+        assert!(stdout.contains(design), "{stdout}");
+        assert!(
+            stdout.contains(&format!("OK: netlist matches model (sampled, {label})")),
+            "{stdout}"
+        );
+    }
+}
+
+#[test]
+fn sampled_verify_prints_the_same_on_both_engines() {
+    // Both engines sweep the same corners and draws through the plane
+    // checker; only the engine tag in the header lines tells them apart.
+    for signed in [false, true] {
+        let output = |engine: &str| {
+            let mut args = vec!["verify", "--width", "16", "--scheme", "all"];
+            args.extend(["--samples", "1000", "--engine", engine]);
+            if signed {
+                args.push("--signed");
+            }
+            let (stdout, stderr, ok) = run(&args);
+            assert!(ok, "{engine}: {stdout}{stderr}");
+            stdout
+        };
+        let scalar = output("scalar");
+        assert_eq!(scalar.matches("OK: netlist matches model").count(), 4);
+        assert_eq!(
+            scalar.replace("(engine scalar)", "(engine compiled)"),
+            output("compiled"),
+            "signed {signed}"
+        );
+    }
+}
+
+#[test]
 fn verify_rejects_unknown_engines() {
     let (_, stderr, ok) = run(&["verify", "--width", "8", "--engine", "warp"]);
     assert!(!ok);

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use sdlc::core::baselines::{EtmMultiplier, KulkarniMultiplier, TruncatedMultiplier};
-use sdlc::core::batch::exhaustive_block_planes;
+use sdlc::core::batch::{BatchMultiplier, LANES};
 use sdlc::core::circuits::{
     accurate_multiplier, etm_multiplier, kulkarni_multiplier, sdlc_multiplier, signed_multiplier,
     truncated_multiplier, ReductionScheme,
@@ -13,17 +13,20 @@ use sdlc::core::circuits::{
 use sdlc::core::{Batchable, Multiplier, SdlcMultiplier, SignMagnitude, SignedMultiplier};
 use sdlc::netlist::Netlist;
 use sdlc::sim::activity::random_activity_with_engine;
-use sdlc::sim::equiv::{check, check_exhaustive_planes, check_signed, Coverage};
+use sdlc::sim::equiv::{
+    check, check_planes, check_planes_signed, check_signed, Coverage, OperandPlanes,
+};
 use sdlc::sim::{CompiledNetlist, CompiledSim, Engine, LogicSim};
-use sdlc::wideint::{SplitMix64, U256};
+use sdlc::wideint::bitplane::lanes_from_planes;
+use sdlc::wideint::{SplitMix64, I256, U256};
+
+/// An unsigned functional model, checked against its netlist.
+type Oracle = Box<dyn Fn(u128, u128) -> U256 + Sync>;
 
 /// Builds a random feed-forward gate DAG: `inputs` primary inputs, then
 /// `ops` gates whose kinds and source nets are decoded from the seeds.
 /// Deliberately includes buffers, constants and muxes so compile-time
 /// folding is exercised, not just the arithmetic cells.
-/// An unsigned functional model, checked against its netlist.
-type Oracle = Box<dyn Fn(u128, u128) -> U256 + Sync>;
-
 fn random_dag(inputs: u32, ops: &[(u8, u32, u32, u32)]) -> Netlist {
     let mut n = Netlist::new("dag");
     let mut nets = n.add_input_bus("a", inputs);
@@ -198,10 +201,10 @@ fn planted_bug_yields_identical_first_counterexample() {
     assert_eq!(scalar, compiled);
     assert_eq!((scalar.a, scalar.b), (37, 21));
 
-    // The plane walker, with the same stripe planted in the bit-sliced
-    // block model, reports the whole per-pair counterexample on both
-    // engines. Widths 2 and 4 fill partial blocks: the bug also fires in
-    // every lane past 2^width, which the valid-lane mask must hide.
+    // The plane checker, with the same stripe planted in the bit-sliced
+    // model, reports the whole per-pair counterexample on both engines.
+    // Widths 2 and 4 fill partial blocks: the bug also fires in every
+    // lane past 2^width, which the valid-lane mask must hide.
     for (width, a_bug, b_bug) in [(2u32, 2u64, 1u64), (4, 11, 9), (6, 37, 21), (8, 200, 77)] {
         let model = SdlcMultiplier::new(width, 2).unwrap();
         let netlist = sdlc_multiplier(&model, ReductionScheme::Wallace);
@@ -215,23 +218,21 @@ fn planted_bug_yields_identical_first_counterexample() {
                 p
             }
         };
-        let wrong_planes = |a: u64, b0: u64, planes: &mut [u64]| {
-            exhaustive_block_planes(&batch, a, b0, planes);
-            // Lane-wise +1 on the planted lanes.
-            let mut carry = (0..64u64)
-                .filter(|&i| (a == a_bug && b0 + i >= b_bug) || b0 + i >= count)
-                .fold(0u64, |mask, i| mask | 1 << i);
-            for plane in planes.iter_mut() {
-                let old = *plane;
-                *plane ^= carry;
-                carry &= old;
-            }
+        let wrong_planes = |ops: OperandPlanes<'_>, planes: &mut [u64]| {
+            plane_model(&batch, ops, planes);
+            // Lane-wise +1 on the planted lanes; a lane past 2^width sits
+            // in the row's one block.
+            let bug = lane_mask(ops, |i, a, b| {
+                (a == a_bug && b >= b_bug) || i as u64 >= count
+            });
+            add_one(planes, bug);
         };
         let reference =
             check(&netlist, width, Coverage::Exhaustive, Engine::Scalar, wrong).unwrap_err();
         assert_eq!((reference.a, reference.b), (a_bug.into(), b_bug.into()));
         for engine in [Engine::Scalar, Engine::Compiled] {
-            let planes = check_exhaustive_planes(&netlist, width, engine, wrong_planes);
+            let coverage = Coverage::Exhaustive;
+            let planes = check_planes(&netlist, width, coverage, engine, wrong_planes);
             assert_eq!(planes, Err(reference.clone()), "{width}-bit on {engine}");
         }
     }
@@ -262,6 +263,129 @@ fn planted_bug_yields_identical_first_counterexample() {
     )
     .unwrap_err();
     assert_eq!(scalar, compiled);
+}
+
+/// `batch` as `sdlc-cli verify`'s plane model: the broadcast form on
+/// exhaustive rows, the plane form on listed pairs.
+fn plane_model(batch: &impl BatchMultiplier, ops: OperandPlanes<'_>, product: &mut [u64]) {
+    match ops.row {
+        Some(a) => batch.multiply_planes_bcast(a, ops.b, product),
+        None => batch.multiply_planes(ops.a, ops.b, product),
+    }
+}
+
+/// The lanes of a block, as a lane mask, where `planted(i, a, b)` holds
+/// for lane `i`'s operand patterns, read back from their planes.
+fn lane_mask(ops: OperandPlanes<'_>, planted: impl Fn(usize, u64, u64) -> bool) -> u64 {
+    let lanes = |planes: &[u64]| {
+        let mut out = [0u64; LANES];
+        lanes_from_planes(planes, &mut out);
+        out
+    };
+    let (a, b) = (lanes(ops.a), lanes(ops.b));
+    (0..LANES)
+        .filter(|&i| planted(i, a[i], b[i]))
+        .fold(0, |mask, i| mask | 1 << i)
+}
+
+/// Adds one to the lanes of `mask` in a product plane stack, wrapping
+/// within its planes.
+fn add_one(planes: &mut [u64], mask: u64) {
+    let mut carry = mask;
+    for plane in planes {
+        let old = *plane;
+        *plane ^= carry;
+        carry &= old;
+    }
+}
+
+/// The planted bugs of the sampled plane checks, each checked alone: a
+/// corner pair, a seeded draw in a full block, and the last draw, which
+/// sits in the partial last block (`samples % 64 != 0`). The plane checker
+/// must report the per-pair scalar check's first counterexample on both
+/// engines, in both domains.
+#[test]
+fn sampled_plane_checks_report_the_per_pair_counterexample() {
+    let (width, samples, seed) = (12u32, 1000u64, 0x5D1C);
+    let coverage = Coverage::Sampled { samples, seed };
+    let mut rng = SplitMix64::new(seed);
+    let draws: Vec<(u64, u64)> = (0..samples)
+        .map(|_| {
+            let a = rng.next_bits(width);
+            (a, rng.next_bits(width))
+        })
+        .collect();
+    let max = (1u64 << width) - 1;
+    let min = 1u64 << (width - 1);
+    let model = SdlcMultiplier::new(width, 3).unwrap();
+    let netlist = sdlc_multiplier(&model, ReductionScheme::Dadda);
+    let batch = model.batch_model();
+
+    // Unsigned: 9 corner pairs, then the draws; 1009 pairs end in a
+    // 49-pair block.
+    assert_ne!((9 + samples) % 64, 0);
+    for (what, bug) in [
+        ("corner", (max, 1)),
+        ("draw", draws[300]),
+        ("last draw", draws[samples as usize - 1]),
+    ] {
+        let wrong = |a: u128, b: u128| {
+            let p = model.multiply(a, b);
+            if (a as u64, b as u64) == bug {
+                p.wrapping_add(&U256::ONE)
+            } else {
+                p
+            }
+        };
+        let wrong_planes = |ops: OperandPlanes<'_>, planes: &mut [u64]| {
+            plane_model(&batch, ops, planes);
+            add_one(planes, lane_mask(ops, |_, a, b| (a, b) == bug));
+        };
+        let reference = check(&netlist, width, coverage, Engine::Scalar, wrong).unwrap_err();
+        assert_eq!((reference.a as u64, reference.b as u64), bug, "{what}");
+        for engine in [Engine::Scalar, Engine::Compiled] {
+            let planes = check_planes(&netlist, width, coverage, engine, wrong_planes);
+            assert_eq!(planes, Err(reference.clone()), "{what} on {engine}");
+        }
+    }
+
+    // Signed: 25 corner pairs, then the draws; 1025 pairs end in a 1-pair
+    // block.
+    assert_ne!((25 + samples) % 64, 0);
+    let netlist = signed_multiplier(&netlist, width);
+    let signed = SignMagnitude::new(model.clone());
+    let batch = signed.batch_model();
+    for (what, bug) in [
+        ("corner", (min, max)),
+        ("draw", draws[300]),
+        ("last draw", draws[samples as usize - 1]),
+    ] {
+        let pattern = |v: i128| v as u64 & max;
+        let wrong = |a: i128, b: i128| {
+            let p = signed.multiply_signed(a, b);
+            if (pattern(a), pattern(b)) == bug {
+                I256::from_i128(p.to_i128().unwrap() + 1)
+            } else {
+                p
+            }
+        };
+        let wrong_planes = |ops: OperandPlanes<'_>, planes: &mut [u64]| {
+            // Sampled blocks list their pairs: the plane form.
+            assert_eq!(ops.row, None);
+            batch.multiply_planes_signed(ops.a, ops.b, planes);
+            add_one(planes, lane_mask(ops, |_, a, b| (a, b) == bug));
+        };
+        let reference = check_signed(&netlist, width, coverage, Engine::Scalar, wrong).unwrap_err();
+        assert_eq!(
+            (pattern(reference.a), pattern(reference.b)),
+            bug,
+            "signed {what}"
+        );
+        for engine in [Engine::Scalar, Engine::Compiled] {
+            let planes = check_planes_signed(&netlist, width, coverage, engine, wrong_planes);
+            assert_eq!(planes, Err(reference.clone()), "signed {what} on {engine}");
+        }
+    }
 }
 
 /// The compiled engine's verdict is also *positive*-identical: a passing

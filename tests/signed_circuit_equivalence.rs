@@ -13,7 +13,7 @@ use sdlc::core::{
     AccurateMultiplier, ClusterVariant, SdlcMultiplier, SignMagnitude, SignedMultiplier,
 };
 use sdlc::netlist::passes;
-use sdlc::sim::equiv::{check_exhaustive_planes_signed, check_signed, Coverage};
+use sdlc::sim::equiv::{check_planes_signed, check_signed, Coverage, OperandPlanes};
 use sdlc::sim::Engine;
 use sdlc::wideint::I256;
 
@@ -139,10 +139,10 @@ fn mismatches_report_signed_counterexamples() {
     let text = err.to_string();
     assert!(text.contains("signed netlist(1, -8) = -8"), "{text}");
 
-    // The plane walker, with the same bug planted in the bit-sliced block
-    // model (negative lanes zeroed), reports the whole per-pair
-    // counterexample on both engines. Widths 2 and 4 fill partial blocks:
-    // the lanes past 2^width are garbage the valid-lane mask must hide.
+    // The plane checker, with the same bug planted in the bit-sliced model
+    // (negative lanes zeroed), reports the whole per-pair counterexample
+    // on both engines. Widths 2 and 4 fill partial blocks: the lanes past
+    // 2^width are garbage the valid-lane mask must hide.
     for width in [2u32, 4, 8] {
         let netlist = signed_accurate_multiplier(width, ReductionScheme::RippleRows).unwrap();
         let batch = SignMagnitude::new(AccurateMultiplier::new(width).unwrap()).batch_model();
@@ -154,11 +154,13 @@ fn mismatches_report_signed_counterexamples() {
                 I256::from_i128(a * b)
             }
         };
-        let wrong_planes = |a: u64, b0: u64, planes: &mut [u64]| {
-            batch.exhaustive_block_planes_signed(a, b0, planes);
+        let wrong_planes = |ops: OperandPlanes<'_>, planes: &mut [u64]| {
+            let a = ops.row.expect("exhaustive blocks are rows");
+            batch.multiply_planes_bcast_signed(a, ops.b, planes);
             let negative = planes[planes.len() - 1];
+            // A lane past 2^width sits in the row's one block.
             let garbage = (0..64u64)
-                .filter(|&i| b0 + i >= count)
+                .filter(|&i| i >= count)
                 .fold(0u64, |mask, i| mask | 1 << i);
             for plane in planes.iter_mut() {
                 *plane = (*plane & !negative) | garbage;
@@ -168,7 +170,8 @@ fn mismatches_report_signed_counterexamples() {
             check_signed(&netlist, width, Coverage::Exhaustive, Engine::Scalar, wrong).unwrap_err();
         assert_eq!((reference.a, reference.b), (1, -(1 << (width - 1))));
         for engine in [Engine::Scalar, Engine::Compiled] {
-            let planes = check_exhaustive_planes_signed(&netlist, width, engine, wrong_planes);
+            let coverage = Coverage::Exhaustive;
+            let planes = check_planes_signed(&netlist, width, coverage, engine, wrong_planes);
             assert_eq!(planes, Err(reference.clone()), "{width}-bit on {engine}");
         }
     }
@@ -179,16 +182,23 @@ fn mismatches_report_signed_counterexamples() {
 fn signed_sdlc_matches_its_model_exhaustively_at_12_bits() {
     // 2^24 signed pattern pairs — the compiled signed exhaustive ceiling,
     // reached by comparing product planes against the bit-sliced
-    // sign-magnitude twin instead of calling the scalar model per pair.
+    // sign-magnitude twin (its broadcast form, one row per block) instead
+    // of calling the scalar model per pair, as `sdlc-cli verify` does.
     for depth in [2u32, 4] {
         let model = SdlcMultiplier::new(12, depth).unwrap();
         let netlist = signed_sdlc_multiplier(&model, ReductionScheme::Wallace);
         let batch = SignMagnitude::new(model).batch_model();
-        let pairs =
-            check_exhaustive_planes_signed(&netlist, 12, Engine::Compiled, |a, b0, planes| {
-                batch.exhaustive_block_planes_signed(a, b0, planes)
-            })
-            .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
+        let pairs = check_planes_signed(
+            &netlist,
+            12,
+            Coverage::Exhaustive,
+            Engine::Compiled,
+            |ops, product| match ops.row {
+                Some(a) => batch.multiply_planes_bcast_signed(a, ops.b, product),
+                None => batch.multiply_planes_signed(ops.a, ops.b, product),
+            },
+        )
+        .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
         assert_eq!(pairs, 1 << 24);
     }
 }

@@ -23,7 +23,7 @@ use sdlc::core::{
     AccurateMultiplier, Batchable, ClusterVariant, Multiplier, SdlcMultiplier, SignMagnitude,
     SignedMultiplier,
 };
-use sdlc::wideint::SplitMix64;
+use sdlc::wideint::{bitplane, SplitMix64};
 
 const WIDTHS: [u32; 5] = [4, 6, 8, 12, 16];
 const DEPTHS: [u32; 3] = [2, 3, 4];
@@ -155,11 +155,19 @@ fn exhaustive_8bit_three_way_cross_check() {
     let batch = signed.batch_model();
     let mut planes = [0u64; 16];
     let mut lanes_out = [0u64; LANES];
+    let (mut a_planes, mut b_planes) = ([0u64; 8], [0u64; 8]);
     for ua in 0..256u64 {
         let a = ((ua as i64) << 56) >> 56;
+        bitplane::broadcast_planes(ua, 8, &mut a_planes);
         for b0 in (0..256u64).step_by(LANES) {
-            // The block model `verify --signed` checks netlists against.
-            batch.exhaustive_block_planes_signed(ua, b0, &mut planes);
+            // The plane models `verify --signed` checks netlists against:
+            // the broadcast form of its exhaustive rows, and the plane
+            // form of its sampled blocks.
+            bitplane::counter_planes(b0, 8, &mut b_planes);
+            batch.multiply_planes_signed(&a_planes, &b_planes, &mut planes);
+            let mut row_planes = [0u64; 16];
+            batch.multiply_planes_bcast_signed(ua, &b_planes, &mut row_planes);
+            assert_eq!(row_planes, planes, "row {a}, block {b0}");
             sdlc::core::batch::extract_product_lanes(&planes, &mut lanes_out);
             for (i, &lane) in lanes_out.iter().enumerate() {
                 let ub = b0 + i as u64;
