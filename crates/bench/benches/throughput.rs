@@ -8,7 +8,7 @@ use sdlc_core::batch::{BatchMultiplier, Batchable, LANES};
 use sdlc_core::error::{exhaustive_with, Engine, EvalOptions};
 use sdlc_core::{AccurateMultiplier, Multiplier, SdlcMultiplier};
 use sdlc_netlist::GateKind;
-use sdlc_sim::{CompiledNetlist, CompiledSim, LogicSim};
+use sdlc_sim::{CompiledNetlist, CompiledSim, Lanes, LogicSim};
 use sdlc_wideint::{SplitMix64, U256};
 
 fn bench_multipliers(c: &mut Criterion) {
@@ -218,6 +218,20 @@ fn bench_simulators(c: &mut Criterion) {
         let mut rng = SplitMix64::new(5);
         b.iter(|| {
             let stimulus: Vec<u64> = (0..inputs).map(|_| rng.next_u64()).collect();
+            sim.apply(&stimulus);
+            std::hint::black_box(&mut sim);
+        });
+    });
+    // The same program on `Lanes` planes, as `verify`'s compiled sweep
+    // runs it: four 64-lane words per op.
+    group.bench_function("compiled_256x", |b| {
+        let program = CompiledNetlist::compile(&netlist);
+        let mut sim = CompiledSim::<Lanes>::new(&program);
+        let mut rng = SplitMix64::new(5);
+        b.iter(|| {
+            let stimulus: Vec<Lanes> = (0..inputs)
+                .map(|_| Lanes(std::array::from_fn(|_| rng.next_u64())))
+                .collect();
             sim.apply(&stimulus);
             std::hint::black_box(&mut sim);
         });

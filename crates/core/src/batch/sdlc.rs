@@ -47,7 +47,7 @@ impl BatchSdlc {
     /// # Panics
     ///
     /// Panics if the model is wider than
-    /// [`BATCH_MAX_WIDTH`](crate::batch::BATCH_MAX_WIDTH) bits.
+    /// [`BATCH_MAX_WIDTH`] bits.
     #[must_use]
     pub fn new(model: &SdlcMultiplier) -> Self {
         let width = check_batch_width(model.width());

@@ -7,9 +7,8 @@
 //! magnitudes, conditional product negation. The word-level functional
 //! model of the result is exactly
 //! [`SignMagnitude`](crate::SignMagnitude) over the corresponding
-//! unsigned model, and `sdlc-sim`'s
-//! [`check_signed`](sdlc_sim::equiv::check_signed)
-//! proves the pair-for-pair agreement in this module's tests and in
+//! unsigned model, and `sdlc-sim`'s `equiv::check_signed` proves the
+//! pair-for-pair agreement in this module's tests and in
 //! `tests/signed_circuit_equivalence.rs`.
 
 use sdlc_netlist::Netlist;

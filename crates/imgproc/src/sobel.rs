@@ -3,7 +3,7 @@
 //! The blur case study replaces the multiplications of a *non-negative*
 //! kernel; edge detection needs signed products (`pixel × negative tap`),
 //! so these paths drive a pluggable
-//! [`SignedMultiplier`](sdlc_core::SignedMultiplier) — exactly the
+//! [`SignedMultiplier`] — exactly the
 //! consumer the sign-magnitude subsystem was built for.
 
 use sdlc_core::SignedMultiplier;

@@ -28,8 +28,9 @@ use sdlc_wideint::parallel::{parallel_chunks, worker_threads};
 use sdlc_wideint::SplitMix64;
 
 use crate::compile::{CompiledNetlist, CompiledSim};
-use crate::glitch::{GlitchSim, TimedProgram, WHEEL_WORDS};
+use crate::glitch::{GlitchSim, TimedProgram};
 use crate::logic::{draw_pattern, AbPortMap, LogicSim};
+use crate::ops::WHEEL_WORDS;
 use crate::timing::TimingSim;
 use crate::Engine;
 

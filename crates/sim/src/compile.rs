@@ -29,23 +29,28 @@
 //! value stream — and therefore the per-net toggle count — is bit-identical
 //! to the structural engine's (the differential suite proves it).
 //!
-//! The executor, [`CompiledSim`], evaluates 64 independent vectors per
-//! sweep — lane `i` of every value word is stimulus stream `i`, the same
-//! stream a scalar [`crate::LogicSim`] would see on its own — and its
-//! inner loop reads `u32` slot indices from flat arrays instead of
-//! matching on gate structs. Ops are stored by logic level, and by opcode
-//! within a level, so the executor matches once per run of equal opcodes
-//! and runs each as a tight loop of one gate kind. [`CompiledSim::apply`]
-//! counts toggles lane-wise, so its totals equal the sum of 64 `LogicSim`
-//! streams; [`CompiledSim::evaluate`] skips that for equivalence sweeps
-//! where only final values matter.
+//! The executor, [`CompiledSim`], is generic over its value plane
+//! ([`crate::Plane`]): a `u64` evaluates 64 independent vectors per sweep
+//! — lane `i` of every value word is stimulus stream `i`, the same stream
+//! a scalar [`crate::LogicSim`] would see on its own — and a
+//! [`crate::Lanes`] plane evaluates [`crate::WHEEL_LANES`] (256), four
+//! such words per op. Its inner loop reads `u32` slot indices from flat
+//! arrays instead of matching on gate structs, once per op however wide
+//! the plane. Ops are stored by logic level, and by opcode within a
+//! level, so the executor matches once per run of equal opcodes and runs
+//! each as a tight loop of one gate kind. [`CompiledSim::apply`] counts
+//! toggles lane-wise, so its totals equal the sum of the per-lane
+//! `LogicSim` streams; [`CompiledSim::evaluate`] skips that for
+//! equivalence sweeps where only final values matter. Activity capture
+//! runs `u64` planes; `verify`'s compiled sweep runs `Lanes` planes, four
+//! consecutive 64-pair blocks per pass.
 
 use std::collections::HashMap;
 use std::ops::Range;
 
 use sdlc_netlist::{GateKind, NetId, Netlist};
 
-use crate::ops::{scatter_toggles, source_slots, Op, SLOT_CONST0, SLOT_CONST1};
+use crate::ops::{scatter_toggles, source_slots, Op, Plane, SLOT_CONST0, SLOT_CONST1};
 
 /// Outcome of folding one gate: either it needs no op (its output net
 /// aliases an existing slot) or it survives as a (possibly rewritten) op.
@@ -195,7 +200,7 @@ fn fold(mut opcode: Op, mut a: u32, mut b: u32, c: u32, not_source: &HashMap<u32
 /// let program = CompiledNetlist::compile(&n);
 /// assert_eq!(program.op_count(), 1); // the AND; the Buf is chased
 ///
-/// let mut sim = CompiledSim::new(&program);
+/// let mut sim = CompiledSim::<u64>::new(&program);
 /// sim.evaluate(&[0b1100, 0b1010]);
 /// assert_eq!(sim.plane(y), 0b1000);
 /// ```
@@ -322,18 +327,18 @@ impl CompiledNetlist {
     }
 
     /// Value-slot index of a net (folded nets alias their source's slot).
-    fn slot_of(&self, net: NetId) -> usize {
+    pub(crate) fn slot_of(&self, net: NetId) -> usize {
         self.slot_of_net[net.index()] as usize
     }
 }
 
 /// Evaluates the program's ops in `run`, all of opcode `op`, in order.
 #[inline(always)]
-fn exec_run<const TOGGLED: bool>(
+fn exec_run<P: Plane, const TOGGLED: bool>(
     p: &CompiledNetlist,
     run: Range<usize>,
     op: Op,
-    values: &mut [u64],
+    values: &mut [P],
     toggles: &mut [u64],
 ) {
     // Zipped slice iteration keeps the loop free of per-op bounds checks
@@ -347,33 +352,36 @@ fn exec_run<const TOGGLED: bool>(
         let new = op.eval(|pin| values[[s0, s1, s2][pin] as usize]);
         let d = d as usize;
         if TOGGLED {
-            toggles[d] += u64::from((values[d] ^ new).count_ones());
+            toggles[d] += (values[d] ^ new).count_ones();
         }
         values[d] = new;
     }
 }
 
-/// 64-lane executor over a [`CompiledNetlist`] program.
+/// Executor over a [`CompiledNetlist`] program, one value plane `P` per
+/// slot: a `u64` runs 64 lanes per pass, a [`crate::Lanes`] plane
+/// [`crate::WHEEL_LANES`] (256), reading each op's slot indices once for
+/// all of them.
 ///
 /// Each instance owns only its value (and toggle) arrays; the program is
 /// shared by reference, so spawning one executor per worker thread is
 /// cheap.
 #[derive(Debug, Clone)]
-pub struct CompiledSim<'p> {
+pub struct CompiledSim<'p, P: Plane = u64> {
     program: &'p CompiledNetlist,
-    values: Vec<u64>,
+    values: Vec<P>,
     toggles: Vec<u64>,
     /// Whether [`CompiledSim::apply`] has established a first state.
     primed: bool,
 }
 
-impl<'p> CompiledSim<'p> {
+impl<'p, P: Plane> CompiledSim<'p, P> {
     /// Creates an executor with all lanes at 0 (and the constant slots
     /// pre-loaded).
     #[must_use]
     pub fn new(program: &'p CompiledNetlist) -> Self {
-        let mut values = vec![0u64; program.slot_count];
-        values[SLOT_CONST1 as usize] = u64::MAX;
+        let mut values = vec![P::default(); program.slot_count];
+        values[SLOT_CONST1 as usize] = !P::default();
         Self {
             program,
             toggles: vec![0; program.slot_count],
@@ -383,7 +391,7 @@ impl<'p> CompiledSim<'p> {
     }
 
     #[inline]
-    fn exec<const TOGGLED: bool>(&mut self, stimulus: &[u64]) {
+    fn exec<const TOGGLED: bool>(&mut self, stimulus: &[P]) {
         let p = self.program;
         assert_eq!(
             stimulus.len(),
@@ -395,7 +403,7 @@ impl<'p> CompiledSim<'p> {
         for (&slot, &word) in p.input_slots.iter().zip(stimulus) {
             let slot = slot as usize;
             if TOGGLED {
-                toggles[slot] += u64::from((values[slot] ^ word).count_ones());
+                toggles[slot] += (values[slot] ^ word).count_ones();
             }
             values[slot] = word;
         }
@@ -407,29 +415,29 @@ impl<'p> CompiledSim<'p> {
             // its inlined loop evaluates that one gate and loads only the
             // pins it has.
             match op {
-                Op::And => exec_run::<TOGGLED>(p, run, Op::And, values, toggles),
-                Op::Or => exec_run::<TOGGLED>(p, run, Op::Or, values, toggles),
-                Op::Nand => exec_run::<TOGGLED>(p, run, Op::Nand, values, toggles),
-                Op::Nor => exec_run::<TOGGLED>(p, run, Op::Nor, values, toggles),
-                Op::Xor => exec_run::<TOGGLED>(p, run, Op::Xor, values, toggles),
-                Op::Xnor => exec_run::<TOGGLED>(p, run, Op::Xnor, values, toggles),
-                Op::Not => exec_run::<TOGGLED>(p, run, Op::Not, values, toggles),
-                Op::Buf => exec_run::<TOGGLED>(p, run, Op::Buf, values, toggles),
-                Op::Mux => exec_run::<TOGGLED>(p, run, Op::Mux, values, toggles),
+                Op::And => exec_run::<P, TOGGLED>(p, run, Op::And, values, toggles),
+                Op::Or => exec_run::<P, TOGGLED>(p, run, Op::Or, values, toggles),
+                Op::Nand => exec_run::<P, TOGGLED>(p, run, Op::Nand, values, toggles),
+                Op::Nor => exec_run::<P, TOGGLED>(p, run, Op::Nor, values, toggles),
+                Op::Xor => exec_run::<P, TOGGLED>(p, run, Op::Xor, values, toggles),
+                Op::Xnor => exec_run::<P, TOGGLED>(p, run, Op::Xnor, values, toggles),
+                Op::Not => exec_run::<P, TOGGLED>(p, run, Op::Not, values, toggles),
+                Op::Buf => exec_run::<P, TOGGLED>(p, run, Op::Buf, values, toggles),
+                Op::Mux => exec_run::<P, TOGGLED>(p, run, Op::Mux, values, toggles),
             }
         }
     }
 
-    /// Applies one stimulus word per primary input (ordered like the
+    /// Applies one stimulus plane per primary input (ordered like the
     /// source netlist's `inputs()`) and settles all lanes, accumulating
-    /// lane-wise toggle counts against the previous word — the
-    /// [`crate::LogicSim`] convention per lane (the first word establishes
+    /// lane-wise toggle counts against the previous plane — the
+    /// [`crate::LogicSim`] convention per lane (the first plane establishes
     /// state for free).
     ///
     /// # Panics
     ///
     /// Panics if the stimulus length differs from the input count.
-    pub fn apply(&mut self, stimulus: &[u64]) {
+    pub fn apply(&mut self, stimulus: &[P]) {
         if self.primed {
             self.exec::<true>(stimulus);
         } else {
@@ -444,28 +452,34 @@ impl<'p> CompiledSim<'p> {
     /// # Panics
     ///
     /// Panics if the stimulus length differs from the input count.
-    pub fn evaluate(&mut self, stimulus: &[u64]) {
+    pub fn evaluate(&mut self, stimulus: &[P]) {
         self.exec::<false>(stimulus);
     }
 
-    /// Current 64-lane plane of one net.
+    /// Current plane of one net.
     #[must_use]
-    pub fn plane(&self, net: NetId) -> u64 {
+    pub fn plane(&self, net: NetId) -> P {
         self.values[self.program.slot_of(net)]
+    }
+
+    /// The current planes of value slots, as [`CompiledNetlist::slot_of`]
+    /// resolves nets to them.
+    pub(crate) fn values(&self) -> &[P] {
+        &self.values
     }
 
     /// Lane-`lane` value of one net.
     ///
     /// # Panics
     ///
-    /// Panics if `lane >= 64`.
+    /// Panics if `lane >= P::LANES`.
     #[must_use]
     pub fn lane_value(&self, net: NetId, lane: u32) -> bool {
-        assert!(lane < 64);
-        (self.plane(net) >> lane) & 1 == 1
+        assert!(lane < P::LANES);
+        self.plane(net).lane(lane)
     }
 
-    /// Per-net toggle counts summed over all 64 lanes, scattered back to
+    /// Per-net toggle counts summed over all lanes, scattered back to
     /// the source netlist's net indexing (folded nets report their alias
     /// target's count — identical to the structural engine, since every
     /// fold preserves the net's boolean function).
@@ -478,7 +492,7 @@ impl<'p> CompiledSim<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LogicSim;
+    use crate::{Lanes, LogicSim, WHEEL_WORDS};
     use sdlc_wideint::SplitMix64;
 
     fn adder(width: u32) -> Netlist {
@@ -528,9 +542,61 @@ mod tests {
             .collect()
     }
 
+    /// Runs [`WHEEL_WORDS`] independent streams through one
+    /// `CompiledSim<Lanes>`, stream `k` in word `k`, with `apply` and with
+    /// `evaluate`, and each stream through its own `u64` executor: every
+    /// word of every net's plane must equal that stream's plane, after
+    /// every step, and the wide run's toggles must be their sum.
+    fn assert_wide_matches_narrow(n: &Netlist, seed: u64, steps: usize) {
+        let program = CompiledNetlist::compile(n);
+        let inputs = n.inputs().len();
+        let streams: Vec<_> = (0..WHEEL_WORDS as u64)
+            .map(|k| random_words(seed + k, steps, inputs))
+            .collect();
+        let mut applied = CompiledSim::<Lanes>::new(&program);
+        let mut evaluated = CompiledSim::<Lanes>::new(&program);
+        let mut narrow: Vec<CompiledSim> =
+            streams.iter().map(|_| CompiledSim::new(&program)).collect();
+        for step in 0..steps {
+            let stimulus: Vec<Lanes> = (0..inputs)
+                .map(|i| Lanes(std::array::from_fn(|k| streams[k][step][i])))
+                .collect();
+            applied.apply(&stimulus);
+            evaluated.evaluate(&stimulus);
+            for (sim, stream) in narrow.iter_mut().zip(&streams) {
+                sim.apply(&stream[step]);
+            }
+            for gate in n.gates() {
+                let net = gate.output;
+                let words = narrow.iter().map(|sim| sim.plane(net)).collect::<Vec<_>>();
+                assert_eq!(
+                    applied.plane(net).0.to_vec(),
+                    words,
+                    "net {net}, step {step}"
+                );
+                assert_eq!(evaluated.plane(net), applied.plane(net), "net {net}");
+                for (k, &word) in words.iter().enumerate() {
+                    assert_eq!(
+                        applied.lane_value(net, 64 * k as u32 + 9),
+                        word >> 9 & 1 == 1
+                    );
+                }
+            }
+        }
+        let mut toggles = vec![0u64; n.net_count()];
+        for sim in &narrow {
+            for (total, t) in toggles.iter_mut().zip(sim.toggles_per_net()) {
+                *total += t;
+            }
+        }
+        assert_eq!(applied.toggles_per_net(), toggles);
+        assert!(evaluated.toggles_per_net().iter().all(|&t| t == 0));
+    }
+
     #[test]
     fn matches_per_lane_logic_sim_values_and_toggles() {
         assert_matches_per_lane_logic_sim(&adder(6), &random_words(0xC0DE, 12, 12));
+        assert_wide_matches_narrow(&adder(6), 0xC0DE, 12);
     }
 
     #[test]
@@ -550,11 +616,11 @@ mod tests {
         assert_eq!(program.op_count(), 0);
         assert_eq!(program.slot_of(b2), program.slot_of(a));
         assert_eq!(program.slot_of(y), program.slot_of(a));
-        let mut sim = CompiledSim::new(&program);
+        let mut sim = CompiledSim::<u64>::new(&program);
         sim.evaluate(&[0xF0F0]);
         assert_eq!(sim.plane(y), 0xF0F0);
         // Folded nets report their source's toggles; constants never move.
-        let mut sim = CompiledSim::new(&program);
+        let mut sim = CompiledSim::<u64>::new(&program);
         sim.apply(&[0]);
         sim.apply(&[0b11]);
         let toggles = sim.toggles_per_net();
@@ -586,6 +652,7 @@ mod tests {
         assert_eq!(program.slot_of(always), SLOT_CONST1 as usize);
         assert_eq!(program.slot_of(xor_same), SLOT_CONST0 as usize);
         assert_matches_per_lane_logic_sim(&n, &random_words(7, 6, 2));
+        assert_wide_matches_narrow(&n, 7, 6);
     }
 
     #[test]
@@ -635,6 +702,7 @@ mod tests {
         // NOT sel, AND(sel,b), OR(sel,a) survive as rewritten ops.
         assert_eq!(program.op_count(), 3);
         assert_matches_per_lane_logic_sim(&n, &random_words(0xB0, 8, 3));
+        assert_wide_matches_narrow(&n, 0xB0, 8);
     }
 
     #[test]
@@ -696,7 +764,7 @@ mod tests {
         let y = n.mux2(sel, a, b);
         n.set_output_bus("y", vec![y]);
         let program = CompiledNetlist::compile(&n);
-        let mut sim = CompiledSim::new(&program);
+        let mut sim = CompiledSim::<u64>::new(&program);
         // sel lanes 0b01: lane0 selects b, lane1 selects a.
         sim.evaluate(&[0b01, 0b10, 0b01]);
         assert!(sim.lane_value(y, 0)); // sel=1 → b=1
@@ -708,6 +776,6 @@ mod tests {
     fn wrong_stimulus_width_panics() {
         let n = adder(4);
         let program = CompiledNetlist::compile(&n);
-        CompiledSim::new(&program).evaluate(&[0]);
+        CompiledSim::<u64>::new(&program).evaluate(&[0]);
     }
 }

@@ -19,8 +19,9 @@
 //! checker (per pair, per lane or per plane). It runs on one of two
 //! [`Engine`]s. The scalar engine drives one vector at a time through
 //! [`LogicSim`] — the reference. The compiled engine flattens the netlist
-//! once ([`CompiledNetlist`]), evaluates a whole block per pass from the
-//! operand bit-planes, and shards the blocks across scoped threads
+//! once ([`CompiledNetlist`]), evaluates four consecutive blocks per pass
+//! from their operand bit-planes, one per word of a [`Lanes`] plane,
+//! checks them in order, and shards the blocks across scoped threads
 //! through the same [`parallel_chunks`] splitter as the `sdlc-core` error
 //! drivers. Both see the same blocks in the same order and chunks merge
 //! in order, so the engines return bit-identical verdicts — including the
@@ -36,6 +37,7 @@ use sdlc_wideint::{SplitMix64, I256, U256};
 
 use crate::compile::{CompiledNetlist, CompiledSim};
 use crate::logic::{draw_pattern, AbPortMap, LogicSim};
+use crate::ops::{Lanes, WHEEL_WORDS};
 
 /// Which simulation engine an equivalence check runs on.
 ///
@@ -47,9 +49,9 @@ pub enum Engine {
     /// One [`LogicSim`] sweep per operand pair — the reference engine.
     #[default]
     Scalar,
-    /// 64 pairs per sweep through the compiled program, sharded across
-    /// threads. Needs operand and product buses of at most 64 bits; the
-    /// checks fall back to scalar beyond that.
+    /// 256 pairs (four 64-pair blocks) per pass through the compiled
+    /// program, sharded across threads. Needs operand and product buses
+    /// of at most 64 bits; the checks fall back to scalar beyond that.
     Compiled,
 }
 
@@ -624,27 +626,35 @@ impl Pairs {
         }
     }
 
-    /// Hands blocks `lo..hi` to `visit` in order, stopping at the first
-    /// `Some`.
+    /// Hands blocks `lo..hi` to `visit` in order, in groups of up to
+    /// [`GROUP`] consecutive blocks (the last group may hold fewer),
+    /// stopping at the first `Some`.
     fn walk<E>(
         &self,
         lo: u64,
         hi: u64,
-        mut visit: impl FnMut(Block<'_>) -> Option<E>,
+        mut visit: impl FnMut(&[Block<'_>]) -> Option<E>,
     ) -> Option<E> {
         const STEP: u64 = LANES as u64;
         match *self {
             Pairs::Rows { count } => {
                 let per_row = count.div_ceil(STEP);
                 let (mut a, mut b0) = (lo / per_row, lo % per_row * STEP);
-                for _ in lo..hi {
-                    let len = (count - b0).min(STEP) as usize;
-                    if let Some(found) = visit(Block::Row { a, b0, len }) {
-                        return Some(found);
+                let mut group = [Block::Row { a, b0, len: 0 }; GROUP];
+                let mut next = lo;
+                while next < hi {
+                    let blocks = (hi - next).min(GROUP as u64) as usize;
+                    for block in &mut group[..blocks] {
+                        let len = (count - b0).min(STEP) as usize;
+                        *block = Block::Row { a, b0, len };
+                        b0 += STEP;
+                        if b0 >= count {
+                            (a, b0) = (a + 1, 0);
+                        }
                     }
-                    b0 += STEP;
-                    if b0 >= count {
-                        (a, b0) = (a + 1, 0);
+                    next += blocks as u64;
+                    if let Some(found) = visit(&group[..blocks]) {
+                        return Some(found);
                     }
                 }
                 None
@@ -668,10 +678,11 @@ impl Pairs {
                     draw(&mut rng);
                 }
                 let end = (hi * STEP).min(corner_pairs + samples);
-                let mut block = [(0, 0); LANES];
+                // A group's pairs, so that its blocks can borrow them.
+                let mut listed = [(0, 0); LANES * GROUP];
                 while next < end {
-                    let len = (end - next).min(STEP) as usize;
-                    for pair in &mut block[..len] {
+                    let len = (end - next).min(STEP * GROUP as u64) as usize;
+                    for pair in &mut listed[..len] {
                         *pair = if next < corner_pairs {
                             let (i, j) = (next / corner_count, next % corner_count);
                             (corners[i as usize], corners[j as usize])
@@ -680,7 +691,13 @@ impl Pairs {
                         };
                         next += 1;
                     }
-                    if let Some(found) = visit(Block::Listed(&block[..len])) {
+                    let mut group = [Block::Listed(&[]); GROUP];
+                    let chunks = listed[..len].chunks(LANES);
+                    let blocks = chunks.len();
+                    for (block, chunk) in group.iter_mut().zip(chunks) {
+                        *block = Block::Listed(chunk);
+                    }
+                    if let Some(found) = visit(&group[..blocks]) {
                         return Some(found);
                     }
                 }
@@ -745,6 +762,11 @@ fn operand_planes(block: Block<'_>, bits: u32, a: &mut [u64; LANES], b: &mut [u6
     }
 }
 
+/// Blocks per compiled program pass: block `k` of a group of consecutive
+/// blocks runs in word `k` of a [`Lanes`] plane, so each op's slot
+/// indices are loaded once for all of them.
+const GROUP: usize = WHEEL_WORDS;
+
 /// The one sweep behind every check: runs `pairs` through the netlist a
 /// block at a time and hands each block to `check` with its operand
 /// planes `a` and `b` ([`operand_planes`] of `min(width, 64)` bits; zero
@@ -753,12 +775,15 @@ fn operand_planes(block: Block<'_>, bits: u32, a: &mut [u64; LANES], b: &mut [u6
 /// `p` planes, zero past the bus, lanes past the block's meaningless.
 /// Returns the pair count, or the first counterexample in pair order.
 ///
-/// The compiled engine evaluates 64 pairs per pass from the operand
-/// planes, shards the blocks across threads via [`parallel_chunks`] and
-/// merges the chunks in order. The scalar engine runs one [`LogicSim`]
-/// pass per pair on the calling thread, so its panics (an operand
-/// overflowing its bus) surface unchanged; the compiled engine falls back
-/// to it beyond [`compiled_supports`].
+/// The compiled engine evaluates a group of up to [`GROUP`] blocks (256
+/// pairs) per pass from the operand planes, then checks the group's
+/// blocks in order. It shards the blocks across threads via
+/// [`parallel_chunks`], each chunk cut into groups from its own start (its
+/// last group may be partial, and the unused words are never checked),
+/// and merges the chunks in order. The scalar engine runs one
+/// [`LogicSim`] pass per pair on the calling thread, so its panics (an
+/// operand overflowing its bus) surface unchanged; the compiled engine
+/// falls back to it beyond [`compiled_supports`].
 fn sweep<E: Send>(
     netlist: &Netlist,
     width: u32,
@@ -772,20 +797,37 @@ fn sweep<E: Send>(
     let bits = width.min(LANES as u32);
     let found = if engine == Engine::Compiled && compiled_supports(netlist, width) {
         let program = CompiledNetlist::compile(netlist);
+        let p_slots: Vec<usize> = p_nets.iter().map(|&net| program.slot_of(net)).collect();
         let (a_len, b_len) = (ports.a_len as usize, ports.b_len as usize);
         let partials = parallel_chunks(pairs.blocks(), worker_threads(), |lo, hi| {
-            let mut sim = CompiledSim::new(&program);
-            let mut stimulus = vec![0u64; netlist.inputs().len()];
-            // Planes from `width` up to a wider bus stay zero.
-            let (mut a, mut b, mut p) = ([0u64; LANES], [0u64; LANES], [0u64; LANES]);
-            pairs.walk(lo, hi, |block| {
-                operand_planes(block, bits, &mut a, &mut b);
-                ports.fill_planes(&a[..a_len], &b[..b_len], &mut stimulus);
-                sim.evaluate(&stimulus);
-                for (plane, &net) in p.iter_mut().zip(p_nets) {
-                    *plane = sim.plane(net);
+            let mut sim = CompiledSim::<Lanes>::new(&program);
+            let mut stimulus = vec![Lanes::default(); netlist.inputs().len()];
+            // Per block of a group; planes from `width` up to a wider bus
+            // stay zero.
+            let mut a = [[0u64; LANES]; GROUP];
+            let mut b = [[0u64; LANES]; GROUP];
+            let mut p = [[0u64; LANES]; GROUP];
+            // The group's operand planes, block `k` in word `k`.
+            let (mut a_lanes, mut b_lanes) = ([Lanes::default(); LANES], [Lanes::default(); LANES]);
+            pairs.walk(lo, hi, |group| {
+                for (k, &block) in group.iter().enumerate() {
+                    operand_planes(block, bits, &mut a[k], &mut b[k]);
                 }
-                check(block, &a, &b, &p)
+                for (j, plane) in a_lanes[..a_len].iter_mut().enumerate() {
+                    *plane = Lanes(std::array::from_fn(|k| a[k][j]));
+                }
+                for (j, plane) in b_lanes[..b_len].iter_mut().enumerate() {
+                    *plane = Lanes(std::array::from_fn(|k| b[k][j]));
+                }
+                ports.fill_planes(&a_lanes[..a_len], &b_lanes[..b_len], &mut stimulus);
+                sim.evaluate(&stimulus);
+                let values = sim.values();
+                for (j, &slot) in p_slots.iter().enumerate() {
+                    for (planes, word) in p.iter_mut().zip(values[slot].0) {
+                        planes[j] = word;
+                    }
+                }
+                (0..group.len()).find_map(|k| check(group[k], &a[k], &b[k], &p[k]))
             })
         });
         partials.into_iter().flatten().next()
@@ -794,20 +836,22 @@ fn sweep<E: Send>(
         let mut stimulus = vec![false; netlist.inputs().len()];
         let (mut a, mut b) = ([0u64; LANES], [0u64; LANES]);
         let mut p = vec![0u64; p_nets.len().max(LANES)];
-        pairs.walk(0, pairs.blocks(), |block| {
-            p.fill(0);
-            for lane in 0..block.len() {
-                let (a, b) = block.pair(lane);
-                ports.fill(a, b, &mut stimulus);
-                sim.apply(&stimulus);
-                for (plane, &net) in p.iter_mut().zip(p_nets) {
-                    *plane |= u64::from(sim.value(net)) << lane;
+        pairs.walk(0, pairs.blocks(), |group| {
+            group.iter().find_map(|&block| {
+                p.fill(0);
+                for lane in 0..block.len() {
+                    let (a, b) = block.pair(lane);
+                    ports.fill(a, b, &mut stimulus);
+                    sim.apply(&stimulus);
+                    for (plane, &net) in p.iter_mut().zip(p_nets) {
+                        *plane |= u64::from(sim.value(net)) << lane;
+                    }
                 }
-            }
-            if operands {
-                operand_planes(block, bits, &mut a, &mut b);
-            }
-            check(block, &a, &b, &p)
+                if operands {
+                    operand_planes(block, bits, &mut a, &mut b);
+                }
+                check(block, &a, &b, &p)
+            })
         })
     };
     found.map_or(Ok(pairs.len()), Err)
@@ -1087,8 +1131,10 @@ mod tests {
     /// Every pair `pairs.walk(lo, hi, ..)` visits, in order.
     fn visited(pairs: &Pairs, lo: u64, hi: u64) -> Vec<(u128, u128)> {
         let mut seen = Vec::new();
-        pairs.walk(lo, hi, |block| {
-            seen.extend((0..block.len()).map(|lane| block.pair(lane)));
+        pairs.walk(lo, hi, |group| {
+            for block in group {
+                seen.extend((0..block.len()).map(|lane| block.pair(lane)));
+            }
             None::<()>
         });
         seen

@@ -37,7 +37,10 @@
 use sdlc_netlist::{GateKind, NetId, Netlist};
 use sdlc_techlib::Library;
 
-use crate::ops::{scatter_toggles, source_slots, Op, SLOT_CONST0, SLOT_CONST1};
+use crate::ops::{
+    scatter_toggles, source_slots, Lanes, Op, Plane, SLOT_CONST0, SLOT_CONST1, WHEEL_LANES,
+    WHEEL_WORDS,
+};
 use crate::timing::to_fixed_ps;
 
 /// A [`Netlist`] flattened into a timed program: the compile-once side of
@@ -208,67 +211,6 @@ impl TimedProgram {
             };
             values[slot as usize]
         })
-    }
-}
-
-/// Words of 64 lanes per [`GlitchSim`] value plane: the wheel drains this
-/// many stimulus words at once, so each `(time, op)` key pops once for
-/// 256 lanes. A compile-time constant, so every lane-wide op is a fixed
-/// run of word ops the compiler unrolls. The activity driver fills each
-/// wheel with one stimulus group per word, as many groups as keep every
-/// worker busy: its 8 default groups run as 2 full wheels on one or two
-/// cores and as 8 one-word wheels on eight.
-pub const WHEEL_WORDS: usize = 4;
-
-/// Lanes per [`GlitchSim`] value plane.
-pub const WHEEL_LANES: usize = 64 * WHEEL_WORDS;
-
-/// One value plane of the glitch engine: [`WHEEL_WORDS`] words of 64
-/// lanes, with lane-wide boolean ops.
-#[derive(Debug, Clone, Copy, Default)]
-struct Lanes([u64; WHEEL_WORDS]);
-
-impl Lanes {
-    const ONES: Lanes = Lanes([u64::MAX; WHEEL_WORDS]);
-
-    fn map2(self, other: Lanes, f: impl Fn(u64, u64) -> u64) -> Lanes {
-        Lanes(std::array::from_fn(|w| f(self.0[w], other.0[w])))
-    }
-
-    fn is_zero(self) -> bool {
-        self.0.iter().fold(0, |any, &w| any | w) == 0
-    }
-
-    fn count_ones(self) -> u64 {
-        self.0.iter().map(|w| u64::from(w.count_ones())).sum()
-    }
-}
-
-impl std::ops::BitAnd for Lanes {
-    type Output = Lanes;
-    fn bitand(self, other: Lanes) -> Lanes {
-        self.map2(other, |x, y| x & y)
-    }
-}
-
-impl std::ops::BitOr for Lanes {
-    type Output = Lanes;
-    fn bitor(self, other: Lanes) -> Lanes {
-        self.map2(other, |x, y| x | y)
-    }
-}
-
-impl std::ops::BitXor for Lanes {
-    type Output = Lanes;
-    fn bitxor(self, other: Lanes) -> Lanes {
-        self.map2(other, |x, y| x ^ y)
-    }
-}
-
-impl std::ops::Not for Lanes {
-    type Output = Lanes;
-    fn not(self) -> Lanes {
-        Lanes(self.0.map(|w| !w))
     }
 }
 
@@ -516,7 +458,7 @@ impl<'p> GlitchSim<'p> {
         let last_op = (program.op_count() as u64).saturating_sub(1);
         let op_bits = u64::BITS - last_op.leading_zeros();
         let mut values = vec![Lanes::default(); program.slot_count()];
-        values[SLOT_CONST1 as usize] = Lanes::ONES;
+        values[SLOT_CONST1 as usize] = !Lanes::default();
         Self {
             program,
             toggles: vec![0; program.slot_count()],
@@ -710,7 +652,7 @@ impl<'p> GlitchSim<'p> {
     #[must_use]
     pub fn lane_value(&self, net: NetId, lane: u32) -> bool {
         assert!((lane as usize) < WHEEL_LANES);
-        (self.plane(net)[lane as usize / 64] >> (lane % 64)) & 1 == 1
+        Lanes(self.plane(net)).lane(lane)
     }
 }
 

@@ -8,9 +8,10 @@
 //!   compiled engine).
 //! * [`CompiledNetlist`]/[`CompiledSim`] — the netlist flattened once into
 //!   a dense struct-of-arrays program (constants folded, buffer chains
-//!   chased, ports pre-mapped) whose executor evaluates 64 vectors per
-//!   sweep without re-walking the `Netlist`; the fast path for
-//!   equivalence checking and switching-activity estimation.
+//!   chased, ports pre-mapped) whose executor evaluates one value
+//!   [`Plane`] per slot — 64 vectors per sweep in a `u64`, 256 in a
+//!   [`Lanes`] plane — without re-walking the `Netlist`; the fast path
+//!   for equivalence checking and switching-activity estimation.
 //! * [`TimingSim`] — event-driven simulation with per-gate load-dependent
 //!   delays from `sdlc-techlib`; observes *glitches* (spurious transitions
 //!   inside a cycle) that zero-delay simulation cannot, and reports settle
@@ -54,6 +55,7 @@ mod timing;
 
 pub use compile::{CompiledNetlist, CompiledSim};
 pub use equiv::Engine;
-pub use glitch::{GlitchApplyResult, GlitchSim, TimedProgram, WHEEL_LANES, WHEEL_WORDS};
+pub use glitch::{GlitchApplyResult, GlitchSim, TimedProgram};
 pub use logic::{ab_stimulus, LogicSim};
+pub use ops::{Lanes, Plane, WHEEL_LANES, WHEEL_WORDS};
 pub use timing::{ApplyResult, TimingSim};

@@ -6,9 +6,9 @@
 //! cell, two reserved slots holding the constant planes, and a net → slot
 //! table. Their lowering loops differ — one folds constants, buffers and
 //! common subexpressions, the other must keep every cell and its delay —
-//! but the opcode set, the pin convention, the lane-wide evaluation and the
-//! slot → net scatter live here once, so the two engines cannot drift
-//! apart.
+//! but the opcode set, the pin convention, the lane-wide evaluation, the
+//! value planes and the slot → net scatter live here once, so the two
+//! engines cannot drift apart.
 
 use std::ops::{BitAnd, BitOr, BitXor, Not};
 
@@ -67,8 +67,7 @@ impl Op {
     /// Evaluates the op on every lane of a value plane: `pin(i)` yields
     /// the plane on source pin `i`, and is called only for pins the cell
     /// has, so a caller chooses whether to load sources up front or on
-    /// demand. A plane is one 64-lane `u64` (the zero-delay engine) or
-    /// several side by side (the glitch engine's wheel words).
+    /// demand.
     #[inline]
     pub(crate) fn eval<P: Plane>(self, pin: impl Fn(usize) -> P) -> P {
         let a = pin(0);
@@ -87,16 +86,117 @@ impl Op {
     }
 }
 
-/// A value plane the ops evaluate on: the lanes are independent bits, so
-/// any type with word-wide boolean ops will do.
-pub(crate) trait Plane:
-    Copy + BitAnd<Output = Self> + BitOr<Output = Self> + BitXor<Output = Self> + Not<Output = Self>
+/// A value plane the ops evaluate on: independent one-bit lanes with
+/// lane-wide boolean ops. A `u64` is 64 lanes; [`Lanes`] is
+/// [`WHEEL_WORDS`] such words side by side.
+pub trait Plane:
+    Copy
+    + Default
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+    + Not<Output = Self>
 {
+    /// Lanes per plane.
+    const LANES: u32;
+
+    /// The number of set lanes.
+    fn count_ones(self) -> u64;
+
+    /// Whether lane `lane` is set (`lane < Self::LANES`).
+    fn lane(self, lane: u32) -> bool;
 }
 
-impl<P> Plane for P where
-    P: Copy + BitAnd<Output = P> + BitOr<Output = P> + BitXor<Output = P> + Not<Output = P>
-{
+impl Plane for u64 {
+    const LANES: u32 = 64;
+
+    #[inline]
+    fn count_ones(self) -> u64 {
+        u64::from(u64::count_ones(self))
+    }
+
+    #[inline]
+    fn lane(self, lane: u32) -> bool {
+        (self >> lane) & 1 == 1
+    }
+}
+
+/// Words of 64 lanes per [`Lanes`] plane. A compile-time constant, so
+/// every lane-wide op is a fixed run of word ops the compiler unrolls.
+/// The glitch engine's wheel drains this many stimulus words at once, so
+/// each `(time, op)` key pops once for [`WHEEL_LANES`] lanes; the activity
+/// driver fills each wheel with one stimulus group per word, as many
+/// groups as keep every worker busy (its 8 default groups run as 2 full
+/// wheels on one or two cores and as 8 one-word wheels on eight). The
+/// compiled `verify` sweep runs this many 64-pair blocks per program
+/// pass, one per word.
+pub const WHEEL_WORDS: usize = 4;
+
+/// Lanes per [`Lanes`] plane.
+pub const WHEEL_LANES: usize = 64 * WHEEL_WORDS;
+
+/// A value plane of [`WHEEL_WORDS`] words: lane `64 w + i` is bit `i` of
+/// word `w`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lanes(pub [u64; WHEEL_WORDS]);
+
+impl Lanes {
+    #[inline]
+    fn map2(self, other: Lanes, f: impl Fn(u64, u64) -> u64) -> Lanes {
+        Lanes(std::array::from_fn(|w| f(self.0[w], other.0[w])))
+    }
+
+    /// Whether no lane is set.
+    #[inline]
+    pub(crate) fn is_zero(self) -> bool {
+        self.0.iter().fold(0, |any, &w| any | w) == 0
+    }
+}
+
+impl Plane for Lanes {
+    const LANES: u32 = WHEEL_LANES as u32;
+
+    #[inline]
+    fn count_ones(self) -> u64 {
+        self.0.iter().map(|&w| Plane::count_ones(w)).sum()
+    }
+
+    #[inline]
+    fn lane(self, lane: u32) -> bool {
+        self.0[lane as usize / 64].lane(lane % 64)
+    }
+}
+
+impl BitAnd for Lanes {
+    type Output = Lanes;
+    #[inline]
+    fn bitand(self, other: Lanes) -> Lanes {
+        self.map2(other, |x, y| x & y)
+    }
+}
+
+impl BitOr for Lanes {
+    type Output = Lanes;
+    #[inline]
+    fn bitor(self, other: Lanes) -> Lanes {
+        self.map2(other, |x, y| x | y)
+    }
+}
+
+impl BitXor for Lanes {
+    type Output = Lanes;
+    #[inline]
+    fn bitxor(self, other: Lanes) -> Lanes {
+        self.map2(other, |x, y| x ^ y)
+    }
+}
+
+impl Not for Lanes {
+    type Output = Lanes;
+    #[inline]
+    fn not(self) -> Lanes {
+        Lanes(self.0.map(|w| !w))
+    }
 }
 
 /// The slots of `gate`'s source pins, resolved through `slot_of_net`.

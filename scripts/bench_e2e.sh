@@ -31,6 +31,14 @@
 # the pass. The wall-clock rows show whether a scaled difference comes
 # from the flows or from the calibration kernel.
 #
+# Then 10 crossed pairs: the base checkout's flowbench binary drives each
+# side's `sdlc-cli`, recorded as `(crossed flow_ms)` and `(crossed
+# setup_s)`. Each side's own flowbench compiles its own calibration
+# kernel, whose speed moves with code placement; the crossed `flow_ms`
+# holds the kernel fixed, so it compares the two CLIs alone. The crossed
+# `setup_s` runs the base's in-process references on both sides, so its
+# spread is the A/A noise floor of a `setup_s` reading.
+#
 # Every record holds the side, git rev, the hashes of the checkout's
 # `crates/` and `src/` trees (equal to `git rev-parse <commit>:crates` and
 # `<commit>:src` for a commit holding the same sources, so a row names the
@@ -129,39 +137,54 @@ for row in "${rows[@]}"; do
         "\"stdout_sha256\": \"$head_sha\", \"head_won\": $(wins "$base_times" "$head_times")"
 done
 
-# One flowbench pass: prints "<flow_ms> <setup_s> <calibration_ms>
-# <wall flow_ms> <wall setup_s>".
-flowbench_pass() {
-    local log
+# One flowbench pass on the checkout DIR: prints "<flow_ms> <setup_s>
+# <calibration_ms> <wall flow_ms> <wall setup_s>". Runs DIR's own
+# flowbench, or with MODE `crossed`, the base checkout's flowbench binary
+# driving DIR's `sdlc-cli` (both built by an earlier own pass).
+flowbench_pass() { # DIR [MODE]
+    local log cmd
     log=$(mktemp)
-    (cd "$1" && CARGO_TARGET_DIR=.bench_build bash flowbench/run.sh --workload "$workload" --seed 1 --seconds 10 --trace 0 2> "$log") |
+    if [ "${2:-}" = crossed ]; then
+        cmd=("$base/.bench_build/release/flowbench" --cli "$1/.bench_build/release/sdlc-cli")
+    else
+        cmd=(env CARGO_TARGET_DIR=.bench_build bash flowbench/run.sh)
+    fi
+    (cd "$1" && "${cmd[@]}" --workload "$workload" --seed 1 --seconds 10 --trace 0 2> "$log") |
         tail -n 1 |
         sed -E 's/.*"flow_ms": \{"value": ([0-9.eE+-]+).*"setup_s": \{"value": ([0-9.eE+-]+).*/\1 \2/' |
         tr '\n' ' '
     sed -nE 's/.*wall-clock flow_ms ([0-9.]+), setup_s ([0-9.]+); calibration ([0-9.]+) ms.*/\3 \1 \2/p' "$log" | tail -n 1
     rm -f "$log"
 }
-base_ms="" head_ms="" base_s="" head_s="" base_cal="" head_cal=""
-base_wall_ms="" head_wall_ms="" base_wall_s="" head_wall_s=""
-for i in $(seq 10); do
-    for side in $( ((i % 2)) && echo base head || echo head base); do
-        if [ "$side" = base ]; then
-            read -r ms s cal wall_ms wall_s < <(flowbench_pass "$base")
-            base_ms+="${base_ms:+ }$ms" base_s+="${base_s:+ }$s" base_cal+="${base_cal:+ }$cal"
-            base_wall_ms+="${base_wall_ms:+ }$wall_ms" base_wall_s+="${base_wall_s:+ }$wall_s"
-        else
-            read -r ms s cal wall_ms wall_s < <(flowbench_pass "$head")
-            head_ms+="${head_ms:+ }$ms" head_s+="${head_s:+ }$s" head_cal+="${head_cal:+ }$cal"
-            head_wall_ms+="${head_wall_ms:+ }$wall_ms" head_wall_s+="${head_wall_s:+ }$wall_s"
-        fi
+
+# 10 alternating pairs of flowbench passes in MODE (see flowbench_pass),
+# collected into the base_* and head_* lists.
+paired_passes() { # [MODE]
+    base_ms="" head_ms="" base_s="" head_s="" base_cal="" head_cal=""
+    base_wall_ms="" head_wall_ms="" base_wall_s="" head_wall_s=""
+    local i side ms s cal wall_ms wall_s
+    for i in $(seq 10); do
+        for side in $( ((i % 2)) && echo base head || echo head base); do
+            if [ "$side" = base ]; then
+                read -r ms s cal wall_ms wall_s < <(flowbench_pass "$base" "${1:-}")
+                base_ms+="${base_ms:+ }$ms" base_s+="${base_s:+ }$s" base_cal+="${base_cal:+ }$cal"
+                base_wall_ms+="${base_wall_ms:+ }$wall_ms" base_wall_s+="${base_wall_s:+ }$wall_s"
+            else
+                read -r ms s cal wall_ms wall_s < <(flowbench_pass "$head" "${1:-}")
+                head_ms+="${head_ms:+ }$ms" head_s+="${head_s:+ }$s" head_cal+="${head_cal:+ }$cal"
+                head_wall_ms+="${head_wall_ms:+ }$wall_ms" head_wall_s+="${head_wall_s:+ }$wall_s"
+            fi
+        done
     done
-done
+}
+
+flow="flowbench $workload --seed 1 --seconds 10"
+paired_passes
 echo "flowbench $workload flow_ms: base [$base_ms] head [$head_ms]" >&2
 echo "flowbench $workload setup_s: base [$base_s] head [$head_s]" >&2
 echo "flowbench $workload calibration_ms: base [$base_cal] head [$head_cal]" >&2
 echo "flowbench $workload wall flow_ms: base [$base_wall_ms] head [$head_wall_ms]" >&2
 echo "flowbench $workload wall setup_s: base [$base_wall_s] head [$head_wall_s]" >&2
-flow="flowbench $workload --seed 1 --seconds 10"
 record base "$flow (flow_ms)" ms "$base_ms"
 record head "$flow (flow_ms)" ms "$head_ms" "\"head_won\": $(wins "$base_ms" "$head_ms")"
 record base "$flow (setup_s)" s "$base_s"
@@ -172,6 +195,14 @@ record base "$flow (wall flow_ms)" ms "$base_wall_ms"
 record head "$flow (wall flow_ms)" ms "$head_wall_ms" "\"head_won\": $(wins "$base_wall_ms" "$head_wall_ms")"
 record base "$flow (wall setup_s)" s "$base_wall_s"
 record head "$flow (wall setup_s)" s "$head_wall_s" "\"head_won\": $(wins "$base_wall_s" "$head_wall_s")"
+
+paired_passes crossed
+echo "flowbench $workload crossed flow_ms: base [$base_ms] head [$head_ms]" >&2
+echo "flowbench $workload crossed setup_s: base [$base_s] head [$head_s]" >&2
+record base "$flow (crossed flow_ms)" ms "$base_ms"
+record head "$flow (crossed flow_ms)" ms "$head_ms" "\"head_won\": $(wins "$base_ms" "$head_ms")"
+record base "$flow (crossed setup_s)" s "$base_s"
+record head "$flow (crossed setup_s)" s "$head_s" "\"head_won\": $(wins "$base_s" "$head_s")"
 
 # Append to the JSON array (created on first use).
 if [ -s "$out" ]; then

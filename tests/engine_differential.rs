@@ -14,10 +14,12 @@ use sdlc::core::{Batchable, Multiplier, SdlcMultiplier, SignMagnitude, SignedMul
 use sdlc::netlist::Netlist;
 use sdlc::sim::activity::random_activity_with_engine;
 use sdlc::sim::equiv::{
-    check, check_planes, check_planes_signed, check_signed, Coverage, OperandPlanes,
+    check, check_exhaustive_batched, check_planes, check_planes_signed, check_signed, Coverage,
+    OperandPlanes,
 };
-use sdlc::sim::{CompiledNetlist, CompiledSim, Engine, LogicSim};
+use sdlc::sim::{CompiledNetlist, CompiledSim, Engine, Lanes, LogicSim, WHEEL_WORDS};
 use sdlc::wideint::bitplane::lanes_from_planes;
+use sdlc::wideint::parallel::{parallel_chunks, worker_threads};
 use sdlc::wideint::{SplitMix64, I256, U256};
 
 /// An unsigned functional model, checked against its netlist.
@@ -108,6 +110,42 @@ proptest! {
             prop_assert_eq!(compiled.plane(net), planes[net.index()], "net {}", net);
         }
         prop_assert_eq!(compiled.toggles_per_net(), toggles);
+
+        // A `Lanes` executor runs `WHEEL_WORDS` streams at once, this one
+        // in word 0 and fresh draws in the others: each word must equal a
+        // `u64` executor's run of its stream, in values after every step
+        // (`apply` and `evaluate` alike) and in toggles summed over all.
+        let streams: Vec<Vec<Vec<u64>>> = std::iter::once(words)
+            .chain((1..WHEEL_WORDS).map(|_| {
+                (0..4).map(|_| (0..inputs).map(|_| rng.next_u64()).collect()).collect()
+            }))
+            .collect();
+        let mut wide = CompiledSim::<Lanes>::new(&program);
+        let mut evaluated = CompiledSim::<Lanes>::new(&program);
+        let mut narrow: Vec<CompiledSim> = streams.iter().map(|_| CompiledSim::new(&program)).collect();
+        for step in 0..4 {
+            let stimulus: Vec<Lanes> = (0..inputs as usize)
+                .map(|i| Lanes(std::array::from_fn(|k| streams[k][step][i])))
+                .collect();
+            wide.apply(&stimulus);
+            evaluated.evaluate(&stimulus);
+            for (sim, stream) in narrow.iter_mut().zip(&streams) {
+                sim.apply(&stream[step]);
+            }
+            for gate in n.gates() {
+                let net = gate.output;
+                let expect: Vec<u64> = narrow.iter().map(|sim| sim.plane(net)).collect();
+                prop_assert_eq!(wide.plane(net).0.to_vec(), expect, "net {} step {}", net, step);
+                prop_assert_eq!(evaluated.plane(net), wide.plane(net), "net {}", net);
+            }
+        }
+        let mut narrow_toggles = vec![0u64; n.net_count()];
+        for sim in &narrow {
+            for (total, t) in narrow_toggles.iter_mut().zip(sim.toggles_per_net()) {
+                *total += t;
+            }
+        }
+        prop_assert_eq!(wide.toggles_per_net(), narrow_toggles);
     }
 }
 
@@ -406,5 +444,234 @@ fn sampled_verdicts_match_on_wide_designs() {
             |a, b| model.multiply(a, b),
         )
         .unwrap_or_else(|e| panic!("{engine}: {e}"));
+    }
+}
+
+/// The compiled sweep's blocks, as `parallel_chunks` cuts them into one
+/// chunk per worker thread: `(lo, hi)` per non-empty chunk, in order.
+/// Each chunk is cut into groups of `WHEEL_WORDS` blocks from its own
+/// start.
+fn chunks(blocks: u64) -> Vec<(u64, u64)> {
+    let mut chunks = parallel_chunks(blocks, worker_threads(), |lo, hi| (lo, hi));
+    chunks.retain(|(lo, hi)| lo < hi);
+    chunks
+}
+
+/// Sets of blocks to plant one bug in each: the block at every offset of
+/// a group, two blocks of one group (the earlier must be reported) and,
+/// with `chunk_ends`, the first block of every chunk past the first and
+/// the last block of every chunk whose last group is partial.
+fn bug_block_sets(blocks: u64, chunk_ends: bool) -> Vec<Vec<u64>> {
+    let group = WHEEL_WORDS as u64;
+    let mut sets: Vec<Vec<u64>> = (0..group).map(|k| vec![group + k]).collect();
+    sets.push(vec![group + 2, group + 1]);
+    sets.push(vec![group + group - 1, group]);
+    for &(lo, hi) in chunks(blocks).iter().filter(|_| chunk_ends) {
+        if lo > 0 {
+            sets.push(vec![lo]);
+        }
+        if (hi - lo) % group != 0 {
+            sets.push(vec![hi - 1]);
+        }
+    }
+    sets.retain(|set| set.iter().all(|&block| block < blocks));
+    sets
+}
+
+/// One planted pair per block of `set`, with `block(i)` listing block
+/// `i`'s operand-pattern pairs: lane `(5 i + 3) mod len`. Returns the
+/// planted pairs and the first of them in sweep order.
+fn plant(set: &[u64], block: impl Fn(u64) -> Vec<(u64, u64)>) -> (Vec<(u64, u64)>, (u64, u64)) {
+    let planted: Vec<(u64, u64)> = set
+        .iter()
+        .map(|&i| {
+            let pairs = block(i);
+            pairs[(5 * i as usize + 3) % pairs.len()]
+        })
+        .collect();
+    let first = set
+        .iter()
+        .zip(&planted)
+        .min()
+        .map(|(_, &pair)| pair)
+        .unwrap();
+    (planted, first)
+}
+
+/// Bugs planted at a group's boundaries, in the compiled sweep's 4-block
+/// passes, surface as the scalar engine's first counterexample on every
+/// checker — per pair, per plane and (unsigned, exhaustive) per lane — in
+/// both domains: exhaustive widths 4 (one-block rows) to 10, and sampled
+/// sweeps whose block count is no multiple of 4, so some chunk ends in a
+/// partial group.
+#[test]
+fn group_boundary_bugs_report_the_scalar_counterexample() {
+    for width in [4u32, 6, 8, 10] {
+        if width > 8 && cfg!(debug_assertions) {
+            // The 2^20-pair sweeps want the release suite.
+            continue;
+        }
+        let count = 1u64 << width;
+        let per_row = count.div_ceil(LANES as u64);
+        let row_block = |i: u64| {
+            let (a, b0) = (i / per_row, i % per_row * LANES as u64);
+            (b0..count.min(b0 + LANES as u64)).map(|b| (a, b)).collect()
+        };
+        let model = SdlcMultiplier::new(width, 2).unwrap();
+        let netlist = sdlc_multiplier(&model, ReductionScheme::Wallace);
+        let signed_netlist = signed_multiplier(&netlist, width);
+        // A bug in a later chunk costs the scalar reference half the
+        // sweep, so the wider rows plant theirs in the first groups only.
+        for set in bug_block_sets(count * per_row, width <= 6) {
+            let (bugs, first) = plant(&set, row_block);
+            let row = format!("{width}-bit exhaustive, bugs in blocks {set:?}");
+            assert_unsigned_bugs(&netlist, &model, Coverage::Exhaustive, &bugs, first, &row);
+            assert_signed_bugs(
+                &signed_netlist,
+                &model,
+                Coverage::Exhaustive,
+                &bugs,
+                first,
+                &row,
+            );
+        }
+    }
+
+    let (width, samples, seed) = (12u32, 1100u64, 0xB10C);
+    let coverage = Coverage::Sampled { samples, seed };
+    let model = SdlcMultiplier::new(width, 3).unwrap();
+    let netlist = sdlc_multiplier(&model, ReductionScheme::Dadda);
+    let signed_netlist = signed_multiplier(&netlist, width);
+    let max = (1u64 << width) - 1;
+    let min = 1u64 << (width - 1);
+    for (signed, corners) in [
+        (false, vec![0, 1, max]),
+        (true, vec![0, 1, max, min - 1, min]),
+    ] {
+        let mut pairs: Vec<(u64, u64)> = corners
+            .iter()
+            .flat_map(|&a| corners.iter().map(move |&b| (a, b)))
+            .collect();
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..samples {
+            let a = rng.next_bits(width);
+            pairs.push((a, rng.next_bits(width)));
+        }
+        let blocks = (pairs.len() as u64).div_ceil(LANES as u64);
+        assert_ne!(blocks % WHEEL_WORDS as u64, 0, "{} pairs", pairs.len());
+        let listed = |i: u64| pairs.chunks(LANES).nth(i as usize).unwrap().to_vec();
+        for set in bug_block_sets(blocks, true) {
+            let (bugs, first) = plant(&set, listed);
+            let row = format!("{width}-bit sampled, bugs in blocks {set:?}");
+            if signed {
+                assert_signed_bugs(&signed_netlist, &model, coverage, &bugs, first, &row);
+            } else {
+                assert_unsigned_bugs(&netlist, &model, coverage, &bugs, first, &row);
+            }
+        }
+    }
+}
+
+/// `model` with `bugs` planted, as every unsigned checker sees it: the
+/// scalar per-pair check must report `first`, and every checker on both
+/// engines the same counterexample.
+fn assert_unsigned_bugs(
+    netlist: &Netlist,
+    model: &SdlcMultiplier,
+    coverage: Coverage,
+    bugs: &[(u64, u64)],
+    first: (u64, u64),
+    row: &str,
+) {
+    let width = model.width();
+    let planted = |a: u64, b: u64| bugs.contains(&(a, b));
+    let wrong = |a: u128, b: u128| {
+        let p = model.multiply(a, b);
+        if planted(a as u64, b as u64) {
+            p.wrapping_add(&U256::ONE)
+        } else {
+            p
+        }
+    };
+    let batch = model.batch_model();
+    let wrong_planes = |ops: OperandPlanes<'_>, planes: &mut [u64]| {
+        plane_model(&batch, ops, planes);
+        add_one(planes, lane_mask(ops, |_, a, b| planted(a, b)));
+    };
+    let mask = (1u64 << width) - 1;
+    let wrong_lanes = |a: u64, b0: u64, out: &mut [u64; LANES]| {
+        for (i, lane) in out.iter_mut().enumerate() {
+            let b = (b0 + i as u64) & mask;
+            *lane = wrong(a.into(), b.into()).to_u128().unwrap() as u64;
+        }
+    };
+    let reference = check(netlist, width, coverage, Engine::Scalar, wrong).unwrap_err();
+    assert_eq!((reference.a as u64, reference.b as u64), first, "{row}");
+    for engine in [Engine::Scalar, Engine::Compiled] {
+        let expect = Err(reference.clone());
+        let row = format!("{row} on {engine}");
+        assert_eq!(
+            check(netlist, width, coverage, engine, wrong),
+            expect,
+            "{row}"
+        );
+        assert_eq!(
+            check_planes(netlist, width, coverage, engine, wrong_planes),
+            expect,
+            "{row}"
+        );
+        if coverage == Coverage::Exhaustive {
+            assert_eq!(
+                check_exhaustive_batched(netlist, width, wrong_lanes, engine).map(|()| 0),
+                expect,
+                "{row}"
+            );
+        }
+    }
+}
+
+/// [`assert_unsigned_bugs`] in the two's-complement domain: `bugs` and
+/// `first` are operand patterns.
+fn assert_signed_bugs(
+    netlist: &Netlist,
+    model: &SdlcMultiplier,
+    coverage: Coverage,
+    bugs: &[(u64, u64)],
+    first: (u64, u64),
+    row: &str,
+) {
+    let width = model.width();
+    let mask = (1u64 << width) - 1;
+    let pattern = |v: i128| v as u64 & mask;
+    let signed = SignMagnitude::new(model.clone());
+    let wrong = |a: i128, b: i128| {
+        let p = signed.multiply_signed(a, b);
+        if bugs.contains(&(pattern(a), pattern(b))) {
+            I256::from_i128(p.to_i128().unwrap() + 1)
+        } else {
+            p
+        }
+    };
+    let batch = signed.batch_model();
+    let wrong_planes = |ops: OperandPlanes<'_>, planes: &mut [u64]| {
+        batch.multiply_planes_signed(ops.a, ops.b, planes);
+        add_one(planes, lane_mask(ops, |_, a, b| bugs.contains(&(a, b))));
+    };
+    let reference = check_signed(netlist, width, coverage, Engine::Scalar, wrong).unwrap_err();
+    let got = (pattern(reference.a), pattern(reference.b));
+    assert_eq!(got, first, "signed {row}");
+    for engine in [Engine::Scalar, Engine::Compiled] {
+        let expect = Err(reference.clone());
+        let row = format!("signed {row} on {engine}");
+        assert_eq!(
+            check_signed(netlist, width, coverage, engine, wrong),
+            expect,
+            "{row}"
+        );
+        assert_eq!(
+            check_planes_signed(netlist, width, coverage, engine, wrong_planes),
+            expect,
+            "{row}"
+        );
     }
 }
