@@ -18,7 +18,7 @@ use sdlc_core::circuits::{
 };
 use sdlc_core::error::exhaustive;
 use sdlc_core::{AccurateMultiplier, ClusterVariant, Multiplier, SdlcMultiplier};
-use sdlc_imgproc::{convolve_3x3, psnr, scenes, FixedKernel};
+use sdlc_imgproc::{convolve_3x3, psnr, scenes, Kernel};
 use sdlc_synth::{analyze, AnalysisOptions};
 use sdlc_techlib::Library;
 
@@ -161,10 +161,10 @@ fn kernel_sensitivity() {
     let image = scenes::blobs(200, 200, 7);
     let exact = AccurateMultiplier::new(8).expect("valid");
     for (name, kernel) in [
-        ("full-scale (center=255)", FixedKernel::gaussian_3x3(1.5)),
+        ("full-scale (center=255)", Kernel::gaussian_3x3(1.5)),
         (
             "unit-gain Q0.8 (sum=256)",
-            FixedKernel::gaussian_3x3_unit_gain(1.5),
+            Kernel::gaussian_3x3_unit_gain(1.5),
         ),
     ] {
         let reference = convolve_3x3(&image, &kernel, &exact);

@@ -8,15 +8,14 @@
 //! engines and reports vectors/s plus the compiled speedup; then sampled
 //! equivalence at 16 bits — per-pair model calls on both engines, and the
 //! compiled engine against the bit-sliced twin through `check_planes`, as
-//! `sdlc-cli verify` runs it — and switching-activity sweeps. The
+//! `sdlc-cli verify` runs it — and switching-activity sweeps. A 12-bit
+//! row times a failing sweep: one planted bug, found on both engines. The
 //! verdicts (and toggle totals) are asserted identical along the way, so
 //! the bench doubles as a coarse differential test.
 //!
 //! `SDLC_FAST=1` drops the 10-bit scalar sweep (the slow tail).
 
-use std::time::Instant;
-
-use sdlc_bench::{banner, fast_mode};
+use sdlc_bench::{banner, fast_mode, stopwatch};
 use sdlc_core::batch::{BatchMultiplier, Batchable};
 use sdlc_core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme};
 use sdlc_core::{AccurateMultiplier, Multiplier, SdlcMultiplier};
@@ -38,12 +37,6 @@ fn plane_oracle(batch: impl BatchMultiplier + Sync + 'static) -> PlaneOracle {
         Some(a) => batch.multiply_planes_bcast(a, ops.b, product),
         None => batch.multiply_planes(ops.a, ops.b, product),
     })
-}
-
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64())
 }
 
 fn designs(width: u32) -> Vec<(String, Netlist, Oracle, PlaneOracle)> {
@@ -90,7 +83,7 @@ fn main() {
                 println!("  {width:2}-bit {name:<9} skipped (SDLC_FAST)");
                 continue;
             }
-            let (scalar, t_scalar) = timed(|| {
+            let (scalar, t_scalar) = stopwatch(|| {
                 check(
                     &netlist,
                     width,
@@ -99,7 +92,7 @@ fn main() {
                     &model,
                 )
             });
-            let (compiled, t_compiled) = timed(|| {
+            let (compiled, t_compiled) = stopwatch(|| {
                 check(
                     &netlist,
                     width,
@@ -133,17 +126,45 @@ fn main() {
         );
     }
 
+    // A failing sweep: one wrong product early in the first chunk. The
+    // scalar engine stops there; the compiled engine's other chunks stop
+    // before their next group once it is found.
+    let (width, bug) = (12u32, (3u128, 1000u128));
+    println!("\n== planted-bug exhaustive sweep (12-bit SDLC d2, wrong product at {bug:?}) ==");
+    let model = SdlcMultiplier::new(width, 2).expect("valid width");
+    let netlist = sdlc_multiplier(&model, ReductionScheme::RippleRows);
+    let wrong = |a: u128, b: u128| {
+        let p = U256::from_u128(model.multiply_u64(a as u64, b as u64));
+        if (a, b) == bug {
+            p.wrapping_add(&U256::ONE)
+        } else {
+            p
+        }
+    };
+    for engine in [Engine::Scalar, Engine::Compiled] {
+        let (verdict, seconds) =
+            stopwatch(|| check(&netlist, width, Coverage::Exhaustive, engine, wrong));
+        let mismatch = verdict.expect_err("the planted bug is found");
+        assert_eq!(
+            (mismatch.a, mismatch.b),
+            bug,
+            "{engine}: first counterexample"
+        );
+        println!("  {engine:<8} {:>8.2} ms", seconds * 1e3);
+    }
+
     println!("\n== sampled equivalence (16-bit, 9 corners + 20000 seeded pairs) ==");
     for (name, netlist, model, plane_model) in designs(16) {
         let coverage = Coverage::Sampled {
             samples: 20_000,
             seed: 7,
         };
-        let (scalar, t_scalar) = timed(|| check(&netlist, 16, coverage, Engine::Scalar, &model));
+        let (scalar, t_scalar) =
+            stopwatch(|| check(&netlist, 16, coverage, Engine::Scalar, &model));
         let (compiled, t_compiled) =
-            timed(|| check(&netlist, 16, coverage, Engine::Compiled, &model));
+            stopwatch(|| check(&netlist, 16, coverage, Engine::Compiled, &model));
         let (planes, t_planes) =
-            timed(|| check_planes(&netlist, 16, coverage, Engine::Compiled, &plane_model));
+            stopwatch(|| check_planes(&netlist, 16, coverage, Engine::Compiled, &plane_model));
         assert_eq!(scalar.is_ok(), compiled.is_ok(), "{name}: verdicts diverge");
         assert_eq!(scalar, planes, "{name}: plane model diverges");
         scalar.expect("generators match their models");
@@ -166,9 +187,10 @@ fn main() {
         for (name, netlist, _, _) in designs(width) {
             let vectors = 1u64 << 16;
             let (scalar, t_scalar) =
-                timed(|| random_activity_with_engine(&netlist, 0xAC, vectors, Engine::Scalar));
-            let (compiled, t_compiled) =
-                timed(|| random_activity_with_engine(&netlist, 0xAC, vectors, Engine::Compiled));
+                stopwatch(|| random_activity_with_engine(&netlist, 0xAC, vectors, Engine::Scalar));
+            let (compiled, t_compiled) = stopwatch(|| {
+                random_activity_with_engine(&netlist, 0xAC, vectors, Engine::Compiled)
+            });
             assert_eq!(scalar, compiled, "{name}: toggle totals diverge");
             println!(
                 "  {width:2}-bit {name:<9} scalar {:>7.2} Mvec/s  compiled {:>7.2} Mvec/s  \

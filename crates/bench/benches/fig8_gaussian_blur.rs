@@ -12,7 +12,7 @@
 use sdlc_bench::{banner, timed, vs};
 use sdlc_core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme};
 use sdlc_core::{AccurateMultiplier, SdlcMultiplier};
-use sdlc_imgproc::{convolve_3x3, psnr, scenes, write_pgm, FixedKernel};
+use sdlc_imgproc::{convolve_3x3, psnr, scenes, write_pgm, Kernel};
 use sdlc_synth::{analyze, AnalysisOptions};
 use sdlc_techlib::Library;
 
@@ -24,7 +24,7 @@ fn main() {
         "Figure 8: Gaussian blur with approximate multipliers (200×200, σ=1.5)",
         "Qiqieh et al., DATE'17, Figure 8",
     );
-    let kernel = FixedKernel::gaussian_3x3(1.5);
+    let kernel = Kernel::gaussian_3x3(1.5);
     println!(
         "kernel weights (full-scale 8-bit): corner {}, edge {}, center {}",
         kernel.weight(0, 0),

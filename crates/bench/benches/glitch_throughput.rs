@@ -11,21 +11,13 @@
 //!
 //! `SDLC_FAST=1` shrinks the vector budgets and skips the assertions.
 
-use std::time::Instant;
-
-use sdlc_bench::{banner, fast_mode};
+use sdlc_bench::{banner, fast_mode, stopwatch};
 use sdlc_core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme};
 use sdlc_core::SdlcMultiplier;
 use sdlc_netlist::Netlist;
 use sdlc_sim::{ab_stimulus, GlitchSim, TimedProgram, TimingSim, WHEEL_LANES, WHEEL_WORDS};
 use sdlc_techlib::Library;
 use sdlc_wideint::SplitMix64;
-
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64())
-}
 
 fn designs(width: u32) -> Vec<(String, Netlist)> {
     let scheme = ReductionScheme::RippleRows;
@@ -119,9 +111,10 @@ fn main() {
             _ => 1024,
         } / if fast_mode() { 4 } else { 1 };
         for (name, netlist) in designs(width) {
-            let (scalar, t_scalar) = timed(|| scalar_transitions(&netlist, &lib, 0xAC, vectors));
+            let (scalar, t_scalar) =
+                stopwatch(|| scalar_transitions(&netlist, &lib, 0xAC, vectors));
             let (compiled, t_compiled) =
-                timed(|| compiled_transitions(&netlist, &lib, 0xAC, vectors));
+                stopwatch(|| compiled_transitions(&netlist, &lib, 0xAC, vectors));
             let speedup = t_scalar / t_compiled;
             if width == 12 && name.starts_with("sdlc") {
                 headline = Some(speedup);

@@ -11,21 +11,22 @@
 //! * [`scenes`] — procedural test scenes (the paper's photograph is not
 //!   redistributable; PSNR is measured against an internal reference, so
 //!   scene choice only needs to exercise the full intensity range);
-//! * [`FixedKernel`] — Q0.8 fixed-point quantization of Gaussian kernels;
+//! * [`Kernel`] — 3×3 kernels: 8-bit fixed-point quantizations of
+//!   Gaussians and edge-detection operators with negative taps;
 //! * [`convolve_3x3`] — convolution with a pluggable
 //!   [`sdlc_core::Multiplier`], approximating exactly (and only) the
 //!   multiplications, as the paper does;
 //! * [`psnr`] / [`mse`] — the fidelity metrics of Eq. (3);
-//! * [`SignedKernel`] / [`convolve_3x3_signed`] / [`sobel_magnitude`] —
-//!   the signed convolution path: edge-detection kernels with negative
-//!   taps driven by a pluggable [`sdlc_core::SignedMultiplier`].
+//! * [`convolve_3x3_signed`] / [`sobel_magnitude`] — the signed
+//!   convolution path, driven by a pluggable
+//!   [`sdlc_core::SignedMultiplier`].
 //!
 //! ```
 //! use sdlc_core::{AccurateMultiplier, SdlcMultiplier};
-//! use sdlc_imgproc::{convolve_3x3, psnr, scenes, FixedKernel};
+//! use sdlc_imgproc::{convolve_3x3, psnr, scenes, Kernel};
 //!
 //! let image = scenes::blobs(64, 64, 7);
-//! let kernel = FixedKernel::gaussian_3x3(1.5);
+//! let kernel = Kernel::gaussian_3x3(1.5);
 //! let exact = convolve_3x3(&image, &kernel, &AccurateMultiplier::new(8)?);
 //! let approx = convolve_3x3(&image, &kernel, &SdlcMultiplier::new(8, 2)?);
 //! assert!(psnr(&exact, &approx) > 35.0); // 2-bit clusters barely dent quality
@@ -37,14 +38,12 @@ mod image;
 mod kernel;
 mod pgm;
 pub mod scenes;
-mod signed_kernel;
 mod sobel;
 
 pub use convolve::convolve_3x3;
 pub use image::GrayImage;
-pub use kernel::FixedKernel;
+pub use kernel::Kernel;
 pub use pgm::write_pgm;
-pub use signed_kernel::SignedKernel;
 pub use sobel::{
     convolve_3x3_signed, gradient_magnitude, scharr_magnitude, sobel_magnitude, GradientField,
 };

@@ -8,8 +8,9 @@
 
 use sdlc_core::SignedMultiplier;
 
+use crate::convolve::window_sums;
 use crate::image::GrayImage;
-use crate::signed_kernel::SignedKernel;
+use crate::kernel::Kernel;
 
 /// A signed per-pixel field (row-major `i32` values) — the raw output of
 /// [`convolve_3x3_signed`], kept unclamped so gradient combiners can see
@@ -60,7 +61,7 @@ impl GradientField {
 #[must_use]
 pub fn convolve_3x3_signed(
     image: &GrayImage,
-    kernel: &SignedKernel,
+    kernel: &Kernel,
     multiplier: &dyn SignedMultiplier,
 ) -> GradientField {
     let width_bits = multiplier.width();
@@ -73,42 +74,24 @@ pub fn convolve_3x3_signed(
     } else {
         (-(1i64 << (width_bits - 1)), (1i64 << (width_bits - 1)) - 1)
     };
-    for ky in 0..3 {
-        for kx in 0..3 {
-            let weight = i64::from(kernel.weight(kx, ky));
-            assert!(
-                (min_weight..=max_weight).contains(&weight),
-                "kernel weight {weight} exceeds the {width_bits}-bit signed range"
-            );
-        }
+    for weight in kernel.weights().map(i64::from) {
+        assert!(
+            (min_weight..=max_weight).contains(&weight),
+            "kernel weight {weight} exceeds the {width_bits}-bit signed range"
+        );
     }
+    let sums = window_sums(image, kernel, |px, weight| {
+        let product = multiplier.multiply_i64(i64::from(px), i64::from(weight));
+        i64::try_from(product).expect("3x3 taps fit i64")
+    });
     let (width, height) = image.dimensions();
-    let mut data = Vec::with_capacity((width * height) as usize);
-    for y in 0..height {
-        for x in 0..width {
-            let mut acc: i64 = 0;
-            for ky in 0..3 {
-                for kx in 0..3 {
-                    let weight = kernel.weight(kx, ky);
-                    if weight == 0 {
-                        continue;
-                    }
-                    let px = image
-                        .get_clamped(i64::from(x) + kx as i64 - 1, i64::from(y) + ky as i64 - 1);
-                    if px == 0 {
-                        continue;
-                    }
-                    let product = multiplier.multiply_i64(i64::from(px), i64::from(weight));
-                    acc += i64::try_from(product).expect("3x3 taps fit i64");
-                }
-            }
-            data.push(i32::try_from(acc).expect("9 products of i16×u8 fit i32"));
-        }
-    }
     GradientField {
         width,
         height,
-        data,
+        data: sums
+            .into_iter()
+            .map(|acc| i32::try_from(acc).expect("9 products of i16×u8 fit i32"))
+            .collect(),
     }
 }
 
@@ -123,8 +106,8 @@ pub fn convolve_3x3_signed(
 #[must_use]
 pub fn gradient_magnitude(
     image: &GrayImage,
-    gx_kernel: &SignedKernel,
-    gy_kernel: &SignedKernel,
+    gx_kernel: &Kernel,
+    gy_kernel: &Kernel,
     multiplier: &dyn SignedMultiplier,
 ) -> GrayImage {
     let gx = convolve_3x3_signed(image, gx_kernel, multiplier);
@@ -143,7 +126,7 @@ pub fn gradient_magnitude(
 
 /// The Sobel gradient-magnitude pipeline —
 /// [`gradient_magnitude`] with
-/// [`SignedKernel::sobel_gx`]/[`SignedKernel::sobel_gy`].
+/// [`Kernel::sobel_gx`]/[`Kernel::sobel_gy`].
 ///
 /// Note a paper-relevant property: Sobel's taps are 0 and ±powers of two,
 /// and SDLC (like any dot-diagram compression with at most one live row)
@@ -170,16 +153,11 @@ pub fn gradient_magnitude(
 /// ```
 #[must_use]
 pub fn sobel_magnitude(image: &GrayImage, multiplier: &dyn SignedMultiplier) -> GrayImage {
-    gradient_magnitude(
-        image,
-        &SignedKernel::sobel_gx(),
-        &SignedKernel::sobel_gy(),
-        multiplier,
-    )
+    gradient_magnitude(image, &Kernel::sobel_gx(), &Kernel::sobel_gy(), multiplier)
 }
 
 /// The Scharr gradient-magnitude pipeline — [`gradient_magnitude`] with
-/// [`SignedKernel::scharr_gx`]/[`SignedKernel::scharr_gy`], whose
+/// [`Kernel::scharr_gx`]/[`Kernel::scharr_gy`], whose
 /// multi-set-bit taps (±3, ±10) land products in compressible clusters.
 ///
 /// # Panics
@@ -189,8 +167,8 @@ pub fn sobel_magnitude(image: &GrayImage, multiplier: &dyn SignedMultiplier) -> 
 pub fn scharr_magnitude(image: &GrayImage, multiplier: &dyn SignedMultiplier) -> GrayImage {
     gradient_magnitude(
         image,
-        &SignedKernel::scharr_gx(),
-        &SignedKernel::scharr_gy(),
+        &Kernel::scharr_gx(),
+        &Kernel::scharr_gy(),
         multiplier,
     )
 }
@@ -205,7 +183,7 @@ mod tests {
     fn uniform_images_have_zero_gradients() {
         let img = GrayImage::from_fn(16, 16, |_, _| 200);
         let m = signed_accurate(16).unwrap();
-        let gx = convolve_3x3_signed(&img, &SignedKernel::sobel_gx(), &m);
+        let gx = convolve_3x3_signed(&img, &Kernel::sobel_gx(), &m);
         assert!(gx.values().iter().all(|&v| v == 0));
         let edges = sobel_magnitude(&img, &m);
         assert!(edges.pixels().iter().all(|&p| p == 0));
@@ -218,12 +196,12 @@ mod tests {
         let img = GrayImage::from_fn(8, 8, |x, _| if x < 4 { 10 } else { 240 });
         let mirrored = GrayImage::from_fn(8, 8, |x, _| if x < 4 { 240 } else { 10 });
         let m = signed_accurate(16).unwrap();
-        let gx = convolve_3x3_signed(&img, &SignedKernel::sobel_gx(), &m);
-        let gx_mirror = convolve_3x3_signed(&mirrored, &SignedKernel::sobel_gx(), &m);
+        let gx = convolve_3x3_signed(&img, &Kernel::sobel_gx(), &m);
+        let gx_mirror = convolve_3x3_signed(&mirrored, &Kernel::sobel_gx(), &m);
         assert!(gx.get(3, 4) > 0);
         assert_eq!(gx.get(3, 4), -gx_mirror.get(4, 4));
         // Pure vertical edges produce no Gy response.
-        let gy = convolve_3x3_signed(&img, &SignedKernel::sobel_gy(), &m);
+        let gy = convolve_3x3_signed(&img, &Kernel::sobel_gy(), &m);
         assert!(gy.values().iter().all(|&v| v == 0));
     }
 
@@ -257,12 +235,15 @@ mod tests {
         // genuinely collide.
         let img = scenes::blobs(48, 48, 3);
         let exact = signed_accurate(16).unwrap();
+        let sobel = sobel_magnitude(&img, &exact);
+        for depth in [2, 3, 4] {
+            assert_eq!(
+                sobel,
+                sobel_magnitude(&img, &signed_sdlc(16, depth).unwrap()),
+                "power-of-two taps must be exact through SDLC d{depth}"
+            );
+        }
         let approx = signed_sdlc(16, 4).unwrap();
-        assert_eq!(
-            sobel_magnitude(&img, &exact),
-            sobel_magnitude(&img, &approx),
-            "power-of-two taps must be exact through SDLC"
-        );
         let reference = scharr_magnitude(&img, &exact);
         let shallow = scharr_magnitude(&img, &signed_sdlc(16, 2).unwrap());
         let deep = scharr_magnitude(&img, &approx);
@@ -288,11 +269,11 @@ mod tests {
         // −2^{w−1} is inside the w-bit signed range even though its
         // magnitude exceeds the positive bound.
         let img = GrayImage::from_fn(4, 4, |_, _| 1);
-        let k = SignedKernel::from_weights([[0, 0, 0], [0, -512, 0], [0, 0, 0]]);
+        let k = Kernel::from_weights([[0, 0, 0], [0, -512, 0], [0, 0, 0]]);
         let field = convolve_3x3_signed(&img, &k, &signed_accurate(10).unwrap());
         assert!(field.values().iter().all(|&v| v == -512));
         // i16::MIN at a width wide enough for the i16 domain.
-        let k = SignedKernel::from_weights([[0, 0, 0], [0, i16::MIN, 0], [0, 0, 0]]);
+        let k = Kernel::from_weights([[0, 0, 0], [0, i16::MIN, 0], [0, 0, 0]]);
         let field = convolve_3x3_signed(&img, &k, &signed_accurate(18).unwrap());
         assert!(field.values().iter().all(|&v| v == i32::from(i16::MIN)));
     }
@@ -301,7 +282,7 @@ mod tests {
     #[should_panic(expected = "weight 1000 exceeds")]
     fn oversized_weights_are_rejected() {
         let img = GrayImage::new(4, 4);
-        let k = SignedKernel::from_weights([[0, 0, 0], [0, 1000, 0], [0, 0, 0]]);
+        let k = Kernel::from_weights([[0, 0, 0], [0, 1000, 0], [0, 0, 0]]);
         let _ = convolve_3x3_signed(&img, &k, &signed_accurate(10).unwrap());
     }
 }

@@ -29,6 +29,7 @@
 //! differential suite proves it).
 
 use core::fmt;
+use core::sync::atomic::{AtomicU64, Ordering};
 
 use sdlc_netlist::{NetId, Netlist};
 use sdlc_wideint::bitplane::{self, LANES};
@@ -780,7 +781,8 @@ const GROUP: usize = WHEEL_WORDS;
 /// blocks in order. It shards the blocks across threads via
 /// [`parallel_chunks`], each chunk cut into groups from its own start (its
 /// last group may be partial, and the unused words are never checked),
-/// and merges the chunks in order. The scalar engine runs one
+/// and merges the chunks in order; once a chunk fails, the others stop
+/// before any group past its failing block. The scalar engine runs one
 /// [`LogicSim`] pass per pair on the calling thread, so its panics (an
 /// operand overflowing its bus) surface unchanged; the compiled engine
 /// falls back to it beyond [`compiled_supports`].
@@ -799,6 +801,10 @@ fn sweep<E: Send>(
         let program = CompiledNetlist::compile(netlist);
         let p_slots: Vec<usize> = p_nets.iter().map(|&net| program.slot_of(net)).collect();
         let (a_len, b_len) = (ports.a_len as usize, ports.b_len as usize);
+        // The lowest failing block found so far. Chunks merge in order, so
+        // no block past it can be reported: a chunk stops before a group
+        // that starts past it. A hint only, publishing no other data.
+        let first_failure = AtomicU64::new(u64::MAX);
         let partials = parallel_chunks(pairs.blocks(), worker_threads(), |lo, hi| {
             let mut sim = CompiledSim::<Lanes>::new(&program);
             let mut stimulus = vec![Lanes::default(); netlist.inputs().len()];
@@ -809,7 +815,11 @@ fn sweep<E: Send>(
             let mut p = [[0u64; LANES]; GROUP];
             // The group's operand planes, block `k` in word `k`.
             let (mut a_lanes, mut b_lanes) = ([Lanes::default(); LANES], [Lanes::default(); LANES]);
+            let mut start = lo;
             pairs.walk(lo, hi, |group| {
+                if start > first_failure.load(Ordering::Relaxed) {
+                    return Some(None);
+                }
                 for (k, &block) in group.iter().enumerate() {
                     operand_planes(block, bits, &mut a[k], &mut b[k]);
                 }
@@ -827,10 +837,17 @@ fn sweep<E: Send>(
                         planes[j] = word;
                     }
                 }
-                (0..group.len()).find_map(|k| check(group[k], &a[k], &b[k], &p[k]))
+                let Some((k, found)) =
+                    (0..group.len()).find_map(|k| Some((k, check(group[k], &a[k], &b[k], &p[k])?)))
+                else {
+                    start += group.len() as u64;
+                    return None;
+                };
+                first_failure.fetch_min(start + k as u64, Ordering::Relaxed);
+                Some(Some(found))
             })
         });
-        partials.into_iter().flatten().next()
+        partials.into_iter().flatten().flatten().next()
     } else {
         let mut sim = LogicSim::new(netlist);
         let mut stimulus = vec![false; netlist.inputs().len()];

@@ -17,9 +17,9 @@ pub fn worker_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Splits `[0, count)` into at most `threads` contiguous chunks and runs
-/// `worker(lo, hi)` on scoped threads, returning the partial results in
-/// chunk order.
+/// Splits `[0, count)` into at most `threads` contiguous, non-empty
+/// chunks and runs `worker(lo, hi)` on scoped threads, returning the
+/// partial results in chunk order. Zero work still runs one empty chunk.
 ///
 /// The partition depends only on `(count, threads)`; callers that need
 /// thread-count-*independent* results fix `threads` or make their
@@ -35,12 +35,14 @@ where
 {
     let threads = threads.min(count as usize).max(1);
     let chunk = count.div_ceil(threads as u64);
+    // Rounding the chunk up can leave fewer chunks than threads.
+    let chunks = count.div_ceil(chunk.max(1)).max(1);
     let worker = &worker;
-    let mut partials = Vec::with_capacity(threads);
+    let mut partials = Vec::with_capacity(chunks as usize);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (0..chunks)
             .map(|t| {
-                let lo = t as u64 * chunk;
+                let lo = t * chunk;
                 let hi = (lo + chunk).min(count);
                 scope.spawn(move || worker(lo, hi))
             })
@@ -75,6 +77,27 @@ mod tests {
         // Zero work still runs one (empty) chunk.
         let empty = parallel_chunks(0, 4, |lo, hi| hi - lo);
         assert_eq!(empty, vec![0]);
+    }
+
+    #[test]
+    fn chunks_are_non_empty_contiguous_and_cover_the_range() {
+        for count in 0..=64u64 {
+            for threads in 1..=9 {
+                let chunks = parallel_chunks(count, threads, |lo, hi| (lo, hi));
+                let case = format!("count {count}, threads {threads}: {chunks:?}");
+                assert!(chunks.len() <= threads, "{case}");
+                if count == 0 {
+                    assert_eq!(chunks, vec![(0, 0)], "{case}");
+                    continue;
+                }
+                assert_eq!(chunks[0].0, 0, "{case}");
+                assert_eq!(chunks.last().unwrap().1, count, "{case}");
+                assert!(chunks.iter().all(|&(lo, hi)| lo < hi), "{case}");
+                for pair in chunks.windows(2) {
+                    assert_eq!(pair[0].1, pair[1].0, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

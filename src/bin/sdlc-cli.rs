@@ -44,7 +44,8 @@ USAGE:
   sdlc-cli <command> [options]
 
 COMMANDS:
-  errors    error metrics (exhaustive <=12 bits, Monte-Carlo above)
+  errors    error metrics (exhaustive up to 12 bits on the scalar
+            engine and 20 on bitsliced, Monte-Carlo above)
   verify    check the generated netlist against its functional model
             (exhaustive for narrow widths, sampled + corners above)
   sobel     Sobel edge detection through approximate signed multipliers
@@ -69,8 +70,8 @@ OPTIONS:
                    bitsliced packs 64 multiplications into word-wide
                    bit-plane ops, exhaustive up to 20 bits (2^40 pairs);
                    verify: scalar | compiled (default compiled) —
-                   compiled flattens the netlist once and sweeps 64
-                   vectors per pass across all cores
+                   compiled flattens the netlist once and sweeps 256
+                   operand pairs per pass across all cores
   --signed         evaluate the signed (two's-complement) sign-magnitude
                    wrapping of the design: `errors` sweeps the signed
                    operand range with signed ED/RED statistics

@@ -39,10 +39,11 @@
 //! # Ok::<(), sdlc::core::SpecError>(())
 //! ```
 //!
-//! See `examples/` for end-to-end walkthroughs (quickstart, dot-notation
-//! diagrams, synthesis reports, the Gaussian-blur study, the signed
-//! Sobel/Scharr edge-detection workload) and `crates/bench/benches/` for
-//! the per-table/figure reproduction harnesses.
+//! See `examples/` for walkthroughs (quickstart, dot-notation diagrams,
+//! an approximate FIR filter, a depth/variant Pareto explorer), the
+//! `sdlc-cli sobel` subcommand for the signed Sobel/Scharr edge-detection
+//! workload, and `crates/bench/benches/` for the per-table/figure
+//! reproduction harnesses (the Gaussian-blur study is Fig. 8's).
 
 pub use sdlc_core as core;
 pub use sdlc_imgproc as imgproc;

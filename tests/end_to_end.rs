@@ -4,7 +4,7 @@
 use sdlc::core::circuits::{accurate_multiplier, sdlc_multiplier, ReductionScheme};
 use sdlc::core::error::exhaustive;
 use sdlc::core::{AccurateMultiplier, SdlcMultiplier};
-use sdlc::imgproc::{convolve_3x3, psnr, scenes, FixedKernel};
+use sdlc::imgproc::{convolve_3x3, psnr, scenes, Kernel};
 use sdlc::synth::{analyze, AnalysisOptions};
 use sdlc::techlib::Library;
 
@@ -78,7 +78,7 @@ fn deeper_clusters_save_more_hardware() {
 #[test]
 fn blur_quality_orders_by_depth() {
     let image = scenes::blobs(96, 96, 7);
-    let kernel = FixedKernel::gaussian_3x3(1.5);
+    let kernel = Kernel::gaussian_3x3(1.5);
     let reference = convolve_3x3(&image, &kernel, &AccurateMultiplier::new(8).unwrap());
     let mut quality = Vec::new();
     for depth in [2u32, 3, 4] {

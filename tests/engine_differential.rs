@@ -447,28 +447,25 @@ fn sampled_verdicts_match_on_wide_designs() {
     }
 }
 
-/// The compiled sweep's blocks, as `parallel_chunks` cuts them into one
-/// chunk per worker thread: `(lo, hi)` per non-empty chunk, in order.
-/// Each chunk is cut into groups of `WHEEL_WORDS` blocks from its own
-/// start.
-fn chunks(blocks: u64) -> Vec<(u64, u64)> {
-    let mut chunks = parallel_chunks(blocks, worker_threads(), |lo, hi| (lo, hi));
-    chunks.retain(|(lo, hi)| lo < hi);
-    chunks
-}
-
 /// Sets of blocks to plant one bug in each: the block at every offset of
 /// a group, two blocks of one group (the earlier must be reported) and,
-/// with `chunk_ends`, the first block of every chunk past the first and
-/// the last block of every chunk whose last group is partial.
+/// with `chunk_ends`, the first block of every chunk past the first (alone,
+/// and beside the previous chunk's last block, which must be reported
+/// although its chunk finds it later) and the last block of every chunk
+/// whose last group is partial. The
+/// compiled sweep's chunks are `parallel_chunks`' over its blocks, one
+/// per worker thread, each cut into groups of `WHEEL_WORDS` blocks from
+/// its own start.
 fn bug_block_sets(blocks: u64, chunk_ends: bool) -> Vec<Vec<u64>> {
     let group = WHEEL_WORDS as u64;
     let mut sets: Vec<Vec<u64>> = (0..group).map(|k| vec![group + k]).collect();
     sets.push(vec![group + 2, group + 1]);
     sets.push(vec![group + group - 1, group]);
-    for &(lo, hi) in chunks(blocks).iter().filter(|_| chunk_ends) {
+    let chunks = parallel_chunks(blocks, worker_threads(), |lo, hi| (lo, hi));
+    for &(lo, hi) in chunks.iter().filter(|_| chunk_ends) {
         if lo > 0 {
             sets.push(vec![lo]);
+            sets.push(vec![lo, lo - 1]);
         }
         if (hi - lo) % group != 0 {
             sets.push(vec![hi - 1]);
@@ -507,10 +504,6 @@ fn plant(set: &[u64], block: impl Fn(u64) -> Vec<(u64, u64)>) -> (Vec<(u64, u64)
 #[test]
 fn group_boundary_bugs_report_the_scalar_counterexample() {
     for width in [4u32, 6, 8, 10] {
-        if width > 8 && cfg!(debug_assertions) {
-            // The 2^20-pair sweeps want the release suite.
-            continue;
-        }
         let count = 1u64 << width;
         let per_row = count.div_ceil(LANES as u64);
         let row_block = |i: u64| {
