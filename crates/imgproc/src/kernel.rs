@@ -32,11 +32,6 @@
 /// let blur = Kernel::gaussian_3x3(1.5);
 /// assert_eq!(blur.weight(1, 1), 255);             // center at full scale
 /// assert!(blur.weight(1, 1) > blur.weight(0, 0)); // center dominates
-///
-/// let gx = Kernel::sobel_gx();
-/// assert_eq!(gx.weight(0, 0), -1);
-/// assert_eq!(gx.weight(2, 1), 2);
-/// assert_eq!(gx.weight_sum(), 0); // derivative kernels are zero-gain
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Kernel {
@@ -91,6 +86,17 @@ impl Kernel {
 
     /// The Sobel horizontal-gradient operator `Gx`:
     /// `[[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]]`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sdlc_imgproc::Kernel;
+    ///
+    /// let gx = Kernel::sobel_gx();
+    /// assert_eq!(gx.weight(0, 0), -1);
+    /// assert_eq!(gx.weight(2, 1), 2);
+    /// assert_eq!(gx.weight_sum(), 0); // derivative kernels are zero-gain
+    /// ```
     #[must_use]
     pub fn sobel_gx() -> Self {
         Self {
@@ -224,6 +230,10 @@ mod tests {
         assert_eq!(k.weight(2, 0), 3);
         assert_eq!(k.weight(0, 2), 7);
         assert_eq!(k.weight_sum(), 45);
+    }
+
+    #[test]
+    fn from_weights_roundtrip_negative_taps() {
         let w = [[-3, 0, 3], [-10, 5, 10], [-3, 0, 3]];
         let k = Kernel::from_weights(w);
         assert_eq!(k.weight(0, 1), -10);
