@@ -3,11 +3,13 @@
 //! `glitch_power` from being the slow tail of `sdlc-cli synth`.
 //!
 //! Drives 8/12/16-bit SDLC and accurate multipliers through both timing
-//! engines on ONE thread each (the compiled engine sharing each wheel
-//! pop across its 256 lanes is the whole win measured here;
-//! multi-threading its wheels only multiplies it). The 12-bit SDLC case
-//! is the acceptance headline: the compiled backend must be at least 10×
-//! faster single-core (asserted).
+//! engines on ONE thread each (the compiled engine sharing each op
+//! evaluation across its 256 lanes, walking ops instead of popping
+//! events, is the whole win measured here; multi-threading its runs only
+//! multiplies it). The 12-bit SDLC case is the acceptance headline: the
+//! compiled backend must be at least 10× faster single-core (asserted).
+//! A 32-bit row times the compiled engine alone, between 16 bits and the
+//! paper's widths (the scalar engine would take minutes there).
 //!
 //! `SDLC_FAST=1` shrinks the vector budgets and skips the assertions.
 
@@ -102,7 +104,7 @@ fn main() {
     println!("machine: {cores} cores\n");
     let lib = Library::generic_90nm();
 
-    println!("== glitch-aware activity, single-core (256-lane wheel pops are the win) ==");
+    println!("== glitch-aware activity, single-core (256-lane op walks are the win) ==");
     let mut headline = None;
     for width in [8u32, 12, 16] {
         let vectors: u64 = match width {
@@ -128,6 +130,17 @@ fn main() {
                 compiled as f64 / (compiled_applies(vectors) * WHEEL_LANES as u64) as f64,
             );
         }
+    }
+    let vectors: u64 = if fast_mode() { 256 } else { 1024 };
+    for (name, netlist) in designs(32) {
+        let (compiled, t_compiled) =
+            stopwatch(|| compiled_transitions(&netlist, &lib, 0xAC, vectors));
+        println!(
+            "  32-bit {name:<9} {vectors:>5} vec  scalar     (not run)                   \
+             compiled {:>8.1} kvec/s ({:>5.2} trans/vec)",
+            vectors as f64 / t_compiled / 1e3,
+            compiled as f64 / (compiled_applies(vectors) * WHEEL_LANES as u64) as f64,
+        );
     }
     if let Some(speedup) = headline {
         println!(

@@ -16,9 +16,10 @@
 //!   synthesis flow uses by default. Both drive one stimulus organization
 //!   — up to eight groups of 64 seeded lane streams, which the scalar
 //!   engine runs lane by lane and the compiled one up to four groups
-//!   (256 lanes) per event wheel, as few as keep every core busy — and
-//!   count transitions with identical
-//!   inertial-delay semantics, so they return identical [`Activity`].
+//!   (256 lanes) per wheel, one group per word of its planes, as few
+//!   groups per wheel as keep every core busy — and count transitions
+//!   with identical inertial-delay semantics, so they return identical
+//!   [`Activity`].
 
 use core::ops::Range;
 
@@ -157,8 +158,7 @@ fn timing_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64
 /// netlist with the `a`/`b`/`p` port convention. [`Engine::Scalar`] is the
 /// [`TimingSim`] reference; [`Engine::Compiled`] runs the word-parallel
 /// [`GlitchSim`] backend — the default the `sdlc-synth` glitch-power flow
-/// rides — and falls back to the scalar engine when the netlist's event
-/// times outgrow its packed wheel keys. Both drive the same lane streams
+/// rides. Both drive the same lane streams
 /// with the same inertial-delay semantics, so they return identical
 /// [`Activity`]; each is deterministic in `(netlist, seed, vectors)` and
 /// independent of the machine's core count.
@@ -195,9 +195,10 @@ fn glitch_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64
 }
 
 /// The lane streams through [`GlitchSim`] on `threads` workers, one group
-/// per wheel word. Each wheel takes as many groups as keep every worker
-/// busy, at most [`WHEEL_WORDS`]: a fuller wheel pops each key for more
-/// lanes, more wheels spread over more cores. On one or two workers the 8
+/// per wheel word (a wheel is one [`GlitchSim`] run, a word 64 of its
+/// lanes). Each wheel takes as many groups as keep every worker busy, at
+/// most [`WHEEL_WORDS`]: a fuller wheel evaluates each op for more lanes
+/// at once, more wheels spread over more cores. On one or two workers the 8
 /// default groups run as 2 full wheels; on 8 or more, as 8 wheels of one
 /// group. Words of a wheel past its last group stay 0 and count nothing,
 /// and every lane counts as in [`TimingSim`], so the split never changes
@@ -210,11 +211,6 @@ fn glitch_activity_on(
     threads: usize,
 ) -> Activity {
     let program = TimedProgram::compile(netlist, library);
-    if !GlitchSim::accepts(&program) {
-        // Event times this long do not fit the packed wheel keys; the
-        // scalar engine returns the same activity.
-        return timing_activity(netlist, library, seed, vectors);
-    }
     let streams = LaneStreams::new(netlist, seed, vectors);
     let fill = streams
         .groups
@@ -223,7 +219,7 @@ fn glitch_activity_on(
     let wheels = streams.groups.div_ceil(fill);
     let toggles_per_net = streams.sum_shards(wheels, threads, |wheels| {
         // As in the scalar engine, `settle` rebuilds the steady state, so
-        // one simulator (and its warm wheel memory) serves every wheel.
+        // one simulator (and its warm history pool) serves every wheel.
         let mut sim = GlitchSim::new(&program);
         let mut stimulus = vec![[0u64; WHEEL_WORDS]; netlist.inputs().len()];
         let mut a_planes = vec![[0u64; WHEEL_WORDS]; streams.ports.a_len as usize];
@@ -457,9 +453,9 @@ mod tests {
     }
 
     #[test]
-    fn glitch_activity_falls_back_to_the_scalar_engine_past_the_key_budget() {
+    fn glitch_activity_matches_the_scalar_engine_on_an_extreme_library() {
         // Every library value at its cap: gate delays of ~10^8 ps put the
-        // 8-bit adder's critical path past the packed keys' 2^40 ticks.
+        // 8-bit adder's critical path past 2^40 ticks (≈ 1.07 ms).
         let cells = [
             "BUF", "INV", "AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2", "MUX2",
         ];
@@ -472,11 +468,8 @@ mod tests {
         }
         let lib = Library::from_text(&(text + "}")).unwrap();
         let n = adder(8);
-        assert!(!GlitchSim::accepts(&TimedProgram::compile(&n, &lib)));
-        assert!(GlitchSim::accepts(&TimedProgram::compile(
-            &n,
-            &Library::generic_90nm()
-        )));
+        let critical_ticks = TimedProgram::compile(&n, &lib).critical_arrival_ps() * 1024.0;
+        assert!(critical_ticks > (1u64 << 40) as f64);
         assert_eq!(
             glitch_activity(&n, &lib, 3, 128),
             timing_activity(&n, &lib, 3, 128)

@@ -8,7 +8,7 @@
 //!
 //! This module compiles the netlist into a [`TimedProgram`] — the timing
 //! twin of [`crate::CompiledNetlist`]: dense struct-of-arrays ops with
-//! per-op **fixed-point delays** and CSR fanout lists, plus per-net
+//! per-op **fixed-point delays** and each slot's last reader, plus per-net
 //! **arrival-time metadata** (STA-style upper bounds computed from the
 //! same `sdlc-techlib` load model). Unlike the zero-delay program it does
 //! *not* fold buffers or constant-fed gates: every cell has its own delay,
@@ -16,15 +16,15 @@
 //!
 //! [`GlitchSim`] then runs **[`WHEEL_LANES`] independent stimulus
 //! streams** ([`WHEEL_WORDS`] words of 64 lanes; lane `64 w + i` is bit
-//! `i` of word `w`) through one shared event wheel. Event *times* are
-//! lane-independent — delays are per-op constants, so two lanes whose
-//! activity travels the same path schedule events at the same
-//! `(time, op)` key — which is where the word-parallelism comes from: one
-//! wheel entry carries a mask of the lanes scheduled to each value, one
-//! pop re-evaluates the op for all lanes at once, and the inertial
-//! cancellation rule (`fire only if the scheduled value still matches the
-//! gate's present evaluation and differs from its output`) becomes three
-//! lane-wide boolean ops.
+//! `i` of word `w`) through the program **op by op** instead of through a
+//! time-ordered event queue. Event *times* are lane-independent — delays
+//! are per-op constants — so each op sees its sources' changes as one
+//! history of `(tick, lanes that flipped)` entries, and one lane-wide
+//! evaluation per source change or firing serves every lane at once. An
+//! op's waveform depends only on its sources' waveforms, and every source
+//! precedes its reader in program order, so walking ops in that order
+//! with complete source histories replays the scalar engine's event order
+//! exactly.
 //!
 //! The emulation is **exact**: for identical per-lane stimulus streams,
 //! per-net transition counts (functional toggles *and* glitches), total
@@ -43,6 +43,15 @@ use crate::ops::{
 };
 use crate::timing::to_fixed_ps;
 
+/// Slot of the first primary input. Inputs take the slots after the two
+/// constants, in declaration order, and ops the slots after them, so slot
+/// order is the scalar engine's processing order at equal times: inputs
+/// first, in declaration order, then ops in program order.
+const FIRST_INPUT_SLOT: u32 = SLOT_CONST1 + 1;
+
+/// [`TimedProgram::last_reader`] of a slot no op reads.
+const NO_READER: u32 = u32::MAX;
+
 /// A [`Netlist`] flattened into a timed program: the compile-once side of
 /// the word-parallel glitch engine.
 ///
@@ -52,26 +61,24 @@ use crate::timing::to_fixed_ps;
 pub struct TimedProgram {
     /// One op per logic cell. `Buf` is a real op here — a buffer has a
     /// real delay and can filter pulses, so the timing engine keeps it.
+    /// Op `i` writes slot `first_op_slot + i`.
     code: Vec<Op>,
     src0: Vec<u32>,
     src1: Vec<u32>,
     src2: Vec<u32>,
-    dst: Vec<u32>,
+    first_op_slot: u32,
     /// Inertial delay per op in 1/1024 ps ticks, from the shared
     /// load-dependent delay model.
     delay_ticks: Vec<u64>,
-    /// CSR fanout: ops reading slot `s` are
-    /// `fanout_ops[fanout_start[s]..fanout_start[s + 1]]`, in program
-    /// order (the scalar engine's scheduling order).
-    fanout_start: Vec<u32>,
-    fanout_ops: Vec<u32>,
+    /// The last op (in program order) reading each slot, or
+    /// [`NO_READER`]: once it has run, the slot's change history is done
+    /// with.
+    last_reader: Vec<u32>,
     /// Net index → value-slot index.
     slot_of_net: Vec<u32>,
-    /// Slot per primary input, in declaration order.
-    input_slots: Vec<u32>,
     /// STA-style worst-case arrival time per slot in 1/1024 ps ticks (0
     /// for inputs and constants), computed in the same fixed-point domain
-    /// as the event queue — an *exact* upper bound on any event time the
+    /// as the event times — an *exact* upper bound on any event time the
     /// simulator can ever schedule for that net (a plain f64 STA sum is
     /// not: per-gate rounding makes tick sums drift past it on deep
     /// paths).
@@ -87,68 +94,45 @@ impl TimedProgram {
     #[must_use]
     pub fn compile(netlist: &Netlist, library: &Library) -> Self {
         let delays_ps = library.gate_delays_ps(netlist);
+        let first_op_slot = FIRST_INPUT_SLOT + netlist.inputs().len() as u32;
         let mut slot_of_net = vec![u32::MAX; netlist.net_count()];
-        let mut input_slots = Vec::with_capacity(netlist.inputs().len());
-        // One arrival per slot: the two constants, then inputs and ops.
-        let mut arrival_ticks = vec![0u64, 0];
+        let mut next_input = FIRST_INPUT_SLOT;
+        // One arrival per slot: the two constants and the inputs (all 0),
+        // then one per op.
+        let mut arrival_ticks = vec![0u64; first_op_slot as usize];
         let mut code = Vec::new();
         let (mut src0, mut src1, mut src2) = (Vec::new(), Vec::new(), Vec::new());
-        let mut dst = Vec::new();
         let mut delay_ticks = Vec::new();
         for (gate, &delay) in netlist.gates().iter().zip(&delays_ps) {
             let out = gate.output.index();
             match gate.kind {
                 GateKind::Input => {
-                    let s = arrival_ticks.len() as u32;
-                    slot_of_net[out] = s;
-                    input_slots.push(s);
-                    arrival_ticks.push(0);
+                    slot_of_net[out] = next_input;
+                    next_input += 1;
                 }
                 GateKind::Const0 => slot_of_net[out] = SLOT_CONST0,
                 GateKind::Const1 => slot_of_net[out] = SLOT_CONST1,
                 kind => {
                     let opcode = Op::of(kind).expect("port kinds handled above");
                     let [a, b, c] = source_slots(&slot_of_net, gate);
-                    let d = arrival_ticks.len() as u32;
                     code.push(opcode);
                     src0.push(a);
                     src1.push(b);
                     src2.push(c);
-                    dst.push(d);
                     let ticks = to_fixed_ps(delay);
                     delay_ticks.push(ticks);
                     let input_arrival = arrival_ticks[a as usize]
                         .max(arrival_ticks[b as usize])
                         .max(arrival_ticks[c as usize]);
+                    slot_of_net[out] = arrival_ticks.len() as u32;
                     arrival_ticks.push(input_arrival + ticks);
-                    slot_of_net[out] = d;
                 }
             }
         }
-        // CSR fanout per slot, ops in program order.
-        let slot_count = arrival_ticks.len();
-        let mut fanout_start = vec![0u32; slot_count + 1];
-        // Only a cell's own pins count (its unused source slots repeat pin
-        // 0), so fanout multiplicity matches the scalar engine's lists.
-        let sources = |op: usize| {
-            [src0[op], src1[op], src2[op]]
-                .into_iter()
-                .take(code[op].arity())
-        };
+        let mut last_reader = vec![NO_READER; arrival_ticks.len()];
         for op in 0..code.len() {
-            for s in sources(op) {
-                fanout_start[s as usize + 1] += 1;
-            }
-        }
-        for i in 1..fanout_start.len() {
-            fanout_start[i] += fanout_start[i - 1];
-        }
-        let mut fanout_ops = vec![0u32; fanout_start[slot_count] as usize];
-        let mut next = fanout_start.clone();
-        for op in 0..code.len() {
-            for s in sources(op) {
-                fanout_ops[next[s as usize] as usize] = op as u32;
-                next[s as usize] += 1;
+            for s in [src0[op], src1[op], src2[op]] {
+                last_reader[s as usize] = op as u32;
             }
         }
         Self {
@@ -156,12 +140,10 @@ impl TimedProgram {
             src0,
             src1,
             src2,
-            dst,
+            first_op_slot,
             delay_ticks,
-            fanout_start,
-            fanout_ops,
+            last_reader,
             slot_of_net,
-            input_slots,
             arrival_ticks,
         }
     }
@@ -177,40 +159,24 @@ impl TimedProgram {
         self.arrival_ticks.len()
     }
 
+    /// Number of primary inputs.
+    fn input_count(&self) -> usize {
+        (self.first_op_slot - FIRST_INPUT_SLOT) as usize
+    }
+
     /// The deepest arrival time of any net — the program's critical path
     /// under the same load model as `sdlc-synth`'s STA, and an exact
     /// upper bound on every lane's settle time (for both timing engines:
     /// the scalar one sums the same quantized delays).
     #[must_use]
     pub fn critical_arrival_ps(&self) -> f64 {
-        self.critical_ticks() as f64 / 1024.0
+        self.arrival_ticks.iter().copied().max().unwrap_or(0) as f64 / 1024.0
     }
 
-    fn critical_ticks(&self) -> u64 {
-        self.arrival_ticks.iter().copied().max().unwrap_or(0)
-    }
-
-    fn fanout(&self, slot: u32) -> &[u32] {
-        let lo = self.fanout_start[slot as usize] as usize;
-        let hi = self.fanout_start[slot as usize + 1] as usize;
-        &self.fanout_ops[lo..hi]
-    }
-
-    /// Evaluates op `op` on the current value planes — the one evaluation
-    /// [`GlitchSim::settle`]'s zero-delay pass and the event loop of
-    /// [`GlitchSim::apply`] share, so the two can never drift apart.
-    #[inline]
-    fn eval(&self, values: &[Lanes], op: usize) -> Lanes {
-        // Sources load on demand: the event loop measured slower loading
-        // all three up front.
-        self.code[op].eval(|pin| {
-            let slot = match pin {
-                0 => self.src0[op],
-                1 => self.src1[op],
-                _ => self.src2[op],
-            };
-            values[slot as usize]
-        })
+    /// The source slots of op `op`, one per pin (unused pins repeat pin
+    /// 0).
+    fn sources(&self, op: usize) -> [u32; 3] {
+        [self.src0[op], self.src1[op], self.src2[op]]
     }
 }
 
@@ -227,150 +193,16 @@ pub struct GlitchApplyResult {
     pub settle_ps: f64,
 }
 
-/// Widest op field of a packed wheel key. A key is `(time << op_bits) |
-/// op`, op in the low bits so keys order by time first, then op — the
-/// scalar heap's order. `op_bits` is just wide enough for the program's
-/// op indices, at most this.
-const MAX_OP_BITS: u32 = 24;
+/// One change of a slot during [`GlitchSim::apply`]: its tick and the
+/// lanes that flipped.
+type Change = (u64, Lanes);
 
-/// One scheduled event as the wheel sorts it: its packed `(time, op)` key
-/// and the index of its lane masks in its bucket's arena. Several events
-/// may share a key; the drain ORs their masks together.
-#[derive(Debug, Clone, Copy, Default)]
-struct Event {
-    key: u64,
-    index: usize,
-}
+/// The entry ending every change history: no lane flips, never.
+const END: Change = (u64::MAX, Lanes([0; WHEEL_WORDS]));
 
-/// The lanes an event schedules to value 0 and to value 1.
-#[derive(Debug, Clone, Copy)]
-struct Masks {
-    low: Lanes,
-    high: Lanes,
-}
-
-/// One ring slot of the event wheel: its unsorted events and the arena of
-/// their masks. Sorting moves only the 16-byte events; the 64-byte masks
-/// stay where they were written until the drain reads them.
-#[derive(Debug, Clone, Default)]
-struct Bucket {
-    events: Vec<Event>,
-    masks: Vec<Masks>,
-}
-
-impl Bucket {
-    fn push(&mut self, key: u64, masks: Masks) {
-        self.events.push(Event {
-            key,
-            index: self.masks.len(),
-        });
-        self.masks.push(masks);
-    }
-
-    /// Moves `other`'s events and masks to the end of this bucket,
-    /// rebasing their arena indices past this bucket's masks.
-    fn absorb(&mut self, other: &mut Bucket) {
-        let base = self.masks.len();
-        self.events.extend(other.events.drain(..).map(|e| Event {
-            key: e.key,
-            index: e.index + base,
-        }));
-        self.masks.append(&mut other.masks);
-    }
-
-    fn clear(&mut self) {
-        self.events.clear();
-        self.masks.clear();
-    }
-}
-
-/// Runs shorter than this are ordered by a comparison sort.
-const RADIX_MIN: usize = 64;
-
-/// Runs longer than this are split by their top key digit before the LSD
-/// passes. Such a run of 16-byte events and its second buffer take 2 MB,
-/// a per-core L2 cache; split, each LSD pass scatters within cache. Only
-/// the widest arrays have such buckets (4-word wheels average 19 k events
-/// per bucket at 64 bits, 97 k at 128), and only at 128 bits did the
-/// threshold measurably matter. Paired one-core `synth --width 128` runs
-/// against `1 << 15`: `1 << 16` won 9 of 10 pairs (by about 5 %), no
-/// split 1 of 6 and `1 << 14` 0 of 2; at 64 bits all were within noise.
-const CACHE_EVENTS: usize = 1 << 16;
-
-/// Widest radix digit, in bits.
-const RADIX_BITS: u32 = 11;
-
-/// Orders a wheel bucket's events by key (see [`sort_run`]); `scratch` is
-/// the sort's reusable second buffer.
-fn sort_events(events: &mut [Event], scratch: &mut Vec<Event>) {
-    scratch.resize(events.len(), Event::default());
-    sort_run(events, scratch);
-}
-
-/// Orders `events` by key, with `scratch` (as long) as the second buffer:
-/// a comparison sort for short runs, otherwise a radix sort over the low
-/// key bits up to the highest one that varies across `events`. Inside one
-/// wheel bucket the time bits above the bucket span are all equal, so
-/// they cost no pass. Runs that fit in cache take stable LSD passes of at
-/// most [`RADIX_BITS`]; longer ones are first split by their top digit
-/// (one MSD pass), and each part is sorted the same way.
-fn sort_run(events: &mut [Event], scratch: &mut [Event]) {
-    if events.len() < RADIX_MIN {
-        events.sort_unstable_by_key(|e| e.key);
-        return;
-    }
-    let (any, all) = events
-        .iter()
-        .fold((0u64, u64::MAX), |(any, all), e| (any | e.key, all & e.key));
-    let bits = 64 - (any ^ all).leading_zeros();
-    if bits == 0 {
-        return; // one key throughout
-    }
-    let mut counts = [0u32; 1 << RADIX_BITS];
-    // Scatters `src` into `dst` by the `width`-bit digit at `shift`,
-    // stably; leaves each digit's end offset in `counts`.
-    let mut scatter = |src: &[Event], dst: &mut [Event], shift: u32, width: u32| {
-        let digit = |key: u64| ((key >> shift) & ((1 << width) - 1)) as usize;
-        let counts = &mut counts[..1 << width];
-        counts.fill(0);
-        for e in src {
-            counts[digit(e.key)] += 1;
-        }
-        let mut start = 0;
-        for count in counts.iter_mut() {
-            (*count, start) = (start, start + *count);
-        }
-        for e in src {
-            let next = &mut counts[digit(e.key)];
-            dst[*next as usize] = *e;
-            *next += 1;
-        }
-    };
-    if events.len() > CACHE_EVENTS {
-        let width = bits.min(RADIX_BITS);
-        scatter(events, scratch, bits - width, width);
-        let mut start = 0;
-        for &end in &counts[..1 << width] {
-            let end = end as usize;
-            let (part, spare) = (&mut scratch[start..end], &mut events[start..end]);
-            sort_run(part, spare);
-            spare.copy_from_slice(part);
-            start = end;
-        }
-        return;
-    }
-    let passes = bits.div_ceil(RADIX_BITS);
-    let width = bits.div_ceil(passes);
-    let (mut src, mut dst) = (events, scratch);
-    for pass in 0..passes {
-        scatter(src, dst, pass * width, width);
-        std::mem::swap(&mut src, &mut dst);
-    }
-    if passes % 2 == 1 {
-        // The sorted run is in `scratch`.
-        dst.copy_from_slice(src);
-    }
-}
+/// One scheduled firing of an op: its tick and the lanes scheduled to
+/// value 0 and to value 1.
+type Firing = (u64, Lanes, Lanes);
 
 /// [`WHEEL_LANES`]-lane event-driven executor over a [`TimedProgram`] —
 /// the exact word-parallel twin of [`crate::TimingSim`].
@@ -381,94 +213,40 @@ fn sort_run(events: &mut [Event], scratch: &mut [Event]) {
 /// `TimingSim` on that stream. A caller with fewer streams holds the
 /// spare lanes constant, and they count nothing.
 ///
-/// The event wheel is a **ring of time buckets**. An event is a packed
-/// `(time, op)` key and the index of its lane masks in its bucket's mask
-/// arena; it lands in bucket `time >> bucket_shift`, whose span is about
-/// one minimum gate delay. No event is scheduled more than the largest
-/// gate delay ahead, so a small power-of-two ring of reused buckets holds
-/// every pending one. When the drain reaches a bucket it radix-sorts the
-/// bucket's events (not their masks) by key; events that share a key are
-/// then adjacent, and one pop ORs their masks together (OR commutes, so
-/// this equals merging them as they are scheduled). Keys whose delay
-/// folds back into the bucket being drained (possible only for delays
-/// shorter than the span) move into it, arena and all, and trigger a
-/// re-sort of the unprocessed tail. So keys always pop in the scalar
-/// engine's exact `(time, gate)` order, at sequential-scan cost instead
-/// of heap-sift cost. Buckets, arenas and sort buffers keep their
-/// capacity across `apply` calls.
+/// [`GlitchSim::apply`] keeps one change history per slot that changed
+/// and has a reader still to run; a history goes back to a pool as soon
+/// as the slot's last reader has run, so memory follows the live frontier
+/// of the program, not its size. Histories, pool and the firing queue
+/// keep their capacity across `apply` calls.
 #[derive(Debug, Clone)]
 pub struct GlitchSim<'p> {
     program: &'p TimedProgram,
+    /// Value plane per slot. During `apply`, a slot with a change history
+    /// keeps its value from before the call until its last reader has run.
     values: Vec<Lanes>,
     toggles: Vec<u64>,
-    /// Ring of time buckets: events of logical bucket `t >> bucket_shift`
-    /// sit in `ring[(t >> bucket_shift) & (ring.len() - 1)]`, unsorted
-    /// until drained.
-    ring: Vec<Bucket>,
-    bucket_shift: u32,
-    /// Width of the op field of the packed keys: just enough for the
-    /// program's op indices, so the radix sort orders as few bits as it
-    /// can.
-    op_bits: u32,
-    /// The last logical bucket any event can land in.
-    last_bucket: usize,
-    /// A spare bucket, swapped into the ring slot the drain empties, and
-    /// the radix sort's second buffer; both keep their capacity.
-    drain: Bucket,
-    scratch: Vec<Event>,
+    /// Per slot, its changes in tick order (empty outside `apply`).
+    history: Vec<Vec<Change>>,
+    /// Emptied histories, kept for their capacity.
+    pool: Vec<Vec<Change>>,
+    /// The firings of the op being walked, in tick order.
+    firings: Vec<Firing>,
     settled_once: bool,
 }
 
 impl<'p> GlitchSim<'p> {
-    /// Whether [`GlitchSim::new`] accepts `program`: its op indices and
-    /// event times must fit the packed wheel keys. Real netlists are far
-    /// inside both limits; a library with extreme loads can push the
-    /// critical path past the second.
-    pub(crate) fn accepts(program: &TimedProgram) -> bool {
-        (program.op_count() as u64) < (1 << MAX_OP_BITS)
-            && program.critical_ticks() < (1 << (64 - MAX_OP_BITS))
-    }
-
     /// Creates an executor with all lanes at 0 (constants pre-loaded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program has 2^24 ops or more, or a critical path of
-    /// 2^40 ticks (≈ 1.07 ms) or more: the packed wheel-key budget.
     #[must_use]
     pub fn new(program: &'p TimedProgram) -> Self {
-        assert!(
-            Self::accepts(program),
-            "program too large or critical path too long for packed wheel keys"
-        );
-        let critical_ticks = program.critical_ticks();
-        // Bucket span: about one minimum gate delay (then almost every
-        // scheduled key lands past the bucket being drained), floored so
-        // the drain never walks more than ~4096 buckets even for
-        // degenerate zero-delay libraries.
-        let delays = program.delay_ticks.iter().copied();
-        let min_delay = delays.clone().min().unwrap_or(1).max(1);
-        let max_delay = delays.max().unwrap_or(0);
-        let span_for_budget = (critical_ticks / 4096).max(1);
-        let bucket_shift = 63 - (min_delay.max(span_for_budget) | 1).leading_zeros();
-        // An event lands at most `(max_delay >> shift) + 1` buckets past
-        // the one being drained, so this many slots never alias.
-        let ring_len = ((max_delay >> bucket_shift) as usize + 2).next_power_of_two();
-        // Just enough key bits for the largest op index.
-        let last_op = (program.op_count() as u64).saturating_sub(1);
-        let op_bits = u64::BITS - last_op.leading_zeros();
         let mut values = vec![Lanes::default(); program.slot_count()];
         values[SLOT_CONST1 as usize] = !Lanes::default();
         Self {
             program,
             toggles: vec![0; program.slot_count()],
             values,
-            ring: vec![Bucket::default(); ring_len],
-            bucket_shift,
-            op_bits,
-            last_bucket: (critical_ticks >> bucket_shift) as usize,
-            drain: Bucket::default(),
-            scratch: Vec::new(),
+            history: vec![Vec::new(); program.slot_count()],
+            pool: Vec::new(),
+            firings: Vec::new(),
             settled_once: false,
         }
     }
@@ -481,16 +259,15 @@ impl<'p> GlitchSim<'p> {
     /// Panics on stimulus width mismatch.
     pub fn settle(&mut self, stimulus: &[[u64; WHEEL_WORDS]]) {
         let p = self.program;
-        assert_eq!(
-            stimulus.len(),
-            p.input_slots.len(),
-            "stimulus width mismatch"
-        );
-        for (&slot, &plane) in p.input_slots.iter().zip(stimulus) {
-            self.values[slot as usize] = Lanes(plane);
+        assert_eq!(stimulus.len(), p.input_count(), "stimulus width mismatch");
+        let values = &mut self.values;
+        for (slot, &plane) in (FIRST_INPUT_SLOT as usize..).zip(stimulus) {
+            values[slot] = Lanes(plane);
         }
         for op in 0..p.op_count() {
-            self.values[p.dst[op] as usize] = p.eval(&self.values, op);
+            let pins = p.sources(op);
+            values[p.first_op_slot as usize + op] =
+                p.code[op].eval(|pin| values[pins[pin] as usize]);
         }
         self.settled_once = true;
     }
@@ -500,6 +277,18 @@ impl<'p> GlitchSim<'p> {
     /// transition (glitches included) exactly like [`WHEEL_LANES`] scalar
     /// [`crate::TimingSim`] streams.
     ///
+    /// Inputs change at tick 0. Ops then run in program order, each
+    /// merging its distinct sources' change histories by tick. At a tick
+    /// `t` where sources change, they change one by one in slot order, and
+    /// after each change the op's evaluation captures the value the scalar
+    /// engine schedules for those lanes at `t + delay`. At a scheduled
+    /// tick the op re-evaluates on its sources as of that tick and fires
+    /// under the inertial rule; its firings become its own history. Every
+    /// source precedes its reader, and at equal ticks the scalar engine
+    /// processes inputs first, in declaration order, then gates in
+    /// program order — slot order — so both see the same values at every
+    /// capture and firing.
+    ///
     /// # Panics
     ///
     /// Panics if [`GlitchSim::settle`] has not established an initial
@@ -507,123 +296,101 @@ impl<'p> GlitchSim<'p> {
     pub fn apply(&mut self, stimulus: &[[u64; WHEEL_WORDS]]) -> GlitchApplyResult {
         assert!(self.settled_once, "call settle() before apply()");
         let p = self.program;
-        assert_eq!(
-            stimulus.len(),
-            p.input_slots.len(),
-            "stimulus width mismatch"
-        );
+        assert_eq!(stimulus.len(), p.input_count(), "stimulus width mismatch");
         let mut transitions = 0u64;
         let mut last_tick = 0u64;
-        // Destructured field locals keep the hot loop free of `&mut self`
-        // method calls (which would re-borrow the whole struct per event).
-        let values = &mut self.values[..];
-        let toggles = &mut self.toggles[..];
-        let ring = &mut self.ring[..];
-        let ring_mask = ring.len() - 1;
-        let bucket_shift = self.bucket_shift;
-        let op_bits = self.op_bits;
-        let scratch = &mut self.scratch;
-        // Splits `mask` by the op's present evaluation — the captured
-        // value the scalar engine stores in its heap entries — and drops
-        // the event into its time bucket.
-        let schedule = |values: &[Lanes], ring: &mut [Bucket], time: u64, op: u32, mask: Lanes| {
-            let eval = p.eval(values, op as usize);
-            ring[(time >> bucket_shift) as usize & ring_mask].push(
-                (time << op_bits) | u64::from(op),
-                Masks {
-                    low: mask & !eval,
-                    high: mask & eval,
-                },
-            );
-        };
-
-        // Input changes land at t = 0, processed in declaration order with
-        // fanout evaluations seeing the partially-updated input vector —
-        // the scalar engine's exact capture semantics.
-        for (&slot, &plane) in p.input_slots.iter().zip(stimulus) {
-            let slot = slot as usize;
+        let Self {
+            values,
+            toggles,
+            history,
+            pool,
+            firings,
+            ..
+        } = self;
+        for (slot, &plane) in (FIRST_INPUT_SLOT as usize..).zip(stimulus) {
             let changed = values[slot] ^ Lanes(plane);
             if changed.is_zero() {
                 continue;
             }
-            values[slot] = Lanes(plane);
             let flips = changed.count_ones();
             toggles[slot] += flips;
             transitions += flips;
-            for &op in p.fanout(slot as u32) {
-                schedule(values, ring, p.delay_ticks[op as usize], op, changed);
+            if p.last_reader[slot] == NO_READER {
+                values[slot] = Lanes(plane);
+            } else {
+                history[slot] = pool.pop().unwrap_or_default();
+                history[slot].extend([(0, changed), END]);
             }
         }
 
-        // Drain the ring bucket by bucket in (time, op) order — the
-        // scalar heap's order, with the value-0 event of a key popping
-        // before the value-1 one. A bucket is sorted when the drain
-        // reaches it; keys scheduled back into the bucket being drained
-        // (delays shorter than the bucket span) join it and re-sort the
-        // unprocessed tail, so the order stays exact.
-        let mut bucket = std::mem::take(&mut self.drain);
-        for b in 0..=self.last_bucket {
-            let slot = b & ring_mask;
-            if ring[slot].events.is_empty() {
+        for op in 0..p.op_count() {
+            // The op's distinct source slots in slot order; a repeated
+            // slot is replaced by the constant-0 slot, which never
+            // changes.
+            let pins = p.sources(op);
+            let mut slots = pins;
+            slots.sort_unstable();
+            if slots[2] == slots[1] {
+                slots[2] = SLOT_CONST0;
+            }
+            if slots[1] == slots[0] {
+                slots[1] = SLOT_CONST0;
+            }
+            let changes = slots.map(|s| match &history[s as usize][..] {
+                [] => &[END][..],
+                changes => changes,
+            });
+            if changes.iter().all(|c| c.len() == 1) {
                 continue;
             }
-            // The spare swaps in as the slot's (empty) bucket.
-            std::mem::swap(&mut bucket, &mut ring[slot]);
-            sort_events(&mut bucket.events, scratch);
-            let mut i = 0;
-            loop {
-                if !ring[slot].events.is_empty() {
-                    bucket.absorb(&mut ring[slot]);
-                    bucket.events[i..].sort_unstable_by_key(|e| e.key);
-                }
-                let Some(&Event { key, index }) = bucket.events.get(i) else {
-                    break;
+            let source_of_pin =
+                pins.map(|s| slots.iter().position(|&x| x == s).expect("pin reads a source"));
+            let dst = p.first_op_slot as usize + op;
+            let mut walk = Walk {
+                changes,
+                now: slots.map(|s| values[s as usize]),
+                out: values[dst],
+                delay: p.delay_ticks[op],
+            };
+            let mut fires = pool.pop().unwrap_or_default();
+            // One copy of the walk per opcode, so none dispatches on it
+            // per evaluation.
+            macro_rules! run {
+                ($($code:ident)*) => {
+                    match p.code[op] {
+                        $(Op::$code => walk.run(
+                            |now| Op::$code.eval(|pin| now[source_of_pin[pin]]),
+                            firings,
+                            &mut fires,
+                        ),)*
+                    }
                 };
-                let Masks { mut low, mut high } = bucket.masks[index];
-                i += 1;
-                while let Some(same) = bucket.events.get(i).filter(|e| e.key == key) {
-                    let masks = &bucket.masks[same.index];
-                    low = low | masks.low;
-                    high = high | masks.high;
-                    i += 1;
-                }
-                let time = key >> op_bits;
-                let op = (key & ((1 << op_bits) - 1)) as usize;
-                let present = p.eval(values, op);
-                let dst = p.dst[op] as usize;
-                let out = values[dst];
-                // Inertial cancellation, lane-wide: an event fires only
-                // where its captured value still matches the present
-                // evaluation AND differs from the present output.
-                let fired_low = low & !present & out;
-                let after_low = out & !fired_low;
-                let fired_high = high & present & !after_low;
-                let fired = fired_low | fired_high;
-                if fired.is_zero() {
-                    continue;
-                }
-                values[dst] = after_low | fired_high;
-                let flips = fired.count_ones();
-                toggles[dst] += flips;
-                transitions += flips;
-                last_tick = last_tick.max(time);
-                for &downstream in p.fanout(dst as u32) {
-                    schedule(
-                        values,
-                        ring,
-                        time + p.delay_ticks[downstream as usize],
-                        downstream,
-                        fired,
-                    );
+            }
+            let (flips, tick) = run!(And Or Nand Nor Xor Xnor Not Buf Mux);
+            let Walk { now, out, .. } = walk;
+            let read = changes.map(|c| c.len() > 1);
+            toggles[dst] += flips;
+            transitions += flips;
+            last_tick = last_tick.max(tick);
+            // Sources read for the last time: their final values are
+            // known and their histories go back to the pool.
+            for (i, &s) in slots.iter().enumerate() {
+                if read[i] && p.last_reader[s as usize] == op as u32 {
+                    values[s as usize] = now[i];
+                    let mut done = std::mem::take(&mut history[s as usize]);
+                    done.clear();
+                    pool.push(done);
                 }
             }
-            bucket.clear();
+            if fires.is_empty() || p.last_reader[dst] == NO_READER {
+                values[dst] = out;
+                fires.clear();
+                pool.push(fires);
+            } else {
+                fires.push(END);
+                history[dst] = fires;
+            }
         }
-        self.drain = bucket;
-        assert!(
-            self.ring.iter().all(|b| b.events.is_empty()),
-            "an event landed past the critical path"
-        );
         GlitchApplyResult {
             transitions,
             settle_ps: last_tick as f64 / 1024.0,
@@ -653,6 +420,90 @@ impl<'p> GlitchSim<'p> {
     pub fn lane_value(&self, net: NetId, lane: u32) -> bool {
         assert!((lane as usize) < WHEEL_LANES);
         Lanes(self.plane(net)).lane(lane)
+    }
+}
+
+/// One op's walk through its sources' merged change histories (see
+/// [`GlitchSim::apply`]): the histories, and the sources' values and the
+/// op's output as of the walk's tick.
+struct Walk<'a> {
+    changes: [&'a [Change]; 3],
+    now: [Lanes; 3],
+    out: Lanes,
+    delay: u64,
+}
+
+impl Walk<'_> {
+    /// Walks every source change and every firing they schedule, with
+    /// `eval` evaluating the op on source values; `firings` is the queue
+    /// of scheduled firings, and each firing's lanes are pushed onto
+    /// `fires`. Returns the lanes fired in all, and the tick of the last
+    /// firing (0 if none).
+    #[inline(always)]
+    fn run(
+        &mut self,
+        eval: impl Fn(&[Lanes; 3]) -> Lanes,
+        firings: &mut Vec<Firing>,
+        fires: &mut Vec<Change>,
+    ) -> (u64, u64) {
+        let (changes, now) = (self.changes, &mut self.now);
+        let (mut flips, mut last_tick) = (0, 0);
+        firings.clear();
+        let mut next_firing = 0;
+        let mut at = [0usize; 3];
+        // The tick of each source's next change, `u64::MAX` once none is
+        // left.
+        let mut next = changes.map(|c| c[0].0);
+        loop {
+            let t = next[0].min(next[1]).min(next[2]);
+            // Firings before `t` see the sources as they are now.
+            while let Some(&(tick, low, high)) = firings.get(next_firing) {
+                if tick >= t {
+                    break;
+                }
+                next_firing += 1;
+                // Inertial cancellation, lane-wide: a scheduled value
+                // fires only where it still matches the present
+                // evaluation AND differs from the present output; the
+                // value-0 events go first, as the scalar heap pops them.
+                let present = eval(now);
+                let fired_low = low & !present & self.out;
+                let after_low = self.out & !fired_low;
+                let fired_high = high & present & !after_low;
+                let fired = fired_low | fired_high;
+                if fired.is_zero() {
+                    continue;
+                }
+                self.out = after_low | fired_high;
+                flips += fired.count_ones();
+                last_tick = tick;
+                fires.push((tick, fired));
+            }
+            if next_firing == firings.len() {
+                // Drained: restart the queue, so it stays short.
+                firings.clear();
+                next_firing = 0;
+            }
+            if t == u64::MAX {
+                return (flips, last_tick);
+            }
+            // The sources changing at `t`, one by one in slot order: each
+            // change schedules its lanes to the evaluation it leaves
+            // behind.
+            let (mut low, mut high) = (Lanes::default(), Lanes::default());
+            for i in 0..3 {
+                if next[i] == t {
+                    let flipped = changes[i][at[i]].1;
+                    at[i] += 1;
+                    next[i] = changes[i][at[i]].0;
+                    now[i] = now[i] ^ flipped;
+                    let captured = eval(now);
+                    low = low | (flipped & !captured);
+                    high = high | (flipped & captured);
+                }
+            }
+            firings.push((t + self.delay, low, high));
+        }
     }
 }
 
@@ -686,18 +537,23 @@ mod tests {
     }
 
     /// Runs `planes` through one `GlitchSim` and each lane's stream
-    /// through its own `TimingSim`: per-net totals, transitions and final
-    /// values must agree lane for lane.
+    /// through its own `TimingSim`: per-net totals, transitions, final
+    /// values and each plane's settle time (the latest over the lanes)
+    /// must agree.
     fn assert_lanes_match(n: &Netlist, lib: &Library, planes: &[Vec<[u64; WHEEL_WORDS]>]) {
         let program = TimedProgram::compile(n, lib);
         let mut compiled = GlitchSim::new(&program);
         compiled.settle(&planes[0]);
         let mut compiled_transitions = 0u64;
+        let mut compiled_settle = Vec::new();
         for plane in &planes[1..] {
-            compiled_transitions += compiled.apply(plane).transitions;
+            let result = compiled.apply(plane);
+            compiled_transitions += result.transitions;
+            compiled_settle.push(result.settle_ps);
         }
         let mut scalar_totals = vec![0u64; n.net_count()];
         let mut scalar_transitions = 0u64;
+        let mut scalar_settle = vec![0.0f64; planes.len() - 1];
         for lane in 0..WHEEL_LANES as u32 {
             let mut sim = TimingSim::new(n, lib);
             let bits = |plane: &Vec<[u64; WHEEL_WORDS]>| -> Vec<bool> {
@@ -707,8 +563,10 @@ mod tests {
                     .collect()
             };
             sim.settle(&bits(&planes[0]));
-            for plane in &planes[1..] {
-                scalar_transitions += sim.apply(&bits(plane)).transitions;
+            for (plane, settle) in planes[1..].iter().zip(&mut scalar_settle) {
+                let result = sim.apply(&bits(plane));
+                scalar_transitions += result.transitions;
+                *settle = result.settle_ps.max(*settle);
             }
             for (total, &t) in scalar_totals.iter_mut().zip(sim.toggles()) {
                 *total += t;
@@ -724,26 +582,35 @@ mod tests {
         }
         assert_eq!(compiled.toggles_per_net(), scalar_totals);
         assert_eq!(compiled_transitions, scalar_transitions);
+        assert_eq!(compiled_settle, scalar_settle);
+    }
+
+    /// A library whose cell `name` has intrinsic delay and load slope
+    /// `cell(name)` (input caps and wire caps of 1 fF).
+    fn delay_library(cell: impl Fn(&str) -> (f64, f64)) -> Library {
+        let mut text = String::from("library delays { wire_cap_per_fanout_ff 1\n");
+        for name in [
+            "BUF", "INV", "AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2", "MUX2",
+        ] {
+            let (delay, drive) = cell(name);
+            text += &format!(
+                "cell {name} {{ area 1 cap 1 delay {delay} drive {drive} energy 1 leak 1 }}\n"
+            );
+        }
+        Library::from_text(&(text + "}")).unwrap()
     }
 
     /// The skewed-delay library of `tests/glitch_differential.rs`
     /// (`skewed_delays_agree_with_timing_sim`): AND2 is four orders of
     /// magnitude faster than every other cell.
     fn skewed_library() -> Library {
-        let mut text = String::from("library delays { wire_cap_per_fanout_ff 1\n");
-        for cell in [
-            "BUF", "INV", "AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2", "MUX2",
-        ] {
-            let (delay, drive) = if cell == "AND2" {
+        delay_library(|cell| {
+            if cell == "AND2" {
                 (0.01, 0.0)
             } else {
                 (100.0, 2.5)
-            };
-            text += &format!(
-                "cell {cell} {{ area 1 cap 1 delay {delay} drive {drive} energy 1 leak 1 }}\n"
-            );
-        }
-        Library::from_text(&(text + "}")).unwrap()
+            }
+        })
     }
 
     /// Lane 0 alone: a single-stream compiled run must match one scalar
@@ -789,61 +656,60 @@ mod tests {
         assert_lanes_match(&n, &Library::generic_90nm(), &random_planes(&n, 0x64, 8));
     }
 
-    /// Under the skewed library the bucket span follows the critical path
-    /// (`critical / 4096`), not the fast AND2, so AND2 events land in the
-    /// bucket being drained and join it: the tail re-sort path, whose
-    /// moved events must point at their masks in the drained bucket's
-    /// arena. Every lane of every word must still match its scalar
-    /// stream.
+    /// Under the skewed library the AND2 is more than 4096 times faster
+    /// than the critical path, so its firings land between its sources'
+    /// changes, and those of a slow cell reading it land long after. Every
+    /// lane of every word must still match its scalar stream.
     #[test]
-    fn skewed_delays_schedule_into_the_bucket_being_drained() {
+    fn skewed_delays_match_timing_sim_lane_for_lane() {
         let lib = skewed_library();
         let n = adder(8);
         let program = TimedProgram::compile(&n, &lib);
         let min_delay = program.delay_ticks.iter().copied().min().unwrap();
-        let sim = GlitchSim::new(&program);
+        let critical = program.arrival_ticks.iter().copied().max().unwrap();
         assert!(
-            min_delay < 1 << sim.bucket_shift,
-            "the {min_delay}-tick AND2 must be shorter than the bucket span 2^{}",
-            sim.bucket_shift
+            min_delay < critical / 4096,
+            "the {min_delay}-tick AND2 must be shorter than 1/4096 of the \
+             {critical}-tick critical path"
         );
         assert_lanes_match(&n, &lib, &random_planes(&n, 0x5E4, 6));
     }
 
-    /// Every run length, through the comparison, LSD and MSD paths:
-    /// keys come out ordered and no event is lost or duplicated.
+    /// Ties at equal ticks: inputs change before any gate at tick 0, also
+    /// an input declared after a gate, and cells that read one net on two
+    /// pins (`xor2(x, x)`, `mux2(s, s, y)`) see each of its changes once.
+    /// With 0 ps XORs and 50 ps other cells, `fast` and the late input `b`
+    /// change together at tick 0, and the 50 ps `gated` reading both fires
+    /// on `fast`'s second change at 50 ps only if `b` went first: its
+    /// capture then holds `fast`'s old value. `q` pulses if `gated` rises
+    /// before `slower` does at 100 ps.
     #[test]
-    fn sort_events_orders_runs_of_every_length() {
-        let mut rng = SplitMix64::new(0x5027);
-        let mut scratch = Vec::new();
-        for len in [
-            0,
-            1,
-            RADIX_MIN - 1,
-            RADIX_MIN,
-            5000,
-            CACHE_EVENTS + 1,
-            3 * CACHE_EVENTS,
+    fn late_inputs_and_repeated_pins_match_timing_sim() {
+        let mut n = Netlist::new("ties");
+        let a = n.add_input_bus("a", 2);
+        let slow = n.buf(a[1]);
+        let fast = n.xor2(a[0], slow);
+        let b = n.add_input("b");
+        let gated = n.and2(fast, b);
+        let slower = n.buf(slow);
+        let q = n.xor2(gated, slower);
+        let same = n.xor2(b, b);
+        let mux = n.mux2(b, b, fast);
+        n.set_output_bus("p", vec![q, same, mux]);
+        n.validate().unwrap();
+        let xor_fast = |cell: &str| {
+            if cell.starts_with('X') {
+                (0.0, 0.0)
+            } else {
+                (50.0, 0.0)
+            }
+        };
+        for lib in [
+            Library::generic_90nm(),
+            delay_library(|_| (0.0, 0.0)),
+            delay_library(xor_fast),
         ] {
-            // One bucket's keys: equal high time bits, few distinct
-            // times (bursts of equal keys), any op.
-            let events: Vec<Event> = (0..len)
-                .map(|index| {
-                    let r = rng.next_u64();
-                    let key = (0x5A << 32) | ((r & 0x70_0000) << 8) | (r & 0xFFF);
-                    Event { key, index }
-                })
-                .collect();
-            let mut sorted = events.clone();
-            sort_events(&mut sorted, &mut scratch);
-            assert!(sorted.windows(2).all(|w| w[0].key <= w[1].key), "len {len}");
-            let pairs = |events: &[Event]| {
-                let mut pairs: Vec<(u64, usize)> =
-                    events.iter().map(|e| (e.key, e.index)).collect();
-                pairs.sort_unstable();
-                pairs
-            };
-            assert_eq!(pairs(&sorted), pairs(&events), "len {len}");
+            assert_lanes_match(&n, &lib, &random_planes(&n, 0x71E5, 8));
         }
     }
 

@@ -17,10 +17,11 @@
 //!   inside a cycle) that zero-delay simulation cannot, and reports settle
 //!   times that cross-check static timing analysis.
 //! * [`TimedProgram`]/[`GlitchSim`] — the compiled timing twin:
-//!   [`WHEEL_LANES`] (256) independent stimulus streams through one shared
-//!   event wheel, an exact per-lane emulation of [`TimingSim`]'s
-//!   inertial-delay transition accounting (same delays, same
-//!   quantization, same event order) at a fraction of the cost.
+//!   [`WHEEL_LANES`] (256) independent stimulus streams walked op by op
+//!   over their sources' change histories, an exact per-lane emulation
+//!   of [`TimingSim`]'s inertial-delay transition accounting (same
+//!   delays, same quantization, same event order) at a fraction of the
+//!   cost.
 //!
 //! Two modules drive the engines, one driver per operation, each taking
 //! an [`Engine`] that selects the scalar reference or the compiled

@@ -55,15 +55,6 @@ impl Op {
         })
     }
 
-    /// Number of distinct source pins.
-    pub(crate) fn arity(self) -> usize {
-        match self {
-            Op::Not | Op::Buf => 1,
-            Op::Mux => 3,
-            _ => 2,
-        }
-    }
-
     /// Evaluates the op on every lane of a value plane: `pin(i)` yields
     /// the plane on source pin `i`, and is called only for pins the cell
     /// has, so a caller chooses whether to load sources up front or on
@@ -123,13 +114,13 @@ impl Plane for u64 {
 
 /// Words of 64 lanes per [`Lanes`] plane. A compile-time constant, so
 /// every lane-wide op is a fixed run of word ops the compiler unrolls.
-/// The glitch engine's wheel drains this many stimulus words at once, so
-/// each `(time, op)` key pops once for [`WHEEL_LANES`] lanes; the activity
-/// driver fills each wheel with one stimulus group per word, as many
-/// groups as keep every worker busy (its 8 default groups run as 2 full
-/// wheels on one or two cores and as 8 one-word wheels on eight). The
-/// compiled `verify` sweep runs this many 64-pair blocks per program
-/// pass, one per word.
+/// The glitch engine runs this many stimulus words at once, so each op
+/// evaluation, capture and firing serves [`WHEEL_LANES`] lanes; the
+/// activity driver fills each of its runs (a wheel) with one stimulus
+/// group per word, as many groups as keep every worker busy (its 8
+/// default groups run as 2 full wheels on one or two cores and as 8
+/// one-word wheels on eight). The compiled `verify` sweep runs this many
+/// 64-pair blocks per program pass, one per word.
 pub const WHEEL_WORDS: usize = 4;
 
 /// Lanes per [`Lanes`] plane.

@@ -38,8 +38,8 @@ pub struct AnalysisOptions {
     pub activity_engine: Engine,
     /// Glitch-activity engine used when `glitch_power` is set. The
     /// compiled word-parallel backend (up to
-    /// [`sdlc_sim::WHEEL_LANES`] lane streams per event wheel, identical
-    /// inertial-delay transition accounting) is the default; the
+    /// [`sdlc_sim::WHEEL_LANES`] lane streams per run, walked op by op,
+    /// identical inertial-delay transition accounting) is the default; the
     /// scalar event-driven `TimingSim` remains the reference. Both drive
     /// the same lane streams, so their reports are identical.
     pub glitch_engine: Engine,

@@ -46,8 +46,10 @@
 # the per-run values and their median and quartiles; head records of
 # timings also count the pairs head won. CLI rows hold the SHA-256 of the
 # run's stdout, so equal hashes on both sides show the outputs are
-# byte-identical. CLI repeats are few where runs are long (the parent's
-# 128-bit synth row takes minutes).
+# byte-identical, and each CLI row has a `(peak rss MB)` twin: the peak
+# resident set of each run (`ru_maxrss` from `wait4`, through a python3
+# wrapper that also times the run from fork to exit). CLI repeats are few
+# where runs are long (the parent's 128-bit synth row takes minutes).
 set -euo pipefail
 
 workload=${1:-}
@@ -107,34 +109,52 @@ record() { # side flow unit values [extra]
     records+=("  {\"side\": \"$1\", \"rev\": \"$(rev "$dir")\", \"crates_tree\": \"$tree\", \"src_tree\": \"$src\", \"date\": \"$date\", \"cores\": $cores, \"pinned_cpu\": $cpu, \"flow\": \"$2\", \"unit\": \"$3\", \"runs\": [${values// /, }], $(echo "$values" | stats)${5:+, $5}}")
 }
 
-# One timed CLI run: prints "<seconds> <stdout sha256>".
+# Runs `argv[2:]`, then writes "<seconds> <peak rss MB>" of that child to
+# the file `argv[1]` and exits with its status.
+peak_rss='
+import os, sys, time
+start = time.monotonic()
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.argv[2], sys.argv[2:])
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as f:
+    f.write(f"{time.monotonic() - start} {usage.ru_maxrss / 1024:.1f}")
+sys.exit(os.waitstatus_to_exitcode(status))
+'
+
+# One timed CLI run: prints "<seconds> <stdout sha256> <peak rss MB>".
 time_cli() {
-    local start end sha
-    start=$EPOCHREALTIME
-    sha=$(taskset -c "$cpu" "$1/target/release/sdlc-cli" "${@:2}" | sha256sum | cut -d' ' -f1)
-    end=$EPOCHREALTIME
-    echo "$(awk "BEGIN { print $end - $start }") $sha"
+    local sha usage
+    usage=$(mktemp)
+    sha=$(taskset -c "$cpu" python3 -c "$peak_rss" "$usage" "$1/target/release/sdlc-cli" "${@:2}" |
+        sha256sum | cut -d' ' -f1)
+    echo "$(cut -d' ' -f1 "$usage") $sha $(cut -d' ' -f2 "$usage")"
+    rm -f "$usage"
 }
 
 for row in "${rows[@]}"; do
     repeats=${row%%|*}
     read -ra args <<< "${row#*|}"
-    base_times="" head_times=""
+    base_times="" head_times="" base_rss="" head_rss=""
     for i in $(seq "$repeats"); do
         for side in $( ((i % 2)) && echo base head || echo head base); do
             if [ "$side" = base ]; then
-                read -r t base_sha < <(time_cli "$base" "${args[@]}")
-                base_times+="${base_times:+ }$(printf '%.3f' "$t")"
+                read -r t base_sha rss < <(time_cli "$base" "${args[@]}")
+                base_times+="${base_times:+ }$(printf '%.3f' "$t")" base_rss+="${base_rss:+ }$rss"
             else
-                read -r t head_sha < <(time_cli "$head" "${args[@]}")
-                head_times+="${head_times:+ }$(printf '%.3f' "$t")"
+                read -r t head_sha rss < <(time_cli "$head" "${args[@]}")
+                head_times+="${head_times:+ }$(printf '%.3f' "$t")" head_rss+="${head_rss:+ }$rss"
             fi
         done
     done
     echo "${args[*]}: base [$base_times] head [$head_times]" >&2
+    echo "${args[*]} peak rss MB: base [$base_rss] head [$head_rss]" >&2
     record base "${args[*]}" s "$base_times" "\"stdout_sha256\": \"$base_sha\""
     record head "${args[*]}" s "$head_times" \
         "\"stdout_sha256\": \"$head_sha\", \"head_won\": $(wins "$base_times" "$head_times")"
+    record base "${args[*]} (peak rss MB)" MB "$base_rss"
+    record head "${args[*]} (peak rss MB)" MB "$head_rss" "\"head_won\": $(wins "$base_rss" "$head_rss")"
 done
 
 # One flowbench pass on the checkout DIR: prints "<flow_ms> <setup_s>

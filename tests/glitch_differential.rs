@@ -287,11 +287,9 @@ fn every_generator_family_agrees_with_timing_sim() {
     assert_families_match(&Library::generic_90nm());
 }
 
-/// One cell four orders of magnitude faster than the rest: the wheel's
-/// bucket span follows the critical path (`critical / 4096`), not that
-/// cell, so its events land in the bucket being drained. That holds once
-/// the critical path passes 64 ps, as every design here does; a unit test
-/// in `glitch.rs` asserts it for this library.
+/// One cell four orders of magnitude faster than the rest: its firings
+/// land between its sources' changes, and a unit test in `glitch.rs`
+/// asserts it is more than 4096 times faster than the critical path.
 #[test]
 fn skewed_delays_agree_with_timing_sim() {
     let fast = |cell: &str| cell == "AND2";
@@ -307,6 +305,20 @@ fn skewed_delays_agree_with_timing_sim() {
 #[test]
 fn uniform_delays_agree_with_timing_sim() {
     assert_families_match(&delay_library(|_| 40.0, |_| 0.0));
+}
+
+/// Zero-delay cells put a source's change and its readers' firings at one
+/// tick, so ties at equal ticks decide the order: inputs first, in
+/// declaration order, then gates in program order. Once with every cell
+/// at 0 ps, once with only XOR2/XNOR2 at 0 ps among 50 ps cells, whose
+/// slow readers fire on values as of later ticks.
+#[test]
+fn zero_delay_cells_agree_with_timing_sim() {
+    assert_families_match(&delay_library(|_| 0.0, |_| 0.0));
+    assert_families_match(&delay_library(
+        |cell| if cell.starts_with('X') { 0.0 } else { 50.0 },
+        |_| 0.0,
+    ));
 }
 
 /// The full stream layout (no replication: all 64 lanes of every wheel
