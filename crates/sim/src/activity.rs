@@ -158,10 +158,10 @@ fn timing_activity(netlist: &Netlist, library: &Library, seed: u64, vectors: u64
 /// netlist with the `a`/`b`/`p` port convention. [`Engine::Scalar`] is the
 /// [`TimingSim`] reference; [`Engine::Compiled`] runs the word-parallel
 /// [`GlitchSim`] backend — the default the `sdlc-synth` glitch-power flow
-/// rides. Both drive the same lane streams
-/// with the same inertial-delay semantics, so they return identical
-/// [`Activity`]; each is deterministic in `(netlist, seed, vectors)` and
-/// independent of the machine's core count.
+/// rides. Both drive the same lane streams with the same inertial-delay
+/// semantics, so they return identical [`Activity`]; each is
+/// deterministic in `(netlist, seed, vectors)` and independent of the
+/// machine's core count.
 ///
 /// # Panics
 ///

@@ -343,8 +343,12 @@ impl<'p> GlitchSim<'p> {
             if changes.iter().all(|c| c.len() == 1) {
                 continue;
             }
-            let source_of_pin =
-                pins.map(|s| slots.iter().position(|&x| x == s).expect("pin reads a source"));
+            let source_of_pin = pins.map(|s| {
+                slots
+                    .iter()
+                    .position(|&x| x == s)
+                    .expect("pin reads a source")
+            });
             let dst = p.first_op_slot as usize + op;
             let mut walk = Walk {
                 changes,
